@@ -22,7 +22,6 @@ from .core import (
     BOT,
     DbcatError,
     Instance,
-    Relation,
     disjoint_union_with_maps,
     ext_key,
     format_extension,
@@ -32,9 +31,9 @@ from .powerview import (
     DEFAULT_DEPTH,
     DEFAULT_MAX_ARITY,
     EMPTY_EXT,
-    power_view_cached,
+    close_component,
 )
-from .queries import QueryArityError, RelAtom, Rule, Var, eval_rule
+from .queries import QueryArityError, Rule, copy_rule, eval_rule
 
 
 class ModeViolation(DbcatError):
@@ -124,12 +123,6 @@ class Morphism:
     def kind(self) -> str:
         return "p-arrow" if any(_tree_has_hidden(t) for t in self.trees) else "c-arrow"
 
-    @property
-    def is_atomic(self) -> bool:
-        return all(
-            all(isinstance(c, Leaf) for c in t.children) for t in self.trees
-        )
-
     def d0(self) -> frozenset:
         names = {n for t in self.trees for n in _tree_leaves(t)}
         return frozenset(names) if names else frozenset({BOT})
@@ -180,16 +173,25 @@ def empty_morphism(source: Instance, target: Instance) -> Morphism:
     return Morphism(source, target, (), ("empty",))
 
 
+def _copy_arrow(origin: Instance, source: Instance, target: Instance, reads: dict, writes: dict):
+    """One exact copy mapping per relation of *origin*, reading it from
+    *source* and writing it to *target* under the names *reads* and *writes*
+    give it (its own name where they give none)."""
+    vms = [
+        ViewMap(
+            copy_rule(r.name, reads.get(r.name, r.name), r.arity),
+            writes.get(r.name, r.name),
+            "exact",
+        )
+        for r in origin.relations
+        if r.name != BOT
+    ]
+    return make_atomic(vms, source, target)
+
+
 def identity(inst: Instance) -> Morphism:
     """One exact copy mapping per relation; carries every view of the instance."""
-    vms = []
-    for r in inst.relations:
-        if r.name == BOT:
-            continue
-        hv = tuple(Var(f"X{i}") for i in range(r.arity))
-        q = Rule(f"q_{r.name}", hv, (RelAtom(r.name, hv),))
-        vms.append(ViewMap(q, r.name, "exact"))
-    return make_atomic(vms, inst, inst)
+    return _copy_arrow(inst, inst, inst, {}, {})
 
 
 def _graft(node: MapNode, supply: dict, intermediate: Instance) -> MapNode:
@@ -263,32 +265,22 @@ def coproduct_morphism(f: Morphism, g: Morphism) -> Morphism:
     return Morphism(src, tgt, trees, parts)
 
 
+def _summand(a: Instance, b: Instance, side: str):
+    """The coproduct, the chosen summand, and that summand's names in it."""
+    inst, map_a, map_b, _, _ = disjoint_union_with_maps(a, b)
+    return (inst, a, map_a) if side == "left" else (inst, b, map_b)
+
+
 def injection(a: Instance, b: Instance, side: str = "left") -> Morphism:
     """Monomorphism embedding one summand into the coproduct."""
-    inst, map_a, map_b, _, _ = disjoint_union_with_maps(a, b)
-    origin, names = (a, map_a) if side == "left" else (b, map_b)
-    vms = []
-    for r in origin.relations:
-        if r.name == BOT:
-            continue
-        hv = tuple(Var(f"X{i}") for i in range(r.arity))
-        q = Rule(f"q_{r.name}", hv, (RelAtom(r.name, hv),))
-        vms.append(ViewMap(q, names[r.name], "exact"))
-    return make_atomic(vms, origin, inst)
+    inst, origin, names = _summand(a, b, side)
+    return _copy_arrow(origin, origin, inst, {}, names)
 
 
 def projection(a: Instance, b: Instance, side: str = "left") -> Morphism:
     """Epimorphism collapsing the coproduct back onto one summand."""
-    inst, map_a, map_b, _, _ = disjoint_union_with_maps(a, b)
-    origin, names = (a, map_a) if side == "left" else (b, map_b)
-    vms = []
-    for r in origin.relations:
-        if r.name == BOT:
-            continue
-        hv = tuple(Var(f"X{i}") for i in range(r.arity))
-        q = Rule(f"q_{r.name}", hv, (RelAtom(names[r.name], hv),))
-        vms.append(ViewMap(q, r.name, "exact"))
-    return make_atomic(vms, inst, origin)
+    inst, origin, names = _summand(a, b, side)
+    return _copy_arrow(origin, inst, origin, names, {})
 
 
 def mediating(f: Morphism, g: Morphism) -> Morphism:
@@ -394,18 +386,10 @@ class Flux:
 
 def _closure_of(extensions, depth, max_arity, cap) -> tuple:
     """T-closure of a set of extensions; returns (nonempty extensions, fixpoint)."""
-    exts = [e for e in extensions if e]
-    if not exts:
-        return frozenset(), True
-    relations = tuple(
-        Relation(f"t{i}", len(next(iter(e))), e)
-        for i, e in enumerate(sorted(exts, key=ext_key))
-    )
-    inst = Instance(relations, tuple((r.name, 0) for r in relations))
-    m = max(max_arity, inst.max_arity())
-    vs = power_view_cached(inst, depth, m, cap)
-    closed = frozenset(e for _, group in vs.components for e in group)
-    return closed, vs.fixpoint
+    seeds = frozenset(e for e in extensions if e)
+    m = max([max_arity] + [len(next(iter(e))) for e in seeds])
+    views, fixed = close_component(seeds, depth, m, cap)
+    return frozenset(views), fixed
 
 
 def _atomic_channels(m: Morphism, depth, max_arity, cap):
@@ -436,10 +420,6 @@ def _remap_channels(channels, smap=None, tmap=None):
     return tuple(sorted(out))
 
 
-_FLUX_CACHE: dict = {}
-_FLUX_CACHE_LIMIT = 8192
-
-
 def flux(
     m: Morphism,
     depth: int | None = DEFAULT_DEPTH,
@@ -452,11 +432,6 @@ def flux(
     channel.  Composites intersect the factor fluxes across the shared middle
     object; sums and (co)pairings re-tag the factor channels.
     """
-    key = (m, depth, max_arity, cap)
-    hit = _FLUX_CACHE.get(key)
-    if hit is not None:
-        return hit
-
     kind = m.parts[0]
     if kind == "empty":
         out = Flux((), True)
@@ -489,10 +464,6 @@ def flux(
         out = Flux(tuple(sorted(chans)), ff.fixpoint and fg.fixpoint)
     else:
         raise DbcatError(f"unknown morphism structure {kind!r}")
-
-    if len(_FLUX_CACHE) >= _FLUX_CACHE_LIMIT:
-        _FLUX_CACHE.clear()
-    _FLUX_CACHE[key] = out
     return out
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import SENTINEL_A, SENTINEL_B, DbcatError, Instance, format_value
-from .queries import Const, QueryError, RelAtom, match_atoms
+from .queries import QueryError, RelAtom, atom_constants, match_atoms
 
 
 class ConstraintError(DbcatError):
@@ -19,16 +19,6 @@ class ConstraintError(DbcatError):
 
 def _vars_of(atoms) -> frozenset:
     return frozenset(v.name for a in atoms for v in a.variables())
-
-
-def _consts_of(atoms) -> frozenset:
-    out = set()
-    for a in atoms:
-        if isinstance(a, RelAtom):
-            out.update(t.value for t in a.args if isinstance(t, Const))
-        else:
-            out.update(t.value for t in (a.left, a.right) if isinstance(t, Const))
-    return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -111,7 +101,7 @@ class Sentence:
 
 
 def _constraint_domain(atoms, inst: Instance, with_sentinels: bool) -> frozenset:
-    values = set(_consts_of(atoms))
+    values = set(atom_constants(atoms))
     for r in inst.relations:
         for t in r.tuples:
             values.update(t)

@@ -20,10 +20,6 @@ class ArityError(DbcatError):
     pass
 
 
-class SentinelError(DbcatError):
-    pass
-
-
 @dataclass(frozen=True)
 class Sentinel:
     """Reserved constant lying outside every user value domain."""

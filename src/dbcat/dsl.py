@@ -166,11 +166,6 @@ class Workspace:
             return SAtom(self.schemas[name])
         raise ParseError(f"unknown schema or composition {name!r}")
 
-    def term_names(self) -> dict:
-        out = {name: SAtom(s) for name, s in self.schemas.items()}
-        out.update(self.composes)
-        return out
-
 
 def _check_fresh(ws: Workspace, name: str, tok: Token):
     for pool in (ws.schemas, ws.composes, ws.instances, ws.mappings, ws.graphs):

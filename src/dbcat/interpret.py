@@ -103,9 +103,6 @@ def interpretation(assign: dict, schemas: dict | None = None) -> Interpretation:
     return Interpretation(tuple(assign.items()))
 
 
-_TERM_CACHE: dict = {}
-
-
 def interpret_term(alpha: Interpretation, term: SchemaTerm) -> Instance:
     """Extend the assignment to a composed term.
 
@@ -113,34 +110,24 @@ def interpret_term(alpha: Interpretation, term: SchemaTerm) -> Instance:
     federated group lands in the same component.  The empty term maps to the
     bottom instance.
     """
-    key = (alpha, term)
-    hit = _TERM_CACHE.get(key)
-    if hit is not None:
-        return hit
     if isinstance(term, EmptyTerm):
-        out = bottom_instance()
-    else:
-        layout = term_layout(term)
-        groups = [c for c in nf_components(term) if c]
-        relations, partition = [], {}
-        occurrence = 0
-        for comp in groups:
-            for schema in comp:
-                occurrence += 1
-                inst = alpha.instance_for(schema.name)
-                renames = layout.rename_for(occurrence)
-                for r in inst.relations:
-                    qualified = renames.get(r.name, r.name)
-                    relations.append(Relation(qualified, r.arity, r.tuples))
-                    partition[qualified] = layout.component_of(qualified)
-        if relations:
-            out = Instance(tuple(relations), tuple(partition.items()))
-        else:
-            out = bottom_instance()
-    if len(_TERM_CACHE) > 8192:
-        _TERM_CACHE.clear()
-    _TERM_CACHE[key] = out
-    return out
+        return bottom_instance()
+    layout = term_layout(term)
+    groups = [c for c in nf_components(term) if c]
+    relations, partition = [], {}
+    occurrence = 0
+    for comp in groups:
+        for schema in comp:
+            occurrence += 1
+            inst = alpha.instance_for(schema.name)
+            renames = layout.rename_for(occurrence)
+            for r in inst.relations:
+                qualified = renames.get(r.name, r.name)
+                relations.append(Relation(qualified, r.arity, r.tuples))
+                partition[qualified] = layout.component_of(qualified)
+    if relations:
+        return Instance(tuple(relations), tuple(partition.items()))
+    return bottom_instance()
 
 
 def gamma_instance(alpha: Interpretation, sketch: Sketch, node: str) -> Instance:
@@ -302,13 +289,6 @@ class FunctorReport:
     @property
     def passed(self) -> bool:
         return all(ok for _, ok, _ in self.checks)
-
-    @property
-    def first_violation(self):
-        for cid, ok, detail in self.checks:
-            if not ok:
-                return (cid, detail)
-        return None
 
     def lines(self) -> tuple:
         return tuple(sorted(self.checks))

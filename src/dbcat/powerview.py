@@ -18,8 +18,9 @@ closures of its components.
 """
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .core import (
     BOT,
@@ -49,14 +50,16 @@ class ViewSet:
 
     ``components`` maps component id -> frozenset of nonempty extensions; the
     empty view belongs to every view set and is kept implicit.  ``provenance``
-    holds one witnessing term per extension and never takes part in equality.
+    holds, per component, the closure's witnessing terms (see
+    :func:`close_component`) and the relation name of each seed extension; it
+    never takes part in equality.
     """
 
     components: tuple
     depth: int
     max_arity: int
     fixpoint: bool
-    provenance: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
+    provenance: tuple = field(default=(), compare=False, hash=False, repr=False)
 
     def extensions(self) -> frozenset:
         """All extensions, untagged, including the empty view."""
@@ -87,7 +90,13 @@ class ViewSet:
         return len(self.extensions())
 
     def witness(self, ext):
-        return self.provenance.get(frozenset(ext))
+        """A term over relation names evaluating to *ext*, taken from the
+        last component holding it, or None."""
+        ext = frozenset(ext)
+        for views, names in reversed(self.provenance):
+            if ext in views:
+                return _name_leaves(views[ext], names)
+        return None
 
     def serialize(self) -> list:
         """Deterministic nested-list form for reports and golden files."""
@@ -115,22 +124,37 @@ class ViewSet:
         return Instance(tuple(relations), tuple(partition.items()))
 
 
+def _name_leaves(term, names: dict):
+    """*term* with each seed-extension leaf replaced by its relation name."""
+    if isinstance(term, BaseRel):
+        return BaseRel(names[term.name])
+    if isinstance(term, (Select, Project)):
+        return replace(term, child=_name_leaves(term.child, names))
+    return replace(
+        term, left=_name_leaves(term.left, names), right=_name_leaves(term.right, names)
+    )
+
+
 def _index_lists(arity: int, max_arity: int):
     for length in range(1, max_arity + 1):
         yield from itertools.product(range(arity), repeat=length)
 
 
-def _close_component(seeds, adom, depth, max_arity, cap, budget):
-    """Closure of one component.  *seeds* is iterable of (extension, term).
+@functools.lru_cache(maxsize=4096)
+def close_component(seeds, depth, max_arity, cap):
+    """Closure of one component from the frozenset *seeds* of its nonempty
+    extensions.
 
-    Returns (dict extension -> term, reached_fixpoint).  *budget* is a
-    single-element list shared across components for the global cap.
+    Returns (dict extension -> term, reached_fixpoint).  Each term's leaves
+    are ``BaseRel(seed extension)``; :meth:`ViewSet.witness` names them.  The
+    closure depends on the extensions and the bounds alone, so one memoised
+    result serves every component and flux channel that holds the same
+    extensions; callers must not mutate it.  Raises
+    :class:`ViewBudgetExceeded` once more than *cap* new views appear.
     """
-    views: dict = {}
-    for ext, term in seeds:
-        if ext and ext not in views:
-            views[ext] = term
-    consts = sorted(adom, key=value_key)
+    views = {ext: BaseRel(ext) for ext in sorted(seeds, key=ext_key)}
+    consts = sorted({v for ext in seeds for t in ext for v in t}, key=value_key)
+    added = 0
 
     frontier = dict(views)
     level = 0
@@ -141,10 +165,11 @@ def _close_component(seeds, adom, depth, max_arity, cap, budget):
         new: dict = {}
 
         def emit(ext, term):
+            nonlocal added
             if ext and ext not in views and ext not in new:
                 new[ext] = term
-                budget[0] += 1
-                if budget[0] > cap:
+                added += 1
+                if added > cap:
                     raise ViewBudgetExceeded(
                         f"view enumeration exceeded cap of {cap}"
                     )
@@ -192,37 +217,37 @@ def power_view(
 ) -> ViewSet:
     """All views of *inst* reachable within the given bounds.
 
-    ``depth=None`` runs to a true fixpoint (the cap still applies).  The
-    result records whether a fixpoint was reached, which makes equality
-    comparisons exact rather than bounded.
+    ``depth=None`` runs to a true fixpoint.  *cap* bounds the new views
+    summed over all components.  The result records whether a fixpoint was
+    reached, which makes equality comparisons exact rather than bounded.
     """
     if max_arity < inst.max_arity():
         raise DbcatError(
             f"max_arity {max_arity} below the instance's own arity {inst.max_arity()}"
         )
-    budget = [0]
     components = []
-    provenance = {}
+    provenance = []
     fixpoint = True
+    added = 0
     for comp, rels in sorted(inst.components().items()):
-        seeds = []
-        adom = set()
+        names: dict = {}
         for r in rels:
-            if r.name != BOT:
-                seeds.append((r.tuples, BaseRel(r.name)))
-                for t in r.tuples:
-                    adom.update(t)
-        views, fixed = _close_component(seeds, adom, depth, max_arity, cap, budget)
+            if r.tuples:
+                names.setdefault(r.tuples, r.name)
+        views, fixed = close_component(frozenset(names), depth, max_arity, cap)
+        added += len(views) - len(names)
+        if added > cap:
+            raise ViewBudgetExceeded(f"view enumeration exceeded cap of {cap}")
         fixpoint = fixpoint and fixed
         if views:
             components.append((comp, frozenset(views)))
-            provenance.update(views)
+            provenance.append((views, names))
     return ViewSet(
         components=tuple(components),
         depth=-1 if depth is None else depth,
         max_arity=max_arity,
         fixpoint=fixpoint,
-        provenance=provenance,
+        provenance=tuple(provenance),
     )
 
 
@@ -267,13 +292,12 @@ def matching(
     va = power_view_cached(a, depth, max_arity, cap)
     vb = power_view_cached(b, depth, max_arity, cap)
     common = (va.extensions() & vb.extensions()) - {EMPTY_EXT}
-    prov = {e: va.provenance.get(e) for e in common}
     return ViewSet(
         components=((0, frozenset(common)),) if common else (),
         depth=va.depth,
         max_arity=max_arity,
         fixpoint=va.fixpoint and vb.fixpoint,
-        provenance=prov,
+        provenance=va.provenance,
     )
 
 

@@ -84,6 +84,17 @@ class Builtin:
 Atom = RelAtom | Builtin
 
 
+def atom_constants(atoms) -> frozenset:
+    """Every constant occurring in the given relation atoms and built-ins."""
+    out = set()
+    for a in atoms:
+        if isinstance(a, RelAtom):
+            out.update(t.value for t in a.args if isinstance(t, Const))
+        else:
+            out.update(t.value for t in (a.left, a.right) if isinstance(t, Const))
+    return frozenset(out)
+
+
 @dataclass(frozen=True)
 class Rule:
     """Conjunctive query ``head(vars) <- atom, atom, ...``."""
@@ -106,13 +117,7 @@ class Rule:
         return frozenset(a.name for a in self.body if isinstance(a, RelAtom))
 
     def constants(self) -> frozenset:
-        out = set()
-        for a in self.body:
-            if isinstance(a, RelAtom):
-                out.update(t.value for t in a.args if isinstance(t, Const))
-            else:
-                out.update(t.value for t in (a.left, a.right) if isinstance(t, Const))
-        return frozenset(out)
+        return atom_constants(self.body)
 
     def rename_relations(self, mapping: dict) -> "Rule":
         body = tuple(
@@ -120,6 +125,12 @@ class Rule:
             for a in self.body
         )
         return Rule(self.head_name, self.head_vars, body)
+
+
+def copy_rule(name: str, source: str, arity: int) -> Rule:
+    """``q_<name>(X0..Xk) :- source(X0..Xk)``: copies one relation whole."""
+    hv = tuple(Var(f"X{i}") for i in range(arity))
+    return Rule(f"q_{name}", hv, (RelAtom(source, hv),))
 
 
 def rule(head_name: str, head_vars, body) -> Rule:
@@ -199,7 +210,13 @@ class Union:
     right: "QueryTerm"
 
 
-QueryTerm = BaseRel | Select | Project | Join | Rename | Union
+@dataclass(frozen=True)
+class EmptyRel:
+    """The nullary relation with no tuples: joined to any term, it empties
+    that term at its own width."""
+
+
+QueryTerm = BaseRel | Select | Project | Join | Rename | Union | EmptyRel
 
 
 def _eval(t, inst: Instance):
@@ -248,6 +265,8 @@ def _eval(t, inst: Instance):
             raise QueryArityError("union of different arities")
         _check_same_component(lc, rc)
         return lt | rt, la, lc if lc is not None else rc
+    if isinstance(t, EmptyRel):
+        return set(), 0, None
     raise QueryError(f"not a query term: {t!r}")
 
 
@@ -380,7 +399,8 @@ def rule_to_spjru(q: Rule):
 
     Relation atoms become a left-deep cartesian join; repeated variables,
     embedded constants, and ``=`` built-ins become selections; the head
-    becomes a projection.  Rules using ``<=`` have no counterpart in the
+    becomes a projection.  A built-in equating two distinct constants joins
+    the body with :class:`EmptyRel`, which empties it at any width.  Rules using ``<=`` have no counterpart in the
     equality-only selection language and are rejected.
     """
     rel_atoms = _relation_atoms(q.body)
@@ -431,8 +451,7 @@ def rule_to_spjru(q: Rule):
             contradiction = True
 
     if contradiction:
-        # two selections on the same column with different constants: empty
-        conds = [ConstEq(0, 0), ConstEq(0, 1)]
+        term = Join(term, EmptyRel(), ())
     if conds:
         term = Select(term, tuple(conds))
     return Project(term, tuple(first_col[v.name] for v in q.head_vars))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .constraints import Sentence, Tgd
 from .core import SENTINEL_A, SENTINEL_B, DbcatError
-from .queries import Builtin, Const, CrossComponentQuery, RelAtom, Rule, Var
+from .queries import Builtin, Const, CrossComponentQuery, RelAtom, Rule, Var, copy_rule
 
 EMPTY_NODE = "_empty"
 
@@ -311,9 +311,8 @@ def make_pair(lhs: Rule, rhs) -> MappingPair:
 def identity_mapping(name: str, node_name: str, term: SchemaTerm) -> SchemaMapping:
     pairs = []
     for rel, arity in sorted(term_layout(term).relsymbols().items()):
-        hv = tuple(Var(f"X{i}") for i in range(arity))
-        lhs = Rule(f"q_{rel}", hv, (RelAtom(rel, hv),))
-        pairs.append(make_pair(lhs, RelAtom(rel, hv)))
+        lhs = copy_rule(rel, rel, arity)
+        pairs.append(make_pair(lhs, RelAtom(rel, lhs.head_vars)))
     return SchemaMapping(
         name, node_name, node_name, term, term, tuple(pairs), is_identity=True
     )
@@ -414,9 +413,6 @@ class MappingGraph:
                     raise SchemaError(
                         f"graph {self.name}: mapping {m.name} disagrees with node {end!r}"
                     )
-
-    def node_term(self, name: str) -> SchemaTerm:
-        return dict(self.nodes)[name]
 
 
 def mapping_graph(name, nodes: dict, mappings, seqs=(), branches=()) -> MappingGraph:

@@ -1,3 +1,4 @@
+import json
 import pathlib
 import subprocess
 import sys
@@ -9,6 +10,22 @@ from dbcat.dsl import parse_workspace, parse_workspace_text, serialize_workspace
 
 DATA = pathlib.Path(__file__).parent / "data"
 FILES = sorted(DATA.glob("*.dbc"))
+GOLDEN = pathlib.Path(__file__).parent.parent / "perfbench" / "golden" / "cli.json"
+
+# The benchmark's ten commands (perfbench/DESIGN.md) and its two bounds.
+GOLDEN_COMMANDS = (
+    ("eval", "demo", ["A0", "q(X,Z) :- r(X,Y), r(Y,Z)"]),
+    ("powerview", "demo", ["A0"]),
+    ("iso", "federation", ["S0", "F0"]),
+    ("flux", "demo", ["M", "A0", "B0"]),
+    ("compose", "demo", ["M", "N", "A0", "B0", "D0"]),
+    ("laws", "demo", []),
+    ("check-model", "system", ["G"]),
+    ("check-functor", "system", ["G"]),
+    ("gamma-iso", "system", ["G"]),
+    ("duality", "demo", ["A0", "B0"]),
+)
+GOLDEN_BOUNDS = {"fixpoint": ["--depth", "-1", "--arity", "2"], "bounded": []}
 
 
 def ws(*names):
@@ -139,3 +156,16 @@ def test_workspace_round_trip_on_data_files():
         w2 = parse_workspace_text(text)
         assert w1 == w2, path
         assert serialize_workspace(w2) == text, path
+
+
+def test_reports_match_the_golden_file(capsys):
+    golden = json.loads(GOLDEN.read_text())
+    for command, workspace, args in GOLDEN_COMMANDS:
+        for bound, flags in GOLDEN_BOUNDS.items():
+            argv = [command, *args, "-i", str(DATA / f"{workspace}.dbc"), "--format", "lines"]
+            status = main(argv + flags)
+            expected = golden[f"{bound} {command}"]
+            assert (status, capsys.readouterr().out) == (expected["status"], expected["stdout"]), (
+                bound,
+                command,
+            )

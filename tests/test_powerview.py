@@ -1,8 +1,10 @@
 import pytest
 
+from dbcat.category import flux, identity
 from dbcat.core import bottom_instance, disjoint_union, make_instance
 from dbcat.powerview import (
     ViewBudgetExceeded,
+    close_component,
     instances_isomorphic,
     matching,
     merging,
@@ -73,6 +75,20 @@ def test_budget_cap():
     a = make_instance({"r": [(1, 2), (2, 3), (3, 1)]})
     with pytest.raises(ViewBudgetExceeded):
         power_view(a, None, 3, cap=500)
+    # the cap counts new views summed over components: 17 in each copy
+    swap = make_instance({"r": [(1, 2), (2, 1)]})
+    with pytest.raises(ViewBudgetExceeded):
+        power_view(disjoint_union(swap, swap), None, 2, cap=33)
+    assert power_view(disjoint_union(swap, swap), None, 2, cap=34).fixpoint
+
+
+def test_component_closures_are_shared():
+    a = make_instance({"r": [(1, 2), (2, 5)], "s": [(5,)]})
+    power_view(a, 1, 2)
+    misses = close_component.cache_info().misses
+    power_view(disjoint_union(a, a), 1, 2)
+    flux(identity(a), 1, 2)
+    assert close_component.cache_info().misses == misses
 
 
 def test_isomorphism_reflexive_and_vs_bottom():
@@ -179,3 +195,10 @@ def test_provenance_witnesses_evaluate_back(tmp_path):
             assert eval_spjru(term, a).tuples == ext
             checked += 1
     assert checked > 5
+
+    # a witness names the relations of one component, never of two
+    b = make_instance({"s": [(2,), (5,)]})
+    aba = disjoint_union(disjoint_union(a, b), a)
+    vs = power_view(aba, 1, 2)
+    for ext in vs.extensions() - {EMPTY}:
+        assert eval_spjru(vs.witness(ext), aba).tuples == ext

@@ -136,6 +136,13 @@ def test_translation_simple_shapes():
         (1,)
     }
 
+    # a contradiction empties the body at any width, the nullary one included
+    for q4, inst in (
+        (rule("q", [], [("z",), ("=", 1, 2)]), make_instance({"z": [()]})),
+        (rule("q", ["X"], [("r", "X", "Y"), ("=", 1, 2)]), R12_23),
+    ):
+        assert eval_spjru(rule_to_spjru(q4), inst).tuples == eval_rule(q4, inst).tuples == set()
+
 
 def test_translation_rejects_le():
     q = rule("q", ["X"], [("r", "X", "Y"), ("<=", "X", "Y")])
