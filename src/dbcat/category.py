@@ -344,7 +344,16 @@ class Flux:
         )
 
     def canonical(self) -> tuple:
-        """Channel structure up to renaming components on either side."""
+        """Channel structure up to renaming components on either side.
+
+        Colour refinement splits the components into classes: a component's
+        colour is its previous colour with the keys of its channels, each
+        paired with the colour of the component at the other end, until no
+        class splits.  Only sources of one class are permuted.  Once the
+        sources are labelled, each target is labelled by its colour and its
+        (source label, key) channels; targets that agree on these are
+        interchangeable.  The least form over those permutations is exact.
+        """
         chans = [
             (s, t, tuple(sorted(ext_key(e) for e in exts)))
             for s, t, exts in self.channels
@@ -352,20 +361,29 @@ class Flux:
         ]
         if not chans:
             return ()
-        srcs = sorted({s for s, _, _ in chans})
-        tgts = sorted({t for _, t, _ in chans})
-        if len(srcs) > 5 or len(tgts) > 5:  # degenerate; fall back to stable labels
-            smap = {s: i for i, s in enumerate(srcs)}
-            tmap = {t: i for i, t in enumerate(tgts)}
-            return tuple(sorted((smap[s], tmap[t], k) for s, t, k in chans))
+        by_src, by_tgt = {}, {}
+        for s, t, k in chans:
+            by_src.setdefault(s, []).append((t, k))
+            by_tgt.setdefault(t, []).append((s, k))
+        scol, tcol = dict.fromkeys(by_src, 0), dict.fromkeys(by_tgt, 0)
+        classes = 2
+        while True:
+            scol, tcol = _refine(scol, tcol, by_src), _refine(tcol, scol, by_tgt)
+            split = len(set(scol.values())) + len(set(tcol.values()))
+            if split == classes:
+                break
+            classes = split
+        groups: dict = {}
+        for src in sorted(scol, key=scol.get):
+            groups.setdefault(scol[src], []).append(src)
         best = None
-        for sp in itertools.permutations(range(len(srcs))):
-            smap = dict(zip(srcs, sp))
-            for tp in itertools.permutations(range(len(tgts))):
-                tmap = dict(zip(tgts, tp))
-                cand = tuple(sorted((smap[s], tmap[t], k) for s, t, k in chans))
-                if best is None or cand < best:
-                    best = cand
+        for order in itertools.product(*(itertools.permutations(g) for g in groups.values())):
+            smap = {src: i for i, src in enumerate(itertools.chain.from_iterable(order))}
+            tsig = {t: (tcol[t], sorted((smap[s], k) for s, k in by_tgt[t])) for t in tcol}
+            tmap = {t: i for i, t in enumerate(sorted(tsig, key=tsig.get))}
+            cand = tuple(sorted((smap[s], tmap[t], k) for s, t, k in chans))
+            if best is None or cand < best:
+                best = cand
         return best
 
     def same(self, other: "Flux") -> bool:
@@ -382,6 +400,15 @@ class Flux:
         if not out:
             out.append([0, 0, [format_extension(EMPTY_EXT)]])
         return out
+
+
+def _refine(colour: dict, other: dict, adjacent: dict) -> dict:
+    """One round of colour refinement: each component's new colour is the
+    rank of (its colour, its channel keys each with the colour at the other
+    end) among all such signatures on its side."""
+    sig = {x: (colour[x], tuple(sorted((k, other[y]) for y, k in adjacent[x]))) for x in colour}
+    rank = {s: i for i, s in enumerate(sorted(set(sig.values())))}
+    return {x: rank[s] for x, s in sig.items()}
 
 
 def _closure_of(extensions, depth, max_arity, cap) -> tuple:

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import SENTINEL_A, SENTINEL_B, DbcatError, Instance, format_value
-from .queries import QueryError, RelAtom, atom_constants, match_atoms
+from .core import SENTINEL_A, SENTINEL_B, DbcatError, Instance, active_domain, format_value
+from .queries import RelAtom, atom_components, atom_constants, match_atoms, matcher
 
 
 class ConstraintError(DbcatError):
@@ -101,40 +101,25 @@ class Sentence:
 
 
 def _constraint_domain(atoms, inst: Instance, with_sentinels: bool) -> frozenset:
-    values = set(atom_constants(atoms))
-    for r in inst.relations:
-        for t in r.tuples:
-            values.update(t)
-    if with_sentinels:
-        values.update((SENTINEL_A, SENTINEL_B))
-    return frozenset(values)
-
-
-def _validate_atoms(atoms, inst: Instance):
-    for a in atoms:
-        if isinstance(a, RelAtom):
-            if not inst.has(a.name):
-                raise QueryError(f"unknown relation {a.name!r} in constraint")
-            if inst.relation(a.name).arity != len(a.args):
-                raise QueryError(f"constraint atom {a.name} has wrong arity")
+    values = atom_constants(atoms) | active_domain(inst)
+    return values | {SENTINEL_A, SENTINEL_B} if with_sentinels else values
 
 
 def find_tgd_violation(t: Tgd, inst: Instance):
     """First universal assignment whose right side has no witness, or None."""
-    _validate_atoms(t.left, inst)
-    _validate_atoms(t.right, inst)
+    atom_components(t.left + t.right, inst)
     left_domain = _constraint_domain(t.left, inst, with_sentinels=False)
     right_domain = _constraint_domain(t.right, inst, with_sentinels=True)
+    witnesses = matcher(t.right, inst, right_domain, t.universal)
     seen = set()
     for env in match_atoms(t.left, inst, left_domain):
-        ua = tuple((u, env[u]) for u in t.universal)
+        ua = tuple(env[u] for u in t.universal)
         if ua in seen:
             continue
         seen.add(ua)
-        fixed = dict(ua)
-        witness = next(iter(match_atoms(t.right, inst, right_domain, env=fixed)), None)
-        if witness is None:
-            return dict(ua)
+        fixed = dict(zip(t.universal, ua))
+        if next(witnesses(fixed), None) is None:
+            return fixed
     return None
 
 
@@ -144,7 +129,7 @@ def check_tgd(t: Tgd, inst: Instance) -> bool:
 
 def find_egd_violation(e: Egd, inst: Instance):
     """First satisfying assignment equating two distinct values, or None."""
-    _validate_atoms(e.left, inst)
+    atom_components(e.left, inst)
     domain = _constraint_domain(e.left, inst, with_sentinels=False)
     a, b = e.pair
     for env in match_atoms(e.left, inst, domain):

@@ -9,6 +9,7 @@ an ordinary instance keeps everything in component 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 
@@ -120,24 +121,46 @@ class Instance:
         object.__setattr__(self, "relations", tuple(sorted(self.relations, key=lambda r: r.name)))
         object.__setattr__(self, "partition", tuple(sorted(part.items())))
 
+    @cached_property
+    def _by_name(self) -> dict:
+        """Relation name -> (relation, component id)."""
+        part = dict(self.partition)
+        return {r.name: (r, part[r.name]) for r in self.relations}
+
+    @cached_property
+    def _indexes(self) -> dict:
+        return {}
+
+    def _entry(self, name: str) -> tuple:
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise DbcatError(f"unknown relation {name!r}") from None
+
     def relation(self, name: str) -> Relation:
-        for r in self.relations:
-            if r.name == name:
-                return r
-        raise DbcatError(f"unknown relation {name!r}")
+        return self._entry(name)[0]
 
     @property
     def names(self) -> tuple:
         return tuple(r.name for r in self.relations)
 
     def has(self, name: str) -> bool:
-        return any(r.name == name for r in self.relations)
+        return name in self._by_name
 
     def component_of(self, name: str) -> int:
-        for n, c in self.partition:
-            if n == name:
-                return c
-        raise DbcatError(f"unknown relation {name!r}")
+        return self._entry(name)[1]
+
+    def index(self, name: str, cols: tuple) -> dict:
+        """Hash index of relation *name* on the columns *cols*: key tuple ->
+        tuples holding those values there; ``cols=()`` maps ``()`` to every
+        tuple.  Built on first use and cached with the instance; it never
+        takes part in equality or hashing.  A concurrent first use may build
+        the same index twice, but only one copy is kept."""
+        key = (name, cols)
+        idx = self._indexes.get(key)
+        if idx is None:
+            idx = self._indexes.setdefault(key, _build_index(self.relation(name), cols))
+        return idx
 
     def components(self) -> dict:
         """Component id -> list of relations, in name order."""
@@ -149,6 +172,13 @@ class Instance:
 
     def max_arity(self) -> int:
         return max((r.arity for r in self.relations), default=0)
+
+
+def _build_index(r: Relation, cols: tuple) -> dict:
+    idx: dict = {}
+    for t in r.tuples:
+        idx.setdefault(tuple(t[c] for c in cols), []).append(t)
+    return idx
 
 
 def make_instance(

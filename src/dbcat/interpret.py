@@ -132,7 +132,7 @@ def interpret_term(alpha: Interpretation, term: SchemaTerm) -> Instance:
 
 def gamma_instance(alpha: Interpretation, sketch: Sketch, node: str) -> Instance:
     """The node's instance extended with the sketch's added relations."""
-    term = dict(sketch.nodes)[node]
+    term = sketch.node_map[node]
     base = interpret_term(alpha, term)
     additions = sketch.additions_for(node)
     if not additions:
@@ -143,7 +143,7 @@ def gamma_instance(alpha: Interpretation, sketch: Sketch, node: str) -> Instance
         if add.defining is not None:
             ext = eval_rule(add.defining, base).tuples
         else:
-            src_term = dict(sketch.nodes)[add.source_node]
+            src_term = sketch.node_map[add.source_node]
             ext = eval_rule(add.from_lhs, interpret_term(alpha, src_term)).tuples
         relations.append(Relation(add.name, add.arity, ext))
         partition[add.name] = add.component
@@ -152,8 +152,8 @@ def gamma_instance(alpha: Interpretation, sketch: Sketch, node: str) -> Instance
 
 def helper_instance(alpha: Interpretation, sketch: Sketch, helper) -> Instance:
     """Materialize a helper node: left tuples tagged A, right tuples tagged B."""
-    src = interpret_term(alpha, dict(sketch.nodes)[helper.source_node])
-    tgt = interpret_term(alpha, dict(sketch.nodes)[helper.target_node])
+    src = interpret_term(alpha, sketch.node_map[helper.source_node])
+    tgt = interpret_term(alpha, sketch.node_map[helper.target_node])
     left = eval_rule(helper.lhs, src).tuples
     right = eval_rule(helper.rhs, tgt).tuples
     tuples = frozenset(t + (SENTINEL_A,) for t in left) | frozenset(
@@ -167,7 +167,7 @@ def helper_instance(alpha: Interpretation, sketch: Sketch, helper) -> Instance:
 
 def node_instance(alpha: Interpretation, sketch: Sketch, node: str) -> Instance:
     """Instance of any sketch node, including helpers and the empty node."""
-    obj = dict(sketch.nodes)[node]
+    obj = sketch.node_map[node]
     if node == EMPTY_NODE:
         return bottom_instance()
     if hasattr(obj, "sentinel"):  # a helper schema
@@ -276,7 +276,7 @@ def interpret_arrow(
 def _sentence_subject(alpha: Interpretation, sketch: Sketch, node: str) -> Instance:
     """Instance a constraint arrow is judged on: helpers use their materialized
     relation, schema nodes their plain (non-enlarged) interpretation."""
-    obj = dict(sketch.nodes)[node]
+    obj = sketch.node_map[node]
     if hasattr(obj, "sentinel"):
         return helper_instance(alpha, sketch, obj)
     return interpret_term(alpha, obj)
@@ -387,7 +387,7 @@ def check_gamma_iso(
     The added relations are materialized from their defining queries, so for
     any model they contribute no views beyond the closure of the original.
     """
-    term = dict(sketch.nodes)[node]
+    term = sketch.node_map[node]
     plain = interpret_term(alpha, term)
     enlarged = gamma_instance(alpha, sketch, node)
     m = max(max_arity, plain.max_arity(), enlarged.max_arity())

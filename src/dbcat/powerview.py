@@ -41,7 +41,21 @@ EMPTY_EXT = frozenset()
 
 
 class ViewBudgetExceeded(DbcatError):
-    """The enumeration produced more views than the configured cap allows."""
+    """The enumeration produced more views than the configured cap allows.
+
+    ``views`` is the count of new views reached and ``cap`` the cap passed;
+    ``level`` is the closure level it stopped at (None when the sum over
+    components passed the cap) and ``component`` the component id (None
+    outside :func:`power_view`).
+    """
+
+    def __init__(self, cap, views, level=None, component=None):
+        where = [f"component {component}"] if component is not None else []
+        where += [f"level {level}"] if level is not None else []
+        super().__init__(
+            f"view enumeration exceeded cap of {cap} ({', '.join(where + [f'{views} views'])})"
+        )
+        self.cap, self.views, self.level, self.component = cap, views, level, component
 
 
 @dataclass(frozen=True)
@@ -170,9 +184,7 @@ def close_component(seeds, depth, max_arity, cap):
                 new[ext] = term
                 added += 1
                 if added > cap:
-                    raise ViewBudgetExceeded(
-                        f"view enumeration exceeded cap of {cap}"
-                    )
+                    raise ViewBudgetExceeded(cap, added, level)
 
         for ext, term in frontier.items():
             arity = len(next(iter(ext)))
@@ -234,10 +246,13 @@ def power_view(
         for r in rels:
             if r.tuples:
                 names.setdefault(r.tuples, r.name)
-        views, fixed = close_component(frozenset(names), depth, max_arity, cap)
+        try:
+            views, fixed = close_component(frozenset(names), depth, max_arity, cap)
+        except ViewBudgetExceeded as exc:
+            raise ViewBudgetExceeded(cap, exc.views, exc.level, comp) from None
         added += len(views) - len(names)
         if added > cap:
-            raise ViewBudgetExceeded(f"view enumeration exceeded cap of {cap}")
+            raise ViewBudgetExceeded(cap, added, component=comp)
         fixpoint = fixpoint and fixed
         if views:
             components.append((comp, frozenset(views)))

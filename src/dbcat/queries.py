@@ -1,13 +1,13 @@
 """SPJRU algebra terms and rule-based conjunctive queries over finite instances.
 
 Both query styles evaluate under plain set semantics.  Terms are evaluated by
-structural recursion over the algebra; rules are evaluated by a unification
-style matcher over the body atoms.  The two routes are tied together by
-:func:`rule_to_spjru`, which compiles a rule into an equivalent term.
+structural recursion over the algebra, joins by hashing; rules are evaluated
+by probing the instance's hash indexes one body atom at a time.  The two
+routes are tied together by :func:`rule_to_spjru`, which compiles a rule into
+an equivalent term.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .core import DbcatError, Instance, Relation, Value, value_key
@@ -225,7 +225,7 @@ def _eval(t, inst: Instance):
         if not inst.has(t.name):
             raise UnknownRelation(f"unknown relation {t.name!r}")
         r = inst.relation(t.name)
-        return set(r.tuples), r.arity, inst.component_of(t.name)
+        return r.tuples, r.arity, inst.component_of(t.name)
     if isinstance(t, Select):
         tuples, arity, comp = _eval(t.child, inst)
         for c in t.conds:
@@ -252,11 +252,13 @@ def _eval(t, inst: Instance):
         lt, la, lc = _eval(t.left, inst)
         rt, ra, rc = _eval(t.right, inst)
         _check_same_component(lc, rc)
-        out = set()
-        for x in lt:
-            for y in rt:
-                if all(x[i] == y[j] for i, j in t.pairs):
-                    out.add(x + y)
+        if any(not (0 <= i < la and 0 <= j < ra) for i, j in t.pairs):
+            raise QueryArityError("join column out of range")
+        # hash join on the pairs; with no pairs every key is () and it is a product
+        index: dict = {}
+        for y in rt:
+            index.setdefault(tuple(y[j] for _, j in t.pairs), []).append(y)
+        out = {x + y for x in lt for y in index.get(tuple(x[i] for i, _ in t.pairs), ())}
         return out, la + ra, lc if lc is not None else rc
     if isinstance(t, Union):
         lt, la, lc = _eval(t.left, inst)
@@ -291,19 +293,17 @@ def _relation_atoms(body):
     return [a for a in body if isinstance(a, RelAtom)]
 
 
-def _check_components(body, inst: Instance):
+def atom_components(atoms, inst: Instance) -> set:
+    """Components of the relations that *atoms* query, each checked to exist
+    in *inst* at the atom's arity."""
     comps = set()
-    for a in _relation_atoms(body):
+    for a in _relation_atoms(atoms):
         if not inst.has(a.name):
             raise UnknownRelation(f"unknown relation {a.name!r}")
         if inst.relation(a.name).arity != len(a.args):
             raise QueryArityError(f"atom {a.name} has wrong arity")
         comps.add(inst.component_of(a.name))
-    if len(comps) > 1:
-        raise CrossComponentQuery(
-            f"rule body spans separated components {sorted(comps)}"
-        )
-    return comps.pop() if comps else None
+    return comps
 
 
 def _holds(b: Builtin, env: dict) -> bool:
@@ -314,79 +314,90 @@ def _holds(b: Builtin, env: dict) -> bool:
     return value_key(left) <= value_key(right)
 
 
-def match_atoms(body, inst: Instance, domain: frozenset, env: dict | None = None):
-    """Yield every assignment of the body variables that satisfies all atoms.
+def matcher(body, inst: Instance, domain: frozenset, bound=()):
+    """Compile *body* against *inst* for environments that bind *bound*.
 
-    Relation atoms bind variables by scanning tuples; variables not bound by
-    any relation atom range over *domain*.  Built-ins are checked as soon as
-    both sides are bound.
+    Returns ``match(env)``, which yields every extension of *env* to the body
+    variables that satisfies all atoms.  The relation atoms are ordered
+    greedily, the one with the most bound positions (constants and bound
+    variables) first; the order depends only on which variables are bound,
+    so it is fixed here together with the built-ins each step makes
+    checkable.  Each atom is matched by one probe of the instance's hash
+    index on its bound positions.  Variables that only built-ins mention
+    come last, each ranging over *domain*.
     """
-    rel_atoms = _relation_atoms(body)
-    builtins = [a for a in body if isinstance(a, Builtin)]
-    free = sorted(
-        {v.name for a in builtins for v in a.variables()}
-        - {v.name for a in rel_atoms for v in a.variables()}
-        - set(env or {})
-    )
+    bound = set(bound)
+    waiting = [a for a in body if isinstance(a, Builtin)]
 
-    def ready(env):
-        return [
-            b
-            for b in builtins
-            if all(not isinstance(t, Var) or t.name in env for t in (b.left, b.right))
-        ]
+    def ready():
+        out = [b for b in waiting if all(v.name in bound for v in b.variables())]
+        for b in out:
+            waiting.remove(b)
+        return out
+
+    first, steps, pending = ready(), [], _relation_atoms(body)
+    while pending:
+        atom = max(
+            pending, key=lambda a: sum(isinstance(t, Const) or t.name in bound for t in a.args)
+        )
+        pending.remove(atom)
+        cols, keys, binds, repeats = [], [], {}, []
+        for pos, arg in enumerate(atom.args):
+            if isinstance(arg, Const) or arg.name in bound:
+                cols.append(pos)
+                keys.append(arg)
+            elif arg.name in binds:
+                repeats.append((binds[arg.name], pos))
+            else:
+                binds[arg.name] = pos
+        bound.update(binds)
+        index = inst.index(atom.name, tuple(cols))
+        steps.append((index, keys, tuple(binds.items()), repeats, ready()))
+    free = sorted({v.name for b in waiting for v in b.variables()} - bound)
+    values = {(): [(v,) for v in sorted(domain, key=value_key)]} if free else {}
+    for name in free:  # matched like a unary atom over the domain
+        bound.add(name)
+        steps.append((values, (), ((name, 0),), (), ready()))
 
     def extend(i, env):
-        if i == len(rel_atoms):
-            if not free:
-                yield dict(env)
-                return
-            for combo in itertools.product(sorted(domain, key=value_key), repeat=len(free)):
-                env2 = dict(env)
-                env2.update(zip(free, combo))
-                yield env2
+        if i == len(steps):
+            yield env  # a fresh dict on every branch
             return
-        atom = rel_atoms[i]
-        for t in inst.relation(atom.name).tuples:
+        index, keys, binds, repeats, checks = steps[i]
+        probe = tuple(env[k.name] if isinstance(k, Var) else k.value for k in keys)
+        for t in index.get(probe, ()):
+            if repeats and any(t[p] != t[q] for p, q in repeats):
+                continue
             env2 = dict(env)
-            ok = True
-            for arg, v in zip(atom.args, t):
-                if isinstance(arg, Const):
-                    if arg.value != v:
-                        ok = False
-                        break
-                elif arg.name in env2:
-                    if env2[arg.name] != v:
-                        ok = False
-                        break
-                else:
-                    env2[arg.name] = v
-            if ok and all(_holds(b, env2) for b in ready(env2)):
+            for v, pos in binds:
+                env2[v] = t[pos]
+            if not checks or all(_holds(b, env2) for b in checks):
                 yield from extend(i + 1, env2)
 
-    for env_out in extend(0, dict(env or {})):
-        if all(_holds(b, env_out) for b in builtins):
-            yield env_out
+    def match(env):
+        if all(_holds(b, env) for b in first):
+            yield from extend(0, dict(env))
+
+    return match
 
 
-def rule_valuation_domain(q: Rule, inst: Instance) -> frozenset:
-    """Domain for unbound rule variables: the queried component's active values
-    plus any constants mentioned by the rule itself."""
-    comp = _check_components(q.body, inst)
-    values = set(q.constants())
-    for r in inst.relations:
-        if comp is None or inst.component_of(r.name) == comp:
-            for t in r.tuples:
-                values.update(t)
-    return frozenset(values)
+def match_atoms(body, inst: Instance, domain: frozenset, env: dict | None = None):
+    """Every assignment extending *env* that satisfies *body*; see :func:`matcher`."""
+    env = env or {}
+    return matcher(body, inst, domain, env)(env)
 
 
 def eval_rule(q: Rule, inst: Instance) -> Relation:
-    """Evaluate a conjunctive rule: all head images of satisfying valuations."""
-    domain = rule_valuation_domain(q, inst)
-    out = set()
-    for env in match_atoms(q.body, inst, domain):
-        out.add(tuple(env[v.name] for v in q.head_vars))
+    """Evaluate a conjunctive rule: all head images of satisfying valuations.
+
+    Variables that only built-ins mention range over the queried component's
+    active values plus the rule's own constants."""
+    comps = atom_components(q.body, inst)
+    if len(comps) > 1:
+        raise CrossComponentQuery(f"rule body spans separated components {sorted(comps)}")
+    rels = inst.components()[comps.pop()]
+    domain = q.constants() | {v for r in rels for t in r.tuples for v in t}
+    out = {tuple(env[v.name] for v in q.head_vars) for env in match_atoms(q.body, inst, domain)}
     return Relation(q.head_name, len(q.head_vars), frozenset(out))
 
 
@@ -397,59 +408,63 @@ def eval_rule(q: Rule, inst: Instance) -> Relation:
 def rule_to_spjru(q: Rule):
     """Compile a rule into an algebra term computing the same extension.
 
-    Relation atoms become a left-deep cartesian join; repeated variables,
-    embedded constants, and ``=`` built-ins become selections; the head
-    becomes a projection.  A built-in equating two distinct constants joins
-    the body with :class:`EmptyRel`, which empties it at any width.  Rules using ``<=`` have no counterpart in the
-    equality-only selection language and are rejected.
+    Relation atoms become a left-deep join.  An equality between columns of
+    two atoms (a shared variable, or an ``=`` built-in) becomes a pair of the
+    join that adds the later atom; embedded constants, repeats within one
+    atom and the remaining ``=`` built-ins become selections; the head becomes
+    a projection.  A built-in equating two distinct constants joins the body
+    with :class:`EmptyRel`, which empties it at any width.  Rules using ``<=``
+    have no counterpart in the equality-only selection language and are
+    rejected.
     """
     rel_atoms = _relation_atoms(q.body)
     builtins = [a for a in q.body if isinstance(a, Builtin)]
     if any(b.op == "<=" for b in builtins):
         raise TranslationError("<= built-ins cannot be translated to the algebra")
 
-    term = BaseRel(rel_atoms[0].name)
-    offsets = [0]
-    width = len(rel_atoms[0].args)
-    for a in rel_atoms[1:]:
-        term = Join(term, BaseRel(a.name), ())
-        offsets.append(width)
-        width += len(a.args)
+    offsets, atom_of = [], []  # atom_of: column -> index of the atom holding it
+    for k, atom in enumerate(rel_atoms):
+        offsets.append(len(atom_of))
+        atom_of.extend(k for _ in atom.args)
 
     first_col: dict = {}
-    conds = []
+    conds, equal = [], []
     for atom, off in zip(rel_atoms, offsets):
         for pos, arg in enumerate(atom.args):
             col = off + pos
             if isinstance(arg, Const):
                 conds.append(ConstEq(col, arg.value))
             elif arg.name in first_col:
-                conds.append(ColEq(first_col[arg.name], col))
+                equal.append((first_col[arg.name], col))
             else:
                 first_col[arg.name] = col
 
     contradiction = False
     for b in builtins:
-        sides = []
-        for t in (b.left, b.right):
-            if isinstance(t, Var):
-                if t.name not in first_col:
-                    raise TranslationError(
-                        f"variable {t.name} occurs only in built-ins; not translatable"
-                    )
-                sides.append(("col", first_col[t.name]))
-            else:
-                sides.append(("const", t.value))
-        kinds = (sides[0][0], sides[1][0])
-        if kinds == ("col", "col"):
-            conds.append(ColEq(sides[0][1], sides[1][1]))
-        elif kinds == ("col", "const"):
-            conds.append(ConstEq(sides[0][1], sides[1][1]))
-        elif kinds == ("const", "col"):
-            conds.append(ConstEq(sides[1][1], sides[0][1]))
-        elif sides[0][1] != sides[1][1]:
-            contradiction = True
+        for v in b.variables():
+            if v.name not in first_col:
+                raise TranslationError(
+                    f"variable {v.name} occurs only in built-ins; not translatable"
+                )
+        left, right = (t if isinstance(t, Const) else first_col[t.name] for t in (b.left, b.right))
+        if isinstance(left, Const) and isinstance(right, Const):
+            contradiction = contradiction or left.value != right.value
+        elif isinstance(left, Const) or isinstance(right, Const):
+            col, const = (right, left) if isinstance(left, Const) else (left, right)
+            conds.append(ConstEq(col, const.value))
+        else:
+            equal.append((min(left, right), max(left, right)))
 
+    pairs = [[] for _ in rel_atoms]
+    for a, b in equal:
+        k = atom_of[b]
+        if a < offsets[k]:
+            pairs[k].append((a, b - offsets[k]))
+        else:
+            conds.append(ColEq(a, b))
+    term = BaseRel(rel_atoms[0].name)
+    for atom, atom_pairs in zip(rel_atoms[1:], pairs[1:]):
+        term = Join(term, BaseRel(atom.name), tuple(atom_pairs))
     if contradiction:
         term = Join(term, EmptyRel(), ())
     if conds:

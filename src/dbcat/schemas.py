@@ -15,6 +15,7 @@ dependency expresses the pair's containment.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .constraints import Sentence, Tgd
 from .core import SENTINEL_A, SENTINEL_B, DbcatError
@@ -476,6 +477,11 @@ class Sketch:
     arrows: tuple
     diagrams: tuple = ()
     cones: tuple = ()
+
+    @cached_property
+    def node_map(self) -> dict:
+        """Node name -> schema term or helper schema, built on first use."""
+        return dict(self.nodes)
 
     def identity_of(self, node: str) -> SketchArrow:
         for a in self.arrows:

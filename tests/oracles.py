@@ -205,3 +205,29 @@ def random_rule(rng: random.Random, inst: Instance, allow_le=False) -> Rule:
     if head_width and rng.random() < 0.2:
         head_vars = head_vars + (head_vars[0],)
     return Rule("q", head_vars, tuple(body))
+
+
+def random_body(rng: random.Random, inst: Instance, n_atoms=3, free_var=True) -> list:
+    """*n_atoms* relation atoms over X, Y, Z, W and constants, then one or two
+    ``=``/``<=`` built-ins; with *free_var*, a built-in may name V, which no
+    relation atom binds."""
+    rels = [r for r in inst.relations if r.name != "_bot"]
+    body = []
+    for _ in range(n_atoms):
+        r = rng.choice(rels)
+        body.append(
+            RelAtom(
+                r.name,
+                tuple(
+                    Const(rng.choice(VALUES[:3])) if rng.random() < 0.25 else Var(rng.choice("XYZW"))
+                    for _ in range(r.arity)
+                ),
+            )
+        )
+    names = sorted({v.name for a in body for v in a.variables()}) or ["X"]
+    for _ in range(rng.randint(1, 2)):
+        pool = names + (["V"] if free_var else [])
+        left = Var(rng.choice(pool))
+        right = Var(rng.choice(pool)) if rng.random() < 0.5 else Const(rng.choice(VALUES))
+        body.append(Builtin(rng.choice(("=", "<=")), left, right))
+    return body

@@ -128,6 +128,20 @@ def test_flux_composition_law_for_atomic_factors():
     assert flux(h, **FIX).extensions() <= flux(g, **FIX).extensions()
 
 
+def test_flux_canonical_form_is_exact_above_five_components():
+    def channels(pairs):
+        return Flux(
+            tuple((s, t, frozenset({frozenset({(k,)})})) for s, t, k in pairs), fixpoint=True
+        )
+
+    for n in (5, 6):
+        base = channels((s, s, s) for s in range(n))
+        assert base.same(channels(((s + 1) % n, s, s) for s in range(n)))  # sources permuted
+        assert base.same(channels((s, (s + 1) % n, s) for s in range(n)))  # targets permuted
+        # two channels sharing a target is another structure
+        assert not base.same(channels((s, min(s, n - 2), s) for s in range(n)))
+
+
 def test_equivalence_of_different_syntaxes():
     a = make_instance({"r": [(1, 1), (1, 2)]})
     b = make_instance({"s": [(1,)]})

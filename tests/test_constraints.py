@@ -17,7 +17,7 @@ from dbcat.constraints import (
 from dbcat.core import SENTINEL_A, SENTINEL_B, bottom_instance, make_instance
 from dbcat.queries import Builtin, Const, RelAtom, Var
 
-from oracles import brute_force_egd, brute_force_tgd, random_instance
+from oracles import brute_force_egd, brute_force_tgd, random_body, random_instance
 
 X, Y, Z = Var("X"), Var("Y"), Var("Z")
 
@@ -137,3 +137,23 @@ def test_egd_agrees_with_oracle_randomized():
         left = (RelAtom(r.name, (Var("K"), Var("V"))), RelAtom(r.name, (Var("K"), Var("W"))))
         e = Egd(left, ("V", "W"))
         assert check_egd(e, inst) == brute_force_egd(left, ("V", "W"), inst)
+
+
+def test_three_atom_dependencies_with_constants_and_builtins_match_brute_force():
+    rng = random.Random(8128)
+    for _ in range(200):
+        inst = random_instance(rng, max_values=3, max_tuples=5)
+        left = tuple(random_body(rng, inst))
+        names = sorted({v.name for a in left for v in a.variables()})
+        universal = tuple(rng.sample(names, rng.randint(0, min(2, len(names)))))
+        right = tuple(random_body(rng, inst, n_atoms=rng.randint(1, 2), free_var=False))
+        # a right-side variable that only a built-in binds ranges over a
+        # smaller domain here than in the oracle, which adds the left's constants
+        bound = set(universal) | {
+            v.name for a in right if isinstance(a, RelAtom) for v in a.variables()
+        }
+        if {v.name for a in right for v in a.variables()} <= bound:
+            t = Tgd(universal, left, right)
+            assert check_tgd(t, inst) == brute_force_tgd(universal, left, right, inst)
+        pair = tuple(rng.choice(names) for _ in range(2))
+        assert check_egd(Egd(left, pair), inst) == brute_force_egd(left, pair, inst)

@@ -82,6 +82,19 @@ def test_budget_cap():
     assert power_view(disjoint_union(swap, swap), None, 2, cap=34).fixpoint
 
 
+def test_budget_error_says_where_it_stopped():
+    a = make_instance({"r": [(1, 2), (2, 3), (3, 1)]})
+    with pytest.raises(ViewBudgetExceeded, match="^view enumeration exceeded cap of 500") as exc:
+        power_view(a, None, 3, cap=500)
+    assert (exc.value.component, exc.value.cap, exc.value.views) == (0, 500, 501)
+    assert exc.value.level == 3
+    # passing the cap only in the sum over components: no level, the last component
+    swap = make_instance({"r": [(1, 2), (2, 1)]})
+    with pytest.raises(ViewBudgetExceeded) as exc:
+        power_view(disjoint_union(swap, swap), None, 2, cap=33)
+    assert (exc.value.component, exc.value.level, exc.value.views, exc.value.cap) == (2, None, 34, 33)
+
+
 def test_component_closures_are_shared():
     a = make_instance({"r": [(1, 2), (2, 5)], "s": [(5,)]})
     power_view(a, 1, 2)

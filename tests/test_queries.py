@@ -1,7 +1,10 @@
+import itertools
 import random
 
 import pytest
 
+from dbcat import core
+from dbcat.constraints import Tgd, check_tgd
 from dbcat.core import disjoint_union, federate, make_instance
 from dbcat.queries import (
     BaseRel,
@@ -12,18 +15,20 @@ from dbcat.queries import (
     Project,
     QueryArityError,
     Rename,
+    RelAtom,
     Rule,
     Select,
     TranslationError,
     Union,
     UnknownRelation,
+    Var,
     eval_rule,
     eval_spjru,
     rule,
     rule_to_spjru,
 )
 
-from oracles import brute_force_rule, random_instance, random_rule
+from oracles import brute_force_rule, random_body, random_instance, random_rule
 
 R12_23 = make_instance({"r": [(1, 2), (2, 3)]})
 
@@ -203,3 +208,70 @@ def test_rules_are_satisfiable_constructively():
             {name: fill.get(name, set()) for name in arities}, arities=arities
         )
         assert eval_rule(q, witness).tuples != frozenset()
+
+
+def test_hash_join_matches_the_nested_loop_definition():
+    rng = random.Random(31)
+    for _ in range(200):
+        inst = random_instance(rng, max_tuples=8)
+        left, right = (rng.choice(inst.relations) for _ in range(2))
+        # several pairs, and the same column in more than one pair
+        pairs = tuple(
+            (rng.randrange(left.arity), rng.randrange(right.arity)) for _ in range(rng.randint(0, 3))
+        )
+        want = {
+            x + y
+            for x, y in itertools.product(left.tuples, right.tuples)
+            if all(x[i] == y[j] for i, j in pairs)
+        }
+        got = eval_spjru(Join(BaseRel(left.name), BaseRel(right.name), pairs), inst).tuples
+        assert got == want
+
+
+def test_out_of_range_columns_and_separated_joins_are_rejected():
+    inst = make_instance({"r": [(1, 2)], "e": []}, arities={"e": 2})
+    for bad in (
+        Select(BaseRel("r"), (ColEq(0, 2),)),
+        Select(BaseRel("r"), (ConstEq(2, 1),)),
+        Join(BaseRel("r"), BaseRel("r"), ((2, 0),)),
+        Join(BaseRel("r"), BaseRel("e"), ((0, 2),)),  # also with an empty side
+        Join(BaseRel("e"), BaseRel("r"), ((-1, 0),)),
+    ):
+        with pytest.raises(QueryArityError):
+            eval_spjru(bad, inst)
+    separated = disjoint_union(make_instance({"r": [(1,)]}), make_instance({"s": [(1,)]}))
+    with pytest.raises(CrossComponentQuery):
+        eval_spjru(Join(BaseRel("r"), BaseRel("s"), ((0, 0),)), separated)
+
+
+def test_three_atom_rules_with_constants_and_builtins_match_brute_force():
+    rng = random.Random(5150)
+    for _ in range(300):
+        inst = random_instance(rng, max_tuples=5)
+        body = random_body(rng, inst)
+        names = sorted({v.name for a in body for v in a.variables()})
+        q = Rule("q", tuple(Var(v) for v in rng.sample(names, min(2, len(names)))), tuple(body))
+        want = brute_force_rule(q, inst)
+        assert eval_rule(q, inst).tuples == want
+        if all(a.op == "=" for a in body if not isinstance(a, RelAtom)) and "V" not in names:
+            assert eval_spjru(rule_to_spjru(q), inst).tuples == want
+
+
+def test_tgd_witness_search_builds_each_index_once(monkeypatch):
+    builds = []
+    real = core._build_index
+
+    def counting(relation, cols):
+        builds.append((relation.name, cols))
+        return real(relation, cols)
+
+    monkeypatch.setattr(core, "_build_index", counting)
+    n = 2000
+    r = {(x, (7 * x) % n) for x in range(n)}
+    inst = make_instance({"r": r, "s": {(x,) for x, _ in r}})
+    assert builds == []  # nothing is built when the instance is made
+    X, Y = Var("X"), Var("Y")
+    assert check_tgd(Tgd(("X",), (RelAtom("r", (X, Y)),), (RelAtom("s", (X,)),)), inst)
+    assert builds.count(("s", (0,))) == 1
+    assert check_tgd(Tgd(("X",), (RelAtom("r", (X, Y)),), (RelAtom("s", (X,)),)), inst)
+    assert builds.count(("s", (0,))) == 1  # cached on the instance
