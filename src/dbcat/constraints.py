@@ -2,12 +2,14 @@
 
 Constraints are checked against finite instances, never repaired.  Existential
 witnesses on the right side of a dependency range over the instance's active
-domain extended with the two reserved sentinel constants, which keeps the
-sentinel dependencies produced by sketch construction checkable.
+domain and the dependency's constants, extended with the two reserved sentinel
+constants, which keeps the sentinel dependencies produced by sketch
+construction checkable.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .core import SENTINEL_A, SENTINEL_B, DbcatError, Instance, active_domain, format_value
 from .queries import RelAtom, atom_components, atom_constants, match_atoms, matcher
@@ -106,10 +108,13 @@ def _constraint_domain(atoms, inst: Instance, with_sentinels: bool) -> frozenset
 
 
 def find_tgd_violation(t: Tgd, inst: Instance):
-    """First universal assignment whose right side has no witness, or None."""
+    """First universal assignment whose right side has no witness, or None.
+
+    A right-side variable that only a built-in binds ranges over the left
+    side's domain, the right side's constants and the sentinels."""
     atom_components(t.left + t.right, inst)
-    left_domain = _constraint_domain(t.left, inst, with_sentinels=False)
-    right_domain = _constraint_domain(t.right, inst, with_sentinels=True)
+    left_domain = partial(_constraint_domain, t.left, inst, with_sentinels=False)
+    right_domain = partial(_constraint_domain, t.left + t.right, inst, with_sentinels=True)
     witnesses = matcher(t.right, inst, right_domain, t.universal)
     seen = set()
     for env in match_atoms(t.left, inst, left_domain):
@@ -130,7 +135,7 @@ def check_tgd(t: Tgd, inst: Instance) -> bool:
 def find_egd_violation(e: Egd, inst: Instance):
     """First satisfying assignment equating two distinct values, or None."""
     atom_components(e.left, inst)
-    domain = _constraint_domain(e.left, inst, with_sentinels=False)
+    domain = partial(_constraint_domain, e.left, inst, with_sentinels=False)
     a, b = e.pair
     for env in match_atoms(e.left, inst, domain):
         if env[a] != env[b]:

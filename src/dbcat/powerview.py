@@ -6,7 +6,9 @@ applies one more operator to everything accumulated so far.  Views are
 identified purely by their extension (the set of tuples), so two queries with
 the same answer contribute one view.  Enumeration is bounded by a level count
 and a result-arity limit; when a level adds nothing new the closure is exact
-and the result is flagged as a fixpoint.
+and the result is flagged as a fixpoint.  An unbounded closure is built in
+closed form instead: every nonempty subset of D^k for each arity k up to the
+bound, D the component's active domain, plus ``{()}`` when a seed holds it.
 
 Operator basis per level: selections with a single column/column or
 column/constant condition (constants drawn from the component's active
@@ -29,6 +31,7 @@ from .core import (
     Relation,
     ext_key,
     format_extension,
+    tuple_key,
     value_key,
 )
 from .queries import BaseRel, ColEq, ConstEq, Join, Project, Select, Union
@@ -109,7 +112,8 @@ class ViewSet:
         ext = frozenset(ext)
         for views, names in reversed(self.provenance):
             if ext in views:
-                return _name_leaves(views[ext], names)
+                term = views[ext] if isinstance(views, dict) else _fixpoint_term(ext, names)
+                return _name_leaves(term, names)
         return None
 
     def serialize(self) -> list:
@@ -149,6 +153,39 @@ def _name_leaves(term, names: dict):
     )
 
 
+def _fixpoint_term(ext, seeds):
+    """A term with seed-extension leaves evaluating to *ext*, a view of the
+    closed-form closure of *seeds*: select-project singletons ``{(c)}``,
+    their products for each tuple, and the union of the tuples."""
+    if ext in seeds:
+        return BaseRel(ext)
+    singleton = {  # {(c)} from the first seed holding c, in ext_key order
+        c: Project(Select(BaseRel(s), (ConstEq(i, c),)), (i,))
+        for s in sorted(seeds, key=ext_key, reverse=True)
+        for t in s
+        for i, c in enumerate(t)
+    }
+    rows = (functools.reduce(Join, map(singleton.get, t)) for t in sorted(ext, key=tuple_key))
+    return functools.reduce(Union, rows)
+
+
+def _fixpoint_views(seeds, consts, max_arity, cap):
+    """The closure of *seeds* at fixpoint, as a frozenset of extensions, or
+    None when it holds more than *cap* new views."""
+    nullary = frozenset({()}) in seeds
+    # 2**bits - 1 > cap + len(seeds), so no larger power of two is needed
+    bits = (cap + len(seeds)).bit_length() + 1
+    total = nullary + sum(2 ** min(len(consts) ** k, bits) - 1 for k in range(1, max_arity + 1))
+    if total - len(seeds) > cap:
+        return None
+    views = {frozenset({()})} if nullary else set()
+    for k in range(1, max_arity + 1):
+        tuples = list(itertools.product(consts, repeat=k))
+        for size in range(1, len(tuples) + 1):
+            views.update(map(frozenset, itertools.combinations(tuples, size)))
+    return frozenset(views)
+
+
 def _index_lists(arity: int, max_arity: int):
     for length in range(1, max_arity + 1):
         yield from itertools.product(range(arity), repeat=length)
@@ -159,15 +196,22 @@ def close_component(seeds, depth, max_arity, cap):
     """Closure of one component from the frozenset *seeds* of its nonempty
     extensions.
 
-    Returns (dict extension -> term, reached_fixpoint).  Each term's leaves
-    are ``BaseRel(seed extension)``; :meth:`ViewSet.witness` names them.  The
+    Returns (views, reached_fixpoint).  At a bounded depth *views* is a dict
+    extension -> term, each term with ``BaseRel(seed extension)`` leaves that
+    :meth:`ViewSet.witness` names.  At ``depth=None`` it is the frozenset of
+    extensions in closed form, and the witness builds a term on demand.  The
     closure depends on the extensions and the bounds alone, so one memoised
     result serves every component and flux channel that holds the same
     extensions; callers must not mutate it.  Raises
-    :class:`ViewBudgetExceeded` once more than *cap* new views appear.
+    :class:`ViewBudgetExceeded` once more than *cap* new views appear; at
+    fixpoint the enumerator runs only to find where.
     """
-    views = {ext: BaseRel(ext) for ext in sorted(seeds, key=ext_key)}
     consts = sorted({v for ext in seeds for t in ext for v in t}, key=value_key)
+    if depth is None:
+        closed = _fixpoint_views(seeds, consts, max_arity, cap)
+        if closed is not None:
+            return closed, True
+    views = {ext: BaseRel(ext) for ext in sorted(seeds, key=ext_key)}
     added = 0
 
     frontier = dict(views)
@@ -204,14 +248,13 @@ def close_component(seeds, depth, max_arity, cap):
                     frozenset(tuple(t[k] for k in cols) for t in ext),
                     Project(term, cols),
                 )
-        # binary operators: at least one operand from the newest level
-        all_items = list(views.items())
-        new_items = list(frontier.items())
-        for (e1, t1), (e2, t2) in itertools.chain(
-            itertools.product(new_items, all_items),
-            itertools.product(all_items, new_items),
+        # binary operators: each ordered pair with an operand from the newest
+        # level once; the frontier is the last block of views
+        items = [(e, t, len(next(iter(e)))) for e, t in views.items()]
+        split = len(items) - len(frontier)
+        for (e1, t1, a1), (e2, t2, a2) in itertools.chain(
+            itertools.product(items[split:], items), itertools.product(items[:split], items[split:])
         ):
-            a1, a2 = len(next(iter(e1))), len(next(iter(e2)))
             if a1 + a2 <= max_arity:
                 emit(frozenset(x + y for x in e1 for y in e2), Join(t1, t2, ()))
             if a1 == a2 and e1 is not e2:

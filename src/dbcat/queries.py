@@ -9,6 +9,7 @@ an equivalent term.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .core import DbcatError, Instance, Relation, Value, value_key
 
@@ -314,7 +315,7 @@ def _holds(b: Builtin, env: dict) -> bool:
     return value_key(left) <= value_key(right)
 
 
-def matcher(body, inst: Instance, domain: frozenset, bound=()):
+def matcher(body, inst: Instance, domain, bound=()):
     """Compile *body* against *inst* for environments that bind *bound*.
 
     Returns ``match(env)``, which yields every extension of *env* to the body
@@ -324,7 +325,8 @@ def matcher(body, inst: Instance, domain: frozenset, bound=()):
     so it is fixed here together with the built-ins each step makes
     checkable.  Each atom is matched by one probe of the instance's hash
     index on its bound positions.  Variables that only built-ins mention
-    come last, each ranging over *domain*.
+    come last, each ranging over the values *domain()* returns; it is called
+    only when there is such a variable.
     """
     bound = set(bound)
     waiting = [a for a in body if isinstance(a, Builtin)]
@@ -354,7 +356,7 @@ def matcher(body, inst: Instance, domain: frozenset, bound=()):
         index = inst.index(atom.name, tuple(cols))
         steps.append((index, keys, tuple(binds.items()), repeats, ready()))
     free = sorted({v.name for b in waiting for v in b.variables()} - bound)
-    values = {(): [(v,) for v in sorted(domain, key=value_key)]} if free else {}
+    values = {(): [(v,) for v in sorted(domain(), key=value_key)]} if free else {}
     for name in free:  # matched like a unary atom over the domain
         bound.add(name)
         steps.append((values, (), ((name, 0),), (), ready()))
@@ -381,10 +383,15 @@ def matcher(body, inst: Instance, domain: frozenset, bound=()):
     return match
 
 
-def match_atoms(body, inst: Instance, domain: frozenset, env: dict | None = None):
+def match_atoms(body, inst: Instance, domain, env: dict | None = None):
     """Every assignment extending *env* that satisfies *body*; see :func:`matcher`."""
     env = env or {}
     return matcher(body, inst, domain, env)(env)
+
+
+def _rule_domain(q: Rule, inst: Instance, comp) -> frozenset:
+    """The queried component's active values plus the rule's own constants."""
+    return q.constants() | {v for r in inst.components()[comp] for t in r.tuples for v in t}
 
 
 def eval_rule(q: Rule, inst: Instance) -> Relation:
@@ -395,8 +402,7 @@ def eval_rule(q: Rule, inst: Instance) -> Relation:
     comps = atom_components(q.body, inst)
     if len(comps) > 1:
         raise CrossComponentQuery(f"rule body spans separated components {sorted(comps)}")
-    rels = inst.components()[comps.pop()]
-    domain = q.constants() | {v for r in rels for t in r.tuples for v in t}
+    domain = partial(_rule_domain, q, inst, comps.pop())
     out = {tuple(env[v.name] for v in q.head_vars) for env in match_atoms(q.body, inst, domain)}
     return Relation(q.head_name, len(q.head_vars), frozenset(out))
 

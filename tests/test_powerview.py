@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from dbcat.category import flux, identity
-from dbcat.core import bottom_instance, disjoint_union, make_instance
+from dbcat.core import bottom_instance, disjoint_union, ext_key, make_instance
 from dbcat.powerview import (
     ViewBudgetExceeded,
     close_component,
@@ -11,7 +13,7 @@ from dbcat.powerview import (
     power_view,
 )
 
-from oracles import enumerate_views
+from oracles import enumerate_views, random_instance
 
 EMPTY = frozenset()
 
@@ -60,6 +62,49 @@ def test_fixpoint_idempotence():
         assert ta.fixpoint
         tta = power_view(ta.as_instance(), None, 2)
         assert ta.canonical() == tta.canonical()
+
+
+def _instance_with_components(rng):
+    """1-2 components over at most 3 values, some with a nullary {()}."""
+    parts = []
+    for _ in range(rng.randint(1, 2)):
+        base = random_instance(rng, max_values=3, max_tuples=4)
+        rels = {r.name: r.tuples for r in base.relations}
+        arities = {r.name: r.arity for r in base.relations}
+        if rng.random() < 0.3:
+            rels["z"], arities["z"] = {()}, 0
+        parts.append(make_instance(rels, arities=arities))
+    return parts[0] if len(parts) == 1 else disjoint_union(*parts)
+
+
+def test_closed_form_fixpoint_matches_the_enumerator():
+    rng = random.Random(1104)
+    for _ in range(24):
+        inst = _instance_with_components(rng)
+        m = rng.randint(max(1, inst.max_arity()), 2)
+        closed, enumerated = power_view(inst, None, m), power_view(inst, 60, m)
+        assert enumerated.fixpoint and closed.fixpoint
+        assert closed.components == enumerated.components, inst
+
+
+def test_closed_form_reaches_a_domain_of_four():
+    vs = power_view(make_instance({"r": [(1, 2), (3, 4)]}), None, 2)
+    assert vs.fixpoint
+    assert len(vs.extensions() - {EMPTY}) == (2**4 - 1) + (2**16 - 1) == 65_550
+
+
+def test_fixpoint_witnesses_evaluate_back():
+    from dbcat.queries import eval_spjru
+
+    rng = random.Random(4899)
+    a = make_instance({"r": [(1, 2), (2, 3)], "z": [()]})
+    b = make_instance({"s": [(2,), (5,)]})
+    for inst in (a, disjoint_union(a, b)):
+        vs = power_view(inst, None, 2)
+        exts = sorted(vs.extensions() - {EMPTY}, key=ext_key)
+        for ext in [frozenset({()}), frozenset({(5,)})] + rng.sample(exts, 60):
+            if ext in vs:
+                assert eval_spjru(vs.witness(ext), inst).tuples == ext, ext
 
 
 def test_monotone_in_bounds():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from dbcat import core
+from dbcat import constraints, core, queries
 from dbcat.constraints import Tgd, check_tgd
 from dbcat.core import disjoint_union, federate, make_instance
 from dbcat.queries import (
@@ -275,3 +275,28 @@ def test_tgd_witness_search_builds_each_index_once(monkeypatch):
     assert builds.count(("s", (0,))) == 1
     assert check_tgd(Tgd(("X",), (RelAtom("r", (X, Y)),), (RelAtom("s", (X,)),)), inst)
     assert builds.count(("s", (0,))) == 1  # cached on the instance
+
+
+def test_valuation_domain_is_built_only_for_builtin_variables(monkeypatch):
+    built = []
+    real_rule, real_constraint = queries._rule_domain, constraints._constraint_domain
+
+    def rule_domain(*args):
+        built.append("rule")
+        return real_rule(*args)
+
+    def constraint_domain(*args, **kwargs):
+        built.append("constraint")
+        return real_constraint(*args, **kwargs)
+
+    monkeypatch.setattr(queries, "_rule_domain", rule_domain)
+    monkeypatch.setattr(constraints, "_constraint_domain", constraint_domain)
+    n = 2000
+    inst = make_instance({"r": {(x, (7 * x) % n) for x in range(n)}, "s": {(x,) for x in range(n)}})
+    assert len(eval_rule(rule("q", ["X", "Z"], [("r", "X", "Y"), ("r", "Y", "Z")]), inst).tuples) == n
+    X, Y = Var("X"), Var("Y")
+    assert check_tgd(Tgd(("X",), (RelAtom("r", (X, Y)),), (RelAtom("s", (X,)),)), inst)
+    assert built == []
+    # a variable that only a built-in names ranges over the domain: built once
+    assert eval_rule(rule("q", ["X", "V"], [("r", "X", 0), ("<=", "V", 0)]), inst).tuples == {(0, 0)}
+    assert built == ["rule"]
