@@ -22,9 +22,11 @@ from .core import (
     BOT,
     DbcatError,
     Instance,
+    disjoint_union,
     disjoint_union_with_maps,
     ext_key,
     format_extension,
+    is_empty_isomorphic,
 )
 from .powerview import (
     DEFAULT_CAP,
@@ -32,6 +34,8 @@ from .powerview import (
     DEFAULT_MAX_ARITY,
     EMPTY_EXT,
     close_component,
+    instances_isomorphic,
+    power_view_cached,
 )
 from .queries import QueryArityError, Rule, copy_rule, eval_rule
 
@@ -415,8 +419,7 @@ def _closure_of(extensions, depth, max_arity, cap) -> tuple:
     """T-closure of a set of extensions; returns (nonempty extensions, fixpoint)."""
     seeds = frozenset(e for e in extensions if e)
     m = max([max_arity] + [len(next(iter(e))) for e in seeds])
-    views, fixed = close_component(seeds, depth, m, cap)
-    return frozenset(views), fixed
+    return close_component(seeds, depth, m, cap)
 
 
 def _atomic_channels(m: Morphism, depth, max_arity, cap):
@@ -557,9 +560,6 @@ def verify_duality(
     Optional *f*, *g* (arrows into *a* and *b* from a common source) feed the
     product triangle laws; by default the projections themselves are used.
     """
-    from .core import disjoint_union
-    from .powerview import power_view_cached as pv
-
     if max_arity is None:
         max_arity = max(2, a.max_arity(), b.max_arity())
     ab = disjoint_union(a, b)
@@ -600,11 +600,7 @@ def verify_duality(
         )
     )
 
-    va, vb, vab = (
-        pv(a, depth, max_arity, cap),
-        pv(b, depth, max_arity, cap),
-        pv(ab, depth, max_arity, cap),
-    )
+    va, vb, vab = (power_view_cached(x, depth, max_arity, cap) for x in (a, b, ab))
     checks.append(
         (
             "views-of-coproduct",
@@ -612,9 +608,6 @@ def verify_duality(
             "views(A+B) = views(A) (+) views(B)",
         )
     )
-    from .core import is_empty_isomorphic
-    from .powerview import instances_isomorphic
-
     if not is_empty_isomorphic(a):
         checks.append(
             (

@@ -4,11 +4,13 @@ The view database of an instance is enumerated level by level: level 0 holds
 the instance's own relations (plus the empty view), and each further level
 applies one more operator to everything accumulated so far.  Views are
 identified purely by their extension (the set of tuples), so two queries with
-the same answer contribute one view.  Enumeration is bounded by a level count
-and a result-arity limit; when a level adds nothing new the closure is exact
-and the result is flagged as a fixpoint.  An unbounded closure is built in
-closed form instead: every nonempty subset of D^k for each arity k up to the
-bound, D the component's active domain, plus ``{()}`` when a seed holds it.
+the same answer contribute one view, and a closure is a set of extensions.
+Enumeration is bounded by a level count and a result-arity limit; when a level
+adds nothing new the closure is exact and the result is flagged as a fixpoint.
+An unbounded closure is built in closed form instead: every nonempty subset of
+D^k for each arity k up to the bound, D the component's active domain, plus
+``{()}`` when a seed holds it.  Every bounded view lies in that closed form,
+so a term witnessing a view is built on demand from it at any bound.
 
 Operator basis per level: selections with a single column/column or
 column/constant condition (constants drawn from the component's active
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .core import (
     BOT,
@@ -30,11 +32,12 @@ from .core import (
     Instance,
     Relation,
     ext_key,
+    federate,
     format_extension,
     tuple_key,
     value_key,
 )
-from .queries import BaseRel, ColEq, ConstEq, Join, Project, Select, Union
+from .queries import BaseRel, ConstEq, Join, Project, Select, Union
 
 DEFAULT_DEPTH = 2
 DEFAULT_MAX_ARITY = 4
@@ -67,9 +70,9 @@ class ViewSet:
 
     ``components`` maps component id -> frozenset of nonempty extensions; the
     empty view belongs to every view set and is kept implicit.  ``provenance``
-    holds, per component, the closure's witnessing terms (see
-    :func:`close_component`) and the relation name of each seed extension; it
-    never takes part in equality.
+    holds, per component, its closure and the relation name of each seed
+    extension, from which :meth:`witness` builds terms; it never takes part in
+    equality.
     """
 
     components: tuple
@@ -85,9 +88,6 @@ class ViewSet:
             out.update(exts)
         return frozenset(out)
 
-    def tagged(self) -> dict:
-        return {comp: exts for comp, exts in self.components}
-
     def canonical(self) -> tuple:
         """Component structure up to renaming: the sorted multiset of nonempty
         per-component extension sets."""
@@ -101,7 +101,8 @@ class ViewSet:
         return self.canonical() == other.canonical()
 
     def __contains__(self, ext) -> bool:
-        return frozenset(ext) in self.extensions()
+        ext = frozenset(ext)
+        return not ext or any(ext in exts for _, exts in self.components)
 
     def __len__(self) -> int:
         return len(self.extensions())
@@ -112,8 +113,7 @@ class ViewSet:
         ext = frozenset(ext)
         for views, names in reversed(self.provenance):
             if ext in views:
-                term = views[ext] if isinstance(views, dict) else _fixpoint_term(ext, names)
-                return _name_leaves(term, names)
+                return _witness_term(ext, names)
         return None
 
     def serialize(self) -> list:
@@ -142,26 +142,16 @@ class ViewSet:
         return Instance(tuple(relations), tuple(partition.items()))
 
 
-def _name_leaves(term, names: dict):
-    """*term* with each seed-extension leaf replaced by its relation name."""
-    if isinstance(term, BaseRel):
-        return BaseRel(names[term.name])
-    if isinstance(term, (Select, Project)):
-        return replace(term, child=_name_leaves(term.child, names))
-    return replace(
-        term, left=_name_leaves(term.left, names), right=_name_leaves(term.right, names)
-    )
-
-
-def _fixpoint_term(ext, seeds):
-    """A term with seed-extension leaves evaluating to *ext*, a view of the
-    closed-form closure of *seeds*: select-project singletons ``{(c)}``,
-    their products for each tuple, and the union of the tuples."""
-    if ext in seeds:
-        return BaseRel(ext)
+def _witness_term(ext, names: dict):
+    """A term over relation names evaluating to *ext*, a view of the closure
+    of the seed extensions in *names* (seed extension -> relation name) at any
+    bound: select-project singletons ``{(c)}``, their products for each tuple,
+    and the union of the tuples."""
+    if ext in names:
+        return BaseRel(names[ext])
     singleton = {  # {(c)} from the first seed holding c, in ext_key order
-        c: Project(Select(BaseRel(s), (ConstEq(i, c),)), (i,))
-        for s in sorted(seeds, key=ext_key, reverse=True)
+        c: Project(Select(BaseRel(names[s]), (ConstEq(i, c),)), (i,))
+        for s in sorted(names, key=ext_key, reverse=True)
         for t in s
         for i, c in enumerate(t)
     }
@@ -196,72 +186,59 @@ def close_component(seeds, depth, max_arity, cap):
     """Closure of one component from the frozenset *seeds* of its nonempty
     extensions.
 
-    Returns (views, reached_fixpoint).  At a bounded depth *views* is a dict
-    extension -> term, each term with ``BaseRel(seed extension)`` leaves that
-    :meth:`ViewSet.witness` names.  At ``depth=None`` it is the frozenset of
-    extensions in closed form, and the witness builds a term on demand.  The
-    closure depends on the extensions and the bounds alone, so one memoised
-    result serves every component and flux channel that holds the same
-    extensions; callers must not mutate it.  Raises
-    :class:`ViewBudgetExceeded` once more than *cap* new views appear; at
-    fixpoint the enumerator runs only to find where.
+    Returns (views, reached_fixpoint), *views* the frozenset of nonempty
+    extensions: in closed form at ``depth=None``, by the level enumerator at
+    a bounded depth.  The closure depends on the extensions and the bounds
+    alone, so one memoised result serves every component and flux channel
+    that holds the same extensions.  Raises :class:`ViewBudgetExceeded` once
+    more than *cap* new views appear; at fixpoint the enumerator runs only to
+    find where.
     """
     consts = sorted({v for ext in seeds for t in ext for v in t}, key=value_key)
     if depth is None:
         closed = _fixpoint_views(seeds, consts, max_arity, cap)
         if closed is not None:
             return closed, True
-    views = {ext: BaseRel(ext) for ext in sorted(seeds, key=ext_key)}
+    views = set(seeds)
+    old: list = []  # (extension, arity) of every level before the frontier
+    frontier = [(ext, len(next(iter(ext)))) for ext in seeds]
     added = 0
-
-    frontier = dict(views)
     level = 0
     while frontier:
         if depth is not None and level >= depth:
-            return views, False
+            return frozenset(views), False
         level += 1
-        new: dict = {}
+        new: list = []
 
-        def emit(ext, term):
+        def emit(ext):
             nonlocal added
-            if ext and ext not in views and ext not in new:
-                new[ext] = term
+            if ext and ext not in views:
+                views.add(ext)
+                new.append(ext)
                 added += 1
                 if added > cap:
                     raise ViewBudgetExceeded(cap, added, level)
 
-        for ext, term in frontier.items():
-            arity = len(next(iter(ext)))
+        for ext, arity in frontier:
             for i in range(arity):
                 for j in range(i + 1, arity):
-                    emit(
-                        frozenset(t for t in ext if t[i] == t[j]),
-                        Select(term, (ColEq(i, j),)),
-                    )
+                    emit(frozenset(t for t in ext if t[i] == t[j]))
                 for c in consts:
-                    emit(
-                        frozenset(t for t in ext if t[i] == c),
-                        Select(term, (ConstEq(i, c),)),
-                    )
+                    emit(frozenset(t for t in ext if t[i] == c))
             for cols in _index_lists(arity, max_arity):
-                emit(
-                    frozenset(tuple(t[k] for k in cols) for t in ext),
-                    Project(term, cols),
-                )
+                emit(frozenset(tuple(t[k] for k in cols) for t in ext))
         # binary operators: each ordered pair with an operand from the newest
-        # level once; the frontier is the last block of views
-        items = [(e, t, len(next(iter(e)))) for e, t in views.items()]
-        split = len(items) - len(frontier)
-        for (e1, t1, a1), (e2, t2, a2) in itertools.chain(
-            itertools.product(items[split:], items), itertools.product(items[:split], items[split:])
+        # level once
+        for (e1, a1), (e2, a2) in itertools.chain(
+            itertools.product(frontier, old + frontier), itertools.product(old, frontier)
         ):
             if a1 + a2 <= max_arity:
-                emit(frozenset(x + y for x in e1 for y in e2), Join(t1, t2, ()))
+                emit(frozenset(x + y for x in e1 for y in e2))
             if a1 == a2 and e1 is not e2:
-                emit(e1 | e2, Union(t1, t2))
-        views.update(new)
-        frontier = new
-    return views, True
+                emit(e1 | e2)
+        old += frontier
+        frontier = [(ext, len(next(iter(ext)))) for ext in new]
+    return frozenset(views), True
 
 
 def power_view(
@@ -298,7 +275,7 @@ def power_view(
             raise ViewBudgetExceeded(cap, added, component=comp)
         fixpoint = fixpoint and fixed
         if views:
-            components.append((comp, frozenset(views)))
+            components.append((comp, views))
             provenance.append((views, names))
     return ViewSet(
         components=tuple(components),
@@ -367,6 +344,4 @@ def merging(
     cap: int = DEFAULT_CAP,
 ) -> ViewSet:
     """Views of the federated union: both inputs under one query engine."""
-    from .core import federate
-
     return power_view_cached(federate(a, b), depth, max_arity, cap)

@@ -28,9 +28,26 @@ def test_bottom_closure():
 def test_source_relations_are_views():
     a = make_instance({"r": [(1, 2)], "s": [(3,)]})
     vs = power_view(a, 2, 4)
-    assert {(1, 2)} <= set(map(tuple, [])) or frozenset({(1, 2)}) in vs
+    assert frozenset({(1, 2)}) in vs
     assert frozenset({(3,)}) in vs
     assert EMPTY in vs
+
+
+def test_membership_does_not_build_the_union(monkeypatch):
+    from dbcat.powerview import ViewSet
+
+    ab = disjoint_union(make_instance({"r": [(1, 2)]}), make_instance({"s": [(5,)]}))
+    vs = power_view(ab, None, 2)
+
+    def refuse(self):
+        raise AssertionError("membership built the union of every view")
+
+    monkeypatch.setattr(ViewSet, "extensions", refuse)
+    assert EMPTY in vs
+    assert [(1, 2)] in vs and [(2, 1), (1, 1)] in vs
+    assert frozenset({(5,)}) in vs and frozenset({(5, 5)}) in vs
+    assert frozenset({(1,), (5,)}) not in vs
+    assert frozenset({(1, 5)}) not in vs
 
 
 def test_tiny_closure_matches_term_enumeration_oracle():
