@@ -22,6 +22,7 @@ from .core import (
     BOT,
     DbcatError,
     Instance,
+    SetKey,
     disjoint_union,
     disjoint_union_with_maps,
     ext_key,
@@ -338,63 +339,32 @@ class Flux:
             out.update(exts)
         return frozenset(out)
 
-    def channel_keys(self) -> tuple:
-        return tuple(
-            sorted(
-                tuple(sorted(ext_key(e) for e in exts))
-                for _, _, exts in self.channels
-                if exts
-            )
-        )
-
     def canonical(self) -> tuple:
-        """Channel structure up to renaming components on either side.
+        """Channel structure up to renaming components on either side: the
+        sorted forms (:func:`_part_form`) of the connected parts of the
+        channel graph.  Keys are :class:`~dbcat.core.SetKey`, so this is a
+        comparison key within one process; :meth:`serialize` is the report
+        form."""
+        chans = [(s, t, SetKey(exts)) for s, t, exts in self.channels if exts]
+        root: dict = {}  # union-find over sources (0, s) and targets (1, t)
 
-        Colour refinement splits the components into classes: a component's
-        colour is its previous colour with the keys of its channels, each
-        paired with the colour of the component at the other end, until no
-        class splits.  Only sources of one class are permuted.  Once the
-        sources are labelled, each target is labelled by its colour and its
-        (source label, key) channels; targets that agree on these are
-        interchangeable.  The least form over those permutations is exact.
-        """
-        chans = [
-            (s, t, tuple(sorted(ext_key(e) for e in exts)))
-            for s, t, exts in self.channels
-            if exts
-        ]
-        if not chans:
-            return ()
-        by_src, by_tgt = {}, {}
-        for s, t, k in chans:
-            by_src.setdefault(s, []).append((t, k))
-            by_tgt.setdefault(t, []).append((s, k))
-        scol, tcol = dict.fromkeys(by_src, 0), dict.fromkeys(by_tgt, 0)
-        classes = 2
-        while True:
-            scol, tcol = _refine(scol, tcol, by_src), _refine(tcol, scol, by_tgt)
-            split = len(set(scol.values())) + len(set(tcol.values()))
-            if split == classes:
-                break
-            classes = split
-        groups: dict = {}
-        for src in sorted(scol, key=scol.get):
-            groups.setdefault(scol[src], []).append(src)
-        best = None
-        for order in itertools.product(*(itertools.permutations(g) for g in groups.values())):
-            smap = {src: i for i, src in enumerate(itertools.chain.from_iterable(order))}
-            tsig = {t: (tcol[t], sorted((smap[s], k) for s, k in by_tgt[t])) for t in tcol}
-            tmap = {t: i for i, t in enumerate(sorted(tsig, key=tsig.get))}
-            cand = tuple(sorted((smap[s], tmap[t], k) for s, t, k in chans))
-            if best is None or cand < best:
-                best = cand
-        return best
+        def find(x):
+            while root.setdefault(x, x) != x:
+                root[x] = x = root[root[x]]
+            return x
+
+        for s, t, _ in chans:
+            root[find((0, s))] = find((1, t))
+        parts: dict = {}
+        for c in chans:
+            parts.setdefault(find((0, c[0])), []).append(c)
+        return tuple(sorted(map(_part_form, parts.values())))
 
     def same(self, other: "Flux") -> bool:
         return self.canonical() == other.canonical()
 
     def matches_view_set(self, vs) -> bool:
-        return self.channel_keys() == vs.canonical()
+        return tuple(sorted(SetKey(e) for _, _, e in self.channels if e)) == vs.canonical()
 
     def serialize(self) -> list:
         out = []
@@ -404,6 +374,36 @@ class Flux:
         if not out:
             out.append([0, 0, [format_extension(EMPTY_EXT)]])
         return out
+
+
+def _part_form(chans) -> tuple:
+    """Exact form of a connected set of channels (source, target, key), its
+    sources and targets labelled from 0.  Colour refinement splits the
+    components into classes: a component's colour is its previous colour with
+    the keys of its channels, each paired with the colour at the other end,
+    until no class splits.  Only sources of one class are permuted.  Given
+    the source labels, each target is labelled by its colour and its (source
+    label, key) channels; targets that agree on these are interchangeable.
+    The least form over those permutations is exact."""
+    by_src, by_tgt = {}, {}
+    for s, t, k in chans:
+        by_src.setdefault(s, []).append((t, k))
+        by_tgt.setdefault(t, []).append((s, k))
+    scol, tcol = dict.fromkeys(by_src, 0), dict.fromkeys(by_tgt, 0)
+    classes = 0  # refinement only splits classes, so it is stable once none split
+    while classes < (classes := len(set(scol.values())) + len(set(tcol.values()))):
+        scol, tcol = _refine(scol, tcol, by_src), _refine(tcol, scol, by_tgt)
+    groups: dict = {}
+    for src in sorted(scol, key=scol.get):
+        groups.setdefault(scol[src], []).append(src)
+
+    def form(order):
+        smap = {src: i for i, src in enumerate(itertools.chain.from_iterable(order))}
+        tsig = {t: (tcol[t], sorted((smap[s], k) for s, k in by_tgt[t])) for t in tcol}
+        tmap = {t: i for i, t in enumerate(sorted(tsig, key=tsig.get))}
+        return tuple(sorted((smap[s], tmap[t], k) for s, t, k in chans))
+
+    return min(map(form, itertools.product(*map(itertools.permutations, groups.values()))))
 
 
 def _refine(colour: dict, other: dict, adjacent: dict) -> dict:

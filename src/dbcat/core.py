@@ -63,6 +63,36 @@ def ext_key(ext: frozenset) -> tuple:
     return (len(next(iter(ext))) if ext else 0, tuple(sorted(tuple_key(t) for t in ext)))
 
 
+class SetKey:
+    """Exact sort key for a frozenset of extensions, such as a closure.
+
+    Equality and hashing are the frozenset's, whose hash CPython caches.  The
+    order is by size, then hash; only two unequal sets that tie on both are
+    ordered by their sorted :func:`ext_key` lists, so the order is total and
+    exact even when hashes collide.  Hashes of strings vary between
+    processes, so the order is for comparisons within one process; reports
+    sort by :func:`ext_key`.
+    """
+
+    __slots__ = ("exts",)
+
+    def __init__(self, exts: frozenset):
+        self.exts = exts
+
+    def __eq__(self, other) -> bool:
+        return self.exts is other.exts or self.exts == other.exts
+
+    def __hash__(self) -> int:
+        return hash(self.exts)
+
+    def __lt__(self, other) -> bool:
+        a, b = self.exts, other.exts
+        ka, kb = (len(a), hash(a)), (len(b), hash(b))
+        if ka != kb:
+            return ka < kb
+        return a != b and sorted(map(ext_key, a)) < sorted(map(ext_key, b))
+
+
 def format_value(v: Value) -> str:
     if isinstance(v, Sentinel):
         return repr(v)

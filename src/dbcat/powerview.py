@@ -31,6 +31,7 @@ from .core import (
     DbcatError,
     Instance,
     Relation,
+    SetKey,
     ext_key,
     federate,
     format_extension,
@@ -89,13 +90,11 @@ class ViewSet:
         return frozenset(out)
 
     def canonical(self) -> tuple:
-        """Component structure up to renaming: the sorted multiset of nonempty
-        per-component extension sets."""
-        keys = []
-        for _, exts in self.components:
-            if exts:
-                keys.append(tuple(sorted((ext_key(e) for e in exts))))
-        return tuple(sorted(keys))
+        """Component structure up to renaming: the sorted nonempty
+        per-component extension sets as :class:`~dbcat.core.SetKey`, a
+        comparison key within one process (:meth:`serialize` is the report
+        form)."""
+        return tuple(sorted(SetKey(exts) for _, exts in self.components if exts))
 
     def same_views(self, other: "ViewSet") -> bool:
         return self.canonical() == other.canonical()

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from dbcat.core import SENTINEL_A, SENTINEL_B, Instance, make_instance, value_key
+from dbcat.core import SENTINEL_A, SENTINEL_B, Instance, ext_key, make_instance, value_key
 from dbcat.queries import Builtin, Const, RelAtom, Rule, Var
 
 
@@ -149,6 +149,34 @@ def enumerate_views(inst: Instance, depth: int, max_arity: int) -> frozenset:
     views.discard(frozenset())
     views.add(frozenset())
     return frozenset(views)
+
+
+# ---------------------------------------------------------------------------
+# comparison of closures and fluxes up to renaming
+
+
+def sorted_closure_form(vs) -> tuple:
+    """A view set's components up to renaming, by sorting every view: the
+    sorted tuple of each nonempty component's sorted extension keys."""
+    return tuple(sorted(tuple(sorted(map(ext_key, exts))) for _, exts in vs.components if exts))
+
+
+def brute_force_flux_same(f, g) -> bool:
+    """Whether some renaming of source and of target components turns the
+    nonempty channels of flux *f* into those of *g*, trying every pair of
+    bijections."""
+    cf = {(s, t): e for s, t, e in f.channels if e}
+    cg = {(s, t): e for s, t, e in g.channels if e}
+    sf, tf = sorted({s for s, _ in cf}), sorted({t for _, t in cf})
+    sg, tg = sorted({s for s, _ in cg}), sorted({t for _, t in cg})
+    if (len(cf), len(sf), len(tf)) != (len(cg), len(sg), len(tg)):
+        return False
+    for sp in itertools.permutations(sg):
+        for tp in itertools.permutations(tg):
+            smap, tmap = dict(zip(sf, sp)), dict(zip(tf, tp))
+            if all(cg.get((smap[s], tmap[t])) == e for (s, t), e in cf.items()):
+                return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,12 @@ from dbcat.category import (
     projection,
     verify_duality,
 )
+from dbcat import category, core, powerview
 from dbcat.core import bottom_instance, disjoint_union, make_instance
-from dbcat.powerview import power_view
+from dbcat.powerview import instances_isomorphic, power_view
 from dbcat.queries import rule
+
+from oracles import brute_force_flux_same
 
 EMPTY = frozenset()
 FIX = dict(depth=None, max_arity=2)
@@ -140,6 +143,66 @@ def test_flux_canonical_form_is_exact_above_five_components():
         assert base.same(channels((s, (s + 1) % n, s) for s in range(n)))  # targets permuted
         # two channels sharing a target is another structure
         assert not base.same(channels((s, min(s, n - 2), s) for s in range(n)))
+
+
+def test_flux_canonical_form_splits_disconnected_parts():
+    one = frozenset({frozenset({(1,)})})
+
+    def channels(pairs, ext=one):
+        return Flux(tuple((s, t, ext) for s, t in pairs), fixpoint=True)
+
+    n = 50  # one colour class of n sources: factorial without the split
+    base = channels((s, s) for s in range(n))
+    assert base.same(channels(((s + 7) % n, (s * 3) % n) for s in range(n)))
+    assert not base.same(channels((s, min(s, n - 2)) for s in range(n)))
+    assert not base.same(channels(((s, s) for s in range(n)), frozenset({frozenset({(2,)})})))
+    # a disjoint union's form is its parts' forms
+    path = [(0, 0), (1, 0), (1, 1)]
+    assert channels(path + [(9, 9)]).canonical() == tuple(
+        sorted((channels(path).canonical()[0], channels([(0, 0)]).canonical()[0]))
+    )
+
+
+def test_flux_same_agrees_with_a_search_over_relabellings():
+    rng = random.Random(6)
+    pool = [frozenset({frozenset({(v,)})}) for v in (1, 2)]
+    pool.append(pool[0] | pool[1])
+    verdicts = {True: 0, False: 0}
+    for _ in range(300):
+        ns, nt = rng.randint(1, 5), rng.randint(1, 5)
+        pairs = {(rng.randrange(ns), rng.randrange(nt)) for _ in range(rng.randint(1, 8))}
+        chans = {p: rng.choice(pool) for p in pairs}
+        srcs, tgts = rng.sample(range(10), ns), rng.sample(range(10), nt)
+        moved = {(srcs[s], tgts[t]): e for (s, t), e in chans.items()}
+        if rng.random() < 0.6:  # change one channel's key, or move it
+            (s, t), e = rng.choice(sorted(moved.items(), key=lambda c: c[0]))
+            del moved[s, t]
+            if rng.random() < 0.5:
+                moved[s, t] = rng.choice(pool)
+            else:
+                moved.setdefault((rng.choice(srcs), rng.choice(tgts)), e)
+        f = Flux(tuple((s, t, e) for (s, t), e in sorted(chans.items(), key=lambda c: c[0])), True)
+        g = Flux(tuple((s, t, e) for (s, t), e in sorted(moved.items(), key=lambda c: c[0])), True)
+        want = brute_force_flux_same(f, g)
+        verdicts[want] += 1
+        assert f.same(g) == want and g.same(f) == want
+    assert min(verdicts.values()) > 50, verdicts  # equal and unequal pairs
+
+
+def test_verdicts_do_not_sort_extensions(monkeypatch):
+    a = make_instance({"r": [(1, 2), (3, 4)]})
+    b = make_instance({"r": [(1, 3), (2, 4)]})
+    small = make_instance({"r": [(1, 2), (2, 1)]})
+
+    def refuse(ext):
+        raise AssertionError("a verdict sorted the extensions")
+
+    for module in (core, powerview, category):
+        monkeypatch.setattr(module, "ext_key", refuse)
+    assert instances_isomorphic(a, b, None, 2)
+    assert not instances_isomorphic(small, disjoint_union(small, small), None, 2)
+    x, y = make_instance({"r": [(1,), (2,)]}), make_instance({"s": [(2, 3)]})
+    assert verify_duality(x, y).passed
 
 
 def test_equivalence_of_different_syntaxes():

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from dbcat.core import (
@@ -8,6 +10,7 @@ from dbcat.core import (
     DbcatError,
     Instance,
     Relation,
+    SetKey,
     active_domain,
     active_domain_by_component,
     bottom_instance,
@@ -15,6 +18,7 @@ from dbcat.core import (
     disjoint_union_with_maps,
     federate,
     is_empty_isomorphic,
+    ext_key,
     make_instance,
     value_key,
 )
@@ -127,3 +131,19 @@ def test_value_order_is_total():
     values = ["b", 2, SENTINEL_B, 1, "a", SENTINEL_A]
     ordered = sorted(values, key=value_key)
     assert ordered == [1, 2, "a", "b", SENTINEL_A, SENTINEL_B]
+
+
+def test_set_key_is_exact_when_hashes_collide():
+    class Collide(frozenset):
+        def __hash__(self):
+            return 7
+
+    exts = [frozenset(e) for e in ({(1,)}, {(2,)}, {(1,), (2,)}, {(1, 1)}, {("a",)})]
+    sets = [Collide(c) for n in (1, 2) for c in itertools.combinations(exts, n)]
+    for x, y in itertools.product(sets, repeat=2):
+        assert (SetKey(x) == SetKey(Collide(y))) == (x == y)
+        assert hash(SetKey(x)) == hash(SetKey(y)) == 7
+    want = sorted(sets, key=lambda s: (len(s), sorted(map(ext_key, s))))
+    assert [k.exts for k in sorted(map(SetKey, reversed(sets)))] == want
+    assert not SetKey(sets[0]) < SetKey(Collide(sets[0]))
+

@@ -13,7 +13,7 @@ from dbcat.powerview import (
     power_view,
 )
 
-from oracles import enumerate_views, random_instance
+from oracles import enumerate_views, random_instance, sorted_closure_form
 
 EMPTY = frozenset()
 
@@ -277,3 +277,42 @@ def test_provenance_witnesses_evaluate_back(tmp_path):
     vs = power_view(aba, 1, 2)
     for ext in vs.extensions() - {EMPTY}:
         assert eval_spjru(vs.witness(ext), aba).tuples == ext
+
+
+def _with_relations(inst, **rels):
+    """*inst* with the relations *rels* added (or replaced), in component 0."""
+    data = {r.name: r.tuples for r in inst.relations}
+    arities = {r.name: r.arity for r in inst.relations}
+    data.update(rels)
+    return make_instance(data, arities=arities)
+
+
+def test_closure_comparison_agrees_with_the_sorted_form():
+    rng = random.Random(20)
+    verdicts = {True: 0, False: 0}
+    for _ in range(40):
+        a = random_instance(rng, max_values=3, max_tuples=4)
+        if rng.random() < 0.3:
+            a = _with_relations(a, z=[()])
+        r0 = a.relation("r0").tuples
+        pairs = [
+            random_instance(rng, max_values=3, max_tuples=4),
+            make_instance(
+                {f"{r.name}x": r.tuples for r in a.relations},
+                arities={f"{r.name}x": r.arity for r in a.relations},
+            ),
+            _with_relations(a, p={t[:1] for t in r0}) if r0 else a,
+            _with_relations(a, z=[()]),
+            disjoint_union(a, a),
+        ]
+        for b in pairs:
+            for depth in (1, 2, None):
+                va, vb = power_view(a, depth, 2), power_view(b, depth, 2)
+                want = sorted_closure_form(va) == sorted_closure_form(vb)
+                verdicts[want] += 1
+                assert va.same_views(vb) == want
+                assert instances_isomorphic(a, b, depth, 2) == want
+        va, vb = power_view(a, 2, 2), power_view(pairs[0], 2, 2)
+        vab = power_view(disjoint_union(a, pairs[0]), 2, 2)
+        assert vab.canonical() == tuple(sorted(va.canonical() + vb.canonical()))
+    assert min(verdicts.values()) > 100, verdicts  # equal and unequal pairs
