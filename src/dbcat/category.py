@@ -16,12 +16,12 @@ fluxes agree up to component renaming.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .core import (
     BOT,
     DbcatError,
     Instance,
+    Record,
     SetKey,
     disjoint_union,
     disjoint_union_with_maps,
@@ -49,8 +49,7 @@ class ModeViolation(DbcatError):
 # view maps and trees
 
 
-@dataclass(frozen=True)
-class ViewMap:
+class ViewMap(Record):
     """One component of a mapping: a query over the source feeding a target
     relation, under a soundness (`inclusion`) or exactness (`exact`) promise."""
 
@@ -67,21 +66,18 @@ class ViewMap:
         return self.query.relation_names()
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(Record):
     name: str
 
 
-@dataclass(frozen=True)
-class HiddenLeaf:
+class HiddenLeaf(Record):
     """Input of a downstream query that no upstream tree supplies."""
 
     name: str
     owner: Instance
 
 
-@dataclass(frozen=True)
-class MapNode:
+class MapNode(Record):
     viewmap: ViewMap
     children: tuple
 
@@ -109,8 +105,7 @@ def _tree_has_hidden(node) -> bool:
 # morphisms
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(Record):
     """An arrow between two instances.
 
     ``parts`` records how the morphism was put together, which drives the
@@ -322,8 +317,7 @@ def pairing(f: Morphism, g: Morphism) -> Morphism:
 # information flux
 
 
-@dataclass(frozen=True)
-class Flux:
+class Flux(Record):
     """What a morphism transmits: per-channel closed sets of view extensions.
 
     A channel pairs a source component with a target component.  The empty
@@ -528,8 +522,7 @@ def equivalent(
 # duality report
 
 
-@dataclass(frozen=True)
-class DualityReport:
+class DualityReport(Record):
     checks: tuple
     note: str
 

@@ -8,18 +8,25 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from . import category, interpret, powerview
-from .core import DbcatError, bottom_instance, format_extension, is_empty_isomorphic
+from .core import DbcatError, Record, bottom_instance, format_extension, is_empty_isomorphic
 from .dsl import ParseError, Workspace, parse_rule_text, parse_workspace
 from .queries import QueryError, eval_rule
 from .schemas import SAtom, build_sketch
 from .category import ModeViolation, ViewMap
 
 
-@dataclass
-class Report:
+#: Each command's positional arguments, by the role they play.
+COMMANDS = {
+    "eval": "INSTANCE RULE", "powerview": "INSTANCE", "iso": "INSTANCE INSTANCE",
+    "flux": "MAPPING SOURCE TARGET", "compose": "MAPPING MAPPING SOURCE MIDDLE TARGET",
+    "laws": "", "check-model": "GRAPH", "check-functor": "GRAPH", "gamma-iso": "GRAPH",
+    "duality": "INSTANCE INSTANCE",
+}
+
+
+class Report(Record):
     command: str
     lines: tuple  # (check id, "PASS" | "FAIL", detail)
 
@@ -91,6 +98,14 @@ def _mapping_morphism(ws: Workspace, mapping_name: str, src: str, tgt: str):
 
 def run(command: str, args, ws: Workspace, depth, max_arity, cap) -> Report:
     """Dispatch one command against a parsed workspace."""
+    if command not in COMMANDS:
+        raise DbcatError(f"unknown command {command!r}")
+    if len(args) != len(COMMANDS[command].split()):
+        got = f"{len(args)} argument" + ("" if len(args) == 1 else "s")
+        raise DbcatError(f"{command} takes {COMMANDS[command] or 'no arguments'} (got {got})")
+    if command in ("check-model", "check-functor", "gamma-iso"):
+        graph = _graph(ws, args[0])
+        sketch, alpha = build_sketch(graph), _interpretation_for_graph(ws, graph)
     lines = []
     if command == "eval":
         inst = _instance(ws, args[0])
@@ -104,13 +119,8 @@ def run(command: str, args, ws: Workspace, depth, max_arity, cap) -> Report:
         vs = powerview.power_view(_instance(ws, args[0]), depth, max_arity, cap)
         for comp, views in vs.serialize():
             lines.append((f"powerview {args[0]} c{comp}", "PASS", " ".join(views)))
-        lines.append(
-            (
-                f"powerview {args[0]} closure",
-                "PASS",
-                "fixpoint" if vs.fixpoint else f"bounded at depth {vs.depth}",
-            )
-        )
+        closure = "fixpoint" if vs.fixpoint else f"bounded at depth {vs.depth}"
+        lines.append((f"powerview {args[0]} closure", "PASS", closure))
     elif command == "iso":
         a, b = _instance(ws, args[0]), _instance(ws, args[1])
         ok = powerview.instances_isomorphic(a, b, depth, max_arity, cap)
@@ -139,31 +149,17 @@ def run(command: str, args, ws: Workspace, depth, max_arity, cap) -> Report:
     elif command == "laws":
         lines.extend(_law_suite(ws, depth, max_arity, cap))
     elif command == "check-model":
-        graph = _graph(ws, args[0])
-        sketch = build_sketch(graph)
-        alpha = _interpretation_for_graph(ws, graph)
         report = interpret.check_model(alpha, graph, sketch)
         for cid, ok, detail in report.lines():
             lines.append((cid, _verdict(ok), detail))
         lines.append(("model", _verdict(report.is_model), "interpretation is a model" if report.is_model else "not a model"))
     elif command == "check-functor":
-        graph = _graph(ws, args[0])
-        sketch = build_sketch(graph)
-        alpha = _interpretation_for_graph(ws, graph)
         report = interpret.check_functor(alpha, sketch, depth, max_arity, cap)
         for cid, ok, detail in report.lines():
             lines.append((cid, _verdict(ok), detail))
-        lines.append(
-            (
-                "functor",
-                _verdict(report.passed),
-                "interpretation extends to a functor" if report.passed else "functorial requirement fails",
-            )
-        )
+        detail = "interpretation extends to a functor" if report.passed else "functorial requirement fails"
+        lines.append(("functor", _verdict(report.passed), detail))
     elif command == "gamma-iso":
-        graph = _graph(ws, args[0])
-        sketch = build_sketch(graph)
-        alpha = _interpretation_for_graph(ws, graph)
         for node, _ in graph.nodes:
             ok = interpret.check_gamma_iso(alpha, sketch, node, depth, max_arity, cap)
             lines.append(
@@ -175,8 +171,6 @@ def run(command: str, args, ws: Workspace, depth, max_arity, cap) -> Report:
         for cid, ok, detail in report.checks:
             lines.append((f"duality {cid}", _verdict(ok), detail))
         lines.append(("duality note", "PASS", report.note))
-    else:
-        raise DbcatError(f"unknown command {command!r}")
     return Report(command, tuple(lines))
 
 
@@ -240,7 +234,7 @@ def main(argv=None) -> int:
         prog="dbcat",
         description="view-based database mappings: queries, closures, morphisms, model checks",
     )
-    parser.add_argument("command", help="eval | powerview | iso | flux | compose | laws | check-model | check-functor | gamma-iso | duality")
+    parser.add_argument("command", help=" | ".join(COMMANDS))
     parser.add_argument("args", nargs="*", help="command arguments")
     parser.add_argument("--input", "-i", action="append", default=[], help="input file (repeatable)")
     parser.add_argument("--depth", type=int, default=powerview.DEFAULT_DEPTH, help="closure depth bound (-1 runs to fixpoint)")
@@ -257,7 +251,7 @@ def main(argv=None) -> int:
         return 2
     try:
         report = run(ns.command, ns.args, ws, depth, ns.arity, ns.cap)
-    except (DbcatError, IndexError) as exc:
+    except DbcatError as exc:
         print(f"dbcat: {exc}", file=sys.stderr)
         return 2
     print(report.render(ns.format))

@@ -8,10 +8,9 @@ construction checkable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
-from .core import SENTINEL_A, SENTINEL_B, DbcatError, Instance, active_domain, format_value
+from .core import SENTINEL_A, SENTINEL_B, DbcatError, Instance, Record, active_domain, format_value
 from .queries import RelAtom, atom_components, atom_constants, match_atoms, matcher
 
 
@@ -23,8 +22,7 @@ def _vars_of(atoms) -> frozenset:
     return frozenset(v.name for a in atoms for v in a.variables())
 
 
-@dataclass(frozen=True)
-class Tgd:
+class Tgd(Record):
     """``forall x (exists y: left(x,y)) => (exists z: right(x,z))``.
 
     ``universal`` lists the shared variables x; every other variable on the
@@ -63,8 +61,7 @@ class Tgd:
                     )
 
 
-@dataclass(frozen=True)
-class Egd:
+class Egd(Record):
     """``forall x (left(x)) => x1 = x2``."""
 
     left: tuple
@@ -77,8 +74,7 @@ class Egd:
                 raise ConstraintError(f"equated variable {v} missing from the left side")
 
 
-@dataclass(frozen=True)
-class Sentence:
+class Sentence(Record):
     """A finite conjunction of dependencies; the empty conjunction is true."""
 
     items: tuple = ()

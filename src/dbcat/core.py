@@ -5,12 +5,14 @@ relation; it is stored explicitly only in the bottom instance returned by
 :func:`bottom_instance`.  Relations carry a component id so that instances
 built by :func:`disjoint_union` remember which side each relation came from;
 an ordinary instance keeps everything in component 0.
+
+The value classes of the whole package derive from :class:`Record`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from operator import attrgetter
 
 
 class DbcatError(Exception):
@@ -21,8 +23,70 @@ class ArityError(DbcatError):
     pass
 
 
-@dataclass(frozen=True)
-class Sentinel:
+_set = object.__setattr__
+
+
+class Record:
+    """Base of the immutable value classes: each behaves as a frozen dataclass.
+
+    A subclass's fields are its annotations, after its parent's; a class
+    attribute of the same name is a default, and ``__post_init__`` runs once
+    the fields are set.  Two instances of one class are equal when their
+    fields are, and hash as the field tuple.  Fields named by the class
+    keyword ``hidden`` take no part in equality, hashing or ``repr``.
+    """
+
+    __slots__ = ()
+    _fields = _shown = ()
+
+    def __init_subclass__(cls, hidden=(), **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = tuple(n for n in cls.__annotations__ if n not in cls._fields)
+        cls._fields = names = cls._fields + own
+        cls._shown = shown = cls._shown + tuple(n for n in own if n not in hidden)
+        count, required = len(names), sum(not hasattr(cls, n) for n in names)
+        if not all(hasattr(cls, n) for n in names[required:]):
+            raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
+        fallback = tuple(getattr(cls, n, None) for n in names)
+        post, get = getattr(cls, "__post_init__", None), shown and attrgetter(*shown)
+        key = get if len(shown) > 1 else (lambda self: (get(self),)) if shown else (lambda self: ())
+
+        def __init__(self, *args, **kwargs):
+            given = len(args)
+            if kwargs or given != count:
+                if given > count or not all(map(kwargs.__contains__, names[given:required])):
+                    raise TypeError(f"{cls.__name__}() takes {', '.join(names)}: too many or too few")
+                args += tuple(map(kwargs.pop, names[given:], fallback[given:])) if kwargs else fallback[given:]
+                if kwargs:
+                    raise TypeError(f"{cls.__name__}() got unknown or repeated {', '.join(kwargs)}")
+            i = 0
+            for value in args:
+                _set(self, names[i], value)
+                i += 1
+            if post is not None:
+                post(self)
+
+        def __eq__(self, other):
+            return key(self) == key(other) if other.__class__ is self.__class__ else NotImplemented
+
+        def __hash__(self):
+            return hash(key(self))
+
+        for method in (__init__, __eq__, __hash__):
+            if method.__name__ not in cls.__dict__:
+                setattr(cls, method.__name__, method)
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._shown)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{self.__class__.__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Sentinel(Record):
     """Reserved constant lying outside every user value domain."""
 
     tag: str
@@ -109,8 +173,7 @@ def format_extension(ext: frozenset) -> str:
     return "{" + " ".join(format_tuple(t) for t in sorted(ext, key=tuple_key)) + "}"
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(Record):
     """A named finite set of equal-length tuples."""
 
     name: str
@@ -134,8 +197,7 @@ class Relation:
         return not self.tuples
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Record):
     """A finite database: relations plus a relation-name -> component-id map."""
 
     relations: tuple

@@ -15,10 +15,9 @@ display-only and rejected on input.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .constraints import Egd, Sentence, Tgd
-from .core import DbcatError, Instance, Relation, bottom_instance, format_value
+from .core import DbcatError, Instance, Record, Relation, bottom_instance, format_value
 from .queries import Builtin, Const, RelAtom, Rule, Var
 from .schemas import (
     EMPTY_SCHEMA,
@@ -81,8 +80,7 @@ KEYWORDS = {
 }
 
 
-@dataclass
-class Token:
+class Token(Record):
     kind: str
     value: str
     line: int
@@ -149,15 +147,16 @@ class _Parser:
         return self.next().value
 
 
-@dataclass
 class Workspace:
-    """Everything one or more input files declare, fully cross-resolved."""
+    """Everything one or more input files declare, fully cross-resolved, in
+    dicts by name; ``composes`` holds schema terms and ``instances`` (schema
+    or term name, instance) pairs."""
 
-    schemas: dict = field(default_factory=dict)
-    composes: dict = field(default_factory=dict)  # name -> SchemaTerm
-    instances: dict = field(default_factory=dict)  # name -> (term_name, Instance)
-    mappings: dict = field(default_factory=dict)
-    graphs: dict = field(default_factory=dict)
+    def __init__(self):
+        self.schemas, self.composes, self.instances, self.mappings, self.graphs = {}, {}, {}, {}, {}
+
+    def __eq__(self, other):
+        return isinstance(other, Workspace) and vars(self) == vars(other)
 
     def term(self, name: str) -> SchemaTerm:
         if name in self.composes:
@@ -577,8 +576,7 @@ def _fmt_term_arg(t) -> str:
 def _fmt_atom(a) -> str:
     if isinstance(a, RelAtom):
         return f"{a.name}({','.join(_fmt_term_arg(x) for x in a.args)})"
-    op = "=" if a.op == "=" else "<="
-    return f"{_fmt_term_arg(a.left)} {op} {_fmt_term_arg(a.right)}"
+    return f"{_fmt_term_arg(a.left)} {a.op} {_fmt_term_arg(a.right)}"
 
 
 def _fmt_atoms(atoms) -> str:
@@ -593,14 +591,10 @@ def _fmt_rule(r: Rule) -> str:
 def _fmt_constraint(c) -> str:
     if isinstance(c, Egd):
         universal = sorted({v.name for a in c.left for v in a.variables()})
-        return (
-            f"constraint forall {','.join(universal)}: {_fmt_atoms(c.left)} "
-            f"=> {c.pair[0]} = {c.pair[1]}."
-        )
-    return (
-        f"constraint forall {','.join(c.universal)}: {_fmt_atoms(c.left)} "
-        f"=> {_fmt_atoms(c.right)}."
-    )
+        right = f"{c.pair[0]} = {c.pair[1]}"
+    else:
+        universal, right = c.universal, _fmt_atoms(c.right)
+    return f"constraint forall {','.join(universal)}: {_fmt_atoms(c.left)} => {right}."
 
 
 def _fmt_schema_term(t: SchemaTerm, ws: Workspace) -> str:
@@ -658,11 +652,7 @@ def serialize_workspace(ws: Workspace) -> str:
             if m not in g.branches:
                 out.append(f"  use {m.name}.")
         for s in g.seqs:
-            chain = list(s.chain)
-            line = chain[0].name
-            for m in chain[1:]:
-                line = f"{line} after {m.name}"
-            out.append(f"  {line}.")
+            out.append(f"  {' after '.join(m.name for m in s.chain)}.")
         for b in g.branches:
             left, right = b.name.split("+", 1)
             out.append(f"  {left} branch {right}.")

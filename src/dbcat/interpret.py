@@ -15,7 +15,6 @@ with their sentinel tags.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .category import (
     Morphism,
@@ -33,6 +32,7 @@ from .core import (
     SENTINEL_B,
     DbcatError,
     Instance,
+    Record,
     Relation,
     Sentinel,
     bottom_instance,
@@ -57,8 +57,7 @@ class InterpretationError(DbcatError):
     pass
 
 
-@dataclass(frozen=True)
-class Interpretation:
+class Interpretation(Record):
     """Assignment of one unpartitioned instance per atomic schema."""
 
     assignment: tuple  # ((schema_name, Instance), ...)
@@ -179,8 +178,7 @@ def node_instance(alpha: Interpretation, sketch: Sketch, node: str) -> Instance:
 # model checking
 
 
-@dataclass(frozen=True)
-class ModelReport:
+class ModelReport(Record):
     schema_checks: tuple  # (node, ok, detail)
     arrow_checks: tuple  # (arrow name, ok, detail)
 
@@ -236,8 +234,7 @@ def check_model(alpha: Interpretation, graph: MappingGraph, sketch: Sketch) -> M
 # arrows and the functor check
 
 
-@dataclass(frozen=True)
-class ArrowImage:
+class ArrowImage(Record):
     morphism: Morphism | None
     ok: bool
     note: str = ""
@@ -282,8 +279,7 @@ def _sentence_subject(alpha: Interpretation, sketch: Sketch, node: str) -> Insta
     return interpret_term(alpha, obj)
 
 
-@dataclass(frozen=True)
-class FunctorReport:
+class FunctorReport(Record):
     checks: tuple  # (check id, ok, detail)
 
     @property

@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 
 from .core import (
     BOT,
     DbcatError,
     Instance,
+    Record,
     Relation,
     SetKey,
     ext_key,
@@ -65,8 +65,7 @@ class ViewBudgetExceeded(DbcatError):
         self.cap, self.views, self.level, self.component = cap, views, level, component
 
 
-@dataclass(frozen=True)
-class ViewSet:
+class ViewSet(Record, hidden=("provenance",)):
     """Extensions of a bounded view closure, grouped by source component.
 
     ``components`` maps component id -> frozenset of nonempty extensions; the
@@ -80,7 +79,7 @@ class ViewSet:
     depth: int
     max_arity: int
     fixpoint: bool
-    provenance: tuple = field(default=(), compare=False, hash=False, repr=False)
+    provenance: tuple = ()
 
     def extensions(self) -> frozenset:
         """All extensions, untagged, including the empty view."""

@@ -8,10 +8,9 @@ an equivalent term.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
-from .core import DbcatError, Instance, Relation, Value, value_key
+from .core import DbcatError, Instance, Record, Relation, Value, value_key
 
 
 class QueryError(DbcatError):
@@ -38,16 +37,14 @@ class TranslationError(QueryError):
 # rule syntax
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Record):
     name: str
 
     def __repr__(self):
         return self.name
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(Record):
     value: Value
 
     def __repr__(self):
@@ -57,8 +54,7 @@ class Const:
 RuleTerm = Var | Const
 
 
-@dataclass(frozen=True)
-class RelAtom:
+class RelAtom(Record):
     name: str
     args: tuple
 
@@ -66,8 +62,7 @@ class RelAtom:
         return tuple(a for a in self.args if isinstance(a, Var))
 
 
-@dataclass(frozen=True)
-class Builtin:
+class Builtin(Record):
     """Built-in predicate: ``=`` or ``<=`` over the total value order."""
 
     op: str
@@ -96,8 +91,7 @@ def atom_constants(atoms) -> frozenset:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Record):
     """Conjunctive query ``head(vars) <- atom, atom, ...``."""
 
     head_name: str
@@ -160,14 +154,12 @@ def rule(head_name: str, head_vars, body) -> Rule:
 # algebra terms
 
 
-@dataclass(frozen=True)
-class ColEq:
+class ColEq(Record):
     left: int
     right: int
 
 
-@dataclass(frozen=True)
-class ConstEq:
+class ConstEq(Record):
     col: int
     value: Value
 
@@ -175,44 +167,37 @@ class ConstEq:
 Condition = ColEq | ConstEq
 
 
-@dataclass(frozen=True)
-class BaseRel:
+class BaseRel(Record):
     name: str
 
 
-@dataclass(frozen=True)
-class Select:
+class Select(Record):
     child: "QueryTerm"
     conds: tuple
 
 
-@dataclass(frozen=True)
-class Project:
+class Project(Record):
     child: "QueryTerm"
     cols: tuple
 
 
-@dataclass(frozen=True)
-class Join:
+class Join(Record):
     left: "QueryTerm"
     right: "QueryTerm"
     pairs: tuple = ()
 
 
-@dataclass(frozen=True)
-class Rename:
+class Rename(Record):
     child: "QueryTerm"
     perm: tuple
 
 
-@dataclass(frozen=True)
-class Union:
+class Union(Record):
     left: "QueryTerm"
     right: "QueryTerm"
 
 
-@dataclass(frozen=True)
-class EmptyRel:
+class EmptyRel(Record):
     """The nullary relation with no tuples: joined to any term, it empties
     that term at its own width."""
 

@@ -14,11 +14,10 @@ dependency expresses the pair's containment.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .constraints import Sentence, Tgd
-from .core import SENTINEL_A, SENTINEL_B, DbcatError
+from .core import SENTINEL_A, SENTINEL_B, DbcatError, Record
 from .queries import Builtin, Const, CrossComponentQuery, RelAtom, Rule, Var, copy_rule
 
 EMPTY_NODE = "_empty"
@@ -32,8 +31,7 @@ class SchemaError(DbcatError):
 # schemas and terms
 
 
-@dataclass(frozen=True)
-class Schema:
+class Schema(Record):
     """An atomic schema: relation symbols with arities plus constraints."""
 
     name: str
@@ -65,25 +63,21 @@ class Schema:
         return (self.name, self.relsymbols)
 
 
-@dataclass(frozen=True)
-class SAtom:
+class SAtom(Record):
     schema: Schema
 
 
-@dataclass(frozen=True)
-class SepTerm:
+class SepTerm(Record):
     left: "SchemaTerm"
     right: "SchemaTerm"
 
 
-@dataclass(frozen=True)
-class FedTerm:
+class FedTerm(Record):
     left: "SchemaTerm"
     right: "SchemaTerm"
 
 
-@dataclass(frozen=True)
-class EmptyTerm:
+class EmptyTerm(Record):
     pass
 
 
@@ -142,8 +136,7 @@ def schema_identity(a: SchemaTerm, b: SchemaTerm) -> bool:
 # term layout: qualified relation names, components, merged constraints
 
 
-@dataclass(frozen=True)
-class LayoutEntry:
+class LayoutEntry(Record):
     qualified: str
     base: str
     arity: int
@@ -152,8 +145,7 @@ class LayoutEntry:
     schema_name: str
 
 
-@dataclass(frozen=True)
-class Layout:
+class Layout(Record):
     entries: tuple
     renames: tuple  # (occurrence, ((base, qualified), ...))
 
@@ -224,8 +216,7 @@ def term_sentence(term: SchemaTerm) -> Sentence:
 # mappings
 
 
-@dataclass(frozen=True)
-class MappingPair:
+class MappingPair(Record):
     """One ``lhs-query => rhs`` entry of a view-based mapping.
 
     The right side is either a bare atom (``rhs_bare``) naming a relation, or
@@ -238,8 +229,7 @@ class MappingPair:
     rhs_bare: bool
 
 
-@dataclass(frozen=True)
-class SchemaMapping:
+class SchemaMapping(Record):
     name: str
     source_name: str
     target_name: str
@@ -319,8 +309,7 @@ def identity_mapping(name: str, node_name: str, term: SchemaTerm) -> SchemaMappi
     )
 
 
-@dataclass(frozen=True)
-class SeqEdge:
+class SeqEdge(Record):
     """A recorded sequential composition of mapping edges (right-to-left)."""
 
     chain: tuple
@@ -394,8 +383,7 @@ def branch(m1: SchemaMapping, m2: SchemaMapping) -> SchemaMapping:
 # mapping graphs
 
 
-@dataclass(frozen=True)
-class MappingGraph:
+class MappingGraph(Record):
     name: str
     nodes: tuple  # ((node_name, SchemaTerm), ...)
     mappings: tuple
@@ -426,8 +414,7 @@ def mapping_graph(name, nodes: dict, mappings, seqs=(), branches=()) -> MappingG
 # sketches
 
 
-@dataclass(frozen=True)
-class GammaAddition:
+class GammaAddition(Record):
     """A relation added to a target schema by sketch construction."""
 
     name: str
@@ -438,8 +425,7 @@ class GammaAddition:
     component: int
 
 
-@dataclass(frozen=True)
-class HelperSchema:
+class HelperSchema(Record):
     """Comparison schema for a pair whose right side is a genuine query."""
 
     name: str
@@ -452,8 +438,7 @@ class HelperSchema:
     sentinel: Tgd
 
 
-@dataclass(frozen=True)
-class SketchArrow:
+class SketchArrow(Record):
     name: str
     kind: str  # identity | mapping | sentence
     src: str
@@ -462,8 +447,7 @@ class SketchArrow:
     sentence: Sentence | None = None
 
 
-@dataclass(frozen=True)
-class Sketch:
+class Sketch(Record):
     """The small category generated from a mapping graph.
 
     ``diagrams`` and ``cones`` stay empty: mapping systems never impose

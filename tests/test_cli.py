@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -119,6 +120,21 @@ def test_main_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["iso", "S0"], "iso takes INSTANCE INSTANCE (got 1 argument)"),
+        (["iso", "S0", "F0", "extra"], "iso takes INSTANCE INSTANCE (got 3 arguments)"),
+        (["compose", "M"], "compose takes MAPPING MAPPING SOURCE MIDDLE TARGET (got 1 argument)"),
+        (["laws", "S0"], "laws takes no arguments (got 1 argument)"),
+    ],
+)
+def test_wrong_argument_count_is_a_usage_error(argv, message, capsys):
+    assert main([*argv, "-i", str(DATA / "federation.dbc")]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"dbcat: {message}\n")
+
+
 def test_exhausted_view_budget_is_a_usage_error(capsys):
     demo = str(DATA / "demo.dbc")
     assert main(["powerview", "A0", "-i", demo, "--depth", "-1", "--arity", "4", "--cap", "50"]) == 2
@@ -134,6 +150,21 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """The value classes share one base in dbcat.core, so start-up neither
+    imports these modules nor generates dataclass code."""
+    code = "import sys, dbcat.cli; print([m for m in ('dataclasses', 'inspect') if m in sys.modules])"
+    src = pathlib.Path(__file__).parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout == "[]\n"
 
 
 def test_byte_identical_reports_across_runs():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -22,7 +23,9 @@ from dbcat.core import (
     make_instance,
     value_key,
 )
-from dbcat.powerview import instances_isomorphic, power_view
+from dbcat.powerview import ViewSet, instances_isomorphic, power_view
+from dbcat.queries import EmptyRel, Var
+from dbcat.schemas import EmptyTerm
 
 
 def test_bottom_instance_shape():
@@ -147,3 +150,96 @@ def test_set_key_is_exact_when_hashes_collide():
     assert [k.exts for k in sorted(map(SetKey, reversed(sets)))] == want
     assert not SetKey(sets[0]) < SetKey(Collide(sets[0]))
 
+
+
+# ---------------------------------------------------------------------------
+# the value-class base against frozen dataclass twins
+
+
+@dataclasses.dataclass(frozen=True)
+class RelationTwin:
+    __qualname__ = "Relation"
+    name: str
+    arity: int
+    tuples: frozenset = frozenset()
+    attributes: tuple = ()
+    __post_init__ = Relation.__post_init__
+
+
+@dataclasses.dataclass(frozen=True)
+class VarTwin:
+    __qualname__ = "Var"
+    name: str
+    __repr__ = Var.__repr__
+
+
+@dataclasses.dataclass(frozen=True)
+class ViewSetTwin:
+    __qualname__ = "ViewSet"
+    components: tuple
+    depth: int
+    max_arity: int
+    fixpoint: bool
+    provenance: tuple = dataclasses.field(default=(), compare=False, hash=False, repr=False)
+
+
+@dataclasses.dataclass(frozen=True)
+class EmptyRelTwin:
+    __qualname__ = "EmptyRel"
+
+
+@dataclasses.dataclass(frozen=True)
+class EmptyTermTwin:
+    __qualname__ = "EmptyTerm"
+
+
+VIEWS = ((0, frozenset({frozenset({(1,)}), frozenset({(1, 2)})})),)
+TWINS = [
+    (Relation, RelationTwin, ("r", 2, frozenset({(1, 2), (3, 4)}))),
+    (Relation, RelationTwin, ("r", 1, frozenset({(1,)}), ("a",))),
+    (Relation, RelationTwin, ("r", 0)),
+    (Var, VarTwin, ("X",)),
+    (ViewSet, ViewSetTwin, (VIEWS, 2, 2, False)),
+    (ViewSet, ViewSetTwin, (VIEWS, -1, 2, True, ("provenance",))),
+    (EmptyRel, EmptyRelTwin, ()),
+    (EmptyTerm, EmptyTermTwin, ()),
+]
+
+
+@pytest.mark.parametrize("cls, twin, args", TWINS)
+def test_record_behaves_like_a_frozen_dataclass(cls, twin, args):
+    names = [f.name for f in dataclasses.fields(twin)]
+    ours, theirs = cls(*args), twin(*args)
+    assert [getattr(ours, n) for n in names] == [getattr(theirs, n) for n in names]
+    assert repr(ours) == repr(theirs)
+    assert hash(ours) == hash(theirs)
+    by_keyword = cls(**dict(zip(names, args)))
+    assert ours == by_keyword and not ours != by_keyword and hash(ours) == hash(by_keyword)
+    assert ours != theirs and theirs != ours  # another class with the same fields
+    required = [f.name for f in dataclasses.fields(twin) if f.default is dataclasses.MISSING]
+    given = dict(zip(names, args))
+    for c in (cls, twin):
+        for n in required:
+            with pytest.raises(TypeError):  # a missing argument
+                c(**{m: v for m, v in given.items() if m != n})
+            with pytest.raises(TypeError):  # a repeated argument
+                c(*args, **{n: getattr(ours, n)})
+        with pytest.raises(TypeError):
+            c(*args, unknown=1)
+        with pytest.raises(TypeError):
+            c(*args, *[None] * (len(names) - len(args) + 1))
+    for n in names + ["unknown"]:
+        with pytest.raises(AttributeError):
+            setattr(ours, n, None)
+    for n in names:
+        with pytest.raises(AttributeError):
+            delattr(ours, n)
+
+def test_record_defaults_and_hidden_fields():
+    r = Relation("r", 2)
+    assert (r.tuples, r.attributes) == (frozenset(), ("c0", "c1"))
+    a = ViewSet(VIEWS, 2, 2, False, provenance=("a",))
+    b = ViewSet(VIEWS, 2, 2, False, ("b",))
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert (a.provenance, b.provenance, ViewSet(VIEWS, 2, 2, False).provenance) == (("a",), ("b",), ())
+    assert EmptyRel() == EmptyRel() and EmptyRel() != EmptyTerm() and hash(EmptyRel()) == hash(())
