@@ -82,23 +82,19 @@ class MapNode(Record):
     children: tuple
 
 
-def _tree_leaves(node) -> tuple:
+def _leaves(node) -> list:
+    """The leaves under a tree node, open (:class:`Leaf`) or hidden, left to right."""
     out = []
     for c in node.children:
-        if isinstance(c, Leaf):
-            out.append(c.name)
-        elif isinstance(c, MapNode):
-            out.extend(_tree_leaves(c))
-    return tuple(out)
+        if isinstance(c, MapNode):
+            out.extend(_leaves(c))
+        else:
+            out.append(c)
+    return out
 
 
-def _tree_has_hidden(node) -> bool:
-    for c in node.children:
-        if isinstance(c, HiddenLeaf):
-            return True
-        if isinstance(c, MapNode) and _tree_has_hidden(c):
-            return True
-    return False
+def _open_names(node) -> set:
+    return {c.name for c in _leaves(node) if isinstance(c, Leaf)}
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +105,15 @@ class Morphism(Record):
     """An arrow between two instances.
 
     ``parts`` records how the morphism was put together, which drives the
-    structural flux computation: ``("atomic",)``, ``("empty",)``,
-    ``("compose", g, f)``, ``("sum", f, g, maps...)``,
-    ``("mediate", f, g, maps...)`` or ``("pair", f, g, maps...)``.
+    structural flux computation.  It has one of three shapes:
+
+    - ``("atomic",)``: the view maps of ``trees`` over ``source`` (none for
+      the empty arrow);
+    - ``("compose", g, f)``: ``g`` after ``f``;
+    - ``("sum", (f, src_comps, tgt_comps), (g, src_comps, tgt_comps))``:
+      ``f`` and ``g`` side by side, each with the (old, new) component pairs
+      of its source and target in the summed ends (empty for a shared end).
+      This one shape covers f+g, [f,g] and <f,g>.
     """
 
     source: Instance
@@ -121,10 +123,11 @@ class Morphism(Record):
 
     @property
     def kind(self) -> str:
-        return "p-arrow" if any(_tree_has_hidden(t) for t in self.trees) else "c-arrow"
+        hidden = any(isinstance(c, HiddenLeaf) for t in self.trees for c in _leaves(t))
+        return "p-arrow" if hidden else "c-arrow"
 
     def d0(self) -> frozenset:
-        names = {n for t in self.trees for n in _tree_leaves(t)}
+        names = set().union(*map(_open_names, self.trees))
         return frozenset(names) if names else frozenset({BOT})
 
     def d1(self) -> frozenset:
@@ -169,8 +172,9 @@ def make_atomic(viewmaps, source: Instance, target: Instance) -> Morphism:
 
 
 def empty_morphism(source: Instance, target: Instance) -> Morphism:
-    """The banal arrow carrying nothing but the empty view."""
-    return Morphism(source, target, (), ("empty",))
+    """The banal arrow carrying nothing but the empty view: the atomic arrow
+    with no view maps, so it equals ``make_atomic([], source, target)``."""
+    return Morphism(source, target, ())
 
 
 def _copy_arrow(origin: Instance, source: Instance, target: Instance, reads: dict, writes: dict):
@@ -223,7 +227,7 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
     provided = frozenset(supply)
     kept = []
     for t in g.trees:
-        if provided & frozenset(_tree_leaves(t)):
+        if not provided.isdisjoint(_open_names(t)):
             kept.append(_graft(t, supply, f.target))
     return Morphism(f.source, g.target, tuple(kept), ("compose", g, f))
 
@@ -247,22 +251,31 @@ def _retree(node: MapNode, leaf_map: dict, target_map: dict, is_root: bool) -> M
     return MapNode(ViewMap(query, target, vm.mode), tuple(children))
 
 
-def _items(d: dict) -> tuple:
-    return tuple(sorted(d.items()))
+def _side_by_side(f: Morphism, g: Morphism, sources: bool, targets: bool) -> Morphism:
+    """*f* and *g* as one arrow between the disjoint unions of their sources,
+    of their targets, or both; an end that is not summed is shared.  In DB
+    the disjoint union is both coproduct and product, so this one construction
+    gives f+g, the copairing [f,g] and the pairing <f,g>."""
+    shared = {}, {}, {}, {}  # an end not summed: no names or components change
+    src, snames_f, snames_g, scomps_f, scomps_g = (
+        disjoint_union_with_maps(f.source, g.source) if sources else (f.source, *shared)
+    )
+    tgt, tnames_f, tnames_g, tcomps_f, tcomps_g = (
+        disjoint_union_with_maps(f.target, g.target) if targets else (f.target, *shared)
+    )
+    trees = [_retree(t, snames_f, tnames_f, True) for t in f.trees]
+    trees += [_retree(t, snames_g, tnames_g, True) for t in g.trees]
+    parts = (
+        "sum",
+        (f, tuple(scomps_f.items()), tuple(tcomps_f.items())),
+        (g, tuple(scomps_g.items()), tuple(tcomps_g.items())),
+    )
+    return Morphism(src, tgt, tuple(trees), parts)
 
 
 def coproduct_morphism(f: Morphism, g: Morphism) -> Morphism:
     """Component-tagged union of two arrows: ``f + g`` between the coproducts."""
-    src, smap_f, smap_g, scomp_f, scomp_g = disjoint_union_with_maps(f.source, g.source)
-    tgt, tmap_f, tmap_g, tcomp_f, tcomp_g = disjoint_union_with_maps(f.target, g.target)
-    trees = tuple(
-        itertools.chain(
-            (_retree(t, smap_f, tmap_f, True) for t in f.trees),
-            (_retree(t, smap_g, tmap_g, True) for t in g.trees),
-        )
-    )
-    parts = ("sum", f, g, _items(scomp_f), _items(scomp_g), _items(tcomp_f), _items(tcomp_g))
-    return Morphism(src, tgt, trees, parts)
+    return _side_by_side(f, g, True, True)
 
 
 def _summand(a: Instance, b: Instance, side: str):
@@ -287,30 +300,14 @@ def mediating(f: Morphism, g: Morphism) -> Morphism:
     """The arrow out of the coproduct induced by two arrows into a common target."""
     if f.target != g.target:
         raise DbcatError("mediating arrows need a common target")
-    src, smap_f, smap_g, scomp_f, scomp_g = disjoint_union_with_maps(f.source, g.source)
-    trees = tuple(
-        itertools.chain(
-            (_retree(t, smap_f, {}, True) for t in f.trees),
-            (_retree(t, smap_g, {}, True) for t in g.trees),
-        )
-    )
-    parts = ("mediate", f, g, _items(scomp_f), _items(scomp_g))
-    return Morphism(src, f.target, trees, parts)
+    return _side_by_side(f, g, True, False)
 
 
 def pairing(f: Morphism, g: Morphism) -> Morphism:
     """The arrow into the product induced by two arrows out of a common source."""
     if f.source != g.source:
         raise DbcatError("paired arrows need a common source")
-    tgt, tmap_f, tmap_g, tcomp_f, tcomp_g = disjoint_union_with_maps(f.target, g.target)
-    trees = tuple(
-        itertools.chain(
-            (_retree(t, {}, tmap_f, True) for t in f.trees),
-            (_retree(t, {}, tmap_g, True) for t in g.trees),
-        )
-    )
-    parts = ("pair", f, g, _items(tcomp_f), _items(tcomp_g))
-    return Morphism(f.source, tgt, trees, parts)
+    return _side_by_side(f, g, False, True)
 
 
 # ---------------------------------------------------------------------------
@@ -437,13 +434,6 @@ def _atomic_channels(m: Morphism, depth, max_arity, cap):
     return tuple(channels), fix
 
 
-def _remap_channels(channels, smap=None, tmap=None):
-    out = []
-    for s, t, exts in channels:
-        out.append((smap.get(s, s) if smap else s, tmap.get(t, t) if tmap else t, exts))
-    return tuple(sorted(out))
-
-
 def flux(
     m: Morphism,
     depth: int | None = DEFAULT_DEPTH,
@@ -454,41 +444,26 @@ def flux(
 
     Atomic arrows close the extensions their view maps produce, channel by
     channel.  Composites intersect the factor fluxes across the shared middle
-    object; sums and (co)pairings re-tag the factor channels.
+    object; side-by-side arrows re-tag the factor channels through their
+    component maps.
     """
     kind = m.parts[0]
-    if kind == "empty":
-        out = Flux((), True)
-    elif kind == "atomic":
-        channels, fix = _atomic_channels(m, depth, max_arity, cap)
-        out = Flux(channels, fix)
-    elif kind == "compose":
+    if kind == "atomic":
+        return Flux(*_atomic_channels(m, depth, max_arity, cap))
+    if kind == "compose":
         g, f = m.parts[1], m.parts[2]
-        out = flux_intersection(
+        return flux_intersection(
             flux(f, depth, max_arity, cap), flux(g, depth, max_arity, cap)
         )
-    elif kind in ("sum", "mediate", "pair"):
-        f, g = m.parts[1], m.parts[2]
-        ff, fg = flux(f, depth, max_arity, cap), flux(g, depth, max_arity, cap)
-        if kind == "sum":
-            _, _, _, sa, sb, ta, tb = m.parts
-            chans = _remap_channels(ff.channels, dict(sa), dict(ta)) + _remap_channels(
-                fg.channels, dict(sb), dict(tb)
-            )
-        elif kind == "mediate":
-            _, _, _, sa, sb = m.parts
-            chans = _remap_channels(ff.channels, dict(sa)) + _remap_channels(
-                fg.channels, dict(sb)
-            )
-        else:
-            _, _, _, ta, tb = m.parts
-            chans = _remap_channels(ff.channels, None, dict(ta)) + _remap_channels(
-                fg.channels, None, dict(tb)
-            )
-        out = Flux(tuple(sorted(chans)), ff.fixpoint and fg.fixpoint)
-    else:
+    if kind != "sum":
         raise DbcatError(f"unknown morphism structure {kind!r}")
-    return out
+    chans, fix = [], True
+    for h, scomps, tcomps in m.parts[1:]:
+        fh = flux(h, depth, max_arity, cap)
+        smap, tmap = dict(scomps), dict(tcomps)
+        chans.extend((smap.get(s, s), tmap.get(t, t), exts) for s, t, exts in fh.channels)
+        fix = fix and fh.fixpoint
+    return Flux(tuple(sorted(chans)), fix)
 
 
 def flux_intersection(a: Flux, b: Flux) -> Flux:
@@ -558,41 +533,18 @@ def verify_duality(
     ab = disjoint_union(a, b)
     in_a, in_b = injection(a, b, "left"), injection(a, b, "right")
     p_a, p_b = projection(a, b, "left"), projection(a, b, "right")
-    checks = []
-
-    checks.append(
-        (
-            "projection-after-injection-left",
-            equivalent(compose(p_a, in_a), identity(a), depth, max_arity, cap),
-            "p_A . in_A ~ id_A",
-        )
-    )
-    checks.append(
-        (
-            "projection-after-injection-right",
-            equivalent(compose(p_b, in_b), identity(b), depth, max_arity, cap),
-            "p_B . in_B ~ id_B",
-        )
-    )
-
     if f is None or g is None:
         f, g = p_a, p_b
     paired = pairing(f, g)
-    checks.append(
-        (
-            "product-triangle-left",
-            equivalent(compose(p_a, paired), f, depth, max_arity, cap),
-            "p_A . <f,g> ~ f",
-        )
+    laws = (
+        ("projection-after-injection-left", compose(p_a, in_a), identity(a), "p_A . in_A ~ id_A"),
+        ("projection-after-injection-right", compose(p_b, in_b), identity(b), "p_B . in_B ~ id_B"),
+        ("product-triangle-left", compose(p_a, paired), f, "p_A . <f,g> ~ f"),
+        ("product-triangle-right", compose(p_b, paired), g, "p_B . <f,g> ~ g"),
     )
-    checks.append(
-        (
-            "product-triangle-right",
-            equivalent(compose(p_b, paired), g, depth, max_arity, cap),
-            "p_B . <f,g> ~ g",
-        )
-    )
-
+    checks = [
+        (cid, equivalent(lhs, rhs, depth, max_arity, cap), law) for cid, lhs, rhs, law in laws
+    ]
     va, vb, vab = (power_view_cached(x, depth, max_arity, cap) for x in (a, b, ab))
     checks.append(
         (

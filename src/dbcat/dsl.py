@@ -10,7 +10,8 @@ The format is line-oriented with ``#`` comments; statements end with a dot.
 
 Uppercase-initial identifiers inside rules are variables; values are integers
 or single-quoted strings.  The reserved constants ``#A`` and ``#B`` are
-display-only and rejected on input.
+display-only and cannot be written: ``#`` starts a comment, so in
+``r(#A).`` the value and everything after it on the line are never read.
 """
 from __future__ import annotations
 
@@ -142,8 +143,6 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "ident":
             self.fail(f"expected {what}")
-        if "#A" == tok.value or "#B" == tok.value:
-            self.fail("reserved constant not allowed in input")
         return self.next().value
 
 
@@ -158,12 +157,22 @@ class Workspace:
     def __eq__(self, other):
         return isinstance(other, Workspace) and vars(self) == vars(other)
 
-    def term(self, name: str) -> SchemaTerm:
+    def term(self, name: str, tok: Token | None = None) -> SchemaTerm:
+        """The schema term *name* refers to; an unknown name is a
+        :class:`ParseError` at *tok*, the token that names it, when given."""
         if name in self.composes:
             return self.composes[name]
         if name in self.schemas:
             return SAtom(self.schemas[name])
-        raise ParseError(f"unknown schema or composition {name!r}")
+        line, col = (tok.line, tok.col) if tok else (0, 0)
+        raise ParseError(f"unknown schema or composition {name!r}", line, col)
+
+
+def _term_ref(p: _Parser, ws: Workspace) -> tuple:
+    """Read a schema or composition name: (the name, the term it names)."""
+    tok = p.peek()
+    name = p.ident("schema name")
+    return name, ws.term(name, tok)
 
 
 def _check_fresh(ws: Workspace, name: str, tok: Token):
@@ -189,8 +198,6 @@ def _parse_value(p: _Parser):
 def _parse_term_arg(p: _Parser):
     tok = p.peek()
     if tok.kind == "ident":
-        if tok.value in ("#A", "#B"):
-            p.fail("reserved constant not allowed in input")
         p.next()
         if tok.value[0].isupper():
             return Var(tok.value)
@@ -328,12 +335,7 @@ def _parse_schema_term(p: _Parser, ws: Workspace) -> SchemaTerm:
         if p.at("ident", "empty"):
             p.next()
             return EMPTY_SCHEMA
-        tok = p.peek()
-        name = p.ident("schema name")
-        try:
-            return ws.term(name)
-        except ParseError:
-            raise ParseError(f"unknown schema or composition {name!r}", tok.line, tok.col)
+        return _term_ref(p, ws)[1]
 
     def expr() -> SchemaTerm:
         t = atom()
@@ -393,12 +395,7 @@ def _parse_instance(p: _Parser, ws: Workspace):
     name = p.ident("instance name")
     _check_fresh(ws, name, tok)
     p.expect("ident", "of")
-    term_tok = p.peek()
-    term_name = p.ident("schema name")
-    try:
-        term = ws.term(term_name)
-    except ParseError:
-        raise ParseError(f"unknown schema or composition {term_name!r}", term_tok.line, term_tok.col)
+    term_name, term = _term_ref(p, ws)
     layout = term_layout(term)
     rels = layout.relsymbols()
     tuples: dict = {rel: set() for rel in rels}
@@ -439,10 +436,9 @@ def _parse_mapping(p: _Parser, ws: Workspace):
     name = p.ident("mapping name")
     _check_fresh(ws, name, tok)
     p.expect("punct", ":")
-    src_name = p.ident("schema name")
+    src_name, source = _term_ref(p, ws)
     p.expect("arrow")
-    tgt_name = p.ident("schema name")
-    source, target = ws.term(src_name), ws.term(tgt_name)
+    tgt_name, target = _term_ref(p, ws)
     p.expect("punct", "{")
     pairs = []
     exact = False

@@ -26,7 +26,14 @@ from dbcat.category import (
     verify_duality,
 )
 from dbcat import category, core, powerview
-from dbcat.core import bottom_instance, disjoint_union, make_instance
+from dbcat.core import (
+    BOT,
+    DbcatError,
+    bottom_instance,
+    disjoint_union,
+    disjoint_union_with_maps,
+    make_instance,
+)
 from dbcat.powerview import instances_isomorphic, power_view
 from dbcat.queries import rule
 
@@ -289,6 +296,90 @@ def test_coproduct_flux_is_tagged_union():
         ]
     )
     assert per_channel == want
+
+
+def _arrow(src, tgt, *edges):
+    """Atomic arrow copying unary relation s into t for each (s, t, value),
+    restricted to X = value unless value is None."""
+    vms = [vm([(s, "X")] + ([("=", "X", v)] if v is not None else []), t) for s, t, v in edges]
+    return make_atomic(vms, src, tgt)
+
+
+# Two components a side, with component ids that the disjoint union renumbers.
+_A = make_instance({"a0": [(1,), (2,)], "a1": [(3,)]}, partition={"a0": 7, "a1": 3})
+_B = make_instance({"b0": [(1,), (2,)], "b1": [(2,), (3,)]}, partition={"b0": 5, "b1": 2})
+_C = make_instance({"c0": [(5,)], "c1": [(6,), (7,)]}, partition={"c0": 4, "c1": 9})
+_D = make_instance({"d0": [(5,), (6,)], "d1": [(7,)]}, partition={"d0": 8, "d1": 1})
+_S = make_instance({"s0": [(1,), (5,)], "s1": [(3,), (7,)]}, partition={"s0": 2, "s1": 6})
+_T = make_instance(
+    {"t0": [(1,), (2,), (5,)], "t1": [(2,), (3,), (6,), (7,)]}, partition={"t0": 6, "t1": 0}
+)
+
+
+@pytest.mark.parametrize(
+    "build, f, g, sources, targets, tags",
+    [
+        (
+            coproduct_morphism,
+            _arrow(_A, _B, ("a0", "b0", None), ("a1", "b1", None), ("a0", "b1", 2)),
+            _arrow(_C, _D, ("c0", "d0", None), ("c1", "d1", 7)),
+            True,
+            True,
+            {(2, 2), (1, 1), (2, 1), (3, 4), (4, 3)},
+        ),
+        (
+            mediating,
+            _arrow(_A, _T, ("a0", "t0", None), ("a1", "t1", None), ("a0", "t1", 2)),
+            _arrow(_C, _T, ("c0", "t0", None), ("c1", "t1", 7)),
+            True,
+            False,
+            {(2, 6), (1, 0), (2, 0), (3, 6), (4, 0)},
+        ),
+        (
+            pairing,
+            _arrow(_S, _B, ("s0", "b0", 1), ("s1", "b1", 3)),
+            _arrow(_S, _D, ("s0", "d0", 5), ("s1", "d1", 7)),
+            False,
+            True,
+            {(2, 2), (6, 1), (2, 4), (6, 3)},
+        ),
+    ],
+    ids=["f+g", "[f,g]", "<f,g>"],
+)
+def test_side_by_side_flux_is_the_retagged_factor_fluxes(build, f, g, sources, targets, tags):
+    m = build(f, g)
+    assert m.parts[0] == "sum"
+    # oracle: each factor's channels, re-tagged through the component maps of
+    # the summed ends; a shared end keeps its tags
+    smaps = disjoint_union_with_maps(f.source, g.source)[3:] if sources else ({}, {})
+    tmaps = disjoint_union_with_maps(f.target, g.target)[3:] if targets else ({}, {})
+    want = []
+    for h, smap, tmap in zip((f, g), smaps, tmaps):
+        fh = flux(h, **FIX)
+        assert fh.fixpoint and fh.channels
+        want.extend((smap.get(s, s), tmap.get(t, t), exts) for s, t, exts in fh.channels)
+    fx = flux(m, **FIX)
+    assert fx.fixpoint
+    assert fx.channels == tuple(sorted(want))
+    assert {(s, t) for s, t, _ in fx.channels} == tags
+    assert {s for s, _ in tags} <= {c for _, c in m.source.partition}
+    assert {t for _, t in tags} <= {c for _, c in m.target.partition}
+
+
+def test_copairing_and_pairing_need_a_shared_end():
+    f, g = identity(_A), identity(_C)
+    with pytest.raises(DbcatError, match="^mediating arrows need a common target$"):
+        mediating(f, g)
+    with pytest.raises(DbcatError, match="^paired arrows need a common source$"):
+        pairing(f, g)
+
+
+def test_empty_morphism_is_the_atomic_arrow_without_view_maps():
+    e = empty_morphism(_A, _B)
+    assert e == make_atomic([], _A, _B)
+    assert equivalent(e, make_atomic([], _A, _B), **FIX)
+    assert e.parts == ("atomic",) and e.kind == "c-arrow" and e.d0() == {BOT}
+    assert flux(e, **FIX) == Flux((), True)
 
 
 def test_injection_flux_is_whole_view_set():

@@ -102,6 +102,34 @@ def test_unknown_reference_rejected():
         parse_workspace_text("schema A { r/1. }\ngraph G { use M. }")
 
 
+@pytest.mark.parametrize(
+    "text, line, col",
+    [
+        ("schema A { r/1. }\ncompose D = A sep Nope", 2, 19),
+        ("schema A { r/1. }\ninstance A0 of Nope { }", 2, 16),
+        ("schema B { s/1. }\nmapping M : Nope -> B { }", 2, 13),
+        ("schema A { r/1. }\nmapping M : A -> Nope { }", 2, 18),
+    ],
+)
+def test_unknown_schema_reference_is_reported_at_its_token(text, line, col):
+    with pytest.raises(ParseError, match="unknown schema or composition 'Nope'") as exc:
+        parse_workspace_text(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "schema A { r/1. }\ninstance A0 of A { r(#A). }",
+        "schema A { r/1. }\nschema B { s/1. }\nmapping M : A -> B { q(X) :- r(X), X = #B => s(X). }",
+    ],
+)
+def test_sentinels_cannot_be_written(text):
+    # '#' starts a comment, so the sentinel and the rest of its line are never read
+    with pytest.raises(ParseError):
+        parse_workspace_text(text)
+
+
 def test_duplicate_names_rejected():
     with pytest.raises(ParseError):
         parse_workspace_text("schema A { r/1. }\nschema A { s/1. }")
