@@ -198,10 +198,10 @@ def _parse_value(p: _Parser):
 def _parse_term_arg(p: _Parser):
     tok = p.peek()
     if tok.kind == "ident":
+        if not tok.value[0].isupper():
+            p.fail(f"relation arguments are variables or values, not {tok.value!r}")
         p.next()
-        if tok.value[0].isupper():
-            return Var(tok.value)
-        p.fail(f"relation arguments are variables or values, not {tok.value!r}")
+        return Var(tok.value)
     return Const(_parse_value(p))
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from operator import add, eq, itemgetter
 
 from .core import (
     BOT,
@@ -174,11 +175,6 @@ def _fixpoint_views(seeds, consts, max_arity, cap):
     return frozenset(views)
 
 
-def _index_lists(arity: int, max_arity: int):
-    for length in range(1, max_arity + 1):
-        yield from itertools.product(range(arity), repeat=length)
-
-
 @functools.lru_cache(maxsize=4096)
 def close_component(seeds, depth, max_arity, cap):
     """Closure of one component from the frozenset *seeds* of its nonempty
@@ -190,18 +186,19 @@ def close_component(seeds, depth, max_arity, cap):
     alone, so one memoised result serves every component and flux channel
     that holds the same extensions.  Raises :class:`ViewBudgetExceeded` once
     more than *cap* new views appear; at fixpoint the enumerator runs only to
-    find where.
+    find where.  A level's operands come from earlier levels, so the views it
+    adds, and so where the cap is passed, do not depend on emission order.
     """
-    consts = sorted({v for ext in seeds for t in ext for v in t}, key=value_key)
     if depth is None:
+        consts = sorted({v for ext in seeds for t in ext for v in t}, key=value_key)
         closed = _fixpoint_views(seeds, consts, max_arity, cap)
         if closed is not None:
             return closed, True
     views = set(seeds)
-    old: list = []  # (extension, arity) of every level before the frontier
-    frontier = [(ext, len(next(iter(ext)))) for ext in seeds]
-    added = 0
-    level = 0
+    by_arity: dict = {}  # arity -> operands visited so far, earlier levels first
+    getters: dict = {}  # index list -> its itemgetter
+    frontier = seeds
+    added = level = 0
     while frontier:
         if depth is not None and level >= depth:
             return frozenset(views), False
@@ -217,25 +214,38 @@ def close_component(seeds, depth, max_arity, cap):
                 if added > cap:
                     raise ViewBudgetExceeded(cap, added, level)
 
-        for ext, arity in frontier:
-            for i in range(arity):
-                for j in range(i + 1, arity):
-                    emit(frozenset(t for t in ext if t[i] == t[j]))
-                for c in consts:
-                    emit(frozenset(t for t in ext if t[i] == c))
-            for cols in _index_lists(arity, max_arity):
-                emit(frozenset(tuple(t[k] for k in cols) for t in ext))
-        # binary operators: each ordered pair with an operand from the newest
-        # level once
-        for (e1, a1), (e2, a2) in itertools.chain(
-            itertools.product(frontier, old + frontier), itertools.product(old, frontier)
-        ):
-            if a1 + a2 <= max_arity:
-                emit(frozenset(x + y for x in e1 for y in e2))
-            if a1 == a2 and e1 is not e2:
-                emit(e1 | e2)
-        old += frontier
-        frontier = [(ext, len(next(iter(ext)))) for ext in new]
+        for ext in frontier:
+            arity = len(next(iter(ext)))
+            reps: dict = {}  # representative column -> its values, in the order of ext
+            for k in range(arity):
+                col = list(map(itemgetter(k), ext))
+                if col in reps.values():
+                    continue  # equal to an earlier column in every tuple: the same views
+                for other in reps.values():
+                    emit(frozenset(itertools.compress(ext, map(eq, other, col))))
+                if col.count(col[0]) < len(col):  # else selecting a constant gives ext
+                    groups: dict = {}
+                    for v, t in zip(col, ext):
+                        groups.setdefault(v, []).append(t)
+                    for group in groups.values():
+                        emit(frozenset(group))
+                if max_arity:
+                    emit(frozenset(zip(col)))
+                reps[k] = col
+            for n in range(2, max_arity + 1):  # projections onto index lists of reps
+                for cols in itertools.product(reps, repeat=n):
+                    emit(frozenset(map(getters.get(cols) or getters.setdefault(cols, itemgetter(*cols)), ext)))
+            # binary operators once per pair, products in both orders
+            same = by_arity.setdefault(arity, [])
+            for other in same:
+                emit(ext | other)
+            same.append(ext)
+            for a2 in range(max_arity - arity + 1):
+                for other in by_arity.get(a2, ()):
+                    emit(frozenset(itertools.starmap(add, itertools.product(ext, other))))
+                    if other is not ext:
+                        emit(frozenset(itertools.starmap(add, itertools.product(other, ext))))
+        frontier = new
     return frozenset(views), True
 
 

@@ -117,6 +117,13 @@ def test_unknown_schema_reference_is_reported_at_its_token(text, line, col):
     assert (exc.value.line, exc.value.col) == (line, col)
 
 
+def test_lowercase_relation_argument_is_reported_at_its_token():
+    text = "schema A { r/2. }\nschema B { s/1. }\nmapping M : A -> B { q(X) :- r(X, y) => s(X). }"
+    with pytest.raises(ParseError, match="not 'y' \\(found 'y'\\)$") as exc:
+        parse_workspace_text(text)
+    assert (exc.value.line, exc.value.col) == (3, 35)
+
+
 @pytest.mark.parametrize(
     "text",
     [

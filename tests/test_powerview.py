@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -70,6 +71,40 @@ def test_closure_matches_oracle_on_small_instances():
             assert power_view(inst, depth, m).extensions() == enumerate_views(
                 inst, depth, m
             ), inst
+
+
+def _repeated_column_instance(rng, max_arity, max_values):
+    """One component: r repeats its first column in every tuple, and s, of
+    r's arity, shares one tuple with r and holds one r lacks."""
+    values = range(1, rng.randint(2, max_values) + 1)
+    arity = rng.randint(2, min(3, max_arity))
+    r = rng.sample(sorted({(v, v, w)[:arity] for v in values for w in values}), 2)
+    s = [rng.choice(r), rng.choice([t for t in itertools.product(values, repeat=arity) if t not in r])]
+    return make_instance({"r": r, "s": s})
+
+
+def test_closure_matches_oracle_with_repeated_columns_and_overlapping_relations():
+    rng = random.Random(1104)
+    for depth, m in itertools.product((1, 2, 3), (2, 3, 4)):
+        # over three values a depth-3, arity-4 oracle run can take seconds
+        max_values = 2 if (depth, m) == (3, 4) else 3
+        for _ in range(4):
+            inst = _repeated_column_instance(rng, m, max_values)
+            assert power_view(inst, depth, m).extensions() == enumerate_views(inst, depth, m), inst
+
+
+def test_bounded_counts_and_budget_errors_are_pinned():
+    # the counts of an enumerator that applies every operator to every column
+    # and every ordered pair: skipping duplicate work and reordering emission
+    # must not change a level's views
+    r = make_instance({"r": [(1, 1, 2), (2, 2, 3)]})
+    new_views = {1: 31, 2: 330, 3: 19_448}  # beyond the empty view and r itself
+    for depth, n in new_views.items():
+        assert len(power_view(r, depth, 4).extensions()) == n + 2
+        for cap, level in ((n - 1, depth), (n, depth + 1)):
+            with pytest.raises(ViewBudgetExceeded) as exc:
+                power_view(r, None, 4, cap=cap)
+            assert (exc.value.component, exc.value.level, exc.value.views, exc.value.cap) == (0, level, cap + 1, cap)
 
 
 def test_fixpoint_idempotence():
