@@ -11,9 +11,9 @@ import sys
 
 from . import category, interpret, powerview
 from .core import DbcatError, Record, bottom_instance, format_extension, is_empty_isomorphic
-from .dsl import ParseError, Workspace, parse_rule_text, parse_workspace
+from .dsl import Workspace, parse_rule_text, parse_workspace
 from .queries import QueryError, eval_rule
-from .schemas import SAtom, build_sketch
+from .schemas import build_sketch, term_layout
 from .category import ModeViolation, ViewMap
 
 
@@ -56,15 +56,7 @@ def _instance(ws: Workspace, name: str):
 
 def _interpretation_for_graph(ws: Workspace, graph):
     """One declared instance per atomic schema appearing in the graph."""
-    wanted = set()
-    for _, term in graph.nodes:
-        stack = [term]
-        while stack:
-            t = stack.pop()
-            if isinstance(t, SAtom):
-                wanted.add(t.schema.name)
-            elif hasattr(t, "left"):
-                stack.extend((t.left, t.right))
+    wanted = {s.name for _, term in graph.nodes for s, _, _ in term_layout(term).leaves}
     assign = {}
     for inst_name, (term_name, inst) in sorted(ws.instances.items()):
         if term_name in wanted:
@@ -245,13 +237,8 @@ def main(argv=None) -> int:
 
     depth = None if ns.depth < 0 else ns.depth
     try:
-        ws = parse_workspace(ns.input)
-    except (ParseError, OSError) as exc:
-        print(f"dbcat: {exc}", file=sys.stderr)
-        return 2
-    try:
-        report = run(ns.command, ns.args, ws, depth, ns.arity, ns.cap)
-    except DbcatError as exc:
+        report = run(ns.command, ns.args, parse_workspace(ns.input), depth, ns.arity, ns.cap)
+    except (DbcatError, OSError) as exc:
         print(f"dbcat: {exc}", file=sys.stderr)
         return 2
     print(report.render(ns.format))

@@ -195,6 +195,17 @@ def _parse_value(p: _Parser):
     p.fail("expected a value")
 
 
+def _parse_list(p: _Parser, item) -> tuple:
+    """A parenthesised list of ``item``s with commas between them."""
+    p.expect("punct", "(")
+    items = [] if p.at("punct", ")") else [item(p)]
+    while items and p.at("punct", ","):
+        p.next()
+        items.append(item(p))
+    p.expect("punct", ")")
+    return tuple(items)
+
+
 def _parse_term_arg(p: _Parser):
     tok = p.peek()
     if tok.kind == "ident":
@@ -210,14 +221,7 @@ def _parse_atom(p: _Parser):
     tok = p.peek()
     if tok.kind == "ident" and not tok.value[0].isupper():
         name = p.ident("relation name")
-        p.expect("punct", "(")
-        args = []
-        while not p.at("punct", ")"):
-            args.append(_parse_term_arg(p))
-            if p.at("punct", ","):
-                p.next()
-        p.expect("punct", ")")
-        return RelAtom(name, tuple(args))
+        return RelAtom(name, _parse_list(p, _parse_term_arg))
     left = _parse_term_arg(p)
     if p.at("punct", "="):
         p.next()
@@ -236,19 +240,16 @@ def _parse_atom_list(p: _Parser):
     return tuple(atoms)
 
 
+def _parse_head_var(p: _Parser) -> Var:
+    tok = p.peek()
+    if tok.kind != "ident" or not tok.value[0].isupper():
+        p.fail("head arguments must be variables")
+    return Var(p.next().value)
+
+
 def _parse_head(p: _Parser):
     name = p.ident("head name")
-    p.expect("punct", "(")
-    vars_ = []
-    while not p.at("punct", ")"):
-        tok = p.peek()
-        if tok.kind != "ident" or not tok.value[0].isupper():
-            p.fail("head arguments must be variables")
-        vars_.append(Var(p.next().value))
-        if p.at("punct", ","):
-            p.next()
-    p.expect("punct", ")")
-    return name, tuple(vars_)
+    return name, _parse_list(p, _parse_head_var)
 
 
 def _parse_rule(p: _Parser) -> Rule:
@@ -407,13 +408,7 @@ def _parse_instance(p: _Parser, ws: Workspace):
             raise ParseError(
                 f"relation {rel!r} is not part of {term_name}", rel_tok.line, rel_tok.col
             )
-        p.expect("punct", "(")
-        row = []
-        while not p.at("punct", ")"):
-            row.append(_parse_value(p))
-            if p.at("punct", ","):
-                p.next()
-        p.expect("punct", ")")
+        row = _parse_list(p, _parse_value)
         p.expect("punct", ".")
         if len(row) != rels[rel]:
             raise ParseError(
@@ -421,7 +416,7 @@ def _parse_instance(p: _Parser, ws: Workspace):
                 rel_tok.line,
                 rel_tok.col,
             )
-        tuples[rel].add(tuple(row))
+        tuples[rel].add(row)
     p.expect("punct", "}")
     relations = tuple(
         Relation(rel, rels[rel], frozenset(tuples[rel])) for rel in sorted(rels)
@@ -563,10 +558,17 @@ def parse_workspace(paths) -> Workspace:
 # -- serialization -------------------------------------------------------------
 
 
+def _fmt_value(v) -> str:
+    """A value as it is written: quotes and backslashes in strings escaped."""
+    if isinstance(v, str):
+        return "'" + v.replace("\\", "\\\\").replace("'", "\\'") + "'"
+    return format_value(v)
+
+
 def _fmt_term_arg(t) -> str:
     if isinstance(t, Var):
         return t.name
-    return format_value(t.value)
+    return _fmt_value(t.value)
 
 
 def _fmt_atom(a) -> str:
@@ -627,7 +629,7 @@ def serialize_workspace(ws: Workspace) -> str:
         out.append(f"instance {name} of {term_name} {{")
         for r in inst.relations:
             for t in sorted(r.tuples, key=lambda x: tuple(map(str, x))):
-                out.append(f"  {r.name}({','.join(format_value(v) for v in t)}).")
+                out.append(f"  {r.name}({','.join(map(_fmt_value, t))}).")
         out.append("}")
     for name in sorted(ws.mappings):
         m = ws.mappings[name]

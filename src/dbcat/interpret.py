@@ -40,17 +40,7 @@ from .core import (
 )
 from .powerview import DEFAULT_CAP, instances_isomorphic
 from .queries import eval_rule
-from .schemas import (
-    EMPTY_NODE,
-    EmptyTerm,
-    MappingGraph,
-    SchemaTerm,
-    Sketch,
-    SketchArrow,
-    nf_components,
-    term_layout,
-    term_sentence,
-)
+from .schemas import MappingGraph, SchemaTerm, Sketch, SketchArrow, term_layout, term_sentence
 
 
 class InterpretationError(DbcatError):
@@ -106,24 +96,17 @@ def interpret_term(alpha: Interpretation, term: SchemaTerm) -> Instance:
     """Extend the assignment to a composed term.
 
     Separated groups become distinct components; every schema inside one
-    federated group lands in the same component.  The empty term maps to the
-    bottom instance.
+    federated group lands in the same component.  A term without leaves,
+    such as the empty term, maps to the bottom instance.
     """
-    if isinstance(term, EmptyTerm):
-        return bottom_instance()
-    layout = term_layout(term)
-    groups = [c for c in nf_components(term) if c]
     relations, partition = [], {}
-    occurrence = 0
-    for comp in groups:
-        for schema in comp:
-            occurrence += 1
-            inst = alpha.instance_for(schema.name)
-            renames = layout.rename_for(occurrence)
-            for r in inst.relations:
-                qualified = renames.get(r.name, r.name)
-                relations.append(Relation(qualified, r.arity, r.tuples))
-                partition[qualified] = layout.component_of(qualified)
+    for schema, comp, names in term_layout(term).leaves:
+        renames = dict(names)
+        for r in alpha.instance_for(schema.name).relations:
+            if r.name not in renames:
+                raise InterpretationError(f"schema {schema.name!r} has no relation {r.name!r}")
+            relations.append(Relation(renames[r.name], r.arity, r.tuples))
+            partition[renames[r.name]] = comp
     if relations:
         return Instance(tuple(relations), tuple(partition.items()))
     return bottom_instance()
@@ -167,8 +150,6 @@ def helper_instance(alpha: Interpretation, sketch: Sketch, helper) -> Instance:
 def node_instance(alpha: Interpretation, sketch: Sketch, node: str) -> Instance:
     """Instance of any sketch node, including helpers and the empty node."""
     obj = sketch.node_map[node]
-    if node == EMPTY_NODE:
-        return bottom_instance()
     if hasattr(obj, "sentinel"):  # a helper schema
         return helper_instance(alpha, sketch, obj)
     return gamma_instance(alpha, sketch, node)

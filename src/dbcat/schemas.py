@@ -14,6 +14,7 @@ dependency expresses the pair's containment.
 """
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
 
 from .constraints import Sentence, Tgd
@@ -43,6 +44,8 @@ class Schema(Record):
         arities = dict(self.relsymbols)
         if len(arities) != len(self.relsymbols):
             raise SchemaError(f"duplicate relation symbols in schema {self.name}")
+        if any("#" in rel for rel in arities):
+            raise SchemaError(f"relation names of schema {self.name} may not contain '#'")
         for item in self.constraints.items:
             atoms = item.left + (item.right if isinstance(item, Tgd) else ())
             for a in atoms:
@@ -136,36 +139,27 @@ def schema_identity(a: SchemaTerm, b: SchemaTerm) -> bool:
 # term layout: qualified relation names, components, merged constraints
 
 
-class LayoutEntry(Record):
-    qualified: str
-    base: str
-    arity: int
-    component: int
-    occurrence: int
-    schema_name: str
-
-
 class Layout(Record):
-    entries: tuple
-    renames: tuple  # (occurrence, ((base, qualified), ...))
+    """A term's leaves in normal-form order, one ``(schema, component,
+    ((base, qualified), ...))`` per atomic-schema occurrence."""
+
+    leaves: tuple
 
     def relsymbols(self) -> dict:
-        return {e.qualified: e.arity for e in self.entries}
+        return {
+            q: arity
+            for s, _, names in self.leaves
+            for (_, arity), (_, q) in zip(s.relsymbols, names)
+        }
 
     def component_of(self, qualified: str) -> int:
-        for e in self.entries:
-            if e.qualified == qualified:
-                return e.component
+        for _, comp, names in self.leaves:
+            if any(q == qualified for _, q in names):
+                return comp
         raise SchemaError(f"unknown relation {qualified!r}")
 
     def components(self) -> frozenset:
-        return frozenset(e.component for e in self.entries)
-
-    def rename_for(self, occurrence: int) -> dict:
-        for occ, pairs in self.renames:
-            if occ == occurrence:
-                return dict(pairs)
-        return {}
+        return frozenset(comp for _, comp, names in self.leaves if names)
 
 
 def term_layout(term: SchemaTerm) -> Layout:
@@ -173,42 +167,27 @@ def term_layout(term: SchemaTerm) -> Layout:
 
     Groups that survive normalization get component ids 1..n (0 when there is
     only one); a relation name occurring under several leaves is qualified
-    with its leaf occurrence number.
+    as ``name#k``, k being the leaf's occurrence number in normal-form order.
     """
     groups = [c for c in nf_components(term) if c]
-    base_counts: dict = {}
-    for comp in groups:
-        for s in comp:
-            for rel, _ in s.relsymbols:
-                base_counts[rel] = base_counts.get(rel, 0) + 1
-    entries = []
-    renames = []
-    occurrence = 0
+    counts = Counter(rel for comp in groups for s in comp for rel, _ in s.relsymbols)
+    leaves = []
     for idx, comp in enumerate(groups):
         comp_id = 0 if len(groups) == 1 else idx + 1
         for s in comp:
-            occurrence += 1
-            pairs = []
-            for rel, arity in s.relsymbols:
-                qualified = f"{rel}#{occurrence}" if base_counts[rel] > 1 else rel
-                entries.append(
-                    LayoutEntry(qualified, rel, arity, comp_id, occurrence, s.name)
-                )
-                pairs.append((rel, qualified))
-            renames.append((occurrence, tuple(pairs)))
-    return Layout(tuple(entries), tuple(renames))
+            k = len(leaves) + 1
+            names = tuple(
+                (rel, f"{rel}#{k}" if counts[rel] > 1 else rel) for rel, _ in s.relsymbols
+            )
+            leaves.append((s, comp_id, names))
+    return Layout(tuple(leaves))
 
 
 def term_sentence(term: SchemaTerm) -> Sentence:
     """All leaf constraints, with atoms renamed to the term's qualified names."""
-    layout = term_layout(term)
     items = []
-    occurrence = 0
-    for comp in nf_components(term):
-        for s in comp:
-            occurrence += 1
-            renamed = s.constraints.rename_relations(layout.rename_for(occurrence))
-            items.extend(renamed.items)
+    for s, _, names in term_layout(term).leaves:
+        items.extend(s.constraints.rename_relations(dict(names)).items)
     return Sentence(tuple(items))
 
 
@@ -335,34 +314,21 @@ def seq_compose(m2, m1) -> SeqEdge:
     return SeqEdge(chain)
 
 
-def _leaf_count(term: SchemaTerm) -> int:
-    return sum(len(comp) for comp in nf_components(term) if comp)
-
-
-def _embedding_names(inner: SchemaTerm, outer_layout: Layout, occ_offset: int) -> dict:
-    """Map the inner term's qualified names to their names inside an enclosing
-    separation; the inner term's leaves sit at ``occ_offset`` in the outer one."""
-    out = {}
-    for e in term_layout(inner).entries:
-        for x in outer_layout.entries:
-            if x.occurrence == e.occurrence + occ_offset and x.base == e.base:
-                out[e.qualified] = x.qualified
-                break
-    return out
-
-
 def branch(m1: SchemaMapping, m2: SchemaMapping) -> SchemaMapping:
     """Branching: two mappings out of one source, into the separated targets."""
     if not schema_identity(m1.source, m2.source):
         raise SchemaError("branching needs a common source")
     target = sep(m1.target, m2.target)
-    outer = term_layout(target)
-    maps = (
-        _embedding_names(m1.target, outer, 0),
-        _embedding_names(m2.target, outer, _leaf_count(m1.target)),
-    )
+    # The leaves of sep(t1, t2) are those of t1 followed by those of t2; zip
+    # stops at the end of t1's leaves without drawing on ``outer`` again.
+    outer = iter(term_layout(target).leaves)
     pairs = []
-    for m, names in zip((m1, m2), maps):
+    for m in (m1, m2):
+        names = {
+            q: outer_q
+            for (_, _, inner), (_, _, outer_names) in zip(term_layout(m.target).leaves, outer)
+            for (_, q), (_, outer_q) in zip(inner, outer_names)
+        }
         for p in m.pairs:
             rhs = p.rhs.rename_relations(names)
             pairs.append(
@@ -394,6 +360,8 @@ class MappingGraph(Record):
         names = dict(self.nodes)
         if len(names) != len(self.nodes):
             raise SchemaError("duplicate node names in graph")
+        if EMPTY_NODE in names:
+            raise SchemaError(f"graph {self.name}: node name {EMPTY_NODE!r} is reserved")
         for m in self.mappings:
             for end, term in ((m.source_name, m.source), (m.target_name, m.target)):
                 if end not in names:

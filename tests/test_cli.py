@@ -135,6 +135,29 @@ def test_wrong_argument_count_is_a_usage_error(argv, message, capsys):
     assert (out, err) == ("", f"dbcat: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("schema A { r/1. r/2. }", "duplicate relation symbols in schema A"),
+        (
+            "schema A { r/1. }\nschema B { s/1. }\n"
+            "mapping M : A -> B { q(X) :- r(X) => s(X,Y). }",
+            "right-side atom width differs from the left head",
+        ),
+        (
+            "schema _empty { r/1. }\nschema B { s/1. }\n"
+            "mapping M : _empty -> B { q(X) :- r(X) => s(X). }\ngraph G { use M. }",
+            "graph G: node name '_empty' is reserved",
+        ),
+    ],
+)
+def test_semantic_input_error_is_a_usage_error(tmp_path, text, message, capsys):
+    bad = tmp_path / "bad.dbc"
+    bad.write_text(text)
+    assert main(["laws", "-i", str(bad)]) == 2
+    assert capsys.readouterr() == ("", f"dbcat: {message}\n")
+
+
 def test_exhausted_view_budget_is_a_usage_error(capsys):
     demo = str(DATA / "demo.dbc")
     assert main(["powerview", "A0", "-i", demo, "--depth", "-1", "--arity", "4", "--cap", "50"]) == 2

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from dbcat.constraints import Egd, Tgd
@@ -207,3 +209,31 @@ def test_multi_file_workspace(tmp_path):
     assert "A" in ws.schemas and "A0" in ws.instances and "M" in ws.mappings
     # the same files in one blob parse to an equal workspace
     assert ws == parse_workspace_text(one.read_text() + two.read_text())
+
+
+@pytest.mark.parametrize(
+    "parse, text, line, col, found",
+    [
+        (parse_workspace_text, "schema A { r/2. }\ninstance A0 of A { r(1 2). }", 2, 24, "2"),
+        (parse_workspace_text, "schema A { r/2. }\ninstance A0 of A { r(3,4,). }", 2, 26, ")"),
+        (parse_rule_text, "q(X Y) :- r(X Y,)", 1, 5, "Y"),
+        (parse_rule_text, "q(X, Y) :- r(X Y)", 1, 16, "Y"),
+        (parse_rule_text, "q(X, Y) :- r(X, Y,)", 1, 19, ")"),
+    ],
+)
+def test_list_items_need_commas_between_them(parse, text, line, col, found):
+    with pytest.raises(ParseError, match=re.escape(f"(found '{found}')")) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
+def test_string_escapes_survive_a_round_trip():
+    text = (
+        "schema A { r/1. }\ninstance A0 of A { r('it\\'s'). r('a\\\\'). }\n"
+        "schema B { s/1. }\nmapping M : A -> B { q(X) :- r(X), X = 'it\\'s' => s(X). }"
+    )
+    ws = parse_workspace_text(text)
+    assert ws.instances["A0"][1].relation("r").tuples == {("it's",), ("a\\",)}
+    out = serialize_workspace(ws)
+    assert parse_workspace_text(out) == ws
+    assert serialize_workspace(parse_workspace_text(out)) == out

@@ -4,6 +4,7 @@ import pytest
 
 from dbcat.constraints import Sentence, Tgd, check_tgd
 from dbcat.core import SENTINEL_A, SENTINEL_B, make_instance
+from dbcat.interpret import interpret_term, interpretation
 from dbcat.queries import CrossComponentQuery, RelAtom, Var, rule
 from dbcat.schemas import (
     EMPTY_NODE,
@@ -92,6 +93,42 @@ def test_term_sentence_renames_constraints():
     assert names == {"r#1", "r#2"}
 
 
+def test_layout_results_are_pinned():
+    # fed(sep(A, B), A) normalizes to the groups (A, A) and (B, A); r occurs
+    # under leaves 1, 2 and 4, s only under leaf 3.
+    x = Var("X")
+
+    def loop(rel):
+        return Sentence((Tgd(("X",), (RelAtom(rel, (x,)),), (RelAtom(rel, (x,)),), True),))
+
+    a, b = Schema("A", (("r", 1),), loop("r")), Schema("B", (("s", 1),), loop("s"))
+    term = fed(sep(a, b), a)
+    layout = term_layout(term)
+    assert [(q, c) for _, c, names in layout.leaves for _, q in names] == [
+        ("r#1", 1), ("r#2", 1), ("s", 2), ("r#4", 2)
+    ]
+    alpha = interpretation({"A": make_instance({"r": [(1,), (2,)]}), "B": make_instance({"s": [(3,)]})})
+    inst = interpret_term(alpha, term)
+    assert [(r.name, sorted(r.tuples)) for r in inst.relations] == [
+        ("r#1", [(1,), (2,)]), ("r#2", [(1,), (2,)]), ("r#4", [(1,), (2,)]), ("s", [(3,)])
+    ]
+    assert inst.partition == (("r#1", 1), ("r#2", 1), ("r#4", 2), ("s", 2))
+    assert [item.left[0].name for item in term_sentence(term).items] == ["r#1", "r#2", "s", "r#4"]
+
+    pair = make_pair(rule("q", ["X"], [("r", "X")]), RelAtom("s", (x,)))
+    m1 = SchemaMapping("M1", "A", "B", SAtom(a), SAtom(b), (pair,))
+    both = branch(m1, m1)
+    assert [(p.rhs_name, p.rhs.body) for p in both.pairs] == [
+        ("s#1", (RelAtom("s#1", (x,)),)), ("s#2", (RelAtom("s#2", (x,)),))
+    ]
+
+
+def test_graph_node_name_for_the_empty_schema_is_reserved():
+    q = rule("q", ["X"], [("r", "X")])
+    with pytest.raises(SchemaError, match="reserved"):
+        _graph_single(make_pair(q, RelAtom("t", (Var("X"),))), src=(EMPTY_NODE, SA))
+
+
 def test_schema_constraint_validation():
     x = Var("X")
     with pytest.raises(SchemaError):
@@ -100,6 +137,12 @@ def test_schema_constraint_validation():
             (("r", 1),),
             Sentence((Tgd(("X",), (RelAtom("nope", (x,)),), (RelAtom("r", (x,)),)),)),
         )
+
+
+def test_declared_relation_names_cannot_look_qualified():
+    # B's r#2 would otherwise meet the name term_layout gives A's second leaf
+    with pytest.raises(SchemaError, match="may not contain '#'"):
+        Schema("B", (("r#2", 2),))
 
 
 def test_mapping_rejects_cross_component_query():
