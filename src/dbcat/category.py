@@ -280,6 +280,8 @@ def coproduct_morphism(f: Morphism, g: Morphism) -> Morphism:
 
 def _summand(a: Instance, b: Instance, side: str):
     """The coproduct, the chosen summand, and that summand's names in it."""
+    if side not in ("left", "right"):
+        raise DbcatError(f"side must be 'left' or 'right', not {side!r}")
     inst, map_a, map_b, _, _ = disjoint_union_with_maps(a, b)
     return (inst, a, map_a) if side == "left" else (inst, b, map_b)
 

@@ -6,10 +6,15 @@ relation; it is stored explicitly only in the bottom instance returned by
 built by :func:`disjoint_union` remember which side each relation came from;
 an ordinary instance keeps everything in component 0.
 
+Both sums, :func:`disjoint_union` and :func:`federate`, name relations by
+:func:`qualified_names`, the one rule that forms ``name#k``, so nested sums
+never collide and name relations as ``interpret_term`` does.
+
 The value classes of the whole package derive from :class:`Record`.
 """
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property
 from operator import attrgetter
@@ -208,6 +213,8 @@ class Instance(Record):
         if len(set(names)) != len(names):
             raise DbcatError(f"duplicate relation names: {names}")
         part = dict(self.partition)
+        if len(part) != len(self.partition):
+            raise DbcatError(f"partition lists a relation name twice: {self.partition}")
         if set(part) != set(names):
             raise DbcatError("partition must cover exactly the relation names")
         object.__setattr__(self, "relations", tuple(sorted(self.relations, key=lambda r: r.name)))
@@ -320,49 +327,57 @@ def active_domain_by_component(a: Instance) -> dict:
     return out
 
 
-def _renumber(a: Instance, b: Instance):
-    """Fresh component ids for both sides: a's components first, then b's."""
-    comp_map_a, comp_map_b = {}, {}
-    nxt = 1
-    for c in sorted({c for _, c in a.partition}):
-        comp_map_a[c] = nxt
-        nxt += 1
-    for c in sorted({c for _, c in b.partition}):
-        comp_map_b[c] = nxt
-        nxt += 1
-    return comp_map_a, comp_map_b
+def qualified_names(names: Sequence[str]) -> list:
+    """The names the relations of a sum take, given their names in leaf order.
+
+    The base of a name is the part before ``#``.  Each name whose base
+    occurs more than once becomes ``base#k``, k being its rank among the
+    names with that base; every other name is kept as it is.
+    """
+    bases = [name.partition("#")[0] for name in names]
+    counts, ranks, out = Counter(bases), Counter(), []
+    for name, base in zip(names, bases):
+        ranks[base] += 1
+        out.append(name if counts[base] == 1 else f"{base}#{ranks[base]}")
+    return out
+
+
+def _leaf_key(r: Relation) -> tuple:
+    """Leaf order within one summand: by base, the bare name first, then by
+    numeric suffix; any other suffix sorts after the numeric ones."""
+    base, _, k = r.name.partition("#")
+    return (base, bool(k), not k.isdecimal(), int(k) if k.isdecimal() else 0, k)
 
 
 def disjoint_union_with_maps(a: Instance, b: Instance):
     """Disjoint union keeping track of how names and components were relabeled.
 
     Returns ``(instance, name_map_a, name_map_b, comp_map_a, comp_map_b)``.
-    Colliding relation names are qualified with their fresh component id; the
-    distinguished empty relation is dropped from both sides (it is implicit)
-    unless nothing else remains.
+    Components are renumbered 1..n, *a*'s first.  Relations are named by
+    :func:`qualified_names` in leaf order, *a*'s first, so a name map may
+    rename a name that was already qualified: ``r#1`` of a nested sum
+    becomes ``r#2`` after a bare ``r``.  The distinguished empty relation is
+    dropped from both sides (it is implicit) unless nothing else remains.
     """
-    comp_map_a, comp_map_b = _renumber(a, b)
-    sides = ((a, comp_map_a), (b, comp_map_b))
-    taken = []
-    for inst, _ in sides:
-        taken.extend(r.name for r in inst.relations if r.name != BOT)
-    collisions = {n for n in taken if taken.count(n) > 1}
-
-    relations, partition = [], {}
+    comp_maps, taken = [], 1
+    for inst in (a, b):
+        comps = sorted({c for _, c in inst.partition})
+        comp_maps.append(dict(zip(comps, range(taken, taken + len(comps)))))
+        taken += len(comps)
+    rels = [
+        (side, r, comp_maps[side][inst.component_of(r.name)])
+        for side, inst in enumerate((a, b))
+        for r in sorted(inst.relations, key=_leaf_key)
+        if r.name != BOT
+    ]
     name_maps = ({}, {})
-    for idx, (inst, comp_map) in enumerate(sides):
-        for r in inst.relations:
-            if r.name == BOT:
-                continue
-            comp = comp_map[inst.component_of(r.name)]
-            new_name = f"{r.name}#{comp}" if r.name in collisions else r.name
-            name_maps[idx][r.name] = new_name
-            relations.append(Relation(new_name, r.arity, r.tuples))
-            partition[new_name] = comp
-    if not relations:
-        return bottom_instance(), {}, {}, comp_map_a, comp_map_b
-    inst = Instance(tuple(relations), tuple(partition.items()))
-    return inst, name_maps[0], name_maps[1], comp_map_a, comp_map_b
+    relations, partition = [], []
+    for (side, r, comp), name in zip(rels, qualified_names([r.name for _, r, _ in rels])):
+        name_maps[side][r.name] = name
+        relations.append(Relation(name, r.arity, r.tuples))
+        partition.append((name, comp))
+    inst = Instance(tuple(relations), tuple(partition)) if relations else bottom_instance()
+    return (inst, *name_maps, *comp_maps)
 
 
 def disjoint_union(a: Instance, b: Instance) -> Instance:
@@ -371,20 +386,8 @@ def disjoint_union(a: Instance, b: Instance) -> Instance:
 
 
 def federate(a: Instance, b: Instance) -> Instance:
-    """Single-component union of two instances (one shared query engine).
-
-    Colliding names are qualified by side (``r#1``, ``r#2``); all relations
-    land in component 0, so queries may span both inputs.
-    """
-    taken = [r.name for inst in (a, b) for r in inst.relations if r.name != BOT]
-    collisions = {n for n in taken if taken.count(n) > 1}
-    relations = []
-    for idx, inst in enumerate((a, b)):
-        for r in inst.relations:
-            if r.name == BOT:
-                continue
-            new_name = f"{r.name}#{idx + 1}" if r.name in collisions else r.name
-            relations.append(Relation(new_name, r.arity, r.tuples))
-    if not relations:
-        return bottom_instance()
-    return Instance(tuple(relations), tuple((r.name, 0) for r in relations))
+    """Single-component union of two instances (one shared query engine): the
+    disjoint union with every relation in component 0, so queries may span
+    both inputs."""
+    ab = disjoint_union_with_maps(a, b)[0]
+    return Instance(ab.relations, tuple((name, 0) for name in ab.names))

@@ -14,11 +14,10 @@ dependency expresses the pair's containment.
 """
 from __future__ import annotations
 
-from collections import Counter
 from functools import cached_property
 
 from .constraints import Sentence, Tgd
-from .core import SENTINEL_A, SENTINEL_B, DbcatError, Record
+from .core import SENTINEL_A, SENTINEL_B, DbcatError, Record, qualified_names
 from .queries import Builtin, Const, CrossComponentQuery, RelAtom, Rule, Var, copy_rule
 
 EMPTY_NODE = "_empty"
@@ -166,20 +165,17 @@ def term_layout(term: SchemaTerm) -> Layout:
     """Qualified relation symbols of a term.
 
     Groups that survive normalization get component ids 1..n (0 when there is
-    only one); a relation name occurring under several leaves is qualified
-    as ``name#k``, k being the leaf's occurrence number in normal-form order.
+    only one).  The leaves' relation names, in normal-form order, are
+    qualified by :func:`~dbcat.core.qualified_names`: a name occurring under
+    several leaves becomes ``name#k``, k being the occurrence's rank.
     """
     groups = [c for c in nf_components(term) if c]
-    counts = Counter(rel for comp in groups for s in comp for rel, _ in s.relsymbols)
-    leaves = []
+    rels = [rel for comp in groups for s in comp for rel, _ in s.relsymbols]
+    qualified, leaves = iter(qualified_names(rels)), []
     for idx, comp in enumerate(groups):
         comp_id = 0 if len(groups) == 1 else idx + 1
         for s in comp:
-            k = len(leaves) + 1
-            names = tuple(
-                (rel, f"{rel}#{k}" if counts[rel] > 1 else rel) for rel, _ in s.relsymbols
-            )
-            leaves.append((s, comp_id, names))
+            leaves.append((s, comp_id, tuple((rel, next(qualified)) for rel, _ in s.relsymbols)))
     return Layout(tuple(leaves))
 
 

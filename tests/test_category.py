@@ -281,6 +281,18 @@ def test_coproduct_with_banal_summand():
     assert equivalent(right, f, **FIX)
 
 
+def test_coproduct_is_associative_on_the_nose():
+    a = make_instance({"r": [(1,)]})
+    b = make_instance({"r": [(2,)], "s": [(1, 3)]})
+    f, g, h = identity(a), identity(b), injection(a, b)
+    lhs = coproduct_morphism(coproduct_morphism(f, g), h)
+    rhs = coproduct_morphism(f, coproduct_morphism(g, h))
+    assert lhs.source == rhs.source and lhs.target == rhs.target
+    assert lhs.target.names == ("r#1", "r#2", "r#3", "r#4", "s#1", "s#2")
+    for depth in (1, None):
+        assert flux(lhs, depth, 2) == flux(rhs, depth, 2)
+
+
 def test_coproduct_flux_is_tagged_union():
     a = make_instance({"r": [(1,)]})
     b = make_instance({"s": [(2,)]})
@@ -391,6 +403,13 @@ def test_injection_flux_is_whole_view_set():
     assert flux(in_b, **FIX).matches_view_set(power_view(b, None, 2))
     shared = flux(in_a, **FIX).extensions() & flux(in_b, **FIX).extensions()
     assert shared == {EMPTY}
+
+
+@pytest.mark.parametrize("arrow", [injection, projection])
+def test_summand_side_must_be_left_or_right(arrow):
+    a, b = make_instance({"r": [(1,)]}), make_instance({"s": [(2,)]})
+    with pytest.raises(DbcatError, match="'left' or 'right'"):
+        arrow(a, b, "middle")
 
 
 def test_injection_into_sum_with_bottom():

@@ -130,6 +130,40 @@ def test_federate_merges_into_one_component():
     assert {f.component_of(n) for n in f.names} == {0}
 
 
+@pytest.mark.parametrize("plus", [disjoint_union, federate])
+def test_nested_sums_number_each_base_in_leaf_order(plus):
+    a = make_instance({"r": [(1,)]})
+    three = ["r#1", "r#2", "r#3"]
+    four = ["r#1", "r#2", "r#3", "r#4"]
+    assert list(plus(a, plus(a, a)).names) == three
+    assert list(plus(plus(a, a), a).names) == three
+    assert list(plus(plus(a, a), plus(a, a)).names) == four
+    assert list(plus(plus(a, plus(a, a)), a).names) == four
+    # the rank follows the leaves, so the tuples stay with their leaf
+    b = make_instance({"r": [(2,)], "s": [(3,)]})
+    bab = plus(b, plus(a, b))
+    assert [(n, sorted(bab.relation(n).tuples)) for n in bab.names] == [
+        ("r#1", [(2,)]), ("r#2", [(1,)]), ("r#3", [(2,)]), ("s#1", [(3,)]), ("s#2", [(3,)])
+    ]
+
+
+def test_sums_accept_names_with_any_suffix():
+    odd = make_instance({"r#x": [(1,)], "r": [(2,)], "r#10": [(3,)], "r#9": [(4,)]})
+    ab, map_a, map_b, _, _ = disjoint_union_with_maps(odd, make_instance({"t": [(5,)]}))
+    # bare name first, numeric suffixes by value, other suffixes last
+    assert map_a == {"r": "r#1", "r#9": "r#2", "r#10": "r#3", "r#x": "r#4"}
+    assert map_b == {"t": "t"}
+    assert ab.relation("r#4").tuples == {(1,)}
+    lone = make_instance({"r#x": [(1,)]})
+    assert federate(lone, make_instance({"t": [(5,)]})).names == ("r#x", "t")
+    assert federate(lone, lone).names == ("r#1", "r#2")
+
+
+def test_instance_rejects_a_name_listed_twice_in_the_partition():
+    with pytest.raises(DbcatError, match="twice"):
+        Instance((Relation("r", 1),), (("r", 0), ("r", 1)))
+
+
 def test_value_order_is_total():
     values = ["b", 2, SENTINEL_B, 1, "a", SENTINEL_A]
     ordered = sorted(values, key=value_key)

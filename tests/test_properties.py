@@ -3,6 +3,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from dbcat.core import disjoint_union, federate, make_instance
+from dbcat.interpret import interpret_term, interpretation
 from dbcat.powerview import instances_isomorphic, power_view
 from dbcat.queries import eval_rule, eval_spjru, rule, rule_to_spjru
 from dbcat.schemas import EMPTY_SCHEMA, SAtom, Schema, fed, schema_identity, sep
@@ -121,3 +122,44 @@ def test_schema_operators_are_monoidal(x, y, z):
 @given(schema_terms(), schema_terms(), schema_terms())
 def test_federation_distributes_over_separation(x, y, z):
     assert schema_identity(fed(x, sep(y, z)), sep(fed(x, y), fed(x, z)))
+
+
+@st.composite
+def nested(draw, items, join):
+    """*items* joined pairwise by *join*, in order, associated at random."""
+    if len(items) == 1:
+        return items[0]
+    k = draw(st.integers(1, len(items) - 1))
+    return join(draw(nested(items[:k], join)), draw(nested(items[k:], join)))
+
+
+@st.composite
+def terms_with_folds(draw):
+    """A sep of fed groups over up to four schemas that may share relation
+    names, with an interpretation, and the same nesting of ``disjoint_union``
+    over the groups of ``federate`` over each group's leaf instances."""
+    pool = []
+    for i in range(draw(st.integers(1, 4))):
+        rels = draw(st.lists(st.sampled_from("rst"), min_size=1, max_size=3, unique=True))
+        data = {rel: draw(st.sets(tuples1, max_size=2)) for rel in rels}
+        inst = make_instance(data, arities=dict.fromkeys(rels, 1))
+        pool.append((Schema(f"S{i}", tuple((rel, 1) for rel in rels)), inst))
+    alpha = interpretation({s.name: inst for s, inst in pool}, {s.name: s for s, _ in pool})
+    leaf = st.sampled_from([(SAtom(s), inst) for s, inst in pool])
+    leaves = st.lists(leaf, min_size=1, max_size=3)
+    groups = [
+        draw(nested(draw(leaves), lambda x, y: (fed(x[0], y[0]), federate(x[1], y[1]))))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    term, folded = draw(nested(groups, lambda x, y: (sep(x[0], y[0]), disjoint_union(x[1], y[1]))))
+    return alpha, term, folded
+
+
+@settings(max_examples=150, deadline=None)
+@given(terms_with_folds())
+def test_interpretation_is_the_sum_of_the_leaf_instances(case):
+    alpha, term, folded = case
+    inst = interpret_term(alpha, term)
+    assert inst.names == folded.names
+    assert inst.relations == folded.relations
+    assert inst.partition == folded.partition

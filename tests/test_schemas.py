@@ -95,7 +95,8 @@ def test_term_sentence_renames_constraints():
 
 def test_layout_results_are_pinned():
     # fed(sep(A, B), A) normalizes to the groups (A, A) and (B, A); r occurs
-    # under leaves 1, 2 and 4, s only under leaf 3.
+    # under leaves 1, 2 and 4, s only under leaf 3.  k counts the occurrences
+    # of r, not the leaves, so the last r is r#3.
     x = Var("X")
 
     def loop(rel):
@@ -105,15 +106,15 @@ def test_layout_results_are_pinned():
     term = fed(sep(a, b), a)
     layout = term_layout(term)
     assert [(q, c) for _, c, names in layout.leaves for _, q in names] == [
-        ("r#1", 1), ("r#2", 1), ("s", 2), ("r#4", 2)
+        ("r#1", 1), ("r#2", 1), ("s", 2), ("r#3", 2)
     ]
     alpha = interpretation({"A": make_instance({"r": [(1,), (2,)]}), "B": make_instance({"s": [(3,)]})})
     inst = interpret_term(alpha, term)
     assert [(r.name, sorted(r.tuples)) for r in inst.relations] == [
-        ("r#1", [(1,), (2,)]), ("r#2", [(1,), (2,)]), ("r#4", [(1,), (2,)]), ("s", [(3,)])
+        ("r#1", [(1,), (2,)]), ("r#2", [(1,), (2,)]), ("r#3", [(1,), (2,)]), ("s", [(3,)])
     ]
-    assert inst.partition == (("r#1", 1), ("r#2", 1), ("r#4", 2), ("s", 2))
-    assert [item.left[0].name for item in term_sentence(term).items] == ["r#1", "r#2", "s", "r#4"]
+    assert inst.partition == (("r#1", 1), ("r#2", 1), ("r#3", 2), ("s", 2))
+    assert [item.left[0].name for item in term_sentence(term).items] == ["r#1", "r#2", "s", "r#3"]
 
     pair = make_pair(rule("q", ["X"], [("r", "X")]), RelAtom("s", (x,)))
     m1 = SchemaMapping("M1", "A", "B", SAtom(a), SAtom(b), (pair,))
