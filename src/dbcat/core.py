@@ -374,7 +374,7 @@ def disjoint_union_with_maps(a: Instance, b: Instance):
     relations, partition = [], []
     for (side, r, comp), name in zip(rels, qualified_names([r.name for _, r, _ in rels])):
         name_maps[side][r.name] = name
-        relations.append(Relation(name, r.arity, r.tuples))
+        relations.append(Relation(name, r.arity, r.tuples, r.attributes))
         partition.append((name, comp))
     inst = Instance(tuple(relations), tuple(partition)) if relations else bottom_instance()
     return (inst, *name_maps, *comp_maps)

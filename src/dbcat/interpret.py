@@ -105,7 +105,7 @@ def interpret_term(alpha: Interpretation, term: SchemaTerm) -> Instance:
         for r in alpha.instance_for(schema.name).relations:
             if r.name not in renames:
                 raise InterpretationError(f"schema {schema.name!r} has no relation {r.name!r}")
-            relations.append(Relation(renames[r.name], r.arity, r.tuples))
+            relations.append(Relation(renames[r.name], r.arity, r.tuples, r.attributes))
             partition[renames[r.name]] = comp
     if relations:
         return Instance(tuple(relations), tuple(partition.items()))

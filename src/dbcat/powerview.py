@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from operator import add, eq, itemgetter
 
 from .core import (
@@ -308,6 +309,21 @@ def power_view_cached(inst, depth, max_arity, cap=DEFAULT_CAP) -> ViewSet:
     return hit
 
 
+def closure_signature(inst: Instance) -> frozenset:
+    """Per component with a nonempty relation, the pair (active domain, holds
+    ``{()}``), as a multiset: a frozenset of (pair, count) items.  No
+    operator adds a value or a nullary tuple, so every closure of the
+    component has the pair of its seeds, and at fixpoint the pair fixes the
+    closure (the closed form above).  Computed once per instance and kept,
+    like a cached property, outside equality and hashing."""
+    sig = inst.__dict__.get("_closure_signature")
+    if sig is None:
+        comps = (frozenset(t for r in rels for t in r.tuples) for rels in inst.components().values())
+        pairs = Counter((frozenset(v for t in ts for v in t), () in ts) for ts in comps if ts)
+        sig = inst.__dict__.setdefault("_closure_signature", frozenset(pairs.items()))
+    return sig
+
+
 def instances_isomorphic(
     a: Instance,
     b: Instance,
@@ -315,11 +331,15 @@ def instances_isomorphic(
     max_arity: int = DEFAULT_MAX_ARITY,
     cap: int = DEFAULT_CAP,
 ) -> bool:
-    """Equality of the two view closures at a shared bound.
-
-    Components are matched up to renaming.  The answer is exact when both
-    closures report a fixpoint, otherwise it is a bounded semi-decision.
+    """Equality of the two view closures at a shared bound, components
+    matched up to renaming.  Unequal :func:`closure_signature` values are an
+    exact FAIL at any bound; at fixpoint equal ones are an exact PASS, found
+    without listing views or raising :class:`ViewBudgetExceeded`.  At a
+    bounded depth the closures are compared: exact when both are fixpoints.
     """
+    same = closure_signature(a) == closure_signature(b)
+    if not same or depth is None:
+        return same
     m = max(max_arity, a.max_arity(), b.max_arity())
     return power_view_cached(a, depth, m, cap).same_views(power_view_cached(b, depth, m, cap))
 

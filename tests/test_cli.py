@@ -7,7 +7,9 @@ import sys
 import pytest
 
 from dbcat.cli import main, run
+from dbcat.core import make_instance
 from dbcat.dsl import parse_workspace, parse_workspace_text, serialize_workspace
+from dbcat.powerview import close_component, instances_isomorphic
 
 DATA = pathlib.Path(__file__).parent / "data"
 FILES = sorted(DATA.glob("*.dbc"))
@@ -162,6 +164,26 @@ def test_exhausted_view_budget_is_a_usage_error(capsys):
     demo = str(DATA / "demo.dbc")
     assert main(["powerview", "A0", "-i", demo, "--depth", "-1", "--arity", "4", "--cap", "50"]) == 2
     assert "cap" in capsys.readouterr().err
+
+
+def test_fixpoint_iso_is_decided_without_building_closures(capsys):
+    demo = str(DATA / "demo.dbc")
+    status = main(["iso", "A0", "B0", "-i", demo, "--depth", "-1", "--format", "lines"])
+    assert status in (0, 1)  # an exact verdict, not the exit 2 of a view-budget error
+    detail = "same views" if status == 0 else "views differ"
+    assert capsys.readouterr().out.endswith(f"\t{detail}\n")
+    ring = lambda step: [tuple((i + step * k) % 50 for k in range(4)) for i in range(50)]  # |D| = 50
+    pairs = [
+        ({"r": [(1, 2), (3, 4)]}, {"r": [(1, 3), (2, 4)]}, 2, True),
+        ({"r": ring(1)}, {"r": ring(3)}, 4, True),
+        ({"r": ring(1)}, {"r": ring(3), "z": [()]}, 4, False),
+    ]
+    for ra, rb, arity, same in pairs:  # the closures are never built
+        misses = close_component.cache_info().misses
+        a, b = make_instance(ra), make_instance(rb)
+        assert instances_isomorphic(a, b, None, arity) is same
+        assert same or not instances_isomorphic(a, b, 2, arity)  # signatures differ: FAIL at any depth
+        assert close_component.cache_info().misses == misses
 
 
 def test_console_script_runs():

@@ -8,6 +8,8 @@ from dbcat.core import (
     Instance,
     Relation,
     bottom_instance,
+    disjoint_union,
+    federate,
     is_empty_isomorphic,
     make_instance,
 )
@@ -92,6 +94,14 @@ def test_interpret_duplicated_leaf():
     doubled = interpret_term(alpha, sep(SAtom(SA), SAtom(SA)))
     assert doubled.names == ("r#1", "r#2")
     assert doubled.relation("r#1").tuples == doubled.relation("r#2").tuples
+
+
+def test_sums_and_interpretations_keep_declared_attributes():
+    inst = Instance((Relation("r", 2, frozenset({(1, 2)}), ("a", "b")),), (("r", 0),))
+    schema = Schema("P", (("r", 2),))
+    doubled = interpret_term(interpretation({"P": inst}, {"P": schema}), sep(SAtom(schema), SAtom(schema)))
+    for out in (disjoint_union(inst, inst), federate(inst, inst), doubled):
+        assert [(r.name, r.attributes) for r in out.relations] == [("r#1", ("a", "b")), ("r#2", ("a", "b"))]
 
 
 def _model_fixture():

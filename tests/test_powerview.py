@@ -341,7 +341,7 @@ def test_closure_comparison_agrees_with_the_sorted_form():
             disjoint_union(a, a),
         ]
         for b in pairs:
-            for depth in (1, 2, None):
+            for depth in (1, 2, 3, None):
                 va, vb = power_view(a, depth, 2), power_view(b, depth, 2)
                 want = sorted_closure_form(va) == sorted_closure_form(vb)
                 verdicts[want] += 1
