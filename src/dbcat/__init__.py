@@ -1,93 +1,50 @@
 """Finite relational instances, bounded power-views, and a category of
-view-based database mappings with functorial model checking."""
+view-based database mappings with functorial model checking.
 
-from .core import (
-    BOT,
-    SENTINEL_A,
-    SENTINEL_B,
-    DbcatError,
-    Instance,
-    Relation,
-    Sentinel,
-    active_domain,
-    bottom_instance,
-    disjoint_union,
-    federate,
-    is_empty_isomorphic,
-    make_instance,
-)
-from .queries import (
-    BaseRel,
-    Builtin,
-    ColEq,
-    Const,
-    ConstEq,
-    CrossComponentQuery,
-    Join,
-    Project,
-    RelAtom,
-    Rename,
-    Rule,
-    Select,
-    Union,
-    Var,
-    eval_rule,
-    eval_spjru,
-    rule,
-    rule_to_spjru,
-)
-from .constraints import Egd, Sentence, Tgd, check_egd, check_sentence, check_tgd
-from .powerview import (
-    ViewSet,
-    instances_isomorphic,
-    matching,
-    merging,
-    power_view,
-)
-from .category import (
-    Flux,
-    ModeViolation,
-    Morphism,
-    ViewMap,
-    compose,
-    coproduct_morphism,
-    empty_morphism,
-    equivalent,
-    flux,
-    identity,
-    injection,
-    make_atomic,
-    mediating,
-    pairing,
-    projection,
-    verify_duality,
-)
-from .schemas import (
-    EMPTY_SCHEMA,
-    MappingGraph,
-    SAtom,
-    Schema,
-    SchemaMapping,
-    Sketch,
-    branch,
-    build_sketch,
-    fed,
-    make_pair,
-    mapping_graph,
-    schema_identity,
-    sep,
-    seq_compose,
-    term_layout,
-)
-from .interpret import (
-    Interpretation,
-    check_functor,
-    check_gamma_iso,
-    check_model,
-    interpret_arrow,
-    interpret_term,
-    interpretation,
-)
-from .dsl import Workspace, parse_workspace, parse_workspace_text, serialize_workspace
+``import dbcat`` loads no submodule.  Each name below is imported from its
+home module the first time it is used (PEP 562), and is then bound here, so
+later lookups are plain attribute reads.  ``import dbcat.core`` thus loads
+``dbcat.core`` alone.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
+
+#: Each exported name and the module that defines it.
+_HOME = {
+    name: module
+    for module, names in (
+        ("core", "BOT SENTINEL_A SENTINEL_B DbcatError Instance Relation Sentinel active_domain "
+                 "bottom_instance disjoint_union federate is_empty_isomorphic make_instance"),
+        ("queries", "BaseRel Builtin ColEq Const ConstEq CrossComponentQuery Join Project RelAtom "
+                    "Rename Rule Select Union Var eval_rule eval_spjru rule rule_to_spjru"),
+        ("constraints", "Egd Sentence Tgd check_egd check_sentence check_tgd"),
+        ("powerview", "ViewSet instances_isomorphic matching merging power_view"),
+        ("category", "Flux ModeViolation Morphism ViewMap compose coproduct_morphism empty_morphism "
+                     "equivalent flux identity injection make_atomic mediating pairing projection "
+                     "verify_duality"),
+        ("schemas", "EMPTY_SCHEMA MappingGraph SAtom Schema SchemaMapping Sketch branch build_sketch "
+                    "fed make_pair mapping_graph schema_identity sep seq_compose term_layout"),
+        ("interpret", "Interpretation check_functor check_gamma_iso check_model interpret_arrow "
+                      "interpret_term interpretation"),
+        ("dsl", "Workspace parse_workspace parse_workspace_text serialize_workspace"),
+    )
+    for name in names.split()
+}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    # An AttributeError here is what lets ``from dbcat import dsl`` go on to
+    # import the submodule.
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

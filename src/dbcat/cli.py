@@ -3,18 +3,21 @@
 Every command produces a deterministic report: one line per check, sorted by
 check id.  Exit status is 0 when everything passed, 1 when any check failed,
 2 on usage or parse errors.
+
+A process loads only the modules its command uses: ``category`` is imported by
+the commands that build arrows, and ``interpret`` by those that interpret a
+mapping graph.
 """
 from __future__ import annotations
 
 import argparse
 import sys
 
-from . import category, interpret, powerview
+from . import powerview
 from .core import DbcatError, Record, bottom_instance, format_extension, is_empty_isomorphic
 from .dsl import Workspace, parse_rule_text, parse_workspace
 from .queries import QueryError, eval_rule
 from .schemas import build_sketch, term_layout
-from .category import ModeViolation, ViewMap
 
 
 #: Each command's positional arguments, by the role they play.
@@ -24,6 +27,7 @@ COMMANDS = {
     "laws": "", "check-model": "GRAPH", "check-functor": "GRAPH", "gamma-iso": "GRAPH",
     "duality": "INSTANCE INSTANCE",
 }
+GRAPH_COMMANDS = ("check-model", "check-functor", "gamma-iso")
 
 
 class Report(Record):
@@ -54,7 +58,7 @@ def _instance(ws: Workspace, name: str):
     return ws.instances[name][1]
 
 
-def _interpretation_for_graph(ws: Workspace, graph):
+def _instances_for_graph(ws: Workspace, graph) -> dict:
     """One declared instance per atomic schema appearing in the graph."""
     wanted = {s.name for _, term in graph.nodes for s, _, _ in term_layout(term).leaves}
     assign = {}
@@ -68,10 +72,12 @@ def _interpretation_for_graph(ws: Workspace, graph):
     missing = wanted - set(assign)
     if missing:
         raise DbcatError(f"no instance declared for schemas {sorted(missing)}")
-    return interpret.interpretation(assign, ws.schemas)
+    return assign
 
 
 def _mapping_morphism(ws: Workspace, mapping_name: str, src: str, tgt: str):
+    from .category import ViewMap, make_atomic
+
     if mapping_name not in ws.mappings:
         raise DbcatError(f"unknown mapping {mapping_name!r}")
     m = ws.mappings[mapping_name]
@@ -85,7 +91,7 @@ def _mapping_morphism(ws: Workspace, mapping_name: str, src: str, tgt: str):
                 f"relation of instance {tgt!r}"
             )
         vms.append(ViewMap(p.lhs, p.rhs_name, mode))
-    return category.make_atomic(vms, source, target)
+    return make_atomic(vms, source, target)
 
 
 def run(command: str, args, ws: Workspace, depth, max_arity, cap) -> Report:
@@ -95,9 +101,14 @@ def run(command: str, args, ws: Workspace, depth, max_arity, cap) -> Report:
     if len(args) != len(COMMANDS[command].split()):
         got = f"{len(args)} argument" + ("" if len(args) == 1 else "s")
         raise DbcatError(f"{command} takes {COMMANDS[command] or 'no arguments'} (got {got})")
-    if command in ("check-model", "check-functor", "gamma-iso"):
+    if command in ("flux", "compose", "duality"):
+        from . import category
+    if command in GRAPH_COMMANDS:
+        from . import interpret
+
         graph = _graph(ws, args[0])
-        sketch, alpha = build_sketch(graph), _interpretation_for_graph(ws, graph)
+        sketch = build_sketch(graph)
+        alpha = interpret.interpretation(_instances_for_graph(ws, graph), ws.schemas)
     lines = []
     if command == "eval":
         inst = _instance(ws, args[0])
@@ -123,7 +134,7 @@ def run(command: str, args, ws: Workspace, depth, max_arity, cap) -> Report:
             fx = category.flux(m, depth, max_arity, cap)
             for s, t, views in fx.serialize():
                 lines.append((f"flux {args[0]} c{s}->c{t}", "PASS", " ".join(views)))
-        except ModeViolation as exc:
+        except category.ModeViolation as exc:
             lines.append((f"flux {args[0]}", "FAIL", str(exc)))
     elif command == "compose":
         try:
@@ -136,7 +147,7 @@ def run(command: str, args, ws: Workspace, depth, max_arity, cap) -> Report:
                 lines.append(
                     (f"compose {args[1]}.{args[0]} flux c{s}->c{t}", "PASS", " ".join(views))
                 )
-        except ModeViolation as exc:
+        except category.ModeViolation as exc:
             lines.append((f"compose {args[1]}.{args[0]}", "FAIL", str(exc)))
     elif command == "laws":
         lines.extend(_law_suite(ws, depth, max_arity, cap))
@@ -174,6 +185,8 @@ def _graph(ws: Workspace, name: str):
 
 def _law_suite(ws: Workspace, depth, max_arity, cap):
     """A small built-in law battery over the workspace's declared instances."""
+    from . import category
+
     lines = []
     insts = sorted(ws.instances.items())
     bot = bottom_instance()
@@ -234,6 +247,10 @@ def main(argv=None) -> int:
     parser.add_argument("--cap", type=int, default=powerview.DEFAULT_CAP, help="view count budget")
     parser.add_argument("--format", choices=("text", "lines"), default="text")
     ns = parser.parse_args(argv)
+    for flag, value, least in (("--depth", ns.depth, -1), ("--cap", ns.cap, 1)):
+        if value < least:
+            print(f"dbcat: {flag} must be at least {least}, not {value}", file=sys.stderr)
+            return 2
 
     depth = None if ns.depth < 0 else ns.depth
     try:

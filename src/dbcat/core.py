@@ -358,7 +358,14 @@ def disjoint_union_with_maps(a: Instance, b: Instance):
     rename a name that was already qualified: ``r#1`` of a nested sum
     becomes ``r#2`` after a bare ``r``.  The distinguished empty relation is
     dropped from both sides (it is implicit) unless nothing else remains.
+    A summand holding nothing else is the unit: the sum is the other summand
+    as it is, with identity maps, so ``A + ⊥ == A == ⊥ + A``.
     """
+    bare = [all(r.name == BOT for r in inst.relations) for inst in (a, b)]
+    if any(bare):
+        names = ({n: n for n in inst.names if n != BOT} for inst in (a, b))
+        comps = ({c: c for _, c in inst.partition} for inst in (a, b))
+        return (b if bare[0] else a, *names, *comps)
     comp_maps, taken = [], 1
     for inst in (a, b):
         comps = sorted({c for _, c in inst.partition})

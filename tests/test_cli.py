@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import pathlib
@@ -6,6 +7,7 @@ import sys
 
 import pytest
 
+import dbcat
 from dbcat.cli import main, run
 from dbcat.core import make_instance
 from dbcat.dsl import parse_workspace, parse_workspace_text, serialize_workspace
@@ -166,6 +168,13 @@ def test_exhausted_view_budget_is_a_usage_error(capsys):
     assert "cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--depth", "-7"), ("--depth", "-2"), ("--cap", "-5"), ("--cap", "0")])
+def test_out_of_range_bound_is_a_usage_error(flag, value, capsys):
+    assert main(["iso", "S0", "F0", "-i", str(DATA / "federation.dbc"), flag, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"dbcat: {flag} must be at least ")
+
+
 def test_fixpoint_iso_is_decided_without_building_closures(capsys):
     demo = str(DATA / "demo.dbc")
     status = main(["iso", "A0", "B0", "-i", demo, "--depth", "-1", "--format", "lines"])
@@ -197,10 +206,9 @@ def test_console_script_runs():
     assert "PASS" in proc.stdout
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
-    """The value classes share one base in dbcat.core, so start-up neither
-    imports these modules nor generates dataclass code."""
-    code = "import sys, dbcat.cli; print([m for m in ('dataclasses', 'inspect') if m in sys.modules])"
+def _modules_after(code: str) -> list:
+    """The modules loaded once *code* has run in a fresh interpreter, sorted."""
+    code += "\nimport json, sys; print(json.dumps(sorted(sys.modules)), file=sys.stderr)"
     src = pathlib.Path(__file__).parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -209,7 +217,70 @@ def test_import_loads_neither_dataclasses_nor_inspect():
         text=True,
         check=True,
     )
-    assert proc.stdout == "[]\n"
+    return json.loads(proc.stderr.splitlines()[-1])
+
+
+def _dbcat_modules(code: str) -> list:
+    return [m for m in _modules_after(code) if m.split(".")[0] == "dbcat"]
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """The value classes share one base in dbcat.core, so start-up neither
+    imports these modules nor generates dataclass code."""
+    assert not {"dataclasses", "inspect"} & set(_modules_after("import dbcat.cli"))
+
+
+def test_each_command_loads_only_the_modules_it_uses():
+    """``import dbcat`` loads no submodule; a CLI process loads ``category``
+    only for commands that build arrows, ``interpret`` only for graphs."""
+    assert _dbcat_modules("import dbcat") == ["dbcat"]
+    assert _dbcat_modules("import dbcat.core") == ["dbcat", "dbcat.core"]
+    common = [
+        f"dbcat{m}" for m in ("", ".cli", ".constraints", ".core", ".dsl", ".powerview", ".queries", ".schemas")
+    ]
+    commands = {
+        ("eval", "A0", "q(X) :- r(X,Y)"): common,
+        ("powerview", "A0"): common,
+        ("iso", "A0", "B0"): common,
+        ("flux", "M", "A0", "B0"): sorted([*common, "dbcat.category"]),
+        ("check-model", "G"): sorted([*common, "dbcat.category", "dbcat.interpret"]),
+    }
+    for argv, loaded in commands.items():
+        data = DATA / ("system.dbc" if argv[0] == "check-model" else "demo.dbc")
+        assert _dbcat_modules(f"from dbcat.cli import main; main({[*argv, '-i', str(data)]!r})") == loaded, argv
+
+
+#: The names ``dbcat`` exports, pinned.
+EXPORTS = [
+    "BOT", "BaseRel", "Builtin", "ColEq", "Const", "ConstEq", "CrossComponentQuery", "DbcatError",
+    "EMPTY_SCHEMA", "Egd", "Flux", "Instance", "Interpretation", "Join", "MappingGraph",
+    "ModeViolation", "Morphism", "Project", "RelAtom", "Relation", "Rename", "Rule", "SAtom",
+    "SENTINEL_A", "SENTINEL_B", "Schema", "SchemaMapping", "Select", "Sentence", "Sentinel",
+    "Sketch", "Tgd", "Union", "Var", "ViewMap", "ViewSet", "Workspace", "active_domain",
+    "bottom_instance", "branch", "build_sketch", "check_egd", "check_functor", "check_gamma_iso",
+    "check_model", "check_sentence", "check_tgd", "compose", "coproduct_morphism",
+    "disjoint_union", "empty_morphism", "equivalent", "eval_rule", "eval_spjru", "fed",
+    "federate", "flux", "identity", "injection", "instances_isomorphic", "interpret_arrow",
+    "interpret_term", "interpretation", "is_empty_isomorphic", "make_atomic", "make_instance",
+    "make_pair", "mapping_graph", "matching", "mediating", "merging", "pairing", "parse_workspace",
+    "parse_workspace_text", "power_view", "projection", "rule", "rule_to_spjru",
+    "schema_identity", "sep", "seq_compose", "serialize_workspace", "term_layout",
+    "verify_duality",
+]
+
+
+def test_package_exports_are_the_objects_of_their_home_modules():
+    assert sorted(dbcat.__all__) == EXPORTS
+    star: dict = {}
+    exec("from dbcat import *", star)
+    for name in EXPORTS:
+        home = importlib.import_module(f"dbcat.{dbcat._HOME[name]}")
+        value = getattr(dbcat, name)
+        assert value is vars(home)[name] is star[name], name
+        assert not callable(value) or value.__module__ == home.__name__, name
+    assert set(EXPORTS) <= set(dir(dbcat))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        dbcat.no_such_name
 
 
 def test_byte_identical_reports_across_runs():

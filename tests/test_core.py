@@ -96,6 +96,18 @@ def test_bottom_plus_bottom_still_bottom():
     assert instances_isomorphic(bb, bottom_instance(), None, 1)
 
 
+def test_bottom_is_a_unit_of_the_sum_on_the_nose():
+    bot = bottom_instance()
+    for a in (make_instance({"r": [(1, 2)]}), make_instance({"r": [(1,)], "s": [(2,)]}, partition={"r": 1, "s": 2})):
+        identity_names = {n: n for n in a.names}
+        identity_comps = {c: c for _, c in a.partition}
+        assert disjoint_union_with_maps(a, bot) == (a, identity_names, {}, identity_comps, {0: 0})
+        assert disjoint_union_with_maps(bot, a) == (a, {}, identity_names, {0: 0}, identity_comps)
+        assert disjoint_union(a, bot) == a == disjoint_union(bot, a)
+        assert federate(a, bot) == federate(bot, a) == Instance(a.relations, tuple((n, 0) for n in a.names))
+    assert disjoint_union(bot, bot) == bot == federate(bot, bot)
+
+
 def test_union_component_ids_partition_origins():
     a = make_instance({"r": [(1,)], "s": [(2,)]}, partition={"r": 1, "s": 2})
     b = make_instance({"t": [(3,)]})

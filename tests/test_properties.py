@@ -2,7 +2,7 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from dbcat.core import disjoint_union, federate, make_instance
+from dbcat.core import bottom_instance, disjoint_union, federate, make_instance
 from dbcat.interpret import interpret_term, interpretation
 from dbcat.powerview import instances_isomorphic, power_view
 from dbcat.queries import eval_rule, eval_spjru, rule, rule_to_spjru
@@ -136,8 +136,9 @@ def nested(draw, items, join):
 @st.composite
 def terms_with_folds(draw):
     """A sep of fed groups over up to four schemas that may share relation
-    names, with an interpretation, and the same nesting of ``disjoint_union``
-    over the groups of ``federate`` over each group's leaf instances."""
+    names, and the empty schema, with an interpretation, and the same nesting
+    of ``disjoint_union`` over the groups of ``federate`` over each group's
+    leaf instances, the empty schema's being the bottom instance."""
     pool = []
     for i in range(draw(st.integers(1, 4))):
         rels = draw(st.lists(st.sampled_from("rst"), min_size=1, max_size=3, unique=True))
@@ -145,7 +146,7 @@ def terms_with_folds(draw):
         inst = make_instance(data, arities=dict.fromkeys(rels, 1))
         pool.append((Schema(f"S{i}", tuple((rel, 1) for rel in rels)), inst))
     alpha = interpretation({s.name: inst for s, inst in pool}, {s.name: s for s, _ in pool})
-    leaf = st.sampled_from([(SAtom(s), inst) for s, inst in pool])
+    leaf = st.sampled_from([(SAtom(s), inst) for s, inst in pool] + [(EMPTY_SCHEMA, bottom_instance())])
     leaves = st.lists(leaf, min_size=1, max_size=3)
     groups = [
         draw(nested(draw(leaves), lambda x, y: (fed(x[0], y[0]), federate(x[1], y[1]))))
