@@ -420,11 +420,9 @@ def _atomic_channels(m: Morphism, depth, max_arity, cap):
     for t in m.trees:
         vm = t.viewmap
         ext = eval_rule(vm.query, m.source).tuples
-        src_names = vm.sources
-        src_comps = {m.source.component_of(n) for n in src_names} or {0}
-        if len(src_comps) > 1:
-            raise DbcatError("atomic view map reads across separated components")
-        key = (src_comps.pop(), m.target.component_of(vm.target))
+        # eval_rule raised unless the rule's relations (at least one) share a component
+        (src_comp,) = {m.source.component_of(n) for n in vm.sources}
+        key = (src_comp, m.target.component_of(vm.target))
         groups.setdefault(key, set()).add(ext)
     channels = []
     fix = True

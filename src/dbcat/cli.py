@@ -52,13 +52,7 @@ def _verdict(ok: bool) -> str:
     return "PASS" if ok else "FAIL"
 
 
-def _instance(ws: Workspace, name: str):
-    if name not in ws.instances:
-        raise DbcatError(f"unknown instance {name!r}")
-    return ws.instances[name][1]
-
-
-def _instances_for_graph(ws: Workspace, graph) -> dict:
+def _schema_instances(ws: Workspace, graph) -> dict:
     """One declared instance per atomic schema appearing in the graph."""
     wanted = {s.name for _, term in graph.nodes for s, _, _ in term_layout(term).leaves}
     assign = {}
@@ -78,10 +72,8 @@ def _instances_for_graph(ws: Workspace, graph) -> dict:
 def _mapping_morphism(ws: Workspace, mapping_name: str, src: str, tgt: str):
     from .category import ViewMap, make_atomic
 
-    if mapping_name not in ws.mappings:
-        raise DbcatError(f"unknown mapping {mapping_name!r}")
-    m = ws.mappings[mapping_name]
-    source, target = _instance(ws, src), _instance(ws, tgt)
+    m = ws.lookup("mapping", mapping_name)
+    source, target = (ws.lookup("instance", name)[1] for name in (src, tgt))
     mode = "exact" if m.exact else "inclusion"
     vms = []
     for p in m.pairs:
@@ -106,12 +98,12 @@ def run(command: str, args, ws: Workspace, depth, max_arity, cap) -> Report:
     if command in GRAPH_COMMANDS:
         from . import interpret
 
-        graph = _graph(ws, args[0])
+        graph = ws.lookup("graph", args[0])
         sketch = build_sketch(graph)
-        alpha = interpret.interpretation(_instances_for_graph(ws, graph), ws.schemas)
+        alpha = interpret.interpretation(_schema_instances(ws, graph), ws.schemas)
     lines = []
     if command == "eval":
-        inst = _instance(ws, args[0])
+        inst = ws.lookup("instance", args[0])[1]
         rule = parse_rule_text(args[1])
         try:
             result = eval_rule(rule, inst)
@@ -119,13 +111,13 @@ def run(command: str, args, ws: Workspace, depth, max_arity, cap) -> Report:
         except QueryError as exc:
             lines.append((f"eval {args[0]}", "FAIL", str(exc)))
     elif command == "powerview":
-        vs = powerview.power_view(_instance(ws, args[0]), depth, max_arity, cap)
+        vs = powerview.power_view(ws.lookup("instance", args[0])[1], depth, max_arity, cap)
         for comp, views in vs.serialize():
             lines.append((f"powerview {args[0]} c{comp}", "PASS", " ".join(views)))
         closure = "fixpoint" if vs.fixpoint else f"bounded at depth {vs.depth}"
         lines.append((f"powerview {args[0]} closure", "PASS", closure))
     elif command == "iso":
-        a, b = _instance(ws, args[0]), _instance(ws, args[1])
+        a, b = (ws.lookup("instance", name)[1] for name in args)
         ok = powerview.instances_isomorphic(a, b, depth, max_arity, cap)
         lines.append((f"iso {args[0]} {args[1]}", _verdict(ok), "same views" if ok else "views differ"))
     elif command == "flux":
@@ -169,18 +161,12 @@ def run(command: str, args, ws: Workspace, depth, max_arity, cap) -> Report:
                 (f"gamma-iso {node}", _verdict(ok), "enlargement adds no views" if ok else "enlargement changes the view closure")
             )
     elif command == "duality":
-        a, b = _instance(ws, args[0]), _instance(ws, args[1])
+        a, b = (ws.lookup("instance", name)[1] for name in args)
         report = category.verify_duality(a, b, depth=depth, max_arity=max_arity, cap=cap)
         for cid, ok, detail in report.checks:
             lines.append((f"duality {cid}", _verdict(ok), detail))
         lines.append(("duality note", "PASS", report.note))
     return Report(command, tuple(lines))
-
-
-def _graph(ws: Workspace, name: str):
-    if name not in ws.graphs:
-        raise DbcatError(f"unknown graph {name!r}")
-    return ws.graphs[name]
 
 
 def _law_suite(ws: Workspace, depth, max_arity, cap):

@@ -8,6 +8,11 @@ The format is line-oriented with ``#`` comments; statements end with a dot.
     mapping M : A -> B { q(X) :- r(X,Y) => s(X). }
     graph G { use M. M2 after M1. M1 branch M2. }
 
+The words ``schema``, ``compose``, ``instance``, ``mapping``, ``graph``,
+``constraint``, ``forall``, ``exists``, ``sep``, ``fed``, ``empty``, ``of``,
+``use``, ``after``, ``branch`` and ``exact`` are reserved: none of them may
+name a schema, composition, instance, mapping or graph.
+
 Uppercase-initial identifiers inside rules are variables; values are integers
 or single-quoted strings.  The reserved constants ``#A`` and ``#B`` are
 display-only and cannot be written: ``#`` starts a comment, so in
@@ -139,11 +144,10 @@ class _Parser:
         tok = self.peek()
         return tok.kind == kind and (value is None or tok.value == value)
 
-    def ident(self, what: str = "name") -> str:
-        tok = self.peek()
-        if tok.kind != "ident":
+    def ident(self, what: str) -> Token:
+        if not self.at("ident"):
             self.fail(f"expected {what}")
-        return self.next().value
+        return self.next()
 
 
 class Workspace:
@@ -167,18 +171,29 @@ class Workspace:
         line, col = (tok.line, tok.col) if tok else (0, 0)
         raise ParseError(f"unknown schema or composition {name!r}", line, col)
 
+    def lookup(self, kind: str, name: str, tok: Token | None = None):
+        """The ``instance``, ``mapping`` or ``graph`` declared as *name*; an
+        unknown name is a :class:`ParseError` at *tok*, when given."""
+        pool = getattr(self, kind + "s")
+        if name not in pool:
+            line, col = (tok.line, tok.col) if tok else (0, 0)
+            raise ParseError(f"unknown {kind} {name!r}", line, col)
+        return pool[name]
+
 
 def _term_ref(p: _Parser, ws: Workspace) -> tuple:
     """Read a schema or composition name: (the name, the term it names)."""
-    tok = p.peek()
-    name = p.ident("schema name")
-    return name, ws.term(name, tok)
+    tok = p.ident("schema name")
+    return tok.value, ws.term(tok.value, tok)
 
 
-def _check_fresh(ws: Workspace, name: str, tok: Token):
+def _check_fresh(ws: Workspace, tok: Token):
+    """A declared name is neither a reserved word nor declared before."""
+    if tok.value in KEYWORDS:
+        raise ParseError(f"{tok.value!r} is a reserved word", tok.line, tok.col)
     for pool in (ws.schemas, ws.composes, ws.instances, ws.mappings, ws.graphs):
-        if name in pool:
-            raise ParseError(f"duplicate name {name!r}", tok.line, tok.col)
+        if tok.value in pool:
+            raise ParseError(f"duplicate name {tok.value!r}", tok.line, tok.col)
 
 
 # -- rules -------------------------------------------------------------------
@@ -195,15 +210,21 @@ def _parse_value(p: _Parser):
     p.fail("expected a value")
 
 
-def _parse_list(p: _Parser, item) -> tuple:
-    """A parenthesised list of ``item``s with commas between them."""
-    p.expect("punct", "(")
-    items = [] if p.at("punct", ")") else [item(p)]
-    while items and p.at("punct", ","):
+def _parse_seq(p: _Parser, item) -> tuple:
+    """One or more ``item``s with commas between them."""
+    items = [item(p)]
+    while p.at("punct", ","):
         p.next()
         items.append(item(p))
-    p.expect("punct", ")")
     return tuple(items)
+
+
+def _parse_list(p: _Parser, item) -> tuple:
+    """A :func:`_parse_seq` in parentheses, possibly empty."""
+    p.expect("punct", "(")
+    items = () if p.at("punct", ")") else _parse_seq(p, item)
+    p.expect("punct", ")")
+    return items
 
 
 def _parse_term_arg(p: _Parser):
@@ -220,24 +241,16 @@ def _parse_atom(p: _Parser):
     """One body item: a relation atom, ``X = t`` or ``X <= t``."""
     tok = p.peek()
     if tok.kind == "ident" and not tok.value[0].isupper():
-        name = p.ident("relation name")
+        name = p.next().value
         return RelAtom(name, _parse_list(p, _parse_term_arg))
     left = _parse_term_arg(p)
-    if p.at("punct", "="):
-        p.next()
-        return Builtin("=", left, _parse_term_arg(p))
-    if p.at("le"):
-        p.next()
-        return Builtin("<=", left, _parse_term_arg(p))
-    p.fail("expected '=' or '<=' after a bare term")
+    if not (p.at("punct", "=") or p.at("le")):
+        p.fail("expected '=' or '<=' after a bare term")
+    return Builtin(p.next().value, left, _parse_term_arg(p))
 
 
-def _parse_atom_list(p: _Parser):
-    atoms = [_parse_atom(p)]
-    while p.at("punct", ","):
-        p.next()
-        atoms.append(_parse_atom(p))
-    return tuple(atoms)
+def _parse_var(p: _Parser) -> str:
+    return p.ident("variable").value
 
 
 def _parse_head_var(p: _Parser) -> Var:
@@ -248,15 +261,14 @@ def _parse_head_var(p: _Parser) -> Var:
 
 
 def _parse_head(p: _Parser):
-    name = p.ident("head name")
+    name = p.ident("head name").value
     return name, _parse_list(p, _parse_head_var)
 
 
 def _parse_rule(p: _Parser) -> Rule:
     name, vars_ = _parse_head(p)
     p.expect("define")
-    body = _parse_atom_list(p)
-    return Rule(name, vars_, body)
+    return Rule(name, vars_, _parse_seq(p, _parse_atom))
 
 
 def parse_rule_text(text: str) -> Rule:
@@ -272,30 +284,22 @@ def parse_rule_text(text: str) -> Rule:
 # -- constraints --------------------------------------------------------------
 
 
-def _parse_var_list(p: _Parser):
-    names = [p.ident("variable")]
-    while p.at("punct", ","):
-        p.next()
-        names.append(p.ident("variable"))
-    return tuple(names)
-
-
 def _parse_constraint(p: _Parser):
     p.expect("ident", "forall")
-    universal = _parse_var_list(p)
+    universal = _parse_seq(p, _parse_var)
     p.expect("punct", ":")
     if p.at("ident", "exists"):
         p.next()
-        _parse_var_list(p)  # left existentials are implicit; the list is cosmetic
+        _parse_seq(p, _parse_var)  # left existentials are implicit; the list is cosmetic
         p.expect("punct", ":")
-    left = _parse_atom_list(p)
+    left = _parse_seq(p, _parse_atom)
     p.expect("implies")
     right_exists = ()
     if p.at("ident", "exists"):
         p.next()
-        right_exists = _parse_var_list(p)
+        right_exists = _parse_seq(p, _parse_var)
         p.expect("punct", ":")
-    right = _parse_atom_list(p)
+    right = _parse_seq(p, _parse_atom)
     if (
         len(right) == 1
         and isinstance(right[0], Builtin)
@@ -352,10 +356,7 @@ def _parse_schema_term(p: _Parser, ws: Workspace) -> SchemaTerm:
 # -- statements ----------------------------------------------------------------
 
 
-def _parse_schema(p: _Parser, ws: Workspace):
-    tok = p.peek()
-    name = p.ident("schema name")
-    _check_fresh(ws, name, tok)
+def _parse_schema(p: _Parser, ws: Workspace, name: str):
     p.expect("punct", "{")
     rels = []
     constraints = []
@@ -365,36 +366,28 @@ def _parse_schema(p: _Parser, ws: Workspace):
             constraints.append(_parse_constraint(p))
             p.expect("punct", ".")
         else:
-            rel_tok = p.peek()
             rel = p.ident("relation name")
-            if rel[0].isupper():
+            if rel.value[0].isupper():
                 raise ParseError(
                     "relation names start lowercase (uppercase means a variable)",
-                    rel_tok.line,
-                    rel_tok.col,
+                    rel.line,
+                    rel.col,
                 )
             p.expect("punct", "/")
-            arity = int(p.expect("int").value)
-            if arity < 1:
+            if p.at("int") and int(p.peek().value) < 1:
                 p.fail("relation arity must be positive")
-            rels.append((rel, arity))
+            rels.append((rel.value, int(p.expect("int").value)))
             p.expect("punct", ".")
     p.expect("punct", "}")
     ws.schemas[name] = Schema(name, tuple(rels), Sentence(tuple(constraints)))
 
 
-def _parse_compose(p: _Parser, ws: Workspace):
-    tok = p.peek()
-    name = p.ident("composition name")
-    _check_fresh(ws, name, tok)
+def _parse_compose(p: _Parser, ws: Workspace, name: str):
     p.expect("punct", "=")
     ws.composes[name] = _parse_schema_term(p, ws)
 
 
-def _parse_instance(p: _Parser, ws: Workspace):
-    tok = p.peek()
-    name = p.ident("instance name")
-    _check_fresh(ws, name, tok)
+def _parse_instance(p: _Parser, ws: Workspace, name: str):
     p.expect("ident", "of")
     term_name, term = _term_ref(p, ws)
     layout = term_layout(term)
@@ -402,8 +395,8 @@ def _parse_instance(p: _Parser, ws: Workspace):
     tuples: dict = {rel: set() for rel in rels}
     p.expect("punct", "{")
     while not p.at("punct", "}"):
-        rel_tok = p.peek()
-        rel = p.ident("relation name")
+        rel_tok = p.ident("relation name")
+        rel = rel_tok.value
         if rel not in rels:
             raise ParseError(
                 f"relation {rel!r} is not part of {term_name}", rel_tok.line, rel_tok.col
@@ -426,10 +419,7 @@ def _parse_instance(p: _Parser, ws: Workspace):
     ws.instances[name] = (term_name, inst)
 
 
-def _parse_mapping(p: _Parser, ws: Workspace):
-    tok = p.peek()
-    name = p.ident("mapping name")
-    _check_fresh(ws, name, tok)
+def _parse_mapping(p: _Parser, ws: Workspace, name: str):
     p.expect("punct", ":")
     src_name, source = _term_ref(p, ws)
     p.expect("arrow")
@@ -460,47 +450,32 @@ def _parse_mapping(p: _Parser, ws: Workspace):
     )
 
 
-def _parse_graph(p: _Parser, ws: Workspace):
-    tok = p.peek()
-    name = p.ident("graph name")
-    _check_fresh(ws, name, tok)
+def _parse_graph(p: _Parser, ws: Workspace, name: str):
     p.expect("punct", "{")
     used: dict = {}
     seqs: list = []
     branches: list = []
 
     def mapping_ref():
-        mtok = p.peek()
-        mname = p.ident("mapping name")
-        if mname not in ws.mappings:
-            raise ParseError(f"unknown mapping {mname!r}", mtok.line, mtok.col)
-        return ws.mappings[mname]
+        tok = p.ident("mapping name")
+        return used.setdefault(tok.value, ws.lookup("mapping", tok.value, tok))
 
     while not p.at("punct", "}"):
         if p.at("ident", "use"):
             p.next()
-            m = mapping_ref()
-            used[m.name] = m
+            mapping_ref()
             p.expect("punct", ".")
             continue
-        m_left = mapping_ref()
+        edge = mapping_ref()
         op = p.peek()
         if p.at("ident", "after"):
-            used.setdefault(m_left.name, m_left)
-            edge = m_left
             while p.at("ident", "after"):
                 p.next()
-                m_right = mapping_ref()
-                used.setdefault(m_right.name, m_right)
-                edge = seq_compose(edge, m_right)
+                edge = seq_compose(edge, mapping_ref())
             seqs.append(edge)
         elif p.at("ident", "branch"):
             p.next()
-            m_right = mapping_ref()
-            combined = branch(m_left, m_right)
-            used.setdefault(m_left.name, m_left)
-            used.setdefault(m_right.name, m_right)
-            branches.append(combined)
+            branches.append(branch(edge, mapping_ref()))
         else:
             raise ParseError("expected 'after' or 'branch'", op.line, op.col)
         p.expect("punct", ".")
@@ -519,30 +494,30 @@ def _parse_graph(p: _Parser, ws: Workspace):
     )
 
 
+#: Each statement keyword: the parser of the statement's body, and what its
+#: declared name is called in an error.
+_STATEMENTS = {
+    "schema": (_parse_schema, "schema name"),
+    "compose": (_parse_compose, "composition name"),
+    "instance": (_parse_instance, "instance name"),
+    "mapping": (_parse_mapping, "mapping name"),
+    "graph": (_parse_graph, "graph name"),
+}
+
+
 def parse_workspace_text(text: str, ws: Workspace | None = None) -> Workspace:
     ws = ws or Workspace()
     p = _Parser(text)
     while not p.at("eof"):
-        tok = p.peek()
-        if p.at("ident", "schema"):
-            p.next()
-            _parse_schema(p, ws)
-        elif p.at("ident", "compose"):
-            p.next()
-            _parse_compose(p, ws)
-        elif p.at("ident", "instance"):
-            p.next()
-            _parse_instance(p, ws)
-        elif p.at("ident", "mapping"):
-            p.next()
-            _parse_mapping(p, ws)
-        elif p.at("ident", "graph"):
-            p.next()
-            _parse_graph(p, ws)
-        else:
+        tok = p.next()
+        if tok.value not in _STATEMENTS:
             raise ParseError(
                 f"expected a declaration, found {tok.value!r}", tok.line, tok.col
             )
+        parse, what = _STATEMENTS[tok.value]
+        name = p.ident(what)
+        _check_fresh(ws, name)
+        parse(p, ws, name.value)
     return ws
 
 

@@ -316,3 +316,18 @@ def test_reports_match_the_golden_file(capsys):
                 bound,
                 command,
             )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["iso", "S0", "Nope"], "unknown instance 'Nope'"),
+        (["flux", "Nope", "A0", "B0"], "unknown mapping 'Nope'"),
+        (["flux", "M", "A0", "Nope"], "unknown instance 'Nope'"),
+        (["check-model", "Nope"], "unknown graph 'Nope'"),
+    ],
+)
+def test_unknown_command_argument_is_a_usage_error(argv, message, capsys):
+    files = ["-i", str(DATA / "demo.dbc"), "-i", str(DATA / "federation.dbc")]
+    assert main([*argv, *files]) == 2
+    assert capsys.readouterr() == ("", f"dbcat: {message}\n")

@@ -237,3 +237,118 @@ def test_string_escapes_survive_a_round_trip():
     out = serialize_workspace(ws)
     assert parse_workspace_text(out) == ws
     assert serialize_workspace(parse_workspace_text(out)) == out
+
+
+TWO = "schema A { r/2. }\n"
+ONE_MAPPING = "schema A { r/1. }\nmapping M : A -> A { q(X) :- r(X) => r(X). }\n"
+
+
+@pytest.mark.parametrize(
+    "parse, text, message, line, col",
+    [
+        (parse_workspace_text, "schema A { r/1. }\n$", "unexpected character '$'", 2, 1),
+        (parse_workspace_text, "schema A { r/1 }", "expected . (found '}')", 1, 16),
+        (parse_workspace_text, "schema A { r/x. }", "expected int (found 'x')", 1, 14),
+        (parse_workspace_text, "schema 7 { r/1. }", "expected schema name (found '7')", 1, 8),
+        (parse_workspace_text, "compose 7 = A", "expected composition name (found '7')", 1, 9),
+        (parse_workspace_text, "instance 7 of A { }", "expected instance name (found '7')", 1, 10),
+        (parse_workspace_text, "mapping 7 : A -> A { }", "expected mapping name (found '7')", 1, 9),
+        (parse_workspace_text, "graph 7 { }", "expected graph name (found '7')", 1, 7),
+        (parse_workspace_text, "schema A { r/1. }\ninstance A0 of 7 { }", "expected schema name (found '7')", 2, 16),
+        (
+            parse_workspace_text,
+            "schema A { r/1. }\ncompose D = A sep Nope",
+            "unknown schema or composition 'Nope'",
+            2,
+            19,
+        ),
+        (parse_workspace_text, "schema A { r/1. }\nschema A { s/1. }", "duplicate name 'A'", 2, 8),
+        (parse_workspace_text, ONE_MAPPING + "graph M { }", "duplicate name 'M'", 3, 7),
+        (parse_workspace_text, TWO + "instance A0 of A { r(1,x). }", "expected a value (found 'x')", 2, 24),
+        (
+            parse_rule_text,
+            "q(X) :- r(X, y)",
+            "relation arguments are variables or values, not 'y' (found 'y')",
+            1,
+            14,
+        ),
+        (parse_rule_text, "q(X) :- X r", "expected '=' or '<=' after a bare term (found 'r')", 1, 11),
+        (parse_rule_text, "q(x) :- r(X)", "head arguments must be variables (found 'x')", 1, 3),
+        (parse_rule_text, "q(X) r(X)", "expected define (found 'r')", 1, 6),
+        (
+            parse_workspace_text,
+            "schema A { r/1. s/2. constraint forall X: r(X) => exists Z: s(X,Z). }",
+            "schema constraints must be weakly full: no existential variables on the right"
+            " side (found '.')",
+            1,
+            67,
+        ),
+        (
+            parse_workspace_text,
+            "schema A { r/1. s/2. constraint forall X: r(X) => s(X,Z). }",
+            "existential variables ['Z'] must be declared with 'exists' (found '.')",
+            1,
+            57,
+        ),
+        (
+            parse_workspace_text,
+            "schema A { r/1. s/1. constraint forall X,Y: r(X) => s(X). }",
+            "universal variable Y missing from the left side (found '.')",
+            1,
+            57,
+        ),
+        (
+            parse_workspace_text,
+            "schema A { R/1. }",
+            "relation names start lowercase (uppercase means a variable)",
+            1,
+            12,
+        ),
+        (parse_workspace_text, TWO + "instance A0 of A { s(1). }", "relation 's' is not part of A", 2, 20),
+        (parse_workspace_text, TWO + "instance A0 of A { r(1). }", "r expects 2 values, got 1", 2, 20),
+        (parse_workspace_text, "schema A { r/1. }\ngraph G { use M. }", "unknown mapping 'M'", 2, 15),
+        (parse_workspace_text, ONE_MAPPING + "graph G { M after N. }", "unknown mapping 'N'", 3, 19),
+        (parse_workspace_text, ONE_MAPPING + "graph G { M branch N. }", "unknown mapping 'N'", 3, 20),
+        (parse_workspace_text, ONE_MAPPING + "graph G { M M. }", "expected 'after' or 'branch'", 3, 13),
+        (
+            parse_workspace_text,
+            "schema A { r/1. }\nsketch G { }",
+            "expected a declaration, found 'sketch'",
+            2,
+            1,
+        ),
+    ],
+)
+def test_each_parse_error_site_keeps_its_message_and_position(parse, text, message, line, col):
+    # One row per place the front end raises; the arity check has its own test.
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (str(exc.value), exc.value.line, exc.value.col) == (
+        f"line {line}, column {col}: {message}",
+        line,
+        col,
+    )
+
+
+@pytest.mark.parametrize(
+    "text, word, line, col",
+    [
+        ("schema empty { r/1. }", "empty", 1, 8),
+        ("schema A { r/1. }\nmapping use : A -> A { q(X) :- r(X) => r(X). }", "use", 2, 9),
+        ("schema A { r/1. }\ncompose fed = A sep A", "fed", 2, 9),
+        ("schema A { r/1. }\ninstance of of A { }", "of", 2, 10),
+        ("graph after { }", "after", 1, 7),
+    ],
+)
+def test_reserved_words_cannot_be_declared(text, word, line, col):
+    with pytest.raises(ParseError, match=f"^line {line}, column {col}: '{word}' is a reserved word$") as exc:
+        parse_workspace_text(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
+@pytest.mark.parametrize("arity", ["0", "-2"])
+def test_bad_arity_is_reported_at_its_token(arity):
+    with pytest.raises(ParseError) as exc:
+        parse_workspace_text(f"schema A {{ r/{arity}. }}")
+    assert (exc.value.line, exc.value.col) == (1, 14)
+    assert str(exc.value) == f"line 1, column 14: relation arity must be positive (found '{arity}')"
