@@ -28,6 +28,7 @@ from .core import (
     ext_key,
     format_extension,
     is_empty_isomorphic,
+    tuple_key,
 )
 from .powerview import (
     DEFAULT_CAP,
@@ -157,7 +158,7 @@ def make_atomic(viewmaps, source: Instance, target: Instance) -> Morphism:
         proj = _projected_target(target, vm.target, len(vm.query.head_vars))
         if vm.mode == "inclusion":
             if not ext <= proj:
-                extra = sorted(ext - proj)[:3]
+                extra = sorted(ext - proj, key=tuple_key)[:3]
                 raise ModeViolation(
                     f"view for {vm.target} not contained in target: extra tuples {extra}"
                 )

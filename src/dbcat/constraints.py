@@ -8,10 +8,11 @@ construction checkable.
 """
 from __future__ import annotations
 
+from collections import Counter
 from functools import partial
 
-from .core import SENTINEL_A, SENTINEL_B, DbcatError, Instance, Record, active_domain, format_value
-from .queries import RelAtom, atom_components, atom_constants, match_atoms, matcher
+from .core import SENTINEL_A, SENTINEL_B, DbcatError, Instance, Record, active_domain, format_value, tuple_key
+from .queries import atom_components, atom_constants, matcher, rename_atoms
 
 
 class ConstraintError(DbcatError):
@@ -47,15 +48,9 @@ class Tgd(Record):
                 raise ConstraintError(
                     f"weakly-full dependency has existential right variables {sorted(extra)}"
                 )
-            exist = left_vars - set(self.universal)
-            for y in exist:
-                count = sum(
-                    1
-                    for a in self.left
-                    for v in a.variables()
-                    if v.name == y
-                )
-                if count > 1:
+            uses = Counter(v.name for a in self.left for v in a.variables())
+            for y in sorted(left_vars - set(self.universal)):
+                if uses[y] > 1:
                     raise ConstraintError(
                         f"weakly-full dependency repeats existential variable {y} on the left"
                     )
@@ -83,18 +78,13 @@ class Sentence(Record):
         return bool(self.items)
 
     def rename_relations(self, mapping: dict) -> "Sentence":
-        def ren(atoms):
-            return tuple(
-                RelAtom(mapping.get(a.name, a.name), a.args) if isinstance(a, RelAtom) else a
-                for a in atoms
-            )
-
         items = []
         for it in self.items:
             if isinstance(it, Tgd):
-                items.append(Tgd(it.universal, ren(it.left), ren(it.right), it.weakly_full))
+                left, right = rename_atoms(it.left, mapping), rename_atoms(it.right, mapping)
+                items.append(Tgd(it.universal, left, right, it.weakly_full))
             else:
-                items.append(Egd(ren(it.left), it.pair))
+                items.append(Egd(rename_atoms(it.left, mapping), it.pair))
         return Sentence(tuple(items))
 
 
@@ -103,59 +93,61 @@ def _constraint_domain(atoms, inst: Instance, with_sentinels: bool) -> frozenset
     return values | {SENTINEL_A, SENTINEL_B} if with_sentinels else values
 
 
-def find_tgd_violation(t: Tgd, inst: Instance):
-    """First universal assignment whose right side has no witness, or None.
+def _violations(d: Tgd | Egd, inst: Instance):
+    """``(names, rows)``: the variables a violation binds, and a stream of rows
+    of their values.  For a TGD: the left side's distinct universal tuples
+    less those a semi-join with the right side witnesses; a right-side
+    variable only a built-in binds ranges over the left side's domain, the
+    right side's constants and the sentinels.  For an EGD: the satisfying
+    assignments, over its variables by name, equating two distinct values."""
+    domain = partial(_constraint_domain, d.left, inst, with_sentinels=False)
+    if isinstance(d, Egd):
+        atom_components(d.left, inst)
+        names = sorted(_vars_of(d.left))
+        a, b = map(names.index, d.pair)
+        return names, (row for row in matcher(d.left, inst, domain, (), names)([()]) if row[a] != row[b])
+    atom_components(d.left + d.right, inst)
+    right_domain = partial(_constraint_domain, d.left + d.right, inst, with_sentinels=True)
+    universals = dict.fromkeys(matcher(d.left, inst, domain, (), d.universal)([()]))
+    witnessed = set(matcher(d.right, inst, right_domain, d.universal, d.universal)(universals))
+    return d.universal, (u for u in universals if u not in witnessed)
 
-    A right-side variable that only a built-in binds ranges over the left
-    side's domain, the right side's constants and the sentinels."""
-    atom_components(t.left + t.right, inst)
-    left_domain = partial(_constraint_domain, t.left, inst, with_sentinels=False)
-    right_domain = partial(_constraint_domain, t.left + t.right, inst, with_sentinels=True)
-    witnesses = matcher(t.right, inst, right_domain, t.universal)
-    seen = set()
-    for env in match_atoms(t.left, inst, left_domain):
-        ua = tuple(env[u] for u in t.universal)
-        if ua in seen:
-            continue
-        seen.add(ua)
-        fixed = dict(zip(t.universal, ua))
-        if next(witnesses(fixed), None) is None:
-            return fixed
-    return None
+
+def _least_violation(d: Tgd | Egd, inst: Instance):
+    names, rows = _violations(d, inst)
+    row = min(rows, key=tuple_key, default=None)
+    return None if row is None else dict(zip(names, row))
+
+
+def find_tgd_violation(t: Tgd, inst: Instance):
+    """The universal assignment whose right side has no witness that is least
+    in value order of the universal tuple, or None."""
+    return _least_violation(t, inst)
 
 
 def check_tgd(t: Tgd, inst: Instance) -> bool:
-    return find_tgd_violation(t, inst) is None
+    return next(_violations(t, inst)[1], None) is None
 
 
 def find_egd_violation(e: Egd, inst: Instance):
-    """First satisfying assignment equating two distinct values, or None."""
-    atom_components(e.left, inst)
-    domain = partial(_constraint_domain, e.left, inst, with_sentinels=False)
-    a, b = e.pair
-    for env in match_atoms(e.left, inst, domain):
-        if env[a] != env[b]:
-            return env
-    return None
+    """The satisfying assignment equating two distinct values that is least in
+    value order over the variables sorted by name, or None."""
+    return _least_violation(e, inst)
 
 
 def check_egd(e: Egd, inst: Instance) -> bool:
-    return find_egd_violation(e, inst) is None
+    return next(_violations(e, inst)[1], None) is None
 
 
 def find_sentence_violation(s: Sentence, inst: Instance):
-    """Description of the first violated conjunct, or None when satisfied."""
+    """Description of the first violated conjunct, at its least violation, or
+    None when satisfied."""
     for idx, item in enumerate(s.items):
-        if isinstance(item, Tgd):
-            env = find_tgd_violation(item, inst)
-            if env is not None:
-                binding = " ".join(f"{k}={format_value(v)}" for k, v in sorted(env.items()))
-                return f"tgd[{idx}] fails at {binding}" if binding else f"tgd[{idx}] fails"
-        else:
-            env = find_egd_violation(item, inst)
-            if env is not None:
-                binding = " ".join(f"{k}={format_value(v)}" for k, v in sorted(env.items()))
-                return f"egd[{idx}] fails at {binding}"
+        env = _least_violation(item, inst)
+        if env is not None:
+            kind = "tgd" if isinstance(item, Tgd) else "egd"
+            binding = " ".join(f"{k}={format_value(v)}" for k, v in sorted(env.items()))
+            return f"{kind}[{idx}] fails at {binding}" if binding else f"{kind}[{idx}] fails"
     return None
 
 

@@ -14,10 +14,10 @@ The value classes of the whole package derive from :class:`Record`.
 """
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections import Counter, defaultdict
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 
 class DbcatError(Exception):
@@ -250,11 +250,11 @@ class Instance(Record):
         return self._entry(name)[1]
 
     def index(self, name: str, cols: tuple) -> dict:
-        """Hash index of relation *name* on the columns *cols*: key tuple ->
-        tuples holding those values there; ``cols=()`` maps ``()`` to every
-        tuple.  Built on first use and cached with the instance; it never
-        takes part in equality or hashing.  A concurrent first use may build
-        the same index twice, but only one copy is kept."""
+        """Hash index of relation *name* on the columns *cols*, as
+        :func:`index_tuples` builds it.  Built on first use and cached with
+        the instance; it never takes part in equality or hashing.  A
+        concurrent first use may build the same index twice, but only one
+        copy is kept."""
         key = (name, cols)
         idx = self._indexes.get(key)
         if idx is None:
@@ -273,11 +273,28 @@ class Instance(Record):
         return max((r.arity for r in self.relations), default=0)
 
 
-def _build_index(r: Relation, cols: tuple) -> dict:
-    idx: dict = {}
-    for t in r.tuples:
-        idx.setdefault(tuple(t[c] for c in cols), []).append(t)
+def picker(cols: Sequence[int]):
+    """C-level kernel taking a tuple to the tuple of its values at *cols*: an
+    itemgetter, over a slice for adjacent columns so that one column gives a tuple."""
+    start = cols[0] if cols else 0
+    if len(cols) < 2 or tuple(cols) == tuple(range(start, start + len(cols))):
+        return itemgetter(slice(start, start + len(cols)))
+    return itemgetter(*cols)
+
+
+def index_tuples(tuples: Collection[tuple], cols: Sequence[int]) -> dict:
+    """Hash index of *tuples* on *cols*: key tuple -> the tuples with those values there."""
+    if not cols:  # one list under (), when there is any tuple
+        return {(): list(tuples)} if tuples else {}
+    idx, key = defaultdict(list), picker(cols)
+    for t in tuples:
+        idx[key(t)].append(t)
+    idx.default_factory = None
     return idx
+
+
+def _build_index(r: Relation, cols: tuple) -> dict:
+    return index_tuples(r.tuples, cols)
 
 
 def make_instance(
@@ -318,13 +335,6 @@ def is_empty_isomorphic(a: Instance) -> bool:
 def active_domain(a: Instance) -> frozenset:
     """All values occurring in any tuple of *a*."""
     return frozenset(v for r in a.relations for t in r.tuples for v in t)
-
-
-def active_domain_by_component(a: Instance) -> dict:
-    out: dict = {}
-    for comp, rels in a.components().items():
-        out[comp] = frozenset(v for r in rels for t in r.tuples for v in t)
-    return out
 
 
 def qualified_names(names: Sequence[str]) -> list:

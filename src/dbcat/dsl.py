@@ -11,7 +11,7 @@ The format is line-oriented with ``#`` comments; statements end with a dot.
 The words ``schema``, ``compose``, ``instance``, ``mapping``, ``graph``,
 ``constraint``, ``forall``, ``exists``, ``sep``, ``fed``, ``empty``, ``of``,
 ``use``, ``after``, ``branch`` and ``exact`` are reserved: none of them may
-name a schema, composition, instance, mapping or graph.
+name a schema, composition, instance, mapping, graph or relation.
 
 Uppercase-initial identifiers inside rules are variables; values are integers
 or single-quoted strings.  The reserved constants ``#A`` and ``#B`` are
@@ -187,10 +187,14 @@ def _term_ref(p: _Parser, ws: Workspace) -> tuple:
     return tok.value, ws.term(tok.value, tok)
 
 
-def _check_fresh(ws: Workspace, tok: Token):
-    """A declared name is neither a reserved word nor declared before."""
+def _check_unreserved(tok: Token):
     if tok.value in KEYWORDS:
         raise ParseError(f"{tok.value!r} is a reserved word", tok.line, tok.col)
+
+
+def _check_fresh(ws: Workspace, tok: Token):
+    """A declared name is neither a reserved word nor declared before."""
+    _check_unreserved(tok)
     for pool in (ws.schemas, ws.composes, ws.instances, ws.mappings, ws.graphs):
         if tok.value in pool:
             raise ParseError(f"duplicate name {tok.value!r}", tok.line, tok.col)
@@ -361,23 +365,23 @@ def _parse_schema(p: _Parser, ws: Workspace, name: str):
     rels = []
     constraints = []
     while not p.at("punct", "}"):
-        if p.at("ident", "constraint"):
-            p.next()
+        rel = p.ident("relation name")
+        if rel.value == "constraint" and not p.at("punct", "/"):
             constraints.append(_parse_constraint(p))
             p.expect("punct", ".")
-        else:
-            rel = p.ident("relation name")
-            if rel.value[0].isupper():
-                raise ParseError(
-                    "relation names start lowercase (uppercase means a variable)",
-                    rel.line,
-                    rel.col,
-                )
-            p.expect("punct", "/")
-            if p.at("int") and int(p.peek().value) < 1:
-                p.fail("relation arity must be positive")
-            rels.append((rel.value, int(p.expect("int").value)))
-            p.expect("punct", ".")
+            continue
+        _check_unreserved(rel)
+        if rel.value[0].isupper():
+            raise ParseError(
+                "relation names start lowercase (uppercase means a variable)",
+                rel.line,
+                rel.col,
+            )
+        p.expect("punct", "/")
+        if p.at("int") and int(p.peek().value) < 1:
+            p.fail("relation arity must be positive")
+        rels.append((rel.value, int(p.expect("int").value)))
+        p.expect("punct", ".")
     p.expect("punct", "}")
     ws.schemas[name] = Schema(name, tuple(rels), Sentence(tuple(constraints)))
 

@@ -1,16 +1,18 @@
 """SPJRU algebra terms and rule-based conjunctive queries over finite instances.
 
-Both query styles evaluate under plain set semantics.  Terms are evaluated by
-structural recursion over the algebra, joins by hashing; rules are evaluated
-by probing the instance's hash indexes one body atom at a time.  The two
-routes are tied together by :func:`rule_to_spjru`, which compiles a rule into
-an equivalent term.
+Both evaluate under set semantics: terms by structural recursion, joins by
+hashing; a rule body is compiled once into a pipeline of steps over rows, the
+tuples of a binding's values in slot order.  Each step probes an instance hash
+index with a key from the row and appends the columns it binds, both C-level
+``itemgetter`` kernels; built-ins are row predicates.  :func:`rule_to_spjru`
+compiles a rule into an equivalent term.
 """
 from __future__ import annotations
 
+from collections import Counter
 from functools import partial
 
-from .core import DbcatError, Instance, Record, Relation, Value, value_key
+from .core import DbcatError, Instance, Record, Relation, Value, index_tuples, picker, value_key
 
 
 class QueryError(DbcatError):
@@ -77,18 +79,14 @@ class Builtin(Record):
         return tuple(a for a in (self.left, self.right) if isinstance(a, Var))
 
 
-Atom = RelAtom | Builtin
+def _terms(a) -> tuple:
+    """The terms of a relation atom or built-in, in order."""
+    return a.args if isinstance(a, RelAtom) else (a.left, a.right)
 
 
 def atom_constants(atoms) -> frozenset:
     """Every constant occurring in the given relation atoms and built-ins."""
-    out = set()
-    for a in atoms:
-        if isinstance(a, RelAtom):
-            out.update(t.value for t in a.args if isinstance(t, Const))
-        else:
-            out.update(t.value for t in (a.left, a.right) if isinstance(t, Const))
-    return frozenset(out)
+    return frozenset(t.value for a in atoms for t in _terms(a) if isinstance(t, Const))
 
 
 class Rule(Record):
@@ -111,15 +109,15 @@ class Rule(Record):
     def relation_names(self) -> frozenset:
         return frozenset(a.name for a in self.body if isinstance(a, RelAtom))
 
-    def constants(self) -> frozenset:
-        return atom_constants(self.body)
-
     def rename_relations(self, mapping: dict) -> "Rule":
-        body = tuple(
-            RelAtom(mapping.get(a.name, a.name), a.args) if isinstance(a, RelAtom) else a
-            for a in self.body
-        )
-        return Rule(self.head_name, self.head_vars, body)
+        return Rule(self.head_name, self.head_vars, rename_atoms(self.body, mapping))
+
+
+def rename_atoms(atoms, mapping: dict) -> tuple:
+    """*atoms* with each relation atom's name mapped by *mapping*, when it has an entry."""
+    return tuple(
+        RelAtom(mapping.get(a.name, a.name), a.args) if isinstance(a, RelAtom) else a for a in atoms
+    )
 
 
 def copy_rule(name: str, source: str, arity: int) -> Rule:
@@ -162,9 +160,6 @@ class ColEq(Record):
 class ConstEq(Record):
     col: int
     value: Value
-
-
-Condition = ColEq | ConstEq
 
 
 class BaseRel(Record):
@@ -228,12 +223,12 @@ def _eval(t, inst: Instance):
         tuples, arity, comp = _eval(t.child, inst)
         if any(not 0 <= c < arity for c in t.cols):
             raise QueryArityError("projection column out of range")
-        return {tuple(x[c] for c in t.cols) for x in tuples}, len(t.cols), comp
+        return set(map(picker(t.cols), tuples)), len(t.cols), comp
     if isinstance(t, Rename):
         tuples, arity, comp = _eval(t.child, inst)
         if sorted(t.perm) != list(range(arity)):
             raise QueryArityError("rename must be a permutation of the columns")
-        return {tuple(x[c] for c in t.perm) for x in tuples}, arity, comp
+        return set(map(picker(t.perm), tuples)), arity, comp
     if isinstance(t, Join):
         lt, la, lc = _eval(t.left, inst)
         rt, ra, rc = _eval(t.right, inst)
@@ -241,10 +236,9 @@ def _eval(t, inst: Instance):
         if any(not (0 <= i < la and 0 <= j < ra) for i, j in t.pairs):
             raise QueryArityError("join column out of range")
         # hash join on the pairs; with no pairs every key is () and it is a product
-        index: dict = {}
-        for y in rt:
-            index.setdefault(tuple(y[j] for _, j in t.pairs), []).append(y)
-        out = {x + y for x in lt for y in index.get(tuple(x[i] for i, _ in t.pairs), ())}
+        get = index_tuples(rt, [j for _, j in t.pairs]).get
+        key = picker([i for i, _ in t.pairs])
+        out = {x + y for x in lt for y in get(key(x), ())}
         return out, la + ra, lc if lc is not None else rc
     if isinstance(t, Union):
         lt, la, lc = _eval(t.left, inst)
@@ -292,91 +286,93 @@ def atom_components(atoms, inst: Instance) -> set:
     return comps
 
 
-def _holds(b: Builtin, env: dict) -> bool:
-    left = env[b.left.name] if isinstance(b.left, Var) else b.left.value
-    right = env[b.right.name] if isinstance(b.right, Var) else b.right.value
-    if b.op == "=":
-        return left == right
-    return value_key(left) <= value_key(right)
+def _test(op: str, i: int, j: int):
+    """Row predicate comparing slots *i* and *j* by ``=`` or ``<=``."""
+    if op == "=":
+        return lambda row: row[i] == row[j]
+    return lambda row: value_key(row[i]) <= value_key(row[j])
 
 
-def matcher(body, inst: Instance, domain, bound=()):
-    """Compile *body* against *inst* for environments that bind *bound*.
+def _step(index: dict, key, pick):
+    """Rows joined to *index*, extended by *pick* of each tuple; kept if found when *pick* is None."""
+    if pick is None:
+        return lambda rows: (row for row in rows if key(row) in index)
+    get = index.get
+    return lambda rows: (row + pick(t) for row in rows for t in get(key(row), ()))
 
-    Returns ``match(env)``, which yields every extension of *env* to the body
-    variables that satisfies all atoms.  The relation atoms are ordered
-    greedily, the one with the most bound positions (constants and bound
-    variables) first; the order depends only on which variables are bound,
-    so it is fixed here together with the built-ins each step makes
-    checkable.  Each atom is matched by one probe of the instance's hash
-    index on its bound positions.  Variables that only built-ins mention
-    come last, each ranging over the values *domain()* returns; it is called
-    only when there is such a variable.
+
+def matcher(body, inst: Instance, domain, bound=(), out=()):
+    """Compile *body* against *inst* into a pipeline over positional rows.
+
+    Returns ``run(rows)``: given rows of values for the variables named in
+    *bound*, it streams the values of those named in *out* for every
+    extension satisfying all atoms, possibly more than once.  Relation atoms
+    are ordered greedily, most bound positions (constants and bound
+    variables) first.  Variables only built-ins mention come last, each a
+    unary step over the values *domain()* returns, called only then.  A step
+    that binds nothing read later only tests its probe.
     """
-    bound = set(bound)
-    waiting = [a for a in body if isinstance(a, Builtin)]
+    slot, pending, waiting = dict(zip(bound, range(len(bound)))), [], []
+    for a in body:  # a variable is keyed by its name, a constant by its value in a 1-tuple
+        rel = isinstance(a, RelAtom)
+        refs = [t.name if isinstance(t, Var) else (t.value,) for t in _terms(a)]
+        for pos, r in enumerate(refs):
+            if r.__class__ is tuple:
+                slot.setdefault(r, len(slot))
+            elif rel and r in refs[:pos]:  # a repeat: a slot of its own, equal to the first
+                refs[pos] = object()
+                waiting.append(("=", (r, refs[pos])))
+        (pending if rel else waiting).append((a.name if rel else a.op, refs))
+    values, known = tuple(r[0] for r in slot if r.__class__ is tuple), set(slot)
+    # a variable is read after the step that binds it iff the body names it more than once
+    uses = Counter(r for _, refs in pending + waiting for r in refs)
 
     def ready():
-        out = [b for b in waiting if all(v.name in bound for v in b.variables())]
-        for b in out:
+        found = [b for b in waiting if known.issuperset(b[1])]
+        for b in found:
             waiting.remove(b)
-        return out
+        return found
 
-    first, steps, pending = ready(), [], _relation_atoms(body)
+    plan = [(None, (), ready())]
     while pending:
-        atom = max(
-            pending, key=lambda a: sum(isinstance(t, Const) or t.name in bound for t in a.args)
-        )
+        atom = max(pending, key=lambda a: sum(map(known.__contains__, a[1]))) if pending[1:] else pending[0]
         pending.remove(atom)
-        cols, keys, binds, repeats = [], [], {}, []
-        for pos, arg in enumerate(atom.args):
-            if isinstance(arg, Const) or arg.name in bound:
-                cols.append(pos)
-                keys.append(arg)
-            elif arg.name in binds:
-                repeats.append((binds[arg.name], pos))
-            else:
-                binds[arg.name] = pos
-        bound.update(binds)
-        index = inst.index(atom.name, tuple(cols))
-        steps.append((index, keys, tuple(binds.items()), repeats, ready()))
-    free = sorted({v.name for b in waiting for v in b.variables()} - bound)
-    values = {(): [(v,) for v in sorted(domain(), key=value_key)]} if free else {}
-    for name in free:  # matched like a unary atom over the domain
-        bound.add(name)
-        steps.append((values, (), ((name, 0),), (), ready()))
+        known.update(atom[1])
+        plan.append((*atom, ready()))
+    for name in sorted({r for _, refs in waiting for r in refs} - known) if waiting else ():
+        known.add(name)  # matched like a unary atom over the domain
+        plan.append((None, [name], ready()))
 
-    def extend(i, env):
-        if i == len(steps):
-            yield env  # a fresh dict on every branch
-            return
-        index, keys, binds, repeats, checks = steps[i]
-        probe = tuple(env[k.name] if isinstance(k, Var) else k.value for k in keys)
-        for t in index.get(probe, ()):
-            if repeats and any(t[p] != t[q] for p, q in repeats):
-                continue
-            env2 = dict(env)
-            for v, pos in binds:
-                env2[v] = t[pos]
-            if not checks or all(_holds(b, env2) for b in checks):
-                yield from extend(i + 1, env2)
+    steps = []
+    for name, refs, checks in plan:
+        if refs:
+            cols, keys, picks = [], [], []
+            for pos, r in enumerate(refs):
+                if r in slot:
+                    cols.append(pos)
+                    keys.append(slot[r])
+                elif uses[r] > 1 or r in out or name is None:  # a domain variable feeds a built-in
+                    picks.append(pos)
+            index = inst.index(name, tuple(cols)) if name else {(): [(v,) for v in domain()]}
+            steps.append(_step(index, picker(keys), picker(picks) if picks else None))
+            for pos in picks:
+                slot[refs[pos]] = len(slot)
+        steps += [partial(filter, _test(op, slot[a], slot[b])) for op, (a, b) in checks]
+    project = picker([slot[v] for v in out])
 
-    def match(env):
-        if all(_holds(b, env) for b in first):
-            yield from extend(0, dict(env))
+    def run(rows):
+        if values:
+            rows = (row + values for row in rows)
+        for step in steps:
+            rows = step(rows)
+        return map(project, rows)
 
-    return match
-
-
-def match_atoms(body, inst: Instance, domain, env: dict | None = None):
-    """Every assignment extending *env* that satisfies *body*; see :func:`matcher`."""
-    env = env or {}
-    return matcher(body, inst, domain, env)(env)
+    return run
 
 
 def _rule_domain(q: Rule, inst: Instance, comp) -> frozenset:
     """The queried component's active values plus the rule's own constants."""
-    return q.constants() | {v for r in inst.components()[comp] for t in r.tuples for v in t}
+    return atom_constants(q.body) | {v for r in inst.components()[comp] for t in r.tuples for v in t}
 
 
 def eval_rule(q: Rule, inst: Instance) -> Relation:
@@ -388,8 +384,8 @@ def eval_rule(q: Rule, inst: Instance) -> Relation:
     if len(comps) > 1:
         raise CrossComponentQuery(f"rule body spans separated components {sorted(comps)}")
     domain = partial(_rule_domain, q, inst, comps.pop())
-    out = {tuple(env[v.name] for v in q.head_vars) for env in match_atoms(q.body, inst, domain)}
-    return Relation(q.head_name, len(q.head_vars), frozenset(out))
+    run = matcher(q.body, inst, domain, (), [v.name for v in q.head_vars])
+    return Relation(q.head_name, len(q.head_vars), frozenset(run([()])))
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,22 @@ def test_semantic_input_error_is_a_usage_error(tmp_path, text, message, capsys):
     assert capsys.readouterr() == ("", f"dbcat: {message}\n")
 
 
+def test_inclusion_violation_with_mixed_value_types_is_a_failed_check(tmp_path, capsys):
+    # the extra tuples mix ints and strings: they are listed in value order, not compared raw
+    mixed = tmp_path / "mixed.dbc"
+    mixed.write_text(
+        "schema A { r/2. }\nschema B { s/1. }\n"
+        "instance A0 of A { r(1,2). r('a',3). }\ninstance B0 of B { s(2). }\n"
+        "mapping M : A -> B { q(X) :- r(X,Y) => s(X). }"
+    )
+    assert main(["flux", "M", "A0", "B0", "-i", str(mixed), "--format", "lines"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == (
+        "flux M\tFAIL\tview for s not contained in target: extra tuples [(1,), ('a',)]\n",
+        "",
+    )
+
+
 def test_exhausted_view_budget_is_a_usage_error(capsys):
     demo = str(DATA / "demo.dbc")
     assert main(["powerview", "A0", "-i", demo, "--depth", "-1", "--arity", "4", "--cap", "50"]) == 2

@@ -1,4 +1,6 @@
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -82,6 +84,35 @@ def test_key_egd():
     assert check_egd(key, make_instance({"r": []}, arities={"r": 2}))
     witness = find_egd_violation(key, make_instance({"r": [(1, 2), (1, 3)]}))
     assert witness["K"] == 1 and {witness["V"], witness["W"]} == {2, 3}
+
+
+def test_reported_witness_is_the_least_in_value_order():
+    # string values hash differently in each process; the report must not follow the hash
+    inst = make_instance({"r": [(c,) for c in "abcdefgh"], "s": []}, arities={"s": 1})
+    t = tgd(["X"], [RelAtom("r", (X,))], [RelAtom("s", (X,))])
+    e = Egd((RelAtom("r", (X,)), RelAtom("r", (Y,))), ("X", "Y"))
+    assert find_sentence_violation(Sentence((t,)), inst) == "tgd[0] fails at X='a'"
+    assert find_sentence_violation(Sentence((e,)), inst) == "egd[0] fails at X='a' Y='b'"
+    assert find_tgd_violation(t, inst) == {"X": "a"} and find_egd_violation(e, inst) == {"X": "a", "Y": "b"}
+
+
+def test_tgd_check_streams_its_left_bindings():
+    # r is complete on 30 values: r(X,Y), r(Y,Z) has 27,000 bindings but only 30 values of X
+    n = 30
+    inst = make_instance({"r": {(x, y) for x in range(n) for y in range(n)}, "s": {(x,) for x in range(n)}})
+    t = tgd(["X"], [RelAtom("r", (X, Y)), RelAtom("r", (Y, Z))], [RelAtom("s", (X,))])
+    bindings = n**3
+    inst.index("r", ())  # the instance's own indexes are not the matcher's working memory
+    inst.index("r", (0,))
+    tracemalloc.start()
+    try:
+        assert check_tgd(t, inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one 3-tuple of small ints per binding, before any dict or list holding them
+    materialised = bindings * sys.getsizeof((0, 0, 0))
+    assert peak < materialised / 10
 
 
 def test_egd_requires_variables_in_left():

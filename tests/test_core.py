@@ -13,7 +13,6 @@ from dbcat.core import (
     Relation,
     SetKey,
     active_domain,
-    active_domain_by_component,
     bottom_instance,
     disjoint_union,
     disjoint_union_with_maps,

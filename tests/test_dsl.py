@@ -338,6 +338,8 @@ def test_each_parse_error_site_keeps_its_message_and_position(parse, text, messa
         ("schema A { r/1. }\ncompose fed = A sep A", "fed", 2, 9),
         ("schema A { r/1. }\ninstance of of A { }", "of", 2, 10),
         ("graph after { }", "after", 1, 7),
+        ("schema A { exact/1. }", "exact", 1, 12),
+        ("schema A { constraint/1. }", "constraint", 1, 12),
     ],
 )
 def test_reserved_words_cannot_be_declared(text, word, line, col):
