@@ -233,7 +233,7 @@ def main(argv=None) -> int:
     parser.add_argument("--cap", type=int, default=powerview.DEFAULT_CAP, help="view count budget")
     parser.add_argument("--format", choices=("text", "lines"), default="text")
     ns = parser.parse_args(argv)
-    for flag, value, least in (("--depth", ns.depth, -1), ("--cap", ns.cap, 1)):
+    for flag, value, least in (("--depth", ns.depth, -1), ("--arity", ns.arity, 0), ("--cap", ns.cap, 1)):
         if value < least:
             print(f"dbcat: {flag} must be at least {least}, not {value}", file=sys.stderr)
             return 2

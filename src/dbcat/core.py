@@ -170,12 +170,33 @@ def format_value(v: Value) -> str:
     return str(v)
 
 
-def format_tuple(t: Sequence[Value]) -> str:
-    return "(" + ",".join(format_value(v) for v in t) + ")"
+def format_views(exts: Iterable[frozenset]) -> list:
+    """The report strings of the extensions *exts*, in :func:`ext_key` order.
+    Distinct values are ranked once by :func:`value_key`, kept apart by class
+    so that ``True`` is refused beside ``1``; distinct tuples are ranked by
+    their value ranks and formatted once; a view sorts as (arity, its sorted
+    tuple ranks)."""
+    exts = list(exts)
+    tuples = set().union(*exts)
+    values = sorted({(v.__class__, v) for t in tuples for v in t}, key=lambda cv: value_key(cv[1]))
+    rank = {v: i for i, (_, v) in enumerate(values)}
+    order = sorted(tuples, key=lambda t: tuple(map(rank.__getitem__, t)))
+    text = ["(" + ",".join(map(format_value, t)) + ")" for t in order]
+    pos = dict(zip(order, range(len(order))))
+    rows = sorted((len(next(iter(e))) if e else 0, sorted(map(pos.__getitem__, e))) for e in exts)
+    return ["{" + " ".join(map(text.__getitem__, r)) + "}" for _, r in rows]
 
 
 def format_extension(ext: frozenset) -> str:
-    return "{" + " ".join(format_tuple(t) for t in sorted(ext, key=tuple_key)) + "}"
+    return format_views((ext,))[0]
+
+
+def format_closure(parts: Iterable[tuple], empty_key: tuple) -> list:
+    """Report form of a closure kept as keyed parts ``(*key, exts)``: in key
+    order, each key and the report strings of its views, the empty view among
+    them.  With no part, the empty view is reported at *empty_key*."""
+    parts = sorted(parts, key=lambda p: p[:-1]) or [(*empty_key, frozenset())]
+    return [[*key, format_views(exts | {frozenset()})] for *key, exts in parts]
 
 
 class Relation(Record):

@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 
 from .constraints import Egd, Sentence, Tgd
-from .core import DbcatError, Instance, Record, Relation, bottom_instance, format_value
+from .core import DbcatError, Instance, Record, Relation, bottom_instance, format_value, tuple_key
 from .queries import Builtin, Const, RelAtom, Rule, Var
 from .schemas import (
     EMPTY_SCHEMA,
@@ -607,7 +607,7 @@ def serialize_workspace(ws: Workspace) -> str:
         term_name, inst = ws.instances[name]
         out.append(f"instance {name} of {term_name} {{")
         for r in inst.relations:
-            for t in sorted(r.tuples, key=lambda x: tuple(map(str, x))):
+            for t in sorted(r.tuples, key=tuple_key):
                 out.append(f"  {r.name}({','.join(map(_fmt_value, t))}).")
         out.append("}")
     for name in sorted(ws.mappings):

@@ -28,15 +28,15 @@ from collections import Counter
 from operator import add, eq, itemgetter
 
 from .core import (
-    BOT,
     DbcatError,
     Instance,
     Record,
     Relation,
     SetKey,
+    bottom_instance,
     ext_key,
     federate,
-    format_extension,
+    format_closure,
     tuple_key,
     value_key,
 )
@@ -85,10 +85,7 @@ class ViewSet(Record, hidden=("provenance",)):
 
     def extensions(self) -> frozenset:
         """All extensions, untagged, including the empty view."""
-        out = {EMPTY_EXT}
-        for _, exts in self.components:
-            out.update(exts)
-        return frozenset(out)
+        return frozenset({EMPTY_EXT}.union(*(exts for _, exts in self.components)))
 
     def canonical(self) -> tuple:
         """Component structure up to renaming: the sorted nonempty
@@ -109,37 +106,26 @@ class ViewSet(Record, hidden=("provenance",)):
 
     def witness(self, ext):
         """A term over relation names evaluating to *ext*, taken from the
-        last component holding it, or None."""
+        last component holding it; None for the empty view and for a view
+        the set does not hold."""
         ext = frozenset(ext)
-        for views, names in reversed(self.provenance):
-            if ext in views:
-                return _witness_term(ext, names)
+        if any(ext in exts for _, exts in self.components):
+            for views, names in reversed(self.provenance):
+                if ext in views:
+                    return _witness_term(ext, names)
         return None
 
     def serialize(self) -> list:
         """Deterministic nested-list form for reports and golden files."""
-        out = []
-        for comp, exts in sorted(self.components):
-            views = sorted(exts | {EMPTY_EXT}, key=ext_key)
-            out.append([comp, [format_extension(e) for e in views]])
-        if not out:
-            out.append([0, [format_extension(EMPTY_EXT)]])
-        return out
+        return format_closure(self.components, (0,))
 
     def as_instance(self) -> Instance:
         """Materialize the views as a fresh instance (one relation per view)."""
-        relations = []
-        partition = {}
-        counter = 0
-        for comp, exts in self.components:
-            for e in sorted(exts, key=ext_key):
-                name = f"v{counter}"
-                counter += 1
-                relations.append(Relation(name, len(next(iter(e))), e))
-                partition[name] = comp
-        if not relations:
-            return Instance((Relation(BOT, 0),), ((BOT, 0),))
-        return Instance(tuple(relations), tuple(partition.items()))
+        views = [(comp, e) for comp, exts in self.components for e in sorted(exts, key=ext_key)]
+        if not views:
+            return bottom_instance()
+        relations = tuple(Relation(f"v{i}", len(next(iter(e))), e) for i, (_, e) in enumerate(views))
+        return Instance(relations, tuple((r.name, comp) for r, (comp, _) in zip(relations, views)))
 
 
 def _witness_term(ext, names: dict):

@@ -10,7 +10,16 @@ from __future__ import annotations
 import itertools
 import random
 
-from dbcat.core import SENTINEL_A, SENTINEL_B, Instance, ext_key, make_instance, value_key
+from dbcat.core import (
+    SENTINEL_A,
+    SENTINEL_B,
+    Instance,
+    ext_key,
+    format_value,
+    make_instance,
+    tuple_key,
+    value_key,
+)
 from dbcat.queries import Builtin, Const, RelAtom, Rule, Var
 
 
@@ -159,6 +168,17 @@ def sorted_closure_form(vs) -> tuple:
     """A view set's components up to renaming, by sorting every view: the
     sorted tuple of each nonempty component's sorted extension keys."""
     return tuple(sorted(tuple(sorted(map(ext_key, exts))) for _, exts in vs.components if exts))
+
+
+def sorted_views_report(exts) -> list:
+    """Report strings of the extensions *exts*, each view's tuples sorted by
+    their value keys and the views by their extension keys."""
+
+    def show(ext):
+        rows = ("(" + ",".join(format_value(v) for v in t) + ")" for t in sorted(ext, key=tuple_key))
+        return "{" + " ".join(rows) + "}"
+
+    return [show(ext) for ext in sorted(exts, key=ext_key)]
 
 
 def brute_force_flux_same(f, g) -> bool:

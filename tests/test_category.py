@@ -212,6 +212,20 @@ def test_verdicts_do_not_sort_extensions(monkeypatch):
     assert verify_duality(x, y).passed
 
 
+def test_verdicts_do_not_format_views(monkeypatch):
+    def refuse(exts):
+        raise AssertionError("a verdict formatted views")
+
+    monkeypatch.setattr(core, "format_views", refuse)
+    a = make_instance({"r": [(1, 2), (3, 4)]})
+    b = make_instance({"s": [(1,), (3,)]})
+    assert instances_isomorphic(a, a, 2, 2) and not instances_isomorphic(a, b, 2, 2)
+    f = make_atomic([vm([("r", "X", "Y")], "s")], a, b)
+    g = make_atomic([vm([("r", "X", "Y"), ("=", "Y", 2)], "s")], a, b)
+    assert equivalent(f, f, **FIX) and not equivalent(f, g, **FIX)
+    assert verify_duality(a, b).passed
+
+
 def test_equivalence_of_different_syntaxes():
     a = make_instance({"r": [(1, 1), (1, 2)]})
     b = make_instance({"s": [(1,)]})

@@ -191,6 +191,13 @@ def test_out_of_range_bound_is_a_usage_error(flag, value, capsys):
     assert out == "" and err.startswith(f"dbcat: {flag} must be at least ")
 
 
+@pytest.mark.parametrize("argv", [["iso", "A0", "B0", "--arity", "-1"], ["powerview", "A0", "--arity", "-3"]])
+def test_negative_arity_is_a_usage_error(argv, capsys):
+    assert main(argv + ["-i", str(DATA / "demo.dbc")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"dbcat: --arity must be at least 0, not {argv[-1]}\n"
+
+
 def test_fixpoint_iso_is_decided_without_building_closures(capsys):
     demo = str(DATA / "demo.dbc")
     status = main(["iso", "A0", "B0", "-i", demo, "--depth", "-1", "--format", "lines"])

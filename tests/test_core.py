@@ -1,7 +1,9 @@
 import dataclasses
 import itertools
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from dbcat.core import (
     BOT,
@@ -19,12 +21,16 @@ from dbcat.core import (
     federate,
     is_empty_isomorphic,
     ext_key,
+    format_extension,
+    format_views,
     make_instance,
+    tuple_key,
     value_key,
 )
 from dbcat.powerview import ViewSet, instances_isomorphic, power_view
 from dbcat.queries import EmptyRel, Var
 from dbcat.schemas import EmptyTerm
+from oracles import sorted_views_report
 
 
 def test_bottom_instance_shape():
@@ -288,3 +294,44 @@ def test_record_defaults_and_hidden_fields():
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert (a.provenance, b.provenance, ViewSet(VIEWS, 2, 2, False).provenance) == (("a",), ("b",), ())
     assert EmptyRel() == EmptyRel() and EmptyRel() != EmptyTerm() and hash(EmptyRel()) == hash(())
+
+
+report_values = st.sampled_from([-3, 0, 1, 2, 10, "", "1", "10", "a", SENTINEL_A, SENTINEL_B])
+
+
+@st.composite
+def view_lists(draw):
+    """Views of arity 0 to 3 (so ``{()}`` and the empty view among them),
+    some of them paired with a view that ties with them on the first tuple."""
+    views = []
+    for _ in range(draw(st.integers(0, 6))):
+        rows = st.tuples(*[report_values] * draw(st.integers(0, 3)))
+        view = draw(st.frozensets(rows, max_size=4))
+        views.append(view)
+        if view and draw(st.booleans()):
+            first = min(view, key=tuple_key)
+            later = draw(st.frozensets(rows, max_size=3))
+            views.append(frozenset({first} | {t for t in later if tuple_key(t) > tuple_key(first)}))
+    return views
+
+
+@settings(max_examples=300, deadline=None)
+@given(view_lists())
+@example([frozenset(), frozenset({()})])
+@example([frozenset({(1,)}), frozenset({("1",)}), frozenset({(1, "1")}), frozenset({("1", 1)})])
+@example([frozenset({(2, 1)}), frozenset({(2, 1), (10, 1)}), frozenset({(2, 1), (2, "1")})])
+def test_format_views_matches_the_sorting_oracle(views):
+    assert format_views(views) == sorted_views_report(views)
+    assert format_views(iter(views)) == sorted_views_report(views)
+    assert [format_extension(v) for v in views] == [sorted_views_report([v])[0] for v in views]
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, None])
+def test_format_views_refuses_what_value_key_refuses(bad):
+    views = [frozenset({(1, "a"), (0, "a")}), frozenset({(bad, "b")})]
+    with pytest.raises(TypeError):
+        sorted_views_report(views)
+    with pytest.raises(TypeError):  # even where an equal int is present
+        format_views(views)
+    with pytest.raises(TypeError):
+        format_extension(frozenset({(1, 3), (bad, 2)}))

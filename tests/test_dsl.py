@@ -239,6 +239,17 @@ def test_string_escapes_survive_a_round_trip():
     assert serialize_workspace(parse_workspace_text(out)) == out
 
 
+def test_instance_tuples_are_written_in_value_order():
+    ws = parse_workspace_text(
+        "schema A { r/2. }\n"
+        "instance A0 of A { r(1,'a'). r('1','a'). r(1,'b'). r('1','b'). r(10,'x'). r(2,'x'). }"
+    )
+    assert serialize_workspace(ws) == (
+        "schema A {\n  r/2.\n}\ninstance A0 of A {\n"
+        "  r(1,'a').\n  r(1,'b').\n  r(2,'x').\n  r(10,'x').\n  r('1','a').\n  r('1','b').\n}\n"
+    )
+
+
 TWO = "schema A { r/2. }\n"
 ONE_MAPPING = "schema A { r/1. }\nmapping M : A -> A { q(X) :- r(X) => r(X). }\n"
 

@@ -242,6 +242,18 @@ def test_matching_examples():
     assert frozenset({(1,)}) in matching(a, b, 2, 2)
 
 
+def test_matching_witnesses_only_common_views():
+    from dbcat.queries import eval_spjru
+
+    a = make_instance({"r": [(1, 2)]})
+    b = make_instance({"s": [(1,)]})
+    common = matching(a, b, 2, 2)
+    assert frozenset({(1, 2)}) not in common
+    assert common.witness({(1, 2)}) is None  # a view of a alone
+    assert frozenset({(1,)}) in common
+    assert eval_spjru(common.witness({(1,)}), a).tuples == {(1,)}
+
+
 def test_merging_examples():
     a = make_instance({"r": [(1, 2)]})
     b = make_instance({"s": [(2, 3)]})
