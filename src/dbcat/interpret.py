@@ -26,7 +26,7 @@ from .category import (
     identity,
     make_atomic,
 )
-from .constraints import check_tgd, find_sentence_violation
+from .constraints import find_sentence_violation
 from .core import (
     SENTINEL_A,
     SENTINEL_B,
@@ -40,7 +40,7 @@ from .core import (
 )
 from .powerview import DEFAULT_CAP, instances_isomorphic
 from .queries import eval_rule
-from .schemas import MappingGraph, SchemaTerm, Sketch, SketchArrow, term_layout, term_sentence
+from .schemas import MappingGraph, SchemaTerm, Sketch, SketchArrow, term_layout
 
 
 class InterpretationError(DbcatError):
@@ -147,16 +147,53 @@ def helper_instance(alpha: Interpretation, sketch: Sketch, helper) -> Instance:
     )
 
 
-def node_instance(alpha: Interpretation, sketch: Sketch, node: str) -> Instance:
-    """Instance of any sketch node, including helpers and the empty node."""
+def node_instance(
+    alpha: Interpretation, sketch: Sketch, node: str, *, plain: bool = False
+) -> Instance:
+    """Instance of any sketch node, including helpers and the empty node.
+
+    A schema node is enlarged by the relations the sketch added to it, unless
+    *plain*; a helper is its materialized relation either way.
+    """
     obj = sketch.node_map[node]
     if hasattr(obj, "sentinel"):  # a helper schema
         return helper_instance(alpha, sketch, obj)
-    return gamma_instance(alpha, sketch, node)
+    return interpret_term(alpha, obj) if plain else gamma_instance(alpha, sketch, node)
 
 
 # ---------------------------------------------------------------------------
-# model checking
+# arrows, the model check and the functor check
+
+
+class ArrowImage(Record):
+    morphism: Morphism | None
+    ok: bool
+    note: str = ""
+
+
+def interpret_arrow(alpha: Interpretation, sketch: Sketch, arrow: SketchArrow) -> ArrowImage:
+    """Translate one sketch arrow to an instance-level morphism.
+
+    Constraint arrows are judged on the node's plain instance (a helper's
+    materialized relation).  Satisfied (or empty) ones become the unique
+    morphism to the bottom instance.  An unsatisfied constraint on a
+    non-empty instance yields the bottom identity as a stand-in, flagged as
+    unusable.  Mapping arrows whose mode check fails are flagged likewise.
+    """
+    src = node_instance(alpha, sketch, arrow.src)
+    if arrow.kind == "identity":
+        return ArrowImage(identity(src), True)
+    if arrow.kind == "sentence":
+        subject = node_instance(alpha, sketch, arrow.src, plain=True)
+        violation = find_sentence_violation(arrow.sentence, subject)
+        if violation is None or is_empty_isomorphic(subject):
+            return ArrowImage(empty_morphism(src, bottom_instance()), True)
+        return ArrowImage(identity(bottom_instance()), False, violation)
+    viewmaps = tuple(ViewMap(lhs, target, mode) for lhs, target, mode in arrow.viewpairs)
+    try:
+        return ArrowImage(make_atomic(viewmaps, src, node_instance(alpha, sketch, arrow.tgt)), True)
+    except ModeViolation as exc:
+        return ArrowImage(None, False, str(exc))
 
 
 class ModelReport(Record):
@@ -173,91 +210,28 @@ class ModelReport(Record):
         return tuple(sorted(out))
 
 
-def _viewmaps_of(arrow: SketchArrow) -> tuple:
-    return tuple(ViewMap(lhs, target, mode) for lhs, target, mode in arrow.viewpairs)
-
-
 def check_model(alpha: Interpretation, graph: MappingGraph, sketch: Sketch) -> ModelReport:
-    """Verdicts for every constraint and every mapping arrow of the sketch.
+    """Verdicts for every constraint and every mapping arrow of the sketch,
+    each read off the arrow's image.
 
     An instance with only empty relations counts as a model of its schema no
     matter what the constraints say, mirroring how such instances collapse
     onto the bottom object.
     """
-    schema_checks = []
-    for node, term in graph.nodes:
-        inst = interpret_term(alpha, term)
-        witness = find_sentence_violation(term_sentence(term), inst)
-        ok = witness is None or is_empty_isomorphic(inst)
-        schema_checks.append((node, ok, witness if not ok else "satisfied"))
-
-    arrow_checks = []
+    schema_nodes = dict(graph.nodes)
+    schema_checks, arrow_checks = [], []
     for arrow in sketch.arrows:
-        if arrow.kind != "mapping":
+        if arrow.kind == "identity":
             continue
-        src = node_instance(alpha, sketch, arrow.src)
-        tgt = node_instance(alpha, sketch, arrow.tgt)
-        try:
-            make_atomic(_viewmaps_of(arrow), src, tgt)
-            arrow_checks.append((arrow.name, True, "holds"))
-        except ModeViolation as exc:
-            arrow_checks.append((arrow.name, False, str(exc)))
-    for helper in sketch.helpers:
-        inst = helper_instance(alpha, sketch, helper)
-        ok = check_tgd(helper.sentinel, inst)
-        arrow_checks.append(
-            (f"phi_{helper.name}", ok, "holds" if ok else "sentinel dependency fails")
-        )
+        image = interpret_arrow(alpha, sketch, arrow)
+        if arrow.kind == "mapping":
+            arrow_checks.append((arrow.name, image.ok, image.note or "holds"))
+        elif arrow.src in schema_nodes:
+            schema_checks.append((arrow.src, image.ok, image.note or "satisfied"))
+        else:  # a helper's sentinel dependency
+            detail = "holds" if image.ok else "sentinel dependency fails"
+            arrow_checks.append((arrow.name, image.ok, detail))
     return ModelReport(tuple(sorted(schema_checks)), tuple(sorted(arrow_checks)))
-
-
-# ---------------------------------------------------------------------------
-# arrows and the functor check
-
-
-class ArrowImage(Record):
-    morphism: Morphism | None
-    ok: bool
-    note: str = ""
-
-
-def interpret_arrow(
-    alpha: Interpretation, sketch: Sketch, arrow: SketchArrow
-) -> ArrowImage:
-    """Translate one sketch arrow to an instance-level morphism.
-
-    Constraint arrows of satisfied (or empty) instances become the unique
-    morphism to the bottom instance.  An unsatisfied constraint on a
-    non-empty instance yields the bottom identity as a stand-in, flagged as
-    unusable.  Mapping arrows whose mode check fails are flagged likewise.
-    """
-    if arrow.kind == "identity":
-        return ArrowImage(identity(node_instance(alpha, sketch, arrow.src)), True)
-    if arrow.kind == "sentence":
-        inst = _sentence_subject(alpha, sketch, arrow.src)
-        violation = find_sentence_violation(arrow.sentence, inst)
-        if violation is None or is_empty_isomorphic(inst):
-            return ArrowImage(
-                empty_morphism(node_instance(alpha, sketch, arrow.src), bottom_instance()),
-                True,
-            )
-        bot = bottom_instance()
-        return ArrowImage(identity(bot), False, violation)
-    src = node_instance(alpha, sketch, arrow.src)
-    tgt = node_instance(alpha, sketch, arrow.tgt)
-    try:
-        return ArrowImage(make_atomic(_viewmaps_of(arrow), src, tgt), True)
-    except ModeViolation as exc:
-        return ArrowImage(None, False, str(exc))
-
-
-def _sentence_subject(alpha: Interpretation, sketch: Sketch, node: str) -> Instance:
-    """Instance a constraint arrow is judged on: helpers use their materialized
-    relation, schema nodes their plain (non-enlarged) interpretation."""
-    obj = sketch.node_map[node]
-    if hasattr(obj, "sentinel"):
-        return helper_instance(alpha, sketch, obj)
-    return interpret_term(alpha, obj)
 
 
 class FunctorReport(Record):
@@ -286,47 +260,22 @@ def check_functor(
     arrow whenever the sketch holds one.
     """
     checks = []
-    images: dict = {}
+    direct: dict = {}  # (src, tgt) -> (arrow, image); the sketch holds one per pair
     for arrow in sketch.arrows:
+        image = interpret_arrow(alpha, sketch, arrow)
         if arrow.kind == "identity":
+            inst = node_instance(alpha, sketch, arrow.src)
+            ok = image.ok and image.morphism.source == inst and image.morphism.target == inst
+            checks.append((f"identity {arrow.src}", ok, "maps to the identity arrow"))
             continue
-        images[arrow.name] = interpret_arrow(alpha, sketch, arrow)
+        direct[(arrow.src, arrow.tgt)] = (arrow, image)
+        fine = "maps into the bottom object" if arrow.kind == "sentence" else "interpretable"
+        checks.append((f"{arrow.kind} {arrow.name}", image.ok, image.note or fine))
 
-    for node, _ in sketch.nodes:
-        ida = sketch.identity_of(node)
-        image = interpret_arrow(alpha, sketch, ida)
-        inst = node_instance(alpha, sketch, node)
-        ok = image.ok and image.morphism.source == inst and image.morphism.target == inst
-        checks.append((f"identity {node}", ok, "maps to the identity arrow"))
-
-    for arrow in sketch.arrows:
-        if arrow.kind == "identity":
-            continue
-        image = images[arrow.name]
-        if arrow.kind == "sentence":
-            checks.append(
-                (
-                    f"sentence {arrow.name}",
-                    image.ok,
-                    image.note or "maps into the bottom object",
-                )
-            )
-        else:
-            checks.append(
-                (f"mapping {arrow.name}", image.ok, image.note or "interpretable")
-            )
-
-    direct: dict = {}
-    for arrow in sketch.arrows:
-        if arrow.kind != "identity":
-            direct[(arrow.src, arrow.tgt)] = arrow
-    for f in sketch.arrows:
-        for g in sketch.arrows:
-            if f.kind == "identity" or g.kind == "identity":
-                continue
+    for f, fi in direct.values():
+        for g, gi in direct.values():
             if f.tgt != g.src or (f.src, f.tgt) == (g.src, g.tgt):
                 continue
-            fi, gi = images[f.name], images[g.name]
             cid = f"compose {g.name}.{f.name}"
             if not (fi.ok and gi.ok):
                 checks.append((cid, False, "a factor has no usable image"))
@@ -336,18 +285,15 @@ def check_functor(
             except DbcatError as exc:
                 checks.append((cid, False, f"images do not compose: {exc}"))
                 continue
-            h = direct.get((f.src, g.tgt))
-            if h is None:
+            if (f.src, g.tgt) not in direct:
                 checks.append((cid, True, "free composite"))
                 continue
-            hi = images[h.name]
+            h, hi = direct[(f.src, g.tgt)]
             if not hi.ok:
                 checks.append((cid, False, f"direct arrow {h.name} has no usable image"))
                 continue
             ok = equivalent(hi.morphism, composed, depth, max_arity, cap)
-            checks.append(
-                (cid, ok, f"against direct arrow {h.name}")
-            )
+            checks.append((cid, ok, f"against direct arrow {h.name}"))
     return FunctorReport(tuple(sorted(checks)))
 
 
@@ -364,8 +310,5 @@ def check_gamma_iso(
     The added relations are materialized from their defining queries, so for
     any model they contribute no views beyond the closure of the original.
     """
-    term = sketch.node_map[node]
-    plain = interpret_term(alpha, term)
-    enlarged = gamma_instance(alpha, sketch, node)
-    m = max(max_arity, plain.max_arity(), enlarged.max_arity())
-    return instances_isomorphic(plain, enlarged, depth, m, cap)
+    plain = interpret_term(alpha, sketch.node_map[node])
+    return instances_isomorphic(plain, gamma_instance(alpha, sketch, node), depth, max_arity, cap)

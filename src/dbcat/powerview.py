@@ -40,7 +40,7 @@ from .core import (
     tuple_key,
     value_key,
 )
-from .queries import BaseRel, ConstEq, Join, Project, Select, Union
+from .queries import BaseRel, ConstEq, EmptyRel, Join, Project, Select, Union
 
 DEFAULT_DEPTH = 2
 DEFAULT_MAX_ARITY = 4
@@ -106,9 +106,11 @@ class ViewSet(Record, hidden=("provenance",)):
 
     def witness(self, ext):
         """A term over relation names evaluating to *ext*, taken from the
-        last component holding it; None for the empty view and for a view
-        the set does not hold."""
+        last component holding it; ``EmptyRel()`` for the empty view, which
+        every view set holds, and None for a view the set does not hold."""
         ext = frozenset(ext)
+        if not ext:
+            return EmptyRel()
         if any(ext in exts for _, exts in self.components):
             for views, names in reversed(self.provenance):
                 if ext in views:

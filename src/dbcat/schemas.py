@@ -527,8 +527,14 @@ def build_sketch(graph: MappingGraph) -> Sketch:
                 key = (m.source_name, m.target_name)
                 mapping_arrows.setdefault(key, []).append((p.lhs, p.rhs_name, mode))
             else:
+                hname = f"C_{m.name}_{i}"
+                if hname in node_terms:
+                    raise SchemaError(
+                        f"graph {graph.name}: helper {hname} of mapping {m.name} "
+                        f"clashes with the graph node {hname}"
+                    )
                 helper = HelperSchema(
-                    name=f"C_{m.name}_{i}",
+                    name=hname,
                     relation=f"c_{m.name}_{i}",
                     arity=len(p.lhs.head_vars) + 1,
                     lhs=p.lhs,

@@ -318,9 +318,23 @@ def test_criterion_06_model_iff_functor():
     sketch = build_sketch(SYSTEM)
     total = discord = model_count = 0
     for alpha, (r, s, t, w) in _all_interpretations():
-        is_model = check_model(alpha, SYSTEM, sketch).is_model
+        model = check_model(alpha, SYSTEM, sketch)
+        is_model = model.is_model
         assert is_model == _expected_model(r, s, t, w), (r, s, t, w)
-        functor_ok = check_functor(alpha, sketch, None, 2).passed
+        functor = check_functor(alpha, sketch, None, 2)
+        functor_ok = functor.passed
+        # each arrow's model verdict is its functor verdict
+        arrow_verdicts = {
+            cid: ok for cid, ok, _ in functor.lines() if cid.split()[0] in ("mapping", "sentence")
+        }
+        paired = {}
+        for line, ok, _ in model.lines():
+            kind, name = line.split(" ", 1)
+            if kind == "schema":
+                paired[f"sentence phi_{name}"] = ok
+            else:
+                paired[("sentence " if name.startswith("phi_") else "mapping ") + name] = ok
+        assert paired == arrow_verdicts, (r, s, t, w)
         if is_model != functor_ok:
             discord += 1
         if is_model:

@@ -254,6 +254,21 @@ def test_matching_witnesses_only_common_views():
     assert eval_spjru(common.witness({(1,)}), a).tuples == {(1,)}
 
 
+def test_every_view_set_witnesses_the_empty_view():
+    from dbcat.queries import eval_spjru
+
+    a = make_instance({"r": [(1, 2), (2, 3)], "z": [()]})
+    b = make_instance({"s": [(2,), (5,)]})
+    sets = [
+        (power_view(inst, depth, 2), inst) for inst in (a, bottom_instance()) for depth in (2, None)
+    ]
+    sets.append((matching(a, b, 2, 2), a))
+    for vs, inst in sets:
+        assert EMPTY in vs
+        for probe in (inst, bottom_instance()):
+            assert eval_spjru(vs.witness(EMPTY), probe).tuples == EMPTY
+
+
 def test_merging_examples():
     a = make_instance({"r": [(1, 2)]})
     b = make_instance({"s": [(2, 3)]})

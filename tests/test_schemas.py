@@ -223,6 +223,15 @@ def _graph_single(pair, name="M", src=("A", SA), tgt=("C", SC)):
     return mapping_graph("G", {src[0]: SAtom(src[1]), tgt[0]: SAtom(tgt[1])}, [m])
 
 
+def test_helper_name_may_not_be_a_graph_node():
+    q = rule("q", ["X"], [("r", "X")])
+    g = _graph_single(make_pair(q, RelAtom("t", (Var("X"),))), tgt=("C_M_0", SC))
+    with pytest.raises(SchemaError, match="helper C_M_0 of mapping M clashes with the graph node"):
+        build_sketch(g)
+    # a fresh relation needs no helper, so the same node name is fine there
+    build_sketch(_graph_single(make_pair(q, RelAtom("fresh", (Var("X"),))), tgt=("C_M_0", SC)))
+
+
 def test_sketch_case1_fresh_relation():
     q = rule("q", ["X"], [("r", "X")])
     g = _graph_single(make_pair(q, RelAtom("fresh", (Var("X"),))))
