@@ -109,7 +109,8 @@ class Morphism(Record):
     structural flux computation.  It has one of three shapes:
 
     - ``("atomic",)``: the view maps of ``trees`` over ``source`` (none for
-      the empty arrow);
+      the empty arrow), each evaluated once: the arrow keeps the extensions
+      (:func:`_atomic_views`) outside equality and hashing;
     - ``("compose", g, f)``: ``g`` after ``f``;
     - ``("sum", (f, src_comps, tgt_comps), (g, src_comps, tgt_comps))``:
       ``f`` and ``g`` side by side, each with the (old, new) component pairs
@@ -152,24 +153,22 @@ def make_atomic(viewmaps, source: Instance, target: Instance) -> Morphism:
     (mode ``inclusion``) or equal to (mode ``exact``) the matching-width
     prefix projection of its target relation.
     """
-    trees = []
+    trees, exts = [], []
     for vm in viewmaps:
         ext = eval_rule(vm.query, source).tuples
         proj = _projected_target(target, vm.target, len(vm.query.head_vars))
-        if vm.mode == "inclusion":
-            if not ext <= proj:
-                extra = sorted(ext - proj, key=tuple_key)[:3]
-                raise ModeViolation(
-                    f"view for {vm.target} not contained in target: extra tuples {extra}"
-                )
-        else:
-            if ext != proj:
-                raise ModeViolation(
-                    f"view for {vm.target} differs from target projection "
-                    f"({format_extension(ext)} vs {format_extension(proj)})"
-                )
+        if vm.mode == "inclusion" and not ext <= proj:
+            extra = sorted(ext - proj, key=tuple_key)[:3]
+            raise ModeViolation(f"view for {vm.target} not contained in target: extra tuples {extra}")
+        if vm.mode == "exact" and ext != proj:
+            raise ModeViolation(
+                f"view for {vm.target} differs from target projection "
+                f"({format_extension(ext)} vs {format_extension(proj)})"
+            )
         trees.append(MapNode(vm, tuple(Leaf(n) for n in sorted(vm.sources))))
-    return Morphism(source, target, tuple(trees), ("atomic",))
+        exts.append(ext)
+    _atomic_views(m := Morphism(source, target, tuple(trees), ("atomic",)), exts)
+    return m
 
 
 def empty_morphism(source: Instance, target: Instance) -> Morphism:
@@ -400,26 +399,30 @@ def _refine(colour: dict, other: dict, adjacent: dict) -> dict:
     return {x: rank[s] for x, s in sig.items()}
 
 
-def _closure_of(extensions, depth, max_arity, cap) -> tuple:
-    """T-closure of a set of extensions; returns (nonempty extensions, fixpoint)."""
-    seeds = frozenset(e for e in extensions if e)
-    m = max([max_arity] + [len(next(iter(e))) for e in seeds])
-    return close_component(seeds, depth, m, cap)
+def _atomic_views(m: Morphism, exts=None) -> tuple:
+    """((source component, target component), extension) of each view map of
+    the atomic arrow *m*, in tree order: kept with *m* on first use, outside
+    equality and hashing, from the extensions *exts* that :func:`make_atomic`
+    evaluated to check the modes, or else evaluated here."""
+    views = m.__dict__.get("_views")
+    if views is None:
+        if exts is None:
+            exts = [eval_rule(t.viewmap.query, m.source).tuples for t in m.trees]
+        # eval_rule raised unless the rule's relations (at least one) share a component
+        src, tgt = m.source.component_of, m.target.component_of
+        chans = [(src(min(t.viewmap.sources)), tgt(t.viewmap.target)) for t in m.trees]
+        views = m.__dict__.setdefault("_views", tuple(zip(chans, exts)))
+    return views
 
 
 def _atomic_channels(m: Morphism, depth, max_arity, cap):
-    groups: dict = {}
-    for t in m.trees:
-        vm = t.viewmap
-        ext = eval_rule(vm.query, m.source).tuples
-        # eval_rule raised unless the rule's relations (at least one) share a component
-        (src_comp,) = {m.source.component_of(n) for n in vm.sources}
-        key = (src_comp, m.target.component_of(vm.target))
-        groups.setdefault(key, set()).add(ext)
-    channels = []
-    fix = True
+    groups: dict = {}  # channel -> its nonempty extensions
+    for key, ext in _atomic_views(m):
+        groups.setdefault(key, set()).update((ext,) if ext else ())
+    channels, fix = [], True
     for (s, t), exts in sorted(groups.items()):
-        closed, fixed = _closure_of(exts, depth, max_arity, cap)
+        width = max([max_arity] + [len(next(iter(e))) for e in exts])
+        closed, fixed = close_component(frozenset(exts), depth, width, cap)
         fix = fix and fixed
         if closed:
             channels.append((s, t, closed))
@@ -434,10 +437,10 @@ def flux(
 ) -> Flux:
     """Information flux of a morphism at the given closure bound.
 
-    Atomic arrows close the extensions their view maps produce, channel by
-    channel.  Composites intersect the factor fluxes across the shared middle
-    object; side-by-side arrows re-tag the factor channels through their
-    component maps.
+    Atomic arrows close, channel by channel, the extensions their view maps
+    produce, each evaluated once per arrow.  Composites intersect the factor
+    fluxes across the shared middle object; side-by-side arrows re-tag the
+    factor channels through their component maps.
     """
     kind = m.parts[0]
     if kind == "atomic":
@@ -466,12 +469,8 @@ def flux_intersection(a: Flux, b: Flux) -> Flux:
             if t1 == s2:
                 shared = e1 & e2
                 if shared:
-                    cur = merged.get((s1, t2), frozenset())
-                    merged[(s1, t2)] = cur | shared
-    return Flux(
-        tuple(sorted((s, t, e) for (s, t), e in merged.items())),
-        a.fixpoint and b.fixpoint,
-    )
+                    merged[s1, t2] = merged.get((s1, t2), frozenset()) | shared
+    return Flux(tuple(sorted((s, t, e) for (s, t), e in merged.items())), a.fixpoint and b.fixpoint)
 
 
 def equivalent(
@@ -538,19 +537,9 @@ def verify_duality(
         (cid, equivalent(lhs, rhs, depth, max_arity, cap), law) for cid, lhs, rhs, law in laws
     ]
     va, vb, vab = (power_view_cached(x, depth, max_arity, cap) for x in (a, b, ab))
-    checks.append(
-        (
-            "views-of-coproduct",
-            tuple(sorted(va.canonical() + vb.canonical())) == vab.canonical(),
-            "views(A+B) = views(A) (+) views(B)",
-        )
-    )
+    summed = tuple(sorted(va.canonical() + vb.canonical())) == vab.canonical()
+    checks.append(("views-of-coproduct", summed, "views(A+B) = views(A) (+) views(B)"))
     if not is_empty_isomorphic(a):
-        checks.append(
-            (
-                "replication-not-isomorphic",
-                not instances_isomorphic(a, disjoint_union(a, a), depth, max_arity, cap),
-                "A+A is a genuine replication of nonempty A",
-            )
-        )
+        replica = instances_isomorphic(a, disjoint_union(a, a), depth, max_arity, cap)
+        checks.append(("replication-not-isomorphic", not replica, "A+A is a genuine replication of nonempty A"))
     return DualityReport(tuple(checks), SET_COUNTEREXAMPLE_NOTE)

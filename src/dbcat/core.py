@@ -14,9 +14,9 @@ The value classes of the whole package derive from :class:`Record`.
 """
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from collections.abc import Collection, Iterable, Mapping, Sequence
-from functools import cached_property
+from functools import cache, cached_property
 from operator import attrgetter, itemgetter
 
 
@@ -80,6 +80,14 @@ class Record:
         for method in (__init__, __eq__, __hash__):
             if method.__name__ not in cls.__dict__:
                 setattr(cls, method.__name__, method)
+
+    @classmethod
+    def _derived(cls, *values):
+        """The value whose fields are *values*, all given and already valid, as
+        when derived from valid values: ``__post_init__`` does not run."""
+        self = cls.__new__(cls)
+        self.__dict__.update(zip(cls._fields, values))
+        return self
 
     def __repr__(self):
         fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._shown)
@@ -214,13 +222,19 @@ class Relation(Record):
             if not isinstance(t, tuple) or len(t) != self.arity:
                 raise ArityError(f"tuple {t!r} does not match arity {self.arity} of {self.name}")
         if not self.attributes:
-            object.__setattr__(self, "attributes", tuple(f"c{i}" for i in range(self.arity)))
+            object.__setattr__(self, "attributes", column_names(self.arity))
         elif len(self.attributes) != self.arity:
             raise ArityError(f"attribute list of {self.name} does not match arity")
 
     @property
     def is_empty(self) -> bool:
         return not self.tuples
+
+
+@cache
+def column_names(arity: int) -> tuple:
+    """The attributes of a relation of *arity* that names none: c0, c1, ..."""
+    return tuple(f"c{i}" for i in range(arity))
 
 
 class Instance(Record):
@@ -285,9 +299,8 @@ class Instance(Record):
     def components(self) -> dict:
         """Component id -> list of relations, in name order."""
         out: dict = {}
-        part = dict(self.partition)
-        for r in self.relations:
-            out.setdefault(part[r.name], []).append(r)
+        for r, comp in self._by_name.values():
+            out.setdefault(comp, []).append(r)
         return out
 
     def max_arity(self) -> int:
@@ -366,17 +379,19 @@ def qualified_names(names: Sequence[str]) -> list:
     names with that base; every other name is kept as it is.
     """
     bases = [name.partition("#")[0] for name in names]
-    counts, ranks, out = Counter(bases), Counter(), []
+    total, rank, out = dict.fromkeys(bases, 0), {}, []
+    for base in bases:
+        total[base] += 1
     for name, base in zip(names, bases):
-        ranks[base] += 1
-        out.append(name if counts[base] == 1 else f"{base}#{ranks[base]}")
+        rank[base] = k = rank.get(base, 0) + 1
+        out.append(name if total[base] == 1 else f"{base}#{k}")
     return out
 
 
-def _leaf_key(r: Relation) -> tuple:
-    """Leaf order within one summand: by base, the bare name first, then by
-    numeric suffix; any other suffix sorts after the numeric ones."""
-    base, _, k = r.name.partition("#")
+def _leaf_key(entry: tuple) -> tuple:
+    """Leaf order of (relation, component) entries within one summand: by base,
+    the bare name first, then by numeric suffix, then any other suffix."""
+    base, _, k = entry[0].name.partition("#")
     return (base, bool(k), not k.isdecimal(), int(k) if k.isdecimal() else 0, k)
 
 
@@ -392,7 +407,7 @@ def disjoint_union_with_maps(a: Instance, b: Instance):
     A summand holding nothing else is the unit: the sum is the other summand
     as it is, with identity maps, so ``A + ⊥ == A == ⊥ + A``.
     """
-    bare = [all(r.name == BOT for r in inst.relations) for inst in (a, b)]
+    bare = [inst._by_name.keys() <= {BOT} for inst in (a, b)]
     if any(bare):
         names = ({n: n for n in inst.names if n != BOT} for inst in (a, b))
         comps = ({c: c for _, c in inst.partition} for inst in (a, b))
@@ -403,19 +418,18 @@ def disjoint_union_with_maps(a: Instance, b: Instance):
         comp_maps.append(dict(zip(comps, range(taken, taken + len(comps)))))
         taken += len(comps)
     rels = [
-        (side, r, comp_maps[side][inst.component_of(r.name)])
+        (side, r, comp_maps[side][c])
         for side, inst in enumerate((a, b))
-        for r in sorted(inst.relations, key=_leaf_key)
+        for r, c in sorted(inst._by_name.values(), key=_leaf_key)
         if r.name != BOT
     ]
-    name_maps = ({}, {})
-    relations, partition = [], []
+    name_maps, named = ({}, {}), []
     for (side, r, comp), name in zip(rels, qualified_names([r.name for _, r, _ in rels])):
         name_maps[side][r.name] = name
-        relations.append(Relation(name, r.arity, r.tuples, r.attributes))
-        partition.append((name, comp))
-    inst = Instance(tuple(relations), tuple(partition)) if relations else bottom_instance()
-    return (inst, *name_maps, *comp_maps)
+        named.append((name, Relation._derived(name, r.arity, r.tuples, r.attributes), comp))
+    named.sort(key=itemgetter(0))  # valid relations under distinct names: nothing to check again
+    relations, partition = tuple(r for _, r, _ in named), tuple((name, comp) for name, _, comp in named)
+    return (Instance._derived(relations, partition), *name_maps, *comp_maps)
 
 
 def disjoint_union(a: Instance, b: Instance) -> Instance:
@@ -428,4 +442,4 @@ def federate(a: Instance, b: Instance) -> Instance:
     disjoint union with every relation in component 0, so queries may span
     both inputs."""
     ab = disjoint_union_with_maps(a, b)[0]
-    return Instance(ab.relations, tuple((name, 0) for name in ab.names))
+    return Instance._derived(ab.relations, tuple((name, 0) for name, _ in ab.partition))

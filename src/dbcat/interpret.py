@@ -114,51 +114,66 @@ def interpret_term(alpha: Interpretation, term: SchemaTerm) -> Instance:
 
 def gamma_instance(alpha: Interpretation, sketch: Sketch, node: str) -> Instance:
     """The node's instance extended with the sketch's added relations."""
-    term = sketch.node_map[node]
-    base = interpret_term(alpha, term)
-    additions = sketch.additions_for(node)
-    if not additions:
-        return base
-    relations = list(base.relations)
-    partition = dict(base.partition)
-    for add in additions:
-        if add.defining is not None:
-            ext = eval_rule(add.defining, base).tuples
-        else:
-            src_term = sketch.node_map[add.source_node]
-            ext = eval_rule(add.from_lhs, interpret_term(alpha, src_term)).tuples
-        relations.append(Relation(add.name, add.arity, ext))
-        partition[add.name] = add.component
-    return Instance(tuple(relations), tuple(partition.items()))
+    return _Nodes(alpha, sketch)[node, False]
 
 
 def helper_instance(alpha: Interpretation, sketch: Sketch, helper) -> Instance:
     """Materialize a helper node: left tuples tagged A, right tuples tagged B."""
-    src = interpret_term(alpha, sketch.node_map[helper.source_node])
-    tgt = interpret_term(alpha, sketch.node_map[helper.target_node])
-    left = eval_rule(helper.lhs, src).tuples
-    right = eval_rule(helper.rhs, tgt).tuples
-    tuples = frozenset(t + (SENTINEL_A,) for t in left) | frozenset(
-        t + (SENTINEL_B,) for t in right
-    )
-    return Instance(
-        (Relation(helper.relation, helper.arity, tuples),),
-        ((helper.relation, 0),),
-    )
+    return _Nodes(alpha, sketch).helper(helper)
 
 
-def node_instance(
-    alpha: Interpretation, sketch: Sketch, node: str, *, plain: bool = False
-) -> Instance:
-    """Instance of any sketch node, including helpers and the empty node.
+class _Nodes(dict):
+    """The instance of each sketch node for one check, helpers and the empty
+    node included, built on first use and kept, so a check materializes each
+    node once.  Under ``(node, True)`` is the plain instance: a schema node's
+    interpreted term, or a helper's materialized relation; under
+    ``(node, False)`` a schema node is enlarged by the relations the sketch
+    added to it."""
 
-    A schema node is enlarged by the relations the sketch added to it, unless
-    *plain*; a helper is its materialized relation either way.
-    """
-    obj = sketch.node_map[node]
-    if hasattr(obj, "sentinel"):  # a helper schema
-        return helper_instance(alpha, sketch, obj)
-    return interpret_term(alpha, obj) if plain else gamma_instance(alpha, sketch, node)
+    def __init__(self, alpha: Interpretation, sketch: Sketch):
+        self.alpha, self.sketch = alpha, sketch
+
+    def __missing__(self, key) -> Instance:
+        node, plain = key
+        if plain:
+            obj = self.sketch.node_map[node]
+            inst = self.helper(obj) if hasattr(obj, "sentinel") else interpret_term(self.alpha, obj)
+        else:
+            inst = base = self[node, True]
+            additions = self.sketch.additions_for(node)
+            if additions:
+                relations, partition = list(base.relations), dict(base.partition)
+                for add in additions:
+                    query, over = add.defining, base
+                    if query is None:  # the mapped view, over the mapping's source
+                        query, over = add.from_lhs, self[add.source_node, True]
+                    relations.append(Relation(add.name, add.arity, eval_rule(query, over).tuples))
+                    partition[add.name] = add.component
+                inst = Instance(tuple(relations), tuple(partition.items()))
+        self[key] = inst
+        return inst
+
+    def helper(self, helper) -> Instance:
+        left = eval_rule(helper.lhs, self[helper.source_node, True]).tuples
+        right = eval_rule(helper.rhs, self[helper.target_node, True]).tuples
+        tuples = frozenset(t + (SENTINEL_A,) for t in left) | frozenset(t + (SENTINEL_B,) for t in right)
+        return Instance((Relation(helper.relation, helper.arity, tuples),), ((helper.relation, 0),))
+
+    def image(self, arrow: SketchArrow) -> "ArrowImage":
+        src = self[arrow.src, False]
+        if arrow.kind == "identity":
+            return ArrowImage(identity(src), True)
+        if arrow.kind == "sentence":
+            subject = self[arrow.src, True]
+            violation = find_sentence_violation(arrow.sentence, subject)
+            if violation is None or is_empty_isomorphic(subject):
+                return ArrowImage(empty_morphism(src, bottom_instance()), True)
+            return ArrowImage(identity(bottom_instance()), False, violation)
+        viewmaps = tuple(ViewMap(lhs, target, mode) for lhs, target, mode in arrow.viewpairs)
+        try:
+            return ArrowImage(make_atomic(viewmaps, src, self[arrow.tgt, False]), True)
+        except ModeViolation as exc:
+            return ArrowImage(None, False, str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -180,20 +195,7 @@ def interpret_arrow(alpha: Interpretation, sketch: Sketch, arrow: SketchArrow) -
     non-empty instance yields the bottom identity as a stand-in, flagged as
     unusable.  Mapping arrows whose mode check fails are flagged likewise.
     """
-    src = node_instance(alpha, sketch, arrow.src)
-    if arrow.kind == "identity":
-        return ArrowImage(identity(src), True)
-    if arrow.kind == "sentence":
-        subject = node_instance(alpha, sketch, arrow.src, plain=True)
-        violation = find_sentence_violation(arrow.sentence, subject)
-        if violation is None or is_empty_isomorphic(subject):
-            return ArrowImage(empty_morphism(src, bottom_instance()), True)
-        return ArrowImage(identity(bottom_instance()), False, violation)
-    viewmaps = tuple(ViewMap(lhs, target, mode) for lhs, target, mode in arrow.viewpairs)
-    try:
-        return ArrowImage(make_atomic(viewmaps, src, node_instance(alpha, sketch, arrow.tgt)), True)
-    except ModeViolation as exc:
-        return ArrowImage(None, False, str(exc))
+    return _Nodes(alpha, sketch).image(arrow)
 
 
 class ModelReport(Record):
@@ -218,12 +220,12 @@ def check_model(alpha: Interpretation, graph: MappingGraph, sketch: Sketch) -> M
     matter what the constraints say, mirroring how such instances collapse
     onto the bottom object.
     """
-    schema_nodes = dict(graph.nodes)
+    schema_nodes, nodes = dict(graph.nodes), _Nodes(alpha, sketch)
     schema_checks, arrow_checks = [], []
     for arrow in sketch.arrows:
         if arrow.kind == "identity":
             continue
-        image = interpret_arrow(alpha, sketch, arrow)
+        image = nodes.image(arrow)
         if arrow.kind == "mapping":
             arrow_checks.append((arrow.name, image.ok, image.note or "holds"))
         elif arrow.src in schema_nodes:
@@ -259,12 +261,12 @@ def check_functor(
     empty), and that composable pairs compose -- agreeing with the direct
     arrow whenever the sketch holds one.
     """
-    checks = []
+    checks, nodes = [], _Nodes(alpha, sketch)
     direct: dict = {}  # (src, tgt) -> (arrow, image); the sketch holds one per pair
     for arrow in sketch.arrows:
-        image = interpret_arrow(alpha, sketch, arrow)
+        image = nodes.image(arrow)
         if arrow.kind == "identity":
-            inst = node_instance(alpha, sketch, arrow.src)
+            inst = nodes[arrow.src, False]
             ok = image.ok and image.morphism.source == inst and image.morphism.target == inst
             checks.append((f"identity {arrow.src}", ok, "maps to the identity arrow"))
             continue
@@ -310,5 +312,5 @@ def check_gamma_iso(
     The added relations are materialized from their defining queries, so for
     any model they contribute no views beyond the closure of the original.
     """
-    plain = interpret_term(alpha, sketch.node_map[node])
-    return instances_isomorphic(plain, gamma_instance(alpha, sketch, node), depth, max_arity, cap)
+    nodes = _Nodes(alpha, sketch)
+    return instances_isomorphic(nodes[node, True], nodes[node, False], depth, max_arity, cap)

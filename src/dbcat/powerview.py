@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter
 from operator import add, eq, itemgetter
 
 from .core import (
@@ -306,9 +305,13 @@ def closure_signature(inst: Instance) -> frozenset:
     like a cached property, outside equality and hashing."""
     sig = inst.__dict__.get("_closure_signature")
     if sig is None:
-        comps = (frozenset(t for r in rels for t in r.tuples) for rels in inst.components().values())
-        pairs = Counter((frozenset(v for t in ts for v in t), () in ts) for ts in comps if ts)
-        sig = inst.__dict__.setdefault("_closure_signature", frozenset(pairs.items()))
+        counts: dict = {}
+        for rels in inst.components().values():
+            ts = frozenset().union(*(r.tuples for r in rels))
+            if ts:
+                pair = (frozenset().union(*ts), () in ts)
+                counts[pair] = counts.get(pair, 0) + 1
+        sig = inst.__dict__.setdefault("_closure_signature", frozenset(counts.items()))
     return sig
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import partial
 
-from .core import DbcatError, Instance, Record, Relation, Value, index_tuples, picker, value_key
+from .core import DbcatError, Instance, Record, Relation, Value, column_names, index_tuples, picker, value_key
 
 
 class QueryError(DbcatError):
@@ -235,8 +235,9 @@ def _eval(t, inst: Instance):
         _check_same_component(lc, rc)
         if any(not (0 <= i < la and 0 <= j < ra) for i, j in t.pairs):
             raise QueryArityError("join column out of range")
-        # hash join on the pairs; with no pairs every key is () and it is a product
-        get = index_tuples(rt, [j for _, j in t.pairs]).get
+        # hash join on the pairs, by the instance's index of a base relation; no pairs: a product
+        cols = tuple(j for _, j in t.pairs)
+        get = (inst.index(t.right.name, cols) if isinstance(t.right, BaseRel) else index_tuples(rt, cols)).get
         key = picker([i for i, _ in t.pairs])
         out = {x + y for x in lt for y in get(key(x), ())}
         return out, la + ra, lc if lc is not None else rc
@@ -262,7 +263,7 @@ def _check_same_component(lc, rc):
 def eval_spjru(t, inst: Instance, name: str = "view") -> Relation:
     """Evaluate an algebra term over an instance under set semantics."""
     tuples, arity, _ = _eval(t, inst)
-    return Relation(name, arity, frozenset(tuples))
+    return Relation._derived(name, arity, frozenset(tuples), column_names(arity))
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +346,7 @@ def matcher(body, inst: Instance, domain, bound=(), out=()):
 
     steps = []
     for name, refs, checks in plan:
-        if refs:
+        if refs or name:  # a nullary atom tests that its relation holds ()
             cols, keys, picks = [], [], []
             for pos, r in enumerate(refs):
                 if r in slot:
@@ -384,8 +385,8 @@ def eval_rule(q: Rule, inst: Instance) -> Relation:
     if len(comps) > 1:
         raise CrossComponentQuery(f"rule body spans separated components {sorted(comps)}")
     domain = partial(_rule_domain, q, inst, comps.pop())
-    run = matcher(q.body, inst, domain, (), [v.name for v in q.head_vars])
-    return Relation(q.head_name, len(q.head_vars), frozenset(run([()])))
+    run, arity = matcher(q.body, inst, domain, (), [v.name for v in q.head_vars]), len(q.head_vars)
+    return Relation._derived(q.head_name, arity, frozenset(run([()])), column_names(arity))
 
 
 # ---------------------------------------------------------------------------

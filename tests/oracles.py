@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 from dbcat.core import (
     SENTINEL_A,
@@ -116,6 +117,19 @@ def brute_force_egd(left, pair, inst: Instance) -> bool:
             if env[pair[0]] != env[pair[1]]:
                 return False
     return True
+
+
+def counted_qualified_names(names) -> list:
+    """The names a sum gives its relations, listed in leaf order, found by
+    counting the bases (the parts before ``#``) with ``Counter``: a name
+    whose base occurs more than once becomes ``base#k``, k its rank among
+    the names with that base."""
+    bases = [name.partition("#")[0] for name in names]
+    counts, ranks, out = Counter(bases), Counter(), []
+    for name, base in zip(names, bases):
+        ranks[base] += 1
+        out.append(name if counts[base] == 1 else f"{base}#{ranks[base]}")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from dbcat.category import (
     projection,
     verify_duality,
 )
-from dbcat import core, powerview
+from dbcat import category, core, powerview
 from dbcat.core import (
     BOT,
     DbcatError,
@@ -515,6 +515,42 @@ def test_verify_duality_report():
     assert "views-of-coproduct" in ids
     assert "replication-not-isomorphic" in ids
     assert "sets" in rep.note or "set" in rep.note
+
+
+def test_fixpoint_duality_evaluates_each_view_map_once(monkeypatch):
+    calls, built = [], []
+    real_eval, real_make = category.eval_rule, category.make_atomic
+
+    def evaluating(q, inst):
+        calls.append(q)
+        return real_eval(q, inst)
+
+    def making(viewmaps, source, target):
+        built.extend(viewmaps)
+        return real_make(viewmaps, source, target)
+
+    monkeypatch.setattr(category, "eval_rule", evaluating)
+    monkeypatch.setattr(category, "make_atomic", making)
+    a = make_instance({"r": [(1, 2), (2, 1)], "s": [(1,)]}, partition={"s": 1})
+    b = make_instance({"r": [(3,)], "t": [(3, 4)]})
+    assert verify_duality(a, b, **FIX).passed
+    # injections, projections and identities: three arrows per relation
+    assert len(built) == 3 * (len(a.relations) + len(b.relations))
+    assert len(calls) == len(built)
+
+
+def test_atomic_morphism_built_directly_has_its_flux():
+    a = make_instance({"r": [(1, 2)], "s": [(3,)]}, partition={"s": 1})
+    t = make_instance({"u": [(1, 2), (2, 2)], "v": [(3,), (4,)]}, partition={"v": 1})
+    maps = [vm([("r", "X", "Y")], "u", head=("X", "Y")), vm([("s", "X")], "v")]
+    made = make_atomic(maps, a, t)
+    direct = Morphism(a, t, made.trees)
+    assert direct == made
+    for depth in (1, 2, None):
+        assert flux(direct, depth, 2) == flux(made, depth, 2)
+    want = {(0, 0, frozenset({(1, 2)})), (1, 1, frozenset({(3,)}))}
+    assert {(s, t, e) for s, t, exts in flux(direct, 0, 2).channels for e in exts} == want
+    assert equivalent(compose(identity(t), direct), made, **FIX)
 
 
 def test_set_counterexample_cardinalities():

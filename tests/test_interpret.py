@@ -1,5 +1,6 @@
 import pytest
 
+from dbcat import interpret
 from dbcat.category import equivalent, flux, identity
 from dbcat.constraints import Egd, Sentence, Tgd
 from dbcat.core import (
@@ -281,6 +282,33 @@ def test_gamma_iso_for_models_and_negative_control():
         base.partition + (("u", 0),),
     )
     assert not instances_isomorphic(base, foreign, None, 2)
+
+
+def test_each_check_materializes_each_node_once(monkeypatch):
+    terms, queries = [], []
+    real_term, real_eval = interpret.interpret_term, interpret.eval_rule
+
+    def interpreting(alpha, term):
+        terms.append(term)
+        return real_term(alpha, term)
+
+    def evaluating(q, inst):  # an added relation or a helper's side
+        queries.append(id(q))
+        return real_eval(q, inst)
+
+    monkeypatch.setattr(interpret, "interpret_term", interpreting)
+    monkeypatch.setattr(interpret, "eval_rule", evaluating)
+    g, sk = _model_fixture()
+    alpha = alpha_with(r=[(1,)], s=[(2,)], t=[(1,), (2,)])
+    checks = [lambda: check_model(alpha, g, sk), lambda: check_functor(alpha, sk, None, 2)]
+    checks += [lambda n=n: check_gamma_iso(alpha, sk, n, None, 2) for n in ("A", "B", "C")]
+    for check in checks:
+        terms.clear()
+        queries.clear()
+        check()
+        assert terms and len(terms) == len(set(terms))
+        assert len(queries) == len(set(queries))
+    assert len(terms) == 1 and len(queries) == 1  # gamma-iso C: its term, then u := t
 
 
 def test_gamma_instance_materializes_defining_query():

@@ -2,11 +2,23 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from dbcat.core import bottom_instance, disjoint_union, federate, make_instance
+from dbcat.constraints import Egd, Tgd, check_egd, check_tgd
+from dbcat.core import (
+    Instance,
+    Relation,
+    bottom_instance,
+    disjoint_union,
+    disjoint_union_with_maps,
+    federate,
+    make_instance,
+    qualified_names,
+)
 from dbcat.interpret import interpret_term, interpretation
 from dbcat.powerview import instances_isomorphic, power_view
-from dbcat.queries import eval_rule, eval_spjru, rule, rule_to_spjru
+from dbcat.queries import RelAtom, Var, eval_rule, eval_spjru, rule, rule_to_spjru
 from dbcat.schemas import EMPTY_SCHEMA, SAtom, Schema, fed, schema_identity, sep
+
+from oracles import brute_force_egd, brute_force_rule, brute_force_tgd, counted_qualified_names
 
 values = st.sampled_from([1, 2, 3])
 tuples1 = st.tuples(values)
@@ -164,3 +176,86 @@ def test_interpretation_is_the_sum_of_the_leaf_instances(case):
     assert inst.names == folded.names
     assert inst.relations == folded.relations
     assert inst.partition == folded.partition
+
+
+@st.composite
+def with_nullary(draw):
+    """An instance with an extra nullary relation ``z``, empty or ``{()}``,
+    and three bodies over it: each a relation atom of the instance, ``z()``,
+    and at random a second atom of the instance."""
+    base = draw(instances(max_tuples=3))
+    rels = {r.name: r.tuples for r in base.relations}
+    rels["z"] = draw(st.sampled_from([set(), {()}]))
+    inst = make_instance(rels, arities={"z": 0, **{r.name: r.arity for r in base.relations}})
+
+    def atom():
+        r = draw(st.sampled_from(base.relations))
+        return RelAtom(r.name, tuple(Var(draw(st.sampled_from("XYZ"))) for _ in range(r.arity)))
+
+    bodies = []
+    for _ in range(3):
+        body = [atom(), RelAtom("z", ())] + ([atom()] if draw(st.booleans()) else [])
+        bodies.append(tuple(draw(st.permutations(body))))
+    return inst, bodies
+
+
+def _names(atoms) -> list:
+    return sorted({v.name for a in atoms for v in a.variables()})
+
+
+@settings(max_examples=80, deadline=None)
+@given(with_nullary())
+def test_nullary_atoms_filter_as_the_oracles_say(case):
+    inst, (body, left, right) = case
+    head = _names(body)[:1]
+    q = rule("q", head, body)
+    assert eval_rule(q, inst).tuples == brute_force_rule(q, inst) == eval_spjru(rule_to_spjru(q), inst).tuples
+    universal = tuple(_names(left)[:1])
+    t = Tgd(universal, left, right)
+    assert check_tgd(t, inst) == brute_force_tgd(universal, left, right, inst)
+    pair = (_names(left)[0], _names(left)[-1])
+    assert check_egd(Egd(left, pair), inst) == brute_force_egd(left, pair, inst)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(["r", "s", "r#1", "r#2", "r#10", "r#x", "s#3", "t"]), max_size=8))
+def test_qualified_names_agree_with_counting_the_bases(names):
+    assert qualified_names(names) == counted_qualified_names(names)
+
+
+@st.composite
+def summands(draw, depth=2):
+    """A leaf instance whose relation names may hold ``#``, the bottom
+    instance, or a sum or federation of two smaller summands."""
+    kind = draw(st.sampled_from(["leaf", "bottom", "sum", "federation"] if depth else ["leaf", "bottom"]))
+    if kind == "bottom":
+        return bottom_instance()
+    if kind != "leaf":
+        join = disjoint_union if kind == "sum" else federate
+        return join(draw(summands(depth - 1)), draw(summands(depth - 1)))
+    names = draw(st.lists(st.sampled_from(["r", "s", "r#1", "r#2", "r#10", "r#x"]), min_size=1, max_size=3, unique=True))
+    arities = {name: draw(st.integers(1, 2)) for name in names}
+    rels = {name: draw(st.sets(tuples1 if arities[name] == 1 else tuples2, max_size=2)) for name in names}
+    partition = {name: draw(st.integers(0, 2)) for name in names}
+    return make_instance(rels, arities=arities, partition=partition)
+
+
+def rebuilt(inst):
+    """*inst* built again through the checked public constructors."""
+    relations = tuple(Relation(r.name, r.arity, r.tuples, r.attributes) for r in inst.relations)
+    return Instance(relations, inst.partition)
+
+
+@settings(max_examples=150, deadline=None)
+@given(summands(), summands())
+def test_sums_equal_their_checked_rebuilds(a, b):
+    ab, *maps = disjoint_union_with_maps(a, b)
+    fa = federate(a, b)
+    for inst in (ab, fa):
+        again = rebuilt(inst)
+        assert inst == again and hash(inst) == hash(again) and repr(inst) == repr(again)
+        assert [inst.component_of(n) for n in inst.names] == [again.component_of(n) for n in again.names]
+    assert fa.relations == ab.relations and {c for _, c in fa.partition} <= {0}
+    for side, name_map in zip((a, b), maps[:2]):
+        for old, new in name_map.items():
+            assert ab.relation(new).tuples == side.relation(old).tuples

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from dbcat import constraints, core, queries
-from dbcat.constraints import Tgd, check_tgd
+from dbcat.constraints import Egd, Tgd, check_egd, check_tgd
 from dbcat.core import disjoint_union, federate, make_instance
 from dbcat.queries import (
     BaseRel,
@@ -28,7 +28,14 @@ from dbcat.queries import (
     rule_to_spjru,
 )
 
-from oracles import brute_force_rule, random_body, random_instance, random_rule
+from oracles import (
+    brute_force_egd,
+    brute_force_rule,
+    brute_force_tgd,
+    random_body,
+    random_instance,
+    random_rule,
+)
 
 R12_23 = make_instance({"r": [(1, 2), (2, 3)]})
 
@@ -275,6 +282,46 @@ def test_tgd_witness_search_builds_each_index_once(monkeypatch):
     assert builds.count(("s", (0,))) == 1
     assert check_tgd(Tgd(("X",), (RelAtom("r", (X, Y)),), (RelAtom("s", (X,)),)), inst)
     assert builds.count(("s", (0,))) == 1  # cached on the instance
+
+
+def test_rule_and_algebra_build_each_index_once(monkeypatch):
+    builds = []
+    real_build, real_index = core._build_index, queries.index_tuples
+    inst = make_instance({"r": [(1, 2), (2, 3), (3, 1), (3, 3)]})
+    r = inst.relation("r").tuples
+
+    def counting(relation, cols):
+        builds.append((relation.name, cols))
+        return real_build(relation, cols)
+
+    def indexing(tuples, cols):  # an index the algebra would build for itself
+        builds.append(("r" if tuples is r else "?", tuple(cols)))
+        return real_index(tuples, cols)
+
+    monkeypatch.setattr(core, "_build_index", counting)
+    monkeypatch.setattr(queries, "index_tuples", indexing)
+    q = rule("q", ["X", "Z"], [("r", "X", "Y"), ("r", "Y", "Z")])
+    assert rule_to_spjru(q) == Project(Join(BaseRel("r"), BaseRel("r"), ((1, 0),)), (0, 3))
+    rows = eval_rule(q, inst).tuples
+    assert builds.count(("r", (0,))) == 1
+    assert eval_spjru(rule_to_spjru(q), inst).tuples == rows == brute_force_rule(q, inst)
+    assert builds.count(("r", (0,))) == 1  # the join probes the instance's index
+
+
+X, Y = Var("X"), Var("Y")
+S12 = {"s": [(1,), (2,)]}
+
+
+@pytest.mark.parametrize("r, holds", [([], False), ([()], True)])
+def test_nullary_atom_is_a_membership_test(r, holds):
+    inst = make_instance({**S12, "r": r}, arities={"r": 0})
+    q = rule("q", ["X"], [("s", "X"), ("r",)])
+    want = frozenset({(1,), (2,)}) if holds else frozenset()
+    assert eval_rule(q, inst).tuples == brute_force_rule(q, inst) == eval_spjru(rule_to_spjru(q), inst).tuples == want
+    tgd = Tgd(("X",), (RelAtom("s", (X,)),), (RelAtom("r", ()),))
+    assert check_tgd(tgd, inst) == brute_force_tgd(tgd.universal, tgd.left, tgd.right, inst) == holds
+    egd = Egd((RelAtom("s", (X,)), RelAtom("s", (Y,)), RelAtom("r", ())), ("X", "Y"))
+    assert check_egd(egd, inst) == brute_force_egd(egd.left, egd.pair, inst) == (not holds)
 
 
 def test_valuation_domain_is_built_only_for_builtin_variables(monkeypatch):
