@@ -23,7 +23,6 @@ from .core import (
     Instance,
     Record,
     SetKey,
-    disjoint_union,
     disjoint_union_with_maps,
     format_closure,
     format_extension,
@@ -251,18 +250,19 @@ def _retree(node: MapNode, leaf_map: dict, target_map: dict, is_root: bool) -> M
     return MapNode(ViewMap(query, target, vm.mode), tuple(children))
 
 
-def _side_by_side(f: Morphism, g: Morphism, sources: bool, targets: bool) -> Morphism:
+def _side_by_side(f: Morphism, g: Morphism, sources, targets) -> Morphism:
     """*f* and *g* as one arrow between the disjoint unions of their sources,
-    of their targets, or both; an end that is not summed is shared.  In DB
-    the disjoint union is both coproduct and product, so this one construction
-    gives f+g, the copairing [f,g] and the pairing <f,g>."""
+    of their targets, or both, each given as :func:`disjoint_union_with_maps`
+    returns it; an end given as None is shared.  In DB the disjoint union is
+    both coproduct and product, so this one construction gives f+g, the
+    copairing [f,g] and the pairing <f,g>."""
+    if sources is None and f.source != g.source:
+        raise DbcatError("paired arrows need a common source")
+    if targets is None and f.target != g.target:
+        raise DbcatError("mediating arrows need a common target")
     shared = {}, {}, {}, {}  # an end not summed: no names or components change
-    src, snames_f, snames_g, scomps_f, scomps_g = (
-        disjoint_union_with_maps(f.source, g.source) if sources else (f.source, *shared)
-    )
-    tgt, tnames_f, tnames_g, tcomps_f, tcomps_g = (
-        disjoint_union_with_maps(f.target, g.target) if targets else (f.target, *shared)
-    )
+    src, snames_f, snames_g, scomps_f, scomps_g = sources or (f.source, *shared)
+    tgt, tnames_f, tnames_g, tcomps_f, tcomps_g = targets or (f.target, *shared)
     trees = [_retree(t, snames_f, tnames_f, True) for t in f.trees]
     trees += [_retree(t, snames_g, tnames_g, True) for t in g.trees]
     parts = (
@@ -275,41 +275,37 @@ def _side_by_side(f: Morphism, g: Morphism, sources: bool, targets: bool) -> Mor
 
 def coproduct_morphism(f: Morphism, g: Morphism) -> Morphism:
     """Component-tagged union of two arrows: ``f + g`` between the coproducts."""
-    return _side_by_side(f, g, True, True)
+    sums = (disjoint_union_with_maps(f.source, g.source), disjoint_union_with_maps(f.target, g.target))
+    return _side_by_side(f, g, *sums)
 
 
-def _summand(a: Instance, b: Instance, side: str):
-    """The coproduct, the chosen summand, and that summand's names in it."""
+def _summand(summed, a: Instance, b: Instance, side: str, into: bool) -> Morphism:
+    """The injection of one summand into the sum *summed* of *a* and *b*, as
+    :func:`disjoint_union_with_maps` returns it, or (not *into*) its projection."""
     if side not in ("left", "right"):
         raise DbcatError(f"side must be 'left' or 'right', not {side!r}")
-    inst, map_a, map_b, _, _ = disjoint_union_with_maps(a, b)
-    return (inst, a, map_a) if side == "left" else (inst, b, map_b)
+    inst, origin, names = summed[0], *((a, summed[1]) if side == "left" else (b, summed[2]))
+    return _copy_arrow(origin, origin, inst, {}, names) if into else _copy_arrow(origin, inst, origin, names, {})
 
 
 def injection(a: Instance, b: Instance, side: str = "left") -> Morphism:
     """Monomorphism embedding one summand into the coproduct."""
-    inst, origin, names = _summand(a, b, side)
-    return _copy_arrow(origin, origin, inst, {}, names)
+    return _summand(disjoint_union_with_maps(a, b), a, b, side, True)
 
 
 def projection(a: Instance, b: Instance, side: str = "left") -> Morphism:
     """Epimorphism collapsing the coproduct back onto one summand."""
-    inst, origin, names = _summand(a, b, side)
-    return _copy_arrow(origin, inst, origin, names, {})
+    return _summand(disjoint_union_with_maps(a, b), a, b, side, False)
 
 
 def mediating(f: Morphism, g: Morphism) -> Morphism:
     """The arrow out of the coproduct induced by two arrows into a common target."""
-    if f.target != g.target:
-        raise DbcatError("mediating arrows need a common target")
-    return _side_by_side(f, g, True, False)
+    return _side_by_side(f, g, disjoint_union_with_maps(f.source, g.source), None)
 
 
 def pairing(f: Morphism, g: Morphism) -> Morphism:
     """The arrow into the product induced by two arrows out of a common source."""
-    if f.source != g.source:
-        raise DbcatError("paired arrows need a common source")
-    return _side_by_side(f, g, False, True)
+    return _side_by_side(f, g, None, disjoint_union_with_maps(f.target, g.target))
 
 
 # ---------------------------------------------------------------------------
@@ -521,12 +517,12 @@ def verify_duality(
     """
     if max_arity is None:
         max_arity = max(2, a.max_arity(), b.max_arity())
-    ab = disjoint_union(a, b)
-    in_a, in_b = injection(a, b, "left"), injection(a, b, "right")
-    p_a, p_b = projection(a, b, "left"), projection(a, b, "right")
+    sum_ab = disjoint_union_with_maps(a, b)  # built once, for every arrow into or out of it
+    in_a, in_b, p_a, p_b = (_summand(sum_ab, a, b, side, into) for into in (True, False) for side in ("left", "right"))
     if f is None or g is None:
         f, g = p_a, p_b
-    paired = pairing(f, g)
+    targets = sum_ab if (f.target, g.target) == (a, b) else disjoint_union_with_maps(f.target, g.target)
+    paired = _side_by_side(f, g, None, targets)
     laws = (
         ("projection-after-injection-left", compose(p_a, in_a), identity(a), "p_A . in_A ~ id_A"),
         ("projection-after-injection-right", compose(p_b, in_b), identity(b), "p_B . in_B ~ id_B"),
@@ -536,10 +532,10 @@ def verify_duality(
     checks = [
         (cid, equivalent(lhs, rhs, depth, max_arity, cap), law) for cid, lhs, rhs, law in laws
     ]
-    va, vb, vab = (power_view_cached(x, depth, max_arity, cap) for x in (a, b, ab))
+    va, vb, vab = (power_view_cached(x, depth, max_arity, cap) for x in (a, b, sum_ab[0]))
     summed = tuple(sorted(va.canonical() + vb.canonical())) == vab.canonical()
     checks.append(("views-of-coproduct", summed, "views(A+B) = views(A) (+) views(B)"))
     if not is_empty_isomorphic(a):
-        replica = instances_isomorphic(a, disjoint_union(a, a), depth, max_arity, cap)
+        replica = instances_isomorphic(a, disjoint_union_with_maps(a, a)[0], depth, max_arity, cap)
         checks.append(("replication-not-isomorphic", not replica, "A+A is a genuine replication of nonempty A"))
     return DualityReport(tuple(checks), SET_COUNTEREXAMPLE_NOTE)

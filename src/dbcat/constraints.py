@@ -12,7 +12,7 @@ from collections import Counter
 from functools import partial
 
 from .core import SENTINEL_A, SENTINEL_B, DbcatError, Instance, Record, active_domain, format_value, tuple_key
-from .queries import atom_components, atom_constants, matcher, rename_atoms
+from .queries import atom_components, atom_constants, bind, kept_plan, rename_atoms
 
 
 class ConstraintError(DbcatError):
@@ -105,12 +105,13 @@ def _violations(d: Tgd | Egd, inst: Instance):
         atom_components(d.left, inst)
         names = sorted(_vars_of(d.left))
         a, b = map(names.index, d.pair)
-        return names, (row for row in matcher(d.left, inst, domain, (), names)([()]) if row[a] != row[b])
+        rows = bind(kept_plan(d, "_plan", d.left, (), names), inst, domain)([()])
+        return names, (row for row in rows if row[a] != row[b])
     atom_components(d.left + d.right, inst)
     right_domain = partial(_constraint_domain, d.left + d.right, inst, with_sentinels=True)
-    universals = dict.fromkeys(matcher(d.left, inst, domain, (), d.universal)([()]))
-    witnessed = set(matcher(d.right, inst, right_domain, d.universal, d.universal)(universals))
-    return d.universal, (u for u in universals if u not in witnessed)
+    universals = set(bind(kept_plan(d, "_left", d.left, (), d.universal), inst, domain)([()]))
+    right = kept_plan(d, "_right", d.right, d.universal, d.universal)
+    return d.universal, iter(universals.difference(bind(right, inst, right_domain)(universals)))
 
 
 def _least_violation(d: Tgd | Egd, inst: Instance):

@@ -412,17 +412,14 @@ def disjoint_union_with_maps(a: Instance, b: Instance):
         names = ({n: n for n in inst.names if n != BOT} for inst in (a, b))
         comps = ({c: c for _, c in inst.partition} for inst in (a, b))
         return (b if bare[0] else a, *names, *comps)
-    comp_maps, taken = [], 1
+    comp_maps, leaves, taken = [], [], 1
     for inst in (a, b):
         comps = sorted({c for _, c in inst.partition})
         comp_maps.append(dict(zip(comps, range(taken, taken + len(comps)))))
         taken += len(comps)
-    rels = [
-        (side, r, comp_maps[side][c])
-        for side, inst in enumerate((a, b))
-        for r, c in sorted(inst._by_name.values(), key=_leaf_key)
-        if r.name != BOT
-    ]
+        entries = inst._by_name.values()  # in name order: leaf order, unless a name holds '#'
+        leaves.append(sorted(entries, key=_leaf_key) if "#" in "".join(inst._by_name) else entries)
+    rels = [(side, r, comp_maps[side][c]) for side in (0, 1) for r, c in leaves[side] if r.name != BOT]
     name_maps, named = ({}, {}), []
     for (side, r, comp), name in zip(rels, qualified_names([r.name for _, r, _ in rels])):
         name_maps[side][r.name] = name

@@ -1,16 +1,17 @@
 """SPJRU algebra terms and rule-based conjunctive queries over finite instances.
 
 Both evaluate under set semantics: terms by structural recursion, joins by
-hashing; a rule body is compiled once into a pipeline of steps over rows, the
-tuples of a binding's values in slot order.  Each step probes an instance hash
-index with a key from the row and appends the columns it binds, both C-level
-``itemgetter`` kernels; built-ins are row predicates.  :func:`rule_to_spjru`
-compiles a rule into an equivalent term.
+hashing.  A rule or dependency keeps the :func:`plan` of each body it runs,
+made on first use: an atom order and a kernel, one generated nest of loops
+over instance hash indexes, compiled once per shape.  Its source holds slot
+numbers and tuple positions only; names and values reach it as arguments.
+:func:`bind` runs it over an instance.  :func:`rule_to_spjru` compiles a rule
+into an equivalent term.
 """
 from __future__ import annotations
 
 from collections import Counter
-from functools import partial
+from functools import lru_cache, partial
 
 from .core import DbcatError, Instance, Record, Relation, Value, column_names, index_tuples, picker, value_key
 
@@ -120,8 +121,9 @@ def rename_atoms(atoms, mapping: dict) -> tuple:
     )
 
 
+@lru_cache(maxsize=1024)
 def copy_rule(name: str, source: str, arity: int) -> Rule:
-    """``q_<name>(X0..Xk) :- source(X0..Xk)``: copies one relation whole."""
+    """``q_<name>(X0..Xk) :- source(X0..Xk)``: copies one relation whole; made once, so its plan is shared."""
     hv = tuple(Var(f"X{i}") for i in range(arity))
     return Rule(f"q_{name}", hv, (RelAtom(source, hv),))
 
@@ -287,31 +289,31 @@ def atom_components(atoms, inst: Instance) -> set:
     return comps
 
 
-def _test(op: str, i: int, j: int):
-    """Row predicate comparing slots *i* and *j* by ``=`` or ``<=``."""
-    if op == "=":
-        return lambda row: row[i] == row[j]
-    return lambda row: value_key(row[i]) <= value_key(row[j])
+def _seq(items) -> str:
+    """Source of the items of a tuple or target list: slot ``i`` as ``si``, a name as it is."""
+    return "".join(f"s{i}, " if i.__class__ is int else f"{i}, " for i in items)
 
 
-def _step(index: dict, key, pick):
-    """Rows joined to *index*, extended by *pick* of each tuple; kept if found when *pick* is None."""
-    if pick is None:
-        return lambda rows: (row for row in rows if key(row) in index)
-    get = index.get
-    return lambda rows: (row + pick(t) for row in rows for t in get(key(row), ()))
+@lru_cache(maxsize=512)
+def _kernel(source: str):
+    """The kernel *source* defines, compiled once per source: plans of one shape share it."""
+    scope = {"vk": value_key}
+    exec(source, scope)
+    return scope["k0"]
 
 
-def matcher(body, inst: Instance, domain, bound=(), out=()):
-    """Compile *body* against *inst* into a pipeline over positional rows.
+def plan(body, bound=(), out=()) -> tuple:
+    """``(probes, constants, kernel)``: *body* compiled for rows of values of
+    the variables named in *bound*, to stream the values of those named in
+    *out* for every extension satisfying all atoms, possibly more than once.
 
-    Returns ``run(rows)``: given rows of values for the variables named in
-    *bound*, it streams the values of those named in *out* for every
-    extension satisfying all atoms, possibly more than once.  Relation atoms
-    are ordered greedily, most bound positions (constants and bound
-    variables) first.  Variables only built-ins mention come last, each a
-    unary step over the values *domain()* returns, called only then.  A step
-    that binds nothing read later only tests its probe.
+    Relation atoms are ordered greedily, most bound positions (constants and
+    bound variables) first.  Variables only built-ins mention come last, each
+    probing the domain, the relation None.  Each probe is a (relation, key
+    columns).  The kernel, ``kernel(indexes, constants, rows)``, is one nest
+    of loops over the probes; an atom that binds nothing read later only
+    tests its probe, and built-ins and repeats within one atom are tested
+    once bound.  Its source holds slot numbers and tuple positions only.
     """
     slot, pending, waiting = dict(zip(bound, range(len(bound)))), [], []
     for a in body:  # a variable is keyed by its name, a constant by its value in a 1-tuple
@@ -334,41 +336,65 @@ def matcher(body, inst: Instance, domain, bound=(), out=()):
             waiting.remove(b)
         return found
 
-    plan = [(None, (), ready())]
+    order = [(None, (), ready())]
     while pending:
         atom = max(pending, key=lambda a: sum(map(known.__contains__, a[1]))) if pending[1:] else pending[0]
         pending.remove(atom)
         known.update(atom[1])
-        plan.append((*atom, ready()))
+        order.append((*atom, ready()))
     for name in sorted({r for _, refs in waiting for r in refs} - known) if waiting else ():
-        known.add(name)  # matched like a unary atom over the domain
-        plan.append((None, [name], ready()))
+        known.add(name)  # ranges over the domain
+        order.append((None, [name], ready()))
 
-    steps = []
-    for name, refs, checks in plan:
+    probes, top, loops = [], 0, 0
+    src = ["def k0(ix, c, rows):", f"    [{_seq(range(len(bound), len(slot)))}] = c"]
+
+    def emit(text, width=None):  # a loop (*width*: the slots bound before it) nests; a test continues it
+        nonlocal top, loops
+        if width is not None and loops == 19:  # CPython nests 20 blocks: the rest in a function of its own
+            emit(f"yield from k{len(src) + 1}(ix, c, [({_seq(range(width))})])")
+            top, loops = len(src), 0
+            src.append(f"def k{top}(ix, c, rows):")
+            emit(f"for [{_seq(range(width))}] in rows:", width)
+        src.append("    " * (loops + 1) + text)
+        loops += width is not None
+
+    def tup(slots):  # a tuple of slots: the row itself, in the first function, when it holds just those
+        return "row" if top == 0 and list(slots) == [*range(len(bound))] else f"({_seq(slots)})"
+
+    emit("for row in rows:", len(bound))
+    emit(f"[{_seq(range(len(bound)))}] = row")
+    for name, refs, checks in order:
         if refs or name:  # a nullary atom tests that its relation holds ()
-            cols, keys, picks = [], [], []
+            keys, targets = [pos for pos, r in enumerate(refs) if r in slot], ["_"] * len(refs)
+            key, width = tup([slot[refs[pos]] for pos in keys]), len(slot)
             for pos, r in enumerate(refs):
-                if r in slot:
-                    cols.append(pos)
-                    keys.append(slot[r])
-                elif uses[r] > 1 or r in out or name is None:  # a domain variable feeds a built-in
-                    picks.append(pos)
-            index = inst.index(name, tuple(cols)) if name else {(): [(v,) for v in domain()]}
-            steps.append(_step(index, picker(keys), picker(picks) if picks else None))
-            for pos in picks:
-                slot[refs[pos]] = len(slot)
-        steps += [partial(filter, _test(op, slot[a], slot[b])) for op, (a, b) in checks]
-    project = picker([slot[v] for v in out])
+                if r not in slot and (uses[r] > 1 or r in out or name is None):
+                    targets[pos] = slot[r] = len(slot)
+            loop, k = targets.count("_") < len(refs), len(probes)
+            probes.append((name, tuple(keys)))
+            line = f"for [{_seq(targets)}] in x{k}({key}, ()):" if loop else f"if {key} not in x{k}: continue"
+            emit(line, width if loop else None)
+            src.insert(top + 1, f"    x{k} = ix[{k}]{'.get' * loop}")  # in the function that probes it
+        for op, (a, b) in checks:
+            test = "s{} != s{}" if op == "=" else "vk(s{}) > vk(s{})"
+            emit(f"if {test.format(slot[a], slot[b])}: continue")
+    emit(f"yield {tup([slot[v] for v in out])}")
+    return tuple(probes), values, _kernel("\n".join(src))
 
-    def run(rows):
-        if values:
-            rows = (row + values for row in rows)
-        for step in steps:
-            rows = step(rows)
-        return map(project, rows)
 
-    return run
+def kept_plan(record: Record, key: str, body, bound=(), out=()) -> tuple:
+    """The :func:`plan` *record* keeps under *key* in its ``__dict__``, outside
+    ``==`` and hashing, made on first use."""
+    return record.__dict__.get(key) or record.__dict__.setdefault(key, plan(body, bound, out))
+
+
+def bind(p: tuple, inst: Instance, domain):
+    """``run(rows)``: the kernel of the plan *p* over the indexes *inst*
+    keeps; it calls *domain()* only if a variable ranges over it."""
+    probes, values, kernel = p
+    dom = {(): [(v,) for v in domain()]} if (None, ()) in probes else None
+    return partial(kernel, tuple(inst.index(*p) if p[0] is not None else dom for p in probes), values)
 
 
 def _rule_domain(q: Rule, inst: Instance, comp) -> frozenset:
@@ -384,8 +410,8 @@ def eval_rule(q: Rule, inst: Instance) -> Relation:
     comps = atom_components(q.body, inst)
     if len(comps) > 1:
         raise CrossComponentQuery(f"rule body spans separated components {sorted(comps)}")
-    domain = partial(_rule_domain, q, inst, comps.pop())
-    run, arity = matcher(q.body, inst, domain, (), [v.name for v in q.head_vars]), len(q.head_vars)
+    p = kept_plan(q, "_plan", q.body, (), [v.name for v in q.head_vars])
+    run, arity = bind(p, inst, partial(_rule_domain, q, inst, comps.pop())), len(q.head_vars)
     return Relation._derived(q.head_name, arity, frozenset(run([()])), column_names(arity))
 
 

@@ -635,3 +635,21 @@ def test_randomized_category_laws():
         gf = compose(g, f)
         assert flux(gf, **FIX).extensions() <= flux(f, **FIX).extensions()
         assert flux(gf, **FIX).extensions() <= flux(g, **FIX).extensions()
+
+
+def test_duality_builds_each_sum_once(monkeypatch):
+    sums = []
+    real = category.disjoint_union_with_maps
+
+    def summing(a, b):
+        sums.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(category, "disjoint_union_with_maps", summing)
+    a = make_instance({"r": [(1, 2), (2, 1)], "s": [(1,)]}, partition={"s": 1})
+    b = make_instance({"r": [(3,)], "t": [(3, 4)]})
+    assert verify_duality(a, b, **FIX).passed
+    assert sums == [(a, b), (a, a)]  # A+B for every arrow into or out of it, then A+A
+    sums.clear()
+    f, g = projection(a, b, "left"), projection(a, b, "right")
+    assert verify_duality(a, b, f, g, **FIX).passed and sums == [(a, b), (a, b), (a, b), (a, a)]

@@ -15,7 +15,7 @@ from dbcat.core import (
 )
 from dbcat.interpret import interpret_term, interpretation
 from dbcat.powerview import instances_isomorphic, power_view
-from dbcat.queries import RelAtom, Var, eval_rule, eval_spjru, rule, rule_to_spjru
+from dbcat.queries import Builtin, Const, RelAtom, Rule, Var, eval_rule, eval_spjru, rule, rule_to_spjru
 from dbcat.schemas import EMPTY_SCHEMA, SAtom, Schema, fed, schema_identity, sep
 
 from oracles import brute_force_egd, brute_force_rule, brute_force_tgd, counted_qualified_names
@@ -259,3 +259,55 @@ def test_sums_equal_their_checked_rebuilds(a, b):
     for side, name_map in zip((a, b), maps[:2]):
         for old, new in name_map.items():
             assert ab.relation(new).tuples == side.relation(old).tuples
+
+
+PLAN_VALUES = [1, 2, "a"]
+
+
+@st.composite
+def plan_instances(draw):
+    """An instance of r/2, s/1 and the nullary z."""
+    pairs = st.tuples(st.sampled_from(PLAN_VALUES), st.sampled_from(PLAN_VALUES))
+    rels = {
+        "r": draw(st.sets(pairs, max_size=5)),
+        "s": draw(st.sets(st.tuples(st.sampled_from(PLAN_VALUES)), max_size=3)),
+        "z": draw(st.sampled_from([set(), {()}])),
+    }
+    return make_instance(rels, arities={"r": 2, "s": 1, "z": 0})
+
+
+@st.composite
+def plan_bodies(draw, names="XYZ"):
+    """A body over r, s and z: a relation atom first, then atoms that may hold
+    constants, a variable repeated within one atom, ``z()``, and ``=`` or
+    ``<=`` built-ins, which alone name the variable V."""
+    terms = st.sampled_from([*map(Var, names), Const(1), Const("a")])
+    body = [RelAtom("r", (Var(names[0]), draw(terms)))]
+    for kind in draw(st.lists(st.sampled_from(["r", "s", "z", "=", "<="]), min_size=1, max_size=3)):
+        if kind in ("=", "<="):
+            body.append(Builtin(kind, *draw(st.permutations([Var("V"), draw(terms)]))))
+        else:
+            body.append(RelAtom(kind, tuple(draw(terms) for _ in range({"r": 2, "s": 1, "z": 0}[kind]))))
+    return tuple(draw(st.permutations(body)))
+
+
+@st.composite
+def kept_plan_cases(draw):
+    body, left, right = draw(plan_bodies()), draw(plan_bodies("XY")), draw(plan_bodies("XW"))
+    head = tuple(Var(v) for v in _names(body) if v != "V")[:2]
+    universal = tuple(v for v in _names(left) if v != "V" and draw(st.booleans()))
+    pair = (_names(left)[0], _names(left)[-1])
+    return (head, body), (universal, left, right), pair, (draw(plan_instances()), draw(plan_instances()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(kept_plan_cases())
+def test_kept_plans_answer_over_any_instance(case):
+    (head, body), (universal, left, right), pair, instances = case
+    for order in (instances, instances[::-1]):
+        q, t, e = Rule("q", head, body), Tgd(universal, left, right), Egd(left, pair)  # fresh: nothing kept
+        for inst in order:
+            assert eval_rule(q, inst).tuples == brute_force_rule(q, inst)
+            assert check_tgd(t, inst) == brute_force_tgd(universal, left, right, inst)
+            assert check_egd(e, inst) == brute_force_egd(left, pair, inst)
+        assert {"_plan"} <= q.__dict__.keys() and {"_left", "_right"} <= t.__dict__.keys()

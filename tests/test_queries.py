@@ -9,6 +9,7 @@ from dbcat.core import disjoint_union, federate, make_instance
 from dbcat.queries import (
     BaseRel,
     ColEq,
+    Const,
     ConstEq,
     CrossComponentQuery,
     Join,
@@ -347,3 +348,63 @@ def test_valuation_domain_is_built_only_for_builtin_variables(monkeypatch):
     # a variable that only a built-in names ranges over the domain: built once
     assert eval_rule(rule("q", ["X", "V"], [("r", "X", 0), ("<=", "V", 0)]), inst).tuples == {(0, 0)}
     assert built == ["rule"]
+
+
+def test_each_record_plans_once(monkeypatch):
+    planned = []
+    real = queries.plan
+
+    def planning(body, bound=(), out=()):
+        planned.append(body)
+        return real(body, bound, out)
+
+    monkeypatch.setattr(queries, "plan", planning)
+    a = make_instance({"r": [(1, 2), (2, 3)], "s": [(1,), (2,)]})
+    b = make_instance({"r": [(2, 2), (3, 1)], "s": [(3,)]})
+    q = rule("q", ["X", "Z"], [("r", "X", "Y"), ("r", "Y", "Z")])
+    tgd = Tgd(("X",), (RelAtom("r", (X, Y)),), (RelAtom("s", (X,)),))
+    egd = Egd((RelAtom("r", (X, Y)), RelAtom("r", (X, Var("Z")))), ("Y", "Z"))
+    for record, run, plans in ((q, eval_rule, 1), (egd, check_egd, 1), (tgd, check_tgd, 2)):
+        planned.clear()
+        for inst in (a, b, a, b):
+            run(record, inst)
+        assert len(planned) == plans
+    assert [eval_rule(q, inst).tuples for inst in (a, b)] == [brute_force_rule(q, inst) for inst in (a, b)]
+    assert eval_rule(Rule(q.head_name, q.head_vars, q.body), a) == eval_rule(q, a) and len(planned) == 3
+
+
+def test_names_and_values_never_enter_a_kernel(monkeypatch):
+    sources = []
+    real = queries._kernel
+
+    def compiling(source):
+        sources.append(source)
+        return real(source)
+
+    queries._kernel.cache_clear()
+    monkeypatch.setattr(queries, "_kernel", compiling)
+    name, value = "r'); import os; ('", "it's\n\"here\""
+    inst = make_instance({name: [(1, value), (2, 3), (value, value)], "s": [(1,), (2,), (value,)]})
+    q = rule("q", ["X"], [(name, "X", value), ("s", "X")])
+    assert eval_rule(q, inst).tuples == brute_force_rule(q, inst) == {(1,), (value,)}
+    q = rule("q", ["X"], [(name, "X", "X"), ("<=", "X", value)])
+    assert eval_rule(q, inst).tuples == brute_force_rule(q, inst) == {(value,)}
+    tgd = Tgd(("X",), (RelAtom("s", (X,)),), (RelAtom(name, (X, Const(value))),))
+    assert check_tgd(tgd, inst) == brute_force_tgd(tgd.universal, tgd.left, tgd.right, inst) is False
+    egd = Egd((RelAtom(name, (X, Y)), RelAtom("s", (Y,))), ("X", "Y"))
+    assert check_egd(egd, inst) == brute_force_egd(egd.left, egd.pair, inst) is False
+    assert sources and not any(name in s or value in s or "it's" in s for s in sources)
+
+
+def test_bodies_deeper_than_the_nesting_limit_run_in_stages():
+    # each atom of a 25-atom chain opens a loop: more than one generated function can nest
+    n = 3
+    inst = make_instance({"r": [(i, (i + 1) % n) for i in range(n)], "s": [(i,) for i in range(n)]})
+    chain = [("r", f"X{i}", f"X{i + 1}") for i in range(25)]
+    q = rule("q", ["X0", "X25"], chain)
+    want = {(i, (i + 25) % n) for i in range(n)}
+    assert eval_rule(q, inst).tuples == eval_spjru(rule_to_spjru(q), inst).tuples == want
+    left = rule("q", [], chain).body
+    assert check_tgd(Tgd(("X0", "X25"), left, (RelAtom("s", (Var("X25"),)),)), inst)
+    assert check_tgd(Tgd(("X0", "X25"), left, (RelAtom("r", (Var("X0"), Var("X25"))),)), inst)  # 25 = 1 mod 3
+    assert not check_tgd(Tgd(("X0", "X25"), left, (RelAtom("r", (Var("X25"), Var("X0"))),)), inst)
