@@ -14,7 +14,6 @@ The value classes of the whole package derive from :class:`Record`.
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Collection, Iterable, Mapping, Sequence
 from functools import cache, cached_property
 from operator import attrgetter, itemgetter
@@ -289,7 +288,8 @@ class Instance(Record):
         :func:`index_tuples` builds it.  Built on first use and cached with
         the instance; it never takes part in equality or hashing.  A
         concurrent first use may build the same index twice, but only one
-        copy is kept."""
+        copy is kept.  Queries ask only for partial keys: a key that binds
+        every column is tested against the relation's own tuples."""
         key = (name, cols)
         idx = self._indexes.get(key)
         if idx is None:
@@ -320,10 +320,9 @@ def index_tuples(tuples: Collection[tuple], cols: Sequence[int]) -> dict:
     """Hash index of *tuples* on *cols*: key tuple -> the tuples with those values there."""
     if not cols:  # one list under (), when there is any tuple
         return {(): list(tuples)} if tuples else {}
-    idx, key = defaultdict(list), picker(cols)
+    idx, key = {}, picker(cols)
     for t in tuples:
-        idx[key(t)].append(t)
-    idx.default_factory = None
+        idx.setdefault(key(t), []).append(t)
     return idx
 
 
@@ -405,7 +404,9 @@ def disjoint_union_with_maps(a: Instance, b: Instance):
     becomes ``r#2`` after a bare ``r``.  The distinguished empty relation is
     dropped from both sides (it is implicit) unless nothing else remains.
     A summand holding nothing else is the unit: the sum is the other summand
-    as it is, with identity maps, so ``A + ⊥ == A == ⊥ + A``.
+    as it is, with identity maps, so ``A + ⊥ == A == ⊥ + A``.  Any other sum
+    keeps its two summands under ``_summands`` in its ``__dict__``, outside
+    ``==`` and hashing: its components are theirs.
     """
     bare = [inst._by_name.keys() <= {BOT} for inst in (a, b)]
     if any(bare):
@@ -426,7 +427,9 @@ def disjoint_union_with_maps(a: Instance, b: Instance):
         named.append((name, Relation._derived(name, r.arity, r.tuples, r.attributes), comp))
     named.sort(key=itemgetter(0))  # valid relations under distinct names: nothing to check again
     relations, partition = tuple(r for _, r, _ in named), tuple((name, comp) for name, _, comp in named)
-    return (Instance._derived(relations, partition), *name_maps, *comp_maps)
+    ab = Instance._derived(relations, partition)
+    ab.__dict__["_summands"] = (a, b)
+    return (ab, *name_maps, *comp_maps)
 
 
 def disjoint_union(a: Instance, b: Instance) -> Instance:

@@ -221,8 +221,8 @@ def _eval(t, inst: Instance):
                     raise QueryArityError("selection column out of range")
                 tuples = {x for x in tuples if x[c.col] == c.value}
         return tuples, arity, comp
-    if isinstance(t, Project):
-        tuples, arity, comp = _eval(t.child, inst)
+    if isinstance(t, Project):  # over a join, the joined pairs stream into the projection
+        tuples, arity, comp = (_join if isinstance(t.child, Join) else _eval)(t.child, inst)
         if any(not 0 <= c < arity for c in t.cols):
             raise QueryArityError("projection column out of range")
         return set(map(picker(t.cols), tuples)), len(t.cols), comp
@@ -232,17 +232,8 @@ def _eval(t, inst: Instance):
             raise QueryArityError("rename must be a permutation of the columns")
         return set(map(picker(t.perm), tuples)), arity, comp
     if isinstance(t, Join):
-        lt, la, lc = _eval(t.left, inst)
-        rt, ra, rc = _eval(t.right, inst)
-        _check_same_component(lc, rc)
-        if any(not (0 <= i < la and 0 <= j < ra) for i, j in t.pairs):
-            raise QueryArityError("join column out of range")
-        # hash join on the pairs, by the instance's index of a base relation; no pairs: a product
-        cols = tuple(j for _, j in t.pairs)
-        get = (inst.index(t.right.name, cols) if isinstance(t.right, BaseRel) else index_tuples(rt, cols)).get
-        key = picker([i for i, _ in t.pairs])
-        out = {x + y for x in lt for y in get(key(x), ())}
-        return out, la + ra, lc if lc is not None else rc
+        pairs, arity, comp = _join(t, inst)
+        return set(pairs), arity, comp
     if isinstance(t, Union):
         lt, la, lc = _eval(t.left, inst)
         rt, ra, rc = _eval(t.right, inst)
@@ -253,6 +244,21 @@ def _eval(t, inst: Instance):
     if isinstance(t, EmptyRel):
         return set(), 0, None
     raise QueryError(f"not a query term: {t!r}")
+
+
+def _join(t: Join, inst: Instance):
+    """Like :func:`_eval`, but the joined tuples come as a stream: a hash join
+    on the pairs, by the instance's index of a base relation; with no pairs,
+    a product."""
+    lt, la, lc = _eval(t.left, inst)
+    rt, ra, rc = _eval(t.right, inst)
+    _check_same_component(lc, rc)
+    if any(not (0 <= i < la and 0 <= j < ra) for i, j in t.pairs):
+        raise QueryArityError("join column out of range")
+    cols = tuple(j for _, j in t.pairs)
+    get = (inst.index(t.right.name, cols) if isinstance(t.right, BaseRel) else index_tuples(rt, cols)).get
+    key = picker([i for i, _ in t.pairs])
+    return (x + y for x in lt for y in get(key(x), ())), la + ra, lc if lc is not None else rc
 
 
 def _check_same_component(lc, rc):
@@ -310,7 +316,8 @@ def plan(body, bound=(), out=()) -> tuple:
     Relation atoms are ordered greedily, most bound positions (constants and
     bound variables) first.  Variables only built-ins mention come last, each
     probing the domain, the relation None.  Each probe is a (relation, key
-    columns).  The kernel, ``kernel(indexes, constants, rows)``, is one nest
+    columns), the columns None when the key binds every column: its key is
+    the row.  The kernel, ``kernel(indexes, constants, rows)``, is one nest
     of loops over the probes; an atom that binds nothing read later only
     tests its probe, and built-ins and repeats within one atom are tested
     once bound.  Its source holds slot numbers and tuple positions only.
@@ -372,7 +379,7 @@ def plan(body, bound=(), out=()) -> tuple:
                 if r not in slot and (uses[r] > 1 or r in out or name is None):
                     targets[pos] = slot[r] = len(slot)
             loop, k = targets.count("_") < len(refs), len(probes)
-            probes.append((name, tuple(keys)))
+            probes.append((name, None if len(keys) == len(refs) else tuple(keys)))
             line = f"for [{_seq(targets)}] in x{k}({key}, ()):" if loop else f"if {key} not in x{k}: continue"
             emit(line, width if loop else None)
             src.insert(top + 1, f"    x{k} = ix[{k}]{'.get' * loop}")  # in the function that probes it
@@ -391,10 +398,13 @@ def kept_plan(record: Record, key: str, body, bound=(), out=()) -> tuple:
 
 def bind(p: tuple, inst: Instance, domain):
     """``run(rows)``: the kernel of the plan *p* over the indexes *inst*
-    keeps; it calls *domain()* only if a variable ranges over it."""
+    keeps, and over a relation's own tuples where a key binds every column:
+    that probe is a semi-join.  It calls *domain()* only if a variable
+    ranges over it."""
     probes, values, kernel = p
     dom = {(): [(v,) for v in domain()]} if (None, ()) in probes else None
-    return partial(kernel, tuple(inst.index(*p) if p[0] is not None else dom for p in probes), values)
+    ix = (dom if n is None else inst.relation(n).tuples if c is None else inst.index(n, c) for n, c in probes)
+    return partial(kernel, tuple(ix), values)
 
 
 def _rule_domain(q: Rule, inst: Instance, comp) -> frozenset:

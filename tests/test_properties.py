@@ -14,7 +14,7 @@ from dbcat.core import (
     qualified_names,
 )
 from dbcat.interpret import interpret_term, interpretation
-from dbcat.powerview import instances_isomorphic, power_view
+from dbcat.powerview import closure_signature, instances_isomorphic, power_view
 from dbcat.queries import Builtin, Const, RelAtom, Rule, Var, eval_rule, eval_spjru, rule, rule_to_spjru
 from dbcat.schemas import EMPTY_SCHEMA, SAtom, Schema, fed, schema_identity, sep
 
@@ -225,17 +225,18 @@ def test_qualified_names_agree_with_counting_the_bases(names):
 
 @st.composite
 def summands(draw, depth=2):
-    """A leaf instance whose relation names may hold ``#``, the bottom
-    instance, or a sum or federation of two smaller summands."""
+    """A leaf instance whose relation names may hold ``#`` and which may hold
+    the nullary ``z``, the bottom instance, or a sum or federation of two
+    smaller summands."""
     kind = draw(st.sampled_from(["leaf", "bottom", "sum", "federation"] if depth else ["leaf", "bottom"]))
     if kind == "bottom":
         return bottom_instance()
     if kind != "leaf":
         join = disjoint_union if kind == "sum" else federate
         return join(draw(summands(depth - 1)), draw(summands(depth - 1)))
-    names = draw(st.lists(st.sampled_from(["r", "s", "r#1", "r#2", "r#10", "r#x"]), min_size=1, max_size=3, unique=True))
-    arities = {name: draw(st.integers(1, 2)) for name in names}
-    rels = {name: draw(st.sets(tuples1 if arities[name] == 1 else tuples2, max_size=2)) for name in names}
+    names = draw(st.lists(st.sampled_from(["r", "s", "r#1", "r#2", "r#10", "r#x", "z"]), min_size=1, max_size=3, unique=True))
+    arities = {name: 0 if name == "z" else draw(st.integers(1, 2)) for name in names}
+    rels = {name: draw(st.sets((st.just(()), tuples1, tuples2)[arities[name]], max_size=2)) for name in names}
     partition = {name: draw(st.integers(0, 2)) for name in names}
     return make_instance(rels, arities=arities, partition=partition)
 
@@ -259,6 +260,17 @@ def test_sums_equal_their_checked_rebuilds(a, b):
     for side, name_map in zip((a, b), maps[:2]):
         for old, new in name_map.items():
             assert ab.relation(new).tuples == side.relation(old).tuples
+
+
+@settings(max_examples=150, deadline=None)
+@given(summands(), summands(), summands())
+def test_a_sum_inherits_its_closure_signature_from_its_summands(a, b, c):
+    ab = disjoint_union(a, b)
+    for inst in (ab, disjoint_union(ab, c), disjoint_union(c, ab), federate(ab, c)):
+        assert closure_signature(inst) == closure_signature(Instance(inst.relations, inst.partition))
+    if ab is not a and ab is not b:  # a bare summand is the unit: the sum is the other summand itself
+        assert ab.__dict__["_summands"] == (a, b)
+    assert "_summands" not in federate(a, b).__dict__
 
 
 PLAN_VALUES = [1, 2, "a"]

@@ -280,9 +280,9 @@ def test_tgd_witness_search_builds_each_index_once(monkeypatch):
     assert builds == []  # nothing is built when the instance is made
     X, Y = Var("X"), Var("Y")
     assert check_tgd(Tgd(("X",), (RelAtom("r", (X, Y)),), (RelAtom("s", (X,)),)), inst)
-    assert builds.count(("s", (0,))) == 1
+    assert builds == [("r", ())]  # s(X) binds every column: a semi-join on s's own tuples
     assert check_tgd(Tgd(("X",), (RelAtom("r", (X, Y)),), (RelAtom("s", (X,)),)), inst)
-    assert builds.count(("s", (0,))) == 1  # cached on the instance
+    assert builds == [("r", ())]  # cached on the instance, and s is never indexed
 
 
 def test_rule_and_algebra_build_each_index_once(monkeypatch):
@@ -307,6 +307,63 @@ def test_rule_and_algebra_build_each_index_once(monkeypatch):
     assert builds.count(("r", (0,))) == 1
     assert eval_spjru(rule_to_spjru(q), inst).tuples == rows == brute_force_rule(q, inst)
     assert builds.count(("r", (0,))) == 1  # the join probes the instance's index
+
+
+def test_full_key_probes_read_the_relations_own_tuples(monkeypatch):
+    builds = []
+    real = core._build_index
+
+    def counting(relation, cols):
+        builds.append((relation.name, cols))
+        return real(relation, cols)
+
+    monkeypatch.setattr(core, "_build_index", counting)
+    X, Y, Z = Var("X"), Var("Y"), Var("Z")
+    r, t, u = (RelAtom(name, args) for name, args in (("r", (X, Y)), ("t", (Y, X)), ("u", ())))
+    rules = [
+        rule("q", ["X", "Y"], [("r", "X", "Y"), ("t", "Y", "X")]),  # the last atom is a semi-join
+        rule("q", ["Y"], [("r", 1, "Y"), ("t", "Y", 1)]),  # a key with a constant
+        rule("q", ["X", "Y"], [("r", "X", "Y"), ("u",)]),  # a nullary atom
+    ]
+    tgds = [
+        Tgd(("X", "Y"), (r,), (t,)),  # two columns, swapped
+        Tgd(("X",), (r,), (RelAtom("t", (X, Const(1))),)),
+        Tgd(("X",), (r,), (RelAtom("u", ()),)),
+    ]
+    egds = [Egd((r, RelAtom("r", (X, Z)), RelAtom("t", (Y, Z))), ("Y", "Z")), Egd((r, t, u), ("X", "Y"))]
+    rng = random.Random(2121)
+    for _ in range(60):
+        pairs = [(a, b) for a in range(1, 4) for b in range(1, 4)]
+        inst = make_instance(
+            {"r": rng.sample(pairs, rng.randint(0, 5)), "t": rng.sample(pairs, rng.randint(0, 6)), "u": rng.choice([[], [()]])},
+            arities={"r": 2, "t": 2, "u": 0},
+        )
+        for q in rules:
+            assert eval_rule(q, inst).tuples == brute_force_rule(q, inst)
+        for d in tgds:
+            assert check_tgd(d, inst) == brute_force_tgd(d.universal, d.left, d.right, inst)
+        for d in egds:
+            assert check_egd(d, inst) == brute_force_egd(d.left, d.pair, inst)
+    assert builds and {name for name, _ in builds} == {"r"}  # t and u are never indexed
+
+
+def test_a_projected_join_streams_what_the_rule_and_the_oracle_find():
+    rng = random.Random(2122)
+    for _ in range(200):
+        inst = random_instance(rng, max_tuples=6)
+        body = [
+            RelAtom(rel.name, tuple(Var(rng.choice("XYZW")) for _ in range(rel.arity)))
+            for rel in (rng.choice(inst.relations) for _ in range(rng.randint(2, 3)))
+        ]
+        names = sorted({v.name for a in body for v in a.variables()})
+        q = Rule("q", tuple(Var(v) for v in rng.sample(names, rng.randint(1, min(3, len(names))))), tuple(body))
+        term = rule_to_spjru(q)
+        if isinstance(term.child, Select):  # a repeat within one atom
+            continue
+        assert isinstance(term.child, Join)
+        joined = eval_spjru(term.child, inst).tuples  # the join as a set, then projected
+        want = {tuple(x[c] for c in term.cols) for x in joined}
+        assert eval_spjru(term, inst).tuples == eval_rule(q, inst).tuples == brute_force_rule(q, inst) == want
 
 
 X, Y = Var("X"), Var("Y")
