@@ -308,13 +308,15 @@ def closure_signature(inst: Instance) -> frozenset:
     equality and hashing."""
     sig = inst.__dict__.get("_closure_signature")
     if sig is None:
-        counts, summands = Counter(), inst.__dict__.get("_summands")
-        for s in summands or ():
-            counts.update(dict(closure_signature(s)))
-        for rels in () if summands else inst.components().values():
-            ts = frozenset().union(*(r.tuples for r in rels))
-            if ts:
-                counts[frozenset().union(*ts), () in ts] += 1
+        counts = Counter()
+        if "_summands" in inst.__dict__:
+            for s in inst.__dict__["_summands"]:
+                counts.update(dict(closure_signature(s)))
+        else:
+            for rels in inst.components().values():
+                ts = frozenset().union(*(r.tuples for r in rels))
+                if ts:
+                    counts[frozenset().union(*ts), () in ts] += 1
         sig = inst.__dict__.setdefault("_closure_signature", frozenset(counts.items()))
     return sig
 

@@ -1,9 +1,11 @@
 """SPJRU algebra terms and rule-based conjunctive queries over finite instances.
 
 Both evaluate under set semantics: terms by structural recursion, joins by
-hashing.  A rule or dependency keeps the :func:`plan` of each body it runs,
-made on first use: an atom order and a kernel, one generated nest of loops
-over instance hash indexes, compiled once per shape.  Its source holds slot
+hashing, a projection over a join by streaming the joined pairs.  A rule or
+dependency keeps the :func:`plan` of each body it runs, made on first use: an
+atom order and a kernel, one generated nest of loops over instance hash
+indexes of partial keys, compiled once per shape; a key that binds every
+column tests the relation's own tuples.  Its source holds slot
 numbers and tuple positions only; names and values reach it as arguments.
 :func:`bind` runs it over an instance.  :func:`rule_to_spjru` compiles a rule
 into an equivalent term.
