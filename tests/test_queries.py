@@ -331,9 +331,8 @@ def test_full_key_probes_read_the_relations_own_tuples(monkeypatch):
         Tgd(("X",), (r,), (RelAtom("u", ()),)),
     ]
     egds = [Egd((r, RelAtom("r", (X, Z)), RelAtom("t", (Y, Z))), ("Y", "Z")), Egd((r, t, u), ("X", "Y"))]
-    rng = random.Random(2121)
+    rng, pairs = random.Random(2121), [(a, b) for a in range(1, 4) for b in range(1, 4)]
     for _ in range(60):
-        pairs = [(a, b) for a in range(1, 4) for b in range(1, 4)]
         inst = make_instance(
             {"r": rng.sample(pairs, rng.randint(0, 5)), "t": rng.sample(pairs, rng.randint(0, 6)), "u": rng.choice([[], [()]])},
             arities={"r": 2, "t": 2, "u": 0},

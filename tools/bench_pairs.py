@@ -1,6 +1,6 @@
 """Alternating base/change pairs of the benchmark, summarised in BENCH_<issue>.json.
 
-    python3 tools/bench_pairs.py --issue 21 --base HEAD~1 \
+    python3 tools/bench_pairs.py --issue 7 --base HEAD~1 \
         --workloads joins closures cli --pairs 10 --seed 9101 --seconds 40 --trace 0
 
 Run it at the root of the repository.  The change is the commit ``HEAD``.
