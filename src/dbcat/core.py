@@ -404,9 +404,7 @@ def disjoint_union_with_maps(a: Instance, b: Instance):
     becomes ``r#2`` after a bare ``r``.  The distinguished empty relation is
     dropped from both sides (it is implicit) unless nothing else remains.
     A summand holding nothing else is the unit: the sum is the other summand
-    as it is, with identity maps, so ``A + ⊥ == A == ⊥ + A``.  Any other sum
-    keeps its two summands under ``_summands`` in its ``__dict__``, outside
-    ``==`` and hashing: its components are theirs.
+    as it is, with identity maps, so ``A + ⊥ == A == ⊥ + A``.
     """
     bare = [inst._by_name.keys() <= {BOT} for inst in (a, b)]
     if any(bare):
@@ -427,9 +425,7 @@ def disjoint_union_with_maps(a: Instance, b: Instance):
         named.append((name, Relation._derived(name, r.arity, r.tuples, r.attributes), comp))
     named.sort(key=itemgetter(0))  # valid relations under distinct names: nothing to check again
     relations, partition = tuple(r for _, r, _ in named), tuple((name, comp) for name, _, comp in named)
-    ab = Instance._derived(relations, partition)
-    ab.__dict__["_summands"] = (a, b)
-    return (ab, *name_maps, *comp_maps)
+    return (Instance._derived(relations, partition), *name_maps, *comp_maps)
 
 
 def disjoint_union(a: Instance, b: Instance) -> Instance:

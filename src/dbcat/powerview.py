@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter
 from operator import add, eq, itemgetter
 
 from .core import (
@@ -302,21 +301,16 @@ def closure_signature(inst: Instance) -> frozenset:
     ``{()}``), as a multiset: a frozenset of (pair, count) items.  No
     operator adds a value or a nullary tuple, so every closure of the
     component has the pair of its seeds, and at fixpoint the pair fixes the
-    closure (the closed form above).  A disjoint union's components are its
-    summands', so a sum that keeps its summands adds up their signatures.
-    Computed once per instance and kept, like a cached property, outside
-    equality and hashing."""
+    closure (the closed form above).  Computed once per instance and kept,
+    like a cached property, outside equality and hashing."""
     sig = inst.__dict__.get("_closure_signature")
     if sig is None:
-        counts = Counter()
-        if "_summands" in inst.__dict__:
-            for s in inst.__dict__["_summands"]:
-                counts.update(dict(closure_signature(s)))
-        else:
-            for rels in inst.components().values():
-                ts = frozenset().union(*(r.tuples for r in rels))
-                if ts:
-                    counts[frozenset().union(*ts), () in ts] += 1
+        counts: dict = {}
+        for rels in inst.components().values():
+            ts = frozenset().union(*(r.tuples for r in rels))
+            if ts:
+                pair = (frozenset().union(*ts), () in ts)
+                counts[pair] = counts.get(pair, 0) + 1
         sig = inst.__dict__.setdefault("_closure_signature", frozenset(counts.items()))
     return sig
 

@@ -23,7 +23,7 @@ def commit(repo, speed, message):
     )
 
 
-def test_pairs_of_a_two_commit_repository_are_summarised(tmp_path, monkeypatch):
+def test_pairs_of_a_two_commit_repository_are_summarised(tmp_path):
     repo = tmp_path / "repo"
     repo.mkdir()
     subprocess.run(["git", "init", "-q", str(repo)], check=True)
@@ -35,11 +35,11 @@ def test_pairs_of_a_two_commit_repository_are_summarised(tmp_path, monkeypatch):
     stub.write_text(STUB)
     (repo / "speed").write_text("9\n")  # the working tree is never measured
 
-    monkeypatch.chdir(repo)
-    argv = ["--issue", "7", "--workloads", "joins", "--pairs", "3", "--seed", "4", "--seconds", "1"]
-    assert bench_pairs.main(argv + ["--runner", f"sh {stub}"]) == 0
+    extra = ["--seconds", "1", "--trace", "0"]
+    path = bench_pairs.bench_pairs(repo, "7", "HEAD~1", ["joins"], 3, 4, extra, ["sh", str(stub)])
 
-    got = json.loads((repo / "BENCH_7.json").read_text())
+    assert path == repo / "BENCH_7.json"
+    got = json.loads(path.read_text())
     assert set(got) == {"issue", "revisions", "seeds", "order", "workloads"}
     assert got["issue"] == "7" and got["seeds"] == [4, 5, 6]
     heads = subprocess.run(["git", "-C", str(repo), "rev-parse", "HEAD~1", "HEAD"], capture_output=True, text=True)

@@ -14,7 +14,7 @@ from dbcat.core import (
     qualified_names,
 )
 from dbcat.interpret import interpret_term, interpretation
-from dbcat.powerview import closure_signature, instances_isomorphic, power_view
+from dbcat.powerview import instances_isomorphic, power_view
 from dbcat.queries import Builtin, Const, RelAtom, Rule, Var, eval_rule, eval_spjru, rule, rule_to_spjru
 from dbcat.schemas import EMPTY_SCHEMA, SAtom, Schema, fed, schema_identity, sep
 
@@ -260,17 +260,6 @@ def test_sums_equal_their_checked_rebuilds(a, b):
     for side, name_map in zip((a, b), maps[:2]):
         for old, new in name_map.items():
             assert ab.relation(new).tuples == side.relation(old).tuples
-
-
-@settings(max_examples=150, deadline=None)
-@given(summands(), summands(), summands())
-def test_a_sum_inherits_its_closure_signature_from_its_summands(a, b, c):
-    ab = disjoint_union(a, b)
-    for inst in (ab, disjoint_union(ab, c), disjoint_union(c, ab), federate(ab, c)):
-        assert closure_signature(inst) == closure_signature(Instance(inst.relations, inst.partition))
-    if ab is not a and ab is not b:  # a bare summand is the unit: the sum is the other summand itself
-        assert ab.__dict__["_summands"] == (a, b)
-    assert "_summands" not in federate(a, b).__dict__
 
 
 PLAN_VALUES = [1, 2, "a"]

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import shlex
 import statistics
 import subprocess
 import sys
@@ -115,10 +114,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair; pair i uses seed + i")
     parser.add_argument("--seconds", type=int, default=40)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--runner", default="python3", help="command that runs perfbench/run.py")
     args = parser.parse_args(argv)
     extra = ["--seconds", str(args.seconds), "--trace", str(args.trace)]
-    path = bench_pairs(".", args.issue, args.base, args.workloads, args.pairs, args.seed, extra, shlex.split(args.runner))
+    path = bench_pairs(".", args.issue, args.base, args.workloads, args.pairs, args.seed, extra, ["python3"])
     print(path)
     return 0
 
