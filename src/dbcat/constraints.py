@@ -99,14 +99,13 @@ def _violations(d: Tgd | Egd, inst: Instance):
     less those a semi-join with the right side witnesses; a right-side
     variable only a built-in binds ranges over the left side's domain, the
     right side's constants and the sentinels.  For an EGD: the satisfying
-    assignments, over its variables by name, equating two distinct values."""
+    assignments, over its variables by name, equating two distinct values;
+    its kernel tests the pair."""
     domain = partial(_constraint_domain, d.left, inst, with_sentinels=False)
     if isinstance(d, Egd):
         atom_components(d.left, inst)
         names = sorted(_vars_of(d.left))
-        a, b = map(names.index, d.pair)
-        rows = bind(kept_plan(d, "_plan", d.left, (), names), inst, domain)([()])
-        return names, (row for row in rows if row[a] != row[b])
+        return names, bind(kept_plan(d, "_plan", d.left, (), names, d.pair), inst, domain)([()])
     atom_components(d.left + d.right, inst)
     right_domain = partial(_constraint_domain, d.left + d.right, inst, with_sentinels=True)
     universals = set(bind(kept_plan(d, "_left", d.left, (), d.universal), inst, domain)([()]))

@@ -308,21 +308,30 @@ class Instance(Record):
 
 
 def picker(cols: Sequence[int]):
-    """C-level kernel taking a tuple to the tuple of its values at *cols*: an
-    itemgetter, over a slice for adjacent columns so that one column gives a tuple."""
+    """C-level projection and rename kernel taking a tuple to the tuple of its values
+    at *cols*: an itemgetter, over a slice for adjacent columns so that one column gives a 1-tuple."""
     start = cols[0] if cols else 0
     if len(cols) < 2 or tuple(cols) == tuple(range(start, start + len(cols))):
         return itemgetter(slice(start, start + len(cols)))
     return itemgetter(*cols)
 
 
+def key_getter(cols: Sequence[int]):
+    """A tuple's key in an index on *cols*: the bare value on one column, a tuple on several, () on none."""
+    return itemgetter(*cols) if cols else itemgetter(slice(0, 0))
+
+
 def index_tuples(tuples: Collection[tuple], cols: Sequence[int]) -> dict:
-    """Hash index of *tuples* on *cols*: key tuple -> the tuples with those values there."""
-    if not cols:  # one list under (), when there is any tuple
-        return {(): list(tuples)} if tuples else {}
-    idx, key = {}, picker(cols)
-    for t in tuples:
-        idx.setdefault(key(t), []).append(t)
+    """Hash index of *tuples* on *cols*: :func:`key_getter` key -> the tuples with those values there,
+    a 1-tuple while every key is unique (built in C), else a list; under () *tuples* themselves."""
+    if not cols:
+        return {(): tuples} if tuples else {}
+    key = key_getter(cols)
+    idx = dict(zip(map(key, tuples), zip(tuples)))
+    if len(idx) < len(tuples):  # some key repeats
+        idx = {}
+        for t in tuples:
+            idx.setdefault(key(t), []).append(t)
     return idx
 
 

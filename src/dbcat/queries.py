@@ -4,8 +4,9 @@ Both evaluate under set semantics: terms by structural recursion, joins by
 hashing, a projection over a join by streaming the joined pairs.  A rule or
 dependency keeps the :func:`plan` of each body it runs, made on first use: an
 atom order and a kernel, one generated nest of loops over instance hash
-indexes of partial keys, compiled once per shape; a key that binds every
-column tests the relation's own tuples.  Its source holds slot
+indexes of partial keys, compiled once per shape; a partial key on one column
+is the bare value, and a key that binds every column tests the relation's
+own tuples.  An EGD's kernel tests its pair itself.  Its source holds slot
 numbers and tuple positions only; names and values reach it as arguments.
 :func:`bind` runs it over an instance.  :func:`rule_to_spjru` compiles a rule
 into an equivalent term.
@@ -15,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache, partial
 
-from .core import DbcatError, Instance, Record, Relation, Value, column_names, index_tuples, picker, value_key
+from .core import DbcatError, Instance, Record, Relation, Value, column_names, index_tuples, key_getter, picker, value_key
 
 
 class QueryError(DbcatError):
@@ -259,7 +260,7 @@ def _join(t: Join, inst: Instance):
         raise QueryArityError("join column out of range")
     cols = tuple(j for _, j in t.pairs)
     get = (inst.index(t.right.name, cols) if isinstance(t.right, BaseRel) else index_tuples(rt, cols)).get
-    key = picker([i for i, _ in t.pairs])
+    key = key_getter([i for i, _ in t.pairs])
     return (x + y for x in lt for y in get(key(x), ())), la + ra, lc if lc is not None else rc
 
 
@@ -310,21 +311,23 @@ def _kernel(source: str):
     return scope["k0"]
 
 
-def plan(body, bound=(), out=()) -> tuple:
+def plan(body, bound=(), out=(), unequal=()) -> tuple:
     """``(probes, constants, kernel)``: *body* compiled for rows of values of
     the variables named in *bound*, to stream the values of those named in
-    *out* for every extension satisfying all atoms, possibly more than once.
+    *out* for every extension satisfying all atoms, possibly more than once;
+    with the two names *unequal*, only extensions giving them distinct values.
 
     Relation atoms are ordered greedily, most bound positions (constants and
     bound variables) first.  Variables only built-ins mention come last, each
     probing the domain, the relation None.  Each probe is a (relation, key
     columns), the columns None when the key binds every column: its key is
-    the row.  The kernel, ``kernel(indexes, constants, rows)``, is one nest
-    of loops over the probes; an atom that binds nothing read later only
-    tests its probe, and built-ins and repeats within one atom are tested
+    the row.  A partial key on one column is the bare value.  The kernel,
+    ``kernel(indexes, constants, rows)``, is one nest of loops over the
+    probes; an atom that binds nothing read later only tests its probe, and
+    built-ins, repeats within one atom and the *unequal* pair are tested
     once bound.  Its source holds slot numbers and tuple positions only.
     """
-    slot, pending, waiting = dict(zip(bound, range(len(bound)))), [], []
+    slot, pending, waiting = dict(zip(bound, range(len(bound)))), [], [("!=", unequal)] if unequal else []
     for a in body:  # a variable is keyed by its name, a constant by its value in a 1-tuple
         rel = isinstance(a, RelAtom)
         refs = [t.name if isinstance(t, Var) else (t.value,) for t in _terms(a)]
@@ -376,7 +379,8 @@ def plan(body, bound=(), out=()) -> tuple:
     for name, refs, checks in order:
         if refs or name:  # a nullary atom tests that its relation holds ()
             keys, targets = [pos for pos, r in enumerate(refs) if r in slot], ["_"] * len(refs)
-            key, width = tup([slot[refs[pos]] for pos in keys]), len(slot)
+            key_slots, width = [slot[refs[pos]] for pos in keys], len(slot)
+            key = f"s{key_slots[0]}" if len(keys) == 1 < len(refs) else tup(key_slots)  # one column of several: the value
             for pos, r in enumerate(refs):
                 if r not in slot and (uses[r] > 1 or r in out or name is None):
                     targets[pos] = slot[r] = len(slot)
@@ -386,16 +390,16 @@ def plan(body, bound=(), out=()) -> tuple:
             emit(line, width if loop else None)
             src.insert(top + 1, f"    x{k} = ix[{k}]{'.get' * loop}")  # in the function that probes it
         for op, (a, b) in checks:
-            test = "s{} != s{}" if op == "=" else "vk(s{}) > vk(s{})"
+            test = {"=": "s{} != s{}", "<=": "vk(s{}) > vk(s{})", "!=": "s{} == s{}"}[op]
             emit(f"if {test.format(slot[a], slot[b])}: continue")
     emit(f"yield {tup([slot[v] for v in out])}")
     return tuple(probes), values, _kernel("\n".join(src))
 
 
-def kept_plan(record: Record, key: str, body, bound=(), out=()) -> tuple:
-    """The :func:`plan` *record* keeps under *key* in its ``__dict__``, outside
-    ``==`` and hashing, made on first use."""
-    return record.__dict__.get(key) or record.__dict__.setdefault(key, plan(body, bound, out))
+def kept_plan(record: Record, key: str, *args) -> tuple:
+    """The :func:`plan` of *args* that *record* keeps under *key* in its
+    ``__dict__``, outside ``==`` and hashing, made on first use."""
+    return record.__dict__.get(key) or record.__dict__.setdefault(key, plan(*args))
 
 
 def bind(p: tuple, inst: Instance, domain):

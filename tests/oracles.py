@@ -76,7 +76,9 @@ def brute_force_rule(q: Rule, inst: Instance) -> frozenset:
     return frozenset(out)
 
 
-def brute_force_tgd(universal, left, right, inst: Instance) -> bool:
+def _unwitnessed(universal, left, right, inst: Instance):
+    """Each universal tuple of a satisfying left assignment that no right
+    assignment witnesses, once per such assignment."""
     left_domain = sorted(
         {v for r in inst.relations for t in r.tuples for v in t}
         | _rule_constants(left),
@@ -101,11 +103,12 @@ def brute_force_tgd(universal, left, right, inst: Instance) -> bool:
                 witnessed = True
                 break
         if not witnessed:
-            return False
-    return True
+            yield tuple(env[u] for u in universal)
 
 
-def brute_force_egd(left, pair, inst: Instance) -> bool:
+def _equating_distinct(left, pair, inst: Instance):
+    """Each satisfying left assignment giving the pair distinct values, as a
+    tuple over the variables sorted by name."""
     domain = sorted(
         {v for r in inst.relations for t in r.tuples for v in t} | _rule_constants(left),
         key=value_key,
@@ -115,8 +118,28 @@ def brute_force_egd(left, pair, inst: Instance) -> bool:
         env = dict(zip(variables, combo))
         if all(_atom_holds(a, env, inst) for a in left):
             if env[pair[0]] != env[pair[1]]:
-                return False
-    return True
+                yield tuple(env[v] for v in sorted(variables))
+
+
+def brute_force_tgd(universal, left, right, inst: Instance) -> bool:
+    return next(_unwitnessed(universal, left, right, inst), None) is None
+
+
+def brute_force_egd(left, pair, inst: Instance) -> bool:
+    return next(_equating_distinct(left, pair, inst), None) is None
+
+
+def least_tgd_violation(universal, left, right, inst: Instance):
+    """The unwitnessed universal assignment least by ``tuple_key``, or None."""
+    row = min(_unwitnessed(universal, left, right, inst), key=tuple_key, default=None)
+    return None if row is None else dict(zip(universal, row))
+
+
+def least_egd_violation(left, pair, inst: Instance):
+    """The assignment equating two distinct values that is least by
+    ``tuple_key`` over the variables sorted by name, or None."""
+    row = min(_equating_distinct(left, pair, inst), key=tuple_key, default=None)
+    return None if row is None else dict(zip(sorted(_all_variables(left)), row))
 
 
 def counted_qualified_names(names) -> list:

@@ -1,15 +1,18 @@
 """Property tests for the algebraic laws, driven by hypothesis."""
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
-from dbcat.constraints import Egd, Tgd, check_egd, check_tgd
+from dbcat.constraints import Egd, Tgd, check_egd, check_tgd, find_egd_violation, find_tgd_violation
 from dbcat.core import (
+    SENTINEL_A,
+    SENTINEL_B,
     Instance,
     Relation,
     bottom_instance,
     disjoint_union,
     disjoint_union_with_maps,
     federate,
+    index_tuples,
     make_instance,
     qualified_names,
 )
@@ -18,7 +21,14 @@ from dbcat.powerview import instances_isomorphic, power_view
 from dbcat.queries import Builtin, Const, RelAtom, Rule, Var, eval_rule, eval_spjru, rule, rule_to_spjru
 from dbcat.schemas import EMPTY_SCHEMA, SAtom, Schema, fed, schema_identity, sep
 
-from oracles import brute_force_egd, brute_force_rule, brute_force_tgd, counted_qualified_names
+from oracles import (
+    brute_force_egd,
+    brute_force_rule,
+    brute_force_tgd,
+    counted_qualified_names,
+    least_egd_violation,
+    least_tgd_violation,
+)
 
 values = st.sampled_from([1, 2, 3])
 tuples1 = st.tuples(values)
@@ -312,3 +322,72 @@ def test_kept_plans_answer_over_any_instance(case):
             assert check_tgd(t, inst) == brute_force_tgd(universal, left, right, inst)
             assert check_egd(e, inst) == brute_force_egd(left, pair, inst)
         assert {"_plan"} <= q.__dict__.keys() and {"_left", "_right"} <= t.__dict__.keys()
+
+
+MIXED_VALUES = [1, "1", 2, "a", SENTINEL_A, SENTINEL_B]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.frozensets(st.tuples(*[st.sampled_from(MIXED_VALUES)] * 3), max_size=8),
+    st.lists(st.integers(0, 2), max_size=3, unique=True),
+)
+@example(frozenset({(1, "a", 2), ("1", "a", 2), (SENTINEL_A, 2, 2)}), [0])  # unique keys, 1 beside "1"
+@example(frozenset({(1, "a", 2), (1, "1", 2), (SENTINEL_A, 2, 2)}), [0])  # a repeated key
+@example(frozenset({(1, "a", 2), (1, "a", 1), ("1", "a", 2)}), [2, 0])  # several columns, repeated
+def test_index_tuples_groups_like_a_naive_grouping(tuples, cols):
+    naive = {}
+    for t in tuples:
+        key = tuple(t[c] for c in cols)
+        naive.setdefault(key[0] if len(cols) == 1 else key, []).append(t)
+    idx = index_tuples(tuples, cols)
+    assert {k: sorted(map(repr, v)) for k, v in idx.items()} == {k: sorted(map(repr, v)) for k, v in naive.items()}
+    if not cols and tuples:
+        assert idx[()] is tuples  # the empty key holds the tuple set itself
+
+
+@st.composite
+def repeating_instances(draw):
+    """r/2 and s/1 over mixed values, where some value repeats in each column of r."""
+    values = st.sampled_from(MIXED_VALUES)
+    r = draw(st.sets(st.tuples(values, values), min_size=1, max_size=5))
+    a, b = draw(st.sampled_from(sorted(r, key=repr)))
+    c = draw(values.filter(lambda v: v not in (a, b)))
+    r |= {(a, c), (c, b)}
+    s = draw(st.sets(st.tuples(values), max_size=3))
+    return make_instance({"r": r, "s": s}, arities={"s": 1})
+
+
+X, Y, Z = Var("X"), Var("Y"), Var("Z")
+RXY, RYZ, RXZ, RZY, RXX = (RelAtom("r", args) for args in ((X, Y), (Y, Z), (X, Z), (Z, Y), (X, X)))
+SY = RelAtom("s", (Y,))
+REPEAT_RULES = [
+    Rule("q", (X, Z), (RXY, RYZ)),  # probes r on column 0
+    Rule("q", (X, Z), (RXY, RZY)),  # probes r on column 1
+    Rule("q", (X, Y), (RXY, RXZ, SY)),
+]
+REPEAT_TGDS = [
+    Tgd(("Y",), (RXY,), (RYZ,)),  # a witness probed on column 0
+    Tgd(("X", "Y"), (RXY,), (RZY, RelAtom("s", (Z,)))),
+    Tgd(("X",), (RXY, RYZ), (SY,)),
+]
+REPEAT_EGDS = [
+    Egd((RXY, RXZ), ("Y", "Z")),  # the key EGD: fails where column 0 repeats
+    Egd((RXY, RZY), ("X", "Z")),
+    Egd((RXX, RXY), ("X", "Y")),  # the equated X repeats within one atom
+    Egd((RXY, RXZ), ("X", "X")),  # equates a variable with itself: never fails
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(repeating_instances())
+def test_the_engine_agrees_with_the_oracles_where_probed_columns_repeat(inst):
+    for q in REPEAT_RULES:
+        assert eval_rule(q, inst).tuples == brute_force_rule(q, inst) == eval_spjru(rule_to_spjru(q), inst).tuples
+    for t in REPEAT_TGDS:
+        assert check_tgd(t, inst) == brute_force_tgd(t.universal, t.left, t.right, inst)
+        assert find_tgd_violation(t, inst) == least_tgd_violation(t.universal, t.left, t.right, inst)
+    for e in REPEAT_EGDS:
+        assert check_egd(e, inst) == brute_force_egd(e.left, e.pair, inst)
+        assert find_egd_violation(e, inst) == least_egd_violation(e.left, e.pair, inst)
+    assert check_egd(REPEAT_EGDS[-1], inst) and find_egd_violation(REPEAT_EGDS[-1], inst) is None

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -410,9 +411,9 @@ def test_each_record_plans_once(monkeypatch):
     planned = []
     real = queries.plan
 
-    def planning(body, bound=(), out=()):
+    def planning(body, bound=(), out=(), unequal=()):
         planned.append(body)
-        return real(body, bound, out)
+        return real(body, bound, out, unequal)
 
     monkeypatch.setattr(queries, "plan", planning)
     a = make_instance({"r": [(1, 2), (2, 3)], "s": [(1,), (2,)]})
@@ -450,6 +451,9 @@ def test_names_and_values_never_enter_a_kernel(monkeypatch):
     egd = Egd((RelAtom(name, (X, Y)), RelAtom("s", (Y,))), ("X", "Y"))
     assert check_egd(egd, inst) == brute_force_egd(egd.left, egd.pair, inst) is False
     assert sources and not any(name in s or value in s or "it's" in s for s in sources)
+    # the first rule probes its first atom on one column: the key is the bare slot
+    assert re.search(r"for \[s1, _, \] in x0\(s0, \(\)\):", sources[0])
+    assert re.search(r"^ +if s\d+ == s\d+: continue$", sources[-1], re.M)  # the EGD's kernel tests its pair
 
 
 def test_bodies_deeper_than_the_nesting_limit_run_in_stages():
