@@ -23,6 +23,7 @@ from .core import (
     Instance,
     Record,
     SetKey,
+    disjoint_union,
     disjoint_union_with_maps,
     format_closure,
     format_extension,
@@ -536,6 +537,6 @@ def verify_duality(
     summed = tuple(sorted(va.canonical() + vb.canonical())) == vab.canonical()
     checks.append(("views-of-coproduct", summed, "views(A+B) = views(A) (+) views(B)"))
     if not is_empty_isomorphic(a):
-        replica = instances_isomorphic(a, disjoint_union_with_maps(a, a)[0], depth, max_arity, cap)
+        replica = instances_isomorphic(a, disjoint_union(a, a), depth, max_arity, cap)
         checks.append(("replication-not-isomorphic", not replica, "A+A is a genuine replication of nonempty A"))
     return DualityReport(tuple(checks), SET_COUNTEREXAMPLE_NOTE)

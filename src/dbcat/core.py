@@ -14,8 +14,9 @@ The value classes of the whole package derive from :class:`Record`.
 """
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Collection, Iterable, Mapping, Sequence
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from operator import attrgetter, itemgetter
 
 
@@ -397,10 +398,54 @@ def qualified_names(names: Sequence[str]) -> list:
 
 
 def _leaf_key(entry: tuple) -> tuple:
-    """Leaf order of (relation, component) entries within one summand: by base,
+    """Leaf order of (name, component) entries within one summand: by base,
     the bare name first, then by numeric suffix, then any other suffix."""
-    base, _, k = entry[0].name.partition("#")
+    base, _, k = entry[0].partition("#")
     return (base, bool(k), not k.isdecimal(), int(k) if k.isdecimal() else 0, k)
+
+
+@lru_cache(maxsize=1024)
+def _sum_layout(pa: tuple, pb: tuple) -> tuple:
+    """The layout of the sums of summands partitioned as *pa* and *pb*, worked out
+    once per shape: each relation's (new name, side, old name, new component) in
+    name order, the sum's partition separated and federated, and the name and
+    component maps, which every sum of the shape shares."""
+    comp_maps, leaves, taken = [], [], 1
+    for part in (pa, pb):
+        comp_maps.append({c: k for k, c in enumerate(sorted({c for _, c in part}), taken)})
+        taken += len(comp_maps[-1])
+        # a partition is in name order: leaf order, unless a name holds '#'
+        leaves.append(sorted(part, key=_leaf_key) if "#" in "".join(n for n, _ in part) else part)
+    rels = [(side, old, comp_maps[side][c]) for side in (0, 1) for old, c in leaves[side] if old != BOT]
+    named = [(name, *rel) for rel, name in zip(rels, qualified_names([old for _, old, _ in rels]))]
+    name_maps = ({old: name for name, s, old, _ in named if s == side} for side in (0, 1))
+    slots = tuple(sorted(named))
+    partitions = tuple(zip(*[((name, comp), (name, 0)) for name, _, _, comp in slots]))
+    return (slots, partitions, *name_maps, *comp_maps)
+
+
+def _sum(a: Instance, b: Instance, federated: bool) -> tuple:
+    """The one sum builder, :func:`disjoint_union_with_maps`; *federated* puts every relation in component 0."""
+    bare = [inst._by_name.keys() <= {BOT} for inst in (a, b)]
+    if any(bare):
+        names = ({n: n for n in inst.names if n != BOT} for inst in (a, b))
+        comps = ({c: c for _, c in inst.partition} for inst in (a, b))
+        inst = b if bare[0] else a
+        inst = Instance._derived(inst.relations, tuple((n, 0) for n in inst.names)) if federated else inst
+        return (inst, *names, *comps)
+    slots, partitions, *maps = _sum_layout(a.partition, b.partition)
+    partition, sides, by_name = partitions[federated], (a._by_name, b._by_name), {}
+    for (name, side, old, _), (_, comp) in zip(slots, partition):
+        r = sides[side][old][0]  # valid relations under distinct names: nothing to check again
+        by_name[name] = (r if name == old else Relation._derived(name, r.arity, r.tuples, r.attributes), comp)
+    inst = Instance._derived(tuple(r for r, _ in by_name.values()), partition)
+    inst.__dict__["_by_name"] = by_name
+    sigs = [x.__dict__.get("_closure_signature") for x in (a, b)]
+    if not federated and None not in sigs:  # the sum's components are its summands'
+        counts = dict(sigs[0])
+        counts.update((pair, counts.get(pair, 0) + n) for pair, n in sigs[1])
+        inst.__dict__["_closure_signature"] = frozenset(counts.items())
+    return (inst, *maps)
 
 
 def disjoint_union_with_maps(a: Instance, b: Instance):
@@ -414,27 +459,10 @@ def disjoint_union_with_maps(a: Instance, b: Instance):
     dropped from both sides (it is implicit) unless nothing else remains.
     A summand holding nothing else is the unit: the sum is the other summand
     as it is, with identity maps, so ``A + ⊥ == A == ⊥ + A``.
+    Otherwise the sums of one shape share the maps, which callers only read; a sum is
+    born with its name lookup and, when both summands hold one, its :func:`closure_signature`.
     """
-    bare = [inst._by_name.keys() <= {BOT} for inst in (a, b)]
-    if any(bare):
-        names = ({n: n for n in inst.names if n != BOT} for inst in (a, b))
-        comps = ({c: c for _, c in inst.partition} for inst in (a, b))
-        return (b if bare[0] else a, *names, *comps)
-    comp_maps, leaves, taken = [], [], 1
-    for inst in (a, b):
-        comps = sorted({c for _, c in inst.partition})
-        comp_maps.append(dict(zip(comps, range(taken, taken + len(comps)))))
-        taken += len(comps)
-        entries = inst._by_name.values()  # in name order: leaf order, unless a name holds '#'
-        leaves.append(sorted(entries, key=_leaf_key) if "#" in "".join(inst._by_name) else entries)
-    rels = [(side, r, comp_maps[side][c]) for side in (0, 1) for r, c in leaves[side] if r.name != BOT]
-    name_maps, named = ({}, {}), []
-    for (side, r, comp), name in zip(rels, qualified_names([r.name for _, r, _ in rels])):
-        name_maps[side][r.name] = name
-        named.append((name, Relation._derived(name, r.arity, r.tuples, r.attributes), comp))
-    named.sort(key=itemgetter(0))  # valid relations under distinct names: nothing to check again
-    relations, partition = tuple(r for _, r, _ in named), tuple((name, comp) for name, _, comp in named)
-    return (Instance._derived(relations, partition), *name_maps, *comp_maps)
+    return _sum(a, b, False)
 
 
 def disjoint_union(a: Instance, b: Instance) -> Instance:
@@ -446,5 +474,19 @@ def federate(a: Instance, b: Instance) -> Instance:
     """Single-component union of two instances (one shared query engine): the
     disjoint union with every relation in component 0, so queries may span
     both inputs."""
-    ab = disjoint_union_with_maps(a, b)[0]
-    return Instance._derived(ab.relations, tuple((name, 0) for name, _ in ab.partition))
+    return _sum(a, b, True)[0]
+
+
+def closure_signature(inst: Instance) -> frozenset:
+    """Per component with a nonempty relation, the pair (active domain, holds
+    ``{()}``), as a multiset: a frozenset of (pair, count) items.  No
+    operator adds a value or a nullary tuple, so every closure of the
+    component has the pair of its seeds, and at fixpoint the pair fixes the
+    closure (see :mod:`dbcat.powerview`).  Computed once per instance, or
+    with a sum, and kept like a cached property, outside equality and hashing."""
+    sig = inst.__dict__.get("_closure_signature")
+    if sig is None:
+        seeds = (frozenset().union(*(r.tuples for r in rels)) for rels in inst.components().values())
+        counts = Counter((frozenset().union(*ts), () in ts) for ts in seeds if ts)
+        sig = inst.__dict__.setdefault("_closure_signature", frozenset(counts.items()))
+    return sig

@@ -33,6 +33,7 @@ from .core import (
     Relation,
     SetKey,
     bottom_instance,
+    closure_signature,
     ext_key,
     federate,
     format_closure,
@@ -294,25 +295,6 @@ def power_view_cached(inst, depth, max_arity, cap=DEFAULT_CAP) -> ViewSet:
             _PV_CACHE.clear()
         hit = _PV_CACHE[key] = power_view(inst, depth, max_arity, cap)
     return hit
-
-
-def closure_signature(inst: Instance) -> frozenset:
-    """Per component with a nonempty relation, the pair (active domain, holds
-    ``{()}``), as a multiset: a frozenset of (pair, count) items.  No
-    operator adds a value or a nullary tuple, so every closure of the
-    component has the pair of its seeds, and at fixpoint the pair fixes the
-    closure (the closed form above).  Computed once per instance and kept,
-    like a cached property, outside equality and hashing."""
-    sig = inst.__dict__.get("_closure_signature")
-    if sig is None:
-        counts: dict = {}
-        for rels in inst.components().values():
-            ts = frozenset().union(*(r.tuples for r in rels))
-            if ts:
-                pair = (frozenset().union(*ts), () in ts)
-                counts[pair] = counts.get(pair, 0) + 1
-        sig = inst.__dict__.setdefault("_closure_signature", frozenset(counts.items()))
-    return sig
 
 
 def instances_isomorphic(

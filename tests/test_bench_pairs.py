@@ -1,4 +1,6 @@
 import json
+import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -40,7 +42,8 @@ def test_pairs_of_a_two_commit_repository_are_summarised(tmp_path):
 
     assert path == repo / "BENCH_7.json"
     got = json.loads(path.read_text())
-    assert set(got) == {"issue", "revisions", "seeds", "order", "workloads"}
+    assert set(got) == {"issue", "revisions", "seeds", "order", "host", "workloads"}
+    assert got["host"] == {"python": platform.python_version(), "platform": platform.platform(), "cpus": os.cpu_count()}
     assert got["issue"] == "7" and got["seeds"] == [4, 5, 6]
     heads = subprocess.run(["git", "-C", str(repo), "rev-parse", "HEAD~1", "HEAD"], capture_output=True, text=True)
     assert [got["revisions"][side]["commit"] for side in ("base", "change")] == heads.stdout.split()

@@ -639,13 +639,13 @@ def test_randomized_category_laws():
 
 def test_duality_builds_each_sum_once(monkeypatch):
     sums = []
-    real = category.disjoint_union_with_maps
+    real = core._sum
 
-    def summing(a, b):
+    def summing(a, b, federated):
         sums.append((a, b))
-        return real(a, b)
+        return real(a, b, federated)
 
-    monkeypatch.setattr(category, "disjoint_union_with_maps", summing)
+    monkeypatch.setattr(core, "_sum", summing)  # the one sum builder, under every sum
     a = make_instance({"r": [(1, 2), (2, 1)], "s": [(1,)]}, partition={"s": 1})
     b = make_instance({"r": [(3,)], "t": [(3, 4)]})
     assert verify_duality(a, b, **FIX).passed

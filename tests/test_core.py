@@ -1,10 +1,14 @@
 import dataclasses
+import gc
 import itertools
+import weakref
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
+from dbcat import core
+from dbcat.category import coproduct_morphism, identity, injection, mediating, pairing, projection, verify_duality
 from dbcat.core import (
     BOT,
     SENTINEL_A,
@@ -16,6 +20,7 @@ from dbcat.core import (
     SetKey,
     active_domain,
     bottom_instance,
+    closure_signature,
     disjoint_union,
     disjoint_union_with_maps,
     federate,
@@ -174,6 +179,71 @@ def test_sums_accept_names_with_any_suffix():
     lone = make_instance({"r#x": [(1,)]})
     assert federate(lone, make_instance({"t": [(5,)]})).names == ("r#x", "t")
     assert federate(lone, lone).names == ("r#1", "r#2")
+
+
+def test_the_sum_layout_tells_apart_shapes_that_differ_only_in_components():
+    one = make_instance({"r": [(1,)], "s": [(2,)]})
+    two = make_instance({"r": [(1,)], "s": [(2,)]}, partition={"s": 1})
+    b = make_instance({"r": [(3,)]})
+    ab1, *maps1 = disjoint_union_with_maps(one, b)
+    ab2, *maps2 = disjoint_union_with_maps(two, b)
+    assert ab1.partition == (("r#1", 1), ("r#2", 2), ("s", 1))
+    assert ab2.partition == (("r#1", 1), ("r#2", 3), ("s", 2))
+    assert maps1 == [{"r": "r#1", "s": "s"}, {"r": "r#2"}, {0: 1}, {0: 2}]
+    assert maps2 == [{"r": "r#1", "s": "s"}, {"r": "r#2"}, {0: 1, 1: 2}, {0: 3}]
+    assert [ab2.component_of(n) for n in ab2.names] == [ab2._by_name[n][1] for n in ab2.names] == [1, 3, 2]
+    assert federate(one, b) == federate(two, b)
+    assert {federate(two, b).component_of(n) for n in ("r#1", "r#2", "s")} == {0}
+
+
+def test_sums_of_one_shape_hold_their_own_summands_tuples():
+    a1 = make_instance({"r": [(1,)], "s": [(2, 3)]})
+    b1 = make_instance({"r": [(4,)]})
+    a2 = make_instance({"r": [(5, 6), (7, 8)], "s": []}, arities={"s": 4})
+    b2 = make_instance({"r": [()]})
+    for plus in (disjoint_union, federate):
+        ab1, ab2 = plus(a1, b1), plus(a2, b2)
+        assert ab1.partition == ab2.partition
+        for ab, a, b in ((ab1, a1, b1), (ab2, a2, b2)):
+            held = {n: (r.arity, r.tuples) for n, r in zip(ab.names, ab.relations)}
+            assert held == {
+                "r#1": (a.relation("r").arity, a.relation("r").tuples),
+                "r#2": (b.relation("r").arity, b.relation("r").tuples),
+                "s": (a.relation("s").arity, a.relation("s").tuples),
+            }
+            assert ab.relation("s") is a.relation("s")  # a name kept keeps its relation
+            assert ab == Instance(tuple(Relation(r.name, r.arity, r.tuples) for r in ab.relations), ab.partition)
+
+
+def test_arrows_over_a_sum_leave_the_shared_maps_as_they_were():
+    a = make_instance({"r": [(1, 2), (2, 1)], "s": [(1,)]}, partition={"s": 1})
+    b = make_instance({"r": [(3,)], "t": [(3, 4)]})
+    shared = disjoint_union_with_maps(a, b)[1:]
+    assert all(x is y for x, y in zip(shared, disjoint_union_with_maps(a, b)[1:]))  # one layout per shape
+    coproduct_morphism(identity(a), identity(b))
+    mediating(injection(a, b, "left"), injection(a, b, "left"))
+    pairing(projection(a, b, "left"), projection(a, b, "left"))
+    for side in ("left", "right"):
+        injection(a, b, side)
+        projection(a, b, side)
+    assert verify_duality(a, b, depth=None, max_arity=2).passed
+    core._sum_layout.cache_clear()
+    fresh = disjoint_union_with_maps(a, b)[1:]
+    assert fresh == shared and not any(x is y for x, y in zip(shared, fresh))
+
+
+def test_a_sum_keeps_no_reference_to_its_summands():
+    a = make_instance({"r": [(1,)], "s": [(2,)]}, partition={"s": 1})
+    b = make_instance({"r": [(3,)]})
+    closure_signature(a), closure_signature(b)
+    sums = [disjoint_union(a, b), federate(a, b)]
+    refs = [weakref.ref(a), weakref.ref(b)]
+    del a, b
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+    assert [s.names for s in sums] == [("r#1", "r#2", "s")] * 2
+    pairs = [(frozenset({v}), False) for v in (1, 2, 3)]
+    assert closure_signature(sums[0]) == frozenset((pair, 1) for pair in pairs)
 
 
 def test_instance_rejects_a_name_listed_twice_in_the_partition():

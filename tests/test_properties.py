@@ -3,12 +3,14 @@ import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
 from dbcat.constraints import Egd, Tgd, check_egd, check_tgd, find_egd_violation, find_tgd_violation
+from dbcat import core
 from dbcat.core import (
     SENTINEL_A,
     SENTINEL_B,
     Instance,
     Relation,
     bottom_instance,
+    closure_signature,
     disjoint_union,
     disjoint_union_with_maps,
     federate,
@@ -237,18 +239,22 @@ def test_qualified_names_agree_with_counting_the_bases(names):
 def summands(draw, depth=2):
     """A leaf instance whose relation names may hold ``#`` and which may hold
     the nullary ``z``, the bottom instance, or a sum or federation of two
-    smaller summands."""
+    smaller summands; its closure signature may have been computed."""
     kind = draw(st.sampled_from(["leaf", "bottom", "sum", "federation"] if depth else ["leaf", "bottom"]))
     if kind == "bottom":
-        return bottom_instance()
-    if kind != "leaf":
+        inst = bottom_instance()
+    elif kind != "leaf":
         join = disjoint_union if kind == "sum" else federate
-        return join(draw(summands(depth - 1)), draw(summands(depth - 1)))
-    names = draw(st.lists(st.sampled_from(["r", "s", "r#1", "r#2", "r#10", "r#x", "z"]), min_size=1, max_size=3, unique=True))
-    arities = {name: 0 if name == "z" else draw(st.integers(1, 2)) for name in names}
-    rels = {name: draw(st.sets((st.just(()), tuples1, tuples2)[arities[name]], max_size=2)) for name in names}
-    partition = {name: draw(st.integers(0, 2)) for name in names}
-    return make_instance(rels, arities=arities, partition=partition)
+        inst = join(draw(summands(depth - 1)), draw(summands(depth - 1)))
+    else:
+        names = draw(st.lists(st.sampled_from(["r", "s", "r#1", "r#2", "r#10", "r#x", "z"]), min_size=1, max_size=3, unique=True))
+        arities = {name: 0 if name == "z" else draw(st.integers(1, 2)) for name in names}
+        rels = {name: draw(st.sets((st.just(()), tuples1, tuples2)[arities[name]], max_size=2)) for name in names}
+        partition = {name: draw(st.integers(0, 2)) for name in names}
+        inst = make_instance(rels, arities=arities, partition=partition)
+    if draw(st.booleans()):
+        closure_signature(inst)
+    return inst
 
 
 def rebuilt(inst):
@@ -270,6 +276,21 @@ def test_sums_equal_their_checked_rebuilds(a, b):
     for side, name_map in zip((a, b), maps[:2]):
         for old, new in name_map.items():
             assert ab.relation(new).tuples == side.relation(old).tuples
+
+
+@settings(max_examples=150, deadline=None)
+@given(summands(), summands())
+def test_a_sum_is_born_with_the_state_of_its_rebuild(a, b):
+    known = all("_closure_signature" in vars(x) for x in (a, b))
+    ab, *maps = disjoint_union_with_maps(a, b)
+    if ab is not a and ab is not b:  # not the unit case, where the sum is a summand itself
+        assert "_by_name" in vars(ab) and ("_closure_signature" in vars(ab)) == known
+    for inst in (ab, federate(a, b)):
+        again = rebuilt(inst)
+        assert inst._by_name == again._by_name and list(inst._by_name) == list(again._by_name)
+        assert closure_signature(inst) == closure_signature(again)
+    core._sum_layout.cache_clear()
+    assert disjoint_union_with_maps(a, b)[1:] == tuple(maps)
 
 
 PLAN_VALUES = [1, 2, "a"]

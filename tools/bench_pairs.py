@@ -14,12 +14,16 @@ last stdout line is its JSON result.
 Per workload and metric the file holds every run's value, each side's median
 and quartiles, how many pairs the change won (by the direction BENCHMARK.json
 gives the metric; ties count for neither side), and whether the median gap
-exceeds the base's interquartile range.
+exceeds the base's interquartile range.  ``host`` names the machine: the
+version of the Python running this tool, ``platform.platform()`` and the CPU
+count, since pairs compare only on one machine.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -90,6 +94,7 @@ def bench_pairs(repo, issue, base, workloads, pairs, seed, extra, runner) -> Pat
         "revisions": {side: {"ref": ref, "commit": revs[side]} for side, ref in refs.items()},
         "seeds": seeds,
         "order": "even pairs run the base first, odd pairs the change",
+        "host": {"python": platform.python_version(), "platform": platform.platform(), "cpus": os.cpu_count()},
         "workloads": {
             w: {
                 "argv": [*runner, "perfbench/run.py", "--workload", w, "--seed", "<seed>", *extra],
