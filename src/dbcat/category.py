@@ -466,7 +466,8 @@ def flux_intersection(a: Flux, b: Flux) -> Flux:
             if t1 == s2:
                 shared = e1 & e2
                 if shared:
-                    merged[s1, t2] = merged.get((s1, t2), frozenset()) | shared
+                    key = s1, t2
+                    merged[key] = merged[key] | shared if key in merged else shared
     return Flux(tuple(sorted((s, t, e) for (s, t), e in merged.items())), a.fixpoint and b.fixpoint)
 
 

@@ -141,14 +141,16 @@ def ext_key(ext: frozenset) -> tuple:
 
 
 class SetKey:
-    """Exact sort key for a frozenset of extensions, such as a closure.
+    """Exact sort key for a closure: a frozenset of extensions, or a
+    description with an ``order_key`` (:class:`dbcat.powerview.ClosedForm`).
 
-    Equality and hashing are the frozenset's, whose hash CPython caches.  The
-    order is by size, then hash; only two unequal sets that tie on both are
-    ordered by their sorted :func:`ext_key` lists, so the order is total and
-    exact even when hashes collide.  Hashes of strings vary between
-    processes, so the order is for comparisons within one process; reports
-    sort by :func:`ext_key`.
+    Equality and hashing are the closure's, whose hash is cached.  The order
+    is by size, then hash; only two unequal closures that tie on both are
+    ordered by their exact forms, a description's ``order_key`` or a set's
+    sorted :func:`ext_key` list, so the order is total and exact even when
+    hashes collide, and a description is never listed.  Hashes of strings
+    vary between processes, so the order is for comparisons within one
+    process; reports sort by :func:`ext_key`.
     """
 
     __slots__ = ("exts",)
@@ -167,7 +169,8 @@ class SetKey:
         ka, kb = (len(a), hash(a)), (len(b), hash(b))
         if ka != kb:
             return ka < kb
-        return a != b and sorted(map(ext_key, a)) < sorted(map(ext_key, b))
+        forms = ((1, x.order_key()) if hasattr(x, "order_key") else (0, sorted(map(ext_key, x))) for x in (a, b))
+        return a != b and next(forms) < next(forms)
 
 
 def format_value(v: Value) -> str:

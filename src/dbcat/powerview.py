@@ -7,10 +7,12 @@ identified purely by their extension (the set of tuples), so two queries with
 the same answer contribute one view, and a closure is a set of extensions.
 Enumeration is bounded by a level count and a result-arity limit; when a level
 adds nothing new the closure is exact and the result is flagged as a fixpoint.
-An unbounded closure is built in closed form instead: every nonempty subset of
-D^k for each arity k up to the bound, D the component's active domain, plus
-``{()}`` when a seed holds it.  Every bounded view lies in that closed form,
-so a term witnessing a view is built on demand from it at any bound.
+An unbounded closure, every nonempty subset of D^k for each arity k up to the
+bound (D the component's active domain) plus ``{()}`` when a seed holds it,
+is kept as that description (:class:`ClosedForm`), which verdicts compare and
+combine; only a report or ``extensions`` lists it.  Every bounded view lies
+in that closed form, so a term witnessing a view is built on demand from it
+at any bound.
 
 Operator basis per level: selections with a single column/column or
 column/constant condition (constants drawn from the component's active
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from operator import add, eq, itemgetter
+from operator import add, eq, itemgetter, or_
 
 from .core import (
     DbcatError,
@@ -70,11 +72,11 @@ class ViewBudgetExceeded(DbcatError):
 class ViewSet(Record, hidden=("provenance",)):
     """Extensions of a bounded view closure, grouped by source component.
 
-    ``components`` maps component id -> frozenset of nonempty extensions; the
-    empty view belongs to every view set and is kept implicit.  ``provenance``
-    holds, per component, its closure and the relation name of each seed
-    extension, from which :meth:`witness` builds terms; it never takes part in
-    equality.
+    ``components`` maps component id -> its nonempty extensions, a frozenset
+    or, at fixpoint, a :class:`ClosedForm`; the empty view belongs to every
+    view set and is kept implicit.  ``provenance`` holds, per component, its
+    closure and the relation name of each seed extension, from which
+    :meth:`witness` builds terms; it never takes part in equality.
     """
 
     components: tuple
@@ -89,9 +91,9 @@ class ViewSet(Record, hidden=("provenance",)):
 
     def canonical(self) -> tuple:
         """Component structure up to renaming: the sorted nonempty
-        per-component extension sets as :class:`~dbcat.core.SetKey`, a
-        comparison key within one process (:meth:`serialize` is the report
-        form)."""
+        per-component closures as :class:`~dbcat.core.SetKey`, a comparison
+        key within one process that never lists a description
+        (:meth:`serialize` is the report form)."""
         return tuple(sorted(SetKey(exts) for _, exts in self.components if exts))
 
     def same_views(self, other: "ViewSet") -> bool:
@@ -147,21 +149,92 @@ def _witness_term(ext, names: dict):
     return functools.reduce(Union, rows)
 
 
-def _fixpoint_views(seeds, consts, max_arity, cap):
-    """The closure of *seeds* at fixpoint, as a frozenset of extensions, or
-    None when it holds more than *cap* new views."""
-    nullary = frozenset({()}) in seeds
-    # 2**bits - 1 > cap + len(seeds), so no larger power of two is needed
-    bits = (cap + len(seeds)).bit_length() + 1
-    total = nullary + sum(2 ** min(len(consts) ** k, bits) - 1 for k in range(1, max_arity + 1))
-    if total - len(seeds) > cap:
-        return None
-    views = {frozenset({()})} if nullary else set()
-    for k in range(1, max_arity + 1):
-        tuples = list(itertools.product(consts, repeat=k))
-        for size in range(1, len(tuples) + 1):
-            views.update(map(frozenset, itertools.combinations(tuples, size)))
-    return frozenset(views)
+class ClosedForm:
+    """A closure at fixpoint, kept as its description: ``blocks[k - 1]`` is
+    the antichain of maximal domains D at arity k, each standing for every
+    nonempty subset of Dᵏ, and ``nullary`` whether ``{()}`` is a view.  The
+    key drops empty and non-maximal domains and trailing empty arities, so
+    descriptions are equal exactly when their views are, and equal only
+    descriptions.  ``&`` and ``|`` of two, ``in``, ``len`` and ``bool`` read
+    the key; iterating lists the views once and keeps them, and ``&``, ``|``
+    and ``-`` with a plain set give a frozenset of that listing."""
+
+    __slots__ = ("key", "_listing")
+
+    def __init__(self, blocks, nullary: bool):
+        antichains = [frozenset(d for d in doms if d and not any(d < e for e in doms)) for doms in blocks]
+        while antichains and not antichains[-1]:
+            antichains.pop()
+        self.key = (bool(nullary), tuple(antichains))
+        self._listing = None
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ClosedForm) and self.key == other.key
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+    def __repr__(self) -> str:
+        return f"ClosedForm{self.key!r}"
+
+    def __bool__(self) -> bool:
+        return self.key != (False, ())
+
+    def __len__(self) -> int:  # inclusion-exclusion: P(Dᵏ) ∩ P(Eᵏ) = P((D ∩ E)ᵏ)
+        nullary, blocks = self.key
+        return int(nullary) + sum(
+            (-1) ** (n + 1) * (2 ** (len(frozenset.intersection(*group)) ** k) - 1)
+            for k, doms in enumerate(blocks, 1)
+            for n in range(1, len(doms) + 1)
+            for group in itertools.combinations(doms, n)
+        )
+
+    def __contains__(self, ext) -> bool:
+        arities = set(map(len, ext))
+        if len(arities) != 1:
+            return False  # the empty view is implicit; a mixed-arity set is no view
+        (k,), (nullary, blocks) = arities, self.key
+        values = frozenset().union(*ext)
+        return nullary if not k else k <= len(blocks) and any(values <= d for d in blocks[k - 1])
+
+    def order_key(self) -> tuple:
+        """An exact sort key among descriptions, from the key alone."""
+        nullary, blocks = self.key
+        return nullary, tuple(sorted(tuple(sorted(map(value_key, d))) for d in doms) for doms in blocks)
+
+    def listing(self) -> frozenset:
+        """Every view, as a frozenset of extensions, made on first use and kept."""
+        if self._listing is None:
+            nullary, blocks = self.key
+            views = {frozenset({()})} if nullary else set()
+            for k, doms in enumerate(blocks, 1):
+                for rows in (list(itertools.product(d, repeat=k)) for d in doms):
+                    views.update(*(map(frozenset, itertools.combinations(rows, n)) for n in range(1, len(rows) + 1)))
+            self._listing = frozenset(views)
+        return self._listing
+
+    def __iter__(self):
+        return iter(self.listing())
+
+    def __and__(self, other):
+        if not isinstance(other, ClosedForm):
+            return self.listing() & other
+        (na, a), (nb, b) = self.key, other.key
+        return ClosedForm([[d & e for d in da for e in db] for da, db in zip(a, b)], na and nb)
+
+    def __or__(self, other):
+        if not isinstance(other, ClosedForm):
+            return self.listing() | other
+        (na, a), (nb, b) = self.key, other.key
+        return ClosedForm(itertools.starmap(or_, itertools.zip_longest(a, b, fillvalue=frozenset())), na or nb)
+
+    __rand__, __ror__ = __and__, __or__
+
+    def __sub__(self, other):
+        return self.listing() - other
+
+    def __rsub__(self, other):
+        return other - self.listing()
 
 
 @functools.lru_cache(maxsize=4096)
@@ -169,20 +242,24 @@ def close_component(seeds, depth, max_arity, cap):
     """Closure of one component from the frozenset *seeds* of its nonempty
     extensions.
 
-    Returns (views, reached_fixpoint), *views* the frozenset of nonempty
-    extensions: in closed form at ``depth=None``, by the level enumerator at
-    a bounded depth.  The closure depends on the extensions and the bounds
-    alone, so one memoised result serves every component and flux channel
-    that holds the same extensions.  Raises :class:`ViewBudgetExceeded` once
-    more than *cap* new views appear; at fixpoint the enumerator runs only to
-    find where.  A level's operands come from earlier levels, so the views it
-    adds, and so where the cap is passed, do not depend on emission order.
+    Returns (views, reached_fixpoint), *views* the nonempty extensions: a
+    :class:`ClosedForm` over the component's active domain at ``depth=None``,
+    a frozenset from the level enumerator at a bounded depth.  The closure
+    depends on the extensions and the bounds alone, so one memoised result
+    serves every component and flux channel that holds the same extensions.
+    Raises :class:`ViewBudgetExceeded` once more than *cap* new views appear;
+    at fixpoint the enumerator runs only to find where.  A level's operands
+    come from earlier levels, so the views it adds, and so where the cap is
+    passed, do not depend on emission order.
     """
     if depth is None:
-        consts = sorted({v for ext in seeds for t in ext for v in t}, key=value_key)
-        closed = _fixpoint_views(seeds, consts, max_arity, cap)
-        if closed is not None:
-            return closed, True
+        domain = frozenset(v for ext in seeds for t in ext for v in t)
+        nullary = frozenset({()}) in seeds
+        # 2**bits - 1 > cap + len(seeds), so no larger power of two is needed
+        bits = (cap + len(seeds)).bit_length() + 1
+        total = nullary + sum(2 ** min(len(domain) ** k, bits) - 1 for k in range(1, max_arity + 1))
+        if total - len(seeds) <= cap:
+            return ClosedForm(((domain,),) * max_arity, nullary), True
     views = set(seeds)
     by_arity: dict = {}  # arity -> operands visited so far, earlier levels first
     getters: dict = {}  # index list -> its itemgetter
@@ -308,13 +385,19 @@ def instances_isomorphic(
     matched up to renaming.  Unequal :func:`closure_signature` values are an
     exact FAIL at any bound; at fixpoint equal ones are an exact PASS, found
     without listing views or raising :class:`ViewBudgetExceeded`.  At a
-    bounded depth the closures are compared: exact when both are fixpoints.
+    bounded depth a relation of *a* missing from *b*'s closure, built first,
+    is an exact FAIL (a closure holds its seeds); else the closures are
+    compared: exact when both are fixpoints.
     """
     same = closure_signature(a) == closure_signature(b)
     if not same or depth is None:
         return same
     m = max(max_arity, a.max_arity(), b.max_arity())
-    return power_view_cached(a, depth, m, cap).same_views(power_view_cached(b, depth, m, cap))
+    vb = power_view_cached(b, depth, m, cap)
+    for r in a.relations:  # a loop, not a generator: vb stays a plain local
+        if r.tuples not in vb:
+            return False
+    return power_view_cached(a, depth, m, cap).same_views(vb)
 
 
 def matching(
@@ -324,12 +407,14 @@ def matching(
     max_arity: int = DEFAULT_MAX_ARITY,
     cap: int = DEFAULT_CAP,
 ) -> ViewSet:
-    """Shared information of two instances: the views they have in common."""
+    """Shared information of two instances: the views they have in common,
+    the union over pairs of components of their closures' intersections."""
     va = power_view_cached(a, depth, max_arity, cap)
     vb = power_view_cached(b, depth, max_arity, cap)
-    common = (va.extensions() & vb.extensions()) - {EMPTY_EXT}
+    shared = [ca & cb for _, ca in va.components for _, cb in vb.components]
+    common = functools.reduce(or_, shared) if shared else EMPTY_EXT
     return ViewSet(
-        components=((0, frozenset(common)),) if common else (),
+        components=((0, common),) if common else (),
         depth=va.depth,
         max_arity=max_arity,
         fixpoint=va.fixpoint and vb.fixpoint,

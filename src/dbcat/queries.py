@@ -422,10 +422,19 @@ def eval_rule(q: Rule, inst: Instance) -> Relation:
     """Evaluate a conjunctive rule: all head images of satisfying valuations.
 
     Variables that only built-ins mention range over the queried component's
-    active values plus the rule's own constants."""
+    active values plus the rule's own constants.  A copy rule answers with
+    its relation's own tuple set, without a plan."""
     comps = atom_components(q.body, inst)
     if len(comps) > 1:
         raise CrossComponentQuery(f"rule body spans separated components {sorted(comps)}")
+    source = q.__dict__.get("_copies")  # the relation a copy rule copies, else ""
+    if source is None:
+        (atom, *rest), hv = q.body, q.head_vars
+        copies = not rest and isinstance(atom, RelAtom) and atom.args == hv and len(set(hv)) == len(hv)
+        source = q.__dict__.setdefault("_copies", atom.name if copies else "")
+    if source:
+        r = inst.relation(source)
+        return Relation._derived(q.head_name, r.arity, r.tuples, column_names(r.arity))
     p = kept_plan(q, "_plan", q.body, (), [v.name for v in q.head_vars])
     run, arity = bind(p, inst, partial(_rule_domain, q, inst, comps.pop())), len(q.head_vars)
     return Relation._derived(q.head_name, arity, frozenset(run([()])), column_names(arity))

@@ -197,6 +197,25 @@ def enumerate_views(inst: Instance, depth: int, max_arity: int) -> frozenset:
     return frozenset(views)
 
 
+def closed_form_views(inst: Instance, max_arity: int) -> dict:
+    """Per component of *inst* with a nonempty relation, its fixpoint closure
+    listed in closed form: every nonempty subset of Dᵏ for 1 <= k <=
+    *max_arity*, D the component's active domain, one bit mask per subset,
+    plus ``{()}`` when a relation holds it."""
+    out = {}
+    for comp, rels in inst.components().items():
+        tuples = frozenset().union(*(r.tuples for r in rels))
+        if not tuples:
+            continue
+        domain = sorted({v for t in tuples for v in t}, key=value_key)
+        views = {frozenset({()})} if () in tuples else set()
+        for k in range(1, max_arity + 1):
+            rows = list(itertools.product(domain, repeat=k))
+            views.update(frozenset(t for i, t in enumerate(rows) if mask >> i & 1) for mask in range(1, 2 ** len(rows)))
+        out[comp] = frozenset(views)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # comparison of closures and fluxes up to renaming
 

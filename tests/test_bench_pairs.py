@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import platform
@@ -59,3 +60,43 @@ def test_pairs_of_a_two_commit_repository_are_summarised(tmp_path):
     rss = joins["metrics"]["peak_rss_mb"]
     assert rss["change_wins"] == 0 and rss["gap_exceeds_base_iqr"] is False  # ties win for neither side
     assert joins["metrics"]["extra"]["better"] is None and joins["metrics"]["extra"]["change_wins"] is None
+
+
+# As STUB, but a ``-m dbcat.cli`` command prints the checkout's speed file,
+# its arguments and whether PYTHONPATH names the checkout's src/, and exits
+# with the checkout's status file.
+CLI_STUB = """if [ "$1" = "-m" ]; then
+  cat speed; shift 2; echo "$@"; [ "$PYTHONPATH" = "$PWD/src" ] && echo src
+  exit $(cat status)
+fi
+""" + STUB
+
+
+def test_named_cli_commands_are_timed_once_per_revision_and_pair(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    (repo / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [{"name": "wall_s", "better": "lower"}]}))
+    (repo / "status").write_text("0\n")
+    commit(repo, 2, "base")
+    (repo / "status").write_text("3\n")
+    commit(repo, 1, "change")
+    stub = tmp_path / "stub.sh"
+    stub.write_text(CLI_STUB)
+
+    cli = ["check-functor G --depth -1", "iso 'A 0' B"]
+    path = bench_pairs.bench_pairs(repo, "8", "HEAD~1", ["joins"], 3, 4, [], ["sh", str(stub)], cli)
+
+    got = json.loads(path.read_text())
+    assert set(got) == {"issue", "revisions", "seeds", "order", "host", "workloads", "cli"}
+    assert list(got["cli"]) == cli
+    for args, printed in zip(cli, ["check-functor G --depth -1", "iso A 0 B"]):
+        command = got["cli"][args]
+        assert command["argv"][:4] == ["sh", str(stub), "-m", "dbcat.cli"]
+        assert command["status"] == {"base": [0] * 3, "change": [3] * 3}
+        for side, speed in (("base", 2), ("change", 1)):
+            digest = hashlib.sha256(f"{speed}\n{printed}\nsrc\n".encode()).hexdigest()
+            assert command["stdout_sha256"][side] == [digest] * 3
+        seconds = command["seconds"]
+        assert seconds["better"] == "lower" and seconds["pairs"] == 3
+        assert all(len(seconds[side]["runs"]) == 3 and min(seconds[side]["runs"]) > 0 for side in ("base", "change"))

@@ -321,7 +321,7 @@ def test_coproduct_flux_is_tagged_union():
     fb = make_atomic([vm([("s", "X")], "s", mode="exact")], b, b)
     fx = flux(coproduct_morphism(fa, fb), **FIX)
     assert len(fx.channels) == 2
-    per_channel = sorted(exts for _, _, exts in fx.channels)
+    per_channel = sorted(frozenset(exts) for _, _, exts in fx.channels)
     want = sorted(
         [
             frozenset(e for e in flux(fa, **FIX).extensions() if e),
@@ -604,7 +604,7 @@ def test_flux_contains_bottom_and_is_closed():
         )
         inst = Instance(rels, tuple((r.name, 0) for r in rels))
         reclosed = pv(inst, None, 2).extensions() - {EMPTY}
-        assert reclosed == exts
+        assert reclosed == frozenset(exts)
 
 
 def test_randomized_category_laws():
@@ -653,3 +653,25 @@ def test_duality_builds_each_sum_once(monkeypatch):
     sums.clear()
     f, g = projection(a, b, "left"), projection(a, b, "right")
     assert verify_duality(a, b, f, g, **FIX).passed and sums == [(a, b), (a, b), (a, b), (a, a)]
+
+
+def test_fixpoint_verdicts_never_list_a_closure(monkeypatch):
+    def listing(self):
+        raise AssertionError("a verdict listed a fixpoint closure")
+
+    monkeypatch.setattr(powerview, "_PV_CACHE", {})
+    monkeypatch.setattr(powerview.ClosedForm, "listing", listing)
+    a = make_instance({"r": [(1, 2), (2, 1)], "s": [(1,)]}, partition={"s": 1})
+    b = make_instance({"r": [(2,)], "t": [(2, 3)], "z": [()]})
+    assert power_view(a, **FIX).fixpoint and power_view(b, **FIX).fixpoint
+    f, g = identity(a), compose(projection(a, b), injection(a, b))
+    assert flux(f, **FIX).same(flux(g, **FIX)) and equivalent(f, g, **FIX)
+    assert not equivalent(identity(b), f, **FIX)
+    shared = powerview.matching(a, b, **FIX)
+    assert shared.fixpoint and len(shared.components[0][1]) == 2  # {(2,)} and {(2, 2)}
+    assert frozenset({(2, 2)}) in shared and frozenset({(1,)}) not in shared
+    merged = powerview.merging(a, b, **FIX)
+    assert merged.fixpoint and len(merged.components[0][1]) == 2**3 - 1 + 2**9 - 1 + 1
+    assert verify_duality(a, b, **FIX).passed
+    assert instances_isomorphic(disjoint_union(a, b), disjoint_union(b, a), **FIX)
+    assert not instances_isomorphic(a, disjoint_union(a, a), **FIX)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from dbcat import powerview
 from dbcat.category import flux, identity
 from dbcat.core import bottom_instance, disjoint_union, ext_key, make_instance
 from dbcat.powerview import (
@@ -136,7 +137,7 @@ def test_closed_form_fixpoint_matches_the_enumerator():
         m = rng.randint(max(1, inst.max_arity()), 2)
         closed, enumerated = power_view(inst, None, m), power_view(inst, 60, m)
         assert enumerated.fixpoint and closed.fixpoint
-        assert closed.components == enumerated.components, inst
+        assert [(c, frozenset(e)) for c, e in closed.components] == list(enumerated.components), inst
 
 
 def test_closed_form_reaches_a_domain_of_four():
@@ -378,3 +379,18 @@ def test_closure_comparison_agrees_with_the_sorted_form():
         vab = power_view(disjoint_union(a, pairs[0]), 2, 2)
         assert vab.canonical() == tuple(sorted(va.canonical() + vb.canonical()))
     assert min(verdicts.values()) > 100, verdicts  # equal and unequal pairs
+
+
+def test_a_bounded_iso_refuted_by_the_seeds_builds_one_closure(monkeypatch):
+    built = []
+    real = powerview.power_view
+    monkeypatch.setattr(powerview, "_PV_CACHE", {})
+    monkeypatch.setattr(powerview, "power_view", lambda inst, *args: built.append(inst) or real(inst, *args))
+    swap, one = make_instance({"r": [(1, 2), (2, 1)]}), make_instance({"r": [(1, 2)]})
+    # a union is two levels deep: at depth 1 swap's relation is not among one's views
+    assert not instances_isomorphic(swap, one, 1, 2)
+    assert built == [one]
+    built.clear()
+    swap, one = make_instance({"r": [(3, 4), (4, 3)]}), make_instance({"r": [(3, 4)]})
+    assert not instances_isomorphic(one, swap, 1, 2)  # a selection gives {(3, 4)}: both closures compared
+    assert built == [swap, one]

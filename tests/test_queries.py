@@ -430,6 +430,25 @@ def test_each_record_plans_once(monkeypatch):
     assert eval_rule(Rule(q.head_name, q.head_vars, q.body), a) == eval_rule(q, a) and len(planned) == 3
 
 
+def test_a_copy_rule_answers_with_the_relation_itself(monkeypatch):
+    planned = []
+    real = queries.plan
+    monkeypatch.setattr(queries, "plan", lambda body, *args: planned.append(body) or real(body, *args))
+    inst = make_instance({"r": [(1, 2), (2, 2), (3, 1)], "z": [()]})
+    X, Y = Var("X"), Var("Y")
+    copies = [queries.copy_rule("c", "r", 2), Rule("q", (), (RelAtom("z", ()),)), Rule("q", (Y, X), (RelAtom("r", (Y, X)),))]
+    for q in copies:
+        got = eval_rule(q, inst)
+        assert got.tuples is inst.relation(q.body[0].name).tuples
+        assert got.tuples == brute_force_rule(q, inst) and got.arity == len(q.head_vars)
+    assert planned == []
+    for q in (Rule("q", (X, X), (RelAtom("r", (X, X)),)), Rule("q", (Y, X), (RelAtom("r", (X, Y)),))):
+        assert eval_rule(q, inst).tuples == brute_force_rule(q, inst)
+    assert len(planned) == 2
+    with pytest.raises(QueryArityError):
+        eval_rule(Rule("q", (X,), (RelAtom("r", (X,)),)), inst)  # the atom is still checked
+
+
 def test_names_and_values_never_enter_a_kernel(monkeypatch):
     sources = []
     real = queries._kernel

@@ -1,7 +1,8 @@
 """Alternating base/change pairs of the benchmark, summarised in BENCH_<issue>.json.
 
     python3 tools/bench_pairs.py --issue 7 --base HEAD~1 \
-        --workloads joins closures cli --pairs 10 --seed 9101 --seconds 40 --trace 0
+        --workloads joins closures cli --pairs 10 --seed 9101 --seconds 40 --trace 0 \
+        --cli "check-functor G -i tests/data/system.dbc --depth -1"
 
 Run it at the root of the repository.  The change is the commit ``HEAD``.
 Both revisions are cloned from the repository into a temporary directory
@@ -9,7 +10,10 @@ Both revisions are cloned from the repository into a temporary directory
 working tree is never touched and the clones are removed afterwards.  Pair
 ``i`` runs ``perfbench/run.py`` of each revision once per workload with seed
 ``seed + i``; even pairs run the base first, odd pairs the change.  Each run's
-last stdout line is its JSON result.
+last stdout line is its JSON result.  Each ``--cli`` command is then run once
+per revision, in the same order, as a fresh ``python -m dbcat.cli`` process
+of that checkout; its wall seconds, exit status and the SHA-256 of its stdout
+are kept.
 
 Per workload and metric the file holds every run's value, each side's median
 and quartiles, how many pairs the change won (by the direction BENCHMARK.json
@@ -21,13 +25,16 @@ count, since pairs compare only on one machine.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
+import shlex
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 
@@ -49,37 +56,53 @@ def run_once(runner: list, tree: Path, argv: list) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def run_cli(runner: list, tree: Path, args: str) -> dict:
+    """One ``dbcat`` CLI command, *args* split as a shell would, in a fresh
+    process of the checkout *tree*: its wall seconds, exit status and stdout
+    hash."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    start = time.perf_counter()
+    proc = subprocess.run([*runner, "-m", "dbcat.cli", *shlex.split(args)], cwd=tree, env=env, capture_output=True, timeout=1800)
+    seconds = time.perf_counter() - start
+    return {"seconds": seconds, "status": proc.returncode, "stdout_sha256": hashlib.sha256(proc.stdout).hexdigest()}
+
+
 def spread(values: list) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     return {"runs": values, "median": median, "q1": q1, "q3": q3}
 
 
+def compare(base: list, change: list, better) -> dict:
+    """Both sides' spreads of one paired metric, the change's wins by the
+    direction *better* gives and whether the median gap exceeds the base's IQR."""
+    b, c, sign = spread(base), spread(change), {"lower": -1, "higher": 1}.get(better)
+    return {
+        "better": better,
+        "base": b,
+        "change": c,
+        "change_wins": None if sign is None else sum(sign * (y - x) > 0 for x, y in zip(base, change)),
+        "pairs": len(base),
+        "gap_exceeds_base_iqr": abs(c["median"] - b["median"]) > b["q3"] - b["q1"],
+    }
+
+
 def summarise(base_runs: list, change_runs: list, better: dict) -> dict:
-    """Per metric of a workload's paired runs: both sides' spreads, the
-    change's wins and whether the median gap exceeds the base's IQR."""
+    """Per metric of a workload's paired runs, :func:`compare` of its values."""
     out = {}
     names = [name for name in base_runs[0]["metrics"] if all(name in r["metrics"] for r in base_runs + change_runs)]
     for name in names:
         base = [r["metrics"][name]["value"] for r in base_runs]
         change = [r["metrics"][name]["value"] for r in change_runs]
-        b, c, sign = spread(base), spread(change), {"lower": -1, "higher": 1}.get(better.get(name))
-        out[name] = {
-            "unit": base_runs[0]["metrics"][name].get("unit"),
-            "better": better.get(name),
-            "base": b,
-            "change": c,
-            "change_wins": None if sign is None else sum(sign * (y - x) > 0 for x, y in zip(base, change)),
-            "pairs": len(base),
-            "gap_exceeds_base_iqr": abs(c["median"] - b["median"]) > b["q3"] - b["q1"],
-        }
+        out[name] = {"unit": base_runs[0]["metrics"][name].get("unit"), **compare(base, change, better.get(name))}
     return out
 
 
-def bench_pairs(repo, issue, base, workloads, pairs, seed, extra, runner) -> Path:
+def bench_pairs(repo, issue, base, workloads, pairs, seed, extra, runner, cli=()) -> Path:
     refs = {"base": base, "change": "HEAD"}
     revs = {side: git(repo, "rev-parse", "--verify", f"{ref}^{{commit}}") for side, ref in refs.items()}
     seeds = list(range(seed, seed + pairs))
     runs = {w: {"base": [], "change": []} for w in workloads}
+    commands = {args: {"base": [], "change": []} for args in cli}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {side: checkout(repo, rev, Path(tmp) / side) for side, rev in revs.items()}
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
@@ -89,6 +112,9 @@ def bench_pairs(repo, issue, base, workloads, pairs, seed, extra, runner) -> Pat
                 argv = ["perfbench/run.py", "--workload", w, "--seed", str(s), *extra]
                 for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
                     runs[w][side].append(run_once(runner, trees[side], argv))
+            for args in cli:
+                for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
+                    commands[args][side].append(run_cli(runner, trees[side], args))
     result = {
         "issue": issue,
         "revisions": {side: {"ref": ref, "commit": revs[side]} for side, ref in refs.items()},
@@ -105,6 +131,16 @@ def bench_pairs(repo, issue, base, workloads, pairs, seed, extra, runner) -> Pat
             for w in workloads
         },
     }
+    if cli:
+        result["cli"] = {
+            args: {
+                "argv": [*runner, "-m", "dbcat.cli", *shlex.split(args)],
+                "status": {side: [r["status"] for r in commands[args][side]] for side in revs},
+                "stdout_sha256": {side: [r["stdout_sha256"] for r in commands[args][side]] for side in revs},
+                "seconds": compare(*([r["seconds"] for r in commands[args][side]] for side in revs), "lower"),
+            }
+            for args in cli
+        }
     path = Path(repo) / f"BENCH_{issue}.json"
     path.write_text(json.dumps(result, indent=1) + "\n")
     return path
@@ -119,9 +155,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair; pair i uses seed + i")
     parser.add_argument("--seconds", type=int, default=40)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--cli", action="append", default=[], metavar="ARGS", help="a dbcat CLI command to time per pair; repeatable")
     args = parser.parse_args(argv)
     extra = ["--seconds", str(args.seconds), "--trace", str(args.trace)]
-    path = bench_pairs(".", args.issue, args.base, args.workloads, args.pairs, args.seed, extra, ["python3"])
+    path = bench_pairs(".", args.issue, args.base, args.workloads, args.pairs, args.seed, extra, ["python3"], args.cli)
     print(path)
     return 0
 
