@@ -16,6 +16,7 @@ fluxes agree up to component renaming.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 from .core import (
     BOT,
@@ -110,7 +111,7 @@ class Morphism(Record):
 
     - ``("atomic",)``: the view maps of ``trees`` over ``source`` (none for
       the empty arrow), each evaluated once: the arrow keeps the extensions
-      (:func:`_atomic_views`) outside equality and hashing;
+      (``_views``) outside equality and hashing;
     - ``("compose", g, f)``: ``g`` after ``f``;
     - ``("sum", (f, src_comps, tgt_comps), (g, src_comps, tgt_comps))``:
       ``f`` and ``g`` side by side, each with the (old, new) component pairs
@@ -136,6 +137,16 @@ class Morphism(Record):
         names = {t.viewmap.target for t in self.trees}
         return frozenset(names) if names else frozenset({BOT})
 
+    @cached_property
+    def _views(self) -> tuple:
+        """((source component, target component), extension) of each view map
+        of an atomic arrow, in tree order; :func:`make_atomic` gives the arrow
+        the extensions it evaluated to check the modes."""
+        exts = [eval_rule(t.viewmap.query, self.source).tuples for t in self.trees]
+        # eval_rule raised unless the rule's relations (at least one) share a component
+        src, tgt = self.source.component_of, self.target.component_of
+        return tuple(((src(min(t.viewmap.sources)), tgt(t.viewmap.target)), ext) for t, ext in zip(self.trees, exts))
+
 
 def _projected_target(inst: Instance, name: str, width: int) -> frozenset:
     r = inst.relation(name)
@@ -153,7 +164,7 @@ def make_atomic(viewmaps, source: Instance, target: Instance) -> Morphism:
     (mode ``inclusion``) or equal to (mode ``exact``) the matching-width
     prefix projection of its target relation.
     """
-    trees, exts = [], []
+    trees, views = [], []
     for vm in viewmaps:
         ext = eval_rule(vm.query, source).tuples
         proj = _projected_target(target, vm.target, len(vm.query.head_vars))
@@ -166,8 +177,9 @@ def make_atomic(viewmaps, source: Instance, target: Instance) -> Morphism:
                 f"({format_extension(ext)} vs {format_extension(proj)})"
             )
         trees.append(MapNode(vm, tuple(Leaf(n) for n in sorted(vm.sources))))
-        exts.append(ext)
-    _atomic_views(m := Morphism(source, target, tuple(trees), ("atomic",)), exts)
+        views.append(((source.component_of(min(vm.sources)), target.component_of(vm.target)), ext))
+    m = Morphism(source, target, tuple(trees))
+    m.__dict__["_views"] = tuple(views)
     return m
 
 
@@ -396,25 +408,9 @@ def _refine(colour: dict, other: dict, adjacent: dict) -> dict:
     return {x: rank[s] for x, s in sig.items()}
 
 
-def _atomic_views(m: Morphism, exts=None) -> tuple:
-    """((source component, target component), extension) of each view map of
-    the atomic arrow *m*, in tree order: kept with *m* on first use, outside
-    equality and hashing, from the extensions *exts* that :func:`make_atomic`
-    evaluated to check the modes, or else evaluated here."""
-    views = m.__dict__.get("_views")
-    if views is None:
-        if exts is None:
-            exts = [eval_rule(t.viewmap.query, m.source).tuples for t in m.trees]
-        # eval_rule raised unless the rule's relations (at least one) share a component
-        src, tgt = m.source.component_of, m.target.component_of
-        chans = [(src(min(t.viewmap.sources)), tgt(t.viewmap.target)) for t in m.trees]
-        views = m.__dict__.setdefault("_views", tuple(zip(chans, exts)))
-    return views
-
-
 def _atomic_channels(m: Morphism, depth, max_arity, cap):
     groups: dict = {}  # channel -> its nonempty extensions
-    for key, ext in _atomic_views(m):
+    for key, ext in m._views:
         groups.setdefault(key, set()).update((ext,) if ext else ())
     channels, fix = [], True
     for (s, t), exts in sorted(groups.items()):

@@ -9,10 +9,11 @@ construction checkable.
 from __future__ import annotations
 
 from collections import Counter
-from functools import partial
+from functools import cached_property, partial
 
+from . import queries
 from .core import SENTINEL_A, SENTINEL_B, DbcatError, Instance, Record, active_domain, format_value, tuple_key
-from .queries import atom_components, atom_constants, bind, kept_plan, rename_atoms
+from .queries import atom_components, atom_constants, bind, rename_atoms
 
 
 class ConstraintError(DbcatError):
@@ -55,6 +56,16 @@ class Tgd(Record):
                         f"weakly-full dependency repeats existential variable {y} on the left"
                     )
 
+    @cached_property
+    def _left(self) -> tuple:
+        """The :func:`~dbcat.queries.plan` streaming the left side's universal tuples."""
+        return queries.plan(self.left, (), self.universal)
+
+    @cached_property
+    def _right(self) -> tuple:
+        """The plan of the right side fed the universal tuples: it streams the witnessed ones."""
+        return queries.plan(self.right, self.universal, self.universal)
+
 
 class Egd(Record):
     """``forall x (left(x)) => x1 = x2``."""
@@ -68,14 +79,21 @@ class Egd(Record):
             if v not in left_vars:
                 raise ConstraintError(f"equated variable {v} missing from the left side")
 
+    @cached_property
+    def _variables(self) -> tuple:
+        """The variables of the left side, sorted by name."""
+        return tuple(sorted(_vars_of(self.left)))
+
+    @cached_property
+    def _plan(self) -> tuple:
+        """The :func:`~dbcat.queries.plan` streaming the assignments that equate two distinct values."""
+        return queries.plan(self.left, (), self._variables, self.pair)
+
 
 class Sentence(Record):
     """A finite conjunction of dependencies; the empty conjunction is true."""
 
     items: tuple = ()
-
-    def __bool__(self):
-        return bool(self.items)
 
     def rename_relations(self, mapping: dict) -> "Sentence":
         items = []
@@ -104,13 +122,11 @@ def _violations(d: Tgd | Egd, inst: Instance):
     domain = partial(_constraint_domain, d.left, inst, with_sentinels=False)
     if isinstance(d, Egd):
         atom_components(d.left, inst)
-        names = sorted(_vars_of(d.left))
-        return names, bind(kept_plan(d, "_plan", d.left, (), names, d.pair), inst, domain)([()])
+        return d._variables, bind(d._plan, inst, domain)([()])
     atom_components(d.left + d.right, inst)
     right_domain = partial(_constraint_domain, d.left + d.right, inst, with_sentinels=True)
-    universals = set(bind(kept_plan(d, "_left", d.left, (), d.universal), inst, domain)([()]))
-    right = kept_plan(d, "_right", d.right, d.universal, d.universal)
-    return d.universal, iter(universals.difference(bind(right, inst, right_domain)(universals)))
+    universals = set(bind(d._left, inst, domain)([()]))
+    return d.universal, iter(universals.difference(bind(d._right, inst, right_domain)(universals)))
 
 
 def _least_violation(d: Tgd | Egd, inst: Instance):

@@ -268,6 +268,12 @@ class Instance(Record):
     def _indexes(self) -> dict:
         return {}
 
+    @cached_property
+    def _closure_signature(self) -> frozenset:
+        """See :func:`closure_signature`; a sum may be born with it."""
+        seeds = (frozenset().union(*(r.tuples for r in rels)) for rels in self.components().values())
+        return frozenset(Counter((frozenset().union(*ts), () in ts) for ts in seeds if ts).items())
+
     def _entry(self, name: str) -> tuple:
         try:
             return self._by_name[name]
@@ -485,11 +491,6 @@ def closure_signature(inst: Instance) -> frozenset:
     ``{()}``), as a multiset: a frozenset of (pair, count) items.  No
     operator adds a value or a nullary tuple, so every closure of the
     component has the pair of its seeds, and at fixpoint the pair fixes the
-    closure (see :mod:`dbcat.powerview`).  Computed once per instance, or
-    with a sum, and kept like a cached property, outside equality and hashing."""
-    sig = inst.__dict__.get("_closure_signature")
-    if sig is None:
-        seeds = (frozenset().union(*(r.tuples for r in rels)) for rels in inst.components().values())
-        counts = Counter((frozenset().union(*ts), () in ts) for ts in seeds if ts)
-        sig = inst.__dict__.setdefault("_closure_signature", frozenset(counts.items()))
-    return sig
+    closure (see :mod:`dbcat.powerview`).  A cached property of the
+    instance, or given it by a sum, outside equality and hashing."""
+    return inst._closure_signature

@@ -2,9 +2,9 @@
 
 Both evaluate under set semantics: terms by structural recursion, joins by
 hashing, a projection over a join by streaming the joined pairs.  A rule or
-dependency keeps the :func:`plan` of each body it runs, made on first use: an
-atom order and a kernel, one generated nest of loops over instance hash
-indexes of partial keys, compiled once per shape; a partial key on one column
+dependency keeps the :func:`plan` of each body it runs as a cached property:
+an atom order and a kernel, one generated nest of loops over instance hash
+indexes of partial keys, compiled once per record; a partial key on one column
 is the bare value, and a key that binds every column tests the relation's
 own tuples.  An EGD's kernel tests its pair itself.  Its source holds slot
 numbers and tuple positions only; names and values reach it as arguments.
@@ -14,7 +14,7 @@ into an equivalent term.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 from .core import DbcatError, Instance, Record, Relation, Value, column_names, index_tuples, key_getter, picker, value_key
 
@@ -116,6 +116,19 @@ class Rule(Record):
     def rename_relations(self, mapping: dict) -> "Rule":
         return Rule(self.head_name, self.head_vars, rename_atoms(self.body, mapping))
 
+    @cached_property
+    def _copies(self) -> str:
+        """The relation a copy rule copies, else "": one relation atom over
+        the head's distinct variables, in order, nullary included."""
+        (atom, *rest), hv = self.body, self.head_vars
+        copies = not rest and isinstance(atom, RelAtom) and atom.args == hv and len(set(hv)) == len(hv)
+        return atom.name if copies else ""
+
+    @cached_property
+    def _plan(self) -> tuple:
+        """The :func:`plan` streaming the head's values."""
+        return plan(self.body, (), [v.name for v in self.head_vars])
+
 
 def rename_atoms(atoms, mapping: dict) -> tuple:
     """*atoms* with each relation atom's name mapped by *mapping*, when it has an entry."""
@@ -126,7 +139,7 @@ def rename_atoms(atoms, mapping: dict) -> tuple:
 
 @lru_cache(maxsize=1024)
 def copy_rule(name: str, source: str, arity: int) -> Rule:
-    """``q_<name>(X0..Xk) :- source(X0..Xk)``: copies one relation whole; made once, so its plan is shared."""
+    """``q_<name>(X0..Xk) :- source(X0..Xk)``: copies one relation whole, which :func:`eval_rule` answers without a plan."""
     hv = tuple(Var(f"X{i}") for i in range(arity))
     return Rule(f"q_{name}", hv, (RelAtom(source, hv),))
 
@@ -303,9 +316,8 @@ def _seq(items) -> str:
     return "".join(f"s{i}, " if i.__class__ is int else f"{i}, " for i in items)
 
 
-@lru_cache(maxsize=512)
 def _kernel(source: str):
-    """The kernel *source* defines, compiled once per source: plans of one shape share it."""
+    """The kernel *source* defines, compiled: each record keeps its own plan, so no kernel is memoised."""
     scope = {"vk": value_key}
     exec(source, scope)
     return scope["k0"]
@@ -396,12 +408,6 @@ def plan(body, bound=(), out=(), unequal=()) -> tuple:
     return tuple(probes), values, _kernel("\n".join(src))
 
 
-def kept_plan(record: Record, key: str, *args) -> tuple:
-    """The :func:`plan` of *args* that *record* keeps under *key* in its
-    ``__dict__``, outside ``==`` and hashing, made on first use."""
-    return record.__dict__.get(key) or record.__dict__.setdefault(key, plan(*args))
-
-
 def bind(p: tuple, inst: Instance, domain):
     """``run(rows)``: the kernel of the plan *p* over the indexes *inst*
     keeps, and over a relation's own tuples where a key binds every column:
@@ -427,16 +433,10 @@ def eval_rule(q: Rule, inst: Instance) -> Relation:
     comps = atom_components(q.body, inst)
     if len(comps) > 1:
         raise CrossComponentQuery(f"rule body spans separated components {sorted(comps)}")
-    source = q.__dict__.get("_copies")  # the relation a copy rule copies, else ""
-    if source is None:
-        (atom, *rest), hv = q.body, q.head_vars
-        copies = not rest and isinstance(atom, RelAtom) and atom.args == hv and len(set(hv)) == len(hv)
-        source = q.__dict__.setdefault("_copies", atom.name if copies else "")
-    if source:
-        r = inst.relation(source)
+    if q._copies:
+        r = inst.relation(q._copies)
         return Relation._derived(q.head_name, r.arity, r.tuples, column_names(r.arity))
-    p = kept_plan(q, "_plan", q.body, (), [v.name for v in q.head_vars])
-    run, arity = bind(p, inst, partial(_rule_domain, q, inst, comps.pop())), len(q.head_vars)
+    run, arity = bind(q._plan, inst, partial(_rule_domain, q, inst, comps.pop())), len(q.head_vars)
     return Relation._derived(q.head_name, arity, frozenset(run([()])), column_names(arity))
 
 

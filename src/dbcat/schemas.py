@@ -58,9 +58,6 @@ class Schema(Record):
                             f"constraint of {self.name} uses {a.name} at the wrong arity"
                         )
 
-    def arity(self, rel: str) -> int:
-        return dict(self.relsymbols)[rel]
-
     def sort_key(self):
         return (self.name, self.relsymbols)
 
@@ -289,14 +286,6 @@ class SeqEdge(Record):
 
     chain: tuple
 
-    @property
-    def source(self):
-        return self.chain[-1].source
-
-    @property
-    def target(self):
-        return self.chain[0].target
-
 
 def seq_compose(m2, m1) -> SeqEdge:
     """Record ``m2 after m1``; associative, identity edges normalize away."""
@@ -418,7 +407,6 @@ class Sketch(Record):
     commutativity through diagram classes here.
     """
 
-    graph_name: str
     nodes: tuple  # ((name, SchemaTerm | HelperSchema), ...)
     gamma: tuple  # ((node_name, GammaAddition), ...)
     helpers: tuple  # (HelperSchema, ...)
@@ -579,13 +567,7 @@ def build_sketch(graph: MappingGraph) -> Sketch:
             SketchArrow(f"map_{src}__{tgt}", "mapping", src, tgt, viewpairs=tuple(pairs))
         )
 
-    sk = Sketch(
-        graph.name,
-        tuple(nodes),
-        tuple(gamma),
-        tuple(helpers),
-        tuple(arrows),
-    )
+    sk = Sketch(tuple(nodes), tuple(gamma), tuple(helpers), tuple(arrows))
     _check_one_arrow(sk)
     return sk
 

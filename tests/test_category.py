@@ -675,3 +675,27 @@ def test_fixpoint_verdicts_never_list_a_closure(monkeypatch):
     assert verify_duality(a, b, **FIX).passed
     assert instances_isomorphic(disjoint_union(a, b), disjoint_union(b, a), **FIX)
     assert not instances_isomorphic(a, disjoint_union(a, a), **FIX)
+
+
+def test_a_sum_of_a_composite_with_a_hidden_leaf_keeps_what_its_factors_have():
+    a0, a = make_instance({"p": [(1, 2), (2, 3)]}), make_instance({"r": [(1, 2), (2, 3)]})
+    b, d = make_instance({"s": [(1,), (2,)], "v": [(1,), (3,)]}), make_instance({"u": [(1,), (2,), (3,)]})
+    e = make_atomic([vm([("p", "X", "Y")], "r", head=("X", "Y"))], a0, a)
+    f = make_atomic([vm([("r", "X", "Y")], "s")], a, b)
+    g = make_atomic([vm([("s", "X"), ("v", "X")], "u")], b, d)
+    h = identity(a)  # its source shares the name r with f's: the sum renames the nested leaves
+    gf = compose(g, f)  # f supplies s, not v: a hidden leaf beside f's tree
+    for left in (gf, compose(gf, e)):  # grafting e's tree under r passes the hidden leaf through
+        ((*_, hidden),) = [t.children for t in left.trees]
+        assert hidden == HiddenLeaf("v", b)
+        summed = coproduct_morphism(left, h)
+        src_maps = disjoint_union_with_maps(left.source, h.source)[1:3]
+        tgt_maps = disjoint_union_with_maps(left.target, h.target)[1:3]
+        assert summed.kind == left.kind == "p-arrow" and h.kind == "c-arrow"
+        assert summed.trees[0].children[-1] is hidden
+        assert summed.d0() == {src_maps[0][n] for n in left.d0()} | {src_maps[1][n] for n in h.d0()}
+        assert summed.d1() == {tgt_maps[0][n] for n in left.d1()} | {tgt_maps[1][n] for n in h.d1()}
+        assert summed.d0() == ({"r#1", "r#2"} if left is gf else {"p", "r"})
+        for depth in (2, None):
+            factors = flux(left, depth, 2).canonical() + flux(h, depth, 2).canonical()
+            assert flux(left, depth, 2).channels and flux(summed, depth, 2).canonical() == tuple(sorted(factors))

@@ -11,7 +11,9 @@ import dbcat
 from dbcat.cli import main, run
 from dbcat.core import make_instance
 from dbcat.dsl import parse_workspace, parse_workspace_text, serialize_workspace
+from dbcat.interpret import gamma_instance, interpretation
 from dbcat.powerview import close_component, instances_isomorphic
+from dbcat.schemas import build_sketch
 
 DATA = pathlib.Path(__file__).parent / "data"
 FILES = sorted(DATA.glob("*.dbc"))
@@ -354,3 +356,43 @@ def test_unknown_command_argument_is_a_usage_error(argv, message, capsys):
     files = ["-i", str(DATA / "demo.dbc"), "-i", str(DATA / "federation.dbc")]
     assert main([*argv, *files]) == 2
     assert capsys.readouterr() == ("", f"dbcat: {message}\n")
+
+
+REIFIED = """
+schema A { r/2. }
+schema B { s/1. }
+instance A0 of A { r(1,2). r(2,3). }
+instance B0 of B { s(1). s(2). }
+mapping M : A -> B { q(X) :- r(X,Y) => t(X). }
+graph G { use M. }
+"""
+
+
+def test_a_reified_relation_without_a_defining_query_is_the_mapped_view():
+    w = parse_workspace_text(REIFIED)
+    sketch = build_sketch(w.graphs["G"])
+    ((node, added),) = sketch.gamma
+    assert (node, added.name, added.arity, added.defining) == ("B", "t", 1, None)
+    assert (added.from_lhs, added.source_node) == (w.mappings["M"].pairs[0].lhs, "A")
+    alpha = interpretation({"A": w.instances["A0"][1], "B": w.instances["B0"][1]}, w.schemas)
+    enlarged = gamma_instance(alpha, sketch, "B")
+    assert enlarged.names == ("s", "t") and enlarged.relation("s") == w.instances["B0"][1].relation("s")
+    assert enlarged.relation("t").tuples == {(1,), (2,)}  # q over A0: B0 has no r
+    assert gamma_instance(alpha, sketch, "A") == w.instances["A0"][1]
+    for depth in (None, 2):
+        for command in ("check-model", "gamma-iso"):
+            report = run(command, ["G"], w, depth, 2, 100000)
+            assert report.lines and all(verdict == "PASS" for _, verdict, _ in report.lines), report.lines
+
+
+def test_flux_of_an_exact_mapping_reports_a_view_that_differs_from_its_target():
+    w = parse_workspace_text(
+        "schema A { r/2. }\nschema B { s/1. }\n"
+        "instance A0 of A { r(1,2). r(2,3). }\ninstance B0 of B { s(1). }\ninstance B1 of B { s(1). s(2). }\n"
+        "mapping E : A -> B { exact. q(X) :- r(X,Y) => s(X). }"
+    )
+    assert w.mappings["E"].exact
+    report = run("flux", ["E", "A0", "B0"], w, None, 2, 100000)
+    assert report.status == 1
+    assert report.lines == (("flux E", "FAIL", "view for s differs from target projection ({(1) (2)} vs {(1)})"),)
+    assert run("flux", ["E", "A0", "B1"], w, None, 2, 100000).status == 0

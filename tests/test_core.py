@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import gc
 import itertools
+import pathlib
 import weakref
 
 import hypothesis.strategies as st
@@ -405,3 +407,23 @@ def test_format_views_refuses_what_value_key_refuses(bad):
         format_views(views)
     with pytest.raises(TypeError):
         format_extension(frozenset({(1, 3), (bad, 2)}))
+
+
+def test_only_the_record_base_and_two_builders_touch_an_instance_dict():
+    """Derived values are cached properties of their record.  Only the base
+    class, and the two builders that already hold a value when they make a
+    record (a sum, an atomic arrow), read or write ``__dict__``."""
+    touched = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, f"{owner}.{child.name}")
+            else:
+                if isinstance(child, ast.Attribute) and child.attr == "__dict__":
+                    touched.add(owner)
+                visit(child, owner)
+
+    for path in pathlib.Path(core.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert touched == {"core.Record.__init_subclass__", "core.Record._derived", "core._sum", "category.make_atomic"}

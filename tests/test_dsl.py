@@ -365,3 +365,20 @@ def test_bad_arity_is_reported_at_its_token(arity):
         parse_workspace_text(f"schema A {{ r/{arity}. }}")
     assert (exc.value.line, exc.value.col) == (1, 14)
     assert str(exc.value) == f"line 1, column 14: relation arity must be positive (found '{arity}')"
+
+
+def test_exact_mappings_the_empty_term_and_nested_compositions_survive_a_round_trip():
+    ws = parse_workspace_text(
+        "schema A { r/2. }\nschema B { s/1. }\n"
+        "compose AB = A sep B\ncompose ABE = (AB fed empty) sep B\ncompose E = empty\n"
+        "mapping X : A -> B { exact. q(X) :- r(X,Y) => s(X). }\n"
+        "mapping I : A -> B { q(X) :- r(X,Y) => s(X). }"
+    )
+    assert ws.mappings["X"].exact and not ws.mappings["I"].exact
+    assert ws.composes["ABE"].left.left is ws.composes["AB"]
+    out = serialize_workspace(ws)
+    assert "compose ABE = ((AB fed empty) sep B)\n" in out and "compose E = empty\n" in out
+    assert "mapping X : A -> B {\n  q(X) :- r(X,Y) => s(X).\n  exact.\n}\n" in out
+    assert "mapping I : A -> B {\n  q(X) :- r(X,Y) => s(X).\n}\n" in out
+    again = parse_workspace_text(out)
+    assert again == ws and serialize_workspace(again) == out

@@ -23,7 +23,7 @@ from dbcat.core import (
 )
 from dbcat.interpret import interpret_term, interpretation
 from dbcat.category import Flux, compose, flux, identity, injection, projection, verify_duality
-from dbcat.powerview import ViewBudgetExceeded, instances_isomorphic, matching, merging, power_view
+from dbcat.powerview import ClosedForm, ViewBudgetExceeded, instances_isomorphic, matching, merging, power_view
 from dbcat.queries import Builtin, Const, RelAtom, Rule, Var, eval_rule, eval_spjru, rule, rule_to_spjru
 from dbcat.schemas import EMPTY_SCHEMA, SAtom, Schema, fed, schema_identity, sep
 
@@ -482,6 +482,32 @@ def test_fixpoint_verdicts_over_descriptions_agree_with_listings(x, y):
     assert matching(x, y, None, m).extensions() == views[0] & views[1]
     assert merging(x, y, None, m).extensions() == views[2]
     assert verify_duality(x, y, depth=None, max_arity=m).passed
+
+
+@st.composite
+def description_pairs(draw):
+    """Two descriptions, the second drawn on its own, or the first with its
+    values substituted, or the first rebuilt: its domains in another order,
+    a subset of each, an empty domain and trailing empty arities added, none
+    of which changes the description."""
+    values = [1, 2, "1", "a"]
+    domains = st.lists(st.frozensets(st.sampled_from(values), max_size=3), max_size=3)
+    blocks, nullary = draw(st.lists(domains, max_size=3)), draw(st.booleans())
+    how = draw(st.sampled_from(["other", "substituted", "rebuilt"]))
+    if how == "other":
+        return ClosedForm(blocks, nullary), ClosedForm(draw(st.lists(domains, max_size=3)), draw(st.booleans()))
+    if how == "substituted":
+        sub = draw(st.fixed_dictionaries({v: st.sampled_from(values) for v in values}))
+        return ClosedForm(blocks, nullary), ClosedForm([[frozenset(map(sub.get, d)) for d in doms] for doms in blocks], nullary)
+    padded = [draw(st.permutations([*doms, *(frozenset(sorted(d, key=str)[1:]) for d in doms), frozenset()])) for doms in blocks]
+    return ClosedForm(blocks, nullary), ClosedForm(padded + [[]] * draw(st.integers(0, 2)), nullary)
+
+
+@settings(max_examples=300, deadline=None)
+@given(description_pairs())
+def test_a_description_order_key_is_equal_exactly_when_the_descriptions_are(pair):
+    d, e = pair
+    assert (d.order_key() == e.order_key()) == (d == e)
 
 
 @st.composite

@@ -457,7 +457,6 @@ def test_names_and_values_never_enter_a_kernel(monkeypatch):
         sources.append(source)
         return real(source)
 
-    queries._kernel.cache_clear()
     monkeypatch.setattr(queries, "_kernel", compiling)
     name, value = "r'); import os; ('", "it's\n\"here\""
     inst = make_instance({name: [(1, value), (2, 3), (value, value)], "s": [(1,), (2,), (value,)]})

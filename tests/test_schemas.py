@@ -4,6 +4,7 @@ import pytest
 
 from dbcat.constraints import Sentence, Tgd, check_tgd
 from dbcat.core import SENTINEL_A, SENTINEL_B, make_instance
+from dbcat.dsl import parse_workspace_text
 from dbcat.interpret import interpret_term, interpretation
 from dbcat.queries import CrossComponentQuery, RelAtom, Var, rule
 from dbcat.schemas import (
@@ -315,3 +316,25 @@ def test_conflicting_gamma_additions_rejected():
     g = mapping_graph("G", {"A": SAtom(SA), "C": SAtom(SC)}, [m1, m2])
     with pytest.raises(SchemaError):
         build_sketch(g)
+
+
+MAPPING_SCHEMAS = "schema A { r/2. }\nschema U { v/1. }\nschema B { s/1. w/2. }\ncompose AU = A sep U\n"
+
+
+@pytest.mark.parametrize(
+    "source, pair, error, message",
+    [
+        ("A", "q(X) :- z(X) => s(X)", SchemaError, "mapping M: z not in source schema"),
+        ("A", "q(X) :- r(X) => s(X)", SchemaError, "mapping M: r used at the wrong arity"),
+        ("A", "q(X) :- r(X,Y) => w(X)", SchemaError, "mapping M: w used at the wrong arity"),
+        ("A", "q(X) :- r(X,Y) => p(X) :- s(X), w(X,X,Y)", SchemaError, "mapping M: w used at the wrong arity"),
+        ("A", "q(X) :- r(X,Y) => p(X,Y) :- w(X,Y)", SchemaError, "mapping M: the two sides have different widths"),
+        ("A", "q(X) :- r(X,Y) => p(X) :- z(X)", SchemaError, "mapping M: right-side query uses unknown relation z"),
+        ("AU", "q(X) :- r(X,Y), v(X) => s(X)", CrossComponentQuery, "mapping M: query spans separated source components"),
+    ],
+)
+def test_a_mapping_checks_its_pairs_against_its_schemas(source, pair, error, message):
+    with pytest.raises(error) as exc:
+        parse_workspace_text(MAPPING_SCHEMAS + f"mapping M : {source} -> B {{ {pair}. }}")
+    assert type(exc.value) is error and str(exc.value) == message
+    parse_workspace_text(MAPPING_SCHEMAS + f"mapping M : {source} -> B {{ q(X) :- r(X,Y) => s(X). }}")
