@@ -154,7 +154,7 @@ def _projected_target(inst: Instance, name: str, width: int) -> frozenset:
         raise QueryArityError(
             f"target {name} has arity {r.arity}, narrower than the mapped view ({width})"
         )
-    return frozenset(t[:width] for t in r.tuples)
+    return r.tuples if r.arity == width else frozenset(t[:width] for t in r.tuples)
 
 
 def make_atomic(viewmaps, source: Instance, target: Instance) -> Morphism:
@@ -360,7 +360,8 @@ class Flux(Record):
         return tuple(sorted(map(_part_form, parts.values())))
 
     def same(self, other: "Flux") -> bool:
-        return self.canonical() == other.canonical()
+        """Equal labelled channels are one relabelling: no canonical form is needed."""
+        return self.channels == other.channels or self.canonical() == other.canonical()
 
     def matches_view_set(self, vs) -> bool:
         return tuple(sorted(SetKey(e) for _, _, e in self.channels if e)) == vs.canonical()

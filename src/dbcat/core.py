@@ -14,7 +14,6 @@ The value classes of the whole package derive from :class:`Record`.
 """
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Collection, Iterable, Mapping, Sequence
 from functools import cache, cached_property, lru_cache
 from operator import attrgetter, itemgetter
@@ -271,8 +270,14 @@ class Instance(Record):
     @cached_property
     def _closure_signature(self) -> frozenset:
         """See :func:`closure_signature`; a sum may be born with it."""
-        seeds = (frozenset().union(*(r.tuples for r in rels)) for rels in self.components().values())
-        return frozenset(Counter((frozenset().union(*ts), () in ts) for ts in seeds if ts).items())
+        seeds, counts = {}, {}
+        for r, comp in self._by_name.values():
+            if r.tuples:  # a component holding only empty relations has no pair
+                seeds[comp] = seeds[comp] | r.tuples if comp in seeds else r.tuples
+        for seed in seeds.values():
+            pair = frozenset().union(*seed), () in seed
+            counts[pair] = counts.get(pair, 0) + 1
+        return frozenset(counts.items())
 
     def _entry(self, name: str) -> tuple:
         try:
@@ -446,13 +451,17 @@ def _sum(a: Instance, b: Instance, federated: bool) -> tuple:
     partition, sides, by_name = partitions[federated], (a._by_name, b._by_name), {}
     for (name, side, old, _), (_, comp) in zip(slots, partition):
         r = sides[side][old][0]  # valid relations under distinct names: nothing to check again
-        by_name[name] = (r if name == old else Relation._derived(name, r.arity, r.tuples, r.attributes), comp)
-    inst = Instance._derived(tuple(r for r, _ in by_name.values()), partition)
-    inst.__dict__["_by_name"] = by_name
+        if name != old:  # a relation's dict holds its fields alone: copy them under the new name
+            r, fields = Relation.__new__(Relation), r.__dict__
+            r.__dict__.update(fields, name=name)
+        by_name[name] = (r, comp)
+    inst = Instance.__new__(Instance)
+    inst.__dict__.update(relations=tuple(r for r, _ in by_name.values()), partition=partition, _by_name=by_name)
     sigs = [x.__dict__.get("_closure_signature") for x in (a, b)]
     if not federated and None not in sigs:  # the sum's components are its summands'
         counts = dict(sigs[0])
-        counts.update((pair, counts.get(pair, 0) + n) for pair, n in sigs[1])
+        for pair, n in sigs[1]:
+            counts[pair] = counts.get(pair, 0) + n
         inst.__dict__["_closure_signature"] = frozenset(counts.items())
     return (inst, *maps)
 

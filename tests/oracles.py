@@ -155,6 +155,18 @@ def counted_qualified_names(names) -> list:
     return out
 
 
+def brute_force_signature(inst: Instance) -> frozenset:
+    """The closure signature of *inst* counted over ``inst.components()``
+    with ``Counter``: per component whose relations hold a tuple, the pair
+    (values in its tuples, whether one of them is ``()``)."""
+    pairs = Counter()
+    for rels in inst.components().values():
+        tuples = [t for r in rels for t in r.tuples]
+        if tuples:
+            pairs[frozenset(v for t in tuples for v in t), () in tuples] += 1
+    return frozenset(pairs.items())
+
+
 # ---------------------------------------------------------------------------
 # term-space view enumeration (depth-recursive, single component)
 

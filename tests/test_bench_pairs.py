@@ -17,6 +17,13 @@ echo "{\\"correct\\": true, \\"attempted\\": 4, \\"failed\\": 0, \\"metrics\\": 
 """
 
 
+# Bounds as BENCHMARK.json gives them: the fraction of the base median by
+# which the change's median may be worse.
+SPEC = {
+    "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.24}, {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
+}
+
+
 def commit(repo, speed, message):
     (repo / "speed").write_text(f"{speed}\n")
     subprocess.run(["git", "-C", str(repo), "add", "-A"], check=True)
@@ -30,8 +37,7 @@ def test_pairs_of_a_two_commit_repository_are_summarised(tmp_path):
     repo = tmp_path / "repo"
     repo.mkdir()
     subprocess.run(["git", "init", "-q", str(repo)], check=True)
-    spec = {"end_to_end": [{"name": "wall_s", "better": "lower"}, {"name": "peak_rss_mb", "better": "lower"}]}
-    (repo / "BENCHMARK.json").write_text(json.dumps(spec))
+    (repo / "BENCHMARK.json").write_text(json.dumps(SPEC))
     commit(repo, 2, "base")
     commit(repo, 1, "change")
     stub = tmp_path / "stub.sh"
@@ -57,9 +63,30 @@ def test_pairs_of_a_two_commit_repository_are_summarised(tmp_path):
     assert (wall["base"]["median"], wall["change"]["median"]) == (2.5, 1.5)
     assert (wall["base"]["q1"], wall["base"]["q3"]) == (2.45, 2.55)
     assert wall["change_wins"] == 3 and wall["pairs"] == 3 and wall["gap_exceeds_base_iqr"] is True
+    assert wall["claimable"] is True and wall["within_bound"] is True  # a win
     rss = joins["metrics"]["peak_rss_mb"]
     assert rss["change_wins"] == 0 and rss["gap_exceeds_base_iqr"] is False  # ties win for neither side
-    assert joins["metrics"]["extra"]["better"] is None and joins["metrics"]["extra"]["change_wins"] is None
+    assert rss["claimable"] is False and rss["within_bound"] is True  # a tie
+    extra = joins["metrics"]["extra"]
+    assert extra["better"] is None and extra["change_wins"] is None and extra["claimable"] is None
+    assert "within_bound" not in extra  # no bound without a direction
+
+
+def test_a_loss_beyond_the_bound_is_neither_claimable_nor_within_it(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    (repo / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    commit(repo, 1, "base")
+    commit(repo, 2, "change")  # wall_s 2.x against 1.x: 67 % worse, beyond its 24 % bound
+    stub = tmp_path / "stub.sh"
+    stub.write_text(STUB)
+
+    path = bench_pairs.bench_pairs(repo, "9", "HEAD~1", ["joins"], 3, 4, [], ["sh", str(stub)])
+
+    wall = json.loads(path.read_text())["workloads"]["joins"]["metrics"]["wall_s"]
+    assert wall["change_wins"] == 0 and wall["gap_exceeds_base_iqr"] is True
+    assert wall["claimable"] is False and wall["within_bound"] is False
 
 
 # As STUB, but a ``-m dbcat.cli`` command prints the checkout's speed file,

@@ -539,6 +539,24 @@ def test_fixpoint_duality_evaluates_each_view_map_once(monkeypatch):
     assert len(calls) == len(built)
 
 
+@pytest.mark.parametrize("depth", [None, 2])
+def test_duality_needs_no_canonical_form_when_the_laws_fluxes_agree(monkeypatch, depth):
+    def canonical(self):
+        raise AssertionError("a law's fluxes were put in canonical form")
+
+    monkeypatch.setattr(Flux, "canonical", canonical)
+    # consecutive pairs of these shapes: {1,2} binary; {1,2} unary and binary;
+    # that beside a {1,2} binary component; {1,2,3} unary and binary
+    shapes = [
+        make_instance({"r": [(1, 2), (2, 1)]}),
+        make_instance({"r": [(1,)], "s": [(1, 2), (2, 2)]}),
+        make_instance({"r": [(2,)], "s": [(1, 2)], "t": [(2, 1), (2, 2)]}, partition={"t": 1}),
+        make_instance({"r": [(3,)], "s": [(1, 2), (2, 3)]}),
+    ]
+    for a, b in zip(shapes, shapes[1:]):
+        assert verify_duality(a, b, depth=depth, max_arity=2).passed
+
+
 def test_atomic_morphism_built_directly_has_its_flux():
     a = make_instance({"r": [(1, 2)], "s": [(3,)]}, partition={"s": 1})
     t = make_instance({"u": [(1, 2), (2, 2)], "v": [(3,), (4,)]}, partition={"v": 1})

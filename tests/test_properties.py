@@ -31,6 +31,7 @@ from oracles import (
     brute_force_egd,
     brute_force_flux_same,
     brute_force_rule,
+    brute_force_signature,
     closed_form_views,
     brute_force_tgd,
     counted_qualified_names,
@@ -289,14 +290,26 @@ def test_sums_equal_their_checked_rebuilds(a, b):
 def test_a_sum_is_born_with_the_state_of_its_rebuild(a, b):
     known = all("_closure_signature" in vars(x) for x in (a, b))
     ab, *maps = disjoint_union_with_maps(a, b)
+    fa = federate(a, b)
     if ab is not a and ab is not b:  # not the unit case, where the sum is a summand itself
-        assert "_by_name" in vars(ab) and ("_closure_signature" in vars(ab)) == known
-    for inst in (ab, federate(a, b)):
+        born = {"relations", "partition", "_by_name"}
+        assert set(vars(ab)) == born | ({"_closure_signature"} if known else set()) and set(vars(fa)) == born
+        # a renamed relation carries its fields alone, no value cached under its old name
+        renamed = [ab.relation(new) for name_map in maps[:2] for old, new in name_map.items() if new != old]
+        assert all(list(vars(r)) == list(Relation._fields) for r in renamed)
+    for inst in (ab, fa):
         again = rebuilt(inst)
         assert inst._by_name == again._by_name and list(inst._by_name) == list(again._by_name)
         assert closure_signature(inst) == closure_signature(again)
     core._sum_layout.cache_clear()
     assert disjoint_union_with_maps(a, b)[1:] == tuple(maps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(summands(), summands())
+def test_closure_signatures_agree_with_counting_the_components(a, b):
+    for inst in (a, disjoint_union(a, b), federate(a, b)):  # leaves, sums and federations
+        assert closure_signature(inst) == brute_force_signature(inst)
 
 
 PLAN_VALUES = [1, 2, "a"]

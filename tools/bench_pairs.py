@@ -17,8 +17,11 @@ are kept.
 
 Per workload and metric the file holds every run's value, each side's median
 and quartiles, how many pairs the change won (by the direction BENCHMARK.json
-gives the metric; ties count for neither side), and whether the median gap
-exceeds the base's interquartile range.  ``host`` names the machine: the
+gives the metric; ties count for neither side), whether the median gap
+exceeds the base's interquartile range, whether a gain is ``claimable`` (at
+least nine tenths of the pairs won and the median better by more than the
+base's IQR) and, for an end-to-end metric with a bound in BENCHMARK.json,
+whether the change's median is ``within_bound`` of the base's.  ``host`` names the machine: the
 version of the Python running this tool, ``platform.platform()`` and the CPU
 count, since pairs compare only on one machine.
 """
@@ -72,28 +75,41 @@ def spread(values: list) -> dict:
     return {"runs": values, "median": median, "q1": q1, "q3": q3}
 
 
-def compare(base: list, change: list, better) -> dict:
+def compare(base: list, change: list, better, bound=None) -> dict:
     """Both sides' spreads of one paired metric, the change's wins by the
-    direction *better* gives and whether the median gap exceeds the base's IQR."""
+    direction *better* gives and whether the median gap exceeds the base's IQR.
+
+    ``claimable``: the change won at least nine tenths of the pairs and its
+    median is better than the base's by more than the base's IQR.  With a
+    *bound*, ``within_bound``: the change's median is no worse than the base's
+    by more than that fraction of it."""
     b, c, sign = spread(base), spread(change), {"lower": -1, "higher": 1}.get(better)
-    return {
+    gain, iqr = (c["median"] - b["median"]) * (sign or 0), b["q3"] - b["q1"]
+    wins = None if sign is None else sum(sign * (y - x) > 0 for x, y in zip(base, change))
+    out = {
         "better": better,
         "base": b,
         "change": c,
-        "change_wins": None if sign is None else sum(sign * (y - x) > 0 for x, y in zip(base, change)),
+        "change_wins": wins,
         "pairs": len(base),
-        "gap_exceeds_base_iqr": abs(c["median"] - b["median"]) > b["q3"] - b["q1"],
+        "gap_exceeds_base_iqr": abs(c["median"] - b["median"]) > iqr,
+        "claimable": None if sign is None else wins >= 0.9 * len(base) and gain > iqr,
     }
+    if bound is not None and sign is not None:
+        out["within_bound"] = gain >= -bound * abs(b["median"])
+    return out
 
 
-def summarise(base_runs: list, change_runs: list, better: dict) -> dict:
-    """Per metric of a workload's paired runs, :func:`compare` of its values."""
+def summarise(base_runs: list, change_runs: list, better: dict, bounds: dict) -> dict:
+    """Per metric of a workload's paired runs, :func:`compare` of its values
+    under its direction in *better* and its bound, if any, in *bounds*."""
     out = {}
     names = [name for name in base_runs[0]["metrics"] if all(name in r["metrics"] for r in base_runs + change_runs)]
     for name in names:
         base = [r["metrics"][name]["value"] for r in base_runs]
         change = [r["metrics"][name]["value"] for r in change_runs]
-        out[name] = {"unit": base_runs[0]["metrics"][name].get("unit"), **compare(base, change, better.get(name))}
+        unit = base_runs[0]["metrics"][name].get("unit")
+        out[name] = {"unit": unit, **compare(base, change, better.get(name), bounds.get(name))}
     return out
 
 
@@ -107,6 +123,7 @@ def bench_pairs(repo, issue, base, workloads, pairs, seed, extra, runner, cli=()
         trees = {side: checkout(repo, rev, Path(tmp) / side) for side, rev in revs.items()}
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
         better = {m["name"]: m["better"] for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
+        bounds = {m["name"]: m["bound"] for m in spec.get("end_to_end", []) if "bound" in m}
         for i, s in enumerate(seeds):
             for w in workloads:
                 argv = ["perfbench/run.py", "--workload", w, "--seed", str(s), *extra]
@@ -126,7 +143,7 @@ def bench_pairs(repo, issue, base, workloads, pairs, seed, extra, runner, cli=()
                 "argv": [*runner, "perfbench/run.py", "--workload", w, "--seed", "<seed>", *extra],
                 "correct": {side: [r["correct"] for r in runs[w][side]] for side in revs},
                 "failed": {side: [r["failed"] for r in runs[w][side]] for side in revs},
-                "metrics": summarise(runs[w]["base"], runs[w]["change"], better),
+                "metrics": summarise(runs[w]["base"], runs[w]["change"], better, bounds),
             }
             for w in workloads
         },
