@@ -24,11 +24,13 @@ _HOME = {
         ("category", "Flux ModeViolation Morphism ViewMap compose coproduct_morphism empty_morphism "
                      "equivalent flux identity injection make_atomic mediating pairing projection "
                      "verify_duality"),
-        ("schemas", "EMPTY_SCHEMA MappingGraph SAtom Schema SchemaMapping Sketch branch build_sketch "
-                    "fed make_pair mapping_graph schema_identity sep seq_compose term_layout"),
+        ("schemas", "EMPTY_SCHEMA MappingGraph SAtom Schema SchemaMapping branch fed make_pair "
+                    "mapping_graph schema_identity sep seq_compose term_layout"),
+        ("sketch", "Sketch build_sketch"),
         ("interpret", "Interpretation check_functor check_gamma_iso check_model interpret_arrow "
                       "interpret_term interpretation"),
-        ("dsl", "Workspace parse_workspace parse_workspace_text serialize_workspace"),
+        ("dsl", "Workspace parse_workspace parse_workspace_text"),
+        ("writer", "serialize_workspace"),
     )
     for name in names.split()
 }

@@ -4,20 +4,20 @@ Every command produces a deterministic report: one line per check, sorted by
 check id.  Exit status is 0 when everything passed, 1 when any check failed,
 2 on usage or parse errors.
 
-A process loads only the modules its command uses: ``category`` is imported by
-the commands that build arrows, and ``interpret`` by those that interpret a
-mapping graph.
+A process loads only the modules its command uses: ``powerview`` for the
+commands that close an instance, ``category`` for those that build arrows,
+``interpret`` and ``sketch`` for graphs; it reads its options without argparse.
 """
 from __future__ import annotations
 
-import argparse
+import re
 import sys
 
-from . import powerview
-from .core import DbcatError, Record, bottom_instance, format_extension, is_empty_isomorphic
+from .core import DEFAULT_CAP, DEFAULT_DEPTH, DEFAULT_MAX_ARITY, DbcatError, Record, bottom_instance
+from .core import format_extension, is_empty_isomorphic
 from .dsl import Workspace, parse_rule_text, parse_workspace
 from .queries import QueryError, eval_rule
-from .schemas import build_sketch, term_layout
+from .schemas import term_layout
 
 
 #: Each command's positional arguments, by the role they play.
@@ -28,6 +28,14 @@ COMMANDS = {
     "duality": "INSTANCE INSTANCE",
 }
 GRAPH_COMMANDS = ("check-model", "check-functor", "gamma-iso")
+
+#: Each long option and its default; ``-i`` is ``--input`` and ``-h`` is ``--help``.
+OPTIONS = {"--input": (), "--depth": DEFAULT_DEPTH, "--arity": DEFAULT_MAX_ARITY, "--cap": DEFAULT_CAP,
+           "--format": "text", "--help": None}
+#: Every spelling of an option: ``-i``, ``-h``, and a long name or any prefix of it
+#: of three characters or more (no two long names share a first letter).
+_NAMES = {"-i": "--input", "-h": "--help", **{name[:k]: name for name in OPTIONS for k in range(3, len(name) + 1)}}
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # an argument, not an option, as in argparse
 
 
 class Report(Record):
@@ -93,10 +101,13 @@ def run(command: str, args, ws: Workspace, depth, max_arity, cap) -> Report:
     if len(args) != len(COMMANDS[command].split()):
         got = f"{len(args)} argument" + ("" if len(args) == 1 else "s")
         raise DbcatError(f"{command} takes {COMMANDS[command] or 'no arguments'} (got {got})")
+    if command in ("powerview", "iso"):
+        from . import powerview
     if command in ("flux", "compose", "duality"):
         from . import category
     if command in GRAPH_COMMANDS:
         from . import interpret
+        from .sketch import build_sketch
 
         graph = ws.lookup("graph", args[0])
         sketch = build_sketch(graph)
@@ -171,7 +182,7 @@ def run(command: str, args, ws: Workspace, depth, max_arity, cap) -> Report:
 
 def _law_suite(ws: Workspace, depth, max_arity, cap):
     """A small built-in law battery over the workspace's declared instances."""
-    from . import category
+    from . import category, powerview
 
     lines = []
     insts = sorted(ws.instances.items())
@@ -220,31 +231,80 @@ def _law_suite(ws: Workspace, depth, max_arity, cap):
     return lines
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="dbcat",
-        description="view-based database mappings: queries, closures, morphisms, model checks",
-    )
-    parser.add_argument("command", help=" | ".join(COMMANDS))
-    parser.add_argument("args", nargs="*", help="command arguments")
-    parser.add_argument("--input", "-i", action="append", default=[], help="input file (repeatable)")
-    parser.add_argument("--depth", type=int, default=powerview.DEFAULT_DEPTH, help="closure depth bound (-1 runs to fixpoint)")
-    parser.add_argument("--arity", type=int, default=powerview.DEFAULT_MAX_ARITY, help="closure arity bound")
-    parser.add_argument("--cap", type=int, default=powerview.DEFAULT_CAP, help="view count budget")
-    parser.add_argument("--format", choices=("text", "lines"), default="text")
-    ns = parser.parse_args(argv)
-    for flag, value, least in (("--depth", ns.depth, -1), ("--arity", ns.arity, 0), ("--cap", ns.cap, 1)):
-        if value < least:
-            print(f"dbcat: {flag} must be at least {least}, not {value}", file=sys.stderr)
-            return 2
+def _option(arg: str):
+    """The long option *arg* names and the value attached to it, ("", arg)
+    for an unknown option, None for an argument."""
+    name, eq, value = arg.partition("=")
+    if name not in _NAMES and arg[:2] in ("-i", "-h"):  # -iFILE
+        name, eq, value = arg[:2], "=", arg[2:]
+    if name in _NAMES:
+        return _NAMES[name], value if eq else None
+    return None if arg[:1] != "-" or arg == "-" or _NEGATIVE.match(arg) or " " in arg else ("", arg)
 
-    depth = None if ns.depth < 0 else ns.depth
+
+def parse_argv(argv):
+    """(command, its arguments, {long option: value}) from a command line, or
+    None for -h/--help.  A line argparse took means what it meant; arguments
+    may also stand between options.  A line it refuses raises DbcatError."""
+    values = {name: default for name, default in OPTIONS.items() if default is not None}
+    positionals, unknown, rest = [], [], iter(argv)
+    for arg in rest:
+        if arg == "--":
+            after, start = list(rest), 1 - len(positionals)
+            if start >= 0 and "--" in after[start:]:  # as in argparse, a "--" next to the command drops the next one
+                del after[after.index("--", start)]
+            positionals += after
+            break
+        name, value = _option(arg) or (None, arg)
+        if name == "--help":
+            return None
+        if not name:
+            (positionals if name is None else unknown).append(arg)
+            continue
+        if value is None and ((value := next(rest, "--")) == "--" or _option(value)):
+            raise DbcatError(f"argument {name}: expected one argument")
+        if name == "--input":
+            values[name] += (value,)
+        elif name == "--format":
+            if value not in ("text", "lines"):
+                raise DbcatError(f"argument --format: invalid choice: {value!r} (choose from 'text', 'lines')")
+            values[name] = value
+        else:
+            try:
+                values[name] = int(value)
+            except ValueError:
+                raise DbcatError(f"argument {name}: invalid int value: {value!r}") from None
+    if unknown or not positionals:
+        raise DbcatError(f"unrecognized arguments: {' '.join(unknown)}" if unknown else "a command is required")
+    return positionals[0], positionals[1:], values
+
+
+def usage() -> str:
+    """What -h/--help prints: the commands and the options."""
+    commands = [f"  {name} {params}".rstrip() for name, params in COMMANDS.items()]
+    defaults = ", ".join(f"{name} {value}" for name, value in OPTIONS.items() if value not in ((), None))
+    return "\n".join(["usage: dbcat COMMAND [ARGUMENT ...] [OPTION ...]", "", "commands:", *commands, "", "options:",
+                      "  -i FILE or --input FILE (repeatable), --depth N (-1 runs to fixpoint), --arity N,",
+                      "  --cap N, --format text|lines, -h or --help; a unique prefix of a long option will do,",
+                      f"  as will --name=value and -iFILE; defaults: {defaults}"])
+
+
+def main(argv=None) -> int:
     try:
-        report = run(ns.command, ns.args, parse_workspace(ns.input), depth, ns.arity, ns.cap)
+        parsed = parse_argv(sys.argv[1:] if argv is None else argv)
+        if parsed is None:
+            print(usage())
+            return 0
+        command, args, opts = parsed
+        for flag, least in (("--depth", -1), ("--arity", 0), ("--cap", 1)):
+            if opts[flag] < least:
+                raise DbcatError(f"{flag} must be at least {least}, not {opts[flag]}")
+        depth = None if opts["--depth"] < 0 else opts["--depth"]
+        report = run(command, args, parse_workspace(opts["--input"]), depth, opts["--arity"], opts["--cap"])
     except (DbcatError, OSError) as exc:
         print(f"dbcat: {exc}", file=sys.stderr)
         return 2
-    print(report.render(ns.format))
+    print(report.render(opts["--format"]))
     return report.status
 
 

@@ -19,6 +19,12 @@ from functools import cache, cached_property, lru_cache
 from operator import attrgetter, itemgetter
 
 
+#: The closure bounds of :mod:`dbcat.powerview` when a caller gives none.
+DEFAULT_DEPTH = 2
+DEFAULT_MAX_ARITY = 4
+DEFAULT_CAP = 100_000
+
+
 class DbcatError(Exception):
     """Base class for all errors raised by this package."""
 

@@ -23,16 +23,14 @@ from __future__ import annotations
 import re
 
 from .constraints import Egd, Sentence, Tgd
-from .core import DbcatError, Instance, Record, Relation, bottom_instance, format_value, tuple_key
+from .core import DbcatError, Instance, Record, Relation, bottom_instance
 from .queries import Builtin, Const, RelAtom, Rule, Var
 from .schemas import (
     EMPTY_SCHEMA,
-    EmptyTerm,
     SAtom,
     Schema,
     SchemaMapping,
     SchemaTerm,
-    SepTerm,
     branch,
     fed,
     make_pair,
@@ -530,108 +528,10 @@ def parse_workspace(paths) -> Workspace:
     ws = Workspace()
     for path in paths:
         with open(path, "r", encoding="utf-8") as fh:
-            parse_workspace_text(fh.read(), ws)
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        parse_workspace_text(text, ws)
     return ws
 
-
-# -- serialization -------------------------------------------------------------
-
-
-def _fmt_value(v) -> str:
-    """A value as it is written: quotes and backslashes in strings escaped."""
-    if isinstance(v, str):
-        return "'" + v.replace("\\", "\\\\").replace("'", "\\'") + "'"
-    return format_value(v)
-
-
-def _fmt_term_arg(t) -> str:
-    if isinstance(t, Var):
-        return t.name
-    return _fmt_value(t.value)
-
-
-def _fmt_atom(a) -> str:
-    if isinstance(a, RelAtom):
-        return f"{a.name}({','.join(_fmt_term_arg(x) for x in a.args)})"
-    return f"{_fmt_term_arg(a.left)} {a.op} {_fmt_term_arg(a.right)}"
-
-
-def _fmt_atoms(atoms) -> str:
-    return ", ".join(_fmt_atom(a) for a in atoms)
-
-
-def _fmt_rule(r: Rule) -> str:
-    head = f"{r.head_name}({','.join(v.name for v in r.head_vars)})"
-    return f"{head} :- {_fmt_atoms(r.body)}"
-
-
-def _fmt_constraint(c) -> str:
-    if isinstance(c, Egd):
-        universal = sorted({v.name for a in c.left for v in a.variables()})
-        right = f"{c.pair[0]} = {c.pair[1]}"
-    else:
-        universal, right = c.universal, _fmt_atoms(c.right)
-    return f"constraint forall {','.join(universal)}: {_fmt_atoms(c.left)} => {right}."
-
-
-def _fmt_schema_term(t: SchemaTerm, ws: Workspace) -> str:
-    names = {id(term): name for name, term in ws.composes.items()}
-
-    def go(t, top=False):
-        if isinstance(t, EmptyTerm):
-            return "empty"
-        if isinstance(t, SAtom):
-            return t.schema.name
-        if not top and id(t) in names:
-            return names[id(t)]
-        op = "sep" if isinstance(t, SepTerm) else "fed"
-        return f"({go(t.left)} {op} {go(t.right)})"
-
-    return go(t, top=True)
-
-
-def serialize_workspace(ws: Workspace) -> str:
-    """Deterministic text for a workspace; parsing it back gives an equal one."""
-    out = []
-    for name in sorted(ws.schemas):
-        s = ws.schemas[name]
-        out.append(f"schema {name} {{")
-        for rel, arity in s.relsymbols:
-            out.append(f"  {rel}/{arity}.")
-        for c in s.constraints.items:
-            out.append(f"  {_fmt_constraint(c)}")
-        out.append("}")
-    for name in sorted(ws.composes):
-        out.append(f"compose {name} = {_fmt_schema_term(ws.composes[name], ws)}")
-    for name in sorted(ws.instances):
-        term_name, inst = ws.instances[name]
-        out.append(f"instance {name} of {term_name} {{")
-        for r in inst.relations:
-            for t in sorted(r.tuples, key=tuple_key):
-                out.append(f"  {r.name}({','.join(map(_fmt_value, t))}).")
-        out.append("}")
-    for name in sorted(ws.mappings):
-        m = ws.mappings[name]
-        out.append(f"mapping {name} : {m.source_name} -> {m.target_name} {{")
-        for pair in m.pairs:
-            if pair.rhs_bare:
-                rhs = f"{pair.rhs_name}({','.join(v.name for v in pair.rhs.head_vars)})"
-            else:
-                rhs = _fmt_rule(pair.rhs)
-            out.append(f"  {_fmt_rule(pair.lhs)} => {rhs}.")
-        if m.exact:
-            out.append("  exact.")
-        out.append("}")
-    for name in sorted(ws.graphs):
-        g = ws.graphs[name]
-        out.append(f"graph {name} {{")
-        for m in g.mappings:
-            if m not in g.branches:
-                out.append(f"  use {m.name}.")
-        for s in g.seqs:
-            out.append(f"  {' after '.join(m.name for m in s.chain)}.")
-        for b in g.branches:
-            left, right = b.name.split("+", 1)
-            out.append(f"  {left} branch {right}.")
-        out.append("}")
-    return "\n".join(out) + "\n"

@@ -40,7 +40,8 @@ from .core import (
 )
 from .powerview import DEFAULT_CAP, instances_isomorphic
 from .queries import eval_rule
-from .schemas import MappingGraph, SchemaTerm, Sketch, SketchArrow, term_layout
+from .schemas import MappingGraph, SchemaTerm, term_layout
+from .sketch import Sketch, SketchArrow
 
 
 class InterpretationError(DbcatError):

@@ -26,8 +26,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import sys
 from operator import add, eq, itemgetter, or_
 
+from .core import DEFAULT_CAP, DEFAULT_DEPTH, DEFAULT_MAX_ARITY  # re-exported
 from .core import (
     DbcatError,
     Instance,
@@ -43,10 +45,6 @@ from .core import (
     value_key,
 )
 from .queries import BaseRel, ConstEq, EmptyRel, Join, Project, Select, Union
-
-DEFAULT_DEPTH = 2
-DEFAULT_MAX_ARITY = 4
-DEFAULT_CAP = 100_000
 
 EMPTY_EXT = frozenset()
 
@@ -180,7 +178,8 @@ class ClosedForm:
     def __bool__(self) -> bool:
         return self.key != (False, ())
 
-    def __len__(self) -> int:  # inclusion-exclusion: P(Dᵏ) ∩ P(Eᵏ) = P((D ∩ E)ᵏ)
+    def count(self) -> int:  # inclusion-exclusion: P(Dᵏ) ∩ P(Eᵏ) = P((D ∩ E)ᵏ)
+        """The number of views, an exact int of any size."""
         nullary, blocks = self.key
         return int(nullary) + sum(
             (-1) ** (n + 1) * (2 ** (len(frozenset.intersection(*group)) ** k) - 1)
@@ -188,6 +187,11 @@ class ClosedForm:
             for n in range(1, len(doms) + 1)
             for group in itertools.combinations(doms, n)
         )
+
+    def __len__(self) -> int:
+        if (n := self.count()) > sys.maxsize:
+            raise DbcatError(f"{n.bit_length()}-bit view count is past len(); use count()")
+        return n
 
     def __contains__(self, ext) -> bool:
         arities = set(map(len, ext))
@@ -254,12 +258,12 @@ def close_component(seeds, depth, max_arity, cap):
     """
     if depth is None:
         domain = frozenset(v for ext in seeds for t in ext for v in t)
-        nullary = frozenset({()}) in seeds
-        # 2**bits - 1 > cap + len(seeds), so no larger power of two is needed
-        bits = (cap + len(seeds)).bit_length() + 1
-        total = nullary + sum(2 ** min(len(domain) ** k, bits) - 1 for k in range(1, max_arity + 1))
-        if total - len(seeds) <= cap:
-            return ClosedForm(((domain,),) * max_arity, nullary), True
+        # a block Dᵏ of more than b tuples, b = bit length of cap + len(seeds)
+        # plus one, holds over 2**b - 1 > cap + len(seeds) views: over the cap
+        if len(domain) ** max_arity <= (cap + len(seeds)).bit_length() + 1:
+            form = ClosedForm(((domain,),) * max_arity, frozenset({()}) in seeds)
+            if form.count() - len(seeds) <= cap:
+                return form, True
     views = set(seeds)
     by_arity: dict = {}  # arity -> operands visited so far, earlier levels first
     getters: dict = {}  # index list -> its itemgetter

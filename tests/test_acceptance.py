@@ -59,13 +59,13 @@ from dbcat.schemas import (
     SAtom,
     Schema,
     SchemaMapping,
-    build_sketch,
     fed,
     make_pair,
     mapping_graph,
     schema_identity,
     sep,
 )
+from dbcat.sketch import build_sketch
 
 from oracles import random_instance, random_rule
 
@@ -435,7 +435,8 @@ def test_criterion_09_separation_rejection():
 
 def test_criterion_10_cli_determinism_and_round_trip(capsys):
     from dbcat.cli import run
-    from dbcat.dsl import parse_workspace, parse_workspace_text, serialize_workspace
+    from dbcat.dsl import parse_workspace, parse_workspace_text
+    from dbcat.writer import serialize_workspace
 
     data = pathlib.Path(__file__).parent / "data"
     files = sorted(data.glob("*.dbc"))

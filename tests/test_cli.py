@@ -1,19 +1,25 @@
+import argparse
+import contextlib
 import importlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 import dbcat
-from dbcat.cli import main, run
-from dbcat.core import make_instance
-from dbcat.dsl import parse_workspace, parse_workspace_text, serialize_workspace
+from dbcat.cli import COMMANDS, GRAPH_COMMANDS, main, parse_argv, run
+from dbcat.core import DEFAULT_CAP, DEFAULT_DEPTH, DEFAULT_MAX_ARITY, DbcatError, make_instance
+from dbcat.dsl import parse_workspace, parse_workspace_text
 from dbcat.interpret import gamma_instance, interpretation
 from dbcat.powerview import close_component, instances_isomorphic
-from dbcat.schemas import build_sketch
+from dbcat.sketch import build_sketch
+from dbcat.writer import serialize_workspace
 
 DATA = pathlib.Path(__file__).parent / "data"
 FILES = sorted(DATA.glob("*.dbc"))
@@ -231,6 +237,117 @@ def test_console_script_runs():
     assert "PASS" in proc.stdout
 
 
+def _argparse_reading(argv):
+    """How the argparse parser dbcat used to build read *argv*: the parsed
+    line, "help" or "error"."""
+    parser = argparse.ArgumentParser(prog="dbcat")
+    parser.add_argument("command")
+    parser.add_argument("args", nargs="*")
+    parser.add_argument("--input", "-i", action="append", default=[])
+    parser.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
+    parser.add_argument("--arity", type=int, default=DEFAULT_MAX_ARITY)
+    parser.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    parser.add_argument("--format", choices=("text", "lines"), default="text")
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            ns = parser.parse_args(argv)
+    except SystemExit as exc:
+        return "help" if exc.code == 0 else "error"
+    except argparse.ArgumentError:
+        return "error"
+    values = {"--input": tuple(ns.input), "--depth": ns.depth, "--arity": ns.arity, "--cap": ns.cap}
+    return ns.command, ns.args, {**values, "--format": ns.format}
+
+
+def _our_reading(argv):
+    try:
+        parsed = parse_argv(argv)
+    except DbcatError:
+        return "error"
+    return "help" if parsed is None else parsed
+
+
+@st.composite
+def option_groups(draw):
+    """One option with its value, in any spelling argparse took: split or
+    joined by ``=``, long or a prefix of it, ``-i`` also run together with
+    its value; now and then a value that is refused, help or an unknown
+    option."""
+    name = draw(st.sampled_from(["--input", "--depth", "--arity", "--cap", "--format", "--help", "--bogus"]))
+    if name in ("--help", "--bogus"):
+        return [draw(st.sampled_from(["-h", "--help", "--he"]))] if name == "--help" else [name]
+    values = {"--input": ["a.dbc", "b c.dbc", "-x.dbc", "-2"], "--format": ["text", "lines", "html"]}
+    value = draw(st.sampled_from(values.get(name, ["0", "2", "-1", "-7", "12", "x", " 3 "])))
+    spelling = draw(st.sampled_from([name[:k] for k in range(3, len(name) + 1)] + ["-i"] * (name == "--input")))
+    form = draw(st.sampled_from(["split", "joined"] + ["run together"] * (spelling == "-i")))
+    return [spelling, value] if form == "split" else [f"{spelling}={value}"] if form == "joined" else [f"-i{value}"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(option_groups(), max_size=4),
+    st.lists(st.sampled_from(["iso", "laws", "A0", "B0", "-1", "x y"]), max_size=4),
+    st.data(),
+)
+@example([["--dep", "-1"], ["-ia.dbc"], ["--input=b.dbc"]], ["iso", "A0", "B0"], None)
+@example([["--format", "lines"]], ["iso", "A0", "--", "B0", "--"], None)
+@example([], ["--", "iso", "--", "A0"], None)
+def test_options_are_read_as_argparse_read_them(groups, positionals, data):
+    """Every line the old argparse parser took means the same; a line that
+    the new parser refuses, argparse refused too; and arguments standing
+    between options are read as if they stood after them."""
+    slots = [True] * len(groups) + [False] * len(positionals)
+    slots = data.draw(st.permutations(slots)) if data else sorted(slots, reverse=True)
+    if data and data.draw(st.booleans()):
+        slots.insert(data.draw(st.integers(0, len(slots))), None)  # "--"
+    queue, words, argv = iter(groups), iter(positionals), []
+    for slot in slots:
+        argv += next(queue) if slot else ["--"] if slot is None else [next(words)]
+    reading, ours = _argparse_reading(argv), _our_reading(argv)
+    if reading != "error":
+        assert ours == reading, argv
+    if ours == "error":
+        assert reading == "error", argv
+    if "--" not in argv and ours != "error":
+        after = _argparse_reading([word for group in groups for word in group] + positionals)
+        assert after in (ours, "error"), argv
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["iso", "S0", "F0", "--bogus"], "unrecognized arguments: --bogus"),
+        (["iso", "S0", "F0", "--depth"], "argument --depth: expected one argument"),
+        (["iso", "S0", "F0", "--cap", "--depth", "3"], "argument --cap: expected one argument"),
+        (["iso", "S0", "F0", "--arity", "two"], "argument --arity: invalid int value: 'two'"),
+        (["iso", "S0", "F0", "--form=html"], "argument --format: invalid choice: 'html' (choose from 'text', 'lines')"),
+        (["-i", "x.dbc"], "a command is required"),
+        ([], "a command is required"),
+    ],
+)
+def test_a_refused_command_line_is_a_usage_error(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"dbcat: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["iso", "A0", "--help"], ["--he", "--bogus"]])
+def test_help_lists_the_commands_and_the_options(argv, capsys):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("usage: dbcat COMMAND")
+    for word in [*COMMANDS, *COMMANDS.values(), "--input", "--depth", "--arity", "--cap", "--format", "--help"]:
+        assert word in out, word
+
+
+def test_input_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.dbc"
+    bad.write_bytes(b"\xff\xfeschema A { r/1. }\n")
+    with pytest.raises(DbcatError, match="bad.dbc: not UTF-8 text"):
+        parse_workspace([bad])
+    assert main(["laws", "-i", str(bad)]) == 2
+    assert capsys.readouterr() == ("", f"dbcat: {bad}: not UTF-8 text (invalid start byte at byte 0)\n")
+
+
 def _modules_after(code: str) -> list:
     """The modules loaded once *code* has run in a fresh interpreter, sorted."""
     code += "\nimport json, sys; print(json.dumps(sorted(sys.modules)), file=sys.stderr)"
@@ -256,23 +373,26 @@ def test_import_loads_neither_dataclasses_nor_inspect():
 
 
 def test_each_command_loads_only_the_modules_it_uses():
-    """``import dbcat`` loads no submodule; a CLI process loads ``category``
-    only for commands that build arrows, ``interpret`` only for graphs."""
+    """``import dbcat`` loads no submodule; a CLI process loads ``powerview``
+    only for commands that close an instance, ``category`` only for those
+    that build arrows, ``interpret`` and ``sketch`` only for graphs, and
+    never the DSL writer, ``argparse``, ``gettext`` or ``locale``."""
     assert _dbcat_modules("import dbcat") == ["dbcat"]
     assert _dbcat_modules("import dbcat.core") == ["dbcat", "dbcat.core"]
-    common = [
-        f"dbcat{m}" for m in ("", ".cli", ".constraints", ".core", ".dsl", ".powerview", ".queries", ".schemas")
-    ]
-    commands = {
-        ("eval", "A0", "q(X) :- r(X,Y)"): common,
-        ("powerview", "A0"): common,
-        ("iso", "A0", "B0"): common,
-        ("flux", "M", "A0", "B0"): sorted([*common, "dbcat.category"]),
-        ("check-model", "G"): sorted([*common, "dbcat.category", "dbcat.interpret"]),
+    common = {f"dbcat{m}" for m in ("", ".cli", ".constraints", ".core", ".dsl", ".queries", ".schemas")}
+    closes = common | {"dbcat.powerview"}
+    arrows = closes | {"dbcat.category"}
+    loaded = {
+        "eval": common, "powerview": closes, "iso": closes,
+        "flux": arrows, "compose": arrows, "laws": arrows, "duality": arrows,
+        **dict.fromkeys(GRAPH_COMMANDS, arrows | {"dbcat.interpret", "dbcat.sketch"}),
     }
-    for argv, loaded in commands.items():
-        data = DATA / ("system.dbc" if argv[0] == "check-model" else "demo.dbc")
-        assert _dbcat_modules(f"from dbcat.cli import main; main({[*argv, '-i', str(data)]!r})") == loaded, argv
+    at_start = set(_modules_after(""))
+    for command, workspace, args in GOLDEN_COMMANDS:
+        argv = [command, *args, "-i", str(DATA / f"{workspace}.dbc")]
+        modules = _modules_after(f"from dbcat.cli import main; main({argv!r})")
+        assert [m for m in modules if m.split(".")[0] == "dbcat"] == sorted(loaded[command]), command
+        assert not {"dbcat.writer", "argparse", "gettext", "locale"} & (set(modules) - at_start), command
 
 
 #: The names ``dbcat`` exports, pinned.

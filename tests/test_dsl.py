@@ -7,9 +7,9 @@ from dbcat.dsl import (
     ParseError,
     parse_rule_text,
     parse_workspace_text,
-    serialize_workspace,
 )
 from dbcat.queries import Const, Var
+from dbcat.writer import serialize_workspace
 
 DEMO = """
 # demo workspace

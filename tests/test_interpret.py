@@ -32,12 +32,12 @@ from dbcat.schemas import (
     SAtom,
     Schema,
     SchemaMapping,
-    build_sketch,
     fed,
     make_pair,
     mapping_graph,
     sep,
 )
+from dbcat.sketch import build_sketch
 
 X, Y = Var("X"), Var("Y")
 

@@ -5,7 +5,7 @@ import pytest
 
 from dbcat import powerview
 from dbcat.category import flux, identity
-from dbcat.core import bottom_instance, disjoint_union, ext_key, make_instance
+from dbcat.core import DbcatError, bottom_instance, disjoint_union, ext_key, make_instance
 from dbcat.powerview import (
     ViewBudgetExceeded,
     close_component,
@@ -144,6 +144,19 @@ def test_closed_form_reaches_a_domain_of_four():
     vs = power_view(make_instance({"r": [(1, 2), (3, 4)]}), None, 2)
     assert vs.fixpoint
     assert len(vs.extensions() - {EMPTY}) == (2**4 - 1) + (2**16 - 1) == 65_550
+
+
+def test_a_description_counts_its_views_past_len():
+    """|D| = 3 at arity 4: 82 bits of views, exact from count(); len() of it
+    raises a typed error, and the cap check never computes such a count."""
+    form = powerview.ClosedForm([[frozenset({1, 2, 3})]] * 4, False)
+    assert form.count() == sum(2 ** (3**k) - 1 for k in range(1, 5)) and form.count().bit_length() == 82
+    with pytest.raises(DbcatError, match="82-bit view count"):
+        len(form)
+    overlapping = powerview.ClosedForm([[frozenset({1, 2}), frozenset({2, 3})]], True)
+    assert overlapping.count() == len(overlapping) == len(overlapping.listing()) == 1 + 3 + 3 - 1
+    with pytest.raises(ViewBudgetExceeded):
+        power_view(make_instance({"r": [(1, 2, 3, 1)]}), None, 4, 100)
 
 
 def test_fixpoint_witnesses_evaluate_back():

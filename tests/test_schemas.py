@@ -15,7 +15,6 @@ from dbcat.schemas import (
     SchemaError,
     SchemaMapping,
     branch,
-    build_sketch,
     fed,
     identity_mapping,
     make_pair,
@@ -26,6 +25,7 @@ from dbcat.schemas import (
     term_layout,
     term_sentence,
 )
+from dbcat.sketch import build_sketch
 
 SA = Schema("A", (("r", 1),))
 SB = Schema("B", (("s", 1),))
