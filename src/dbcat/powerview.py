@@ -258,8 +258,8 @@ def close_component(seeds, depth, max_arity, cap):
     """
     if depth is None:
         domain = frozenset(v for ext in seeds for t in ext for v in t)
-        # a block Dᵏ of more than b tuples, b = bit length of cap + len(seeds)
-        # plus one, holds over 2**b - 1 > cap + len(seeds) views: over the cap
+        # a block Dᵏ of more than b tuples, b one more than the bit length of
+        # cap + len(seeds), alone holds more views than the cap allows
         if len(domain) ** max_arity <= (cap + len(seeds)).bit_length() + 1:
             form = ClosedForm(((domain,),) * max_arity, frozenset({()}) in seeds)
             if form.count() - len(seeds) <= cap:
