@@ -249,11 +249,8 @@ def parse_argv(argv):
     values = {name: default for name, default in OPTIONS.items() if default is not None}
     positionals, unknown, rest = [], [], iter(argv)
     for arg in rest:
-        if arg == "--":
-            after, start = list(rest), 1 - len(positionals)
-            if start >= 0 and "--" in after[start:]:  # as in argparse, a "--" next to the command drops the next one
-                del after[after.index("--", start)]
-            positionals += after
+        if arg == "--":  # every later word is an argument, "--" too
+            positionals += rest
             break
         name, value = _option(arg) or (None, arg)
         if name == "--help":
@@ -280,13 +277,12 @@ def parse_argv(argv):
 
 
 def usage() -> str:
-    """What -h/--help prints: the commands and the options."""
+    """What -h/--help prints: the commands and the options with their defaults."""
     commands = [f"  {name} {params}".rstrip() for name, params in COMMANDS.items()]
-    defaults = ", ".join(f"{name} {value}" for name, value in OPTIONS.items() if value not in ((), None))
-    return "\n".join(["usage: dbcat COMMAND [ARGUMENT ...] [OPTION ...]", "", "commands:", *commands, "", "options:",
-                      "  -i FILE or --input FILE (repeatable), --depth N (-1 runs to fixpoint), --arity N,",
-                      "  --cap N, --format text|lines, -h or --help; a unique prefix of a long option will do,",
-                      f"  as will --name=value and -iFILE; defaults: {defaults}"])
+    options = [f"  {name}" + {(): " (repeatable)", None: ""}.get(value, f" (default {value})") for name, value in OPTIONS.items()]
+    return "\n".join(["usage: dbcat COMMAND [ARGUMENT ...] [-i FILE ...] [OPTION VALUE ...]", "commands:", *commands,
+                      "options (-i, -h, --name=value and unique prefixes also work):", *options,
+                      "--format is text or lines; --depth -1 runs to fixpoint."])
 
 
 def main(argv=None) -> int:

@@ -11,7 +11,6 @@ from .queries import Builtin, Const, CrossComponentQuery, RelAtom, Rule, Var
 from .schemas import EMPTY_NODE, EMPTY_SCHEMA, MappingGraph, SchemaError, term_layout, term_sentence
 
 
-
 class GammaAddition(Record):
     """A relation added to a target schema by sketch construction."""
 

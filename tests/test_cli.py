@@ -290,12 +290,13 @@ def option_groups(draw):
     st.data(),
 )
 @example([["--dep", "-1"], ["-ia.dbc"], ["--input=b.dbc"]], ["iso", "A0", "B0"], None)
-@example([["--format", "lines"]], ["iso", "A0", "--", "B0", "--"], None)
-@example([], ["--", "iso", "--", "A0"], None)
+@example([["--format", "lines"]], ["iso", "A0", "--", "B0"], None)
+@example([], ["--", "iso", "A0"], None)
 def test_options_are_read_as_argparse_read_them(groups, positionals, data):
     """Every line the old argparse parser took means the same; a line that
     the new parser refuses, argparse refused too; and arguments standing
-    between options are read as if they stood after them."""
+    between options are read as if they stood after them.  A line holds at
+    most one "--": argparse releases differ on what a second one means."""
     slots = [True] * len(groups) + [False] * len(positionals)
     slots = data.draw(st.permutations(slots)) if data else sorted(slots, reverse=True)
     if data and data.draw(st.booleans()):
@@ -311,6 +312,19 @@ def test_options_are_read_as_argparse_read_them(groups, positionals, data):
     if "--" not in argv and ours != "error":
         after = _argparse_reading([word for group in groups for word in group] + positionals)
         assert after in (ours, "error"), argv
+
+
+@pytest.mark.parametrize(
+    "argv, reading",
+    [
+        (["--", "iso", "--", "A0"], ("iso", ["--", "A0"])),
+        (["iso", "A0", "--", "B0", "--"], ("iso", ["A0", "B0", "--"])),
+        (["iso", "--", "A0", "--depth", "3"], ("iso", ["A0", "--depth", "3"])),
+    ],
+)
+def test_every_word_after_the_first_double_dash_is_an_argument(argv, reading):
+    command, args, values = parse_argv(argv)
+    assert (command, args) == reading and values["--depth"] == DEFAULT_DEPTH
 
 
 @pytest.mark.parametrize(
