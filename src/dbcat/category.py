@@ -15,7 +15,6 @@ fluxes agree up to component renaming.
 """
 from __future__ import annotations
 
-import itertools
 from functools import cached_property
 
 from .core import (
@@ -23,7 +22,6 @@ from .core import (
     DbcatError,
     Instance,
     Record,
-    SetKey,
     disjoint_union,
     disjoint_union_with_maps,
     format_closure,
@@ -36,6 +34,7 @@ from .powerview import (
     DEFAULT_DEPTH,
     DEFAULT_MAX_ARITY,
     EMPTY_EXT,
+    canonical_form,
     close_component,
     instances_isomorphic,
     power_view_cached,
@@ -339,74 +338,17 @@ class Flux(Record):
         return frozenset({EMPTY_EXT}.union(*(exts for _, _, exts in self.channels)))
 
     def canonical(self) -> tuple:
-        """Channel structure up to renaming components on either side: the
-        sorted forms (:func:`_part_form`) of the connected parts of the
-        channel graph.  Keys are :class:`~dbcat.core.SetKey`, so this is a
-        comparison key within one process; :meth:`serialize` is the report
-        form."""
-        chans = [(s, t, SetKey(exts)) for s, t, exts in self.channels if exts]
-        root: dict = {}  # union-find over sources (0, s) and targets (1, t)
-
-        def find(x):
-            while root.setdefault(x, x) != x:
-                root[x] = x = root[root[x]]
-            return x
-
-        for s, t, _ in chans:
-            root[find((0, s))] = find((1, t))
-        parts: dict = {}
-        for c in chans:
-            parts.setdefault(find((0, c[0])), []).append(c)
-        return tuple(sorted(map(_part_form, parts.values())))
+        """Channel structure up to renaming components on either side:
+        :func:`~dbcat.powerview.canonical_form` of the channels
+        (:meth:`serialize` is the report form)."""
+        return canonical_form(self.channels)
 
     def same(self, other: "Flux") -> bool:
         """Equal labelled channels are one relabelling: no canonical form is needed."""
         return self.channels == other.channels or self.canonical() == other.canonical()
 
-    def matches_view_set(self, vs) -> bool:
-        return tuple(sorted(SetKey(e) for _, _, e in self.channels if e)) == vs.canonical()
-
     def serialize(self) -> list:
         return format_closure(self.channels, (0, 0))
-
-
-def _part_form(chans) -> tuple:
-    """Exact form of a connected set of channels (source, target, key), its
-    sources and targets labelled from 0.  Colour refinement splits the
-    components into classes: a component's colour is its previous colour with
-    the keys of its channels, each paired with the colour at the other end,
-    until no class splits.  Only sources of one class are permuted.  Given
-    the source labels, each target is labelled by its colour and its (source
-    label, key) channels; targets that agree on these are interchangeable.
-    The least form over those permutations is exact."""
-    by_src, by_tgt = {}, {}
-    for s, t, k in chans:
-        by_src.setdefault(s, []).append((t, k))
-        by_tgt.setdefault(t, []).append((s, k))
-    scol, tcol = dict.fromkeys(by_src, 0), dict.fromkeys(by_tgt, 0)
-    classes = 0  # refinement only splits classes, so it is stable once none split
-    while classes < (classes := len(set(scol.values())) + len(set(tcol.values()))):
-        scol, tcol = _refine(scol, tcol, by_src), _refine(tcol, scol, by_tgt)
-    groups: dict = {}
-    for src in sorted(scol, key=scol.get):
-        groups.setdefault(scol[src], []).append(src)
-
-    def form(order):
-        smap = {src: i for i, src in enumerate(itertools.chain.from_iterable(order))}
-        tsig = {t: (tcol[t], sorted((smap[s], k) for s, k in by_tgt[t])) for t in tcol}
-        tmap = {t: i for i, t in enumerate(sorted(tsig, key=tsig.get))}
-        return tuple(sorted((smap[s], tmap[t], k) for s, t, k in chans))
-
-    return min(map(form, itertools.product(*map(itertools.permutations, groups.values()))))
-
-
-def _refine(colour: dict, other: dict, adjacent: dict) -> dict:
-    """One round of colour refinement: each component's new colour is the
-    rank of (its colour, its channel keys each with the colour at the other
-    end) among all such signatures on its side."""
-    sig = {x: (colour[x], tuple(sorted((k, other[y]) for y, k in adjacent[x]))) for x in colour}
-    rank = {s: i for i, s in enumerate(sorted(set(sig.values())))}
-    return {x: rank[s] for x, s in sig.items()}
 
 
 def _atomic_channels(m: Morphism, depth, max_arity, cap):

@@ -88,14 +88,10 @@ class ViewSet(Record, hidden=("provenance",)):
         return frozenset({EMPTY_EXT}.union(*(exts for _, exts in self.components)))
 
     def canonical(self) -> tuple:
-        """Component structure up to renaming: the sorted nonempty
-        per-component closures as :class:`~dbcat.core.SetKey`, a comparison
-        key within one process that never lists a description
-        (:meth:`serialize` is the report form)."""
-        return tuple(sorted(SetKey(exts) for _, exts in self.components if exts))
-
-    def same_views(self, other: "ViewSet") -> bool:
-        return self.canonical() == other.canonical()
+        """Component structure up to renaming: the :func:`canonical_form` of
+        the channels ``(c, c, closure)``, which is the key of the identity's
+        flux (:meth:`serialize` is the report form)."""
+        return canonical_form((c, c, exts) for c, exts in self.components)
 
     def __contains__(self, ext) -> bool:
         ext = frozenset(ext)
@@ -128,6 +124,70 @@ class ViewSet(Record, hidden=("provenance",)):
             return bottom_instance()
         relations = tuple(Relation(f"v{i}", len(next(iter(e))), e) for i, (_, e) in enumerate(views))
         return Instance(relations, tuple((r.name, comp) for r, (comp, _) in zip(relations, views)))
+
+
+def canonical_form(channels) -> tuple:
+    """A keyed family of closures, the triples (source, target, closure),
+    up to renaming components on either side: the sorted forms
+    (:func:`_part_form`) of the connected parts of its nonempty channels.
+    Keys are :class:`~dbcat.core.SetKey`, so this is a comparison key within
+    one process that never lists a description."""
+    chans = [(s, t, SetKey(exts)) for s, t, exts in channels if exts]
+    root: dict = {}  # union-find over sources (0, s) and targets (1, t)
+
+    def find(x):
+        while root.setdefault(x, x) != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    for s, t, _ in chans:
+        root[find((0, s))] = find((1, t))
+    parts: dict = {}
+    for c in chans:
+        parts.setdefault(find((0, c[0])), []).append(c)
+    return tuple(sorted(map(_part_form, parts.values())))
+
+
+def _part_form(chans) -> tuple:
+    """Exact form of a connected set of channels (source, target, key), its
+    sources and targets labelled from 0; a single channel is its own form.
+    Colour refinement splits the components into classes: a component's
+    colour is its previous colour with the keys of its channels, each paired
+    with the colour at the other end, until no class splits.  Only sources of
+    one class are permuted.  Given the source labels, each target is labelled
+    by its colour and its (source label, key) channels; targets that agree on
+    these are interchangeable.  The least form over those permutations is
+    exact."""
+    if len(chans) == 1:
+        return ((0, 0, chans[0][2]),)
+    by_src, by_tgt = {}, {}
+    for s, t, k in chans:
+        by_src.setdefault(s, []).append((t, k))
+        by_tgt.setdefault(t, []).append((s, k))
+    scol, tcol = dict.fromkeys(by_src, 0), dict.fromkeys(by_tgt, 0)
+    classes = 0  # refinement only splits classes, so it is stable once none split
+    while classes < (classes := len(set(scol.values())) + len(set(tcol.values()))):
+        scol, tcol = _refine(scol, tcol, by_src), _refine(tcol, scol, by_tgt)
+    groups: dict = {}
+    for src in sorted(scol, key=scol.get):
+        groups.setdefault(scol[src], []).append(src)
+
+    def form(order):
+        smap = {src: i for i, src in enumerate(itertools.chain.from_iterable(order))}
+        tsig = {t: (tcol[t], sorted((smap[s], k) for s, k in by_tgt[t])) for t in tcol}
+        tmap = {t: i for i, t in enumerate(sorted(tsig, key=tsig.get))}
+        return tuple(sorted((smap[s], tmap[t], k) for s, t, k in chans))
+
+    return min(map(form, itertools.product(*map(itertools.permutations, groups.values()))))
+
+
+def _refine(colour: dict, other: dict, adjacent: dict) -> dict:
+    """One round of colour refinement: each component's new colour is the
+    rank of (its colour, its channel keys each with the colour at the other
+    end) among all such signatures on its side."""
+    sig = {x: (colour[x], tuple(sorted((k, other[y]) for y, k in adjacent[x]))) for x in colour}
+    rank = {s: i for i, s in enumerate(sorted(set(sig.values())))}
+    return {x: rank[s] for x, s in sig.items()}
 
 
 def _witness_term(ext, names: dict):
@@ -401,7 +461,7 @@ def instances_isomorphic(
     for r in a.relations:  # a loop, not a generator: vb stays a plain local
         if r.tuples not in vb:
             return False
-    return power_view_cached(a, depth, m, cap).same_views(vb)
+    return power_view_cached(a, depth, m, cap).canonical() == vb.canonical()
 
 
 def matching(

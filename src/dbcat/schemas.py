@@ -22,6 +22,15 @@ class SchemaError(DbcatError):
     pass
 
 
+def _check_atoms(atoms, arities: dict, owner: str, unknown: str, wrong: str) -> None:
+    """Raise :class:`SchemaError` at the first relation atom of *atoms* that
+    names no relation of *arities*, or one at another arity: the message
+    *unknown* or *wrong*, formatted with *owner* and the relation's name."""
+    for a in atoms:
+        if isinstance(a, RelAtom) and arities.get(a.name) != len(a.args):
+            raise SchemaError((wrong if a.name in arities else unknown).format(owner, a.name))
+
+
 # ---------------------------------------------------------------------------
 # schemas and terms
 
@@ -40,18 +49,9 @@ class Schema(Record):
             raise SchemaError(f"duplicate relation symbols in schema {self.name}")
         if any("#" in rel for rel in arities):
             raise SchemaError(f"relation names of schema {self.name} may not contain '#'")
-        for item in self.constraints.items:
-            atoms = item.left + (item.right if isinstance(item, Tgd) else ())
-            for a in atoms:
-                if isinstance(a, RelAtom):
-                    if a.name not in arities:
-                        raise SchemaError(
-                            f"constraint of {self.name} uses unknown relation {a.name}"
-                        )
-                    if arities[a.name] != len(a.args):
-                        raise SchemaError(
-                            f"constraint of {self.name} uses {a.name} at the wrong arity"
-                        )
+        atoms = [a for item in self.constraints.items for a in item.left + (item.right if isinstance(item, Tgd) else ())]
+        unknown, wrong = "constraint of {} uses unknown relation {}", "constraint of {} uses {} at the wrong arity"
+        _check_atoms(atoms, arities, self.name, unknown, wrong)
 
     def sort_key(self):
         return (self.name, self.relsymbols)
@@ -209,17 +209,9 @@ class SchemaMapping(Record):
     def __post_init__(self):
         src, tgt = term_layout(self.source), term_layout(self.target)
         src_rels, tgt_rels = src.relsymbols(), tgt.relsymbols()
+        wrong = "mapping {}: {} used at the wrong arity"
         for p in self.pairs:
-            for a in p.lhs.body:
-                if isinstance(a, RelAtom):
-                    if a.name not in src_rels:
-                        raise SchemaError(
-                            f"mapping {self.name}: {a.name} not in source schema"
-                        )
-                    if src_rels[a.name] != len(a.args):
-                        raise SchemaError(
-                            f"mapping {self.name}: {a.name} used at the wrong arity"
-                        )
+            _check_atoms(p.lhs.body, src_rels, self.name, "mapping {}: {} not in source schema", wrong)
             comps = {
                 src.component_of(a.name)
                 for a in p.lhs.body
@@ -233,19 +225,9 @@ class SchemaMapping(Record):
                 raise SchemaError(
                     f"mapping {self.name}: the two sides have different widths"
                 )
-            for a in p.rhs.body:
-                if not isinstance(a, RelAtom):
-                    continue
-                if a.name in tgt_rels:
-                    if tgt_rels[a.name] != len(a.args):
-                        raise SchemaError(
-                            f"mapping {self.name}: {a.name} used at the wrong arity"
-                        )
-                elif not p.rhs_bare:
-                    raise SchemaError(
-                        f"mapping {self.name}: right-side query uses unknown "
-                        f"relation {a.name}"
-                    )
+            # a bare right side may name a fresh relation, so its atom is checked only when declared
+            right = [a for a in p.rhs.body if not p.rhs_bare or a.name in tgt_rels]
+            _check_atoms(right, tgt_rels, self.name, "mapping {}: right-side query uses unknown relation {}", wrong)
 
 
 def make_pair(lhs: Rule, rhs) -> MappingPair:

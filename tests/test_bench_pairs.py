@@ -90,10 +90,12 @@ def test_a_loss_beyond_the_bound_is_neither_claimable_nor_within_it(tmp_path):
 
 
 # As STUB, but a ``-m dbcat.cli`` command prints the checkout's speed file,
-# its arguments and whether PYTHONPATH names the checkout's src/, and exits
-# with the checkout's status file.
+# its arguments and whether PYTHONPATH names the checkout's src/, writes a
+# ``dbcat:`` line naming its status to stderr, and exits with the checkout's
+# status file.
 CLI_STUB = """if [ "$1" = "-m" ]; then
   cat speed; shift 2; echo "$@"; [ "$PYTHONPATH" = "$PWD/src" ] && echo src
+  echo "dbcat: status $(cat status)" >&2
   exit $(cat status)
 fi
 """ + STUB
@@ -121,9 +123,11 @@ def test_named_cli_commands_are_timed_once_per_revision_and_pair(tmp_path):
         command = got["cli"][args]
         assert command["argv"][:4] == ["sh", str(stub), "-m", "dbcat.cli"]
         assert command["status"] == {"base": [0] * 3, "change": [3] * 3}
-        for side, speed in (("base", 2), ("change", 1)):
+        for side, speed, status in (("base", 2, 0), ("change", 1, 3)):
             digest = hashlib.sha256(f"{speed}\n{printed}\nsrc\n".encode()).hexdigest()
             assert command["stdout_sha256"][side] == [digest] * 3
+            digest = hashlib.sha256(f"dbcat: status {status}\n".encode()).hexdigest()
+            assert command["stderr_sha256"][side] == [digest] * 3
         seconds = command["seconds"]
         assert seconds["better"] == "lower" and seconds["pairs"] == 3
         assert all(len(seconds[side]["runs"]) == 3 and min(seconds[side]["runs"]) > 0 for side in ("base", "change"))

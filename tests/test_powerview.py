@@ -386,7 +386,7 @@ def test_closure_comparison_agrees_with_the_sorted_form():
                 va, vb = power_view(a, depth, 2), power_view(b, depth, 2)
                 want = sorted_closure_form(va) == sorted_closure_form(vb)
                 verdicts[want] += 1
-                assert va.same_views(vb) == want
+                assert (va.canonical() == vb.canonical()) == want
                 assert instances_isomorphic(a, b, depth, 2) == want
         va, vb = power_view(a, 2, 2), power_view(pairs[0], 2, 2)
         vab = power_view(disjoint_union(a, pairs[0]), 2, 2)
@@ -407,3 +407,13 @@ def test_a_bounded_iso_refuted_by_the_seeds_builds_one_closure(monkeypatch):
     swap, one = make_instance({"r": [(3, 4), (4, 3)]}), make_instance({"r": [(3, 4)]})
     assert not instances_isomorphic(one, swap, 1, 2)  # a selection gives {(3, 4)}: both closures compared
     assert built == [swap, one]
+
+
+@pytest.mark.parametrize("depth", [1, 2, None])
+def test_a_bounded_iso_closes_both_instances_at_one_shared_width(depth):
+    # r's 2-tuple lifts the shared width to 2, where {(1,)} closes to hold
+    # {(1, 1)} too; closing t's component at width 1 alone would say FAIL
+    a = disjoint_union(make_instance({"r": [(1, 1)]}), make_instance({"s": [(5,)]}))
+    b = disjoint_union(make_instance({"t": [(1,)]}), make_instance({"s": [(5,)]}))
+    assert instances_isomorphic(a, b, depth, 1)
+    assert instances_isomorphic(b, a, depth, 1)

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from dbcat.constraints import Sentence, Tgd, check_tgd
+from dbcat.constraints import Egd, Sentence, Tgd, check_tgd
 from dbcat.core import SENTINEL_A, SENTINEL_B, make_instance
 from dbcat.dsl import parse_workspace_text
 from dbcat.interpret import interpret_term, interpretation
@@ -131,14 +131,22 @@ def test_graph_node_name_for_the_empty_schema_is_reserved():
         _graph_single(make_pair(q, RelAtom("t", (Var("X"),))), src=(EMPTY_NODE, SA))
 
 
-def test_schema_constraint_validation():
-    x = Var("X")
-    with pytest.raises(SchemaError):
-        Schema(
-            "K",
-            (("r", 1),),
-            Sentence((Tgd(("X",), (RelAtom("nope", (x,)),), (RelAtom("r", (x,)),)),)),
-        )
+X, Y = Var("X"), Var("Y")
+
+
+@pytest.mark.parametrize(
+    "item, message",
+    [
+        (Tgd(("X",), (RelAtom("nope", (X,)),), (RelAtom("r", (X,)),)), "constraint of K uses unknown relation nope"),
+        (Tgd(("X",), (RelAtom("r", (X,)),), (RelAtom("nope", (X,)),)), "constraint of K uses unknown relation nope"),
+        (Tgd(("X",), (RelAtom("r", (X,)),), (RelAtom("s", (X,)),)), "constraint of K uses s at the wrong arity"),
+        (Egd((RelAtom("r", (X,)), RelAtom("r", (X, Y))), ("X", "Y")), "constraint of K uses r at the wrong arity"),
+    ],
+)
+def test_schema_constraint_validation(item, message):
+    with pytest.raises(SchemaError) as exc:
+        Schema("K", (("r", 1), ("s", 2)), Sentence((item,)))
+    assert str(exc.value) == message
 
 
 def test_declared_relation_names_cannot_look_qualified():

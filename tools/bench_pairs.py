@@ -13,7 +13,7 @@ working tree is never touched and the clones are removed afterwards.  Pair
 last stdout line is its JSON result.  Each ``--cli`` command is then run once
 per revision, in the same order, as a fresh ``python -m dbcat.cli`` process
 of that checkout; its wall seconds, exit status and the SHA-256 of its stdout
-are kept.
+and of its stderr are kept, so a refusal's one ``dbcat:`` line shows too.
 
 Per workload and metric the file holds every run's value, each side's median
 and quartiles, how many pairs the change won (by the direction BENCHMARK.json
@@ -61,13 +61,18 @@ def run_once(runner: list, tree: Path, argv: list) -> dict:
 
 def run_cli(runner: list, tree: Path, args: str) -> dict:
     """One ``dbcat`` CLI command, *args* split as a shell would, in a fresh
-    process of the checkout *tree*: its wall seconds, exit status and stdout
-    hash."""
+    process of the checkout *tree*: its wall seconds, exit status and the
+    hashes of its stdout and stderr."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     start = time.perf_counter()
     proc = subprocess.run([*runner, "-m", "dbcat.cli", *shlex.split(args)], cwd=tree, env=env, capture_output=True, timeout=1800)
     seconds = time.perf_counter() - start
-    return {"seconds": seconds, "status": proc.returncode, "stdout_sha256": hashlib.sha256(proc.stdout).hexdigest()}
+    return {
+        "seconds": seconds,
+        "status": proc.returncode,
+        "stdout_sha256": hashlib.sha256(proc.stdout).hexdigest(),
+        "stderr_sha256": hashlib.sha256(proc.stderr).hexdigest(),
+    }
 
 
 def spread(values: list) -> dict:
@@ -154,6 +159,7 @@ def bench_pairs(repo, issue, base, workloads, pairs, seed, extra, runner, cli=()
                 "argv": [*runner, "-m", "dbcat.cli", *shlex.split(args)],
                 "status": {side: [r["status"] for r in commands[args][side]] for side in revs},
                 "stdout_sha256": {side: [r["stdout_sha256"] for r in commands[args][side]] for side in revs},
+                "stderr_sha256": {side: [r["stderr_sha256"] for r in commands[args][side]] for side in revs},
                 "seconds": compare(*([r["seconds"] for r in commands[args][side]] for side in revs), "lower"),
             }
             for args in cli
