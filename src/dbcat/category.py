@@ -34,10 +34,12 @@ from .powerview import (
     DEFAULT_DEPTH,
     DEFAULT_MAX_ARITY,
     EMPTY_EXT,
+    ClosedForm,
+    ViewBudgetExceeded,
     canonical_form,
     close_component,
     instances_isomorphic,
-    power_view_cached,
+    view_closure,
 )
 from .queries import QueryArityError, Rule, copy_rule, eval_rule
 
@@ -135,6 +137,11 @@ class Morphism(Record):
     def d1(self) -> frozenset:
         names = {t.viewmap.target for t in self.trees}
         return frozenset(names) if names else frozenset({BOT})
+
+    def width(self, max_arity: int) -> int:
+        """*max_arity* raised to the widest relation of every instance the arrow reads, middle objects included."""
+        parts = [p if isinstance(p, Morphism) else p[0] for p in self.parts[1:]]
+        return max([max_arity, self.source.max_arity(), self.target.max_arity(), *(p.width(0) for p in parts)])
 
     @cached_property
     def _views(self) -> tuple:
@@ -347,7 +354,13 @@ class Flux(Record):
         """Equal labelled channels are one relabelling: no canonical form is needed."""
         return self.channels == other.channels or self.canonical() == other.canonical()
 
-    def serialize(self) -> list:
+    def serialize(self, cap: int = DEFAULT_CAP) -> list:
+        """Report form; the views of fixpoint channels spend *cap* before any is listed."""
+        left = cap
+        for s, t, exts in (c for c in self.channels if isinstance(c[2], ClosedForm)):
+            if exts.past(left):
+                raise ViewBudgetExceeded(cap, None, component=f"{s}->{t}")
+            left -= len(exts)
         return format_closure(self.channels, (0, 0))
 
 
@@ -357,8 +370,7 @@ def _atomic_channels(m: Morphism, depth, max_arity, cap):
         groups.setdefault(key, set()).update((ext,) if ext else ())
     channels, fix = [], True
     for (s, t), exts in sorted(groups.items()):
-        width = max([max_arity] + [len(next(iter(e))) for e in exts])
-        closed, fixed = close_component(frozenset(exts), depth, width, cap)
+        closed, fixed = close_component(frozenset(exts), depth, max_arity, cap)
         fix = fix and fixed
         if closed:
             channels.append((s, t, closed))
@@ -371,14 +383,14 @@ def flux(
     max_arity: int = DEFAULT_MAX_ARITY,
     cap: int = DEFAULT_CAP,
 ) -> Flux:
-    """Information flux of a morphism at the given closure bound.
+    """Information flux of a morphism at the given bound and its one width.
 
     Atomic arrows close, channel by channel, the extensions their view maps
     produce, each evaluated once per arrow.  Composites intersect the factor
     fluxes across the shared middle object; side-by-side arrows re-tag the
     factor channels through their component maps.
     """
-    kind = m.parts[0]
+    max_arity, kind = m.width(max_arity), m.parts[0]  # a part's width is at most m's
     if kind == "atomic":
         return Flux(*_atomic_channels(m, depth, max_arity, cap))
     if kind == "compose":
@@ -417,8 +429,9 @@ def equivalent(
     max_arity: int = DEFAULT_MAX_ARITY,
     cap: int = DEFAULT_CAP,
 ) -> bool:
-    """Flux equality at a shared bound (exact when both reach a fixpoint)."""
-    return flux(f, depth, max_arity, cap).same(flux(g, depth, max_arity, cap))
+    """Flux equality at one bound and width (exact when both reach a fixpoint)."""
+    m = f.width(g.width(max_arity))
+    return flux(f, depth, m, cap).same(flux(g, depth, m, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +461,7 @@ def verify_duality(
     f: Morphism | None = None,
     g: Morphism | None = None,
     depth: int | None = None,
-    max_arity: int | None = None,
+    max_arity: int = 2,
     cap: int = DEFAULT_CAP,
 ):
     """Check that the coproduct of *a* and *b* also behaves as their product.
@@ -456,14 +469,13 @@ def verify_duality(
     Optional *f*, *g* (arrows into *a* and *b* from a common source) feed the
     product triangle laws; by default the projections themselves are used.
     """
-    if max_arity is None:
-        max_arity = max(2, a.max_arity(), b.max_arity())
     sum_ab = disjoint_union_with_maps(a, b)  # built once, for every arrow into or out of it
     in_a, in_b, p_a, p_b = (_summand(sum_ab, a, b, side, into) for into in (True, False) for side in ("left", "right"))
     if f is None or g is None:
         f, g = p_a, p_b
     targets = sum_ab if (f.target, g.target) == (a, b) else disjoint_union_with_maps(f.target, g.target)
     paired = _side_by_side(f, g, None, targets)
+    max_arity = max(f.width(max_arity), g.width(max_arity), a.max_arity(), b.max_arity())
     laws = (
         ("projection-after-injection-left", compose(p_a, in_a), identity(a), "p_A . in_A ~ id_A"),
         ("projection-after-injection-right", compose(p_b, in_b), identity(b), "p_B . in_B ~ id_B"),
@@ -473,7 +485,7 @@ def verify_duality(
     checks = [
         (cid, equivalent(lhs, rhs, depth, max_arity, cap), law) for cid, lhs, rhs, law in laws
     ]
-    va, vb, vab = (power_view_cached(x, depth, max_arity, cap) for x in (a, b, sum_ab[0]))
+    va, vb, vab = (view_closure(x, depth, max_arity, cap) for x in (a, b, sum_ab[0]))
     summed = tuple(sorted(va.canonical() + vb.canonical())) == vab.canonical()
     checks.append(("views-of-coproduct", summed, "views(A+B) = views(A) (+) views(B)"))
     if not is_empty_isomorphic(a):

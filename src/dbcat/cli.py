@@ -135,7 +135,7 @@ def run(command: str, args, ws: Workspace, depth, max_arity, cap) -> Report:
         try:
             m = _mapping_morphism(ws, args[0], args[1], args[2])
             fx = category.flux(m, depth, max_arity, cap)
-            for s, t, views in fx.serialize():
+            for s, t, views in fx.serialize(cap):
                 lines.append((f"flux {args[0]} c{s}->c{t}", "PASS", " ".join(views)))
         except category.ModeViolation as exc:
             lines.append((f"flux {args[0]}", "FAIL", str(exc)))
@@ -146,7 +146,7 @@ def run(command: str, args, ws: Workspace, depth, max_arity, cap) -> Report:
             h = category.compose(g, f)
             lines.append((f"compose {args[1]}.{args[0]} kind", "PASS", h.kind))
             fx = category.flux(h, depth, max_arity, cap)
-            for s, t, views in fx.serialize():
+            for s, t, views in fx.serialize(cap):
                 lines.append(
                     (f"compose {args[1]}.{args[0]} flux c{s}->c{t}", "PASS", " ".join(views))
                 )
@@ -187,7 +187,7 @@ def _law_suite(ws: Workspace, depth, max_arity, cap):
     lines = []
     insts = sorted(ws.instances.items())
     bot = bottom_instance()
-    vs_bot = powerview.power_view(bot, depth, max_arity, cap)
+    vs_bot = powerview.view_closure(bot, depth, max_arity, cap)
     lines.append(
         (
             "laws bottom-closure",
@@ -196,7 +196,7 @@ def _law_suite(ws: Workspace, depth, max_arity, cap):
         )
     )
     for name, (_, inst) in insts:
-        vs = powerview.power_view(inst, depth, max_arity, cap)
+        vs = powerview.view_closure(inst, depth, max_arity, cap)
         contains_all = all(
             r.tuples in vs or not r.tuples for r in inst.relations
         )

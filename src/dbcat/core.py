@@ -149,32 +149,31 @@ class SetKey:
     """Exact sort key for a closure: a frozenset of extensions, or a
     description with an ``order_key`` (:class:`dbcat.powerview.ClosedForm`).
 
-    Equality and hashing are the closure's, whose hash is cached.  The order
-    is by size, then hash; only two unequal closures that tie on both are
-    ordered by their exact forms, a description's ``order_key`` or a set's
-    sorted :func:`ext_key` list, so the order is total and exact even when
-    hashes collide, and a description is never listed.  Hashes of strings
-    vary between processes, so the order is for comparisons within one
-    process; reports sort by :func:`ext_key`.
+    Equality and hashing are the closure's; the hash is kept.  The order is
+    by hash; only two unequal closures whose hashes collide are ordered by
+    their exact forms, a description's ``order_key`` or a set's size and
+    sorted :func:`ext_key` list, so the order is total and exact, and a
+    description is never counted or listed.  Hashes of strings vary between
+    processes, so the order is for comparisons within one process; reports
+    sort by :func:`ext_key`.
     """
 
-    __slots__ = ("exts",)
+    __slots__ = ("exts", "hash")
 
     def __init__(self, exts: frozenset):
-        self.exts = exts
+        self.exts, self.hash = exts, hash(exts)
 
     def __eq__(self, other) -> bool:
         return self.exts is other.exts or self.exts == other.exts
 
     def __hash__(self) -> int:
-        return hash(self.exts)
+        return self.hash
 
     def __lt__(self, other) -> bool:
+        if self.hash != other.hash:
+            return self.hash < other.hash
         a, b = self.exts, other.exts
-        ka, kb = (len(a), hash(a)), (len(b), hash(b))
-        if ka != kb:
-            return ka < kb
-        forms = ((1, x.order_key()) if hasattr(x, "order_key") else (0, sorted(map(ext_key, x))) for x in (a, b))
+        forms = ((1, x.order_key()) if hasattr(x, "order_key") else (0, len(x), sorted(map(ext_key, x))) for x in (a, b))
         return a != b and next(forms) < next(forms)
 
 

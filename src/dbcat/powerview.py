@@ -52,18 +52,16 @@ EMPTY_EXT = frozenset()
 class ViewBudgetExceeded(DbcatError):
     """The enumeration produced more views than the configured cap allows.
 
-    ``views`` is the count of new views reached and ``cap`` the cap passed;
-    ``level`` is the closure level it stopped at (None when the sum over
-    components passed the cap) and ``component`` the component id (None
-    outside :func:`power_view`).
+    ``views`` is the count of new views reached (None from a flux report's
+    count) and ``cap`` the cap passed; ``level`` is the closure level it
+    stopped at, and ``component`` the component id or flux channel.
     """
 
     def __init__(self, cap, views, level=None, component=None):
         where = [f"component {component}"] if component is not None else []
         where += [f"level {level}"] if level is not None else []
-        super().__init__(
-            f"view enumeration exceeded cap of {cap} ({', '.join(where + [f'{views} views'])})"
-        )
+        where += [f"{views} views"] if views is not None else []
+        super().__init__(f"view enumeration exceeded cap of {cap} ({', '.join(where)})")
         self.cap, self.views, self.level, self.component = cap, views, level, component
 
 
@@ -248,6 +246,10 @@ class ClosedForm:
             for group in itertools.combinations(doms, n)
         )
 
+    def past(self, budget: int) -> bool:
+        """Whether it holds more than *budget* views; a block Dᵏ of more tuples than *budget* has bits does."""
+        return any(len(d) ** k > budget.bit_length() for k, ds in enumerate(self.key[1], 1) for d in ds) or self.count() > budget
+
     def __len__(self) -> int:
         if (n := self.count()) > sys.maxsize:
             raise DbcatError(f"{n.bit_length()}-bit view count is past len(); use count()")
@@ -306,31 +308,24 @@ def close_component(seeds, depth, max_arity, cap):
     """Closure of one component from the frozenset *seeds* of its nonempty
     extensions.
 
-    Returns (views, reached_fixpoint), *views* the nonempty extensions: a
-    :class:`ClosedForm` over the component's active domain at ``depth=None``,
-    a frozenset from the level enumerator at a bounded depth.  The closure
-    depends on the extensions and the bounds alone, so one memoised result
-    serves every component and flux channel that holds the same extensions.
-    Raises :class:`ViewBudgetExceeded` once more than *cap* new views appear;
-    at fixpoint the enumerator runs only to find where.  A level's operands
-    come from earlier levels, so the views it adds, and so where the cap is
-    passed, do not depend on emission order.
+    Returns (views, reached_fixpoint), *views* the nonempty extensions: at
+    ``depth=None`` the uncounted :class:`ClosedForm` over the component's
+    active domain, else a frozenset from the level enumerator, which raises
+    :class:`ViewBudgetExceeded` once more than *cap* new views appear.  One
+    memoised result serves every component and flux channel with the same
+    extensions.  A level's operands come from earlier levels, so the views
+    it adds, and so where the cap is passed, do not depend on emission order.
     """
     if depth is None:
         domain = frozenset(v for ext in seeds for t in ext for v in t)
-        # a block Dᵏ of more than b tuples, b one more than the bit length of
-        # cap + len(seeds), alone holds more views than the cap allows
-        if len(domain) ** max_arity <= (cap + len(seeds)).bit_length() + 1:
-            form = ClosedForm(((domain,),) * max_arity, frozenset({()}) in seeds)
-            if form.count() - len(seeds) <= cap:
-                return form, True
+        return ClosedForm(((domain,),) * max_arity, frozenset({()}) in seeds), True
     views = set(seeds)
     by_arity: dict = {}  # arity -> operands visited so far, earlier levels first
     getters: dict = {}  # index list -> its itemgetter
     frontier = seeds
     added = level = 0
     while frontier:
-        if depth is not None and level >= depth:
+        if level >= depth:
             return frozenset(views), False
         level += 1
         new: list = []
@@ -379,26 +374,14 @@ def close_component(seeds, depth, max_arity, cap):
     return frozenset(views), True
 
 
-def power_view(
-    inst: Instance,
-    depth: int | None = DEFAULT_DEPTH,
-    max_arity: int = DEFAULT_MAX_ARITY,
-    cap: int = DEFAULT_CAP,
-) -> ViewSet:
-    """All views of *inst* reachable within the given bounds.
-
-    ``depth=None`` runs to a true fixpoint.  *cap* bounds the new views
-    summed over all components.  The result records whether a fixpoint was
-    reached, which makes equality comparisons exact rather than bounded.
-    """
-    if max_arity < inst.max_arity():
-        raise DbcatError(
-            f"max_arity {max_arity} below the instance's own arity {inst.max_arity()}"
-        )
+def view_closure(inst, depth=DEFAULT_DEPTH, max_arity=DEFAULT_MAX_ARITY, cap=DEFAULT_CAP) -> ViewSet:
+    """All views of *inst* within the bounds, the width raised to its widest
+    relation, for a verdict: ``depth=None`` runs to a true fixpoint, kept as
+    uncounted descriptions, and the result records whether it got there."""
+    max_arity = max(max_arity, inst.max_arity())
     components = []
     provenance = []
     fixpoint = True
-    added = 0
     for comp, rels in sorted(inst.components().items()):
         names: dict = {}
         for r in rels:
@@ -408,9 +391,6 @@ def power_view(
             views, fixed = close_component(frozenset(names), depth, max_arity, cap)
         except ViewBudgetExceeded as exc:
             raise ViewBudgetExceeded(cap, exc.views, exc.level, comp) from None
-        added += len(views) - len(names)
-        if added > cap:
-            raise ViewBudgetExceeded(cap, added, component=comp)
         fixpoint = fixpoint and fixed
         if views:
             components.append((comp, views))
@@ -422,6 +402,25 @@ def power_view(
         fixpoint=fixpoint,
         provenance=tuple(provenance),
     )
+
+
+def power_view(
+    inst: Instance,
+    depth: int | None = DEFAULT_DEPTH,
+    max_arity: int = DEFAULT_MAX_ARITY,
+    cap: int = DEFAULT_CAP,
+) -> ViewSet:
+    """:func:`view_closure`, to be listed: *cap* bounds the new views summed over
+    all components; one past it alone is enumerated to the level it passes it."""
+    vs = view_closure(inst, depth, max_arity, cap)
+    added = 0
+    for (comp, views), (_, names) in zip(vs.components, vs.provenance):
+        if isinstance(views, ClosedForm) and views.past(cap + len(names)):
+            view_closure(inst, cap + 1, max_arity, cap)  # raises: each level before a fixpoint adds a view
+        added += len(views) - len(names)
+        if added > cap:
+            raise ViewBudgetExceeded(cap, added, component=comp)
+    return vs
 
 
 _PV_CACHE: dict = {}
@@ -473,14 +472,14 @@ def matching(
 ) -> ViewSet:
     """Shared information of two instances: the views they have in common,
     the union over pairs of components of their closures' intersections."""
-    va = power_view_cached(a, depth, max_arity, cap)
-    vb = power_view_cached(b, depth, max_arity, cap)
+    m = max(max_arity, a.max_arity(), b.max_arity())
+    va, vb = view_closure(a, depth, m, cap), view_closure(b, depth, m, cap)
     shared = [ca & cb for _, ca in va.components for _, cb in vb.components]
     common = functools.reduce(or_, shared) if shared else EMPTY_EXT
     return ViewSet(
         components=((0, common),) if common else (),
         depth=va.depth,
-        max_arity=max_arity,
+        max_arity=m,
         fixpoint=va.fixpoint and vb.fixpoint,
         provenance=va.provenance,
     )
@@ -494,4 +493,4 @@ def merging(
     cap: int = DEFAULT_CAP,
 ) -> ViewSet:
     """Views of the federated union: both inputs under one query engine."""
-    return power_view_cached(federate(a, b), depth, max_arity, cap)
+    return view_closure(federate(a, b), depth, max_arity, cap)

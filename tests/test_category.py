@@ -1,4 +1,5 @@
 import itertools
+import pathlib
 import random
 import sys
 
@@ -693,6 +694,41 @@ def test_fixpoint_verdicts_never_list_a_closure(monkeypatch):
     assert verify_duality(a, b, **FIX).passed
     assert instances_isomorphic(disjoint_union(a, b), disjoint_union(b, a), **FIX)
     assert not instances_isomorphic(a, disjoint_union(a, a), **FIX)
+
+
+def test_fixpoint_verdicts_at_arity_four_never_list_or_count(monkeypatch):
+    """|D| = 3 at arity 4 is 2^81 views per closure: every verdict compares descriptions."""
+    from dbcat.cli import run
+    from dbcat.dsl import parse_workspace
+
+    def refuse(self):
+        raise AssertionError("a verdict listed or counted a fixpoint closure")
+
+    monkeypatch.setattr(powerview, "_PV_CACHE", {})
+    monkeypatch.setattr(powerview.ClosedForm, "listing", refuse)
+    monkeypatch.setattr(powerview.ClosedForm, "count", refuse)
+    ws = parse_workspace([str(pathlib.Path(__file__).parent / "data" / "demo.dbc")])
+    for command, args in (("laws", []), ("check-functor", ["G"]), ("gamma-iso", ["G"]), ("duality", ["A0", "B0"])):
+        assert run(command, args, ws, None, 4, core.DEFAULT_CAP).status == 0, command
+    a, b = ws.instances["A0"][1], ws.instances["B0"][1]
+    assert verify_duality(a, b, depth=None, max_arity=4).passed
+    assert equivalent(identity(a), compose(projection(a, b), injection(a, b)), None, 4)
+    assert not equivalent(identity(a), identity(b), None, 4)
+    assert not instances_isomorphic(a, b, None, 4) and instances_isomorphic(a, a, None, 4)
+    assert powerview.matching(a, b, None, 4).fixpoint and powerview.merging(a, b, None, 4).fixpoint
+    ring = make_instance({"r": [tuple((i + k) % 50 for k in range(4)) for i in range(50)]})  # |D| = 50
+    assert verify_duality(ring, b, depth=None, max_arity=4).passed
+
+
+def test_one_call_closes_every_flux_at_one_width():
+    """f carries {(1, 1)} and g {(1,)}: at width 2 both close to {(1,)} and {(1, 1)}."""
+    a, u = make_instance({"r": [(1, 1)]}), make_instance({"u": [(1, 1)]})
+    t, v = make_instance({"t": [(1,)]}), make_instance({"v": [(1,)]})
+    f = make_atomic([vm([("r", "X", "Y")], "u", head=("X", "Y"))], a, u)
+    g = make_atomic([vm([("t", "X")], "v")], t, v)
+    for arity in (1, 2, 3):
+        assert equivalent(f, g, None, arity)
+    assert flux(g, None, 1) != flux(g, None, 2)  # an arrow alone widens only to its own instances
 
 
 def test_a_sum_of_a_composite_with_a_hidden_leaf_keeps_what_its_factors_have():

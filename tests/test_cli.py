@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import hypothesis.strategies as st
 import pytest
@@ -224,6 +225,46 @@ def test_fixpoint_iso_is_decided_without_building_closures(capsys):
         assert instances_isomorphic(a, b, None, arity) is same
         assert same or not instances_isomorphic(a, b, 2, arity)  # signatures differ: FAIL at any depth
         assert close_component.cache_info().misses == misses
+
+
+DEMO_COMMANDS = [(command, args) for command, workspace, args in GOLDEN_COMMANDS if workspace == "demo"] + [
+    ("iso", ["A0", "B0"]),
+    ("check-model", ["G"]),
+    ("check-functor", ["G"]),
+    ("gamma-iso", ["G"]),
+]
+
+
+@pytest.mark.parametrize("depth", ["1", "-1"])
+@pytest.mark.parametrize("command, args", DEMO_COMMANDS, ids=[c for c, _ in DEMO_COMMANDS])
+def test_an_arity_below_the_widest_relation_is_raised_to_it(command, args, depth, capsys):
+    """demo.dbc's widest relation is binary: --arity 1 closes at width 2."""
+    readings = []
+    for arity in ("1", "2"):
+        status = main([command, *args, "-i", str(DATA / "demo.dbc"), "--depth", depth, "--arity", arity])
+        readings.append((status, *capsys.readouterr()))
+    assert readings[0] == readings[1]
+
+
+@pytest.mark.parametrize("args", [["duality", "B0", "B0"], ["duality", "F0", "F0"], ["duality", "C1", "C1"],
+                                  ["laws"], ["duality", "A0", "B0"], ["check-functor", "G"]])
+def test_fixpoint_verdicts_are_exact_at_the_default_arity(args, capsys):
+    """No fixpoint verdict is counted against the cap, which only listings spend."""
+    name = {"F0": "federation", "C1": "system"}.get(args[-1], "demo")
+    assert main([*args, "-i", str(DATA / f"{name}.dbc"), "--depth", "-1"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("args", [["flux", "M", "A0", "B0"], ["compose", "M", "N", "A0", "B0", "D0"]])
+def test_fixpoint_reports_count_their_channels_before_listing(args, capsys):
+    start = time.perf_counter()
+    assert main([*args, "-i", str(DATA / "demo.dbc"), "--depth", "-1", "--arity", "5"]) == 2
+    assert time.perf_counter() - start < 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith("dbcat: view enumeration exceeded cap of 100000")
+    # a listed closure past the cap on its own is enumerated to say where
+    assert main(["powerview", "A0", "-i", str(DATA / "demo.dbc"), "--depth", "-1"]) == 2
+    assert capsys.readouterr() == ("", "dbcat: view enumeration exceeded cap of 100000 (component 0, level 4, 100001 views)\n")
 
 
 def test_console_script_runs():

@@ -159,6 +159,16 @@ def test_a_description_counts_its_views_past_len():
         power_view(make_instance({"r": [(1, 2, 3, 1)]}), None, 4, 100)
 
 
+def test_a_canonical_form_orders_descriptions_past_len():
+    """Two channels of one part hold 82-bit descriptions: their keys are
+    ordered by hash and exact form, never by a count."""
+    wide = [powerview.ClosedForm([[frozenset(d)]] * 4, False) for d in ({1, 2, 3}, {4, 5, 6})]
+    one = powerview.canonical_form([(0, 0, wide[0]), (0, 1, wide[1])])
+    assert one == powerview.canonical_form([(5, 7, wide[1]), (5, 2, wide[0])])
+    assert len(one) == 1 and len(one[0]) == 2
+    assert powerview.canonical_form([(0, 0, wide[0]), (0, 1, wide[0])]) != one
+
+
 def test_fixpoint_witnesses_evaluate_back():
     from dbcat.queries import eval_spjru
 
@@ -309,10 +319,10 @@ def test_separation_vs_federation_gap():
     assert frozenset({(1,), (2,)}) not in separated
 
 
-def test_max_arity_guard():
+def test_max_arity_widens_to_the_widest_relation():
     a = make_instance({"r": [(1, 2, 3)]})
-    with pytest.raises(Exception):
-        power_view(a, 2, 2)
+    assert power_view(a, 2, 2) == power_view(a, 2, 3)
+    assert powerview.view_closure(a, None, 2) == powerview.view_closure(a, None, 3)
 
 
 def test_serialization_is_deterministic():
