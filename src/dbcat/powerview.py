@@ -416,7 +416,10 @@ def power_view(
     added = 0
     for (comp, views), (_, names) in zip(vs.components, vs.provenance):
         if isinstance(views, ClosedForm) and views.past(cap + len(names)):
-            view_closure(inst, cap + 1, max_arity, cap)  # raises: each level before a fixpoint adds a view
+            try:  # raises: each level before a fixpoint adds a view
+                close_component(frozenset(names), cap + 1, vs.max_arity, cap)
+            except ViewBudgetExceeded as exc:
+                raise ViewBudgetExceeded(cap, exc.views, exc.level, comp) from None
         added += len(views) - len(names)
         if added > cap:
             raise ViewBudgetExceeded(cap, added, component=comp)

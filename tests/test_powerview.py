@@ -216,6 +216,19 @@ def test_budget_error_says_where_it_stopped():
     assert (exc.value.component, exc.value.level, exc.value.views, exc.value.cap) == (2, None, 34, 33)
 
 
+def test_only_a_component_past_the_cap_alone_is_enumerated(monkeypatch):
+    depths = []
+    real = powerview.close_component
+    monkeypatch.setattr(
+        powerview, "close_component", lambda seeds, depth, *rest: depths.append(depth) or real(seeds, depth, *rest)
+    )
+    swap, a = make_instance({"r": [(1, 2), (2, 1)]}), make_instance({"r": [(1, 2), (2, 3), (3, 1)]})
+    with pytest.raises(ViewBudgetExceeded) as exc:
+        power_view(disjoint_union(swap, a), None, 3, cap=500)
+    assert (exc.value.component, exc.value.level, exc.value.views) == (2, 3, 501)
+    assert depths == [None, None, 501]  # swap's closure is never listed
+
+
 def test_component_closures_are_shared():
     a = make_instance({"r": [(1, 2), (2, 5)], "s": [(5,)]})
     power_view(a, 1, 2)
