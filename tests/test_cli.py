@@ -518,6 +518,24 @@ def test_reports_match_the_golden_file(capsys):
             )
 
 
+def test_the_default_text_format_lays_out_the_golden_rows(capsys):
+    """Without --format a report is a header, one padded row per golden line
+    and a summary of the status."""
+    golden = json.loads(GOLDEN.read_text())
+    for command, workspace, args in GOLDEN_COMMANDS:
+        for bound, flags in GOLDEN_BOUNDS.items():
+            expected = golden[f"{bound} {command}"]
+            rows = [line.split("\t", 2) for line in expected["stdout"].splitlines()]
+            width = max(len(cid) for cid, _, _ in rows)
+            summary = "all checks passed" if expected["status"] == 0 else "some checks FAILED"
+            text = [f"== {command} =="] + [f"{cid.ljust(width)}  {verdict}  {detail}" for cid, verdict, detail in rows]
+            status = main([command, *args, "-i", str(DATA / f"{workspace}.dbc"), *flags])
+            assert (status, capsys.readouterr().out) == (expected["status"], "\n".join(text + [summary]) + "\n"), (
+                bound,
+                command,
+            )
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
