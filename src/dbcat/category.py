@@ -22,6 +22,7 @@ from .core import (
     DbcatError,
     Instance,
     Record,
+    Verdicts,
     disjoint_union,
     disjoint_union_with_maps,
     format_closure,
@@ -442,15 +443,6 @@ def equivalent(
 # duality report
 
 
-class DualityReport(Record):
-    checks: tuple
-    note: str
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
-
-
 SET_COUNTEREXAMPLE_NOTE = (
     "In the category of plain sets this duality fails: two one-element sets "
     "have a one-element cartesian product but a two-element disjoint union, "
@@ -467,7 +459,7 @@ def verify_duality(
     depth: int | None = None,
     max_arity: int = 2,
     cap: int = DEFAULT_CAP,
-):
+) -> Verdicts:
     """Check that the coproduct of *a* and *b* also behaves as their product.
 
     Optional *f*, *g* (arrows into *a* and *b* from a common source) feed the
@@ -495,4 +487,4 @@ def verify_duality(
     if not is_empty_isomorphic(a):
         replica = instances_isomorphic(a, disjoint_union(a, a), depth, max_arity, cap)
         checks.append(("replication-not-isomorphic", not replica, "A+A is a genuine replication of nonempty A"))
-    return DualityReport(tuple(checks), SET_COUNTEREXAMPLE_NOTE)
+    return Verdicts(tuple(checks))

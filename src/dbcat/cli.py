@@ -56,10 +56,6 @@ class Report(Record):
         return "\n".join([f"== {self.command} =="] + body + [summary])
 
 
-def _verdict(ok: bool) -> str:
-    return "PASS" if ok else "FAIL"
-
-
 def _schema_instances(ws: Workspace, graph) -> dict:
     """One declared instance per atomic schema appearing in the graph."""
     wanted = {s.name for _, term in graph.nodes for s, _, _ in term_layout(term).leaves}
@@ -118,66 +114,59 @@ def run(command: str, args, ws: Workspace, depth, max_arity, cap) -> Report:
         rule = parse_rule_text(args[1])
         try:
             result = eval_rule(rule, inst)
-            lines.append((f"eval {args[0]}", "PASS", format_extension(result.tuples)))
+            lines.append((f"eval {args[0]}", True, format_extension(result.tuples)))
         except QueryError as exc:
-            lines.append((f"eval {args[0]}", "FAIL", str(exc)))
+            lines.append((f"eval {args[0]}", False, str(exc)))
     elif command == "powerview":
         vs = powerview.power_view(ws.lookup("instance", args[0])[1], depth, max_arity, cap)
         for comp, views in vs.serialize():
-            lines.append((f"powerview {args[0]} c{comp}", "PASS", " ".join(views)))
+            lines.append((f"powerview {args[0]} c{comp}", True, " ".join(views)))
         closure = "fixpoint" if vs.fixpoint else f"bounded at depth {vs.depth}"
-        lines.append((f"powerview {args[0]} closure", "PASS", closure))
+        lines.append((f"powerview {args[0]} closure", True, closure))
     elif command == "iso":
         a, b = (ws.lookup("instance", name)[1] for name in args)
         ok = powerview.instances_isomorphic(a, b, depth, max_arity, cap)
-        lines.append((f"iso {args[0]} {args[1]}", _verdict(ok), "same views" if ok else "views differ"))
+        lines.append((f"iso {args[0]} {args[1]}", ok, "same views" if ok else "views differ"))
     elif command == "flux":
         try:
             m = _mapping_morphism(ws, args[0], args[1], args[2])
             fx = category.flux(m, depth, max_arity, cap)
             for s, t, views in fx.serialize(cap):
-                lines.append((f"flux {args[0]} c{s}->c{t}", "PASS", " ".join(views)))
+                lines.append((f"flux {args[0]} c{s}->c{t}", True, " ".join(views)))
         except category.ModeViolation as exc:
-            lines.append((f"flux {args[0]}", "FAIL", str(exc)))
+            lines.append((f"flux {args[0]}", False, str(exc)))
     elif command == "compose":
         try:
             f = _mapping_morphism(ws, args[0], args[2], args[3])
             g = _mapping_morphism(ws, args[1], args[3], args[4])
             h = category.compose(g, f)
-            lines.append((f"compose {args[1]}.{args[0]} kind", "PASS", h.kind))
+            lines.append((f"compose {args[1]}.{args[0]} kind", True, h.kind))
             fx = category.flux(h, depth, max_arity, cap)
             for s, t, views in fx.serialize(cap):
-                lines.append(
-                    (f"compose {args[1]}.{args[0]} flux c{s}->c{t}", "PASS", " ".join(views))
-                )
+                lines.append((f"compose {args[1]}.{args[0]} flux c{s}->c{t}", True, " ".join(views)))
         except category.ModeViolation as exc:
-            lines.append((f"compose {args[1]}.{args[0]}", "FAIL", str(exc)))
+            lines.append((f"compose {args[1]}.{args[0]}", False, str(exc)))
     elif command == "laws":
         lines.extend(_law_suite(ws, depth, max_arity, cap))
     elif command == "check-model":
         report = interpret.check_model(alpha, graph, sketch)
-        for cid, ok, detail in report.lines():
-            lines.append((cid, _verdict(ok), detail))
-        lines.append(("model", _verdict(report.is_model), "interpretation is a model" if report.is_model else "not a model"))
+        lines += report.checks
+        lines.append(("model", report.passed, "interpretation is a model" if report.passed else "not a model"))
     elif command == "check-functor":
         report = interpret.check_functor(alpha, sketch, depth, max_arity, cap)
-        for cid, ok, detail in report.lines():
-            lines.append((cid, _verdict(ok), detail))
+        lines += report.checks
         detail = "interpretation extends to a functor" if report.passed else "functorial requirement fails"
-        lines.append(("functor", _verdict(report.passed), detail))
+        lines.append(("functor", report.passed, detail))
     elif command == "gamma-iso":
         for node, _ in graph.nodes:
             ok = interpret.check_gamma_iso(alpha, sketch, node, depth, max_arity, cap)
-            lines.append(
-                (f"gamma-iso {node}", _verdict(ok), "enlargement adds no views" if ok else "enlargement changes the view closure")
-            )
+            lines.append((f"gamma-iso {node}", ok, "enlargement adds no views" if ok else "enlargement changes the view closure"))
     elif command == "duality":
         a, b = (ws.lookup("instance", name)[1] for name in args)
         report = category.verify_duality(a, b, depth=depth, max_arity=max_arity, cap=cap)
-        for cid, ok, detail in report.checks:
-            lines.append((f"duality {cid}", _verdict(ok), detail))
-        lines.append(("duality note", "PASS", report.note))
-    return Report(command, tuple(lines))
+        lines += [(f"duality {cid}", ok, detail) for cid, ok, detail in report.checks]
+        lines.append(("duality note", True, category.SET_COUNTEREXAMPLE_NOTE))
+    return Report(command, tuple((cid, "PASS" if ok else "FAIL", detail) for cid, ok, detail in lines))
 
 
 def _law_suite(ws: Workspace, depth, max_arity, cap):
@@ -188,46 +177,20 @@ def _law_suite(ws: Workspace, depth, max_arity, cap):
     insts = sorted(ws.instances.items())
     bot = bottom_instance()
     vs_bot = powerview.view_closure(bot, depth, max_arity, cap)
-    lines.append(
-        (
-            "laws bottom-closure",
-            _verdict(len(vs_bot) == 1),
-            "views of the bottom instance are just the empty view",
-        )
-    )
+    lines.append(("laws bottom-closure", len(vs_bot) == 1, "views of the bottom instance are just the empty view"))
     for name, (_, inst) in insts:
         vs = powerview.view_closure(inst, depth, max_arity, cap)
         contains_all = all(
             r.tuples in vs or not r.tuples for r in inst.relations
         )
-        lines.append((f"laws contains-source {name}", _verdict(contains_all), "instance relations appear among views"))
-        lines.append(
-            (
-                f"laws empty-vs-bottom {name}",
-                _verdict(
-                    powerview.instances_isomorphic(inst, bot, depth, max_arity, cap)
-                    == is_empty_isomorphic(inst)
-                ),
-                "empty instances collapse to the bottom object",
-            )
-        )
-        ident = category.identity(inst)
-        lines.append(
-            (
-                f"laws identity-flux {name}",
-                _verdict(category.flux(ident, depth, max_arity, cap).canonical() == vs.canonical()),
-                "identity transmits the whole view closure",
-            )
-        )
+        lines.append((f"laws contains-source {name}", contains_all, "instance relations appear among views"))
+        collapses = powerview.instances_isomorphic(inst, bot, depth, max_arity, cap) == is_empty_isomorphic(inst)
+        lines.append((f"laws empty-vs-bottom {name}", collapses, "empty instances collapse to the bottom object"))
+        transmits = category.flux(category.identity(inst), depth, max_arity, cap).canonical() == vs.canonical()
+        lines.append((f"laws identity-flux {name}", transmits, "identity transmits the whole view closure"))
     for (n1, (_, a)), (n2, (_, b)) in zip(insts, insts[1:]):
         rep = category.verify_duality(a, b, depth=depth, max_arity=max_arity, cap=cap)
-        lines.append(
-            (
-                f"laws duality {n1}+{n2}",
-                _verdict(rep.passed),
-                "coproduct doubles as product",
-            )
-        )
+        lines.append((f"laws duality {n1}+{n2}", rep.passed, "coproduct doubles as product"))
     return lines
 
 

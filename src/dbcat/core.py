@@ -104,6 +104,16 @@ class Record:
     __delattr__ = __setattr__
 
 
+class Verdicts(Record):
+    """What a checker finds: one (check id, ok, detail) line per check."""
+
+    checks: tuple
+
+    @property
+    def passed(self) -> bool:
+        return all(ok for _, ok, _ in self.checks)
+
+
 class Sentinel(Record):
     """Reserved constant lying outside every user value domain."""
 
@@ -278,9 +288,9 @@ class Instance(Record):
         seeds, counts = {}, {}
         for r, comp in self._by_name.values():
             if r.tuples:  # a component holding only empty relations has no pair
-                seeds[comp] = seeds[comp] | r.tuples if comp in seeds else r.tuples
+                seeds.setdefault(comp, []).append(r.tuples)
         for seed in seeds.values():
-            pair = frozenset().union(*seed), () in seed
+            pair = seed_pair(seed)
             counts[pair] = counts.get(pair, 0) + 1
         return frozenset(counts.items())
 
@@ -498,6 +508,13 @@ def federate(a: Instance, b: Instance) -> Instance:
     disjoint union with every relation in component 0, so queries may span
     both inputs."""
     return _sum(a, b, True)[0]
+
+
+def seed_pair(seeds: Iterable[frozenset]) -> tuple:
+    """The pair (active domain, holds ``{()}``) of a component whose nonempty
+    extensions are *seeds*."""
+    tuples = frozenset().union(*seeds)
+    return frozenset().union(*tuples), () in tuples
 
 
 def closure_signature(inst: Instance) -> frozenset:

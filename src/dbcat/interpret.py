@@ -35,6 +35,7 @@ from .core import (
     Record,
     Relation,
     Sentinel,
+    Verdicts,
     bottom_instance,
     is_empty_isomorphic,
 )
@@ -199,21 +200,7 @@ def interpret_arrow(alpha: Interpretation, sketch: Sketch, arrow: SketchArrow) -
     return _Nodes(alpha, sketch).image(arrow)
 
 
-class ModelReport(Record):
-    schema_checks: tuple  # (node, ok, detail)
-    arrow_checks: tuple  # (arrow name, ok, detail)
-
-    @property
-    def is_model(self) -> bool:
-        return all(ok for _, ok, _ in self.schema_checks + self.arrow_checks)
-
-    def lines(self) -> tuple:
-        out = [("schema " + n, ok, d) for n, ok, d in self.schema_checks]
-        out += [("arrow " + n, ok, d) for n, ok, d in self.arrow_checks]
-        return tuple(sorted(out))
-
-
-def check_model(alpha: Interpretation, graph: MappingGraph, sketch: Sketch) -> ModelReport:
+def check_model(alpha: Interpretation, graph: MappingGraph, sketch: Sketch) -> Verdicts:
     """Verdicts for every constraint and every mapping arrow of the sketch,
     each read off the arrow's image.
 
@@ -222,30 +209,19 @@ def check_model(alpha: Interpretation, graph: MappingGraph, sketch: Sketch) -> M
     onto the bottom object.
     """
     schema_nodes, nodes = dict(graph.nodes), _Nodes(alpha, sketch)
-    schema_checks, arrow_checks = [], []
+    checks = []
     for arrow in sketch.arrows:
         if arrow.kind == "identity":
             continue
         image = nodes.image(arrow)
         if arrow.kind == "mapping":
-            arrow_checks.append((arrow.name, image.ok, image.note or "holds"))
+            checks.append((f"arrow {arrow.name}", image.ok, image.note or "holds"))
         elif arrow.src in schema_nodes:
-            schema_checks.append((arrow.src, image.ok, image.note or "satisfied"))
+            checks.append((f"schema {arrow.src}", image.ok, image.note or "satisfied"))
         else:  # a helper's sentinel dependency
             detail = "holds" if image.ok else "sentinel dependency fails"
-            arrow_checks.append((arrow.name, image.ok, detail))
-    return ModelReport(tuple(sorted(schema_checks)), tuple(sorted(arrow_checks)))
-
-
-class FunctorReport(Record):
-    checks: tuple  # (check id, ok, detail)
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
-
-    def lines(self) -> tuple:
-        return tuple(sorted(self.checks))
+            checks.append((f"arrow {arrow.name}", image.ok, detail))
+    return Verdicts(tuple(sorted(checks)))
 
 
 def check_functor(
@@ -254,7 +230,7 @@ def check_functor(
     depth: int | None = None,
     max_arity: int = 2,
     cap: int = DEFAULT_CAP,
-) -> FunctorReport:
+) -> Verdicts:
     """Does the interpretation extend to a functor out of the sketch?
 
     Checks that identities land on identities, that every arrow has a usable
@@ -297,7 +273,7 @@ def check_functor(
                 continue
             ok = equivalent(hi.morphism, composed, depth, max_arity, cap)
             checks.append((cid, ok, f"against direct arrow {h.name}"))
-    return FunctorReport(tuple(sorted(checks)))
+    return Verdicts(tuple(sorted(checks)))
 
 
 def check_gamma_iso(

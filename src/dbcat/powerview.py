@@ -41,6 +41,7 @@ from .core import (
     ext_key,
     federate,
     format_closure,
+    seed_pair,
     tuple_key,
     value_key,
 )
@@ -317,8 +318,8 @@ def close_component(seeds, depth, max_arity, cap):
     it adds, and so where the cap is passed, do not depend on emission order.
     """
     if depth is None:
-        domain = frozenset(v for ext in seeds for t in ext for v in t)
-        return ClosedForm(((domain,),) * max_arity, frozenset({()}) in seeds), True
+        domain, nullary = seed_pair(seeds)
+        return ClosedForm(((domain,),) * max_arity, nullary), True
     views = set(seeds)
     by_arity: dict = {}  # arity -> operands visited so far, earlier levels first
     getters: dict = {}  # index list -> its itemgetter

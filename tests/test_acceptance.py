@@ -319,16 +319,16 @@ def test_criterion_06_model_iff_functor():
     total = discord = model_count = 0
     for alpha, (r, s, t, w) in _all_interpretations():
         model = check_model(alpha, SYSTEM, sketch)
-        is_model = model.is_model
+        is_model = model.passed
         assert is_model == _expected_model(r, s, t, w), (r, s, t, w)
         functor = check_functor(alpha, sketch, None, 2)
         functor_ok = functor.passed
         # each arrow's model verdict is its functor verdict
         arrow_verdicts = {
-            cid: ok for cid, ok, _ in functor.lines() if cid.split()[0] in ("mapping", "sentence")
+            cid: ok for cid, ok, _ in functor.checks if cid.split()[0] in ("mapping", "sentence")
         }
         paired = {}
-        for line, ok, _ in model.lines():
+        for line, ok, _ in model.checks:
             kind, name = line.split(" ", 1)
             if kind == "schema":
                 paired[f"sentence phi_{name}"] = ok

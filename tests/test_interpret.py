@@ -126,16 +126,16 @@ def test_check_model_positive():
     g, sk = _model_fixture()
     alpha = alpha_with(r=[(1,)], s=[(2,)], t=[(1,), (2,)])
     report = check_model(alpha, g, sk)
-    assert report.is_model
-    assert all(ok for _, ok, _ in report.lines())
+    assert report.passed
+    assert all(ok for _, ok, _ in report.checks)
 
 
 def test_check_model_detects_mapping_violation():
     g, sk = _model_fixture()
     alpha = alpha_with(r=[(1,)], s=[(2,)], t=[(2,)])  # r has 1, t does not
     report = check_model(alpha, g, sk)
-    assert not report.is_model
-    failing = [name for name, ok, _ in report.arrow_checks if not ok]
+    assert not report.passed
+    failing = [cid for cid, ok, _ in report.checks if cid.startswith("arrow ") and not ok]
     assert any("C_M1_0" in name for name in failing)
 
 
@@ -156,10 +156,10 @@ def test_check_model_detects_constraint_violation():
     sk = build_sketch(g)
     good = interpretation({"A": make_instance({"r": [(1,)]})}, {"A": key})
     bad = interpretation({"A": make_instance({"r": [(1,), (2,)]})}, {"A": key})
-    assert check_model(good, g, sk).is_model
+    assert check_model(good, g, sk).passed
     report = check_model(bad, g, sk)
-    assert not report.is_model
-    assert any("egd" in detail for _, ok, detail in report.schema_checks if not ok)
+    assert not report.passed
+    assert any("egd" in detail for cid, ok, detail in report.checks if cid.startswith("schema ") and not ok)
 
 
 def test_helper_instance_tags():
@@ -240,9 +240,9 @@ def test_empty_instance_is_model_regardless_of_constraints():
     filled_alpha = interpretation(
         {"A": make_instance({"r": [(1,)]})}, {"A": demanding}
     )
-    assert check_model(empty_alpha, g, sk).is_model
+    assert check_model(empty_alpha, g, sk).passed
     assert check_functor(empty_alpha, sk, None, 2).passed
-    assert check_model(filled_alpha, g, sk).is_model
+    assert check_model(filled_alpha, g, sk).passed
     assert check_functor(filled_alpha, sk, None, 2).passed
 
 
@@ -264,7 +264,7 @@ def test_functor_iff_model_on_fixture():
         alpha_with(),  # everything empty: a model
     ]
     for alpha in cases:
-        model = check_model(alpha, g, sk).is_model
+        model = check_model(alpha, g, sk).passed
         functor = check_functor(alpha, sk, None, 2).passed
         assert model == functor, alpha
 
