@@ -38,7 +38,7 @@ from .powerview import (
     ClosedForm,
     ViewBudgetExceeded,
     canonical_form,
-    close_component,
+    close_seed_sets,
     instances_isomorphic,
     view_closure,
 )
@@ -360,7 +360,7 @@ class Flux(Record):
         left = cap
         for s, t, exts in (c for c in self.channels if isinstance(c[2], ClosedForm)):
             if exts.past(left):
-                raise ViewBudgetExceeded(cap, None, component=f"{s}->{t}")
+                raise ViewBudgetExceeded(cap, None, component=(s, t))
             left -= len(exts)
         return format_closure(self.channels, (0, 0))
 
@@ -368,14 +368,10 @@ class Flux(Record):
 def _atomic_channels(m: Morphism, depth, max_arity, cap):
     groups: dict = {}  # channel -> its nonempty extensions
     for key, ext in m._views:
-        groups.setdefault(key, set()).update((ext,) if ext else ())
-    channels, fix = [], True
-    for (s, t), exts in sorted(groups.items()):
-        closed, fixed = close_component(frozenset(exts), depth, max_arity, cap)
-        fix = fix and fixed
-        if closed:
-            channels.append((s, t, closed))
-    return tuple(channels), fix
+        if ext:
+            groups.setdefault(key, set()).add(ext)
+    channels, fix = close_seed_sets(groups, depth, max_arity, cap)
+    return tuple((s, t, closed) for (s, t), closed in channels), fix
 
 
 def flux(

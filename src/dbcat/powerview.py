@@ -48,22 +48,28 @@ from .core import (
 from .queries import BaseRel, ConstEq, EmptyRel, Join, Project, Select, Union
 
 EMPTY_EXT = frozenset()
+PAIRS_PER_VIEW = 5  # a bounded closure's limit on pairs visited, per view of its cap
 
 
 class ViewBudgetExceeded(DbcatError):
     """The enumeration produced more views than the configured cap allows.
 
-    ``views`` is the count of new views reached (None from a flux report's
-    count) and ``cap`` the cap passed; ``level`` is the closure level it
-    stopped at, and ``component`` the component id or flux channel.
+    ``views`` is the count of new views reached, or None from a flux report's
+    count or the pair limit; ``pairs`` is the pairs charged past that limit,
+    else None.  ``cap`` is the cap passed, ``level`` the closure level it
+    stopped at, and ``component`` the component id or flux channel ``(s, t)``
+    as the text ``s->t``.
     """
 
-    def __init__(self, cap, views, level=None, component=None):
+    def __init__(self, cap, views, level=None, component=None, pairs=None):
+        if isinstance(component, tuple):
+            component = "->".join(map(str, component))
         where = [f"component {component}"] if component is not None else []
         where += [f"level {level}"] if level is not None else []
         where += [f"{views} views"] if views is not None else []
+        where += [f"{pairs} pairs"] if pairs is not None else []
         super().__init__(f"view enumeration exceeded cap of {cap} ({', '.join(where)})")
-        self.cap, self.views, self.level, self.component = cap, views, level, component
+        self.cap, self.views, self.level, self.component, self.pairs = cap, views, level, component, pairs
 
 
 class ViewSet(Record, hidden=("provenance",)):
@@ -225,6 +231,15 @@ class ClosedForm:
         self.key = (bool(nullary), tuple(antichains))
         self._listing = None
 
+    @classmethod
+    def of_seeds(cls, seeds, max_arity: int):
+        """The closure at fixpoint of nonempty extensions *seeds*, keyed directly by their one domain."""
+        domain, nullary = seed_pair(seeds)
+        form = cls.__new__(cls)
+        form.key = (nullary, (frozenset({domain}),) * max_arity if domain else ())
+        form._listing = None
+        return form
+
     def __eq__(self, other) -> bool:
         return isinstance(other, ClosedForm) and self.key == other.key
 
@@ -306,25 +321,22 @@ class ClosedForm:
 
 @functools.lru_cache(maxsize=4096)
 def close_component(seeds, depth, max_arity, cap):
-    """Closure of one component from the frozenset *seeds* of its nonempty
-    extensions.
+    """The level enumerator: the closure of one component, at most *depth*
+    levels deep, from the frozenset *seeds* of its nonempty extensions.
 
-    Returns (views, reached_fixpoint), *views* the nonempty extensions: at
-    ``depth=None`` the uncounted :class:`ClosedForm` over the component's
-    active domain, else a frozenset from the level enumerator, which raises
-    :class:`ViewBudgetExceeded` once more than *cap* new views appear.  One
+    Returns (views, reached_fixpoint), *views* a frozenset of the nonempty
+    extensions.  It raises :class:`ViewBudgetExceeded` once more than *cap*
+    new views appear, or when a view's unions and products, charged before
+    they are visited, take the pairs past ``PAIRS_PER_VIEW * cap``.  One
     memoised result serves every component and flux channel with the same
     extensions.  A level's operands come from earlier levels, so the views
     it adds, and so where the cap is passed, do not depend on emission order.
     """
-    if depth is None:
-        domain, nullary = seed_pair(seeds)
-        return ClosedForm(((domain,),) * max_arity, nullary), True
     views = set(seeds)
     by_arity: dict = {}  # arity -> operands visited so far, earlier levels first
     getters: dict = {}  # index list -> its itemgetter
     frontier = seeds
-    added = level = 0
+    level = pairs = 0
     while frontier:
         if level >= depth:
             return frozenset(views), False
@@ -332,13 +344,11 @@ def close_component(seeds, depth, max_arity, cap):
         new: list = []
 
         def emit(ext):
-            nonlocal added
             if ext and ext not in views:
                 views.add(ext)
                 new.append(ext)
-                added += 1
-                if added > cap:
-                    raise ViewBudgetExceeded(cap, added, level)
+                if len(views) > cap + len(seeds):
+                    raise ViewBudgetExceeded(cap, cap + 1, level)
 
         for ext in frontier:
             arity = len(next(iter(ext)))
@@ -363,9 +373,12 @@ def close_component(seeds, depth, max_arity, cap):
                     emit(frozenset(map(getters.get(cols) or getters.setdefault(cols, itemgetter(*cols)), ext)))
             # binary operators once per pair, products in both orders
             same = by_arity.setdefault(arity, [])
-            for other in same:
-                emit(ext | other)
             same.append(ext)
+            pairs += len(same) - 1 + sum(len(by_arity.get(a2, ())) for a2 in range(max_arity - arity + 1))
+            if pairs > PAIRS_PER_VIEW * cap:
+                raise ViewBudgetExceeded(cap, None, level, pairs=pairs)
+            for other in itertools.islice(same, len(same) - 1):
+                emit(ext | other)
             for a2 in range(max_arity - arity + 1):
                 for other in by_arity.get(a2, ()):
                     emit(frozenset(itertools.starmap(add, itertools.product(ext, other))))
@@ -375,33 +388,40 @@ def close_component(seeds, depth, max_arity, cap):
     return frozenset(views), True
 
 
+def close_seed_sets(groups: dict, depth, max_arity, cap):
+    """The closures of the components of a view set or the channels of an
+    arrow, *groups* mapping each key to its seeds (nonempty extensions no
+    wider than *max_arity*): the (key, closure) pairs in key order, and
+    whether all are fixpoints.  A budget error names the key."""
+    if depth is None:
+        return [(key, ClosedForm.of_seeds(seeds, max_arity)) for key, seeds in sorted(groups.items())], True
+    closed, fixpoint = [], True
+    for key, seeds in sorted(groups.items()):
+        try:
+            views, fixed = close_component(frozenset(seeds), depth, max_arity, cap)
+        except ViewBudgetExceeded as exc:
+            raise ViewBudgetExceeded(cap, exc.views, exc.level, key, exc.pairs) from None
+        fixpoint = fixpoint and fixed
+        closed.append((key, views))
+    return closed, fixpoint
+
+
 def view_closure(inst, depth=DEFAULT_DEPTH, max_arity=DEFAULT_MAX_ARITY, cap=DEFAULT_CAP) -> ViewSet:
     """All views of *inst* within the bounds, the width raised to its widest
     relation, for a verdict: ``depth=None`` runs to a true fixpoint, kept as
     uncounted descriptions, and the result records whether it got there."""
     max_arity = max(max_arity, inst.max_arity())
-    components = []
-    provenance = []
-    fixpoint = True
-    for comp, rels in sorted(inst.components().items()):
-        names: dict = {}
-        for r in rels:
-            if r.tuples:
-                names.setdefault(r.tuples, r.name)
-        try:
-            views, fixed = close_component(frozenset(names), depth, max_arity, cap)
-        except ViewBudgetExceeded as exc:
-            raise ViewBudgetExceeded(cap, exc.views, exc.level, comp) from None
-        fixpoint = fixpoint and fixed
-        if views:
-            components.append((comp, views))
-            provenance.append((views, names))
+    names: dict = {}  # component -> {seed extension: the first relation holding it}
+    for r in inst.relations:
+        if r.tuples:
+            names.setdefault(inst.component_of(r.name), {}).setdefault(r.tuples, r.name)
+    components, fixpoint = close_seed_sets(names, depth, max_arity, cap)
     return ViewSet(
         components=tuple(components),
         depth=-1 if depth is None else depth,
         max_arity=max_arity,
         fixpoint=fixpoint,
-        provenance=tuple(provenance),
+        provenance=tuple((views, names[comp]) for comp, views in components),
     )
 
 
@@ -417,10 +437,7 @@ def power_view(
     added = 0
     for (comp, views), (_, names) in zip(vs.components, vs.provenance):
         if isinstance(views, ClosedForm) and views.past(cap + len(names)):
-            try:  # raises: each level before a fixpoint adds a view
-                close_component(frozenset(names), cap + 1, vs.max_arity, cap)
-            except ViewBudgetExceeded as exc:
-                raise ViewBudgetExceeded(cap, exc.views, exc.level, comp) from None
+            close_seed_sets({comp: names}, cap + 1, vs.max_arity, cap)  # raises: each level before a fixpoint adds a view
         added += len(views) - len(names)
         if added > cap:
             raise ViewBudgetExceeded(cap, added, component=comp)

@@ -36,7 +36,7 @@ from dbcat.core import (
     disjoint_union_with_maps,
     make_instance,
 )
-from dbcat.powerview import instances_isomorphic, power_view
+from dbcat.powerview import ViewBudgetExceeded, instances_isomorphic, power_view
 from dbcat.queries import rule
 
 from oracles import brute_force_flux_same
@@ -114,6 +114,20 @@ def test_flux_of_empty_and_identity():
     a = make_instance({"r": [(1,), (2,)]})
     assert flux(empty_morphism(a, a), **FIX).extensions() == {EMPTY}
     assert flux(identity(a), **FIX).canonical() == power_view(a, None, 2).canonical()
+
+
+def test_a_flux_budget_error_names_its_channel_as_a_report_does():
+    """A channel past the cap is named ``s->t`` at a bounded depth, where the
+    level enumerator stops it, as when a fixpoint report counts it."""
+    a = disjoint_union(make_instance({"s": [(5,)]}), make_instance({"r": [(1, 2), (2, 3), (3, 1)]}))
+    with pytest.raises(ViewBudgetExceeded) as bounded:
+        flux(identity(a), 3, 3, cap=500)
+    assert (bounded.value.component, bounded.value.level, bounded.value.views) == ("2->2", 3, 501)
+    assert str(bounded.value) == "view enumeration exceeded cap of 500 (component 2->2, level 3, 501 views)"
+    with pytest.raises(ViewBudgetExceeded) as listed:
+        flux(identity(a), None, 3).serialize(500)
+    assert listed.value.component == "2->2"
+    assert str(listed.value) == "view enumeration exceeded cap of 500 (component 2->2)"
 
 
 def test_flux_of_disjoint_transmissions_is_bottom():

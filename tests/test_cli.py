@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import importlib
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -18,7 +19,10 @@ from dbcat.cli import COMMANDS, GRAPH_COMMANDS, main, parse_argv, run
 from dbcat.core import DEFAULT_CAP, DEFAULT_DEPTH, DEFAULT_MAX_ARITY, DbcatError, make_instance
 from dbcat.dsl import parse_workspace, parse_workspace_text
 from dbcat.interpret import gamma_instance, interpretation
-from dbcat.powerview import close_component, instances_isomorphic
+from dbcat import powerview
+from dbcat.category import compose, equivalent
+from dbcat.cli import _mapping_morphism
+from dbcat.powerview import close_component, instances_isomorphic, matching, merging
 from dbcat.sketch import build_sketch
 from dbcat.writer import serialize_workspace
 
@@ -207,7 +211,12 @@ def test_negative_arity_is_a_usage_error(argv, capsys):
     assert out == "" and err == f"dbcat: --arity must be at least 0, not {argv[-1]}\n"
 
 
-def test_fixpoint_iso_is_decided_without_building_closures(capsys):
+def _raise(*args):
+    raise AssertionError("a closure was built")
+
+
+def test_fixpoint_iso_is_decided_without_building_closures(monkeypatch, capsys):
+    monkeypatch.setattr(powerview.ClosedForm, "of_seeds", _raise)  # nor any fixpoint description
     demo = str(DATA / "demo.dbc")
     status = main(["iso", "A0", "B0", "-i", demo, "--depth", "-1", "--format", "lines"])
     assert status in (0, 1)  # an exact verdict, not the exit 2 of a view-budget error
@@ -225,6 +234,39 @@ def test_fixpoint_iso_is_decided_without_building_closures(capsys):
         assert instances_isomorphic(a, b, None, arity) is same
         assert same or not instances_isomorphic(a, b, 2, arity)  # signatures differ: FAIL at any depth
         assert close_component.cache_info().misses == misses
+
+
+FIXPOINT_ARROWS = {
+    "demo": [["flux", "M", "A0", "B0"], ["flux", "N", "B0", "D0"], ["compose", "M", "N", "A0", "B0", "D0"]],
+    "federation": [],
+    "system": [["flux", "M1", "A1", "C1"]],
+}
+
+
+def test_fixpoint_commands_never_run_the_level_enumerator(monkeypatch, capsys):
+    """Every fixpoint verdict on the data files, at the default arity, and
+    every listing within the cap (at arity 2) answers from descriptions."""
+    monkeypatch.setattr(powerview, "close_component", _raise)
+    for name, arrows in FIXPOINT_ARROWS.items():
+        w = ws(f"{name}.dbc")
+        pairs = [[a, b] for a in sorted(w.instances) for b in sorted(w.instances)]
+        verdicts = [["laws"]] + [[c, *p] for c in ("iso", "duality") for p in pairs]
+        verdicts += [[c, g] for g in w.graphs for c in ("check-functor", "gamma-iso")]
+        listings = [["powerview", i, "--arity", "2"] for i in sorted(w.instances)]
+        listings += [[*argv, "--arity", "2"] for argv in arrows]
+        for argv in verdicts + listings:
+            status = main([*argv, "-i", str(DATA / f"{name}.dbc"), "--depth", "-1"])
+            assert status in ((0, 1) if argv in verdicts else (0,)) and capsys.readouterr().err == "", argv
+        insts = [inst for _, inst in w.instances.values()]
+        for a, b in itertools.product(insts, repeat=2):
+            assert matching(a, b, None).fixpoint and merging(a, b, None).fixpoint
+        morphisms = [_mapping_morphism(w, argv[1], *argv[2:4]) for argv in arrows if argv[0] == "flux"]
+        if name == "demo":
+            morphisms.append(compose(morphisms[1], morphisms[0]))
+        same = {(f, g): equivalent(f, g, None) for f, g in itertools.product(morphisms, repeat=2)}
+        assert all(same[f, f] for f in morphisms)
+    with pytest.raises(AssertionError, match="a closure was built"):  # a bounded closure runs it
+        main(["powerview", "B0", "-i", str(DATA / "demo.dbc"), "--depth", "1"])
 
 
 DEMO_COMMANDS = [(command, args) for command, workspace, args in GOLDEN_COMMANDS if workspace == "demo"] + [

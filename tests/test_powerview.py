@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -226,7 +227,51 @@ def test_only_a_component_past_the_cap_alone_is_enumerated(monkeypatch):
     with pytest.raises(ViewBudgetExceeded) as exc:
         power_view(disjoint_union(swap, a), None, 3, cap=500)
     assert (exc.value.component, exc.value.level, exc.value.views) == (2, 3, 501)
-    assert depths == [None, None, 501]  # swap's closure is never listed
+    assert depths == [501]  # swap's closure is never listed
+
+
+def test_the_pair_limit_stops_a_wide_unary_listing_at_once():
+    """17 values at arity 1: 2^17 - 1 views pass the cap, and naming the
+    level used to visit 30.9 million pairs of unions first."""
+    wide = disjoint_union(
+        make_instance({"s": [(i,) for i in range(16)]}), make_instance({"r": [(i,) for i in range(100, 117)]})
+    )
+    start = time.perf_counter()
+    with pytest.raises(ViewBudgetExceeded) as exc:
+        power_view(wide, None, 1)
+    assert time.perf_counter() - start < 1
+    err = exc.value
+    assert (err.component, err.level, err.views, err.cap) == (2, 4, None, 100_000)
+    assert err.pairs > powerview.PAIRS_PER_VIEW * err.cap
+    assert str(err) == f"view enumeration exceeded cap of 100000 (component 2, level 4, {err.pairs} pairs)"
+
+
+def test_a_closure_within_the_pair_limit_is_the_unlimited_closure(monkeypatch):
+    rng = random.Random(7)
+    cases = []
+    for _ in range(40):
+        inst = _instance_with_components(rng)
+        seeds = frozenset(r.tuples for r in inst.relations if r.tuples)
+        cases.append((seeds, rng.randint(1, 4), rng.randint(max(1, inst.max_arity()), 3), rng.choice((10, 50, 500))))
+    # unary: 2^n - 1 views, found after more pairs than views
+    cases += [(frozenset({frozenset((i,) for i in range(n))}), 9, 1, cap) for n, cap in ((7, 150), (8, 300), (9, 600))]
+    close = close_component.__wrapped__  # the level enumerator, past its memo
+    limit, stopped = powerview.PAIRS_PER_VIEW, 0
+    for seeds, depth, m, cap in cases:
+        readings = []
+        for factor in (limit, 10**9):
+            monkeypatch.setattr(powerview, "PAIRS_PER_VIEW", factor)
+            try:
+                readings.append(close(seeds, depth, m, cap))
+            except ViewBudgetExceeded as exc:
+                readings.append((exc.level, exc.views, exc.pairs))
+        limited, unlimited = readings
+        if len(limited) == 3 and limited[2] is not None:  # stopped by the pair limit
+            assert limited[1] is None and limited[2] > limit * cap
+            stopped += 1
+        else:
+            assert limited == unlimited, (seeds, depth, m, cap)
+    assert stopped >= 3
 
 
 def test_component_closures_are_shared():
