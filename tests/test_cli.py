@@ -15,13 +15,12 @@ import pytest
 from hypothesis import example, given, settings
 
 import dbcat
-from dbcat.cli import COMMANDS, GRAPH_COMMANDS, main, parse_argv, run
+from dbcat.cli import COMMANDS, GRAPH_COMMANDS, _mapping_morphism, main, parse_argv, run
 from dbcat.core import DEFAULT_CAP, DEFAULT_DEPTH, DEFAULT_MAX_ARITY, DbcatError, make_instance
 from dbcat.dsl import parse_workspace, parse_workspace_text
 from dbcat.interpret import gamma_instance, interpretation
 from dbcat import powerview
 from dbcat.category import compose, equivalent
-from dbcat.cli import _mapping_morphism
 from dbcat.powerview import close_component, instances_isomorphic, matching, merging
 from dbcat.sketch import build_sketch
 from dbcat.writer import serialize_workspace
