@@ -40,9 +40,11 @@ from .powerview import (
     canonical_form,
     close_seed_sets,
     instances_isomorphic,
+    named_check,
     view_closure,
 )
-from .queries import QueryArityError, Rule, copy_rule, eval_rule
+from .queries import eval_rule
+from .syntax import QueryArityError, Rule, copy_rule
 
 
 class ModeViolation(DbcatError):
@@ -475,12 +477,13 @@ def verify_duality(
         ("product-triangle-right", compose(p_b, paired), g, "p_B . <f,g> ~ g"),
     )
     checks = [
-        (cid, _flux(lhs, depth, max_arity, cap).same(_flux(rhs, depth, max_arity, cap)), law) for cid, lhs, rhs, law in laws
+        (cid, named_check(cid, lambda: _flux(lhs, depth, max_arity, cap).same(_flux(rhs, depth, max_arity, cap))), law)
+        for cid, lhs, rhs, law in laws
     ]
-    va, vb, vab = (view_closure(x, depth, max_arity, cap) for x in (a, b, sum_ab[0]))
+    va, vb, vab = (named_check("views-of-coproduct", view_closure, x, depth, max_arity, cap) for x in (a, b, sum_ab[0]))
     summed = tuple(sorted(va.canonical() + vb.canonical())) == vab.canonical()
     checks.append(("views-of-coproduct", summed, "views(A+B) = views(A) (+) views(B)"))
     if not is_empty_isomorphic(a):
-        replica = instances_isomorphic(a, disjoint_union(a, a), depth, max_arity, cap)
+        replica = named_check("replication-not-isomorphic", instances_isomorphic, a, disjoint_union(a, a), depth, max_arity, cap)
         checks.append(("replication-not-isomorphic", not replica, "A+A is a genuine replication of nonempty A"))
     return Verdicts(tuple(checks))

@@ -16,8 +16,8 @@ import sys
 from .core import DEFAULT_CAP, DEFAULT_DEPTH, DEFAULT_MAX_ARITY, DbcatError, Record, bottom_instance
 from .core import format_extension, is_empty_isomorphic
 from .dsl import Workspace, parse_rule_text, parse_workspace
-from .queries import QueryError, eval_rule
 from .schemas import term_layout
+from .syntax import QueryError
 
 
 #: Each command's positional arguments, by the role they play.
@@ -97,7 +97,7 @@ def run(command: str, args, ws: Workspace, depth, max_arity, cap) -> Report:
     if len(args) != len(COMMANDS[command].split()):
         got = f"{len(args)} argument" + ("" if len(args) == 1 else "s")
         raise DbcatError(f"{command} takes {COMMANDS[command] or 'no arguments'} (got {got})")
-    if command in ("powerview", "iso"):
+    if command in ("powerview", "iso", "duality"):
         from . import powerview
     if command in ("flux", "compose", "duality"):
         from . import category
@@ -110,6 +110,7 @@ def run(command: str, args, ws: Workspace, depth, max_arity, cap) -> Report:
         alpha = interpret.interpretation(_schema_instances(ws, graph), ws.schemas)
     lines = []
     if command == "eval":
+        from .queries import eval_rule
         inst = ws.lookup("instance", args[0])[1]
         rule = parse_rule_text(args[1])
         try:
@@ -163,7 +164,7 @@ def run(command: str, args, ws: Workspace, depth, max_arity, cap) -> Report:
             lines.append((f"gamma-iso {node}", ok, "enlargement adds no views" if ok else "enlargement changes the view closure"))
     elif command == "duality":
         a, b = (ws.lookup("instance", name)[1] for name in args)
-        report = category.verify_duality(a, b, depth=depth, max_arity=max_arity, cap=cap)
+        report = powerview.named_check("duality", category.verify_duality, a, b, None, None, depth, max_arity, cap)
         lines += [(f"duality {cid}", ok, detail) for cid, ok, detail in report.checks]
         lines.append(("duality note", True, category.SET_COUNTEREXAMPLE_NOTE))
     return Report(command, tuple((cid, "PASS" if ok else "FAIL", detail) for cid, ok, detail in lines))
@@ -173,23 +174,26 @@ def _law_suite(ws: Workspace, depth, max_arity, cap):
     """A small built-in law battery over the workspace's declared instances."""
     from . import category, powerview
 
+    def law(cid, verdict, *args):  # a budget error names the report line
+        return powerview.named_check(f"laws {cid}", verdict, *args, depth, max_arity, cap)
+
     lines = []
     insts = sorted(ws.instances.items())
     bot = bottom_instance()
     vs_bot = powerview.view_closure(bot, depth, max_arity, cap)
     lines.append(("laws bottom-closure", len(vs_bot) == 1, "views of the bottom instance are just the empty view"))
     for name, (_, inst) in insts:
-        vs = powerview.view_closure(inst, depth, max_arity, cap)
+        vs = law(f"contains-source {name}", powerview.view_closure, inst)
         contains_all = all(
             r.tuples in vs or not r.tuples for r in inst.relations
         )
         lines.append((f"laws contains-source {name}", contains_all, "instance relations appear among views"))
-        collapses = powerview.instances_isomorphic(inst, bot, depth, max_arity, cap) == is_empty_isomorphic(inst)
+        collapses = law(f"empty-vs-bottom {name}", powerview.instances_isomorphic, inst, bot) == is_empty_isomorphic(inst)
         lines.append((f"laws empty-vs-bottom {name}", collapses, "empty instances collapse to the bottom object"))
-        transmits = category.flux(category.identity(inst), depth, max_arity, cap).canonical() == vs.canonical()
+        transmits = law(f"identity-flux {name}", category.flux, category.identity(inst)).canonical() == vs.canonical()
         lines.append((f"laws identity-flux {name}", transmits, "identity transmits the whole view closure"))
     for (n1, (_, a)), (n2, (_, b)) in zip(insts, insts[1:]):
-        rep = category.verify_duality(a, b, depth=depth, max_arity=max_arity, cap=cap)
+        rep = law(f"duality {n1}+{n2}", category.verify_duality, a, b, None, None)
         lines.append((f"laws duality {n1}+{n2}", rep.passed, "coproduct doubles as product"))
     return lines
 

@@ -1,4 +1,5 @@
-"""Integrity constraints: tuple- and equality-generating dependencies.
+"""Integrity constraints: checks of the tuple- and equality-generating
+dependencies of :mod:`dbcat.syntax`.
 
 Constraints are checked against finite instances, never repaired.  Existential
 witnesses on the right side of a dependency range over the instance's active
@@ -8,102 +9,11 @@ construction checkable.
 """
 from __future__ import annotations
 
-from collections import Counter
-from functools import cached_property, partial
+from functools import partial
 
-from . import queries
-from .core import SENTINEL_A, SENTINEL_B, DbcatError, Instance, Record, active_domain, format_value, tuple_key
-from .queries import atom_components, atom_constants, bind, rename_atoms
-
-
-class ConstraintError(DbcatError):
-    pass
-
-
-def _vars_of(atoms) -> frozenset:
-    return frozenset(v.name for a in atoms for v in a.variables())
-
-
-class Tgd(Record):
-    """``forall x (exists y: left(x,y)) => (exists z: right(x,z))``.
-
-    ``universal`` lists the shared variables x; every other variable on the
-    left is implicitly existential (y), likewise on the right (z).  When
-    ``weakly_full`` is set the right side must not introduce new variables and
-    each left-existential may occur only once.
-    """
-
-    universal: tuple
-    left: tuple
-    right: tuple
-    weakly_full: bool = False
-
-    def __post_init__(self):
-        left_vars, right_vars = _vars_of(self.left), _vars_of(self.right)
-        for u in self.universal:
-            if u not in left_vars:
-                raise ConstraintError(f"universal variable {u} missing from the left side")
-        if self.weakly_full:
-            extra = right_vars - set(self.universal)
-            if extra:
-                raise ConstraintError(
-                    f"weakly-full dependency has existential right variables {sorted(extra)}"
-                )
-            uses = Counter(v.name for a in self.left for v in a.variables())
-            for y in sorted(left_vars - set(self.universal)):
-                if uses[y] > 1:
-                    raise ConstraintError(
-                        f"weakly-full dependency repeats existential variable {y} on the left"
-                    )
-
-    @cached_property
-    def _left(self) -> tuple:
-        """The :func:`~dbcat.queries.plan` streaming the left side's universal tuples."""
-        return queries.plan(self.left, (), self.universal)
-
-    @cached_property
-    def _right(self) -> tuple:
-        """The plan of the right side fed the universal tuples: it streams the witnessed ones."""
-        return queries.plan(self.right, self.universal, self.universal)
-
-
-class Egd(Record):
-    """``forall x (left(x)) => x1 = x2``."""
-
-    left: tuple
-    pair: tuple
-
-    def __post_init__(self):
-        left_vars = _vars_of(self.left)
-        for v in self.pair:
-            if v not in left_vars:
-                raise ConstraintError(f"equated variable {v} missing from the left side")
-
-    @cached_property
-    def _variables(self) -> tuple:
-        """The variables of the left side, sorted by name."""
-        return tuple(sorted(_vars_of(self.left)))
-
-    @cached_property
-    def _plan(self) -> tuple:
-        """The :func:`~dbcat.queries.plan` streaming the assignments that equate two distinct values."""
-        return queries.plan(self.left, (), self._variables, self.pair)
-
-
-class Sentence(Record):
-    """A finite conjunction of dependencies; the empty conjunction is true."""
-
-    items: tuple = ()
-
-    def rename_relations(self, mapping: dict) -> "Sentence":
-        items = []
-        for it in self.items:
-            if isinstance(it, Tgd):
-                left, right = rename_atoms(it.left, mapping), rename_atoms(it.right, mapping)
-                items.append(Tgd(it.universal, left, right, it.weakly_full))
-            else:
-                items.append(Egd(rename_atoms(it.left, mapping), it.pair))
-        return Sentence(tuple(items))
+from .core import SENTINEL_A, SENTINEL_B, Instance, active_domain, format_value, tuple_key
+from .queries import atom_components, atom_constants, bind
+from .syntax import ConstraintError, Egd, Sentence, Tgd  # ConstraintError re-exported
 
 
 def _constraint_domain(atoms, inst: Instance, with_sentinels: bool) -> frozenset:

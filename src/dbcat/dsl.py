@@ -22,9 +22,7 @@ from __future__ import annotations
 
 import re
 
-from .constraints import Egd, Sentence, Tgd
 from .core import DbcatError, Instance, Record, Relation, bottom_instance
-from .queries import Builtin, Const, RelAtom, Rule, Var
 from .schemas import (
     EMPTY_SCHEMA,
     SAtom,
@@ -39,6 +37,7 @@ from .schemas import (
     seq_compose,
     term_layout,
 )
+from .syntax import Builtin, Const, Egd, RelAtom, Rule, Sentence, Tgd, Var
 
 
 class ParseError(DbcatError):

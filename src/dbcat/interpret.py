@@ -39,7 +39,7 @@ from .core import (
     bottom_instance,
     is_empty_isomorphic,
 )
-from .powerview import DEFAULT_CAP, instances_isomorphic
+from .powerview import DEFAULT_CAP, instances_isomorphic, named_check
 from .queries import eval_rule
 from .schemas import MappingGraph, SchemaTerm, term_layout
 from .sketch import Sketch, SketchArrow
@@ -271,7 +271,7 @@ def check_functor(
             if not hi.ok:
                 checks.append((cid, False, f"direct arrow {h.name} has no usable image"))
                 continue
-            ok = equivalent(hi.morphism, composed, depth, max_arity, cap)
+            ok = named_check(cid, equivalent, hi.morphism, composed, depth, max_arity, cap)
             checks.append((cid, ok, f"against direct arrow {h.name}"))
     return Verdicts(tuple(sorted(checks)))
 

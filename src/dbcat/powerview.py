@@ -45,7 +45,6 @@ from .core import (
     tuple_key,
     value_key,
 )
-from .queries import BaseRel, ConstEq, EmptyRel, Join, Project, Select, Union
 
 EMPTY_EXT = frozenset()
 PAIRS_PER_VIEW = 5  # a bounded closure's limit on pairs visited, per view of its cap
@@ -57,19 +56,28 @@ class ViewBudgetExceeded(DbcatError):
     ``views`` is the count of new views reached, or None from a flux report's
     count or the pair limit; ``pairs`` is the pairs charged past that limit,
     else None.  ``cap`` is the cap passed, ``level`` the closure level it
-    stopped at, and ``component`` the component id or flux channel ``(s, t)``
-    as the text ``s->t``.
+    stopped at, ``component`` the component id or flux channel ``(s, t)``
+    as the text ``s->t``, and ``check`` the report line it stopped, if named
+    (:func:`named_check`).
     """
 
-    def __init__(self, cap, views, level=None, component=None, pairs=None):
+    def __init__(self, cap, views, level=None, component=None, pairs=None, check=None):
         if isinstance(component, tuple):
             component = "->".join(map(str, component))
-        where = [f"component {component}"] if component is not None else []
-        where += [f"level {level}"] if level is not None else []
-        where += [f"{views} views"] if views is not None else []
-        where += [f"{pairs} pairs"] if pairs is not None else []
-        super().__init__(f"view enumeration exceeded cap of {cap} ({', '.join(where)})")
-        self.cap, self.views, self.level, self.component, self.pairs = cap, views, level, component, pairs
+        where = zip((f"check {check}", f"component {component}", f"level {level}", f"{views} views", f"{pairs} pairs"),
+                    (check, component, level, views, pairs))
+        super().__init__(f"view enumeration exceeded cap of {cap} ({', '.join(w for w, v in where if v is not None)})")
+        self.cap, self.views, self.level, self.component, self.pairs, self.check = cap, views, level, component, pairs, check
+
+
+def named_check(cid: str, verdict, *args):
+    """*verdict(*args)*; a budget error raised in it names the check *cid*,
+    then the inner check it named, if any."""
+    try:
+        return verdict(*args)
+    except ViewBudgetExceeded as e:
+        check = cid if e.check is None else f"{cid} {e.check}"
+        raise ViewBudgetExceeded(e.cap, e.views, e.level, e.component, e.pairs, check) from None
 
 
 class ViewSet(Record, hidden=("provenance",)):
@@ -109,6 +117,7 @@ class ViewSet(Record, hidden=("provenance",)):
         """A term over relation names evaluating to *ext*, taken from the
         last component holding it; ``EmptyRel()`` for the empty view, which
         every view set holds, and None for a view the set does not hold."""
+        from .queries import EmptyRel
         ext = frozenset(ext)
         if not ext:
             return EmptyRel()
@@ -200,6 +209,7 @@ def _witness_term(ext, names: dict):
     of the seed extensions in *names* (seed extension -> relation name) at any
     bound: select-project singletons ``{(c)}``, their products for each tuple,
     and the union of the tuples."""
+    from .queries import BaseRel, ConstEq, Join, Project, Select, Union
     if ext in names:
         return BaseRel(names[ext])
     singleton = {  # {(c)} from the first seed holding c, in ext_key order

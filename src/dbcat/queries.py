@@ -2,11 +2,11 @@
 
 Both evaluate under set semantics: terms by structural recursion, joins by
 hashing, a projection over a join by streaming the joined pairs.  A rule or
-dependency keeps the :func:`plan` of each body it runs as a cached property:
-an atom order and a kernel, one generated nest of loops over instance hash
-indexes of partial keys, compiled once per record; a partial key on one column
-is the bare value, and a key that binds every column tests the relation's
-own tuples.  An EGD's kernel tests its pair itself.  Its source holds slot
+dependency (:mod:`dbcat.syntax`) keeps the :func:`plan` of each body it runs
+as a cached property: an atom order and a kernel, one generated nest of loops
+over instance hash indexes of partial keys, compiled once per record; a
+partial key on one column is the bare value, and a key that binds every column
+tests the relation's own tuples.  An EGD's kernel tests its pair itself.  Its source holds slot
 numbers and tuple positions only; names and values reach it as arguments.
 :func:`bind` runs it over an instance.  :func:`rule_to_spjru` compiles a rule
 into an equivalent term.
@@ -14,73 +14,11 @@ into an equivalent term.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property, lru_cache, partial
+from functools import partial
 
-from .core import DbcatError, Instance, Record, Relation, Value, column_names, index_tuples, key_getter, picker, value_key
-
-
-class QueryError(DbcatError):
-    pass
-
-
-class UnknownRelation(QueryError):
-    pass
-
-
-class QueryArityError(QueryError):
-    pass
-
-
-class CrossComponentQuery(QueryError):
-    """A query touched relations in distinct components of a separated instance."""
-
-
-class TranslationError(QueryError):
-    pass
-
-
-# ---------------------------------------------------------------------------
-# rule syntax
-
-
-class Var(Record):
-    name: str
-
-    def __repr__(self):
-        return self.name
-
-
-class Const(Record):
-    value: Value
-
-    def __repr__(self):
-        return repr(self.value)
-
-
-RuleTerm = Var | Const
-
-
-class RelAtom(Record):
-    name: str
-    args: tuple
-
-    def variables(self) -> tuple:
-        return tuple(a for a in self.args if isinstance(a, Var))
-
-
-class Builtin(Record):
-    """Built-in predicate: ``=`` or ``<=`` over the total value order."""
-
-    op: str
-    left: RuleTerm
-    right: RuleTerm
-
-    def __post_init__(self):
-        if self.op not in ("=", "<="):
-            raise QueryError(f"unsupported built-in {self.op!r}")
-
-    def variables(self) -> tuple:
-        return tuple(a for a in (self.left, self.right) if isinstance(a, Var))
+from .core import Instance, Record, Relation, Value, column_names, index_tuples, key_getter, picker, value_key
+from .syntax import Builtin, Const, CrossComponentQuery, QueryArityError, QueryError, RelAtom, Rule, TranslationError
+from .syntax import UnknownRelation, Var
 
 
 def _terms(a) -> tuple:
@@ -91,57 +29,6 @@ def _terms(a) -> tuple:
 def atom_constants(atoms) -> frozenset:
     """Every constant occurring in the given relation atoms and built-ins."""
     return frozenset(t.value for a in atoms for t in _terms(a) if isinstance(t, Const))
-
-
-class Rule(Record):
-    """Conjunctive query ``head(vars) <- atom, atom, ...``."""
-
-    head_name: str
-    head_vars: tuple
-    body: tuple
-
-    def __post_init__(self):
-        if not any(isinstance(a, RelAtom) for a in self.body):
-            raise QueryError("rule body needs at least one relation atom")
-        body_vars = {v.name for a in self.body for v in a.variables()}
-        for v in self.head_vars:
-            if not isinstance(v, Var):
-                raise QueryError("head arguments must be variables")
-            if v.name not in body_vars:
-                raise QueryError(f"head variable {v.name} does not occur in the body")
-
-    def relation_names(self) -> frozenset:
-        return frozenset(a.name for a in self.body if isinstance(a, RelAtom))
-
-    def rename_relations(self, mapping: dict) -> "Rule":
-        return Rule(self.head_name, self.head_vars, rename_atoms(self.body, mapping))
-
-    @cached_property
-    def _copies(self) -> str:
-        """The relation a copy rule copies, else "": one relation atom over
-        the head's distinct variables, in order, nullary included."""
-        (atom, *rest), hv = self.body, self.head_vars
-        copies = not rest and isinstance(atom, RelAtom) and atom.args == hv and len(set(hv)) == len(hv)
-        return atom.name if copies else ""
-
-    @cached_property
-    def _plan(self) -> tuple:
-        """The :func:`plan` streaming the head's values."""
-        return plan(self.body, (), [v.name for v in self.head_vars])
-
-
-def rename_atoms(atoms, mapping: dict) -> tuple:
-    """*atoms* with each relation atom's name mapped by *mapping*, when it has an entry."""
-    return tuple(
-        RelAtom(mapping.get(a.name, a.name), a.args) if isinstance(a, RelAtom) else a for a in atoms
-    )
-
-
-@lru_cache(maxsize=1024)
-def copy_rule(name: str, source: str, arity: int) -> Rule:
-    """``q_<name>(X0..Xk) :- source(X0..Xk)``: copies one relation whole, which :func:`eval_rule` answers without a plan."""
-    hv = tuple(Var(f"X{i}") for i in range(arity))
-    return Rule(f"q_{name}", hv, (RelAtom(source, hv),))
 
 
 def rule(head_name: str, head_vars, body) -> Rule:

@@ -11,9 +11,8 @@ built by :mod:`dbcat.sketch`.
 """
 from __future__ import annotations
 
-from .constraints import Sentence, Tgd
 from .core import DbcatError, Record, qualified_names
-from .queries import CrossComponentQuery, RelAtom, Rule, Var, copy_rule
+from .syntax import CrossComponentQuery, RelAtom, Rule, Sentence, Tgd, Var, copy_rule
 
 EMPTY_NODE = "_empty"
 

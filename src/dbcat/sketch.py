@@ -5,10 +5,9 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .constraints import Sentence, Tgd
 from .core import SENTINEL_A, SENTINEL_B, Record
-from .queries import Builtin, Const, CrossComponentQuery, RelAtom, Rule, Var
 from .schemas import EMPTY_NODE, EMPTY_SCHEMA, MappingGraph, SchemaError, term_layout, term_sentence
+from .syntax import Builtin, Const, CrossComponentQuery, RelAtom, Rule, Sentence, Tgd, Var
 
 
 class GammaAddition(Record):

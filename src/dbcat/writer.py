@@ -1,11 +1,10 @@
 """The text of a workspace in the format :mod:`dbcat.dsl` reads."""
 from __future__ import annotations
 
-from .constraints import Egd
 from .core import format_value, tuple_key
 from .dsl import Workspace
-from .queries import RelAtom, Rule, Var
 from .schemas import EmptyTerm, SAtom, SchemaTerm, SepTerm
+from .syntax import Egd, RelAtom, Rule, Var
 
 
 def _fmt_value(v) -> str:

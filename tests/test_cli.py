@@ -196,6 +196,32 @@ def test_exhausted_view_budget_is_a_usage_error(capsys):
     assert "cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, cap, where",
+    [
+        (["duality", "A0", "B0"], 300, "check duality projection-after-injection-left, component 0->1, level 2, 301 views"),
+        (["laws"], 300, "check laws contains-source A0, component 0, level 2, 301 views"),
+        (["check-functor", "G"], 30, "check compose phi_C_M_0.map_A__C_M_0, component 0->0, level 2, 31 views"),
+    ],
+)
+def test_a_budget_error_names_the_report_line_it_stopped(argv, cap, where, capsys):
+    """The check is named by the id of its line in the report the command
+    gives at a cap it stays within."""
+    argv = [*argv, "-i", str(DATA / "demo.dbc"), "--depth", "3", "--format", "lines"]
+    assert main([*argv, "--cap", str(cap)]) == 2
+    assert capsys.readouterr() == ("", f"dbcat: view enumeration exceeded cap of {cap} ({where})\n")
+    assert main(argv) == 0
+    check = where.split(", ")[0].removeprefix("check ")
+    assert check in [line.split("\t")[0] for line in capsys.readouterr().out.splitlines()]
+
+
+def test_a_listing_budget_error_names_no_check(capsys):
+    assert main(["powerview", "A0", "-i", str(DATA / "demo.dbc"), "--depth", "-1"]) == 2
+    assert capsys.readouterr() == (
+        "", "dbcat: view enumeration exceeded cap of 100000 (component 0, level 4, 100001 views)\n"
+    )
+
+
 @pytest.mark.parametrize("flag, value", [("--depth", "-7"), ("--depth", "-2"), ("--cap", "-5"), ("--cap", "0")])
 def test_out_of_range_bound_is_a_usage_error(flag, value, capsys):
     assert main(["iso", "S0", "F0", "-i", str(DATA / "federation.dbc"), flag, value]) == 2
@@ -444,9 +470,10 @@ def test_input_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
     assert capsys.readouterr() == ("", f"dbcat: {bad}: not UTF-8 text (invalid start byte at byte 0)\n")
 
 
-def _modules_after(code: str) -> list:
-    """The modules loaded once *code* has run in a fresh interpreter, sorted."""
-    code += "\nimport json, sys; print(json.dumps(sorted(sys.modules)), file=sys.stderr)"
+def _modules_after(code: str, since: str = "()") -> list:
+    """The modules loaded once *code* has run in a fresh interpreter, sorted,
+    less those in the collection that the expression *since* then gives."""
+    code += f"\nimport json, sys; print(json.dumps(sorted(set(sys.modules) - set({since}))), file=sys.stderr)"
     src = pathlib.Path(__file__).parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -469,19 +496,23 @@ def test_import_loads_neither_dataclasses_nor_inspect():
 
 
 def test_each_command_loads_only_the_modules_it_uses():
-    """``import dbcat`` loads no submodule; a CLI process loads ``powerview``
-    only for commands that close an instance, ``category`` only for those
-    that build arrows, ``interpret`` and ``sketch`` only for graphs, and
-    never the DSL writer, ``argparse``, ``gettext`` or ``locale``."""
+    """``import dbcat`` loads no submodule, and parsing needs the syntax
+    records alone; a CLI process loads ``queries`` only for commands that
+    evaluate rules, ``powerview`` only for those that close an instance,
+    ``category`` only for those that build arrows, ``interpret``, ``sketch``
+    and ``constraints`` only for graphs, and never the DSL writer,
+    ``argparse``, ``gettext`` or ``locale``."""
     assert _dbcat_modules("import dbcat") == ["dbcat"]
     assert _dbcat_modules("import dbcat.core") == ["dbcat", "dbcat.core"]
-    common = {f"dbcat{m}" for m in ("", ".cli", ".constraints", ".core", ".dsl", ".queries", ".schemas")}
+    parse = {f"dbcat{m}" for m in ("", ".core", ".dsl", ".schemas", ".syntax")}
+    assert _dbcat_modules("import dbcat.dsl") == sorted(parse)
+    common = parse | {"dbcat.cli"}
     closes = common | {"dbcat.powerview"}
-    arrows = closes | {"dbcat.category"}
+    arrows = closes | {"dbcat.category", "dbcat.queries"}
     loaded = {
-        "eval": common, "powerview": closes, "iso": closes,
+        "eval": common | {"dbcat.queries"}, "powerview": closes, "iso": closes,
         "flux": arrows, "compose": arrows, "laws": arrows, "duality": arrows,
-        **dict.fromkeys(GRAPH_COMMANDS, arrows | {"dbcat.interpret", "dbcat.sketch"}),
+        **dict.fromkeys(GRAPH_COMMANDS, arrows | {"dbcat.constraints", "dbcat.interpret", "dbcat.sketch"}),
     }
     at_start = set(_modules_after(""))
     for command, workspace, args in GOLDEN_COMMANDS:
@@ -489,6 +520,45 @@ def test_each_command_loads_only_the_modules_it_uses():
         modules = _modules_after(f"from dbcat.cli import main; main({argv!r})")
         assert [m for m in modules if m.split(".")[0] == "dbcat"] == sorted(loaded[command]), command
         assert not {"dbcat.writer", "argparse", "gettext", "locale"} & (set(modules) - at_start), command
+
+
+def _modules_added_by(setup: str, ops: str) -> list:
+    """The ``dbcat`` modules that running *ops* loads, in a fresh interpreter
+    that ran *setup* first."""
+    code = f"{setup}\nimport sys\nbefore = set(sys.modules)\n{ops}"
+    return [m for m in _modules_after(code, since="before") if m.split(".")[0] == "dbcat"]
+
+
+def test_a_workloads_ops_load_no_module_its_imports_did_not():
+    """The benchmark times each op, and a run's median has few of them, so a
+    module that an op loads on first use would be compiled inside a timed op:
+    the engines an op runs are loaded by the imports a workload makes first."""
+    joins = """
+from dbcat import constraints, dsl, queries
+from dbcat.core import make_instance
+from dbcat.queries import RelAtom, Var
+X, Y, Z = Var("X"), Var("Y"), Var("Z")
+q = dsl.parse_rule_text("q(X,Z) :- r(X,Y), r(Y,Z)")
+tgd = constraints.Tgd(("X",), (RelAtom("r", (X, Y)),), (RelAtom("s", (X,)),))
+egd = constraints.Egd((RelAtom("r", (X, Y)), RelAtom("r", (X, Z))), ("Y", "Z"))
+inst = make_instance({"r": [(1, 2), (2, 3), (3, 3)], "s": [(1,), (2,), (3,)]})"""
+    joins_ops = """
+assert queries.eval_rule(q, inst).tuples == queries.eval_spjru(queries.rule_to_spjru(q), inst).tuples
+assert constraints.check_tgd(tgd, inst) and constraints.check_egd(egd, inst)"""
+    assert _modules_added_by(joins, joins_ops) == []
+    closures = """
+from dbcat import category, core
+from dbcat import powerview as pv
+a = core.make_instance({"r": [(1, 2), (2, 1)], "s": [(1,)]})
+b = core.make_instance({"r": [(1, 2), (2, 1)], "s": [(2,)]})
+assert core.closure_signature(a) == core.closure_signature(b)"""
+    closures_ops = """
+pv.instances_isomorphic(a, b, 2, 2)
+assert pv.close_component.cache_info().misses
+pv.power_view_cached(a, None, 2), pv.matching(a, b, None, 2), pv.merging(a, b, None, 2)
+category.verify_duality(a, b, depth=None, max_arity=2)
+core.disjoint_union(a, b)"""
+    assert _modules_added_by(closures, closures_ops) == []
 
 
 #: The names ``dbcat`` exports, pinned.

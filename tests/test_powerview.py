@@ -217,6 +217,18 @@ def test_budget_error_says_where_it_stopped():
     assert (exc.value.component, exc.value.level, exc.value.views, exc.value.cap) == (2, None, 34, 33)
 
 
+def test_a_named_check_names_itself_before_the_check_it_ran():
+    a = make_instance({"r": [(1, 2), (2, 3), (3, 1)]})
+    assert powerview.named_check("outer", powerview.named_check, "inner", power_view, a, 2, 2) == power_view(a, 2, 2)
+    with pytest.raises(ViewBudgetExceeded) as exc:
+        powerview.named_check("outer", powerview.named_check, "inner", power_view, a, None, 3, 500)
+    err = exc.value
+    assert (err.check, err.component, err.level, err.views, err.cap) == ("outer inner", 0, 3, 501, 500)
+    assert str(err) == "view enumeration exceeded cap of 500 (check outer inner, component 0, level 3, 501 views)"
+    with pytest.raises(ValueError):  # other errors pass through unnamed
+        powerview.named_check("outer", int, "x")
+
+
 def test_only_a_component_past_the_cap_alone_is_enumerated(monkeypatch):
     depths = []
     real = powerview.close_component

@@ -29,6 +29,7 @@ from dbcat.queries import (
     rule,
     rule_to_spjru,
 )
+from dbcat.syntax import copy_rule
 
 from oracles import (
     brute_force_egd,
@@ -436,7 +437,7 @@ def test_a_copy_rule_answers_with_the_relation_itself(monkeypatch):
     monkeypatch.setattr(queries, "plan", lambda body, *args: planned.append(body) or real(body, *args))
     inst = make_instance({"r": [(1, 2), (2, 2), (3, 1)], "z": [()]})
     X, Y = Var("X"), Var("Y")
-    copies = [queries.copy_rule("c", "r", 2), Rule("q", (), (RelAtom("z", ()),)), Rule("q", (Y, X), (RelAtom("r", (Y, X)),))]
+    copies = [copy_rule("c", "r", 2), Rule("q", (), (RelAtom("z", ()),)), Rule("q", (Y, X), (RelAtom("r", (Y, X)),))]
     for q in copies:
         got = eval_rule(q, inst)
         assert got.tuples is inst.relation(q.body[0].name).tuples
