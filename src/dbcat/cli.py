@@ -4,9 +4,9 @@ Every command produces a deterministic report: one line per check, sorted by
 check id.  Exit status is 0 when everything passed, 1 when any check failed,
 2 on usage or parse errors.
 
-A process loads only the modules its command uses: ``powerview`` for the
-commands that close an instance, ``category`` for those that build arrows,
-``interpret`` and ``sketch`` for graphs; it reads its options without argparse.
+A process loads only the modules its command uses: parsing needs the rule
+syntax alone, ``queries`` evaluates rules, ``powerview`` closes instances,
+``category`` builds arrows and ``interpret`` checks graphs; no argparse.
 """
 from __future__ import annotations
 
@@ -102,7 +102,7 @@ def run(command: str, args, ws: Workspace, depth, max_arity, cap) -> Report:
     if command in ("flux", "compose", "duality"):
         from . import category
     if command in GRAPH_COMMANDS:
-        from . import interpret
+        from . import interpret, powerview
         from .sketch import build_sketch
 
         graph = ws.lookup("graph", args[0])
@@ -160,7 +160,7 @@ def run(command: str, args, ws: Workspace, depth, max_arity, cap) -> Report:
         lines.append(("functor", report.passed, detail))
     elif command == "gamma-iso":
         for node, _ in graph.nodes:
-            ok = interpret.check_gamma_iso(alpha, sketch, node, depth, max_arity, cap)
+            ok = powerview.named_check(f"gamma-iso {node}", interpret.check_gamma_iso, alpha, sketch, node, depth, max_arity, cap)
             lines.append((f"gamma-iso {node}", ok, "enlargement adds no views" if ok else "enlargement changes the view closure"))
     elif command == "duality":
         a, b = (ws.lookup("instance", name)[1] for name in args)

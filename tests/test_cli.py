@@ -202,6 +202,7 @@ def test_exhausted_view_budget_is_a_usage_error(capsys):
         (["duality", "A0", "B0"], 300, "check duality projection-after-injection-left, component 0->1, level 2, 301 views"),
         (["laws"], 300, "check laws contains-source A0, component 0, level 2, 301 views"),
         (["check-functor", "G"], 30, "check compose phi_C_M_0.map_A__C_M_0, component 0->0, level 2, 31 views"),
+        (["gamma-iso", "G"], 30, "check gamma-iso A, component 0, level 1, 31 views"),
     ],
 )
 def test_a_budget_error_names_the_report_line_it_stopped(argv, cap, where, capsys):
