@@ -18,7 +18,8 @@ _HOME = {
         ("core", "BOT SENTINEL_A SENTINEL_B DbcatError Instance Relation Sentinel active_domain "
                  "bottom_instance disjoint_union federate is_empty_isomorphic make_instance"),
         ("syntax", "Builtin Const CrossComponentQuery Egd RelAtom Rule Sentence Tgd Var"),
-        ("queries", "BaseRel ColEq ConstEq Join Project Rename Select Union eval_rule eval_spjru rule rule_to_spjru"),
+        ("rules", "eval_rule"),
+        ("queries", "BaseRel ColEq ConstEq Join Project Rename Select Union eval_spjru rule rule_to_spjru"),
         ("constraints", "check_egd check_sentence check_tgd"),
         ("powerview", "ViewSet instances_isomorphic matching merging power_view"),
         ("category", "Flux ModeViolation Morphism ViewMap compose coproduct_morphism empty_morphism "

@@ -43,7 +43,7 @@ from .powerview import (
     named_check,
     view_closure,
 )
-from .queries import eval_rule
+from .rules import eval_rule
 from .syntax import QueryArityError, Rule, copy_rule
 
 

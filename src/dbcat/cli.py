@@ -5,7 +5,7 @@ check id.  Exit status is 0 when everything passed, 1 when any check failed,
 2 on usage or parse errors.
 
 A process loads only the modules its command uses: parsing needs the rule
-syntax alone, ``queries`` evaluates rules, ``powerview`` closes instances,
+syntax alone, ``rules`` evaluates rules, ``powerview`` closes instances,
 ``category`` builds arrows and ``interpret`` checks graphs; no argparse.
 """
 from __future__ import annotations
@@ -110,7 +110,7 @@ def run(command: str, args, ws: Workspace, depth, max_arity, cap) -> Report:
         alpha = interpret.interpretation(_schema_instances(ws, graph), ws.schemas)
     lines = []
     if command == "eval":
-        from .queries import eval_rule
+        from .rules import eval_rule
         inst = ws.lookup("instance", args[0])[1]
         rule = parse_rule_text(args[1])
         try:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import partial
 
 from .core import SENTINEL_A, SENTINEL_B, Instance, active_domain, format_value, tuple_key
-from .queries import atom_components, atom_constants, bind
+from .rules import atom_components, atom_constants, bind
 from .syntax import ConstraintError, Egd, Sentence, Tgd  # ConstraintError re-exported
 
 

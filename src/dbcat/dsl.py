@@ -23,21 +23,8 @@ from __future__ import annotations
 import re
 
 from .core import DbcatError, Instance, Record, Relation, bottom_instance
-from .schemas import (
-    EMPTY_SCHEMA,
-    SAtom,
-    Schema,
-    SchemaMapping,
-    SchemaTerm,
-    branch,
-    fed,
-    make_pair,
-    mapping_graph,
-    sep,
-    seq_compose,
-    term_layout,
-)
 from .syntax import Builtin, Const, Egd, RelAtom, Rule, Sentence, Tgd, Var
+# The schema layer (``SchemaTerm`` in annotations) is imported where a statement needs it: a rule needs none.
 
 
 class ParseError(DbcatError):
@@ -161,6 +148,7 @@ class Workspace:
     def term(self, name: str, tok: Token | None = None) -> SchemaTerm:
         """The schema term *name* refers to; an unknown name is a
         :class:`ParseError` at *tok*, the token that names it, when given."""
+        from .schemas import SAtom
         if name in self.composes:
             return self.composes[name]
         if name in self.schemas:
@@ -332,6 +320,8 @@ def _parse_constraint(p: _Parser):
 
 
 def _parse_schema_term(p: _Parser, ws: Workspace) -> SchemaTerm:
+    from .schemas import EMPTY_SCHEMA, fed, sep
+
     def atom() -> SchemaTerm:
         if p.at("punct", "("):
             p.next()
@@ -358,6 +348,7 @@ def _parse_schema_term(p: _Parser, ws: Workspace) -> SchemaTerm:
 
 
 def _parse_schema(p: _Parser, ws: Workspace, name: str):
+    from .schemas import Schema
     p.expect("punct", "{")
     rels = []
     constraints = []
@@ -389,6 +380,7 @@ def _parse_compose(p: _Parser, ws: Workspace, name: str):
 
 
 def _parse_instance(p: _Parser, ws: Workspace, name: str):
+    from .schemas import term_layout
     p.expect("ident", "of")
     term_name, term = _term_ref(p, ws)
     layout = term_layout(term)
@@ -421,6 +413,7 @@ def _parse_instance(p: _Parser, ws: Workspace, name: str):
 
 
 def _parse_mapping(p: _Parser, ws: Workspace, name: str):
+    from .schemas import SchemaMapping, make_pair
     p.expect("punct", ":")
     src_name, source = _term_ref(p, ws)
     p.expect("arrow")
@@ -452,6 +445,7 @@ def _parse_mapping(p: _Parser, ws: Workspace, name: str):
 
 
 def _parse_graph(p: _Parser, ws: Workspace, name: str):
+    from .schemas import branch, mapping_graph, seq_compose
     p.expect("punct", "{")
     used: dict = {}
     seqs: list = []
@@ -523,7 +517,8 @@ def parse_workspace_text(text: str, ws: Workspace | None = None) -> Workspace:
 
 
 def parse_workspace(paths) -> Workspace:
-    """Parse one or more files into a single cross-resolved workspace."""
+    """Parse one or more files into a single cross-resolved workspace; a
+    :class:`ParseError` names the file it is in."""
     ws = Workspace()
     for path in paths:
         with open(path, "r", encoding="utf-8") as fh:
@@ -531,6 +526,10 @@ def parse_workspace(paths) -> Workspace:
                 text = fh.read()
             except UnicodeDecodeError as exc:
                 raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-        parse_workspace_text(text, ws)
+        try:
+            parse_workspace_text(text, ws)
+        except ParseError as exc:
+            exc.args = (f"{path}: {exc}",)
+            raise
     return ws
 

@@ -40,7 +40,7 @@ from .core import (
     is_empty_isomorphic,
 )
 from .powerview import DEFAULT_CAP, instances_isomorphic, named_check
-from .queries import eval_rule
+from .rules import eval_rule
 from .schemas import MappingGraph, SchemaTerm, term_layout
 from .sketch import Sketch, SketchArrow
 

@@ -1,6 +1,6 @@
 """The syntax of queries and dependencies, which parsing, schemas and sketches
 need without the engines that run them: rules, TGDs, EGDs, sentences and the
-errors they raise.  A record imports :mod:`dbcat.queries` to build its plan."""
+errors they raise.  A record imports :mod:`dbcat.rules` to build its plan."""
 from __future__ import annotations
 
 from collections import Counter
@@ -106,9 +106,9 @@ class Rule(Record):
 
     @cached_property
     def _plan(self) -> tuple:
-        """The :func:`~dbcat.queries.plan` streaming the head's values."""
-        from . import queries
-        return queries.plan(self.body, (), [v.name for v in self.head_vars])
+        """The :func:`~dbcat.rules.plan` streaming the head's values."""
+        from . import rules
+        return rules.plan(self.body, (), [v.name for v in self.head_vars])
 
 
 def rename_atoms(atoms, mapping: dict) -> tuple:
@@ -163,15 +163,15 @@ class Tgd(Record):
 
     @cached_property
     def _left(self) -> tuple:
-        """The :func:`~dbcat.queries.plan` streaming the left side's universal tuples."""
-        from . import queries
-        return queries.plan(self.left, (), self.universal)
+        """The :func:`~dbcat.rules.plan` streaming the left side's universal tuples."""
+        from . import rules
+        return rules.plan(self.left, (), self.universal)
 
     @cached_property
     def _right(self) -> tuple:
         """The plan of the right side fed the universal tuples: it streams the witnessed ones."""
-        from . import queries
-        return queries.plan(self.right, self.universal, self.universal)
+        from . import rules
+        return rules.plan(self.right, self.universal, self.universal)
 
 
 class Egd(Record):
@@ -193,9 +193,9 @@ class Egd(Record):
 
     @cached_property
     def _plan(self) -> tuple:
-        """The :func:`~dbcat.queries.plan` streaming the assignments that equate two distinct values."""
-        from . import queries
-        return queries.plan(self.left, (), self._variables, self.pair)
+        """The :func:`~dbcat.rules.plan` streaming the assignments that equate two distinct values."""
+        from . import rules
+        return rules.plan(self.left, (), self._variables, self.pair)
 
 
 class Sentence(Record):

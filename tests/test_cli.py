@@ -29,20 +29,13 @@ DATA = pathlib.Path(__file__).parent / "data"
 FILES = sorted(DATA.glob("*.dbc"))
 GOLDEN = pathlib.Path(__file__).parent.parent / "perfbench" / "golden" / "cli.json"
 
-# The benchmark's ten commands (perfbench/DESIGN.md) and its two bounds.
-GOLDEN_COMMANDS = (
-    ("eval", "demo", ["A0", "q(X,Z) :- r(X,Y), r(Y,Z)"]),
-    ("powerview", "demo", ["A0"]),
-    ("iso", "federation", ["S0", "F0"]),
-    ("flux", "demo", ["M", "A0", "B0"]),
-    ("compose", "demo", ["M", "N", "A0", "B0", "D0"]),
-    ("laws", "demo", []),
-    ("check-model", "system", ["G"]),
-    ("check-functor", "system", ["G"]),
-    ("gamma-iso", "system", ["G"]),
-    ("duality", "demo", ["A0", "B0"]),
-)
-GOLDEN_BOUNDS = {"fixpoint": ["--depth", "-1", "--arity", "2"], "bounded": []}
+# The benchmark's ten commands and its two bounds, read from the file that
+# defines them, so every test here runs what the benchmark runs.
+sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "perfbench"))
+from workloads import CLI_BOUNDS, CLI_COMMANDS  # noqa: E402
+
+GOLDEN_COMMANDS = CLI_COMMANDS
+GOLDEN_BOUNDS = {bound: list(flags) for bound, flags in CLI_BOUNDS.items()}
 
 
 def ws(*names):
@@ -471,6 +464,12 @@ def test_input_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
     assert capsys.readouterr() == ("", f"dbcat: {bad}: not UTF-8 text (invalid start byte at byte 0)\n")
 
 
+def test_a_parse_error_names_the_input_file(capsys):
+    demo = str(DATA / "demo.dbc")
+    assert main(["eval", "A0", "q(X) :- r(X,X)", "-i", demo, "-i", demo]) == 2
+    assert capsys.readouterr() == ("", f"dbcat: {demo}: line 2, column 8: duplicate name 'A'\n")
+
+
 def _modules_after(code: str, since: str = "()") -> list:
     """The modules loaded once *code* has run in a fresh interpreter, sorted,
     less those in the collection that the expression *since* then gives."""
@@ -497,21 +496,22 @@ def test_import_loads_neither_dataclasses_nor_inspect():
 
 
 def test_each_command_loads_only_the_modules_it_uses():
-    """``import dbcat`` loads no submodule, and parsing needs the syntax
-    records alone; a CLI process loads ``queries`` only for commands that
-    evaluate rules, ``powerview`` only for those that close an instance,
-    ``category`` only for those that build arrows, ``interpret``, ``sketch``
-    and ``constraints`` only for graphs, and never the DSL writer,
-    ``argparse``, ``gettext`` or ``locale``."""
+    """``import dbcat`` loads no submodule, and parsing a rule needs the
+    syntax records alone; a CLI process loads the schema layer to parse a
+    workspace, the rule engine ``rules`` only for commands that evaluate
+    rules, ``powerview`` only for those that close an instance, ``category``
+    only for those that build arrows, ``interpret``, ``sketch`` and
+    ``constraints`` only for graphs, and never the SPJRU algebra
+    (``queries``), the DSL writer, ``argparse``, ``gettext`` or ``locale``."""
     assert _dbcat_modules("import dbcat") == ["dbcat"]
     assert _dbcat_modules("import dbcat.core") == ["dbcat", "dbcat.core"]
-    parse = {f"dbcat{m}" for m in ("", ".core", ".dsl", ".schemas", ".syntax")}
+    parse = {f"dbcat{m}" for m in ("", ".core", ".dsl", ".syntax")}
     assert _dbcat_modules("import dbcat.dsl") == sorted(parse)
-    common = parse | {"dbcat.cli"}
+    common = parse | {"dbcat.cli", "dbcat.schemas"}
     closes = common | {"dbcat.powerview"}
-    arrows = closes | {"dbcat.category", "dbcat.queries"}
+    arrows = closes | {"dbcat.category", "dbcat.rules"}
     loaded = {
-        "eval": common | {"dbcat.queries"}, "powerview": closes, "iso": closes,
+        "eval": common | {"dbcat.rules"}, "powerview": closes, "iso": closes,
         "flux": arrows, "compose": arrows, "laws": arrows, "duality": arrows,
         **dict.fromkeys(GRAPH_COMMANDS, arrows | {"dbcat.constraints", "dbcat.interpret", "dbcat.sketch"}),
     }
@@ -521,6 +521,12 @@ def test_each_command_loads_only_the_modules_it_uses():
         modules = _modules_after(f"from dbcat.cli import main; main({argv!r})")
         assert [m for m in modules if m.split(".")[0] == "dbcat"] == sorted(loaded[command]), command
         assert not {"dbcat.writer", "argparse", "gettext", "locale"} & (set(modules) - at_start), command
+
+
+def test_parsing_a_rule_loads_the_syntax_records_alone():
+    """A rule needs neither the schema layer nor an engine to be parsed."""
+    code = 'import dbcat.dsl as dsl; dsl.parse_rule_text("q(X) :- r(X,Y)")'
+    assert _dbcat_modules(code) == ["dbcat", "dbcat.core", "dbcat.dsl", "dbcat.syntax"]
 
 
 def _modules_added_by(setup: str, ops: str) -> list:
@@ -591,6 +597,10 @@ def test_package_exports_are_the_objects_of_their_home_modules():
         assert value is vars(home)[name] is star[name], name
         assert not callable(value) or value.__module__ == home.__name__, name
     assert set(EXPORTS) <= set(dir(dbcat))
+    # the rule engine is at home in ``rules``; ``queries`` binds its names too
+    assert dbcat._HOME["eval_rule"] == "rules" and dbcat._HOME["eval_spjru"] == "queries"
+    for name in ("atom_components", "atom_constants", "bind", "eval_rule", "plan"):
+        assert getattr(importlib.import_module("dbcat.queries"), name) is vars(importlib.import_module("dbcat.rules"))[name]
     with pytest.raises(AttributeError, match="no_such_name"):
         dbcat.no_such_name
 

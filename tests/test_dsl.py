@@ -211,6 +211,21 @@ def test_multi_file_workspace(tmp_path):
     assert ws == parse_workspace_text(one.read_text() + two.read_text())
 
 
+def test_a_parse_error_names_the_file_it_is_in(tmp_path):
+    from dbcat.dsl import parse_workspace
+
+    one, two = tmp_path / "one.dbc", tmp_path / "two.dbc"
+    one.write_text("schema A { r/1. }\n")
+    two.write_text("\ninstance A0 of B { r(1). }\n")
+    with pytest.raises(ParseError) as exc:
+        parse_workspace([one, two])
+    assert str(exc.value) == f"{two}: line 2, column 16: unknown schema or composition 'B'"
+    assert (exc.value.line, exc.value.col) == (2, 16)
+    with pytest.raises(ParseError) as exc:  # text read from no file names none
+        parse_workspace_text(one.read_text() + two.read_text())
+    assert str(exc.value) == "line 3, column 16: unknown schema or composition 'B'"
+
+
 @pytest.mark.parametrize(
     "parse, text, line, col, found",
     [

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from dbcat import constraints, core, queries
+from dbcat import constraints, core, queries, rules
 from dbcat.constraints import Egd, Tgd, check_egd, check_tgd
 from dbcat.core import disjoint_union, federate, make_instance
 from dbcat.queries import (
@@ -385,7 +385,7 @@ def test_nullary_atom_is_a_membership_test(r, holds):
 
 def test_valuation_domain_is_built_only_for_builtin_variables(monkeypatch):
     built = []
-    real_rule, real_constraint = queries._rule_domain, constraints._constraint_domain
+    real_rule, real_constraint = rules._rule_domain, constraints._constraint_domain
 
     def rule_domain(*args):
         built.append("rule")
@@ -395,7 +395,7 @@ def test_valuation_domain_is_built_only_for_builtin_variables(monkeypatch):
         built.append("constraint")
         return real_constraint(*args, **kwargs)
 
-    monkeypatch.setattr(queries, "_rule_domain", rule_domain)
+    monkeypatch.setattr(rules, "_rule_domain", rule_domain)
     monkeypatch.setattr(constraints, "_constraint_domain", constraint_domain)
     n = 2000
     inst = make_instance({"r": {(x, (7 * x) % n) for x in range(n)}, "s": {(x,) for x in range(n)}})
@@ -410,13 +410,13 @@ def test_valuation_domain_is_built_only_for_builtin_variables(monkeypatch):
 
 def test_each_record_plans_once(monkeypatch):
     planned = []
-    real = queries.plan
+    real = rules.plan
 
     def planning(body, bound=(), out=(), unequal=()):
         planned.append(body)
         return real(body, bound, out, unequal)
 
-    monkeypatch.setattr(queries, "plan", planning)
+    monkeypatch.setattr(rules, "plan", planning)
     a = make_instance({"r": [(1, 2), (2, 3)], "s": [(1,), (2,)]})
     b = make_instance({"r": [(2, 2), (3, 1)], "s": [(3,)]})
     q = rule("q", ["X", "Z"], [("r", "X", "Y"), ("r", "Y", "Z")])
@@ -433,8 +433,8 @@ def test_each_record_plans_once(monkeypatch):
 
 def test_a_copy_rule_answers_with_the_relation_itself(monkeypatch):
     planned = []
-    real = queries.plan
-    monkeypatch.setattr(queries, "plan", lambda body, *args: planned.append(body) or real(body, *args))
+    real = rules.plan
+    monkeypatch.setattr(rules, "plan", lambda body, *args: planned.append(body) or real(body, *args))
     inst = make_instance({"r": [(1, 2), (2, 2), (3, 1)], "z": [()]})
     X, Y = Var("X"), Var("Y")
     copies = [copy_rule("c", "r", 2), Rule("q", (), (RelAtom("z", ()),)), Rule("q", (Y, X), (RelAtom("r", (Y, X)),))]
@@ -452,13 +452,13 @@ def test_a_copy_rule_answers_with_the_relation_itself(monkeypatch):
 
 def test_names_and_values_never_enter_a_kernel(monkeypatch):
     sources = []
-    real = queries._kernel
+    real = rules._kernel
 
     def compiling(source):
         sources.append(source)
         return real(source)
 
-    monkeypatch.setattr(queries, "_kernel", compiling)
+    monkeypatch.setattr(rules, "_kernel", compiling)
     name, value = "r'); import os; ('", "it's\n\"here\""
     inst = make_instance({name: [(1, value), (2, 3), (value, value)], "s": [(1,), (2,), (value,)]})
     q = rule("q", ["X"], [(name, "X", value), ("s", "X")])
