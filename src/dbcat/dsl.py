@@ -166,6 +166,16 @@ class Workspace:
         return pool[name]
 
 
+def _build(p: _Parser, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, a record built while a statement is parsed:
+    its :class:`DbcatError` becomes a :class:`ParseError` at the current token."""
+    try:
+        return make(*args, **kwargs)
+    except DbcatError as exc:
+        tok = p.peek()
+        raise ParseError(f"{exc} (found {tok.value!r})", tok.line, tok.col) from exc
+
+
 def _term_ref(p: _Parser, ws: Workspace) -> tuple:
     """Read a schema or composition name: (the name, the term it names)."""
     tok = p.ident("schema name")
@@ -257,7 +267,7 @@ def _parse_head(p: _Parser):
 def _parse_rule(p: _Parser) -> Rule:
     name, vars_ = _parse_head(p)
     p.expect("define")
-    return Rule(name, vars_, _parse_seq(p, _parse_atom))
+    return _build(p, Rule, name, vars_, _parse_seq(p, _parse_atom))
 
 
 def parse_rule_text(text: str) -> Rule:
@@ -297,7 +307,7 @@ def _parse_constraint(p: _Parser):
         and isinstance(right[0].right, Var)
         and not right_exists
     ):
-        return Egd(left, (right[0].left.name, right[0].right.name))
+        return _build(p, Egd, left, (right[0].left.name, right[0].right.name))
     right_vars = {v.name for a in right for v in a.variables()}
     extra = right_vars - set(universal)
     if extra - set(right_exists):
@@ -310,10 +320,7 @@ def _parse_constraint(p: _Parser):
             "schema constraints must be weakly full: no existential variables "
             "on the right side"
         )
-    try:
-        return Tgd(universal, left, right, weakly_full=True)
-    except DbcatError as exc:
-        p.fail(str(exc))
+    return _build(p, Tgd, universal, left, right, weakly_full=True)
 
 
 # -- schema terms --------------------------------------------------------------
@@ -370,8 +377,8 @@ def _parse_schema(p: _Parser, ws: Workspace, name: str):
             p.fail("relation arity must be positive")
         rels.append((rel.value, int(p.expect("int").value)))
         p.expect("punct", ".")
+    ws.schemas[name] = _build(p, Schema, name, tuple(rels), Sentence(tuple(constraints)))
     p.expect("punct", "}")
-    ws.schemas[name] = Schema(name, tuple(rels), Sentence(tuple(constraints)))
 
 
 def _parse_compose(p: _Parser, ws: Workspace, name: str):
@@ -436,12 +443,10 @@ def _parse_mapping(p: _Parser, ws: Workspace, name: str):
             rhs = _parse_rule(p)
         else:
             rhs = RelAtom(rhs_name, rhs_vars)
+        pairs.append(_build(p, make_pair, lhs, rhs))
         p.expect("punct", ".")
-        pairs.append(make_pair(lhs, rhs))
+    ws.mappings[name] = _build(p, SchemaMapping, name, src_name, tgt_name, source, target, tuple(pairs), exact=exact)
     p.expect("punct", "}")
-    ws.mappings[name] = SchemaMapping(
-        name, src_name, tgt_name, source, target, tuple(pairs), exact=exact
-    )
 
 
 def _parse_graph(p: _Parser, ws: Workspace, name: str):
@@ -466,27 +471,23 @@ def _parse_graph(p: _Parser, ws: Workspace, name: str):
         if p.at("ident", "after"):
             while p.at("ident", "after"):
                 p.next()
-                edge = seq_compose(edge, mapping_ref())
+                edge = _build(p, seq_compose, edge, mapping_ref())
             seqs.append(edge)
         elif p.at("ident", "branch"):
             p.next()
-            branches.append(branch(edge, mapping_ref()))
+            branches.append(_build(p, branch, edge, mapping_ref()))
         else:
             raise ParseError("expected 'after' or 'branch'", op.line, op.col)
         p.expect("punct", ".")
-    p.expect("punct", "}")
+    branches = list(dict.fromkeys(branches))  # a repeated branch is one edge, as a repeated use is
 
     nodes: dict = {}
     for m in list(used.values()) + branches:
         nodes[m.source_name] = m.source
         nodes[m.target_name] = m.target
-    ws.graphs[name] = mapping_graph(
-        name,
-        nodes,
-        tuple(used.values()) + tuple(branches),
-        seqs=tuple(seqs),
-        branches=tuple(branches),
-    )
+    edges = tuple(used.values()) + tuple(branches)
+    ws.graphs[name] = _build(p, mapping_graph, name, nodes, edges, seqs=tuple(seqs), branches=tuple(branches))
+    p.expect("punct", "}")
 
 
 #: Each statement keyword: the parser of the statement's body, and what its

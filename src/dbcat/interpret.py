@@ -15,6 +15,7 @@ with their sentinel tags.
 """
 from __future__ import annotations
 
+from functools import reduce
 
 from .category import (
     Morphism,
@@ -28,6 +29,7 @@ from .category import (
 )
 from .constraints import find_sentence_violation
 from .core import (
+    BOT,
     SENTINEL_A,
     SENTINEL_B,
     DbcatError,
@@ -37,11 +39,13 @@ from .core import (
     Sentinel,
     Verdicts,
     bottom_instance,
+    disjoint_union,
+    federate,
     is_empty_isomorphic,
 )
 from .powerview import DEFAULT_CAP, instances_isomorphic, named_check
 from .rules import eval_rule
-from .schemas import MappingGraph, SchemaTerm, term_layout
+from .schemas import MappingGraph, SchemaTerm, nf_components
 from .sketch import Sketch, SketchArrow
 
 
@@ -72,14 +76,14 @@ def interpretation(assign: dict, schemas: dict | None = None) -> Interpretation:
             if schema is None:
                 raise InterpretationError(f"unknown schema {name!r}")
             rels = dict(schema.relsymbols)
-            names = [r.name for r in inst.relations]
+            names = [n for n in inst.names if n != BOT]
             if sorted(rels) != sorted(names):
                 raise InterpretationError(
                     f"instance for {name!r} has relations {sorted(names)}, "
                     f"schema declares {sorted(rels)}"
                 )
             for r in inst.relations:
-                if r.arity != rels[r.name]:
+                if r.name != BOT and r.arity != rels[r.name]:
                     raise InterpretationError(
                         f"instance for {name!r}: relation {r.name} has arity "
                         f"{r.arity}, schema says {rels[r.name]}"
@@ -95,23 +99,20 @@ def interpretation(assign: dict, schemas: dict | None = None) -> Interpretation:
 
 
 def interpret_term(alpha: Interpretation, term: SchemaTerm) -> Instance:
-    """Extend the assignment to a composed term.
-
-    Separated groups become distinct components; every schema inside one
-    federated group lands in the same component.  A term without leaves,
-    such as the empty term, maps to the bottom instance.
+    """Extend the assignment to a composed term: the fold of the sums over its
+    normal form, from their unit, the bottom instance.  Each group's leaf
+    instances are federated and the groups disjointly united, so separation
+    becomes disjoint union and federation a shared component by construction.
     """
-    relations, partition = [], {}
-    for schema, comp, names in term_layout(term).leaves:
-        renames = dict(names)
-        for r in alpha.instance_for(schema.name).relations:
-            if r.name not in renames:
-                raise InterpretationError(f"schema {schema.name!r} has no relation {r.name!r}")
-            relations.append(Relation(renames[r.name], r.arity, r.tuples, r.attributes))
-            partition[renames[r.name]] = comp
-    if relations:
-        return Instance(tuple(relations), tuple(partition.items()))
-    return bottom_instance()
+    inst = bottom_instance()
+    for group in nf_components(term):
+        leaves = [alpha.instance_for(s.name) for s in group]
+        for s, leaf in zip(group, leaves):  # a leaf holds its schema's relations and the implicit empty one
+            extra = set(leaf.names) - {BOT} - set(dict(s.relsymbols))
+            if extra:
+                raise InterpretationError(f"schema {s.name!r} has no relation {min(extra)!r}")
+        inst = disjoint_union(inst, reduce(federate, leaves, bottom_instance()))
+    return inst
 
 
 def gamma_instance(alpha: Interpretation, sketch: Sketch, node: str) -> Instance:
@@ -146,10 +147,7 @@ class _Nodes(dict):
             if additions:
                 relations, partition = list(base.relations), dict(base.partition)
                 for add in additions:
-                    query, over = add.defining, base
-                    if query is None:  # the mapped view, over the mapping's source
-                        query, over = add.from_lhs, self[add.source_node, True]
-                    relations.append(Relation(add.name, add.arity, eval_rule(query, over).tuples))
+                    relations.append(Relation(add.name, add.arity, eval_rule(add.query, self[add.over, True]).tuples))
                     partition[add.name] = add.component
                 inst = Instance(tuple(relations), tuple(partition.items()))
         self[key] = inst

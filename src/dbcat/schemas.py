@@ -155,16 +155,18 @@ class Layout(Record):
 def term_layout(term: SchemaTerm) -> Layout:
     """Qualified relation symbols of a term.
 
-    Groups that survive normalization get component ids 1..n (0 when there is
-    only one).  The leaves' relation names, in normal-form order, are
-    qualified by :func:`~dbcat.core.qualified_names`: a name occurring under
-    several leaves becomes ``name#k``, k being the occurrence's rank.
+    Groups that hold a relation get component ids 1..n (0 when there is only
+    one), as in the sums, whose unit every other group interprets to.  The
+    leaves' relation names, in normal-form order, are qualified by
+    :func:`~dbcat.core.qualified_names`: a name occurring under several
+    leaves becomes ``name#k``, k being the occurrence's rank.
     """
     groups = [c for c in nf_components(term) if c]
     rels = [rel for comp in groups for s in comp for rel, _ in s.relsymbols]
-    qualified, leaves = iter(qualified_names(rels)), []
-    for idx, comp in enumerate(groups):
-        comp_id = 0 if len(groups) == 1 else idx + 1
+    held = [any(s.relsymbols for s in comp) for comp in groups]
+    qualified, leaves, comp_id, many = iter(qualified_names(rels)), [], 0, sum(held) > 1
+    for comp, holds in zip(groups, held):
+        comp_id += holds and many
         for s in comp:
             leaves.append((s, comp_id, tuple((rel, next(qualified)) for rel, _ in s.relsymbols)))
     return Layout(tuple(leaves))
@@ -323,7 +325,9 @@ class MappingGraph(Record):
             raise SchemaError("duplicate node names in graph")
         if EMPTY_NODE in names:
             raise SchemaError(f"graph {self.name}: node name {EMPTY_NODE!r} is reserved")
-        for m in self.mappings:
+        for i, m in enumerate(self.mappings):
+            if any(m.name == other.name for other in self.mappings[:i]):
+                raise SchemaError(f"graph {self.name}: two mappings are named {m.name}")
             for end, term in ((m.source_name, m.source), (m.target_name, m.target)):
                 if end not in names:
                     raise SchemaError(f"graph {self.name}: unknown node {end!r}")

@@ -11,13 +11,14 @@ from .syntax import Builtin, Const, CrossComponentQuery, RelAtom, Rule, Sentence
 
 
 class GammaAddition(Record):
-    """A relation added to a target schema by sketch construction."""
+    """A relation added to a target schema by sketch construction: the answer
+    of ``query`` over the plain instance of the node ``over``, which is the
+    target for a defining query and the source for a mapped view."""
 
     name: str
     arity: int
-    defining: Rule | None  # query over the target's own relations
-    from_lhs: Rule | None  # fallback: the mapping's left query over the source
-    source_node: str
+    query: Rule
+    over: str
     component: int
 
 
@@ -44,18 +45,13 @@ class SketchArrow(Record):
 
 
 class Sketch(Record):
-    """The small category generated from a mapping graph.
-
-    ``diagrams`` and ``cones`` stay empty: mapping systems never impose
-    commutativity through diagram classes here.
-    """
+    """The small category generated from a mapping graph.  It holds no
+    diagrams or cones: mapping systems impose no commutativity here."""
 
     nodes: tuple  # ((name, SchemaTerm | HelperSchema), ...)
     gamma: tuple  # ((node_name, GammaAddition), ...)
     helpers: tuple  # (HelperSchema, ...)
     arrows: tuple
-    diagrams: tuple = ()
-    cones: tuple = ()
 
     @cached_property
     def node_map(self) -> dict:
@@ -97,24 +93,13 @@ def build_sketch(graph: MappingGraph) -> Sketch:
     single arrow between the two nodes.  A pair whose right side queries
     existing target relations gets a helper node with a sentinel-tagged
     relation, two feeding arrows, and a dependency arrow expressing that
-    every left tuple is matched on the right.
+    every left tuple is matched on the right.  Mapping names are unique in
+    a graph, so the helpers' names are, and no two arrows share their ends.
     """
     node_terms = dict(graph.nodes)
-    gamma: list = []
-    gamma_names: dict = {}
+    gamma: dict = {}  # (node, relation) -> GammaAddition
     helpers: list = []
     mapping_arrows: dict = {}
-
-    def add_gamma(node: str, addition: GammaAddition):
-        prev = gamma_names.get((node, addition.name))
-        if prev is not None:
-            if prev != addition:
-                raise SchemaError(
-                    f"conflicting definitions for added relation {addition.name!r} on {node}"
-                )
-            return
-        gamma_names[(node, addition.name)] = addition
-        gamma.append((node, addition))
 
     for m in graph.mappings:
         tgt_layout = term_layout(m.target)
@@ -122,18 +107,18 @@ def build_sketch(graph: MappingGraph) -> Sketch:
         for i, p in enumerate(m.pairs):
             mode = "exact" if m.exact else "inclusion"
             if p.rhs_name not in tgt_rels:
-                # reified relation on the target
+                # reified relation on the target: its defining query over the
+                # target, or else the mapped view over the source
                 if p.rhs_bare:
-                    defining, from_lhs = None, p.lhs
+                    query, over = p.lhs, m.source_name
                     comps = tgt_layout.components()
                     if len(comps) > 1:
                         raise SchemaError(
                             f"mapping {m.name}: cannot place {p.rhs_name!r} in a "
                             "separated target without a defining query"
                         )
-                    component = next(iter(comps), 0)
                 else:
-                    defining, from_lhs = p.rhs, None
+                    query, over = p.rhs, m.target_name
                     comps = {
                         tgt_layout.component_of(a.name)
                         for a in p.rhs.body
@@ -143,18 +128,11 @@ def build_sketch(graph: MappingGraph) -> Sketch:
                         raise CrossComponentQuery(
                             f"mapping {m.name}: defining query spans components"
                         )
-                    component = next(iter(comps), 0)
-                add_gamma(
-                    m.target_name,
-                    GammaAddition(
-                        p.rhs_name,
-                        len(p.lhs.head_vars),
-                        defining,
-                        from_lhs,
-                        m.source_name,
-                        component,
-                    ),
-                )
+                addition = GammaAddition(p.rhs_name, len(p.lhs.head_vars), query, over, next(iter(comps), 0))
+                if gamma.setdefault((m.target_name, p.rhs_name), addition) != addition:
+                    raise SchemaError(
+                        f"conflicting definitions for added relation {p.rhs_name!r} on {m.target_name}"
+                    )
                 key = (m.source_name, m.target_name)
                 mapping_arrows.setdefault(key, []).append((p.lhs, p.rhs_name, mode))
             else:
@@ -186,41 +164,14 @@ def build_sketch(graph: MappingGraph) -> Sketch:
     nodes.extend((h.name, h) for h in helpers)
     nodes.append((EMPTY_NODE, EMPTY_SCHEMA))
 
-    arrows: list = []
-    for name, _ in nodes:
-        arrows.append(SketchArrow(f"id_{name}", "identity", name, name))
-    for node, term in node_terms.items():
-        arrows.append(
-            SketchArrow(
-                f"phi_{node}", "sentence", node, EMPTY_NODE, sentence=term_sentence(term)
-            )
-        )
-    for h in helpers:
-        arrows.append(
-            SketchArrow(
-                f"phi_{h.name}",
-                "sentence",
-                h.name,
-                EMPTY_NODE,
-                sentence=Sentence((h.sentinel,)),
-            )
-        )
+    arrows = [SketchArrow(f"id_{name}", "identity", name, name) for name, _ in nodes]
+    for name, obj in nodes[:-1]:  # each node but the empty one has its constraint arrow
+        sentence = Sentence((obj.sentinel,)) if isinstance(obj, HelperSchema) else term_sentence(obj)
+        arrows.append(SketchArrow(f"phi_{name}", "sentence", name, EMPTY_NODE, sentence=sentence))
     for (src, tgt), pairs in sorted(mapping_arrows.items()):
         arrows.append(
             SketchArrow(f"map_{src}__{tgt}", "mapping", src, tgt, viewpairs=tuple(pairs))
         )
 
-    sk = Sketch(tuple(nodes), tuple(gamma), tuple(helpers), tuple(arrows))
-    _check_one_arrow(sk)
-    return sk
-
-
-def _check_one_arrow(sk: Sketch):
-    seen = set()
-    for a in sk.arrows:
-        if a.kind == "identity":
-            continue
-        key = (a.src, a.tgt)
-        if key in seen:
-            raise SchemaError(f"two arrows between {key[0]} and {key[1]}")
-        seen.add(key)
+    additions = tuple((node, add) for (node, _), add in gamma.items())
+    return Sketch(tuple(nodes), additions, tuple(helpers), tuple(arrows))

@@ -147,24 +147,29 @@ def test_wrong_argument_count_is_a_usage_error(argv, message, capsys):
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("schema A { r/1. r/2. }", "duplicate relation symbols in schema A"),
+        ("schema A { r/1. r/2. }", "line 1, column 22: duplicate relation symbols in schema A (found '}')"),
         (
             "schema A { r/1. }\nschema B { s/1. }\n"
             "mapping M : A -> B { q(X) :- r(X) => s(X,Y). }",
-            "right-side atom width differs from the left head",
+            "line 3, column 44: right-side atom width differs from the left head (found '.')",
         ),
         (
             "schema _empty { r/1. }\nschema B { s/1. }\n"
             "mapping M : _empty -> B { q(X) :- r(X) => s(X). }\ngraph G { use M. }",
-            "graph G: node name '_empty' is reserved",
+            "line 4, column 18: graph G: node name '_empty' is reserved (found '}')",
+        ),
+        (
+            "schema B { s/1. }\nmapping M : B -> B { q(X) :- s(Y) => s(X). }",
+            "line 2, column 35: head variable X does not occur in the body (found '=>')",
         ),
     ],
 )
 def test_semantic_input_error_is_a_usage_error(tmp_path, text, message, capsys):
+    # a record's own error is positioned in its file, as a syntax error is
     bad = tmp_path / "bad.dbc"
     bad.write_text(text)
     assert main(["laws", "-i", str(bad)]) == 2
-    assert capsys.readouterr() == ("", f"dbcat: {message}\n")
+    assert capsys.readouterr() == ("", f"dbcat: {bad}: {message}\n")
 
 
 def test_inclusion_violation_with_mixed_value_types_is_a_failed_check(tmp_path, capsys):
@@ -687,8 +692,8 @@ def test_a_reified_relation_without_a_defining_query_is_the_mapped_view():
     w = parse_workspace_text(REIFIED)
     sketch = build_sketch(w.graphs["G"])
     ((node, added),) = sketch.gamma
-    assert (node, added.name, added.arity, added.defining) == ("B", "t", 1, None)
-    assert (added.from_lhs, added.source_node) == (w.mappings["M"].pairs[0].lhs, "A")
+    assert (node, added.name, added.arity) == ("B", "t", 1)
+    assert (added.query, added.over) == (w.mappings["M"].pairs[0].lhs, "A")  # the mapped view, read over the source
     alpha = interpretation({"A": w.instances["A0"][1], "B": w.instances["B0"][1]}, w.schemas)
     enlarged = gamma_instance(alpha, sketch, "B")
     assert enlarged.names == ("s", "t") and enlarged.relation("s") == w.instances["B0"][1].relation("s")
@@ -711,3 +716,59 @@ def test_flux_of_an_exact_mapping_reports_a_view_that_differs_from_its_target():
     assert report.status == 1
     assert report.lines == (("flux E", "FAIL", "view for s differs from target projection ({(1) (2)} vs {(1)})"),)
     assert run("flux", ["E", "A0", "B1"], w, None, 2, 100000).status == 0
+
+
+RELATIONLESS = """schema A { r/1. }
+schema E { }
+instance A0 of A { r(1). }
+instance E0 of E { }
+mapping M : A -> E { q(X) :- r(X) => t(X). }
+mapping N : E -> A { exact. }
+graph G { use M. use N. }
+"""
+
+
+@pytest.mark.parametrize("depth", ["2", "-1"])
+@pytest.mark.parametrize("command", sorted(GRAPH_COMMANDS))
+def test_a_schema_without_relations_is_a_graph_node(tmp_path, command, depth, capsys):
+    path = tmp_path / "relationless.dbc"
+    path.write_text(RELATIONLESS)
+    status = main([command, "G", "-i", str(path), "--depth", depth])
+    out, err = capsys.readouterr()
+    assert status in (0, 1) and err == "" and " E " in out
+
+
+BRANCHED = """schema A { r/1. }
+schema B { s/1. }
+schema C { t/1. }
+instance A0 of A { r(1). }
+instance B0 of B { s(1). }
+instance C0 of C { t(1). }
+mapping M1 : A -> B { q(X) :- r(X) => s(X). }
+mapping M2 : A -> C { q(X) :- r(X) => t(X). }
+"""
+
+
+def test_a_repeated_branch_is_one_edge(tmp_path, capsys):
+    reports = []
+    for edges in ("M1 branch M2.", "M1 branch M2. M1 branch M2."):
+        path = tmp_path / "branched.dbc"
+        path.write_text(BRANCHED + f"graph G {{ {edges} }}\n")
+        for command in sorted(GRAPH_COMMANDS):
+            assert main([command, "G", "-i", str(path)]) == 0
+            reports.append(capsys.readouterr())
+    assert reports[:3] == reports[3:] and all(err == "" for _, err in reports)
+
+
+def test_two_mappings_may_add_one_relation_by_one_defining_query():
+    w = parse_workspace_text(
+        BRANCHED
+        + "mapping N1 : A -> C { q(X) :- r(X) => u(X) :- t(X). }\n"
+        + "mapping N2 : B -> C { q(X) :- s(X) => u(X) :- t(X). }\n"
+        + "graph G { use N1. use N2. }\n"
+    )
+    ((node, added),) = build_sketch(w.graphs["G"]).gamma
+    assert (node, added.name, added.over) == ("C", "u", "C")
+    for command in sorted(GRAPH_COMMANDS):
+        report = run(command, ["G"], w, None, 2, 100000)
+        assert report.lines and all(verdict == "PASS" for _, verdict, _ in report.lines), report.lines

@@ -397,3 +397,28 @@ def test_exact_mappings_the_empty_term_and_nested_compositions_survive_a_round_t
     assert "mapping I : A -> B {\n  q(X) :- r(X,Y) => s(X).\n}\n" in out
     again = parse_workspace_text(out)
     assert again == ws and serialize_workspace(again) == out
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "mapping M : B -> B { q(X) :- s(Y) => s(X). }\n",
+            "line 1, column 35: head variable X does not occur in the body (found '=>')",
+        ),
+        ("schema D { s/1. s/2. }\n", "line 1, column 22: duplicate relation symbols in schema D (found '}')"),
+        (
+            "schema D { d/1. constraint forall X: d(X) => X = Y. }\n",
+            "line 1, column 51: equated variable Y missing from the left side (found '.')",
+        ),
+    ],
+)
+def test_a_records_error_names_the_file_and_line_it_is_in(tmp_path, text, message):
+    from dbcat.dsl import parse_workspace
+
+    one, two = tmp_path / "one.dbc", tmp_path / "two.dbc"
+    one.write_text("schema B { s/1. }\n")
+    two.write_text(text)
+    with pytest.raises(ParseError) as exc:
+        parse_workspace([one, two])
+    assert str(exc.value) == f"{two}: {message}"

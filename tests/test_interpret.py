@@ -44,6 +44,7 @@ X, Y = Var("X"), Var("Y")
 SA = Schema("A", (("r", 1),))
 SB = Schema("B", (("s", 1),))
 SC = Schema("C", (("t", 1),))
+SE = Schema("E", ())  # no relations: its instance is the bottom instance
 
 
 def alpha_with(r=(), s=(), t=()):
@@ -341,6 +342,10 @@ def test_functor_homomorphism_laws_on_terms():
     )
 
 
+SMALL_ATOMS = [SAtom(SA), SAtom(SB), SAtom(SC), EMPTY_SCHEMA]
+SMALL_TERMS = SMALL_ATOMS + [op(x, y) for op in (sep, fed) for x in SMALL_ATOMS for y in SMALL_ATOMS]
+
+
 def test_homomorphism_on_all_small_terms():
     import itertools
 
@@ -348,9 +353,7 @@ def test_homomorphism_on_all_small_terms():
     from dbcat.schemas import schema_identity
 
     alpha = alpha_with(r=[(1,)], s=[(2,)], t=[(1,)])
-    atoms = [SAtom(SA), SAtom(SB), SAtom(SC), EMPTY_SCHEMA]
-    depth1 = [op(x, y) for op in (sep, fed) for x in atoms for y in atoms]
-    terms = atoms + depth1
+    atoms, terms = SMALL_ATOMS, SMALL_TERMS
 
     from dbcat.schemas import nf_components
 
@@ -381,3 +384,48 @@ def test_homomorphism_on_all_small_terms():
             None,
             2,
         )
+
+
+def _term_text(term) -> str:
+    if isinstance(term, SAtom):
+        return term.schema.name
+    if term == EMPTY_SCHEMA:
+        return "empty"
+    return f"({_term_text(term.left)} {'sep' if type(term).__name__ == 'SepTerm' else 'fed'} {_term_text(term.right)})"
+
+
+@pytest.mark.parametrize(
+    "term",
+    SMALL_TERMS
+    + [fed(x, sep(y, z)) for x in SMALL_ATOMS[:3] for y in SMALL_ATOMS[:3] for z in SMALL_ATOMS]
+    + [sep(fed(SAtom(SA), SAtom(SA)), sep(SAtom(SA), SAtom(SB))), fed(sep(SAtom(SA), SAtom(SB)), sep(SAtom(SA), EMPTY_SCHEMA))]
+    + [sep(SAtom(SE), SAtom(SB)), sep(sep(SAtom(SA), SAtom(SE)), fed(SAtom(SE), SAtom(SB))), fed(sep(SAtom(SE), SAtom(SA)), SAtom(SE))],
+)
+def test_a_parsed_instance_of_a_composition_is_the_fold_of_its_leaves(term):
+    # The DSL names and places a composition's relations by the term layout,
+    # interpret_term by the sums: the two must build one instance.
+    from dbcat.dsl import parse_workspace_text
+    from dbcat.schemas import term_layout
+
+    leaves = alpha_with(r=[(1,), (2,)], s=[(2,)], t=[]).assignment
+    alpha = interpretation(dict(leaves, E=bottom_instance()), {"A": SA, "B": SB, "C": SC, "E": SE})
+    rows = [
+        f"{q}({','.join(map(str, row))})."
+        for schema, _, names in term_layout(term).leaves
+        for base, q in names
+        for row in alpha.instance_for(schema.name).relation(base).tuples
+    ]
+    text = "schema A { r/1. }\nschema B { s/1. }\nschema C { t/1. }\nschema E { }\n"
+    text += f"compose D = {_term_text(term)}\ninstance D0 of D {{ {' '.join(rows)} }}\n"
+    parsed = parse_workspace_text(text).instances["D0"][1]
+    assert parsed == interpret_term(alpha, term)
+
+
+def test_a_leaf_instance_holds_only_its_schemas_relations():
+    alpha = interpretation({"A": make_instance({"r": [(1,)], "other": [(2,)]})})  # no schemas to check against
+    with pytest.raises(InterpretationError, match="^schema 'A' has no relation 'other'$"):
+        interpret_term(alpha, sep(SAtom(SA), SAtom(SA)))
+    # the implicit empty relation is every schema's
+    alpha = interpretation({"A": make_instance({"r": [(1,)]}), "E": bottom_instance()}, {"A": SA, "E": SE})
+    assert interpret_term(alpha, sep(SAtom(SE), SAtom(SA))) == interpret_term(alpha, SAtom(SA))
+    assert interpret_term(alpha, fed(SAtom(SE), SAtom(SE))) == bottom_instance()

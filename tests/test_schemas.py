@@ -4,7 +4,7 @@ import pytest
 
 from dbcat.constraints import Egd, Sentence, Tgd, check_tgd
 from dbcat.core import SENTINEL_A, SENTINEL_B, make_instance
-from dbcat.dsl import parse_workspace_text
+from dbcat.dsl import ParseError, parse_workspace_text
 from dbcat.interpret import interpret_term, interpretation
 from dbcat.queries import CrossComponentQuery, RelAtom, Var, rule
 from dbcat.schemas import (
@@ -303,7 +303,7 @@ def test_sketch_diagram_classes_empty_and_identities_present():
     q = rule("q", ["X"], [("r", "X")])
     g = _graph_single(make_pair(q, RelAtom("t", (Var("X"),))))
     sk = build_sketch(g)
-    assert sk.diagrams == () and sk.cones == ()
+    assert type(sk)._fields == ("nodes", "gamma", "helpers", "arrows")  # no diagrams or cones
     for node in sk.node_names():
         assert sk.identity_of(node).kind == "identity"
 
@@ -342,7 +342,16 @@ MAPPING_SCHEMAS = "schema A { r/2. }\nschema U { v/1. }\nschema B { s/1. w/2. }\
     ],
 )
 def test_a_mapping_checks_its_pairs_against_its_schemas(source, pair, error, message):
-    with pytest.raises(error) as exc:
+    with pytest.raises(ParseError) as exc:  # the parser positions the mapping's own error
         parse_workspace_text(MAPPING_SCHEMAS + f"mapping M : {source} -> B {{ {pair}. }}")
-    assert type(exc.value) is error and str(exc.value) == message
+    cause = exc.value.__cause__
+    assert type(cause) is error and str(cause) == message
+    assert str(exc.value) == f"line 5, column {exc.value.col}: {message} (found '}}')"
     parse_workspace_text(MAPPING_SCHEMAS + f"mapping M : {source} -> B {{ q(X) :- r(X,Y) => s(X). }}")
+
+
+def test_a_graph_names_each_mapping_once():
+    q = rule("q", ["X"], [("r", "X")])
+    m = SchemaMapping("M", "A", "C", SAtom(SA), SAtom(SC), (make_pair(q, RelAtom("fresh", (Var("X"),))),))
+    with pytest.raises(SchemaError, match="^graph G: two mappings are named M$"):
+        mapping_graph("G", {"A": SAtom(SA), "C": SAtom(SC)}, [m, m])
