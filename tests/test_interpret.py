@@ -32,6 +32,7 @@ from dbcat.schemas import (
     SAtom,
     Schema,
     SchemaMapping,
+    SepTerm,
     fed,
     make_pair,
     mapping_graph,
@@ -391,7 +392,7 @@ def _term_text(term) -> str:
         return term.schema.name
     if term == EMPTY_SCHEMA:
         return "empty"
-    return f"({_term_text(term.left)} {'sep' if type(term).__name__ == 'SepTerm' else 'fed'} {_term_text(term.right)})"
+    return f"({_term_text(term.left)} {'sep' if isinstance(term, SepTerm) else 'fed'} {_term_text(term.right)})"
 
 
 @pytest.mark.parametrize(
