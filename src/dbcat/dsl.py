@@ -114,9 +114,11 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def fail(self, message: str):
+    def fail(self, message: str, cause: Exception | None = None):
         tok = self.peek()
-        raise ParseError(message + f" (found {tok.value!r})", tok.line, tok.col)
+        raise ParseError(
+            message + f" (found {tok.value!r})", tok.line, tok.col
+        ) from cause
 
     def expect(self, kind: str, value: str | None = None) -> Token:
         tok = self.peek()
@@ -172,8 +174,7 @@ def _build(p: _Parser, make, *args, **kwargs):
     try:
         return make(*args, **kwargs)
     except DbcatError as exc:
-        tok = p.peek()
-        raise ParseError(f"{exc} (found {tok.value!r})", tok.line, tok.col) from exc
+        p.fail(str(exc), exc)
 
 
 def _term_ref(p: _Parser, ws: Workspace) -> tuple:
@@ -377,7 +378,9 @@ def _parse_schema(p: _Parser, ws: Workspace, name: str):
             p.fail("relation arity must be positive")
         rels.append((rel.value, int(p.expect("int").value)))
         p.expect("punct", ".")
-    ws.schemas[name] = _build(p, Schema, name, tuple(rels), Sentence(tuple(constraints)))
+    ws.schemas[name] = _build(
+        p, Schema, name, tuple(rels), Sentence(tuple(constraints))
+    )
     p.expect("punct", "}")
 
 
@@ -445,7 +448,10 @@ def _parse_mapping(p: _Parser, ws: Workspace, name: str):
             rhs = RelAtom(rhs_name, rhs_vars)
         pairs.append(_build(p, make_pair, lhs, rhs))
         p.expect("punct", ".")
-    ws.mappings[name] = _build(p, SchemaMapping, name, src_name, tgt_name, source, target, tuple(pairs), exact=exact)
+    ws.mappings[name] = _build(
+        p, SchemaMapping, name, src_name, tgt_name, source, target, tuple(pairs),
+        exact=exact,
+    )
     p.expect("punct", "}")
 
 
@@ -454,7 +460,7 @@ def _parse_graph(p: _Parser, ws: Workspace, name: str):
     p.expect("punct", "{")
     used: dict = {}
     seqs: list = []
-    branches: list = []
+    branches: dict = {}  # a repeated branch is one edge, as a repeated use is
 
     def mapping_ref():
         tok = p.ident("mapping name")
@@ -475,18 +481,19 @@ def _parse_graph(p: _Parser, ws: Workspace, name: str):
             seqs.append(edge)
         elif p.at("ident", "branch"):
             p.next()
-            branches.append(_build(p, branch, edge, mapping_ref()))
+            branches[_build(p, branch, edge, mapping_ref())] = None
         else:
             raise ParseError("expected 'after' or 'branch'", op.line, op.col)
         p.expect("punct", ".")
-    branches = list(dict.fromkeys(branches))  # a repeated branch is one edge, as a repeated use is
 
+    edges = tuple(used.values()) + tuple(branches)
     nodes: dict = {}
-    for m in list(used.values()) + branches:
+    for m in edges:
         nodes[m.source_name] = m.source
         nodes[m.target_name] = m.target
-    edges = tuple(used.values()) + tuple(branches)
-    ws.graphs[name] = _build(p, mapping_graph, name, nodes, edges, seqs=tuple(seqs), branches=tuple(branches))
+    ws.graphs[name] = _build(
+        p, mapping_graph, name, nodes, edges, seqs=tuple(seqs), branches=tuple(branches)
+    )
     p.expect("punct", "}")
 
 

@@ -107,10 +107,13 @@ def interpret_term(alpha: Interpretation, term: SchemaTerm) -> Instance:
     inst = bottom_instance()
     for group in nf_components(term):
         leaves = [alpha.instance_for(s.name) for s in group]
-        for s, leaf in zip(group, leaves):  # a leaf holds its schema's relations and the implicit empty one
+        # a leaf holds its schema's relations and the implicit empty one
+        for s, leaf in zip(group, leaves):
             extra = set(leaf.names) - {BOT} - set(dict(s.relsymbols))
             if extra:
-                raise InterpretationError(f"schema {s.name!r} has no relation {min(extra)!r}")
+                raise InterpretationError(
+                    f"schema {s.name!r} has no relation {min(extra)!r}"
+                )
         inst = disjoint_union(inst, reduce(federate, leaves, bottom_instance()))
     return inst
 
@@ -145,9 +148,12 @@ class _Nodes(dict):
             inst = base = self[node, True]
             additions = self.sketch.additions_for(node)
             if additions:
-                relations, partition = list(base.relations), dict(base.partition)
+                # the implicit empty relation goes once another is there, as in the sums
+                relations = [r for r in base.relations if r.name != BOT]
+                partition = {n: c for n, c in base.partition if n != BOT}
                 for add in additions:
-                    relations.append(Relation(add.name, add.arity, eval_rule(add.query, self[add.over, True]).tuples))
+                    answer = eval_rule(add.query, self[add.over, True])
+                    relations.append(Relation(add.name, add.arity, answer.tuples))
                     partition[add.name] = add.component
                 inst = Instance(tuple(relations), tuple(partition.items()))
         self[key] = inst

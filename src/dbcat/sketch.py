@@ -128,10 +128,13 @@ def build_sketch(graph: MappingGraph) -> Sketch:
                         raise CrossComponentQuery(
                             f"mapping {m.name}: defining query spans components"
                         )
-                addition = GammaAddition(p.rhs_name, len(p.lhs.head_vars), query, over, next(iter(comps), 0))
+                addition = GammaAddition(
+                    p.rhs_name, len(p.lhs.head_vars), query, over, next(iter(comps), 0)
+                )
                 if gamma.setdefault((m.target_name, p.rhs_name), addition) != addition:
                     raise SchemaError(
-                        f"conflicting definitions for added relation {p.rhs_name!r} on {m.target_name}"
+                        f"conflicting definitions for added relation {p.rhs_name!r} "
+                        f"on {m.target_name}"
                     )
                 key = (m.source_name, m.target_name)
                 mapping_arrows.setdefault(key, []).append((p.lhs, p.rhs_name, mode))
@@ -166,8 +169,13 @@ def build_sketch(graph: MappingGraph) -> Sketch:
 
     arrows = [SketchArrow(f"id_{name}", "identity", name, name) for name, _ in nodes]
     for name, obj in nodes[:-1]:  # each node but the empty one has its constraint arrow
-        sentence = Sentence((obj.sentinel,)) if isinstance(obj, HelperSchema) else term_sentence(obj)
-        arrows.append(SketchArrow(f"phi_{name}", "sentence", name, EMPTY_NODE, sentence=sentence))
+        if isinstance(obj, HelperSchema):
+            sentence = Sentence((obj.sentinel,))
+        else:
+            sentence = term_sentence(obj)
+        arrows.append(
+            SketchArrow(f"phi_{name}", "sentence", name, EMPTY_NODE, sentence=sentence)
+        )
     for (src, tgt), pairs in sorted(mapping_arrows.items()):
         arrows.append(
             SketchArrow(f"map_{src}__{tgt}", "mapping", src, tgt, viewpairs=tuple(pairs))
