@@ -48,6 +48,7 @@ from .core import (
 
 EMPTY_EXT = frozenset()
 PAIRS_PER_VIEW = 5  # a bounded closure's limit on pairs visited, per view of its cap
+MEMO_ENTRIES = 64  # entries per closure memo: a CLI command reuses at most 3 seed sets
 
 
 class ViewBudgetExceeded(DbcatError):
@@ -329,7 +330,7 @@ class ClosedForm:
         return other - self.listing()
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.lru_cache(maxsize=MEMO_ENTRIES)
 def close_component(seeds, depth, max_arity, cap):
     """The level enumerator: the closure of one component, at most *depth*
     levels deep, from the frozenset *seeds* of its nonempty extensions.
@@ -455,14 +456,16 @@ def power_view(
 
 
 _PV_CACHE: dict = {}
-_PV_CACHE_LIMIT = 4096
 
 
 def power_view_cached(inst, depth, max_arity, cap=DEFAULT_CAP) -> ViewSet:
+    """:func:`power_view`, memoised per argument tuple: a hit returns the
+    stored object itself.  The memo is cleared whole when it holds
+    ``MEMO_ENTRIES`` closures, so it keeps a working set, not a history."""
     key = (inst, depth, max_arity, cap)
     hit = _PV_CACHE.get(key)
     if hit is None:
-        if len(_PV_CACHE) >= _PV_CACHE_LIMIT:
+        if len(_PV_CACHE) >= MEMO_ENTRIES:
             _PV_CACHE.clear()
         hit = _PV_CACHE[key] = power_view(inst, depth, max_arity, cap)
     return hit

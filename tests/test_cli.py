@@ -260,6 +260,19 @@ def test_fixpoint_iso_is_decided_without_building_closures(monkeypatch, capsys):
         assert close_component.cache_info().misses == misses
 
 
+@pytest.mark.parametrize("argv, hits, calls", [(["laws"], 39, 42), (["duality", "A0", "B0"], 16, 18)])
+def test_a_commands_closures_are_served_by_the_memo(argv, hits, calls, monkeypatch, capsys):
+    """The seed sets a command closes again fit in ``MEMO_ENTRIES`` entries:
+    a smaller bound would evict them between uses and lose these hits."""
+    monkeypatch.setattr(powerview, "_PV_CACHE", {})
+    close_component.cache_clear()
+    assert main([*argv, "-i", str(DATA / "demo.dbc")]) == 0
+    info = close_component.cache_info()
+    assert (info.hits, info.hits + info.misses) == (hits, calls)
+    assert info.currsize <= 3 < powerview.MEMO_ENTRIES
+    capsys.readouterr()
+
+
 FIXPOINT_ARROWS = {
     "demo": [["flux", "M", "A0", "B0"], ["flux", "N", "B0", "D0"], ["compose", "M", "N", "A0", "B0", "D0"]],
     "federation": [],

@@ -1,7 +1,10 @@
+import re
 import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+from dbcat.powerview import MEMO_ENTRIES
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "dbcat"
@@ -22,3 +25,19 @@ def test_each_golden_command_gets_its_modules_and_their_lines():
         assert lines[command] == sum(files[name].read_bytes().count(b"\n") for name in names), command
     assert modules["iso"] == ["cli", "core", "dbcat", "dsl", "powerview", "schemas", "syntax"]
     assert lines["mean"] == round(statistics.fmean(lines[c] for c in modules))
+
+
+def test_memo_traffic_lists_every_memo_of_both_traffics():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "memo_traffic.py")], cwd=ROOT, capture_output=True, text=True, check=True
+    )
+    rows = {tuple(line.split()[:2]): line.split()[2:] for line in proc.stdout.splitlines()}
+    memo = re.compile(r"^@(?:functools\.)?(?:lru_)?cache\b.*\ndef (\w+)", re.M)
+    decorated = [name for path in SRC.glob("*.py") for name in memo.findall(path.read_text())]
+    for traffic in ("cli", "closures"):
+        names = [name for t, name in rows if t == traffic]
+        assert sorted(n.rsplit(".", 1)[1] for n in names if n != "powerview._PV_CACHE") == sorted(decorated)
+        assert int(rows[traffic, "powerview.close_component"][1]) <= MEMO_ENTRIES
+        assert int(rows[traffic, "powerview._PV_CACHE"][1]) <= MEMO_ENTRIES
+    assert len(rows) == 2 * (len(decorated) + 1)
+    assert rows["cli", "powerview.close_component"] == ["57/71", "3"]  # at most 3 seed sets per command

@@ -1,19 +1,24 @@
+import gc
 import itertools
 import random
 import time
+import weakref
 
 import pytest
 
 from dbcat import powerview
 from dbcat.category import flux, identity
-from dbcat.core import DbcatError, bottom_instance, disjoint_union, ext_key, make_instance
+from dbcat.core import DEFAULT_CAP, DbcatError, bottom_instance, disjoint_union, ext_key, make_instance
 from dbcat.powerview import (
+    MEMO_ENTRIES,
     ViewBudgetExceeded,
     close_component,
     instances_isomorphic,
     matching,
     merging,
     power_view,
+    power_view_cached,
+    view_closure,
 )
 
 from oracles import enumerate_views, random_instance, sorted_closure_form
@@ -293,6 +298,23 @@ def test_component_closures_are_shared():
     power_view(disjoint_union(a, a), 1, 2)
     flux(identity(a), 1, 2)
     assert close_component.cache_info().misses == misses
+
+
+def test_the_closure_memos_hold_at_most_memo_entries(monkeypatch):
+    monkeypatch.setattr(powerview, "_PV_CACHE", {})
+    close_component.cache_clear()
+    seeds = lambda k: frozenset({(k, k + 1)})  # a seed set no other k shares
+    first = weakref.ref(power_view_cached(make_instance({"r": seeds(0)}), 2, 2))
+    for k in range(1, 2 * MEMO_ENTRIES):
+        power_view_cached(make_instance({"r": seeds(k)}), 2, 2)
+        view_closure(make_instance({"s": seeds(-k)}), 2, 2)
+        assert close_component.cache_info().currsize <= MEMO_ENTRIES
+        assert len(powerview._PV_CACHE) <= MEMO_ENTRIES
+    gc.collect()
+    assert first() is None  # no memo keeps the first closure
+    misses = close_component.cache_info().misses
+    close_component(frozenset({seeds(0)}), 2, 2, DEFAULT_CAP)
+    assert close_component.cache_info().misses == misses + 1  # its component is closed again
 
 
 def test_isomorphism_reflexive_and_vs_bottom():

@@ -23,7 +23,17 @@ from dbcat.core import (
 )
 from dbcat.interpret import interpret_term, interpretation
 from dbcat.category import Flux, compose, flux, identity, injection, projection, verify_duality
-from dbcat.powerview import ClosedForm, ViewBudgetExceeded, instances_isomorphic, matching, merging, power_view
+from dbcat.powerview import (
+    MEMO_ENTRIES,
+    ClosedForm,
+    ViewBudgetExceeded,
+    close_component,
+    instances_isomorphic,
+    matching,
+    merging,
+    power_view,
+    power_view_cached,
+)
 from dbcat.queries import Builtin, Const, RelAtom, Rule, Var, eval_rule, eval_spjru, rule, rule_to_spjru
 from dbcat.schemas import EMPTY_SCHEMA, SAtom, Schema, fed, schema_identity, sep
 
@@ -559,6 +569,41 @@ def test_a_bounded_iso_refuted_by_the_seeds_agrees_with_the_closures(pair, depth
         except ViewBudgetExceeded:
             got = None
         assert got == want or (want is None and got is False)  # no error becomes a PASS
+
+
+FRESH = itertools.count(1000)  # values no drawn instance holds
+
+
+def closed_or_stopped(inst, depth, arity, cap):
+    """The cached closure, or where and why its budget error stopped it."""
+    try:
+        return power_view_cached(inst, depth, arity, cap)
+    except ViewBudgetExceeded as exc:
+        return exc.level, exc.views, exc.pairs, exc.component, str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(instances(), st.sampled_from([1, 2, 3, None]), st.integers(1, 2), st.integers(1, 60))
+@example(make_instance({"r": [(1, 2), (2, 3)]}), 2, 2, 1)  # past the view cap
+@example(make_instance({"r": [(2, 3), (3, 2), (2, 2)], "s": [(2, 3), (3, 3)]}), 3, 1, 17)  # past the pair limit
+def test_a_closure_rebuilt_after_its_eviction_is_the_evicted_one(inst, depth, arity, cap):
+    """Once ``MEMO_ENTRIES`` fresh closures have pushed it out of both memos,
+    a closure is built again, equal to the first, or stops at the same
+    budget error: the process's one ``PYTHONHASHSEED`` fixes the order its
+    levels are visited in, which a pair count follows."""
+    before = closed_or_stopped(inst, depth, arity, cap)
+    for _ in range(MEMO_ENTRIES):
+        power_view_cached(make_instance({"e": [(next(FRESH),)]}), 1, 1)
+    misses = close_component.cache_info().misses
+    after = closed_or_stopped(inst, depth, arity, cap)
+    if isinstance(before, tuple):
+        assert after == before
+    else:
+        assert after is not before and after == before
+        assert after.canonical() == before.canonical() and after.extensions() == before.extensions()
+        assert after.fixpoint == before.fixpoint
+        rebuilt = close_component.cache_info().misses - misses
+        assert rebuilt == (len(after.components) if depth is not None else 0)
 
 
 @st.composite
