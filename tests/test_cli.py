@@ -261,7 +261,7 @@ def test_fixpoint_iso_is_decided_without_building_closures(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv, hits, calls", [(["laws"], 39, 42), (["duality", "A0", "B0"], 16, 18)])
-def test_a_commands_closures_are_served_by_the_memo(argv, hits, calls, monkeypatch, capsys):
+def test_a_commands_closures_are_served_by_the_memo(argv, hits, calls, monkeypatch):
     """The seed sets a command closes again fit in ``MEMO_ENTRIES`` entries:
     a smaller bound would evict them between uses and lose these hits."""
     monkeypatch.setattr(powerview, "_PV_CACHE", {})
@@ -270,7 +270,6 @@ def test_a_commands_closures_are_served_by_the_memo(argv, hits, calls, monkeypat
     info = close_component.cache_info()
     assert (info.hits, info.hits + info.misses) == (hits, calls)
     assert info.currsize <= 3 < powerview.MEMO_ENTRIES
-    capsys.readouterr()
 
 
 FIXPOINT_ARROWS = {
