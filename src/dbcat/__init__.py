@@ -26,7 +26,7 @@ _HOME = {
                      "equivalent flux identity injection make_atomic mediating pairing projection "
                      "verify_duality"),
         ("schemas", "EMPTY_SCHEMA MappingGraph SAtom Schema SchemaMapping branch fed make_pair "
-                    "mapping_graph schema_identity sep seq_compose term_layout"),
+                    "mapping_graph schema_identity sep term_layout"),
         ("sketch", "Sketch build_sketch"),
         ("interpret", "Interpretation check_functor check_gamma_iso check_model interpret_arrow "
                       "interpret_term interpretation"),

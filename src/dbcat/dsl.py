@@ -13,6 +13,9 @@ The words ``schema``, ``compose``, ``instance``, ``mapping``, ``graph``,
 ``use``, ``after``, ``branch`` and ``exact`` are reserved: none of them may
 name a schema, composition, instance, mapping, graph or relation.
 
+In a graph, ``M2 after M1.`` checks that M1's target is M2's source and uses
+both mappings; Sch(G) forms the composite, so a graph is written as ``use`` lines.
+
 Uppercase-initial identifiers inside rules are variables; values are integers
 or single-quoted strings.  The reserved constants ``#A`` and ``#B`` are
 display-only and cannot be written: ``#`` starts a comment, so in
@@ -456,10 +459,9 @@ def _parse_mapping(p: _Parser, ws: Workspace, name: str):
 
 
 def _parse_graph(p: _Parser, ws: Workspace, name: str):
-    from .schemas import branch, mapping_graph, seq_compose
+    from .schemas import branch, mapping_graph, schema_identity
     p.expect("punct", "{")
     used: dict = {}
-    seqs: list = []
     branches: dict = {}  # a repeated branch is one edge, as a repeated use is
 
     def mapping_ref():
@@ -477,8 +479,10 @@ def _parse_graph(p: _Parser, ws: Workspace, name: str):
         if p.at("ident", "after"):
             while p.at("ident", "after"):
                 p.next()
-                edge = _build(p, seq_compose, edge, mapping_ref())
-            seqs.append(edge)
+                first = mapping_ref()
+                if not schema_identity(first.target, edge.source):
+                    p.fail("sequential composition endpoint mismatch")
+                edge = first
         elif p.at("ident", "branch"):
             p.next()
             branches[_build(p, branch, edge, mapping_ref())] = None
@@ -491,9 +495,7 @@ def _parse_graph(p: _Parser, ws: Workspace, name: str):
     for m in edges:
         nodes[m.source_name] = m.source
         nodes[m.target_name] = m.target
-    ws.graphs[name] = _build(
-        p, mapping_graph, name, nodes, edges, seqs=tuple(seqs), branches=tuple(branches)
-    )
+    ws.graphs[name] = _build(p, mapping_graph, name, nodes, edges)
     p.expect("punct", "}")
 
 

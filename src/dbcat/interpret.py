@@ -290,8 +290,8 @@ def check_gamma_iso(
 ) -> bool:
     """Is the node's plain instance isomorphic to its enlarged one?
 
-    The added relations are materialized from their defining queries, so for
-    any model they contribute no views beyond the closure of the original.
+    An addition by a defining query is a view of the node, so it adds no view
+    to a model's closure; a bare fresh reification, read over the source, may.
     """
     nodes = _Nodes(alpha, sketch)
     return instances_isomorphic(nodes[node, True], nodes[node, False], depth, max_arity, cap)

@@ -6,13 +6,13 @@ federation puts them under one.  Terms are compared through a normal form --
 a multiset of federated groups -- under which both operators are associative
 with the empty schema as unit and federation distributes over separation.
 
-A mapping graph records view-based mappings between terms; its sketch is
-built by :mod:`dbcat.sketch`.
+A mapping graph holds view-based mappings between terms, each once; their
+composites are arrows of Sch(G), whose sketch :mod:`dbcat.sketch` builds.
 """
 from __future__ import annotations
 
 from .core import DbcatError, Record, qualified_names
-from .syntax import CrossComponentQuery, RelAtom, Rule, Sentence, Tgd, Var, copy_rule
+from .syntax import CrossComponentQuery, RelAtom, Rule, Sentence, Tgd, Var
 
 EMPTY_NODE = "_empty"
 
@@ -205,7 +205,6 @@ class SchemaMapping(Record):
     target: SchemaTerm
     pairs: tuple
     exact: bool = False
-    is_identity: bool = False
 
     def __post_init__(self):
         src, tgt = term_layout(self.source), term_layout(self.target)
@@ -249,34 +248,6 @@ def make_pair(lhs: Rule, rhs) -> MappingPair:
     raise SchemaError(f"not a valid mapping right side: {rhs!r}")
 
 
-def identity_mapping(name: str, node_name: str, term: SchemaTerm) -> SchemaMapping:
-    pairs = []
-    for rel, arity in sorted(term_layout(term).relsymbols().items()):
-        lhs = copy_rule(rel, rel, arity)
-        pairs.append(make_pair(lhs, RelAtom(rel, lhs.head_vars)))
-    return SchemaMapping(
-        name, node_name, node_name, term, term, tuple(pairs), is_identity=True
-    )
-
-
-class SeqEdge(Record):
-    """A recorded sequential composition of mapping edges (right-to-left)."""
-
-    chain: tuple
-
-
-def seq_compose(m2, m1) -> SeqEdge:
-    """Record ``m2 after m1``; associative, identity edges normalize away."""
-    left = m2.chain if isinstance(m2, SeqEdge) else (m2,)
-    right = m1.chain if isinstance(m1, SeqEdge) else (m1,)
-    if not schema_identity(right[0].target, left[-1].source):
-        raise SchemaError("sequential composition endpoint mismatch")
-    chain = tuple(m for m in left + right if not m.is_identity)
-    if not chain:
-        chain = (left + right)[:1]
-    return SeqEdge(chain)
-
-
 def branch(m1: SchemaMapping, m2: SchemaMapping) -> SchemaMapping:
     """Branching: two mappings out of one source, into the separated targets."""
     if not schema_identity(m1.source, m2.source):
@@ -316,8 +287,6 @@ class MappingGraph(Record):
     name: str
     nodes: tuple  # ((node_name, SchemaTerm), ...)
     mappings: tuple
-    seqs: tuple = ()
-    branches: tuple = ()
 
     def __post_init__(self):
         names = dict(self.nodes)
@@ -337,10 +306,8 @@ class MappingGraph(Record):
                     )
 
 
-def mapping_graph(name, nodes: dict, mappings, seqs=(), branches=()) -> MappingGraph:
-    return MappingGraph(
-        name, tuple(sorted(nodes.items())), tuple(mappings), tuple(seqs), tuple(branches)
-    )
+def mapping_graph(name, nodes: dict, mappings) -> MappingGraph:
+    return MappingGraph(name, tuple(sorted(nodes.items())), tuple(mappings))
 
 
 def __getattr__(name):  # perfbench/tracing.py finds build_sketch here; dbcat.sketch loads on use

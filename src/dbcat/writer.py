@@ -95,13 +95,8 @@ def serialize_workspace(ws: Workspace) -> str:
     for name in sorted(ws.graphs):
         g = ws.graphs[name]
         out.append(f"graph {name} {{")
-        for m in g.mappings:
-            if m not in g.branches:
-                out.append(f"  use {m.name}.")
-        for s in g.seqs:
-            out.append(f"  {' after '.join(m.name for m in s.chain)}.")
-        for b in g.branches:
-            left, right = b.name.split("+", 1)
-            out.append(f"  {left} branch {right}.")
+        for m in g.mappings:  # ``branch`` names the mapping it makes ``left+right``
+            left, branched, right = m.name.partition("+")
+            out.append(f"  {left} branch {right}." if branched else f"  use {m.name}.")
         out.append("}")
     return "\n".join(out) + "\n"

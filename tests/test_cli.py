@@ -599,7 +599,7 @@ EXPORTS = [
     "interpret_term", "interpretation", "is_empty_isomorphic", "make_atomic", "make_instance",
     "make_pair", "mapping_graph", "matching", "mediating", "merging", "pairing", "parse_workspace",
     "parse_workspace_text", "power_view", "projection", "rule", "rule_to_spjru",
-    "schema_identity", "sep", "seq_compose", "serialize_workspace", "term_layout",
+    "schema_identity", "sep", "serialize_workspace", "term_layout",
     "verify_duality",
 ]
 
@@ -795,6 +795,21 @@ def test_a_repeated_branch_is_one_edge(tmp_path, capsys):
             assert main([command, "G", "-i", str(path)]) == 0
             reports.append(capsys.readouterr())
     assert reports[:3] == reports[3:] and all(err == "" for _, err in reports)
+
+
+@pytest.mark.parametrize("depth", [[], ["--depth", "-1"]])
+def test_after_only_uses_both_mappings(tmp_path, depth, capsys):
+    # Sch(G) forms N after M itself: writing the composite down changes no report.
+    demo = (DATA / "demo.dbc").read_text()
+    assert "graph G { use M. use N. N after M. }" in demo
+    reports = []
+    for edges in ("use M. use N. N after M.", "use M. use N."):
+        path = tmp_path / "demo.dbc"
+        path.write_text(demo.replace("use M. use N. N after M.", edges))
+        for command in ("check-model", "check-functor", "gamma-iso"):
+            status = main([command, "G", "-i", str(path), *depth])
+            reports.append((status, capsys.readouterr()))
+    assert reports[:3] == reports[3:] and all(out and not err for _, (out, err) in reports)
 
 
 def test_two_mappings_may_add_one_relation_by_one_defining_query():

@@ -178,8 +178,7 @@ def test_round_trip_with_graph_operators():
     )
     ws = parse_workspace_text(text)
     g = ws.graphs["G"]
-    assert len(g.seqs) == 1 and g.seqs[0].chain[0].name == "N"
-    assert len(g.branches) == 1
+    assert [m.name for m in g.mappings] == ["M", "N", "O", "M+O"]
     out = serialize_workspace(ws)
     assert parse_workspace_text(out) == ws
 
@@ -267,6 +266,13 @@ def test_instance_tuples_are_written_in_value_order():
 
 TWO = "schema A { r/2. }\n"
 ONE_MAPPING = "schema A { r/1. }\nmapping M : A -> A { q(X) :- r(X) => r(X). }\n"
+# M and N both run A -> B, O runs B -> A: O after N meets, N after M does not.
+CHAIN = (
+    "schema A { r/1. }\nschema B { s/1. }\n"
+    "mapping M : A -> B { q(X) :- r(X) => s(X). }\n"
+    "mapping N : A -> B { q(X) :- r(X) => s(X). }\n"
+    "mapping O : B -> A { q(X) :- s(X) => r(X). }\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -336,6 +342,20 @@ ONE_MAPPING = "schema A { r/1. }\nmapping M : A -> A { q(X) :- r(X) => r(X). }\n
         (parse_workspace_text, ONE_MAPPING + "graph G { M after N. }", "unknown mapping 'N'", 3, 19),
         (parse_workspace_text, ONE_MAPPING + "graph G { M branch N. }", "unknown mapping 'N'", 3, 20),
         (parse_workspace_text, ONE_MAPPING + "graph G { M M. }", "expected 'after' or 'branch'", 3, 13),
+        (
+            parse_workspace_text,
+            CHAIN + "graph G { N after M. }",
+            "sequential composition endpoint mismatch (found '.')",
+            6,
+            20,
+        ),
+        (
+            parse_workspace_text,
+            CHAIN + "graph G { O after N after M. }",
+            "sequential composition endpoint mismatch (found '.')",
+            6,
+            28,
+        ),
         (
             parse_workspace_text,
             "schema A { r/1. }\nsketch G { }",

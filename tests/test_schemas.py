@@ -16,12 +16,10 @@ from dbcat.schemas import (
     SchemaMapping,
     branch,
     fed,
-    identity_mapping,
     make_pair,
     mapping_graph,
     schema_identity,
     sep,
-    seq_compose,
     term_layout,
     term_sentence,
 )
@@ -179,21 +177,6 @@ def test_mapping_admissible_over_federation():
         (make_pair(q, RelAtom("w", (Var("X"), Var("Y")))),),
     )
     assert m.pairs[0].rhs_name == "w"
-
-
-def test_seq_compose_associative_and_unit():
-    m1 = identity_mapping("idA", "A", SAtom(SA))
-    qa = rule("q", ["X"], [("r", "X")])
-    m = SchemaMapping("M", "A", "B", SAtom(SA), SAtom(SB), (make_pair(qa, RelAtom("s", (Var("X"),))),))
-    qb = rule("q", ["X"], [("s", "X")])
-    n = SchemaMapping("N", "B", "C", SAtom(SB), SAtom(SC), (make_pair(qb, RelAtom("t", (Var("X"),))),))
-    qc = rule("q", ["X"], [("t", "X")])
-    o = SchemaMapping("O", "C", "A", SAtom(SC), SAtom(SA), (make_pair(qc, RelAtom("r", (Var("X"),))),))
-
-    assert seq_compose(seq_compose(o, n), m) == seq_compose(o, seq_compose(n, m))
-    assert seq_compose(m, m1).chain == (m,)
-    with pytest.raises(SchemaError):
-        seq_compose(m, n)  # endpoints do not align
 
 
 def test_branch_unites_pairs_and_commutes():

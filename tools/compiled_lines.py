@@ -7,7 +7,8 @@ Run it at the root of the repository.  Each of the benchmark's ten commands
 once through ``dbcat.cli.main`` in a fresh interpreter with ``src`` on its
 path and no bytecode cache, so the process compiles every line of each dbcat
 module it loads.  One line per command gives the lines (as ``wc -l`` counts
-them) and the modules; the last line gives the mean over the commands.
+them) and the modules; the next line gives the mean over the commands, and
+the last the lines of every module, as ``wc -l src/dbcat/*.py`` totals them.
 """
 from __future__ import annotations
 
@@ -50,6 +51,8 @@ def main() -> int:
         names = " ".join(sorted(name.removeprefix("dbcat.") for name in modules))
         print(f"{command:<14}{totals[-1]:>6,}  {names}")
     print(f"{'mean':<14}{statistics.fmean(totals):>6,.0f}")
+    src = sum(map(source_lines, (ROOT / "src" / "dbcat").glob("*.py")))
+    print(f"{'src':<14}{src:>6,}")
     return 0
 
 
