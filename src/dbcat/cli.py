@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 import sys
 
-from .core import DEFAULT_CAP, DEFAULT_DEPTH, DEFAULT_MAX_ARITY, DbcatError, Record, bottom_instance
+from .core import DEFAULT_CAP, DEFAULT_DEPTH, DEFAULT_MAX_ARITY, DbcatError, Verdicts, bottom_instance
 from .core import format_extension, is_empty_isomorphic
 from .dsl import Workspace, parse_rule_text, parse_workspace
 from .schemas import term_layout
@@ -38,22 +38,15 @@ _NAMES = {"-i": "--input", "-h": "--help", **{name[:k]: name for name in OPTIONS
 _NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # an argument, not an option, as in argparse
 
 
-class Report(Record):
-    command: str
-    lines: tuple  # (check id, "PASS" | "FAIL", detail)
-
-    @property
-    def status(self) -> int:
-        return 0 if all(v == "PASS" for _, v, _ in self.lines) else 1
-
-    def render(self, fmt: str = "text") -> str:
-        lines = sorted(self.lines)
-        if fmt == "lines":
-            return "\n".join(f"{cid}\t{verdict}\t{detail}" for cid, verdict, detail in lines)
-        width = max((len(cid) for cid, _, _ in lines), default=0)
-        body = [f"{cid.ljust(width)}  {verdict}  {detail}" for cid, verdict, detail in lines]
-        summary = "all checks passed" if self.status == 0 else "some checks FAILED"
-        return "\n".join([f"== {self.command} =="] + body + [summary])
+def render(command: str, verdicts: Verdicts, fmt: str = "text") -> str:
+    """The report of a command's verdicts, one PASS or FAIL line per check, sorted."""
+    lines = sorted((cid, "PASS" if ok else "FAIL", detail) for cid, ok, detail in verdicts.checks)
+    if fmt == "lines":
+        return "\n".join(f"{cid}\t{verdict}\t{detail}" for cid, verdict, detail in lines)
+    width = max((len(cid) for cid, _, _ in lines), default=0)
+    body = [f"{cid.ljust(width)}  {verdict}  {detail}" for cid, verdict, detail in lines]
+    summary = "all checks passed" if verdicts.passed else "some checks FAILED"
+    return "\n".join([f"== {command} =="] + body + [summary])
 
 
 def _schema_instances(ws: Workspace, graph) -> dict:
@@ -90,7 +83,7 @@ def _mapping_morphism(ws: Workspace, mapping_name: str, src: str, tgt: str):
     return make_atomic(vms, source, target)
 
 
-def run(command: str, args, ws: Workspace, depth, max_arity, cap) -> Report:
+def run(command: str, args, ws: Workspace, depth, max_arity, cap) -> Verdicts:
     """Dispatch one command against a parsed workspace."""
     if command not in COMMANDS:
         raise DbcatError(f"unknown command {command!r}")
@@ -102,7 +95,7 @@ def run(command: str, args, ws: Workspace, depth, max_arity, cap) -> Report:
     if command in ("flux", "compose", "duality"):
         from . import category
     if command in GRAPH_COMMANDS:
-        from . import interpret, powerview
+        from . import interpret
         from .sketch import build_sketch
 
         graph = ws.lookup("graph", args[0])
@@ -150,7 +143,7 @@ def run(command: str, args, ws: Workspace, depth, max_arity, cap) -> Report:
     elif command == "laws":
         lines.extend(_law_suite(ws, depth, max_arity, cap))
     elif command == "check-model":
-        report = interpret.check_model(alpha, graph, sketch)
+        report = interpret.check_model(alpha, sketch)
         lines += report.checks
         lines.append(("model", report.passed, "interpretation is a model" if report.passed else "not a model"))
     elif command == "check-functor":
@@ -159,15 +152,13 @@ def run(command: str, args, ws: Workspace, depth, max_arity, cap) -> Report:
         detail = "interpretation extends to a functor" if report.passed else "functorial requirement fails"
         lines.append(("functor", report.passed, detail))
     elif command == "gamma-iso":
-        for node, _ in graph.nodes:
-            ok = powerview.named_check(f"gamma-iso {node}", interpret.check_gamma_iso, alpha, sketch, node, depth, max_arity, cap)
-            lines.append((f"gamma-iso {node}", ok, "enlargement adds no views" if ok else "enlargement changes the view closure"))
+        lines += interpret.check_gamma_iso(alpha, sketch, depth, max_arity, cap).checks
     elif command == "duality":
         a, b = (ws.lookup("instance", name)[1] for name in args)
         report = powerview.named_check("duality", category.verify_duality, a, b, None, None, depth, max_arity, cap)
         lines += [(f"duality {cid}", ok, detail) for cid, ok, detail in report.checks]
         lines.append(("duality note", True, category.SET_COUNTEREXAMPLE_NOTE))
-    return Report(command, tuple((cid, "PASS" if ok else "FAIL", detail) for cid, ok, detail in lines))
+    return Verdicts(tuple(lines))
 
 
 def _law_suite(ws: Workspace, depth, max_arity, cap):
@@ -263,12 +254,12 @@ def main(argv=None) -> int:
             if opts[flag] < least:
                 raise DbcatError(f"{flag} must be at least {least}, not {opts[flag]}")
         depth = None if opts["--depth"] < 0 else opts["--depth"]
-        report = run(command, args, parse_workspace(opts["--input"]), depth, opts["--arity"], opts["--cap"])
+        verdicts = run(command, args, parse_workspace(opts["--input"]), depth, opts["--arity"], opts["--cap"])
     except (DbcatError, OSError) as exc:
         print(f"dbcat: {exc}", file=sys.stderr)
         return 2
-    print(report.render(opts["--format"]))
-    return report.status
+    print(render(command, verdicts, opts["--format"]))
+    return int(not verdicts.passed)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ The value classes of the whole package derive from :class:`Record`.
 from __future__ import annotations
 
 from collections.abc import Collection, Iterable, Mapping, Sequence
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 from operator import attrgetter, itemgetter
 
 
@@ -230,7 +230,6 @@ class Relation(Record):
     name: str
     arity: int
     tuples: frozenset = frozenset()
-    attributes: tuple = ()
 
     def __post_init__(self):
         if self.arity < 0:
@@ -238,20 +237,6 @@ class Relation(Record):
         for t in self.tuples:
             if not isinstance(t, tuple) or len(t) != self.arity:
                 raise ArityError(f"tuple {t!r} does not match arity {self.arity} of {self.name}")
-        if not self.attributes:
-            object.__setattr__(self, "attributes", column_names(self.arity))
-        elif len(self.attributes) != self.arity:
-            raise ArityError(f"attribute list of {self.name} does not match arity")
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.tuples
-
-
-@cache
-def column_names(arity: int) -> tuple:
-    """The attributes of a relation of *arity* that names none: c0, c1, ..."""
-    return tuple(f"c{i}" for i in range(arity))
 
 
 class Instance(Record):
@@ -401,7 +386,7 @@ def bottom_instance() -> Instance:
 
 def is_empty_isomorphic(a: Instance) -> bool:
     """True iff every relation of *a* has zero tuples."""
-    return all(r.is_empty for r in a.relations)
+    return not any(r.tuples for r in a.relations)
 
 
 def active_domain(a: Instance) -> frozenset:

@@ -45,7 +45,7 @@ from .core import (
 )
 from .powerview import DEFAULT_CAP, instances_isomorphic, named_check
 from .rules import eval_rule
-from .schemas import MappingGraph, SchemaTerm, nf_components
+from .schemas import EMPTY_NODE, SchemaTerm, nf_components
 from .sketch import Sketch, SketchArrow
 
 
@@ -204,7 +204,7 @@ def interpret_arrow(alpha: Interpretation, sketch: Sketch, arrow: SketchArrow) -
     return _Nodes(alpha, sketch).image(arrow)
 
 
-def check_model(alpha: Interpretation, graph: MappingGraph, sketch: Sketch) -> Verdicts:
+def check_model(alpha: Interpretation, sketch: Sketch) -> Verdicts:
     """Verdicts for every constraint and every mapping arrow of the sketch,
     each read off the arrow's image.
 
@@ -212,19 +212,18 @@ def check_model(alpha: Interpretation, graph: MappingGraph, sketch: Sketch) -> V
     matter what the constraints say, mirroring how such instances collapse
     onto the bottom object.
     """
-    schema_nodes, nodes = dict(graph.nodes), _Nodes(alpha, sketch)
-    checks = []
+    nodes, checks = _Nodes(alpha, sketch), []
     for arrow in sketch.arrows:
         if arrow.kind == "identity":
             continue
         image = nodes.image(arrow)
         if arrow.kind == "mapping":
             checks.append((f"arrow {arrow.name}", image.ok, image.note or "holds"))
-        elif arrow.src in schema_nodes:
-            checks.append((f"schema {arrow.src}", image.ok, image.note or "satisfied"))
-        else:  # a helper's sentinel dependency
+        elif hasattr(sketch.node_map[arrow.src], "sentinel"):  # a helper's sentinel dependency
             detail = "holds" if image.ok else "sentinel dependency fails"
             checks.append((f"arrow {arrow.name}", image.ok, detail))
+        else:
+            checks.append((f"schema {arrow.src}", image.ok, image.note or "satisfied"))
     return Verdicts(tuple(sorted(checks)))
 
 
@@ -283,15 +282,20 @@ def check_functor(
 def check_gamma_iso(
     alpha: Interpretation,
     sketch: Sketch,
-    node: str,
     depth: int | None = None,
     max_arity: int = 2,
     cap: int = DEFAULT_CAP,
-) -> bool:
-    """Is the node's plain instance isomorphic to its enlarged one?
+) -> Verdicts:
+    """A ``gamma-iso <node>`` line per graph node: is its plain instance
+    isomorphic to its enlarged one?  A budget error names the line.
 
     An addition by a defining query is a view of the node, so it adds no view
     to a model's closure; a bare fresh reification, read over the source, may.
     """
-    nodes = _Nodes(alpha, sketch)
-    return instances_isomorphic(nodes[node, True], nodes[node, False], depth, max_arity, cap)
+    nodes, checks = _Nodes(alpha, sketch), []
+    for node, obj in sketch.nodes:
+        if node != EMPTY_NODE and not hasattr(obj, "sentinel"):
+            cid = f"gamma-iso {node}"
+            ok = named_check(cid, instances_isomorphic, nodes[node, True], nodes[node, False], depth, max_arity, cap)
+            checks.append((cid, ok, "enlargement adds no views" if ok else "enlargement changes the view closure"))
+    return Verdicts(tuple(checks))

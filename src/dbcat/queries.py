@@ -5,7 +5,7 @@ term; rules themselves run on the engine of :mod:`dbcat.rules`, bound here too.
 """
 from __future__ import annotations
 
-from .core import Instance, Record, Relation, Value, column_names, index_tuples, key_getter, picker
+from .core import Instance, Record, Relation, Value, index_tuples, key_getter, picker
 from .rules import atom_components, atom_constants, bind, eval_rule, plan  # re-exported
 from .syntax import Builtin, Const, CrossComponentQuery, QueryArityError, QueryError, RelAtom, Rule, TranslationError
 from .syntax import UnknownRelation, Var
@@ -154,7 +154,7 @@ def _check_same_component(lc, rc):
 def eval_spjru(t, inst: Instance, name: str = "view") -> Relation:
     """Evaluate an algebra term over an instance under set semantics."""
     tuples, arity, _ = _eval(t, inst)
-    return Relation._derived(name, arity, frozenset(tuples), column_names(arity))
+    return Relation._derived(name, arity, frozenset(tuples))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import partial
 
-from .core import Instance, Relation, column_names, value_key
+from .core import Instance, Relation, value_key
 from .syntax import Const, CrossComponentQuery, QueryArityError, RelAtom, Rule, UnknownRelation, Var
 
 
@@ -170,6 +170,6 @@ def eval_rule(q: Rule, inst: Instance) -> Relation:
         raise CrossComponentQuery(f"rule body spans separated components {sorted(comps)}")
     if q._copies:
         r = inst.relation(q._copies)
-        return Relation._derived(q.head_name, r.arity, r.tuples, column_names(r.arity))
+        return Relation._derived(q.head_name, r.arity, r.tuples)
     run, arity = bind(q._plan, inst, partial(_rule_domain, q, inst, comps.pop())), len(q.head_vars)
-    return Relation._derived(q.head_name, arity, frozenset(run([()])), column_names(arity))
+    return Relation._derived(q.head_name, arity, frozenset(run([()])))

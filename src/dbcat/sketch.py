@@ -48,9 +48,8 @@ class Sketch(Record):
     """The small category generated from a mapping graph.  It holds no
     diagrams or cones: mapping systems impose no commutativity here."""
 
-    nodes: tuple  # ((name, SchemaTerm | HelperSchema), ...)
+    nodes: tuple  # ((name, SchemaTerm | HelperSchema), ...): the graph's, the helpers, the empty node
     gamma: tuple  # ((node_name, GammaAddition), ...)
-    helpers: tuple  # (HelperSchema, ...)
     arrows: tuple
 
     @cached_property
@@ -58,22 +57,8 @@ class Sketch(Record):
         """Node name -> schema term or helper schema, built on first use."""
         return dict(self.nodes)
 
-    def identity_of(self, node: str) -> SketchArrow:
-        for a in self.arrows:
-            if a.kind == "identity" and a.src == node:
-                return a
-        raise SchemaError(f"no identity arrow for {node!r}")
-
-    def node_names(self) -> tuple:
-        return tuple(n for n, _ in self.nodes)
-
     def additions_for(self, node: str) -> tuple:
         return tuple(add for n, add in self.gamma if n == node)
-
-    def arrows_between(self, src: str, tgt: str) -> tuple:
-        return tuple(
-            a for a in self.arrows if a.kind != "identity" and a.src == src and a.tgt == tgt
-        )
 
 
 def _sentinel_tgd(relation: str, width: int) -> Tgd:
@@ -182,4 +167,4 @@ def build_sketch(graph: MappingGraph) -> Sketch:
         )
 
     additions = tuple((node, add) for (node, _), add in gamma.items())
-    return Sketch(tuple(nodes), additions, tuple(helpers), tuple(arrows))
+    return Sketch(tuple(nodes), additions, tuple(arrows))

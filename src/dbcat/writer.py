@@ -1,8 +1,10 @@
 """The text of a workspace in the format :mod:`dbcat.dsl` reads."""
 from __future__ import annotations
 
-from .core import format_value, tuple_key
-from .dsl import Workspace
+from contextlib import suppress
+
+from .core import DbcatError, format_value, tuple_key
+from .dsl import Workspace, parse_workspace_text
 from .schemas import EmptyTerm, SAtom, SchemaTerm, SepTerm
 from .syntax import Egd, RelAtom, Rule, Var
 
@@ -61,7 +63,8 @@ def _fmt_schema_term(t: SchemaTerm, ws: Workspace) -> str:
 
 
 def serialize_workspace(ws: Workspace) -> str:
-    """Deterministic text for a workspace; parsing it back gives an equal one."""
+    """Deterministic text for a workspace; parsing it back gives an equal one, or
+    a DbcatError names the graph that would read back as another graph."""
     out = []
     for name in sorted(ws.schemas):
         s = ws.schemas[name]
@@ -92,11 +95,16 @@ def serialize_workspace(ws: Workspace) -> str:
         if m.exact:
             out.append("  exact.")
         out.append("}")
+    back = parse_workspace_text("\n".join(out) + "\n") if ws.graphs else None
     for name in sorted(ws.graphs):
-        g = ws.graphs[name]
-        out.append(f"graph {name} {{")
-        for m in g.mappings:  # ``branch`` names the mapping it makes ``left+right``
+        lines = [f"graph {name} {{"]
+        for m in ws.graphs[name].mappings:  # ``branch`` names the mapping it makes ``left+right``
             left, branched, right = m.name.partition("+")
-            out.append(f"  {left} branch {right}." if branched else f"  use {m.name}.")
-        out.append("}")
+            lines.append(f"  {left} branch {right}." if branched else f"  use {m.name}.")
+        lines.append("}")
+        with suppress(DbcatError):  # lines that do not parse read back as no graph
+            parse_workspace_text("\n".join(lines), back)
+        if back.graphs.get(name) != ws.graphs[name]:
+            raise DbcatError(f"graph {name} cannot be written: its lines would read back as a different graph")
+        out += lines
     return "\n".join(out) + "\n"

@@ -65,7 +65,7 @@ from dbcat.schemas import (
     schema_identity,
     sep,
 )
-from dbcat.sketch import build_sketch
+from dbcat.sketch import HelperSchema, build_sketch
 
 from oracles import random_instance, random_rule
 
@@ -318,7 +318,7 @@ def test_criterion_06_model_iff_functor():
     sketch = build_sketch(SYSTEM)
     total = discord = model_count = 0
     for alpha, (r, s, t, w) in _all_interpretations():
-        model = check_model(alpha, SYSTEM, sketch)
+        model = check_model(alpha, sketch)
         is_model = model.passed
         assert is_model == _expected_model(r, s, t, w), (r, s, t, w)
         functor = check_functor(alpha, sketch, None, 2)
@@ -359,9 +359,10 @@ def test_criterion_07_gamma_isomorphism():
                 MODELS.append(alpha)
     checked = 0
     for alpha in MODELS:
-        for node in ("A", "B", "C"):
-            assert check_gamma_iso(alpha, sketch, node, None, 2)
-            checked += 1
+        verdicts = check_gamma_iso(alpha, sketch, None, 2)
+        assert [cid for cid, _, _ in verdicts.checks] == ["gamma-iso A", "gamma-iso B", "gamma-iso C"]
+        assert verdicts.passed
+        checked += len(verdicts.checks)
 
     # negative control: an enlargement carrying a value the closure never saw
     alpha = MODELS[0]
@@ -393,7 +394,7 @@ def test_criterion_08_sentinel_dependency_equivalence():
         ],
     )
     sketch = build_sketch(graph)
-    (helper,) = sketch.helpers
+    (helper,) = [obj for _, obj in sketch.nodes if isinstance(obj, HelperSchema)]
     values = [1, 2, 3, "x"]
     agree = 0
     for _ in range(200):
@@ -434,7 +435,7 @@ def test_criterion_09_separation_rejection():
 
 
 def test_criterion_10_cli_determinism_and_round_trip(capsys):
-    from dbcat.cli import run
+    from dbcat.cli import render, run
     from dbcat.dsl import parse_workspace, parse_workspace_text
     from dbcat.writer import serialize_workspace
 
@@ -457,7 +458,7 @@ def test_criterion_10_cli_determinism_and_round_trip(capsys):
     ]
     for fname, command, args in commands:
         renders = {
-            run(command, args, parse_workspace([data / fname]), None, 2, 100000).render("lines")
+            render(command, run(command, args, parse_workspace([data / fname]), None, 2, 100000), "lines")
             for _ in range(2)
         }
         assert len(renders) == 1

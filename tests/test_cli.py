@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 
 import dbcat
-from dbcat.cli import COMMANDS, GRAPH_COMMANDS, _mapping_morphism, main, parse_argv, run
+from dbcat.cli import COMMANDS, GRAPH_COMMANDS, _mapping_morphism, main, parse_argv, render, run
 from dbcat.core import DEFAULT_CAP, DEFAULT_DEPTH, DEFAULT_MAX_ARITY, DbcatError, make_instance
 from dbcat.dsl import parse_workspace, parse_workspace_text
 from dbcat.interpret import gamma_instance, interpretation
@@ -44,71 +44,71 @@ def ws(*names):
 
 def test_eval_command():
     report = run("eval", ["A0", "q(X) :- r(X,Y)"], ws("demo.dbc"), 2, 4, 100000)
-    assert report.status == 0
-    ((cid, verdict, detail),) = report.lines
-    assert verdict == "PASS" and detail == "{(1) (2)}"
+    assert report.passed
+    ((cid, ok, detail),) = report.checks
+    assert ok and detail == "{(1) (2)}"
 
 
 def test_eval_cross_component_fails():
     report = run(
         "eval", ["S0", "j(X,Y) :- p(X), q(Y)"], ws("federation.dbc"), 2, 4, 100000
     )
-    assert report.status == 1
-    assert "separated" in report.lines[0][2]
+    assert not report.passed
+    assert "separated" in report.checks[0][2]
 
 
 def test_eval_federated_succeeds():
     report = run(
         "eval", ["F0", "j(X,Y) :- p(X), q(Y)"], ws("federation.dbc"), 2, 4, 100000
     )
-    assert report.status == 0
-    assert report.lines[0][2] == "{(1,2)}"
+    assert report.passed
+    assert report.checks[0][2] == "{(1,2)}"
 
 
 def test_iso_command():
     report = run("iso", ["A0", "A0"], ws("demo.dbc"), 2, 4, 100000)
-    assert report.status == 0
+    assert report.passed
     report2 = run("iso", ["A0", "B0"], ws("demo.dbc"), 2, 4, 100000)
-    assert report2.status == 1
+    assert not report2.passed
 
 
 def test_powerview_command_deterministic():
     w = ws("demo.dbc")
-    r1 = run("powerview", ["B0"], w, 2, 2, 100000).render("lines")
-    r2 = run("powerview", ["B0"], w, 2, 2, 100000).render("lines")
+    r1 = render("powerview", run("powerview", ["B0"], w, 2, 2, 100000), "lines")
+    r2 = render("powerview", run("powerview", ["B0"], w, 2, 2, 100000), "lines")
     assert r1 == r2
     assert "PASS" in r1
 
 
 def test_flux_and_compose_commands():
     report = run("flux", ["M", "A0", "B0"], ws("demo.dbc"), None, 2, 100000)
-    assert report.status == 0
+    assert report.passed
     report2 = run("compose", ["M", "N", "A0", "B0", "D0"], ws("demo.dbc"), None, 2, 100000)
-    assert report2.status == 0
-    assert any("kind" in cid and detail == "c-arrow" for cid, _, detail in report2.lines)
+    assert report2.passed
+    assert any("kind" in cid and detail == "c-arrow" for cid, _, detail in report2.checks)
 
 
 def test_check_model_and_functor_commands():
     w = ws("system.dbc")
     model = run("check-model", ["G"], w, None, 2, 100000)
-    assert model.status == 0
+    assert model.passed
     functor = run("check-functor", ["G"], w, None, 2, 100000)
-    assert functor.status == 0
+    assert functor.passed
     gamma = run("gamma-iso", ["G"], w, None, 2, 100000)
-    assert gamma.status == 0
+    assert gamma.passed
 
 
 def test_laws_and_duality_commands():
     w = ws("demo.dbc")
     laws = run("laws", [], w, None, 2, 100000)
-    assert laws.status == 0
+    assert laws.passed
     duality = run("duality", ["A0", "B0"], w, None, 2, 100000)
-    assert duality.status == 0
+    assert duality.passed
 
 
 def test_report_lines_format():
     report = run("iso", ["A0", "A0"], ws("demo.dbc"), 2, 4, 100000)
-    line = report.render("lines")
+    line = render("iso", report, "lines")
     cid, verdict, detail = line.split("\t")
     assert verdict == "PASS"
 
@@ -631,7 +631,7 @@ def test_byte_identical_reports_across_runs():
         outs = set()
         for _ in range(2):
             w = ws("demo.dbc")  # fresh parse each time
-            outs.add(run(command, args, w, 2, 2, 100000).render("lines"))
+            outs.add(render(command, run(command, args, w, 2, 2, 100000), "lines"))
         assert len(outs) == 1
 
 
@@ -714,7 +714,7 @@ def test_a_reified_relation_without_a_defining_query_is_the_mapped_view():
     for depth in (None, 2):
         for command in ("check-model", "gamma-iso"):
             report = run(command, ["G"], w, depth, 2, 100000)
-            assert report.lines and all(verdict == "PASS" for _, verdict, _ in report.lines), report.lines
+            assert report.checks and report.passed, report.checks
 
 
 def test_flux_of_an_exact_mapping_reports_a_view_that_differs_from_its_target():
@@ -725,9 +725,9 @@ def test_flux_of_an_exact_mapping_reports_a_view_that_differs_from_its_target():
     )
     assert w.mappings["E"].exact
     report = run("flux", ["E", "A0", "B0"], w, None, 2, 100000)
-    assert report.status == 1
-    assert report.lines == (("flux E", "FAIL", "view for s differs from target projection ({(1) (2)} vs {(1)})"),)
-    assert run("flux", ["E", "A0", "B1"], w, None, 2, 100000).status == 0
+    assert not report.passed
+    assert report.checks == (("flux E", False, "view for s differs from target projection ({(1) (2)} vs {(1)})"),)
+    assert run("flux", ["E", "A0", "B1"], w, None, 2, 100000).passed
 
 
 RELATIONLESS = """schema A { r/1. }
@@ -764,8 +764,8 @@ def test_a_schema_without_relations_is_a_graph_node(tmp_path, command, depth, ca
     status = main([command, "G", "-i", str(path), "--depth", depth])
     assert capsys.readouterr().err == ""
     report = run(command, ["G"], parse_workspace_text(RELATIONLESS), None if depth == "-1" else int(depth), 2, 100000)
-    assert {label: verdict for label, verdict, _ in report.lines} == dict(RELATIONLESS_VERDICTS[command])
-    assert status == report.status == (command == "gamma-iso")
+    assert {label: "PASS" if ok else "FAIL" for label, ok, _ in report.checks} == dict(RELATIONLESS_VERDICTS[command])
+    assert status == (not report.passed) == (command == "gamma-iso")
 
 
 def test_an_enlarged_relationless_node_drops_the_empty_relation():
@@ -823,4 +823,4 @@ def test_two_mappings_may_add_one_relation_by_one_defining_query():
     assert (node, added.name, added.over) == ("C", "u", "C")
     for command in sorted(GRAPH_COMMANDS):
         report = run(command, ["G"], w, None, 2, 100000)
-        assert report.lines and all(verdict == "PASS" for _, verdict, _ in report.lines), report.lines
+        assert report.checks and report.passed, report.checks

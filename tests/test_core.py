@@ -285,7 +285,6 @@ class RelationTwin:
     name: str
     arity: int
     tuples: frozenset = frozenset()
-    attributes: tuple = ()
     __post_init__ = Relation.__post_init__
 
 
@@ -319,7 +318,7 @@ class EmptyTermTwin:
 VIEWS = ((0, frozenset({frozenset({(1,)}), frozenset({(1, 2)})})),)
 TWINS = [
     (Relation, RelationTwin, ("r", 2, frozenset({(1, 2), (3, 4)}))),
-    (Relation, RelationTwin, ("r", 1, frozenset({(1,)}), ("a",))),
+    (Relation, RelationTwin, ("r", 1, frozenset({(1,)}))),
     (Relation, RelationTwin, ("r", 0)),
     (Var, VarTwin, ("X",)),
     (ViewSet, ViewSetTwin, (VIEWS, 2, 2, False)),
@@ -360,7 +359,7 @@ def test_record_behaves_like_a_frozen_dataclass(cls, twin, args):
 
 def test_record_defaults_and_hidden_fields():
     r = Relation("r", 2)
-    assert (r.tuples, r.attributes) == (frozenset(), ("c0", "c1"))
+    assert (r.name, r.arity, r.tuples) == ("r", 2, frozenset()) and r == Relation("r", 2, frozenset())
     a = ViewSet(VIEWS, 2, 2, False, provenance=("a",))
     b = ViewSet(VIEWS, 2, 2, False, ("b",))
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)

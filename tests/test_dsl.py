@@ -3,6 +3,7 @@ import re
 import pytest
 
 from dbcat.constraints import Egd, Tgd
+from dbcat.core import DbcatError
 from dbcat.dsl import (
     ParseError,
     parse_rule_text,
@@ -181,6 +182,35 @@ def test_round_trip_with_graph_operators():
     assert [m.name for m in g.mappings] == ["M", "N", "O", "M+O"]
     out = serialize_workspace(ws)
     assert parse_workspace_text(out) == ws
+
+
+BRANCHED = (
+    "schema A { r/1. }\nschema B { s/1. }\nschema C { t/1. }\nschema Z { z/1. }\n"
+    "mapping M1 : A -> B { q(X) :- r(X) => s(X). }\n"
+    "mapping M2 : A -> C { q(X) :- r(X) => t(X). }\n"
+)
+
+
+@pytest.mark.parametrize("case", ["branch alone", "branch first", "untouched node"])
+def test_a_graph_that_would_read_back_as_another_is_refused(case):
+    from dbcat.schemas import branch, mapping_graph
+
+    ws = parse_workspace_text(BRANCHED)
+    m1, m2 = ws.mappings["M1"], ws.mappings["M2"]
+    b = branch(m1, m2)
+    ends = {"A": m1.source, b.target_name: b.target}
+    g = ws.graphs["G"] = {
+        "branch alone": mapping_graph("G", ends, [b]),
+        "branch first": mapping_graph("G", {**ends, "B": m1.target, "C": m2.target}, [b, m1, m2]),
+        "untouched node": mapping_graph("G", {"A": m1.source, "B": m1.target, "Z": ws.term("Z")}, [m1]),
+    }[case]
+    before = {kind: dict(pool) for kind, pool in vars(ws).items()}
+    with pytest.raises(DbcatError, match="^graph G cannot be written: its lines would read back as a different graph$"):
+        serialize_workspace(ws)
+    assert vars(ws) == before and ws.graphs["G"] is g  # the check reads the workspace and leaves it as it was
+    if case == "branch first":  # what its lines would give
+        again = parse_workspace_text(BRANCHED + "graph G { M1 branch M2. use M1. use M2. }")
+        assert [m.name for m in again.graphs["G"].mappings] == ["M1", "M2", "M1+M2"]
 
 
 def test_comments_and_whitespace_ignored():

@@ -9,8 +9,6 @@ from dbcat.core import (
     Instance,
     Relation,
     bottom_instance,
-    disjoint_union,
-    federate,
     is_empty_isomorphic,
     make_instance,
 )
@@ -38,7 +36,7 @@ from dbcat.schemas import (
     mapping_graph,
     sep,
 )
-from dbcat.sketch import build_sketch
+from dbcat.sketch import HelperSchema, build_sketch
 
 X, Y = Var("X"), Var("Y")
 
@@ -99,12 +97,8 @@ def test_interpret_duplicated_leaf():
     assert doubled.relation("r#1").tuples == doubled.relation("r#2").tuples
 
 
-def test_sums_and_interpretations_keep_declared_attributes():
-    inst = Instance((Relation("r", 2, frozenset({(1, 2)}), ("a", "b")),), (("r", 0),))
-    schema = Schema("P", (("r", 2),))
-    doubled = interpret_term(interpretation({"P": inst}, {"P": schema}), sep(SAtom(schema), SAtom(schema)))
-    for out in (disjoint_union(inst, inst), federate(inst, inst), doubled):
-        assert [(r.name, r.attributes) for r in out.relations] == [("r#1", ("a", "b")), ("r#2", ("a", "b"))]
+def _helpers(sk):
+    return [obj for _, obj in sk.nodes if isinstance(obj, HelperSchema)]
 
 
 def _model_fixture():
@@ -127,7 +121,7 @@ def _model_fixture():
 def test_check_model_positive():
     g, sk = _model_fixture()
     alpha = alpha_with(r=[(1,)], s=[(2,)], t=[(1,), (2,)])
-    report = check_model(alpha, g, sk)
+    report = check_model(alpha, sk)
     assert report.passed
     assert all(ok for _, ok, _ in report.checks)
 
@@ -135,7 +129,7 @@ def test_check_model_positive():
 def test_check_model_detects_mapping_violation():
     g, sk = _model_fixture()
     alpha = alpha_with(r=[(1,)], s=[(2,)], t=[(2,)])  # r has 1, t does not
-    report = check_model(alpha, g, sk)
+    report = check_model(alpha, sk)
     assert not report.passed
     failing = [cid for cid, ok, _ in report.checks if cid.startswith("arrow ") and not ok]
     assert any("C_M1_0" in name for name in failing)
@@ -158,8 +152,8 @@ def test_check_model_detects_constraint_violation():
     sk = build_sketch(g)
     good = interpretation({"A": make_instance({"r": [(1,)]})}, {"A": key})
     bad = interpretation({"A": make_instance({"r": [(1,), (2,)]})}, {"A": key})
-    assert check_model(good, g, sk).passed
-    report = check_model(bad, g, sk)
+    assert check_model(good, sk).passed
+    report = check_model(bad, sk)
     assert not report.passed
     assert any("egd" in detail for cid, ok, detail in report.checks if cid.startswith("schema ") and not ok)
 
@@ -167,7 +161,7 @@ def test_check_model_detects_constraint_violation():
 def test_helper_instance_tags():
     g, sk = _model_fixture()
     alpha = alpha_with(r=[(1,)], s=[], t=[(1,)])
-    (helper,) = sk.helpers
+    (helper,) = _helpers(sk)
     inst = helper_instance(alpha, sk, helper)
     (rel,) = inst.relations
     assert rel.tuples == {(1, SENTINEL_A), (1, SENTINEL_B)}
@@ -178,7 +172,7 @@ def test_helper_tgd_equals_inclusion():
     g, sk = _model_fixture()
     from dbcat.constraints import check_tgd
 
-    (helper,) = sk.helpers
+    (helper,) = _helpers(sk)
     for r_content, t_content in [
         ([(1,)], [(1,)]),
         ([(1,)], [(2,)]),
@@ -242,16 +236,16 @@ def test_empty_instance_is_model_regardless_of_constraints():
     filled_alpha = interpretation(
         {"A": make_instance({"r": [(1,)]})}, {"A": demanding}
     )
-    assert check_model(empty_alpha, g, sk).passed
+    assert check_model(empty_alpha, sk).passed
     assert check_functor(empty_alpha, sk, None, 2).passed
-    assert check_model(filled_alpha, g, sk).passed
+    assert check_model(filled_alpha, sk).passed
     assert check_functor(filled_alpha, sk, None, 2).passed
 
 
 def test_interpret_identity_arrow():
     g, sk = _model_fixture()
     alpha = alpha_with(r=[(1,)], s=[], t=[(1,)])
-    ida = sk.identity_of("A")
+    (ida,) = [a for a in sk.arrows if a.kind == "identity" and a.src == "A"]
     image = interpret_arrow(alpha, sk, ida)
     inst = interpret_term(alpha, SAtom(SA))
     assert equivalent(image.morphism, identity(inst), None, 2)
@@ -266,7 +260,7 @@ def test_functor_iff_model_on_fixture():
         alpha_with(),  # everything empty: a model
     ]
     for alpha in cases:
-        model = check_model(alpha, g, sk).passed
+        model = check_model(alpha, sk).passed
         functor = check_functor(alpha, sk, None, 2).passed
         assert model == functor, alpha
 
@@ -274,8 +268,9 @@ def test_functor_iff_model_on_fixture():
 def test_gamma_iso_for_models_and_negative_control():
     g, sk = _model_fixture()
     alpha = alpha_with(r=[(1,)], s=[(2,)], t=[(1,), (2,)])
-    for node in ("A", "B", "C"):
-        assert check_gamma_iso(alpha, sk, node, None, 2)
+    verdicts = check_gamma_iso(alpha, sk, None, 2)
+    assert [cid for cid, _, _ in verdicts.checks] == ["gamma-iso A", "gamma-iso B", "gamma-iso C"]
+    assert verdicts.passed
 
     # hand-built enlargement holding a value outside the original closure
     base = interpret_term(alpha, SAtom(SC))
@@ -302,15 +297,15 @@ def test_each_check_materializes_each_node_once(monkeypatch):
     monkeypatch.setattr(interpret, "eval_rule", evaluating)
     g, sk = _model_fixture()
     alpha = alpha_with(r=[(1,)], s=[(2,)], t=[(1,), (2,)])
-    checks = [lambda: check_model(alpha, g, sk), lambda: check_functor(alpha, sk, None, 2)]
-    checks += [lambda n=n: check_gamma_iso(alpha, sk, n, None, 2) for n in ("A", "B", "C")]
+    checks = [lambda: check_model(alpha, sk), lambda: check_functor(alpha, sk, None, 2)]
+    checks += [lambda: check_gamma_iso(alpha, sk, None, 2)]
     for check in checks:
         terms.clear()
         queries.clear()
         check()
         assert terms and len(terms) == len(set(terms))
         assert len(queries) == len(set(queries))
-    assert len(terms) == 1 and len(queries) == 1  # gamma-iso C: its term, then u := t
+    assert len(terms) == 3 and len(queries) == 1  # gamma-iso: the terms of A, B and C, then u := t
 
 
 def test_gamma_instance_materializes_defining_query():

@@ -277,7 +277,7 @@ def summands(draw, depth=2):
 
 def rebuilt(inst):
     """*inst* built again through the checked public constructors."""
-    relations = tuple(Relation(r.name, r.arity, r.tuples, r.attributes) for r in inst.relations)
+    relations = tuple(Relation(r.name, r.arity, r.tuples) for r in inst.relations)
     return Instance(relations, inst.partition)
 
 
