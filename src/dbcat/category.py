@@ -1,10 +1,11 @@
-"""Morphisms between instances: view mappings, trees, composition, and flux.
+"""Morphisms between instances: view mappings, composition, sums, and flux.
 
-A morphism is a finite set of trees.  Each tree node applies one view mapping
-(a conjunctive query plus a target relation); leaves name source relations.
-Composing morphisms grafts the earlier morphism's trees under the matching
-leaves of the later one; leaves left unmatched become hidden elements and the
-result is only a partial arrow.
+A morphism is held as the parts it was put together from: the view mappings
+of an atomic arrow (each a conjunctive query plus a target relation), the two
+factors of a composite, or the two arrows of a sum.  Its trees of view
+mappings are read off those parts when asked: leaves name source relations,
+and the inputs of a composite that its earlier factor does not supply are
+hidden elements, which make the result only a partial arrow.
 
 The meaning of a morphism is its information flux: the closure of the view
 extensions it actually carries across.  Fluxes are kept per channel, where a
@@ -72,35 +73,14 @@ class ViewMap(Record):
         return self.query.relation_names()
 
 
-class Leaf(Record):
-    name: str
+class Tree(Record):
+    """What one tree of view maps shows: the relation its root writes, the
+    source relations its open leaves read, and its hidden leaves, the inputs
+    that no earlier arrow supplies, as (relation, middle instance) pairs."""
 
-
-class HiddenLeaf(Record):
-    """Input of a downstream query that no upstream tree supplies."""
-
-    name: str
-    owner: Instance
-
-
-class MapNode(Record):
-    viewmap: ViewMap
-    children: tuple
-
-
-def _leaves(node) -> list:
-    """The leaves under a tree node, open (:class:`Leaf`) or hidden, left to right."""
-    out = []
-    for c in node.children:
-        if isinstance(c, MapNode):
-            out.extend(_leaves(c))
-        else:
-            out.append(c)
-    return out
-
-
-def _open_names(node) -> set:
-    return {c.name for c in _leaves(node) if isinstance(c, Leaf)}
+    target: str
+    opens: frozenset
+    hidden: frozenset = frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -108,53 +88,79 @@ def _open_names(node) -> set:
 
 
 class Morphism(Record):
-    """An arrow between two instances.
+    """An arrow between two instances, held as the parts it was put together from.
 
-    ``parts`` records how the morphism was put together, which drives the
-    structural flux computation.  It has one of three shapes:
+    ``parts`` drives the structural flux computation.  It has one of three shapes:
 
-    - ``("atomic",)``: the view maps of ``trees`` over ``source`` (none for
-      the empty arrow), each evaluated once: the arrow keeps the extensions
+    - ``("atomic", viewmaps)``: view maps over ``source`` (``()`` for the
+      empty arrow), each evaluated once: the arrow keeps the extensions
       (``_views``) outside equality and hashing;
     - ``("compose", g, f)``: ``g`` after ``f``;
-    - ``("sum", (f, src_comps, tgt_comps), (g, src_comps, tgt_comps))``:
-      ``f`` and ``g`` side by side, each with the (old, new) component pairs
-      of its source and target in the summed ends (empty for a shared end).
-      This one shape covers f+g, [f,g] and <f,g>.
+    - ``("sum", (f, scomps, tcomps, snames, tnames), (g, ...))``: ``f`` and
+      ``g`` side by side, each with the (old, new) component pairs and name
+      pairs of its source and target in the summed ends (empty for a shared
+      end).  This one shape covers f+g, [f,g] and <f,g>.
+
+    Its :attr:`trees` are read off the parts when first asked, and kept
+    outside equality and hashing as ``_views`` is.
     """
 
     source: Instance
     target: Instance
-    trees: tuple
-    parts: tuple = ("atomic",)
+    parts: tuple
+
+    @cached_property
+    def trees(self) -> tuple:
+        """One :class:`Tree` per tree of view maps.  An atomic arrow has one
+        per view map.  ``g`` after ``f`` keeps each tree of g that reads
+        something f writes, with the trees of f that write it grafted under
+        it and its other inputs hidden.  A sum renames each tree's open
+        leaves and root into the summed ends."""
+        kind, *parts = self.parts
+        if kind == "atomic":
+            return tuple(Tree(vm.target, vm.sources) for vm in parts[0])
+        if kind == "compose":
+            g, f = parts
+            writes = {s.target for s in f.trees}
+            kept = []
+            for t in g.trees:
+                fed = [s for s in f.trees if s.target in t.opens]
+                if fed:
+                    hidden = t.hidden.union({(n, f.target) for n in t.opens - writes}, *(s.hidden for s in fed))
+                    kept.append(Tree(t.target, frozenset().union(*(s.opens for s in fed)), hidden))
+            return tuple(kept)
+        renamed = []
+        for h, _, _, snames, tnames in parts:
+            leaf, root = dict(snames), dict(tnames)
+            for t in h.trees:
+                renamed.append(Tree(root.get(t.target, t.target), frozenset(leaf.get(n, n) for n in t.opens), t.hidden))
+        return tuple(renamed)
 
     @property
     def kind(self) -> str:
-        hidden = any(isinstance(c, HiddenLeaf) for t in self.trees for c in _leaves(t))
-        return "p-arrow" if hidden else "c-arrow"
+        return "p-arrow" if any(t.hidden for t in self.trees) else "c-arrow"
 
     def d0(self) -> frozenset:
-        names = set().union(*map(_open_names, self.trees))
-        return frozenset(names) if names else frozenset({BOT})
+        return frozenset().union(*(t.opens for t in self.trees)) or frozenset({BOT})
 
     def d1(self) -> frozenset:
-        names = {t.viewmap.target for t in self.trees}
-        return frozenset(names) if names else frozenset({BOT})
+        return frozenset(t.target for t in self.trees) or frozenset({BOT})
 
     def width(self, max_arity: int) -> int:
         """*max_arity* raised to the widest relation of every instance the arrow reads, middle objects included."""
-        parts = [p if isinstance(p, Morphism) else p[0] for p in self.parts[1:]]
+        parts = [p if isinstance(p, Morphism) else p[0] for p in self.parts[1:] if self.parts[0] != "atomic"]
         return max([max_arity, self.source.max_arity(), self.target.max_arity(), *(p.width(0) for p in parts)])
 
     @cached_property
     def _views(self) -> tuple:
         """((source component, target component), extension) of each view map
-        of an atomic arrow, in tree order; :func:`make_atomic` gives the arrow
+        of an atomic arrow, in order; :func:`make_atomic` gives the arrow
         the extensions it evaluated to check the modes."""
-        exts = [eval_rule(t.viewmap.query, self.source).tuples for t in self.trees]
+        viewmaps = self.parts[1]
+        exts = [eval_rule(vm.query, self.source).tuples for vm in viewmaps]
         # eval_rule raised unless the rule's relations (at least one) share a component
         src, tgt = self.source.component_of, self.target.component_of
-        return tuple(((src(min(t.viewmap.sources)), tgt(t.viewmap.target)), ext) for t, ext in zip(self.trees, exts))
+        return tuple(((src(min(vm.sources)), tgt(vm.target)), ext) for vm, ext in zip(viewmaps, exts))
 
 
 def _projected_target(inst: Instance, name: str, width: int) -> frozenset:
@@ -173,7 +179,7 @@ def make_atomic(viewmaps, source: Instance, target: Instance) -> Morphism:
     (mode ``inclusion``) or equal to (mode ``exact``) the matching-width
     prefix projection of its target relation.
     """
-    trees, views = [], []
+    viewmaps, views = tuple(viewmaps), []
     for vm in viewmaps:
         ext = eval_rule(vm.query, source).tuples
         proj = _projected_target(target, vm.target, len(vm.query.head_vars))
@@ -185,9 +191,8 @@ def make_atomic(viewmaps, source: Instance, target: Instance) -> Morphism:
                 f"view for {vm.target} differs from target projection "
                 f"({format_extension(ext)} vs {format_extension(proj)})"
             )
-        trees.append(MapNode(vm, tuple(Leaf(n) for n in sorted(vm.sources))))
         views.append(((source.component_of(min(vm.sources)), target.component_of(vm.target)), ext))
-    m = Morphism(source, target, tuple(trees))
+    m = Morphism(source, target, ("atomic", viewmaps))
     m.__dict__["_views"] = tuple(views)
     return m
 
@@ -195,7 +200,7 @@ def make_atomic(viewmaps, source: Instance, target: Instance) -> Morphism:
 def empty_morphism(source: Instance, target: Instance) -> Morphism:
     """The banal arrow carrying nothing but the empty view: the atomic arrow
     with no view maps, so it equals ``make_atomic([], source, target)``."""
-    return Morphism(source, target, ())
+    return Morphism(source, target, ("atomic", ()))
 
 
 def _copy_arrow(origin: Instance, source: Instance, target: Instance, reads: dict, writes: dict):
@@ -219,57 +224,12 @@ def identity(inst: Instance) -> Morphism:
     return _copy_arrow(inst, inst, inst, {}, {})
 
 
-def _graft(node: MapNode, supply: dict, intermediate: Instance) -> MapNode:
-    children = []
-    for c in node.children:
-        if isinstance(c, Leaf):
-            if c.name in supply:
-                children.extend(supply[c.name])
-            else:
-                children.append(HiddenLeaf(c.name, intermediate))
-        elif isinstance(c, MapNode):
-            children.append(_graft(c, supply, intermediate))
-        else:
-            children.append(c)
-    return MapNode(node.viewmap, tuple(children))
-
-
 def compose(g: Morphism, f: Morphism) -> Morphism:
-    """Sequential composition ``g after f``.
-
-    Keeps the g-trees whose open inputs meet what f provides, grafting f's
-    trees under the matching leaves; unmatched leaves become hidden elements.
-    """
+    """Sequential composition ``g after f``; its trees are read off the
+    factors when asked (:attr:`Morphism.trees`)."""
     if g.source != f.target:
         raise DbcatError("composition endpoint mismatch")
-    supply: dict = {}
-    for t in f.trees:
-        supply.setdefault(t.viewmap.target, []).append(t)
-    provided = frozenset(supply)
-    kept = []
-    for t in g.trees:
-        if not provided.isdisjoint(_open_names(t)):
-            kept.append(_graft(t, supply, f.target))
-    return Morphism(f.source, g.target, tuple(kept), ("compose", g, f))
-
-
-def _retree(node: MapNode, leaf_map: dict, target_map: dict, is_root: bool) -> MapNode:
-    children = []
-    renamed = {}
-    for c in node.children:
-        if isinstance(c, Leaf):
-            new = leaf_map.get(c.name, c.name)
-            if new != c.name:
-                renamed[c.name] = new
-            children.append(Leaf(new))
-        elif isinstance(c, MapNode):
-            children.append(_retree(c, leaf_map, target_map, False))
-        else:
-            children.append(c)
-    vm = node.viewmap
-    query = vm.query.rename_relations(renamed) if renamed else vm.query
-    target = target_map.get(vm.target, vm.target) if is_root else vm.target
-    return MapNode(ViewMap(query, target, vm.mode), tuple(children))
+    return Morphism(f.source, g.target, ("compose", g, f))
 
 
 def _side_by_side(f: Morphism, g: Morphism, sources, targets) -> Morphism:
@@ -285,14 +245,12 @@ def _side_by_side(f: Morphism, g: Morphism, sources, targets) -> Morphism:
     shared = {}, {}, {}, {}  # an end not summed: no names or components change
     src, snames_f, snames_g, scomps_f, scomps_g = sources or (f.source, *shared)
     tgt, tnames_f, tnames_g, tcomps_f, tcomps_g = targets or (f.target, *shared)
-    trees = [_retree(t, snames_f, tnames_f, True) for t in f.trees]
-    trees += [_retree(t, snames_g, tnames_g, True) for t in g.trees]
     parts = (
         "sum",
-        (f, tuple(scomps_f.items()), tuple(tcomps_f.items())),
-        (g, tuple(scomps_g.items()), tuple(tcomps_g.items())),
+        (f, *(tuple(m.items()) for m in (scomps_f, tcomps_f, snames_f, tnames_f))),
+        (g, *(tuple(m.items()) for m in (scomps_g, tcomps_g, snames_g, tnames_g))),
     )
-    return Morphism(src, tgt, tuple(trees), parts)
+    return Morphism(src, tgt, parts)
 
 
 def coproduct_morphism(f: Morphism, g: Morphism) -> Morphism:
@@ -404,7 +362,7 @@ def _flux(m: Morphism, depth, width: int, cap) -> Flux:  # width already raised 
     if kind != "sum":
         raise DbcatError(f"unknown morphism structure {kind!r}")
     chans, fix = [], True
-    for h, scomps, tcomps in m.parts[1:]:
+    for h, scomps, tcomps, *_ in m.parts[1:]:
         fh = _flux(h, depth, width, cap)
         smap, tmap = dict(scomps), dict(tcomps)
         chans.extend((smap.get(s, s), tmap.get(t, t), exts) for s, t, exts in fh.channels)

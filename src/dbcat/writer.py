@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from contextlib import suppress
 
-from .core import DbcatError, format_value, tuple_key
+from .core import DbcatError, Sentinel, format_value, tuple_key
 from .dsl import Workspace, parse_workspace_text
 from .schemas import EmptyTerm, SAtom, SchemaTerm, SepTerm
 from .syntax import Egd, RelAtom, Rule, Var
@@ -64,7 +64,8 @@ def _fmt_schema_term(t: SchemaTerm, ws: Workspace) -> str:
 
 def serialize_workspace(ws: Workspace) -> str:
     """Deterministic text for a workspace; parsing it back gives an equal one, or
-    a DbcatError names the graph that would read back as another graph."""
+    a DbcatError names the instance holding a sentinel, which the text cannot
+    write, or the graph that would read back as another graph."""
     out = []
     for name in sorted(ws.schemas):
         s = ws.schemas[name]
@@ -80,6 +81,8 @@ def serialize_workspace(ws: Workspace) -> str:
         term_name, inst = ws.instances[name]
         out.append(f"instance {name} of {term_name} {{")
         for r in inst.relations:
+            if any(isinstance(v, Sentinel) for t in r.tuples for v in t):
+                raise DbcatError(f"instance {name} cannot be written: relation {r.name} holds a sentinel value")
             for t in sorted(r.tuples, key=tuple_key):
                 out.append(f"  {r.name}({','.join(map(_fmt_value, t))}).")
         out.append("}")

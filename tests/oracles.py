@@ -12,6 +12,7 @@ import random
 from collections import Counter
 
 from dbcat.core import (
+    BOT,
     SENTINEL_A,
     SENTINEL_B,
     Instance,
@@ -265,6 +266,81 @@ def brute_force_flux_same(f, g) -> bool:
             if all(cg.get((smap[s], tmap[t])) == e for (s, t), e in cf.items()):
                 return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# nested trees of view maps
+#
+# A morphism as explicit nested trees: ("map", target, children) nodes over
+# ("open", relation) and ("hidden", relation, middle instance) leaves.
+# Composing grafts whole trees under leaves and summing rewrites every leaf,
+# so what a tree shows is only read at the end, by walking all its leaves.
+
+
+def nested_atomic(viewmaps) -> list:
+    """One node per view map, over an open leaf per relation its query reads."""
+    return [("map", vm.target, tuple(("open", n) for n in sorted(vm.sources))) for vm in viewmaps]
+
+
+def nested_copies(origin: Instance, names: dict, into: bool) -> list:
+    """The copy maps of an injection (*into*) or a projection: each relation
+    of the summand *origin* against its name in the sum, ``names`` of it."""
+    pairs = [(r.name, names.get(r.name, r.name)) for r in origin.relations if r.name != BOT]
+    return [("map", new, (("open", old),)) if into else ("map", old, (("open", new),)) for old, new in pairs]
+
+
+def _nested_leaves(node):
+    if node[0] != "map":
+        yield node
+        return
+    for child in node[2]:
+        yield from _nested_leaves(child)
+
+
+def nested_compose(g_trees, f_trees, middle) -> list:
+    """``g after f``: each tree of g with an open leaf that some tree of f
+    writes, every open leaf replaced by all the trees of f writing it, or by a
+    hidden leaf in *middle* when none does."""
+
+    def graft(node):
+        if node[0] == "open":
+            return [t for t in f_trees if t[1] == node[1]] or [("hidden", node[1], middle)]
+        if node[0] == "hidden":
+            return [node]
+        return [("map", node[1], tuple(c for child in node[2] for c in graft(child)))]
+
+    written = {t[1] for t in f_trees}
+    return [graft(t)[0] for t in g_trees if any(l[0] == "open" and l[1] in written for l in _nested_leaves(t))]
+
+
+def nested_sum(trees, leaf_names: dict, root_names: dict) -> list:
+    """Trees of one summand in a sum: every open leaf, at any depth, renamed
+    by *leaf_names* and each root's target by *root_names*."""
+
+    def rename(node):
+        if node[0] == "open":
+            return ("open", leaf_names.get(node[1], node[1]))
+        if node[0] == "hidden":
+            return node
+        return ("map", node[1], tuple(map(rename, node[2])))
+
+    return [("map", root_names.get(t[1], t[1]), rename(t)[2]) for t in trees]
+
+
+def nested_reading(trees) -> tuple:
+    """(kind, d0, d1, each tree's (target, open relations, hidden pairs)) of nested trees."""
+    shown = []
+    for t in trees:
+        leaves = list(_nested_leaves(t))
+        opens = frozenset(l[1] for l in leaves if l[0] == "open")
+        hidden = frozenset((l[1], l[2]) for l in leaves if l[0] == "hidden")
+        shown.append((t[1], opens, hidden))
+    kind = "p-arrow" if any(hidden for _, _, hidden in shown) else "c-arrow"
+    d0 = set()
+    for _, opens, _ in shown:
+        d0 |= opens
+    d1 = {target for target, _, _ in shown}
+    return kind, frozenset(d0 or {BOT}), frozenset(d1 or {BOT}), tuple(shown)
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,9 @@ import pytest
 
 from dbcat.category import (
     Flux,
-    HiddenLeaf,
-    Leaf,
-    MapNode,
     ModeViolation,
     Morphism,
+    Tree,
     ViewMap,
     compose,
     coproduct_morphism,
@@ -84,11 +82,8 @@ def test_compose_grafts_and_hides():
     g = make_atomic([vm([("s", "X"), ("u", "Y")], "t", head=("X", "Y"))], b, c)
     h = compose(g, f)
     assert h.kind == "p-arrow"
-    (tree,) = h.trees
-    kinds = {type(ch).__name__ for ch in tree.children}
-    assert kinds == {"MapNode", "HiddenLeaf"}
-    hidden = [ch for ch in tree.children if isinstance(ch, HiddenLeaf)]
-    assert hidden[0].name == "u" and hidden[0].owner == b
+    # f's tree for s is grafted under g's, so the open leaf is f's r; u is hidden in b
+    assert h.trees == (Tree("t", frozenset({"r"}), frozenset({("u", b)})),)
 
 
 def test_compose_drops_unfed_trees():
@@ -426,7 +421,7 @@ def test_empty_morphism_is_the_atomic_arrow_without_view_maps():
     e = empty_morphism(_A, _B)
     assert e == make_atomic([], _A, _B)
     assert equivalent(e, make_atomic([], _A, _B), **FIX)
-    assert e.parts == ("atomic",) and e.kind == "c-arrow" and e.d0() == {BOT}
+    assert e.parts == ("atomic", ()) and e.kind == "c-arrow" and e.d0() == {BOT}
     assert flux(e, **FIX) == Flux((), True)
 
 
@@ -499,7 +494,7 @@ def test_mediating_unique_up_to_equivalence():
             pass
     candidates = list(pool)
     for m1, m2 in itertools.combinations(pool, 2):
-        vms = [t.viewmap for t in m1.trees + m2.trees]
+        vms = m1.parts[1] + m2.parts[1]
         candidates.append(make_atomic(vms, ab, c))
 
     matching_k = [
@@ -577,7 +572,7 @@ def test_atomic_morphism_built_directly_has_its_flux():
     t = make_instance({"u": [(1, 2), (2, 2)], "v": [(3,), (4,)]}, partition={"v": 1})
     maps = [vm([("r", "X", "Y")], "u", head=("X", "Y")), vm([("s", "X")], "v")]
     made = make_atomic(maps, a, t)
-    direct = Morphism(a, t, made.trees)
+    direct = Morphism(a, t, ("atomic", tuple(maps)))
     assert direct == made
     for depth in (1, 2, None):
         assert flux(direct, depth, 2) == flux(made, depth, 2)
@@ -612,13 +607,9 @@ def test_kind_classification_matches_tree_scan():
     c = make_instance({"t": [(1, 1)]})
     f = make_atomic([vm([("r", "X")], "s")], a, b)
     g = make_atomic([vm([("s", "X"), ("u", "Y")], "t", head=("X", "Y"))], b, c)
-    assert f.kind == "c-arrow" and not any(
-        isinstance(ch, HiddenLeaf) for t in f.trees for ch in t.children
-    )
+    assert f.kind == "c-arrow" and f.trees == (Tree("s", frozenset({"r"})),)
     h = compose(g, f)
-    assert h.kind == "p-arrow" and any(
-        isinstance(ch, HiddenLeaf) for t in h.trees for ch in t.children
-    )
+    assert h.kind == "p-arrow" and h.trees == (Tree("t", frozenset({"r"}), frozenset({("u", b)})),)
 
 
 def test_flux_contains_bottom_and_is_closed():
@@ -754,13 +745,13 @@ def test_a_sum_of_a_composite_with_a_hidden_leaf_keeps_what_its_factors_have():
     h = identity(a)  # its source shares the name r with f's: the sum renames the nested leaves
     gf = compose(g, f)  # f supplies s, not v: a hidden leaf beside f's tree
     for left in (gf, compose(gf, e)):  # grafting e's tree under r passes the hidden leaf through
-        ((*_, hidden),) = [t.children for t in left.trees]
-        assert hidden == HiddenLeaf("v", b)
+        (tree,) = left.trees
+        assert tree.hidden == {("v", b)}
         summed = coproduct_morphism(left, h)
         src_maps = disjoint_union_with_maps(left.source, h.source)[1:3]
         tgt_maps = disjoint_union_with_maps(left.target, h.target)[1:3]
         assert summed.kind == left.kind == "p-arrow" and h.kind == "c-arrow"
-        assert summed.trees[0].children[-1] is hidden
+        assert summed.trees[0] == Tree(tgt_maps[0]["u"], frozenset(src_maps[0][n] for n in tree.opens), tree.hidden)
         assert summed.d0() == {src_maps[0][n] for n in left.d0()} | {src_maps[1][n] for n in h.d0()}
         assert summed.d1() == {tgt_maps[0][n] for n in left.d1()} | {tgt_maps[1][n] for n in h.d1()}
         assert summed.d0() == ({"r#1", "r#2"} if left is gf else {"p", "r"})

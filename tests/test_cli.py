@@ -824,3 +824,30 @@ def test_two_mappings_may_add_one_relation_by_one_defining_query():
     for command in sorted(GRAPH_COMMANDS):
         report = run(command, ["G"], w, None, 2, 100000)
         assert report.checks and report.passed, report.checks
+
+
+# F supplies s but not u, and G reads both: u is a hidden element of G.F.
+PARTIAL = """schema A { r/1. }
+schema B { s/1. u/1. }
+schema C { t/2. }
+instance A0 of A { r(1). }
+instance B0 of B { s(1). u(2). }
+instance C0 of C { t(1,2). }
+mapping F : A -> B { q(X) :- r(X) => s(X). }
+mapping G : B -> C { p(X,Y) :- s(X), u(Y) => t(X,Y). }
+"""
+
+
+@pytest.mark.parametrize("fmt", ["text", "lines"])
+@pytest.mark.parametrize("depth", ["2", "-1"])
+def test_a_composite_with_an_unfed_input_is_reported_as_a_partial_arrow(tmp_path, depth, fmt, capsys):
+    path = tmp_path / "partial.dbc"
+    path.write_text(PARTIAL)
+    assert main(["compose", "F", "G", "A0", "B0", "C0", "-i", str(path), "--depth", depth, "--format", fmt]) == 0
+    out, err = capsys.readouterr()
+    kind = [line for line in out.splitlines() if line.startswith("compose G.F kind")]
+    if fmt == "lines":
+        assert kind == ["compose G.F kind\tPASS\tp-arrow"]
+    else:
+        assert [line.split() for line in kind] == [["compose", "G.F", "kind", "PASS", "p-arrow"]]
+    assert err == ""

@@ -213,6 +213,17 @@ def test_a_graph_that_would_read_back_as_another_is_refused(case):
         assert [m.name for m in again.graphs["G"].mappings] == ["M1", "M2", "M1+M2"]
 
 
+@pytest.mark.parametrize("graphs", [False, True])
+def test_an_instance_holding_a_sentinel_is_refused(graphs):
+    # the text would write the sentinel as '#A', which reads back as a comment
+    from dbcat.core import SENTINEL_A, make_instance
+
+    ws = parse_workspace_text(BRANCHED + ("graph G { use M1. }" if graphs else ""))
+    ws.instances["X"] = ("A", make_instance({"r": [(1,), (SENTINEL_A,)]}))
+    with pytest.raises(DbcatError, match="^instance X cannot be written: relation r holds a sentinel value$"):
+        serialize_workspace(ws)
+
+
 def test_comments_and_whitespace_ignored():
     ws = parse_workspace_text("# hello\nschema A { # inline\n r/1. }\n")
     assert "A" in ws.schemas

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from dbcat.constraints import Egd, Tgd, check_egd, check_tgd, find_egd_violation, find_tgd_violation
 from dbcat import core
 from dbcat.core import (
+    BOT,
     SENTINEL_A,
     SENTINEL_B,
     Instance,
@@ -22,7 +23,20 @@ from dbcat.core import (
     qualified_names,
 )
 from dbcat.interpret import interpret_term, interpretation
-from dbcat.category import Flux, compose, flux, identity, injection, projection, verify_duality
+from dbcat.category import (
+    Flux,
+    ViewMap,
+    compose,
+    coproduct_morphism,
+    flux,
+    identity,
+    injection,
+    make_atomic,
+    mediating,
+    pairing,
+    projection,
+    verify_duality,
+)
 from dbcat.powerview import (
     MEMO_ENTRIES,
     ClosedForm,
@@ -47,6 +61,11 @@ from oracles import (
     counted_qualified_names,
     least_egd_violation,
     least_tgd_violation,
+    nested_atomic,
+    nested_compose,
+    nested_copies,
+    nested_reading,
+    nested_sum,
     sorted_closure_form,
 )
 
@@ -645,3 +664,109 @@ def test_a_view_set_compares_as_its_identitys_flux(pair):
         assert same == (sorted_closure_form(views[0]) == sorted_closure_form(views[1]))
         listed = [Flux(tuple((s, t, frozenset(e)) for s, t, e in fx.channels), fx.fixpoint) for fx in fluxes]
         assert same == brute_force_flux_same(*listed)
+
+
+# Every relation holds every tuple over {1, 2}, so each unary view fits any
+# target relation.  The first two share the name r, which a sum of arrows out
+# of or into both renames; the third has two components.
+CHAIN_OBJECTS = (
+    make_instance({"r": [(1,), (2,)], "v": [(1,), (2,)]}),
+    make_instance({"r": [(1,), (2,)], "s": [(1,), (2,)]}),
+    make_instance({"t": [(1, 1), (1, 2), (2, 1), (2, 2)], "u": [(1,), (2,)]}, partition={"u": 1}),
+)
+_pick = st.integers(0, 8)  # an index, taken modulo the choices there are
+chain_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("atomic"), _pick, _pick, st.lists(st.tuples(_pick, st.integers(1, 3)), min_size=1, max_size=2).map(tuple)),
+        st.tuples(st.just("compose"), _pick, _pick, st.booleans()),
+        st.tuples(st.sampled_from(["coproduct", "mediating", "pairing", "injection", "projection"]), _pick, _pick, st.booleans()),
+    ),
+    min_size=1,
+    max_size=8,
+)
+# f: P -> Q writes s from r; g: Q -> P reads r and s; g after f hides Q's r;
+# its sum with f renames the r both sources read to r#1 and r#2.
+HIDDEN_UNDER_A_SUM = [
+    ("atomic", 0, 1, ((1, 1),)),
+    ("atomic", 1, 0, ((0, 3),)),
+    ("compose", 0, 0, True),
+    ("coproduct", 0, 0, False),
+]
+# Then e: P -> P reads r and v, and e after (g after f) hides P's v beside Q's r;
+# that composite after g keeps both hidden leaves, and so does its sum with f.
+HIDDEN_ON_BOTH_SIDES = [
+    *HIDDEN_UNDER_A_SUM[:3],
+    ("atomic", 0, 0, ((1, 3),)),
+    ("compose", 0, 1, True),
+    ("compose", 0, 0, True),
+    ("coproduct", 0, 0, False),
+]
+
+
+def _chain_viewmap(src, tgt, k: int, mask: int) -> ViewMap:
+    """A unary view map into the *k*-th relation of *tgt*, joining on the first
+    column the relations of *src* that *mask* picks in the first one's component."""
+    names = [n for n in src.names if n != BOT]
+    picked = [n for b, n in enumerate(names) if mask >> b & 1] or names[:1]
+    picked = [n for n in picked if src.component_of(n) == src.component_of(picked[0])]
+    body = [(n, "X", *(f"Y{b}_{c}" for c in range(1, src.relation(n).arity))) for b, n in enumerate(picked)]
+    targets = [n for n in tgt.names if n != BOT]
+    return ViewMap(rule("q", ["X"], body), targets[k % len(targets)])
+
+
+def _run_chain(steps) -> list:
+    """Each morphism the steps build, beside the nested trees the oracle builds
+    for it.  Atomic arrows, injections and projections join the instances of
+    :data:`CHAIN_OBJECTS`; the other steps join the last arrow built, as the
+    later factor or the right summand when the step's flag is set, with an
+    arrow built before."""
+    built = []
+    fits = {
+        "compose": lambda f, g: g.source == f.target,
+        "coproduct": lambda f, g: True,
+        "mediating": lambda f, g: f.target == g.target,
+        "pairing": lambda f, g: f.source == g.source,
+    }
+    for op, i, j, arg in steps:
+        a, b = CHAIN_OBJECTS[i % 3], CHAIN_OBJECTS[j % 3]
+        if op == "atomic":
+            vms = [_chain_viewmap(a, b, k, mask) for k, mask in arg]
+            m, trees = make_atomic(vms, a, b), nested_atomic(vms)
+        elif op in ("injection", "projection"):
+            into, names = op == "injection", disjoint_union_with_maps(a, b)[1 if arg else 2]
+            m = (injection if into else projection)(a, b, "left" if arg else "right")
+            trees = nested_copies(a if arg else b, names, into)
+        else:
+            pairs = [(x, built[-1]) if arg else (built[-1], x) for x in built]
+            pairs = [(f, g) for f, g in pairs if fits[op](f[0], g[0])]
+            if not pairs:
+                continue
+            (f, tf), (g, tg) = pairs[(i * 9 + j) % len(pairs)]
+            if op == "compose":
+                m, trees = compose(g, f), nested_compose(tg, tf, f.target)
+            else:
+                build = {"coproduct": coproduct_morphism, "mediating": mediating, "pairing": pairing}[op]
+                leaves = disjoint_union_with_maps(f.source, g.source)[1:3] if op != "pairing" else ({}, {})
+                roots = disjoint_union_with_maps(f.target, g.target)[1:3] if op != "mediating" else ({}, {})
+                m = build(f, g)
+                trees = nested_sum(tf, leaves[0], roots[0]) + nested_sum(tg, leaves[1], roots[1])
+        built.append((m, trees))
+    return built
+
+
+@settings(max_examples=150, deadline=None)
+@given(chain_steps)
+@example(HIDDEN_UNDER_A_SUM)
+@example(HIDDEN_ON_BOTH_SIDES)
+def test_a_morphisms_trees_read_as_the_nested_trees_it_stands_for(steps):
+    for m, trees in _run_chain(steps):
+        kind, d0, d1, shown = nested_reading(trees)
+        assert (m.kind, m.d0(), m.d1()) == (kind, d0, d1)
+        assert tuple((t.target, t.opens, t.hidden) for t in m.trees) == shown
+
+
+def test_the_chain_example_sums_a_hidden_leaf_under_a_renamed_one():
+    *_, (summed, trees) = _run_chain(HIDDEN_UNDER_A_SUM)
+    assert summed.parts[0] == "sum" and summed.kind == "p-arrow"
+    assert summed.trees[0].opens == {"r#1"} and summed.trees[0].hidden == {("r", CHAIN_OBJECTS[1])}
+    assert nested_reading(trees)[3][0] == ("r#1", frozenset({"r#1"}), frozenset({("r", CHAIN_OBJECTS[1])}))
