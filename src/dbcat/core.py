@@ -42,24 +42,21 @@ class Record:
     A subclass's fields are its annotations, after its parent's; a class
     attribute of the same name is a default, and ``__post_init__`` runs once
     the fields are set.  Two instances of one class are equal when their
-    fields are, and hash as the field tuple.  Fields named by the class
-    keyword ``hidden`` take no part in equality, hashing or ``repr``.
+    fields are, and hash as the field tuple.
     """
 
     __slots__ = ()
-    _fields = _shown = ()
+    _fields = ()
 
-    def __init_subclass__(cls, hidden=(), **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        own = tuple(n for n in cls.__annotations__ if n not in cls._fields)
-        cls._fields = names = cls._fields + own
-        cls._shown = shown = cls._shown + tuple(n for n in own if n not in hidden)
+        cls._fields = names = cls._fields + tuple(n for n in cls.__annotations__ if n not in cls._fields)
         count, required = len(names), sum(not hasattr(cls, n) for n in names)
         if not all(hasattr(cls, n) for n in names[required:]):
             raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
         fallback = tuple(getattr(cls, n, None) for n in names)
-        post, get = getattr(cls, "__post_init__", None), shown and attrgetter(*shown)
-        key = get if len(shown) > 1 else (lambda self: (get(self),)) if shown else (lambda self: ())
+        post, get = getattr(cls, "__post_init__", None), names and attrgetter(*names)
+        key = get if count > 1 else (lambda self: (get(self),)) if names else (lambda self: ())
 
         def __init__(self, *args, **kwargs):
             given = len(args)
@@ -95,7 +92,7 @@ class Record:
         return self
 
     def __repr__(self):
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._shown)
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name, *value):
@@ -221,7 +218,7 @@ def format_closure(parts: Iterable[tuple], empty_key: tuple) -> list:
     order, each key and the report strings of its views, the empty view among
     them.  With no part, the empty view is reported at *empty_key*."""
     parts = sorted(parts, key=lambda p: p[:-1]) or [(*empty_key, frozenset())]
-    return [[*key, format_views(exts | {frozenset()})] for *key, exts in parts]
+    return [[*key, format_views([frozenset(), *exts])] for *key, exts in parts]
 
 
 class Relation(Record):

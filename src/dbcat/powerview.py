@@ -11,8 +11,7 @@ An unbounded closure, every nonempty subset of D^k for each arity k up to the
 bound (D the component's active domain) plus ``{()}`` when a seed holds it,
 is kept as that description (:class:`ClosedForm`), which verdicts compare and
 combine; only a report or ``extensions`` lists it.  Every bounded view lies
-in that closed form, so a term witnessing a view is built on demand from it
-at any bound.
+in that closed form.
 
 Operator basis per level: selections with a single column/column or
 column/constant condition (constants drawn from the component's active
@@ -42,7 +41,6 @@ from .core import (
     federate,
     format_closure,
     seed_pair,
-    tuple_key,
     value_key,
 )
 
@@ -81,21 +79,18 @@ def named_check(cid: str, verdict, *args):
         raise ViewBudgetExceeded(e.cap, e.views, e.level, e.component, e.pairs, check) from None
 
 
-class ViewSet(Record, hidden=("provenance",)):
+class ViewSet(Record):
     """Extensions of a bounded view closure, grouped by source component.
 
     ``components`` maps component id -> its nonempty extensions, a frozenset
     or, at fixpoint, a :class:`ClosedForm`; the empty view belongs to every
-    view set and is kept implicit.  ``provenance`` holds, per component, its
-    closure and the relation name of each seed extension, from which
-    :meth:`witness` builds terms; it never takes part in equality.
+    view set and is kept implicit.
     """
 
     components: tuple
     depth: int
     max_arity: int
     fixpoint: bool
-    provenance: tuple = ()
 
     def extensions(self) -> frozenset:
         """All extensions, untagged, including the empty view."""
@@ -111,22 +106,8 @@ class ViewSet(Record, hidden=("provenance",)):
         ext = frozenset(ext)
         return not ext or any(ext in exts for _, exts in self.components)
 
-    def __len__(self) -> int:
-        return len(self.extensions())
-
-    def witness(self, ext):
-        """A term over relation names evaluating to *ext*, taken from the
-        last component holding it; ``EmptyRel()`` for the empty view, which
-        every view set holds, and None for a view the set does not hold."""
-        from .queries import EmptyRel
-        ext = frozenset(ext)
-        if not ext:
-            return EmptyRel()
-        if any(ext in exts for _, exts in self.components):
-            for views, names in reversed(self.provenance):
-                if ext in views:
-                    return _witness_term(ext, names)
-        return None
+    def __len__(self) -> int:  # the empty view and the union of the closures, counted and never listed
+        return 1 + len(functools.reduce(or_, [exts for _, exts in self.components] or [EMPTY_EXT]))
 
     def serialize(self) -> list:
         """Deterministic nested-list form for reports and golden files."""
@@ -205,24 +186,6 @@ def _refine(colour: dict, other: dict, adjacent: dict) -> dict:
     return {x: rank[s] for x, s in sig.items()}
 
 
-def _witness_term(ext, names: dict):
-    """A term over relation names evaluating to *ext*, a view of the closure
-    of the seed extensions in *names* (seed extension -> relation name) at any
-    bound: select-project singletons ``{(c)}``, their products for each tuple,
-    and the union of the tuples."""
-    from .queries import BaseRel, ConstEq, Join, Project, Select, Union
-    if ext in names:
-        return BaseRel(names[ext])
-    singleton = {  # {(c)} from the first seed holding c, in ext_key order
-        c: Project(Select(BaseRel(names[s]), (ConstEq(i, c),)), (i,))
-        for s in sorted(names, key=ext_key, reverse=True)
-        for t in s
-        for i, c in enumerate(t)
-    }
-    rows = (functools.reduce(Join, map(singleton.get, t)) for t in sorted(ext, key=tuple_key))
-    return functools.reduce(Union, rows)
-
-
 class ClosedForm:
     """A closure at fixpoint, kept as its description: ``blocks[k - 1]`` is
     the antichain of maximal domains D at arity k, each standing for every
@@ -230,8 +193,8 @@ class ClosedForm:
     key drops empty and non-maximal domains and trailing empty arities, so
     descriptions are equal exactly when their views are, and equal only
     descriptions.  ``&`` and ``|`` of two, ``in``, ``len`` and ``bool`` read
-    the key; iterating lists the views once and keeps them, and ``&``, ``|``
-    and ``-`` with a plain set give a frozenset of that listing."""
+    the key; iterating lists the views once and keeps them, and ``-`` a set
+    gives a frozenset of that listing."""
 
     __slots__ = ("key", "_listing")
 
@@ -310,24 +273,15 @@ class ClosedForm:
         return iter(self.listing())
 
     def __and__(self, other):
-        if not isinstance(other, ClosedForm):
-            return self.listing() & other
         (na, a), (nb, b) = self.key, other.key
         return ClosedForm([[d & e for d in da for e in db] for da, db in zip(a, b)], na and nb)
 
     def __or__(self, other):
-        if not isinstance(other, ClosedForm):
-            return self.listing() | other
         (na, a), (nb, b) = self.key, other.key
         return ClosedForm(itertools.starmap(or_, itertools.zip_longest(a, b, fillvalue=frozenset())), na or nb)
 
-    __rand__, __ror__ = __and__, __or__
-
     def __sub__(self, other):
         return self.listing() - other
-
-    def __rsub__(self, other):
-        return other - self.listing()
 
 
 @functools.lru_cache(maxsize=MEMO_ENTRIES)
@@ -417,23 +371,22 @@ def close_seed_sets(groups: dict, depth, max_arity, cap):
     return closed, fixpoint
 
 
+def _closed(inst, depth, max_arity, cap) -> tuple:
+    """:func:`view_closure` and its seeds: component -> distinct nonempty extensions, grouped once."""
+    seeds: dict = {}
+    for r in inst.relations:
+        if r.tuples:
+            seeds.setdefault(inst.component_of(r.name), set()).add(r.tuples)
+    max_arity = max(max_arity, inst.max_arity())
+    components, fixpoint = close_seed_sets(seeds, depth, max_arity, cap)
+    return ViewSet(tuple(components), -1 if depth is None else depth, max_arity, fixpoint), seeds
+
+
 def view_closure(inst, depth=DEFAULT_DEPTH, max_arity=DEFAULT_MAX_ARITY, cap=DEFAULT_CAP) -> ViewSet:
     """All views of *inst* within the bounds, the width raised to its widest
     relation, for a verdict: ``depth=None`` runs to a true fixpoint, kept as
     uncounted descriptions, and the result records whether it got there."""
-    max_arity = max(max_arity, inst.max_arity())
-    names: dict = {}  # component -> {seed extension: the first relation holding it}
-    for r in inst.relations:
-        if r.tuples:
-            names.setdefault(inst.component_of(r.name), {}).setdefault(r.tuples, r.name)
-    components, fixpoint = close_seed_sets(names, depth, max_arity, cap)
-    return ViewSet(
-        components=tuple(components),
-        depth=-1 if depth is None else depth,
-        max_arity=max_arity,
-        fixpoint=fixpoint,
-        provenance=tuple((views, names[comp]) for comp, views in components),
-    )
+    return _closed(inst, depth, max_arity, cap)[0]
 
 
 def power_view(
@@ -444,12 +397,12 @@ def power_view(
 ) -> ViewSet:
     """:func:`view_closure`, to be listed: *cap* bounds the new views summed over
     all components; one past it alone is enumerated to the level it passes it."""
-    vs = view_closure(inst, depth, max_arity, cap)
+    vs, seeds = _closed(inst, depth, max_arity, cap)
     added = 0
-    for (comp, views), (_, names) in zip(vs.components, vs.provenance):
-        if isinstance(views, ClosedForm) and views.past(cap + len(names)):
-            close_seed_sets({comp: names}, cap + 1, vs.max_arity, cap)  # raises: each level before a fixpoint adds a view
-        added += len(views) - len(names)
+    for comp, views in vs.components:
+        if isinstance(views, ClosedForm) and views.past(cap + len(seeds[comp])):
+            close_seed_sets({comp: seeds[comp]}, cap + 1, vs.max_arity, cap)  # raises: each level before a fixpoint adds a view
+        added += len(views) - len(seeds[comp])
         if added > cap:
             raise ViewBudgetExceeded(cap, added, component=comp)
     return vs
@@ -515,7 +468,6 @@ def matching(
         depth=va.depth,
         max_arity=m,
         fixpoint=va.fixpoint and vb.fixpoint,
-        provenance=va.provenance,
     )
 
 

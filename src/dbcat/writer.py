@@ -6,7 +6,7 @@ from contextlib import suppress
 from .core import DbcatError, Sentinel, format_value, tuple_key
 from .dsl import Workspace, parse_workspace_text
 from .schemas import EmptyTerm, SAtom, SchemaTerm, SepTerm
-from .syntax import Egd, RelAtom, Rule, Var
+from .syntax import Const, Egd, RelAtom, Rule, Tgd, Var
 
 
 def _fmt_value(v) -> str:
@@ -26,6 +26,12 @@ def _fmt_atom(a) -> str:
     if isinstance(a, RelAtom):
         return f"{a.name}({','.join(_fmt_term_arg(x) for x in a.args)})"
     return f"{_fmt_term_arg(a.left)} {a.op} {_fmt_term_arg(a.right)}"
+
+
+def _holds_sentinel(atoms) -> bool:
+    """Whether an atom of *atoms* holds a sentinel constant, which the text cannot write."""
+    args = (t for a in atoms for t in (a.args if isinstance(a, RelAtom) else (a.left, a.right)))
+    return any(isinstance(t, Const) and isinstance(t.value, Sentinel) for t in args)
 
 
 def _fmt_atoms(atoms) -> str:
@@ -63,12 +69,14 @@ def _fmt_schema_term(t: SchemaTerm, ws: Workspace) -> str:
 
 
 def serialize_workspace(ws: Workspace) -> str:
-    """Deterministic text for a workspace; parsing it back gives an equal one, or
-    a DbcatError names the instance holding a sentinel, which the text cannot
-    write, or the graph that would read back as another graph."""
+    """Deterministic text for a workspace; parsing it back gives an equal one, or a
+    DbcatError names the schema, mapping or instance holding a sentinel, which the
+    text cannot write, or the graph that would read back as another graph."""
     out = []
     for name in sorted(ws.schemas):
         s = ws.schemas[name]
+        if _holds_sentinel(a for c in s.constraints.items for a in c.left + (c.right if isinstance(c, Tgd) else ())):
+            raise DbcatError(f"schema {name} cannot be written: a constraint holds a sentinel constant")
         out.append(f"schema {name} {{")
         for rel, arity in s.relsymbols:
             out.append(f"  {rel}/{arity}.")
@@ -88,6 +96,8 @@ def serialize_workspace(ws: Workspace) -> str:
         out.append("}")
     for name in sorted(ws.mappings):
         m = ws.mappings[name]
+        if _holds_sentinel(a for pair in m.pairs for a in pair.lhs.body + pair.rhs.body):
+            raise DbcatError(f"mapping {name} cannot be written: a rule holds a sentinel constant")
         out.append(f"mapping {name} : {m.source_name} -> {m.target_name} {{")
         for pair in m.pairs:
             if pair.rhs_bare:

@@ -7,6 +7,7 @@ instead of growing level sets.  Generators are seeded and deterministic.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections import Counter
@@ -22,7 +23,7 @@ from dbcat.core import (
     tuple_key,
     value_key,
 )
-from dbcat.queries import Builtin, Const, RelAtom, Rule, Var
+from dbcat.queries import BaseRel, Builtin, Const, ConstEq, EmptyRel, Join, Project, RelAtom, Rule, Select, Union, Var
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +228,29 @@ def closed_form_views(inst: Instance, max_arity: int) -> dict:
             views.update(frozenset(t for i, t in enumerate(rows) if mask >> i & 1) for mask in range(1, 2 ** len(rows)))
         out[comp] = frozenset(views)
     return out
+
+
+def view_term(ext, inst: Instance, comp):
+    """A select/project/product/union term over the relations of component
+    *comp* of *inst* that evaluates to the view *ext* when *ext* lies in that
+    component's closure: ``EmptyRel()`` for the empty view, a relation
+    holding exactly *ext*, or else the union over the tuples of *ext* of
+    products of singletons ``{(c)}``, each the first relation in name order
+    holding c selected on c and projected onto that column.  A value of *ext*
+    outside the component raises ``KeyError``."""
+    if not ext:
+        return EmptyRel()
+    rels = [r for r in inst.relations if inst.component_of(r.name) == comp]
+    for r in rels:
+        if r.tuples == ext:
+            return BaseRel(r.name)
+    singleton = {}
+    for r in rels:
+        for t in sorted(r.tuples, key=tuple_key):
+            for i, c in enumerate(t):
+                singleton.setdefault(c, Project(Select(BaseRel(r.name), (ConstEq(i, c),)), (i,)))
+    rows = [functools.reduce(Join, [singleton[c] for c in t]) for t in sorted(ext, key=tuple_key)]
+    return functools.reduce(Union, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -43,3 +43,6 @@ def test_memo_traffic_lists_every_memo_of_both_traffics():
         assert int(rows[traffic, "powerview._PV_CACHE"][1]) <= MEMO_ENTRIES
     assert len(rows) == 2 * (len(decorated) + 1)
     assert rows["cli", "powerview.close_component"] == ["57/71", "3"]  # at most 3 seed sets per command
+    assert rows["cli", "powerview._PV_CACHE"] == ["2/6", "4"]  # counted by wrapping power_view_cached
+    hits, calls = map(int, rows["closures", "powerview._PV_CACHE"][0].split("/"))
+    assert 0 < hits < calls and calls > MEMO_ENTRIES

@@ -224,6 +224,29 @@ def test_an_instance_holding_a_sentinel_is_refused(graphs):
         serialize_workspace(ws)
 
 
+@pytest.mark.parametrize("owner", ["mapping left", "mapping right", "schema"])
+def test_a_rule_or_constraint_holding_a_sentinel_is_refused(owner):
+    # '#B' in a rule or constraint reads back as a comment, as in an instance
+    from dbcat.core import SENTINEL_A, SENTINEL_B
+    from dbcat.schemas import Schema, SchemaMapping, make_pair
+    from dbcat.syntax import Builtin, RelAtom, Rule, Sentence
+
+    X = Var("X")
+    ws = parse_workspace_text(BRANCHED)
+    r, s, guard = RelAtom("r", (X,)), RelAtom("s", (X,)), Builtin("=", X, Const(SENTINEL_B))
+    if owner == "schema":
+        ws.schemas["S"] = Schema("S", (("r", 1), ("s", 1)), Sentence((Tgd(("X",), (r, guard), (s,)),)))
+    elif owner == "mapping left":
+        pair = make_pair(Rule("q", (X,), (r, guard)), s)
+    else:
+        pair = make_pair(Rule("q", (X,), (r,)), Rule("p", (X,), (s, Builtin("<=", Const(SENTINEL_A), X))))
+    if owner != "schema":
+        ws.mappings["M"] = SchemaMapping("M", "A", "B", ws.term("A"), ws.term("B"), (pair,))
+    what = "schema S cannot be written: a constraint" if owner == "schema" else "mapping M cannot be written: a rule"
+    with pytest.raises(DbcatError, match=f"^{what} holds a sentinel constant$"):
+        serialize_workspace(ws)
+
+
 def test_comments_and_whitespace_ignored():
     ws = parse_workspace_text("# hello\nschema A { # inline\n r/1. }\n")
     assert "A" in ws.schemas

@@ -21,7 +21,8 @@ from dbcat.powerview import (
     view_closure,
 )
 
-from oracles import enumerate_views, random_instance, sorted_closure_form
+from dbcat.queries import eval_spjru
+from oracles import enumerate_views, random_instance, sorted_closure_form, view_term
 
 EMPTY = frozenset()
 
@@ -165,6 +166,26 @@ def test_a_description_counts_its_views_past_len():
         power_view(make_instance({"r": [(1, 2, 3, 1)]}), None, 4, 100)
 
 
+def test_len_of_a_view_set_counts_each_view_once_and_lists_none(monkeypatch):
+    """One view in two components is one view: r(1) + s(1) at arity 1 holds
+    {} and {(1)}.  At fixpoint len() counts the descriptions' union; at
+    arity 3 over 3 values a listing would make 2**27 sets."""
+    overlap = disjoint_union(make_instance({"r": [(1,)]}), make_instance({"s": [(1,)]}))
+    a = make_instance({"r": [(1, 2), (2, 3)], "z": [()]})
+    for vs in (power_view(overlap, 2, 1), power_view(disjoint_union(a, a), 2, 2), power_view(a, 1, 3)):
+        assert len(vs) == len(vs.extensions())
+    assert len(power_view(overlap, 2, 1)) == 2
+
+    def refuse(self):
+        raise AssertionError("len() listed a description")
+
+    monkeypatch.setattr(powerview.ClosedForm, "listing", refuse)
+    assert len(view_closure(overlap, None, 1)) == 2
+    assert len(view_closure(disjoint_union(a, a), None, 2)) == 1 + 1 + (2**3 - 1) + (2**9 - 1)
+    assert len(view_closure(make_instance({"r": [(1, 2, 3)]}), None, 3)) == 1 + sum(2 ** (3**k) - 1 for k in (1, 2, 3))
+    assert len(matching(a, overlap, None, 1)) == 3  # {}, {(1)} and {(1,1)}: r widens it to arity 2
+
+
 def test_a_canonical_form_orders_descriptions_past_len():
     """Two channels of one part hold 82-bit descriptions: their keys are
     ordered by hash and exact form, never by a count."""
@@ -175,18 +196,25 @@ def test_a_canonical_form_orders_descriptions_past_len():
     assert powerview.canonical_form([(0, 0, wide[0]), (0, 1, wide[0])]) != one
 
 
-def test_fixpoint_witnesses_evaluate_back():
-    from dbcat.queries import eval_spjru
+def _assert_sound(vs, inst, sample=None, rng=None):
+    """Each view of each component of *vs* (or *sample* of them, drawn by
+    *rng*) is the answer of a select/project/product/union term over that
+    component's relations of *inst*: evaluation refuses a term that mixes
+    separated components."""
+    for comp, exts in vs.components:
+        views = sorted(exts, key=ext_key)
+        for ext in views if sample is None else rng.sample(views, min(sample, len(views))):
+            assert eval_spjru(view_term(ext, inst, comp), inst).tuples == ext, (comp, ext)
 
+
+def test_fixpoint_views_are_terms_over_their_component():
     rng = random.Random(4899)
     a = make_instance({"r": [(1, 2), (2, 3)], "z": [()]})
     b = make_instance({"s": [(2,), (5,)]})
     for inst in (a, disjoint_union(a, b)):
         vs = power_view(inst, None, 2)
-        exts = sorted(vs.extensions() - {EMPTY}, key=ext_key)
-        for ext in [frozenset({()}), frozenset({(5,)})] + rng.sample(exts, 60):
-            if ext in vs:
-                assert eval_spjru(vs.witness(ext), inst).tuples == ext, ext
+        assert frozenset({()}) in vs and (frozenset({(5,)}) in vs) == (inst is not a)
+        _assert_sound(vs, inst, 60, rng)
 
 
 def test_monotone_in_bounds():
@@ -358,21 +386,18 @@ def test_matching_examples():
     assert frozenset({(1,)}) in matching(a, b, 2, 2)
 
 
-def test_matching_witnesses_only_common_views():
-    from dbcat.queries import eval_spjru
-
+def test_matching_holds_only_views_of_both():
     a = make_instance({"r": [(1, 2)]})
     b = make_instance({"s": [(1,)]})
-    common = matching(a, b, 2, 2)
-    assert frozenset({(1, 2)}) not in common
-    assert common.witness({(1, 2)}) is None  # a view of a alone
-    assert frozenset({(1,)}) in common
-    assert eval_spjru(common.witness({(1,)}), a).tuples == {(1,)}
+    for depth in (2, None):
+        common = matching(a, b, depth, 2)
+        assert frozenset({(1, 2)}) not in common  # a view of a alone
+        assert frozenset({(1,)}) in common
+        for inst in (a, b):  # every shared view is a term over either input
+            _assert_sound(common, inst, 40, random.Random(1))
 
 
-def test_every_view_set_witnesses_the_empty_view():
-    from dbcat.queries import eval_spjru
-
+def test_every_view_set_holds_the_empty_view():
     a = make_instance({"r": [(1, 2), (2, 3)], "z": [()]})
     b = make_instance({"s": [(2,), (5,)]})
     sets = [
@@ -380,9 +405,9 @@ def test_every_view_set_witnesses_the_empty_view():
     ]
     sets.append((matching(a, b, 2, 2), a))
     for vs, inst in sets:
-        assert EMPTY in vs
+        assert EMPTY in vs and EMPTY not in {e for _, exts in vs.components for e in exts}
         for probe in (inst, bottom_instance()):
-            assert eval_spjru(vs.witness(EMPTY), probe).tuples == EMPTY
+            assert eval_spjru(view_term(EMPTY, inst, 0), probe).tuples == EMPTY
 
 
 def test_merging_examples():
@@ -436,25 +461,18 @@ def test_serialization_golden():
     ]
 
 
-def test_provenance_witnesses_evaluate_back(tmp_path):
-    from dbcat.queries import eval_spjru
-
+def test_bounded_views_are_terms_over_their_component():
     a = make_instance({"r": [(1, 2), (2, 3)]})
     vs = power_view(a, 2, 3)
-    checked = 0
-    for ext in sorted(vs.extensions(), key=lambda e: (len(e),))[:40]:
-        term = vs.witness(ext)
-        if term is not None:
-            assert eval_spjru(term, a).tuples == ext
-            checked += 1
-    assert checked > 5
+    assert len(vs) > 40
+    _assert_sound(vs, a, 40, random.Random(1104))
 
-    # a witness names the relations of one component, never of two
+    # a sum whose relations repeat a name: r#1 and r#2 hold one extension in two components
     b = make_instance({"s": [(2,), (5,)]})
     aba = disjoint_union(disjoint_union(a, b), a)
-    vs = power_view(aba, 1, 2)
-    for ext in vs.extensions() - {EMPTY}:
-        assert eval_spjru(vs.witness(ext), aba).tuples == ext
+    assert aba.names == ("r#1", "r#2", "s")
+    _assert_sound(power_view(aba, 1, 2), aba)  # every view
+    _assert_sound(power_view(aba, None, 2), aba, 80, random.Random(2))
 
 
 def _with_relations(inst, **rels):

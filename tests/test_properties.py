@@ -506,8 +506,7 @@ def test_a_fixpoint_closure_is_described_as_it_lists(x, y, candidates):
     for (d, ld), (e, le) in itertools.product(forms.items(), repeat=2):
         assert frozenset(d & e) == ld & le and frozenset(d | e) == ld | le
         assert len(d & e) == len(ld & le) and bool(d & e) == bool(ld & le)
-        assert d & le == le & d == ld & le and d | le == le | d == ld | le
-        assert d - le == ld - le and le - d == le - ld and d - e == ld - le
+        assert d - le == ld - le
         assert (d == e) == (ld == le) and (d != e) == (ld != le)
         assert d != ld and (d != e or hash(d) == hash(e))
 

@@ -3,8 +3,9 @@
     python3 tools/memo_traffic.py [SEED]
 
 Run it at the root of the repository.  A memo is a ``functools`` cache
-defined in a loaded ``dbcat`` module; ``powerview._PV_CACHE`` keeps no
-counts and shows its size alone.  Two traffics run in this process: ``cli``,
+defined in a loaded ``dbcat`` module, or ``powerview._PV_CACHE``, which keeps
+no counts: the tool wraps ``powerview.power_view_cached`` in this process and
+counts a call whose key the memo holds as a hit.  Two traffics run here: ``cli``,
 the benchmark's 20 golden commands (``CLI_COMMANDS`` at both bounds) through
 ``dbcat.cli.main``, every memo cleared before each, and ``closures``, two
 passes of that workload (seed 4242 unless given) with its ops run bare.
@@ -28,6 +29,18 @@ from dbcat.cli import main as cli_main  # noqa: E402
 PV_CACHE = "powerview._PV_CACHE"
 
 
+class Counted:
+    """``power_view_cached`` counting its calls, and as hits those whose key is stored."""
+
+    def __init__(self, fn):
+        self.fn, self.hits, self.calls = fn, 0, 0
+
+    def __call__(self, inst, depth, max_arity, cap=powerview.DEFAULT_CAP):
+        self.calls += 1
+        self.hits += (inst, depth, max_arity, cap) in powerview._PV_CACHE
+        return self.fn(inst, depth, max_arity, cap)
+
+
 def memos() -> dict:
     """Each functools memo of the loaded dbcat modules, by qualified name."""
     return {f"{name.removeprefix('dbcat.')}.{fn.__qualname__}": fn for name, module in list(sys.modules.items())
@@ -35,16 +48,17 @@ def memos() -> dict:
             if hasattr(fn, "cache_info") and fn.__module__ == name}
 
 
-def clear():
+def clear(pv: Counted):
     for fn in memos().values():
         fn.cache_clear()
     powerview._PV_CACHE.clear()
+    pv.hits = pv.calls = 0
 
 
-def counts() -> dict:
-    """(hits, calls, size) of every memo."""
+def counts(pv: Counted) -> dict:
+    """(hits, calls, size) of every memo, *pv* counting ``_PV_CACHE``."""
     out = {name: (i.hits, i.hits + i.misses, i.currsize) for name, fn in memos().items() for i in [fn.cache_info()]}
-    return {**out, PV_CACHE: (0, 0, len(powerview._PV_CACHE))}
+    return {**out, PV_CACHE: (pv.hits, pv.calls, len(powerview._PV_CACHE))}
 
 
 class Bare:
@@ -59,22 +73,23 @@ class Bare:
 
 
 def main() -> int:
+    pv = powerview.power_view_cached = Counted(powerview.power_view_cached)
     cli: dict = {}
     for command, workspace, args in workloads.CLI_COMMANDS:
         for bound in workloads.CLI_BOUNDS:
-            clear()
+            clear(pv)
             with contextlib.redirect_stdout(io.StringIO()):
                 cli_main(workloads.cli_argv(command, workspace, args, bound))
-            for name, (hits, calls, size) in counts().items():
+            for name, (hits, calls, size) in counts(pv).items():
                 h, c, s = cli.get(name, (0, 0, 0))
                 cli[name] = (h + hits, c + calls, max(s, size))
     state = workloads.closures_setup(int(sys.argv[1]) if len(sys.argv) > 1 else 4242)
-    clear()
+    clear(pv)
     for index in range(2):
         workloads.closures_pass(Bare(), state, workloads.closures_inputs(state, index))
-    for traffic, table in (("cli", cli), ("closures", counts())):
+    for traffic, table in (("cli", cli), ("closures", counts(pv))):
         for name, (hits, calls, size) in sorted(table.items()):
-            print(f"{traffic:<10}{name:<32}{'-' if name == PV_CACHE else f'{hits}/{calls}':>12}{size:>8}")
+            print(f"{traffic:<10}{name:<32}{f'{hits}/{calls}':>12}{size:>8}")
     return 0
 
 
