@@ -50,7 +50,8 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields = names = cls._fields + tuple(n for n in cls.__annotations__ if n not in cls._fields)
+        own = tuple(n for n in cls.__annotations__ if n not in cls._fields)
+        cls._fields = names = cls._fields + own
         count, required = len(names), sum(not hasattr(cls, n) for n in names)
         if not all(hasattr(cls, n) for n in names[required:]):
             raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")

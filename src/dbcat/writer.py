@@ -6,7 +6,8 @@ from contextlib import suppress
 from .core import DbcatError, Sentinel, format_value, tuple_key
 from .dsl import Workspace, parse_workspace_text
 from .schemas import EmptyTerm, SAtom, SchemaTerm, SepTerm
-from .syntax import Const, Egd, RelAtom, Rule, Tgd, Var
+from .rules import atom_constants
+from .syntax import Egd, RelAtom, Rule, Tgd, Var
 
 
 def _fmt_value(v) -> str:
@@ -30,8 +31,7 @@ def _fmt_atom(a) -> str:
 
 def _holds_sentinel(atoms) -> bool:
     """Whether an atom of *atoms* holds a sentinel constant, which the text cannot write."""
-    args = (t for a in atoms for t in (a.args if isinstance(a, RelAtom) else (a.left, a.right)))
-    return any(isinstance(t, Const) and isinstance(t.value, Sentinel) for t in args)
+    return any(isinstance(v, Sentinel) for v in atom_constants(atoms))
 
 
 def _fmt_atoms(atoms) -> str:
