@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Collection, Iterable, Mapping, Sequence
 from functools import cached_property, lru_cache
+from itertools import chain
 from operator import attrgetter, itemgetter
 
 
@@ -219,7 +220,7 @@ def format_closure(parts: Iterable[tuple], empty_key: tuple) -> list:
     order, each key and the report strings of its views, the empty view among
     them.  With no part, the empty view is reported at *empty_key*."""
     parts = sorted(parts, key=lambda p: p[:-1]) or [(*empty_key, frozenset())]
-    return [[*key, format_views([frozenset(), *exts])] for *key, exts in parts]
+    return [[*key, format_views(chain((frozenset(),), exts))] for *key, exts in parts]  # a list display would ask len()
 
 
 class Relation(Record):

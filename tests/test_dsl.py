@@ -3,13 +3,15 @@ import re
 import pytest
 
 from dbcat.constraints import Egd, Tgd
-from dbcat.core import DbcatError
+from dbcat.core import DbcatError, make_instance
 from dbcat.dsl import (
     ParseError,
     parse_rule_text,
     parse_workspace_text,
 )
-from dbcat.queries import Const, Var
+from dbcat.queries import Const, RelAtom, Var
+from dbcat.schemas import Schema
+from dbcat.syntax import Sentence
 from dbcat.writer import serialize_workspace
 
 DEMO = """
@@ -205,7 +207,7 @@ def test_a_graph_that_would_read_back_as_another_is_refused(case):
         "untouched node": mapping_graph("G", {"A": m1.source, "B": m1.target, "Z": ws.term("Z")}, [m1]),
     }[case]
     before = {kind: dict(pool) for kind, pool in vars(ws).items()}
-    with pytest.raises(DbcatError, match="^graph G cannot be written: its lines would read back as a different graph$"):
+    with pytest.raises(DbcatError, match="^graph G cannot be written: it would read back as a different graph$"):
         serialize_workspace(ws)
     assert vars(ws) == before and ws.graphs["G"] is g  # the check reads the workspace and leaves it as it was
     if case == "branch first":  # what its lines would give
@@ -220,7 +222,7 @@ def test_an_instance_holding_a_sentinel_is_refused(graphs):
 
     ws = parse_workspace_text(BRANCHED + ("graph G { use M1. }" if graphs else ""))
     ws.instances["X"] = ("A", make_instance({"r": [(1,), (SENTINEL_A,)]}))
-    with pytest.raises(DbcatError, match="^instance X cannot be written: relation r holds a sentinel value$"):
+    with pytest.raises(DbcatError, match=r"^instance X cannot be written: line 4, column 1: expected a value \(found '}'\)$"):
         serialize_workspace(ws)
 
 
@@ -242,9 +244,73 @@ def test_a_rule_or_constraint_holding_a_sentinel_is_refused(owner):
         pair = make_pair(Rule("q", (X,), (r,)), Rule("p", (X,), (s, Builtin("<=", Const(SENTINEL_A), X))))
     if owner != "schema":
         ws.mappings["M"] = SchemaMapping("M", "A", "B", ws.term("A"), ws.term("B"), (pair,))
-    what = "schema S cannot be written: a constraint" if owner == "schema" else "mapping M cannot be written: a rule"
-    with pytest.raises(DbcatError, match=f"^{what} holds a sentinel constant$"):
+    what = "schema S cannot be written: line 5" if owner == "schema" else "mapping M cannot be written: line 3"
+    with pytest.raises(DbcatError, match=rf"^{what}, column 1: expected a value \(found '}}'\)$"):
         serialize_workspace(ws)
+
+
+X, Y = Var("X"), Var("Y")
+# Records the text cannot say, or would say as other records: each case
+# puts one statement into BRANCHED with ``compose D = A sep B`` added.
+UNWRITABLE = {
+    "nullary relation": (
+        "schema", "S", lambda: Schema("S", (("r", 0),)),
+        "line 2, column 5: relation arity must be positive (found '0')",
+    ),
+    "existential right": (
+        "schema", "S",
+        lambda: Schema("S", (("r", 1), ("t", 2)), Sentence((Tgd(("X",), (RelAtom("r", (X,)),), (RelAtom("t", (X, Y)),)),))),
+        "line 4, column 38: existential variables ['Y'] must be declared with 'exists' (found '.')",
+    ),
+    "reserved relation": ("schema", "S", lambda: Schema("S", (("use", 1),)), "line 2, column 3: 'use' is a reserved word"),
+    "uppercase relation": (
+        "schema", "S", lambda: Schema("S", (("R", 1),)),
+        "line 2, column 3: relation names start lowercase (uppercase means a variable)",
+    ),
+    "reserved schema": ("schema", "graph", lambda: Schema("graph", (("r", 1),)), "line 1, column 8: 'graph' is a reserved word"),
+    "foreign relation": (
+        "instance", "X", lambda: ("A", make_instance({"z": [(1,)]})), "line 2, column 3: relation 'z' is not part of A"
+    ),
+    "not weakly full": (
+        "schema", "S",
+        lambda: Schema("S", (("r", 1), ("s", 1)), Sentence((Tgd(("X",), (RelAtom("r", (X,)),), (RelAtom("s", (X,)),)),))),
+        None,
+    ),
+    "moved partition": ("instance", "X", lambda: ("D", make_instance({"r": [(1,)], "s": [(2,)]})), None),
+}
+
+
+@pytest.mark.parametrize("case", UNWRITABLE)
+def test_a_statement_that_would_not_read_back_as_itself_is_refused_by_name(case):
+    kind, name, make, parse_message = UNWRITABLE[case]
+    ws = parse_workspace_text(BRANCHED + "compose D = A sep B\n")
+    getattr(ws, kind + "s")[name] = made = make()
+    before = {pool_name: dict(pool) for pool_name, pool in vars(ws).items()}
+    with pytest.raises(DbcatError) as exc:
+        serialize_workspace(ws)
+    reason = parse_message or f"it would read back as a different {kind}"
+    assert str(exc.value) == f"{kind} {name} cannot be written: {reason}"
+    assert isinstance(exc.value.__cause__, ParseError) == bool(parse_message)
+    assert vars(ws) == before and getattr(ws, kind + "s")[name] is made
+
+
+def test_compositions_are_written_in_the_order_they_were_declared():
+    # Z sorts after Y, but Y names Z: written by name, Y would come first and not parse
+    ws = parse_workspace_text(
+        "schema A { r/1. } schema B { s/1. } compose Z = A sep B compose Y = Z fed A instance Y0 of Y { r#1(1). }"
+    )
+    out = serialize_workspace(ws)
+    assert "compose Z = (A sep B)\ncompose Y = (Z fed A)\n" in out
+    again = parse_workspace_text(out)
+    assert again == ws and serialize_workspace(again) == out
+
+
+def test_a_composition_declared_as_another_is_written_as_its_name():
+    ws = parse_workspace_text("schema A { r/1. } compose Z = A sep A compose Y = Z compose X = Y fed A")
+    out = serialize_workspace(ws)
+    assert "compose Z = (A sep A)\ncompose Y = Z\ncompose X = (Y fed A)\n" in out
+    again = parse_workspace_text(out)
+    assert again == ws and again.composes["Y"] is again.composes["Z"] is again.composes["X"].left
 
 
 def test_comments_and_whitespace_ignored():

@@ -186,6 +186,18 @@ def test_len_of_a_view_set_counts_each_view_once_and_lists_none(monkeypatch):
     assert len(matching(a, overlap, None, 1)) == 3  # {}, {(1)} and {(1,1)}: r widens it to arity 2
 
 
+def test_a_description_is_reported_without_asking_its_len(monkeypatch):
+    """The report lists a description's views; it never counts them first."""
+
+    def refuse(self):
+        raise AssertionError("the report asked len() of a description")
+
+    monkeypatch.setattr(powerview.ClosedForm, "__len__", refuse)
+    vs = view_closure(make_instance({"r": [(1,), (2,)], "s": [(3,)]}, partition={"r": 0, "s": 1}), None, 1)
+    assert {type(exts) for _, exts in vs.components} == {powerview.ClosedForm}
+    assert vs.serialize() == [[0, ["{}", "{(1)}", "{(1) (2)}", "{(2)}"]], [1, ["{}", "{(3)}"]]]
+
+
 def test_a_canonical_form_orders_descriptions_past_len():
     """Two channels of one part hold 82-bit descriptions: their keys are
     ordered by hash and exact form, never by a count."""

@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 
 from hypothesis import HealthCheck, assume, example, given, settings
 
-from dbcat.constraints import Egd, Tgd, check_egd, check_tgd, find_egd_violation, find_tgd_violation
+from dbcat.constraints import Egd, Sentence, Tgd, check_egd, check_tgd, find_egd_violation, find_tgd_violation
 from dbcat import core
 from dbcat.core import (
     BOT,
@@ -22,6 +22,7 @@ from dbcat.core import (
     make_instance,
     qualified_names,
 )
+from dbcat.dsl import Workspace, parse_workspace_text
 from dbcat.interpret import interpret_term, interpretation
 from dbcat.category import (
     Flux,
@@ -49,7 +50,8 @@ from dbcat.powerview import (
     power_view_cached,
 )
 from dbcat.queries import Builtin, Const, RelAtom, Rule, Var, eval_rule, eval_spjru, rule, rule_to_spjru
-from dbcat.schemas import EMPTY_SCHEMA, SAtom, Schema, fed, schema_identity, sep
+from dbcat.schemas import EMPTY_SCHEMA, SAtom, Schema, fed, schema_identity, sep, term_layout
+from dbcat.writer import serialize_workspace
 
 from oracles import (
     brute_force_egd,
@@ -769,3 +771,148 @@ def test_the_chain_example_sums_a_hidden_leaf_under_a_renamed_one():
     assert summed.parts[0] == "sum" and summed.kind == "p-arrow"
     assert summed.trees[0].opens == {"r#1"} and summed.trees[0].hidden == {("r", CHAIN_OBJECTS[1])}
     assert nested_reading(trees)[3][0] == ("r#1", frozenset({"r#1"}), frozenset({("r", CHAIN_OBJECTS[1])}))
+
+
+# -- workspaces as DSL text ----------------------------------------------------
+
+DSL_VALUES = ("0", "1", "-2", "''", "'a'", "'it\\'s'", "'a\\\\b'")
+
+
+def _pick(draw, items):
+    """One of *items*, drawn by its index: an integer strategy is cached, a sampled one is built on each call."""
+    items = tuple(items)
+    return items[draw(st.integers(0, len(items) - 1))]
+
+
+def _dsl_atom(draw, rels: dict, variables="XY") -> tuple:
+    """A relation atom over one of *rels*: its text and its variables in order."""
+    rel = _pick(draw, sorted(rels))
+    args = [_pick(draw, variables) for _ in range(rels[rel])]
+    return f"{rel}({','.join(args)})", list(dict.fromkeys(args))
+
+
+def _dsl_schema(draw, name: str) -> str:
+    """One to three relations of arity 1–2, with weakly full TGDs and EGDs over them."""
+    rels = {rel: draw(st.integers(1, 2)) for rel in "rst"[: draw(st.integers(1, 3))]}
+    items = [f"{rel}/{arity}." for rel, arity in rels.items()]
+    for _ in range(draw(st.integers(0, 2))):
+        left = [_dsl_atom(draw, rels) for _ in range(draw(st.integers(1, 2)))]
+        used = sorted({v for _, vs in left for v in vs})
+        if draw(st.booleans()):  # an EGD
+            right = f"{_pick(draw, used)} = {_pick(draw, used)}"
+        else:  # a weakly full TGD: every variable is universal
+            right = _dsl_atom(draw, rels, used)[0]
+        items.append(f"constraint forall {','.join(used)}: {', '.join(a for a, _ in left)} => {right}.")
+    return f"schema {name} {{ {' '.join(items)} }}"
+
+
+def _dsl_term(draw, schemas: list, composes: list, depth: int = 2) -> str:
+    """``(left op right)``, each side a leaf or, while *depth* lasts, such a
+    term; a leaf is as often an earlier composition as a schema or ``empty``."""
+
+    def side() -> str:
+        if depth > 1 and draw(st.booleans()):
+            return _dsl_term(draw, schemas, composes, depth - 1)
+        return _pick(draw, composes if composes and draw(st.booleans()) else [*schemas, "empty"])
+
+    return f"({side()} {_pick(draw, ('sep', 'fed'))} {side()})"
+
+
+def _dsl_pair(draw, source: dict, target: dict) -> str:
+    """A mapping line: a query over *source* (perhaps guarded by a value) and a
+    query or bare right side over *target*, a bare one perhaps fresh."""
+    lhs, lvars = _dsl_atom(draw, source)
+    if draw(st.booleans()):
+        lhs += f", {_pick(draw, lvars)} {_pick(draw, ('=', '<='))} {_pick(draw, DSL_VALUES)}"
+    if target and draw(st.booleans()):
+        rhs, rvars = _dsl_atom(draw, target, "UV")
+        width = draw(st.integers(1, min(len(lvars), len(rvars))))
+        rhs = f"p({','.join(rvars[:width])}) :- {rhs}"
+    else:
+        width = draw(st.integers(1, len(lvars)))
+        rhs = f"{_pick(draw, [r for r, a in target.items() if a == width] + ['n'])}({','.join('UV'[:width])})"
+    return f"q({','.join(lvars[:width])}) :- {lhs} => {rhs}."
+
+
+@st.composite
+def workspace_texts(draw) -> str:
+    """DSL text of a workspace: schemas, compositions that name earlier ones
+    whatever their names sort to, instances of ints and of strings holding a
+    quote or a backslash, mappings, and graphs of ``use``, ``after`` and ``branch``."""
+    # A reversed pool: even a near-identity permutation names a later composition with an earlier letter.
+    names, ws, statements = iter(draw(st.permutations("NMLKJIHGFEDCBA"))), Workspace(), []
+
+    def declare(text: str):
+        parse_workspace_text(text, ws)  # read as it goes, so that later statements see each term's relations
+        statements.append(text)
+
+    def relsymbols(term: str) -> dict:
+        return term_layout(ws.term(term)).relsymbols()
+
+    for _ in range(draw(st.integers(1, 3))):
+        declare(_dsl_schema(draw, next(names)))
+    for _ in range(draw(st.integers(1, 3))):
+        declare(f"compose {next(names)} = {_dsl_term(draw, [*ws.schemas], [*ws.composes])}")
+    terms = [*ws.schemas, *ws.composes]
+    for _ in range(draw(st.integers(0, 2))):
+        term = _pick(draw, terms)
+        rels, rows = relsymbols(term), []
+        for _ in range(draw(st.integers(0, 3)) if rels else 0):
+            rel = _pick(draw, sorted(rels))
+            rows.append(f"{rel}({','.join(_pick(draw, DSL_VALUES) for _ in range(rels[rel]))}).")
+        declare(f"instance {next(names)} of {term} {{ {' '.join(rows)} }}")
+    for _ in range(draw(st.integers(0, 3))):
+        src, tgt = _pick(draw, terms), _pick(draw, terms)
+        pairs = [_dsl_pair(draw, relsymbols(src), relsymbols(tgt)) for _ in range(draw(st.integers(0, 2)) if relsymbols(src) else 0)]
+        exact = " exact." if draw(st.booleans()) else ""
+        declare(f"mapping {next(names)} : {src} -> {tgt} {{ {' '.join(pairs)}{exact} }}")
+    ms = ws.mappings.values()
+    lines = [f"use {m.name}." for m in ms]
+    lines += [f"{n.name} after {m.name}." for m in ms for n in ms if m.target_name == n.source_name]
+    lines += [f"{m.name} branch {n.name}." for m in ms for n in ms if m.source_name == n.source_name]
+    for _ in range(draw(st.integers(0, 2)) if lines else 0):
+        declare(f"graph {next(names)} {{ {' '.join(_pick(draw, lines) for _ in range(draw(st.integers(0, 3))))} }}")
+    return "\n".join(statements)
+
+
+def _edit_statement(draw, ws) -> tuple:
+    """Edit one statement of *ws* through the records into one the text
+    cannot say or would say as another: ``(kind, name)`` of the statement."""
+    insts = [n for n, (_, inst) in ws.instances.items() if inst.relations]
+    tgds = [n for n, s in ws.schemas.items() if any(isinstance(c, Tgd) for c in s.constraints.items)]
+    edit = _pick(draw, ["nullary relation"] + ["sentinel", "moved partition"] * bool(insts) + ["not weakly full"] * bool(tgds))
+    if edit in ("sentinel", "moved partition"):
+        name = _pick(draw, insts)
+        term, inst = ws.instances[name]
+        first, *rest = inst.relations
+        if edit == "sentinel":
+            first = Relation(first.name, first.arity, first.tuples | {(SENTINEL_A,) * first.arity})
+            ws.instances[name] = (term, Instance((first, *rest), inst.partition))
+        else:
+            moved = tuple((rel, comp + (rel == first.name)) for rel, comp in inst.partition)
+            ws.instances[name] = (term, Instance(inst.relations, moved))
+        return "instance", name
+    name = _pick(draw, tgds if edit == "not weakly full" else sorted(ws.schemas))
+    s = ws.schemas[name]
+    if edit == "nullary relation":
+        ws.schemas[name] = Schema(name, (*s.relsymbols, ("z", 0)), s.constraints)
+    else:
+        items = tuple(Tgd(c.universal, c.left, c.right) if isinstance(c, Tgd) else c for c in s.constraints.items)
+        ws.schemas[name] = Schema(name, s.relsymbols, Sentence(items))
+    return "schema", name
+
+
+@settings(max_examples=60, deadline=None)
+@given(workspace_texts(), st.data())
+def test_a_parsed_workspace_round_trips_and_an_edited_one_round_trips_or_is_refused_by_name(text, data):
+    ws = parse_workspace_text(text)
+    out = serialize_workspace(ws)
+    again = parse_workspace_text(out)
+    assert again == ws and serialize_workspace(again) == out
+    kind, name = _edit_statement(data.draw, again)
+    try:
+        edited = serialize_workspace(again)
+    except core.DbcatError as exc:
+        assert str(exc).startswith(f"{kind} {name} cannot be written: ")
+    else:
+        assert parse_workspace_text(edited) == again
