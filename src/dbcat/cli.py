@@ -74,11 +74,9 @@ def _mapping_morphism(ws: Workspace, mapping_name: str, src: str, tgt: str):
     mode = "exact" if m.exact else "inclusion"
     vms = []
     for p in m.pairs:
-        if not target.has(p.rhs_name):
-            raise DbcatError(
-                f"mapping {mapping_name}: right side {p.rhs_name!r} is not a "
-                f"relation of instance {tgt!r}"
-            )
+        if not (p.rhs_bare and target.has(p.rhs_name)):
+            what = "is not a relation" if p.rhs_bare else "is a query, not a relation"
+            raise DbcatError(f"mapping {mapping_name}: right side {p.rhs_name!r} {what} of instance {tgt!r}")
         vms.append(ViewMap(p.lhs, p.rhs_name, mode))
     return make_atomic(vms, source, target)
 
@@ -147,7 +145,7 @@ def run(command: str, args, ws: Workspace, depth, max_arity, cap) -> Verdicts:
         lines += report.checks
         lines.append(("model", report.passed, "interpretation is a model" if report.passed else "not a model"))
     elif command == "check-functor":
-        report = interpret.check_functor(alpha, sketch, depth, max_arity, cap)
+        report = interpret.check_functor(alpha, sketch)
         lines += report.checks
         detail = "interpretation extends to a functor" if report.passed else "functorial requirement fails"
         lines.append(("functor", report.passed, detail))

@@ -24,6 +24,7 @@ from operator import attrgetter, itemgetter
 DEFAULT_DEPTH = 2
 DEFAULT_MAX_ARITY = 4
 DEFAULT_CAP = 100_000
+MEMO_ENTRIES = 64  # entries per memo; tools/memo_traffic.py shows what each one holds
 
 
 class DbcatError(Exception):
@@ -417,7 +418,7 @@ def _leaf_key(entry: tuple) -> tuple:
     return (base, bool(k), not k.isdecimal(), int(k) if k.isdecimal() else 0, k)
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=MEMO_ENTRIES)
 def _sum_layout(pa: tuple, pb: tuple) -> tuple:
     """The layout of the sums of summands partitioned as *pa* and *pb*, worked out
     once per shape: each relation's (new name, side, old name, new component) in

@@ -147,8 +147,8 @@ class Workspace:
     def __init__(self):
         self.schemas, self.composes, self.instances, self.mappings, self.graphs = {}, {}, {}, {}, {}
 
-    def __eq__(self, other):
-        return isinstance(other, Workspace) and vars(self) == vars(other)
+    def __eq__(self, other):  # compositions in declaration order, the order they are written in
+        return isinstance(other, Workspace) and vars(self) == vars(other) and [*self.composes] == [*other.composes]
 
     def term(self, name: str, tok: Token | None = None) -> SchemaTerm:
         """The schema term *name* refers to; an unknown name is a

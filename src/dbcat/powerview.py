@@ -28,7 +28,7 @@ import itertools
 import sys
 from operator import add, eq, itemgetter, or_
 
-from .core import DEFAULT_CAP, DEFAULT_DEPTH, DEFAULT_MAX_ARITY  # re-exported
+from .core import DEFAULT_CAP, DEFAULT_DEPTH, DEFAULT_MAX_ARITY, MEMO_ENTRIES  # re-exported
 from .core import (
     DbcatError,
     Instance,
@@ -46,7 +46,6 @@ from .core import (
 
 EMPTY_EXT = frozenset()
 PAIRS_PER_VIEW = 5  # a bounded closure's limit on pairs visited, per view of its cap
-MEMO_ENTRIES = 64  # entries per closure memo: a CLI command reuses at most 3 seed sets
 
 
 class ViewBudgetExceeded(DbcatError):

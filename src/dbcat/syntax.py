@@ -6,7 +6,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property, lru_cache
 
-from .core import DbcatError, Record, Value
+from .core import MEMO_ENTRIES, DbcatError, Record, Value
 
 
 class QueryError(DbcatError):
@@ -118,7 +118,7 @@ def rename_atoms(atoms, mapping: dict) -> tuple:
     )
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=MEMO_ENTRIES)
 def copy_rule(name: str, source: str, arity: int) -> Rule:
     """``q_<name>(X0..Xk) :- source(X0..Xk)``: copies one relation whole, which ``eval_rule`` answers without a plan."""
     hv = tuple(Var(f"X{i}") for i in range(arity))

@@ -1,14 +1,17 @@
 """The text of a workspace in the format :mod:`dbcat.dsl` reads."""
 from __future__ import annotations
 
-from .core import DbcatError, format_value, tuple_key
-from .dsl import ParseError, Workspace, parse_workspace_text
+from .core import DbcatError, Sentinel, format_value, tuple_key
+from .dsl import Workspace, parse_workspace_text
 from .schemas import EmptyTerm, SAtom, SchemaTerm, SepTerm
 from .syntax import Egd, RelAtom, Rule, Var
 
 
 def _fmt_value(v) -> str:
-    """A value as it is written: quotes and backslashes in strings escaped."""
+    """A value as it is written: quotes and backslashes in strings escaped.
+    A sentinel has none, since ``#`` starts a comment."""
+    if isinstance(v, Sentinel):
+        raise DbcatError(f"the sentinel {v!r} has no text form")
     if isinstance(v, str):
         return "'" + v.replace("\\", "\\\\").replace("'", "\\'") + "'"
     return format_value(v)
@@ -59,35 +62,19 @@ def _fmt_schema_term(t: SchemaTerm, names: dict) -> str:
 def _statements(ws: Workspace):
     """Each statement of *ws* as ``(kind, name, lines)``: schemas, then the
     compositions in the order they were declared (the parser admits one only
-    after those it names), then instances, mappings and graphs."""
+    after those it names), then instances, mappings and graphs.  The lines
+    are made as they are read, so a value that has no text form is refused
+    with the name of its statement."""
     for name in sorted(ws.schemas):
-        s = ws.schemas[name]
-        lines = [f"schema {name} {{"]
-        lines += [f"  {rel}/{arity}." for rel, arity in s.relsymbols]
-        lines += [f"  {_fmt_constraint(c)}" for c in s.constraints.items]
-        yield "schema", name, lines + ["}"]
+        yield "schema", name, _schema_lines(name, ws.schemas[name])
     written: dict = {}  # the compositions a later one may name
     for name, term in ws.composes.items():
         yield "compose", name, [f"compose {name} = {_fmt_schema_term(term, written)}"]
         written[id(term)] = name
     for name in sorted(ws.instances):
-        term_name, inst = ws.instances[name]
-        lines = [f"instance {name} of {term_name} {{"]
-        for r in inst.relations:
-            lines += [f"  {r.name}({','.join(map(_fmt_value, t))})." for t in sorted(r.tuples, key=tuple_key)]
-        yield "instance", name, lines + ["}"]
+        yield "instance", name, _instance_lines(name, *ws.instances[name])
     for name in sorted(ws.mappings):
-        m = ws.mappings[name]
-        lines = [f"mapping {name} : {m.source_name} -> {m.target_name} {{"]
-        for pair in m.pairs:
-            if pair.rhs_bare:
-                rhs = f"{pair.rhs_name}({','.join(v.name for v in pair.rhs.head_vars)})"
-            else:
-                rhs = _fmt_rule(pair.rhs)
-            lines.append(f"  {_fmt_rule(pair.lhs)} => {rhs}.")
-        if m.exact:
-            lines.append("  exact.")
-        yield "mapping", name, lines + ["}"]
+        yield "mapping", name, _mapping_lines(name, ws.mappings[name])
     for name in sorted(ws.graphs):
         lines = [f"graph {name} {{"]
         for m in ws.graphs[name].mappings:  # ``branch`` names the mapping it makes ``left+right``
@@ -96,17 +83,42 @@ def _statements(ws: Workspace):
         yield "graph", name, lines + ["}"]
 
 
+def _schema_lines(name: str, s):
+    yield f"schema {name} {{"
+    yield from (f"  {rel}/{arity}." for rel, arity in s.relsymbols)
+    yield from (f"  {_fmt_constraint(c)}" for c in s.constraints.items)
+    yield "}"
+
+
+def _instance_lines(name: str, term_name: str, inst):
+    yield f"instance {name} of {term_name} {{"
+    for r in inst.relations:
+        yield from (f"  {r.name}({','.join(map(_fmt_value, t))})." for t in sorted(r.tuples, key=tuple_key))
+    yield "}"
+
+
+def _mapping_lines(name: str, m):
+    yield f"mapping {name} : {m.source_name} -> {m.target_name} {{"
+    for pair in m.pairs:
+        bare = f"{pair.rhs_name}({','.join(v.name for v in pair.rhs.head_vars)})"
+        yield f"  {_fmt_rule(pair.lhs)} => {bare if pair.rhs_bare else _fmt_rule(pair.rhs)}."
+    yield from ["  exact."] * m.exact
+    yield "}"
+
+
 def serialize_workspace(ws: Workspace) -> str:
     """Deterministic text for a workspace; parsing it back gives an equal one.
     Each statement's text is parsed back after the statements before it.  The
-    first one that does not parse, or reads back as another, is refused with a
-    DbcatError naming it, whose cause is the parse error if there is one (its
-    line counts from the statement's first line)."""
+    first one that holds a value with no text form, does not parse, or reads
+    back as another, is refused with a DbcatError naming it, whose cause is
+    the refusal of the value or the parse error if there is one (its line
+    counts from the statement's first line)."""
     back, out = Workspace(), []
     for kind, name, lines in _statements(ws):
         try:
+            lines = list(lines)
             parse_workspace_text("\n".join(lines), back)
-        except ParseError as exc:
+        except DbcatError as exc:
             raise DbcatError(f"{kind} {name} cannot be written: {exc}") from exc
         if getattr(back, kind + "s").get(name) != getattr(ws, kind + "s")[name]:
             raise DbcatError(f"{kind} {name} cannot be written: it would read back as a different {kind}")

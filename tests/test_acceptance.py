@@ -321,7 +321,7 @@ def test_criterion_06_model_iff_functor():
         model = check_model(alpha, sketch)
         is_model = model.passed
         assert is_model == _expected_model(r, s, t, w), (r, s, t, w)
-        functor = check_functor(alpha, sketch, None, 2)
+        functor = check_functor(alpha, sketch)
         functor_ok = functor.passed
         # each arrow's model verdict is its functor verdict
         arrow_verdicts = {

@@ -188,6 +188,28 @@ def test_inclusion_violation_with_mixed_value_types_is_a_failed_check(tmp_path, 
     )
 
 
+QUERY_RIGHT_SIDE = (
+    "schema A { r/1. } schema B { s/1. } instance A0 of A { r(1). r(2). } instance B0 of B { s(1). s(2). }\n"
+    "mapping M : A -> B { q(X) :- r(X) => s(X) :- s(X), X = 1. } graph G { use M. }\n"
+)
+
+
+def test_an_arrow_command_refuses_a_query_right_side(tmp_path, capsys):
+    """flux and compose read a pair's right side as a relation of the target;
+    a query there is refused, not read as the relation its head names."""
+    path = tmp_path / "query.dbc"
+    path.write_text(QUERY_RIGHT_SIDE)
+    refusal = "dbcat: mapping M: right side 's' is a query, not a relation of instance 'B0'\n"
+    for argv in (["flux", "M", "A0", "B0"], ["compose", "M", "M", "A0", "B0", "B0"]):
+        assert main([*argv, "-i", str(path)]) == 2
+        assert capsys.readouterr() == ("", refusal)
+    assert main(["check-model", "G", "-i", str(path), "--format", "lines"]) == 1  # s(2) is no s(X), X = 1
+    assert "arrow phi_C_M_0\tFAIL\tsentinel dependency fails" in capsys.readouterr().out
+    path.write_text(QUERY_RIGHT_SIDE.replace("=> s(X) :- s(X), X = 1.", "=> t(X)."))
+    assert main(["flux", "M", "A0", "B0", "-i", str(path)]) == 2
+    assert capsys.readouterr() == ("", "dbcat: mapping M: right side 't' is not a relation of instance 'B0'\n")
+
+
 def test_exhausted_view_budget_is_a_usage_error(capsys):
     demo = str(DATA / "demo.dbc")
     assert main(["powerview", "A0", "-i", demo, "--depth", "-1", "--arity", "4", "--cap", "50"]) == 2
@@ -199,7 +221,6 @@ def test_exhausted_view_budget_is_a_usage_error(capsys):
     [
         (["duality", "A0", "B0"], 300, "check duality projection-after-injection-left, component 0->1, level 2, 301 views"),
         (["laws"], 300, "check laws contains-source A0, component 0, level 2, 301 views"),
-        (["check-functor", "G"], 30, "check compose phi_C_M_0.map_A__C_M_0, component 0->0, level 2, 31 views"),
         (["gamma-iso", "G"], 30, "check gamma-iso A, component 0, level 1, 31 views"),
     ],
 )
@@ -212,6 +233,16 @@ def test_a_budget_error_names_the_report_line_it_stopped(argv, cap, where, capsy
     assert main(argv) == 0
     check = where.split(", ")[0].removeprefix("check ")
     assert check in [line.split("\t")[0] for line in capsys.readouterr().out.splitlines()]
+
+
+def test_check_functor_reads_no_bound(capsys):
+    """It closes nothing, so no cap can stop it and no depth or arity changes its report."""
+    argv = ["check-functor", "G", "-i", str(DATA / "demo.dbc"), "--format", "lines"]
+    assert main(argv) == 0
+    report = capsys.readouterr()
+    for bound in (["--depth", "3", "--cap", "1"], ["--depth", "-1", "--arity", "0", "--cap", "1"]):
+        assert main([*argv, *bound]) == 0
+        assert capsys.readouterr() == report
 
 
 def test_a_listing_budget_error_names_no_check(capsys):

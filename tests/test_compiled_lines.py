@@ -42,7 +42,20 @@ def test_memo_traffic_lists_every_memo_of_both_traffics():
         assert int(rows[traffic, "powerview.close_component"][1]) <= MEMO_ENTRIES
         assert int(rows[traffic, "powerview._PV_CACHE"][1]) <= MEMO_ENTRIES
     assert len(rows) == 2 * (len(decorated) + 1)
-    assert rows["cli", "powerview.close_component"] == ["57/71", "3"]  # at most 3 seed sets per command
+    assert rows["cli", "powerview.close_component"] == ["57/68", "3"]  # at most 3 seed sets per command
     assert rows["cli", "powerview._PV_CACHE"] == ["2/6", "4"]  # counted by wrapping power_view_cached
     hits, calls = map(int, rows["closures", "powerview._PV_CACHE"][0].split("/"))
     assert 0 < hits < calls and calls > MEMO_ENTRIES
+
+
+def test_every_memo_is_bounded_by_memo_entries():
+    import importlib
+    import pkgutil
+
+    import dbcat
+
+    modules = [importlib.import_module(f"dbcat.{m.name}") for m in pkgutil.iter_modules(dbcat.__path__)]
+    memos = {fn for module in modules for fn in vars(module).values() if hasattr(fn, "cache_parameters")}
+    assert {fn.__name__ for fn in memos} >= {"_sum_layout", "close_component", "copy_rule"}
+    assert all(fn.cache_parameters()["maxsize"] == MEMO_ENTRIES for fn in memos)
+    assert [path.name for path in SRC.glob("*.py") if "\nMEMO_ENTRIES = " in path.read_text()] == ["core.py"]

@@ -1,7 +1,11 @@
+import json
+import pathlib
+
 import pytest
 
 from dbcat import interpret
 from dbcat.category import equivalent, flux, identity
+from dbcat.cli import main
 from dbcat.constraints import Egd, Sentence, Tgd
 from dbcat.core import (
     SENTINEL_A,
@@ -26,6 +30,7 @@ from dbcat.interpret import (
 from dbcat.powerview import instances_isomorphic
 from dbcat.queries import RelAtom, Var, rule
 from dbcat.schemas import (
+    EMPTY_NODE,
     EMPTY_SCHEMA,
     SAtom,
     Schema,
@@ -237,9 +242,9 @@ def test_empty_instance_is_model_regardless_of_constraints():
         {"A": make_instance({"r": [(1,)]})}, {"A": demanding}
     )
     assert check_model(empty_alpha, sk).passed
-    assert check_functor(empty_alpha, sk, None, 2).passed
+    assert check_functor(empty_alpha, sk).passed
     assert check_model(filled_alpha, sk).passed
-    assert check_functor(filled_alpha, sk, None, 2).passed
+    assert check_functor(filled_alpha, sk).passed
 
 
 def test_interpret_identity_arrow():
@@ -261,7 +266,7 @@ def test_functor_iff_model_on_fixture():
     ]
     for alpha in cases:
         model = check_model(alpha, sk).passed
-        functor = check_functor(alpha, sk, None, 2).passed
+        functor = check_functor(alpha, sk).passed
         assert model == functor, alpha
 
 
@@ -297,7 +302,7 @@ def test_each_check_materializes_each_node_once(monkeypatch):
     monkeypatch.setattr(interpret, "eval_rule", evaluating)
     g, sk = _model_fixture()
     alpha = alpha_with(r=[(1,)], s=[(2,)], t=[(1,), (2,)])
-    checks = [lambda: check_model(alpha, sk), lambda: check_functor(alpha, sk, None, 2)]
+    checks = [lambda: check_model(alpha, sk), lambda: check_functor(alpha, sk)]
     checks += [lambda: check_gamma_iso(alpha, sk, None, 2)]
     for check in checks:
         terms.clear()
@@ -425,3 +430,92 @@ def test_a_leaf_instance_holds_only_its_schemas_relations():
     alpha = interpretation({"A": make_instance({"r": [(1,)]}), "E": bottom_instance()}, {"A": SA, "E": SE})
     assert interpret_term(alpha, sep(SAtom(SE), SAtom(SA))) == interpret_term(alpha, SAtom(SA))
     assert interpret_term(alpha, fed(SAtom(SE), SAtom(SE))) == bottom_instance()
+
+
+# -- the functor check reads the shape of Sch(G) -------------------------------
+
+DATA = pathlib.Path(__file__).parent / "data"
+GOLDEN = pathlib.Path(__file__).parent.parent / "perfbench" / "golden" / "cli.json"
+BOUNDS = {"bounded": [], "fixpoint": ["--depth", "-1", "--arity", "2"]}
+# N after M and P share their ends, and P carries less than N after M.
+TRIANGLE = (
+    "schema A { r/1. } schema B { s/1. } schema C { u/1. }\n"
+    "instance A0 of A { r(1). r(2). } instance B0 of B { s(1). s(2). } instance C0 of C { u(1). u(2). }\n"
+    "mapping M : A -> B { q(X) :- r(X) => t(X). } mapping N : B -> C { q(X) :- s(X) => v(X). }\n"
+    "mapping P : A -> C { q(X) :- r(X), X = 1 => w(X). } graph G { use M. use N. use P. }\n"
+)
+# check-functor G on demo.dbc, at either bound, as before it stopped comparing fluxes
+DEMO_FUNCTOR = """compose phi_C_M_0.map_A__C_M_0\tPASS\tagainst direct arrow phi_A
+compose phi_C_M_0.map_B__C_M_0\tPASS\tagainst direct arrow phi_B
+compose phi_C_N_0.map_B__C_N_0\tPASS\tagainst direct arrow phi_B
+compose phi_C_N_0.map_D__C_N_0\tPASS\tagainst direct arrow phi_D
+functor\tPASS\tinterpretation extends to a functor
+identity A\tPASS\tmaps to the identity arrow
+identity B\tPASS\tmaps to the identity arrow
+identity C_M_0\tPASS\tmaps to the identity arrow
+identity C_N_0\tPASS\tmaps to the identity arrow
+identity D\tPASS\tmaps to the identity arrow
+identity _empty\tPASS\tmaps to the identity arrow
+mapping map_A__C_M_0\tPASS\tinterpretable
+mapping map_B__C_M_0\tPASS\tinterpretable
+mapping map_B__C_N_0\tPASS\tinterpretable
+mapping map_D__C_N_0\tPASS\tinterpretable
+sentence phi_A\tPASS\tmaps into the bottom object
+sentence phi_B\tPASS\tmaps into the bottom object
+sentence phi_C_M_0\tPASS\tmaps into the bottom object
+sentence phi_C_N_0\tPASS\tmaps into the bottom object
+sentence phi_D\tPASS\tmaps into the bottom object
+"""
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+def test_a_composite_beside_a_direct_arrow_of_its_ends_is_free(bound, tmp_path, capsys):
+    """Sch(G) has no diagram asking N after M to equal P: the triangle is a model and a functor."""
+    path = tmp_path / "triangle.dbc"
+    path.write_text(TRIANGLE)
+    for command in ("check-model", "check-functor"):
+        assert main([command, "G", "-i", str(path), *BOUNDS[bound], "--format", "lines"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and "compose map_B__C.map_A__B\tPASS\tfree composite" in out.splitlines()
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("check-functor closed an instance or read a flux")
+
+
+def test_check_functor_reads_no_closure_and_no_flux(monkeypatch, capsys):
+    from dbcat import category, powerview
+
+    assert not {"compose", "equivalent", "flux"} & set(vars(interpret))  # patching category reaches every call
+    golden = json.loads(GOLDEN.read_text())
+    monkeypatch.setattr(powerview, "close_component", _refuse)
+    monkeypatch.setattr(powerview.ClosedForm, "count", _refuse)
+    monkeypatch.setattr(powerview.ClosedForm, "listing", _refuse)
+    for name in ("flux", "compose", "equivalent"):
+        monkeypatch.setattr(category, name, _refuse)
+    for workspace in ("demo", "system"):
+        for bound, flags in BOUNDS.items():
+            expected = DEMO_FUNCTOR if workspace == "demo" else golden[f"{bound} check-functor"]["stdout"]
+            assert main(["check-functor", "G", "-i", str(DATA / f"{workspace}.dbc"), *flags, "--format", "lines"]) == 0
+            assert capsys.readouterr() == (expected, ""), (workspace, bound)
+
+
+def test_every_composite_into_the_bottom_object_carries_its_direct_arrows_flux():
+    """The bottom instance is terminal in DB: the flux comparison the functor
+    check no longer makes holds on every composite into it."""
+    from dbcat.category import compose
+    from dbcat.cli import _schema_instances
+    from dbcat.dsl import parse_workspace_text
+
+    compared = 0
+    for text in [TRIANGLE] + [path.read_text() for path in sorted(DATA.glob("*.dbc"))]:
+        ws = parse_workspace_text(text)
+        for graph in ws.graphs.values():
+            sk = build_sketch(graph)
+            alpha = interpretation(_schema_instances(ws, graph), ws.schemas)
+            images = {(a.src, a.tgt): interpret_arrow(alpha, sk, a).morphism for a in sk.arrows if a.kind != "identity"}
+            for (src, mid), f in images.items():
+                if (mid, EMPTY_NODE) in images and src != mid:
+                    assert equivalent(images[src, EMPTY_NODE], compose(images[mid, EMPTY_NODE], f), None, 2)
+                    compared += 1
+    assert compared == 3 + 4 + 3  # the triangle, demo, system

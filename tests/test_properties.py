@@ -22,6 +22,7 @@ from dbcat.core import (
     make_instance,
     qualified_names,
 )
+from dbcat.cli import run
 from dbcat.dsl import Workspace, parse_workspace_text
 from dbcat.interpret import interpret_term, interpretation
 from dbcat.category import (
@@ -916,3 +917,48 @@ def test_a_parsed_workspace_round_trips_and_an_edited_one_round_trips_or_is_refu
         assert str(exc).startswith(f"{kind} {name} cannot be written: ")
     else:
         assert parse_workspace_text(edited) == again
+
+
+# -- criterion 06 on drawn graphs ----------------------------------------------
+
+TRIANGLE = (
+    "schema A { r/1. } schema B { s/1. } schema C { u/1. }\n"
+    "instance A0 of A { r(1). r(2). } instance B0 of B { s(1). s(2). } instance C0 of C { u(1). u(2). }\n"
+    "mapping M : A -> B { q(X) :- r(X) => t(X). } mapping N : B -> C { q(X) :- s(X) => v(X). }\n"
+    "mapping P : A -> C { q(X) :- r(X), X = 1 => w(X). } graph G { use M. use N. use P. }"
+)
+
+
+def _graph_status(command: str, graph: str, ws, depth):
+    """The exit status of a graph command: 0 or 1, or 2 when it cannot run."""
+    try:
+        return int(not run(command, [graph], ws, depth, 2, core.DEFAULT_CAP).passed)
+    except core.DbcatError:
+        return 2
+
+
+@st.composite
+def graph_workspace_texts(draw) -> str:
+    """A drawn workspace with an instance declared for each schema that has
+    none, so that its graphs' commands more often run."""
+    text = draw(workspace_texts())
+    ws = parse_workspace_text(text)
+    for schema in sorted(set(ws.schemas) - {term for term, _ in ws.instances.values()}):
+        rels = dict(ws.schemas[schema].relsymbols)
+        rows = []
+        for _ in range(draw(st.integers(0, 3))):
+            rel = _pick(draw, sorted(rels))
+            rows.append(f"{rel}({','.join(_pick(draw, DSL_VALUES) for _ in range(rels[rel]))}).")
+        text += f"\ninstance {schema}0 of {schema} {{ {' '.join(rows)} }}"
+    return text
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph_workspace_texts())
+@example(TRIANGLE)
+def test_a_drawn_graph_is_a_model_exactly_when_it_is_a_functor(text):
+    ws = parse_workspace_text(text)
+    for graph in ws.graphs:
+        for depth in (None, 1):
+            model = _graph_status("check-model", graph, ws, depth)
+            assert model == _graph_status("check-functor", graph, ws, depth), (graph, depth)
