@@ -6,14 +6,59 @@ witnesses on the right side of a dependency range over the instance's active
 domain and the dependency's constants, extended with the two reserved sentinel
 constants, which keeps the sentinel dependencies produced by sketch
 construction checkable.
+
+The two classical kinds are decided in C on the key views of
+:meth:`~dbcat.core.Instance.index`, with no kernel (:func:`key_form`): an
+inclusion dependency R[A] ⊆ S[B] by the difference of its sides' keys, a
+functional dependency K → j by counting R's keys on K and its (K, j) values.
+Only a failing FD runs its kernel, for its least violation.  Verdicts and
+least violations are the same either way.
 """
 from __future__ import annotations
 
 from functools import partial
 
-from .core import SENTINEL_A, SENTINEL_B, Instance, active_domain, format_value, tuple_key
+from .core import SENTINEL_A, SENTINEL_B, Instance, active_domain, format_value, picker, tuple_key
 from .rules import atom_components, atom_constants, bind
-from .syntax import ConstraintError, Egd, Sentence, Tgd  # ConstraintError re-exported
+from .syntax import ConstraintError, Egd, RelAtom, Sentence, Tgd, Var  # ConstraintError re-exported
+
+
+def key_form(d: Tgd | Egd):
+    """``(R, A, S, B)`` when the TGD *d* is the inclusion dependency R[A] ⊆ S[B]:
+    one atom a side, each of distinct variables, every universal on the right,
+    A and B its columns in universal order.  ``(R, K, j)`` when the EGD *d* is
+    the FD K → j: two atoms of R, each of distinct variables, sharing just the
+    variables of columns K, and equating the pair at column j.  Else None."""
+    atoms = d.left + d.right if isinstance(d, Tgd) else d.left
+    cols = [[t.name for t in a.args] for a in atoms if isinstance(a, RelAtom) and all(isinstance(t, Var) for t in a.args)]
+    if len(atoms) != 2 or len(cols) != 2 or any(len(set(c)) < len(c) for c in cols):
+        return None
+    (r, s), (left, right) = atoms, cols
+    if isinstance(d, Tgd):
+        ind = len(d.left) == 1 and set(d.universal) <= set(right)
+        return (r.name, tuple(map(left.index, d.universal)), s.name, tuple(map(right.index, d.universal))) if ind else None
+    key = tuple(i for i, (x, y) in enumerate(zip(left, right)) if x == y)
+    j = [i for i, xy in enumerate(zip(left, right)) if xy in (d.pair, d.pair[::-1]) and xy[0] != xy[1]]
+    return (r.name, key, j[0]) if r.name == s.name and len(set(left) & set(right)) == len(key) and j else None
+
+
+def _keys(inst: Instance, name: str, cols: tuple):
+    """The distinct tuples of relation *name*'s values at *cols*, made in C:
+    its own tuples, rearranged if need be, when *cols* reads every column."""
+    r = inst.relation(name)
+    if len(cols) == r.arity:
+        return r.tuples if cols == tuple(range(r.arity)) else set(map(picker(cols), r.tuples))
+    keys = inst.index(name, cols).keys()  # on one column, the bare values
+    return set(zip(keys)) if len(cols) == 1 else keys
+
+
+def _fd_holds(e: Egd, inst: Instance) -> bool:
+    """Whether the FD K → j holds: R has one key on K per tuple, or as many
+    as it has distinct (K, j) values."""
+    atom_components(e.left, inst)
+    name, key, j = e._key_form
+    tuples, keys = inst.relation(name).tuples, len(inst.index(name, key))
+    return keys == len(tuples) or keys == len(set(map(picker((*key, j)), tuples)))
 
 
 def _constraint_domain(atoms, inst: Instance, with_sentinels: bool) -> frozenset:
@@ -28,12 +73,17 @@ def _violations(d: Tgd | Egd, inst: Instance):
     variable only a built-in binds ranges over the left side's domain, the
     right side's constants and the sentinels.  For an EGD: the satisfying
     assignments, over its variables by name, equating two distinct values;
-    its kernel tests the pair."""
+    its kernel tests the pair.  An IND or an FD is decided on key views."""
     domain = partial(_constraint_domain, d.left, inst, with_sentinels=False)
     if isinstance(d, Egd):
+        if d._key_form and _fd_holds(d, inst):
+            return d._variables, iter(())
         atom_components(d.left, inst)
         return d._variables, bind(d._plan, inst, domain)([()])
     atom_components(d.left + d.right, inst)
+    if d._key_form:
+        r, a, s, b = d._key_form
+        return d.universal, iter(_keys(inst, r, a) - _keys(inst, s, b))
     right_domain = partial(_constraint_domain, d.left + d.right, inst, with_sentinels=True)
     universals = set(bind(d._left, inst, domain)([()]))
     return d.universal, iter(universals.difference(bind(d._right, inst, right_domain)(universals)))
@@ -62,7 +112,8 @@ def find_egd_violation(e: Egd, inst: Instance):
 
 
 def check_egd(e: Egd, inst: Instance) -> bool:
-    return next(_violations(e, inst)[1], None) is None
+    """An FD is answered on its key views alone, any other EGD at its first violation."""
+    return _fd_holds(e, inst) if e._key_form else next(_violations(e, inst)[1], None) is None
 
 
 def find_sentence_violation(s: Sentence, inst: Instance):
@@ -78,5 +129,6 @@ def find_sentence_violation(s: Sentence, inst: Instance):
 
 
 def check_sentence(s: Sentence, inst: Instance) -> bool:
-    """Conjunction over all items; the empty sentence always holds."""
-    return find_sentence_violation(s, inst) is None
+    """Conjunction over all items, answered at the first violated one; the
+    empty sentence always holds."""
+    return all((check_tgd if isinstance(d, Tgd) else check_egd)(d, inst) for d in s.items)

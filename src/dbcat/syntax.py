@@ -129,6 +129,11 @@ def _vars_of(atoms) -> frozenset:
     return frozenset(v.name for a in atoms for v in a.variables())
 
 
+def _read_key_form(d):
+    from .constraints import key_form  # how key views decide the dependency *d*, if they do
+    return key_form(d)
+
+
 class Tgd(Record):
     """``forall x (exists y: left(x,y)) => (exists z: right(x,z))``.
 
@@ -142,6 +147,7 @@ class Tgd(Record):
     left: tuple
     right: tuple
     weakly_full: bool = False
+    _key_form = cached_property(_read_key_form)
 
     def __post_init__(self):
         left_vars, right_vars = _vars_of(self.left), _vars_of(self.right)
@@ -179,6 +185,7 @@ class Egd(Record):
 
     left: tuple
     pair: tuple
+    _key_form = cached_property(_read_key_form)
 
     def __post_init__(self):
         left_vars = _vars_of(self.left)

@@ -793,13 +793,15 @@ def _dsl_atom(draw, rels: dict, variables="XY") -> tuple:
 
 
 def _dsl_schema(draw, name: str) -> str:
-    """One to three relations of arity 1–2, with weakly full TGDs and EGDs over them."""
+    """One to three relations of arity 1–2, with weakly full TGDs and EGDs over
+    them; an EGD's atoms range over three variables, so that keys occur."""
     rels = {rel: draw(st.integers(1, 2)) for rel in "rst"[: draw(st.integers(1, 3))]}
     items = [f"{rel}/{arity}." for rel, arity in rels.items()]
     for _ in range(draw(st.integers(0, 2))):
-        left = [_dsl_atom(draw, rels) for _ in range(draw(st.integers(1, 2)))]
+        egd = draw(st.booleans())
+        left = [_dsl_atom(draw, rels, "XYZ" if egd else "XY") for _ in range(draw(st.integers(1, 2)))]
         used = sorted({v for _, vs in left for v in vs})
-        if draw(st.booleans()):  # an EGD
+        if egd:
             right = f"{_pick(draw, used)} = {_pick(draw, used)}"
         else:  # a weakly full TGD: every variable is universal
             right = _dsl_atom(draw, rels, used)[0]
@@ -819,16 +821,16 @@ def _dsl_term(draw, schemas: list, composes: list, depth: int = 2) -> str:
     return f"({side()} {_pick(draw, ('sep', 'fed'))} {side()})"
 
 
-def _dsl_pair(draw, source: dict, target: dict) -> str:
+def _dsl_pair(draw, source: dict, target: dict, head: str) -> str:
     """A mapping line: a query over *source* (perhaps guarded by a value) and a
-    query or bare right side over *target*, a bare one perhaps fresh."""
+    query right side named *head* or a bare one over *target*, perhaps fresh."""
     lhs, lvars = _dsl_atom(draw, source)
     if draw(st.booleans()):
         lhs += f", {_pick(draw, lvars)} {_pick(draw, ('=', '<='))} {_pick(draw, DSL_VALUES)}"
     if target and draw(st.booleans()):
         rhs, rvars = _dsl_atom(draw, target, "UV")
         width = draw(st.integers(1, min(len(lvars), len(rvars))))
-        rhs = f"p({','.join(rvars[:width])}) :- {rhs}"
+        rhs = f"{head}({','.join(rvars[:width])}) :- {rhs}"
     else:
         width = draw(st.integers(1, len(lvars)))
         rhs = f"{_pick(draw, [r for r, a in target.items() if a == width] + ['n'])}({','.join('UV'[:width])})"
@@ -838,10 +840,13 @@ def _dsl_pair(draw, source: dict, target: dict) -> str:
 @st.composite
 def workspace_texts(draw) -> str:
     """DSL text of a workspace: schemas, compositions that name earlier ones
-    whatever their names sort to, instances of ints and of strings holding a
-    quote or a backslash, mappings, and graphs of ``use``, ``after`` and ``branch``."""
+    whatever their names sort to, one instance of each schema and some of
+    compositions, of ints and of strings holding a quote or a backslash,
+    mappings whose query right sides each add a relation of its own name, and
+    graphs of ``use``, ``after`` and ``branch``."""
     # A reversed pool: even a near-identity permutation names a later composition with an earlier letter.
-    names, ws, statements = iter(draw(st.permutations("NMLKJIHGFEDCBA"))), Workspace(), []
+    names, ws, statements = iter(draw(st.permutations("SRQPONMLKJIHGFEDCBA"))), Workspace(), []
+    heads = (f"p{i}" for i in itertools.count())
 
     def declare(text: str):
         parse_workspace_text(text, ws)  # read as it goes, so that later statements see each term's relations
@@ -855,8 +860,7 @@ def workspace_texts(draw) -> str:
     for _ in range(draw(st.integers(1, 3))):
         declare(f"compose {next(names)} = {_dsl_term(draw, [*ws.schemas], [*ws.composes])}")
     terms = [*ws.schemas, *ws.composes]
-    for _ in range(draw(st.integers(0, 2))):
-        term = _pick(draw, terms)
+    for term in [*ws.schemas, *(_pick(draw, ws.composes) for _ in range(draw(st.integers(0, 2))))]:
         rels, rows = relsymbols(term), []
         for _ in range(draw(st.integers(0, 3)) if rels else 0):
             rel = _pick(draw, sorted(rels))
@@ -864,7 +868,7 @@ def workspace_texts(draw) -> str:
         declare(f"instance {next(names)} of {term} {{ {' '.join(rows)} }}")
     for _ in range(draw(st.integers(0, 3))):
         src, tgt = _pick(draw, terms), _pick(draw, terms)
-        pairs = [_dsl_pair(draw, relsymbols(src), relsymbols(tgt)) for _ in range(draw(st.integers(0, 2)) if relsymbols(src) else 0)]
+        pairs = [_dsl_pair(draw, relsymbols(src), relsymbols(tgt), next(heads)) for _ in range(draw(st.integers(0, 2)) if relsymbols(src) else 0)]
         exact = " exact." if draw(st.booleans()) else ""
         declare(f"mapping {next(names)} : {src} -> {tgt} {{ {' '.join(pairs)}{exact} }}")
     ms = ws.mappings.values()
@@ -937,24 +941,8 @@ def _graph_status(command: str, graph: str, ws, depth):
         return 2
 
 
-@st.composite
-def graph_workspace_texts(draw) -> str:
-    """A drawn workspace with an instance declared for each schema that has
-    none, so that its graphs' commands more often run."""
-    text = draw(workspace_texts())
-    ws = parse_workspace_text(text)
-    for schema in sorted(set(ws.schemas) - {term for term, _ in ws.instances.values()}):
-        rels = dict(ws.schemas[schema].relsymbols)
-        rows = []
-        for _ in range(draw(st.integers(0, 3))):
-            rel = _pick(draw, sorted(rels))
-            rows.append(f"{rel}({','.join(_pick(draw, DSL_VALUES) for _ in range(rels[rel]))}).")
-        text += f"\ninstance {schema}0 of {schema} {{ {' '.join(rows)} }}"
-    return text
-
-
 @settings(max_examples=40, deadline=None)
-@given(graph_workspace_texts())
+@given(workspace_texts())
 @example(TRIANGLE)
 def test_a_drawn_graph_is_a_model_exactly_when_it_is_a_functor(text):
     ws = parse_workspace_text(text)

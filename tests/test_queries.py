@@ -282,9 +282,9 @@ def test_tgd_witness_search_builds_each_index_once(monkeypatch):
     assert builds == []  # nothing is built when the instance is made
     X, Y = Var("X"), Var("Y")
     assert check_tgd(Tgd(("X",), (RelAtom("r", (X, Y)),), (RelAtom("s", (X,)),)), inst)
-    assert builds == [("r", ())]  # s(X) binds every column: a semi-join on s's own tuples
+    assert builds == [("r", (0,))]  # r's keys on X, less s's own tuples: s(X) binds every column
     assert check_tgd(Tgd(("X",), (RelAtom("r", (X, Y)),), (RelAtom("s", (X,)),)), inst)
-    assert builds == [("r", ())]  # cached on the instance, and s is never indexed
+    assert builds == [("r", (0,))]  # cached on the instance, and s is never indexed
 
 
 def test_rule_and_algebra_build_each_index_once(monkeypatch):
@@ -420,9 +420,13 @@ def test_each_record_plans_once(monkeypatch):
     a = make_instance({"r": [(1, 2), (2, 3)], "s": [(1,), (2,)]})
     b = make_instance({"r": [(2, 2), (3, 1)], "s": [(3,)]})
     q = rule("q", ["X", "Z"], [("r", "X", "Y"), ("r", "Y", "Z")])
-    tgd = Tgd(("X",), (RelAtom("r", (X, Y)),), (RelAtom("s", (X,)),))
-    egd = Egd((RelAtom("r", (X, Y)), RelAtom("r", (X, Var("Z")))), ("Y", "Z"))
-    for record, run, plans in ((q, eval_rule, 1), (egd, check_egd, 1), (tgd, check_tgd, 2)):
+    tgd = Tgd(("X",), (RelAtom("r", (X, Y)),), (RelAtom("s", (X,)),))  # an IND: decided on key views
+    egd = Egd((RelAtom("r", (X, Y)), RelAtom("r", (X, Var("Z")))), ("Y", "Z"))  # an FD, which a and b satisfy
+    # outside those shapes: two atoms on the left, and an EGD over two relations
+    joined = Tgd(("X",), (RelAtom("r", (X, Y)), RelAtom("r", (Y, Var("Z")))), (RelAtom("s", (X,)),))
+    across = Egd((RelAtom("r", (X, Y)), RelAtom("s", (Y,))), ("X", "Y"))
+    cases = ((q, eval_rule, 1), (egd, check_egd, 0), (tgd, check_tgd, 0), (across, check_egd, 1), (joined, check_tgd, 2))
+    for record, run, plans in cases:
         planned.clear()
         for inst in (a, b, a, b):
             run(record, inst)
