@@ -9,7 +9,7 @@ construction checkable.
 
 The two classical kinds are decided in C on the key views of
 :meth:`~dbcat.core.Instance.index`, with no kernel (:func:`key_form`): an
-inclusion dependency R[A] ⊆ S[B] by the difference of its sides' keys, a
+inclusion dependency R[A] ⊆ S[B] by streaming R's keys on A that S lacks, a
 functional dependency K → j by counting R's keys on K and its (K, j) values.
 Only a failing FD runs its kernel, for its least violation.  Verdicts and
 least violations are the same either way.
@@ -17,6 +17,7 @@ least violations are the same either way.
 from __future__ import annotations
 
 from functools import partial
+from itertools import chain, filterfalse
 
 from .core import SENTINEL_A, SENTINEL_B, Instance, active_domain, format_value, picker, tuple_key
 from .rules import atom_components, atom_constants, bind
@@ -43,13 +44,14 @@ def key_form(d: Tgd | Egd):
 
 
 def _keys(inst: Instance, name: str, cols: tuple):
-    """The distinct tuples of relation *name*'s values at *cols*, made in C:
-    its own tuples, rearranged if need be, when *cols* reads every column."""
+    """The distinct tuples of relation *name*'s values at *cols*, read in C
+    and built into no set: its own tuples, rearranged lazily if need be, when
+    *cols* reads every column, else the keys of its index, bare values on one
+    column."""
     r = inst.relation(name)
-    if len(cols) == r.arity:
-        return r.tuples if cols == tuple(range(r.arity)) else set(map(picker(cols), r.tuples))
-    keys = inst.index(name, cols).keys()  # on one column, the bare values
-    return set(zip(keys)) if len(cols) == 1 else keys
+    if len(cols) < r.arity:
+        return inst.index(name, cols).keys()
+    return r.tuples if cols == tuple(range(r.arity)) else map(picker(cols), r.tuples)
 
 
 def _fd_holds(e: Egd, inst: Instance) -> bool:
@@ -83,7 +85,13 @@ def _violations(d: Tgd | Egd, inst: Instance):
     atom_components(d.left + d.right, inst)
     if d._key_form:
         r, a, s, b = d._key_form
-        return d.universal, iter(_keys(inst, r, a) - _keys(inst, s, b))
+        left, right = _keys(inst, r, a), _keys(inst, s, b)
+        right = set(right) if right.__class__ is map else right  # a side of permuted whole tuples is probed in a set
+        bare = len(b) == 1 < inst.relation(s).arity  # one column of several: bare values, not 1-tuples
+        if len(a) == 1 and bare != (inst.relation(r).arity > 1):
+            left = chain.from_iterable(left) if bare else zip(left)  # the left keys take the right side's form
+        rows = filterfalse(right.__contains__, left)
+        return d.universal, zip(rows) if bare else rows
     right_domain = partial(_constraint_domain, d.left + d.right, inst, with_sentinels=True)
     universals = set(bind(d._left, inst, domain)([()]))
     return d.universal, iter(universals.difference(bind(d._right, inst, right_domain)(universals)))

@@ -7,8 +7,8 @@ of loops over instance hash indexes of partial keys, compiled once per record;
 a partial key on one column is the bare value, and a key that binds every
 column tests the relation's own tuples.  An EGD's kernel tests its pair itself.
 Its source holds slot numbers and tuple positions only; names and values reach
-it as arguments.  :func:`bind` runs it over an instance.  The SPJRU algebra,
-an equivalent second route, is in :mod:`dbcat.queries`.
+it as arguments.  :func:`bind` runs it over an instance.  The SPJRU algebra
+of :mod:`dbcat.queries` runs each of its blocks on such a plan too.
 """
 from __future__ import annotations
 

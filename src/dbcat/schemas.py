@@ -256,13 +256,19 @@ def branch(m1: SchemaMapping, m2: SchemaMapping) -> SchemaMapping:
     # The leaves of sep(t1, t2) are those of t1 followed by those of t2; zip
     # stops at the end of t1's leaves without drawing on ``outer`` again.
     outer = iter(term_layout(target).leaves)
-    pairs = []
-    for m in (m1, m2):
-        names = {
+    renames = [
+        {
             q: outer_q
             for (_, _, inner), (_, _, outer_names) in zip(term_layout(m.target).leaves, outer)
             for (_, q), (_, outer_q) in zip(inner, outer_names)
         }
+        for m in (m1, m2)
+    ]
+    # a relation both sides add under one name is told apart as a sum tells its relations apart
+    added = [{p.rhs_name for p in m.pairs}.difference(names) for m, names in zip((m1, m2), renames)]
+    pairs = []
+    for k, (m, names) in enumerate(zip((m1, m2), renames), 1):
+        names.update((name, f"{name}#{k}") for name in added[0] & added[1])
         for p in m.pairs:
             rhs = p.rhs.rename_relations(names)
             pairs.append(

@@ -110,6 +110,12 @@ class Rule(Record):
         from . import rules
         return rules.plan(self.body, (), [v.name for v in self.head_vars])
 
+    @cached_property
+    def _spjru(self):
+        """The :func:`~dbcat.queries.rule_to_spjru` term, translated once."""
+        from . import queries
+        return queries._translate(self)
+
 
 def rename_atoms(atoms, mapping: dict) -> tuple:
     """*atoms* with each relation atom's name mapped by *mapping*, when it has an entry."""

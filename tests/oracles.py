@@ -23,7 +23,26 @@ from dbcat.core import (
     tuple_key,
     value_key,
 )
-from dbcat.queries import BaseRel, Builtin, Const, ConstEq, EmptyRel, Join, Project, RelAtom, Rule, Select, Union, Var
+from dbcat.queries import (
+    BaseRel,
+    Builtin,
+    ColEq,
+    Const,
+    ConstEq,
+    CrossComponentQuery,
+    EmptyRel,
+    Join,
+    Project,
+    QueryArityError,
+    QueryError,
+    RelAtom,
+    Rename,
+    Rule,
+    Select,
+    Union,
+    UnknownRelation,
+    Var,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +95,65 @@ def brute_force_rule(q: Rule, inst: Instance) -> frozenset:
         if all(_atom_holds(a, env, inst) for a in q.body):
             out.add(tuple(env[v.name] for v in q.head_vars))
     return frozenset(out)
+
+
+def _spjru(t, inst: Instance):
+    """(tuples, arity, component or None) of an algebra term, operator by
+    operator, each over explicit nested loops; every check raises the error
+    and message ``eval_spjru`` gives, at the same point of the walk."""
+    if isinstance(t, EmptyRel):
+        return set(), 0, None
+    if isinstance(t, BaseRel):
+        if t.name not in inst.names:
+            raise UnknownRelation(f"unknown relation {t.name!r}")
+        return set(inst.relation(t.name).tuples), inst.relation(t.name).arity, inst.component_of(t.name)
+    if isinstance(t, (Join, Union)):
+        left, la, lc = _spjru(t.left, inst)
+        right, ra, rc = _spjru(t.right, inst)
+        if isinstance(t, Union) and la != ra:
+            raise QueryArityError("union of different arities")
+        if lc is not None and rc is not None and lc != rc:
+            raise CrossComponentQuery(f"query combines relations from separated components {lc} and {rc}")
+        comp = lc if lc is not None else rc
+        if isinstance(t, Union):
+            return left | right, la, comp
+        for i, j in t.pairs:
+            if not (0 <= i < la and 0 <= j < ra):
+                raise QueryArityError("join column out of range")
+        out = set()
+        for x in left:
+            for y in right:
+                if all(x[i] == y[j] for i, j in t.pairs):
+                    out.add(x + y)
+        return out, la + ra, comp
+    if not isinstance(t, (Select, Project, Rename)):
+        raise QueryError(f"not a query term: {t!r}")
+    rows, arity, comp = _spjru(t.child, inst)
+    if isinstance(t, Select):
+        for c in t.conds:
+            cols = (c.left, c.right) if isinstance(c, ColEq) else (c.col,)
+            if not all(0 <= i < arity for i in cols):
+                raise QueryArityError("selection column out of range")
+            kept = set()
+            for x in rows:
+                if (x[c.left] == x[c.right]) if isinstance(c, ColEq) else (x[c.col] == c.value):
+                    kept.add(x)
+            rows = kept
+        return rows, arity, comp
+    if isinstance(t, Project):
+        if not all(0 <= i < arity for i in t.cols):
+            raise QueryArityError("projection column out of range")
+        return {tuple(x[i] for i in t.cols) for x in rows}, len(t.cols), comp
+    if sorted(t.perm) != list(range(arity)):
+        raise QueryArityError("rename must be a permutation of the columns")
+    return {tuple(x[i] for i in t.perm) for x in rows}, arity, comp
+
+
+def brute_force_spjru(t, inst: Instance) -> tuple:
+    """``(tuples, arity)`` of the algebra term *t* over *inst* under set
+    semantics, evaluated by structural recursion; a join tries every pair."""
+    rows, arity, _ = _spjru(t, inst)
+    return frozenset(rows), arity
 
 
 def _unwitnessed(universal, left, right, inst: Instance):

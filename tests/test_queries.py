@@ -2,7 +2,9 @@ import itertools
 import random
 import re
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import event, example, given
 
 from dbcat import constraints, core, queries, rules
 from dbcat.constraints import Egd, Tgd, check_egd, check_tgd
@@ -13,9 +15,11 @@ from dbcat.queries import (
     Const,
     ConstEq,
     CrossComponentQuery,
+    EmptyRel,
     Join,
     Project,
     QueryArityError,
+    QueryError,
     Rename,
     RelAtom,
     Rule,
@@ -33,6 +37,7 @@ from dbcat.syntax import copy_rule
 
 from oracles import (
     brute_force_egd,
+    brute_force_spjru,
     brute_force_rule,
     brute_force_tgd,
     random_body,
@@ -288,27 +293,27 @@ def test_tgd_witness_search_builds_each_index_once(monkeypatch):
 
 
 def test_rule_and_algebra_build_each_index_once(monkeypatch):
-    builds = []
-    real_build, real_index = core._build_index, queries.index_tuples
+    builds, indexed = [], []
+    real_build, real_index = core._build_index, core.index_tuples
     inst = make_instance({"r": [(1, 2), (2, 3), (3, 1), (3, 3)]})
-    r = inst.relation("r").tuples
 
     def counting(relation, cols):
         builds.append((relation.name, cols))
         return real_build(relation, cols)
 
-    def indexing(tuples, cols):  # an index the algebra would build for itself
-        builds.append(("r" if tuples is r else "?", tuple(cols)))
+    def indexing(tuples, cols):  # every index, the instance's or one built for itself
+        indexed.append(tuple(cols))
         return real_index(tuples, cols)
 
     monkeypatch.setattr(core, "_build_index", counting)
-    monkeypatch.setattr(queries, "index_tuples", indexing)
+    monkeypatch.setattr(core, "index_tuples", indexing)
     q = rule("q", ["X", "Z"], [("r", "X", "Y"), ("r", "Y", "Z")])
     assert rule_to_spjru(q) == Project(Join(BaseRel("r"), BaseRel("r"), ((1, 0),)), (0, 3))
-    rows = eval_rule(q, inst).tuples
+    rows, built = eval_rule(q, inst).tuples, list(inst._indexes)
     assert builds.count(("r", (0,))) == 1
     assert eval_spjru(rule_to_spjru(q), inst).tuples == rows == brute_force_rule(q, inst)
     assert builds.count(("r", (0,))) == 1  # the join probes the instance's index
+    assert list(inst._indexes) == built and indexed == [cols for _, cols in builds]  # and builds none of its own
 
 
 def test_full_key_probes_read_the_relations_own_tuples(monkeypatch):
@@ -491,3 +496,87 @@ def test_bodies_deeper_than_the_nesting_limit_run_in_stages():
     assert check_tgd(Tgd(("X0", "X25"), left, (RelAtom("s", (Var("X25"),)),)), inst)
     assert check_tgd(Tgd(("X0", "X25"), left, (RelAtom("r", (Var("X0"), Var("X25"))),)), inst)  # 25 = 1 mod 3
     assert not check_tgd(Tgd(("X0", "X25"), left, (RelAtom("r", (Var("X25"), Var("X0"))),)), inst)
+
+
+# 1, True and "1": the first two are equal values, the last is not
+TERM_VALUES = (1, True, "1", 2)
+
+
+@st.composite
+def algebra_cases(draw):
+    """An instance, possibly separated, of up to three relations of arity 0-3,
+    any of them empty, and a term over it of depth at most 3: products and
+    joins on several pairs, selections that may contradict, projections that
+    repeat columns or keep none, renames, unions (under joins too) and
+    EmptyRel; now and then a column out of range, a rename that is no
+    permutation, a union of two widths or an unknown relation."""
+    rows = lambda arity: st.lists(st.tuples(*[st.sampled_from(TERM_VALUES)] * arity), max_size=4)
+    arities = {f"r{i}": draw(st.integers(0, 3)) for i in range(draw(st.integers(1, 3)))}
+    rels = {name: draw(rows(arity)) for name, arity in arities.items()}
+    inst = make_instance(rels, arities=arities)
+    if len(rels) > 1 and draw(st.booleans()):
+        first = draw(st.sets(st.sampled_from(sorted(rels)), min_size=1, max_size=len(rels) - 1))
+        part = [{n: r for n, r in rels.items() if (n in first) == side} for side in (True, False)]
+        inst = disjoint_union(*(make_instance(p, arities={n: arities[n] for n in p}) for p in part))
+
+    def column(arity):  # in range but for about one draw in twenty
+        inside = arity and draw(st.sampled_from((True,) * 19 + (False,)))
+        return draw(st.integers(0, arity - 1)) if inside else draw(st.sampled_from((-1, arity)))
+
+    def term(depth):
+        kinds = ("base", "select", "project", "join", "base", "rename", "union", "empty")
+        kind = draw(st.sampled_from(kinds if depth else ("base",) * 7 + ("empty",)))
+        if kind == "base":
+            name = draw(st.sampled_from(sorted(arities) * 12 + ["nope"]))
+            return BaseRel(name), arities.get(name, 0)
+        if kind == "empty":
+            return EmptyRel(), 0
+        child, arity = term(depth - 1)
+        if kind == "select":
+            conds = [
+                ColEq(column(arity), column(arity)) if draw(st.booleans()) else ConstEq(column(arity), draw(st.sampled_from(TERM_VALUES)))
+                for _ in range(draw(st.integers(1, 3)))
+            ]
+            return Select(child, tuple(conds)), arity
+        if kind == "project":
+            cols = tuple(column(arity) for _ in range(draw(st.integers(0, 3))))
+            return Project(child, cols), len(cols)
+        if kind == "rename":
+            perm = draw(st.permutations(range(arity)))
+            return Rename(child, tuple(perm if draw(st.sampled_from((True,) * 9 + (False,))) else perm[1:] + [0])), arity
+        right, r_arity = term(depth - 1)
+        if kind == "join":
+            pairs = tuple((column(arity), column(r_arity)) for _ in range(draw(st.sampled_from((0, 1, 2, 2, 3)))))
+            return Join(child, right, pairs), arity + r_arity
+        if r_arity != arity and (r_arity or not arity) and draw(st.sampled_from((True,) * 9 + (False,))):  # mostly one width
+            right = Project(right, tuple(column(r_arity) for _ in range(arity)))
+        return Union(child, right), arity
+
+    return inst, term(3)[0]
+
+
+@given(algebra_cases())
+@example((make_instance({"r": [(1, "1"), (True, 2)]}), Select(BaseRel("r"), (ConstEq(0, 1), ConstEq(0, "1")))))
+@example((make_instance({"r": [(1, 1), (2, "1")]}), Project(Select(BaseRel("r"), (ColEq(1, 0), ConstEq(1, True))), (1, 1, 0))))
+@example((make_instance({"r": [(1,), (2,)], "s": []}, arities={"s": 0}), Project(Join(BaseRel("r"), BaseRel("s")), ())))
+@example((make_instance({"r": [(1, 2), (1, 3)], "s": [(1, 2), (True, 4)]}), Join(BaseRel("r"), BaseRel("s"), ((0, 0), (1, 1)))))
+@example((
+    make_instance({"r": [(1, 2), (2, 1)], "s": [(2,), ("1",)]}),
+    Join(Union(BaseRel("s"), Project(BaseRel("r"), (0,))), Join(BaseRel("r"), EmptyRel()), ((0, 1), (0, 0))),
+))
+def test_algebra_blocks_agree_with_the_nested_loop_oracle(case):
+    """Each term's blocks, run on the rule engine's kernels, give the tuples
+    and the width that operator-by-operator nested loops give, and an
+    ill-formed term raises the oracle's error with its message."""
+    inst, t = case
+    try:
+        want = brute_force_spjru(t, inst)
+    except QueryError as exc:
+        event(type(exc).__name__)
+        with pytest.raises(QueryError) as got:
+            eval_spjru(t, inst)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        return
+    event("empty" if not want[0] else "nonempty")
+    got = eval_spjru(t, inst)
+    assert (got.tuples, got.arity) == want

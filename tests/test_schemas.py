@@ -347,3 +347,29 @@ def test_a_graph_names_each_mapping_once():
     m = SchemaMapping("M", "A", "C", SAtom(SA), SAtom(SC), (make_pair(q, RelAtom("fresh", (Var("X"),))),))
     with pytest.raises(SchemaError, match="^graph G: two mappings are named M$"):
         mapping_graph("G", {"A": SAtom(SA), "C": SAtom(SC)}, [m, m])
+
+
+SELF_BRANCH = (
+    "schema R { r/2. s/1. }\nschema M { r/2. }\ncompose F = (empty fed R)\n"
+    "instance R0 of R { s(1). }\ninstance M0 of M { r(1,1). }\n"
+    "mapping C : M -> F { q(X) :- r(X,X) => p1(V) :- s(V). }\n"
+    "graph G { C branch C. }\n"
+)
+
+
+def test_a_mapping_branched_with_itself_adds_each_relation_once_per_side():
+    from dbcat.cli import run
+    from dbcat.writer import serialize_workspace
+
+    ws = parse_workspace_text(SELF_BRANCH)
+    both = ws.graphs["G"].mappings[-1]
+    # both sides add p1: the sum names them as it names its colliding relations
+    assert [(p.rhs_name, p.rhs.body) for p in both.pairs] == [
+        ("p1#1", (RelAtom("s#1", (Var("V"),)),)), ("p1#2", (RelAtom("s#2", (Var("V"),)),))
+    ]
+    for command in ("check-model", "check-functor"):
+        for depth in (2, -1):
+            report = run(command, ["G"], ws, depth, 4, 100000)
+            assert report.passed, (command, depth, report.checks)
+    text = serialize_workspace(ws)
+    assert parse_workspace_text(text) == ws and serialize_workspace(parse_workspace_text(text)) == text

@@ -3,19 +3,22 @@
     python3 tools/memo_traffic.py [SEED]
 
 Run it at the root of the repository.  A memo is a ``functools`` cache
-defined in a loaded ``dbcat`` module, or ``powerview._PV_CACHE``, which keeps
+defined in a ``dbcat`` module, or ``powerview._PV_CACHE``, which keeps
 no counts: the tool wraps ``powerview.power_view_cached`` in this process and
 counts a call whose key the memo holds as a hit.  Two traffics run here: ``cli``,
 the benchmark's 20 golden commands (``CLI_COMMANDS`` at both bounds) through
 ``dbcat.cli.main``, every memo cleared before each, and ``closures``, two
 passes of that workload (seed 4242 unless given) with its ops run bare.
 Each line gives hits/calls and the size a memo was left at, for ``cli`` the
-largest any command left.
+largest any command left.  Every ``dbcat`` module is imported first, so a
+memo that a traffic never reaches is listed at 0/0.
 """
 from __future__ import annotations
 
 import contextlib
+import importlib
 import io
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -23,6 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
+import dbcat  # noqa: E402
 from dbcat import powerview  # noqa: E402
 from dbcat.cli import main as cli_main  # noqa: E402
 
@@ -42,7 +46,7 @@ class Counted:
 
 
 def memos() -> dict:
-    """Each functools memo of the loaded dbcat modules, by qualified name."""
+    """Each functools memo of the dbcat modules, by qualified name."""
     return {f"{name.removeprefix('dbcat.')}.{fn.__qualname__}": fn for name, module in list(sys.modules.items())
             if name.split(".")[0] == "dbcat" for fn in vars(module).values()
             if hasattr(fn, "cache_info") and fn.__module__ == name}
@@ -73,6 +77,8 @@ class Bare:
 
 
 def main() -> int:
+    for info in pkgutil.iter_modules(dbcat.__path__):
+        importlib.import_module(f"dbcat.{info.name}")
     pv = powerview.power_view_cached = Counted(powerview.power_view_cached)
     cli: dict = {}
     for command, workspace, args in workloads.CLI_COMMANDS:
