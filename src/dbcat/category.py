@@ -41,7 +41,6 @@ from .powerview import (
     canonical_form,
     close_seed_sets,
     instances_isomorphic,
-    named_check,
     view_closure,
 )
 from .rules import eval_rule
@@ -319,9 +318,9 @@ class Flux(Record):
         """Report form; the views of fixpoint channels spend *cap* before any is listed."""
         left = cap
         for s, t, exts in (c for c in self.channels if isinstance(c[2], ClosedForm)):
-            if exts.past(left):
+            if (n := exts.count_within(left)) is None:
                 raise ViewBudgetExceeded(cap, None, component=(s, t))
-            left -= len(exts)
+            left -= n
         return format_closure(self.channels, (0, 0))
 
 
@@ -434,14 +433,12 @@ def verify_duality(
         ("product-triangle-left", compose(p_a, paired), f, "p_A . <f,g> ~ f"),
         ("product-triangle-right", compose(p_b, paired), g, "p_B . <f,g> ~ g"),
     )
-    checks = [
-        (cid, named_check(cid, lambda: _flux(lhs, depth, max_arity, cap).same(_flux(rhs, depth, max_arity, cap))), law)
-        for cid, lhs, rhs, law in laws
-    ]
-    va, vb, vab = (named_check("views-of-coproduct", view_closure, x, depth, max_arity, cap) for x in (a, b, sum_ab[0]))
+    checks = [(cid, _flux(lhs, depth, max_arity, cap).same(_flux(rhs, depth, max_arity, cap)), law)
+              for cid, lhs, rhs, law in laws]
+    va, vb, vab = (view_closure(x, depth, max_arity, cap) for x in (a, b, sum_ab[0]))
     summed = tuple(sorted(va.canonical() + vb.canonical())) == vab.canonical()
     checks.append(("views-of-coproduct", summed, "views(A+B) = views(A) (+) views(B)"))
     if not is_empty_isomorphic(a):
-        replica = named_check("replication-not-isomorphic", instances_isomorphic, a, disjoint_union(a, a), depth, max_arity, cap)
+        replica = instances_isomorphic(a, disjoint_union(a, a), depth, max_arity, cap)
         checks.append(("replication-not-isomorphic", not replica, "A+A is a genuine replication of nonempty A"))
     return Verdicts(tuple(checks))

@@ -88,7 +88,7 @@ def run(command: str, args, ws: Workspace, depth, max_arity, cap) -> Verdicts:
     if len(args) != len(COMMANDS[command].split()):
         got = f"{len(args)} argument" + ("" if len(args) == 1 else "s")
         raise DbcatError(f"{command} takes {COMMANDS[command] or 'no arguments'} (got {got})")
-    if command in ("powerview", "iso", "duality"):
+    if command in ("powerview", "iso"):
         from . import powerview
     if command in ("flux", "compose", "duality"):
         from . import category
@@ -117,7 +117,7 @@ def run(command: str, args, ws: Workspace, depth, max_arity, cap) -> Verdicts:
         lines.append((f"powerview {args[0]} closure", True, closure))
     elif command == "iso":
         a, b = (ws.lookup("instance", name)[1] for name in args)
-        ok = powerview.instances_isomorphic(a, b, depth, max_arity, cap)
+        ok = powerview.instances_isomorphic(a, b, None)
         lines.append((f"iso {args[0]} {args[1]}", ok, "same views" if ok else "views differ"))
     elif command == "flux":
         try:
@@ -139,7 +139,7 @@ def run(command: str, args, ws: Workspace, depth, max_arity, cap) -> Verdicts:
         except category.ModeViolation as exc:
             lines.append((f"compose {args[1]}.{args[0]}", False, str(exc)))
     elif command == "laws":
-        lines.extend(_law_suite(ws, depth, max_arity, cap))
+        lines.extend(_law_suite(ws, max_arity))
     elif command == "check-model":
         report = interpret.check_model(alpha, sketch)
         lines += report.checks
@@ -150,39 +150,36 @@ def run(command: str, args, ws: Workspace, depth, max_arity, cap) -> Verdicts:
         detail = "interpretation extends to a functor" if report.passed else "functorial requirement fails"
         lines.append(("functor", report.passed, detail))
     elif command == "gamma-iso":
-        lines += interpret.check_gamma_iso(alpha, sketch, depth, max_arity, cap).checks
+        lines += interpret.check_gamma_iso(alpha, sketch).checks
     elif command == "duality":
         a, b = (ws.lookup("instance", name)[1] for name in args)
-        report = powerview.named_check("duality", category.verify_duality, a, b, None, None, depth, max_arity, cap)
+        report = category.verify_duality(a, b, max_arity=max_arity)
         lines += [(f"duality {cid}", ok, detail) for cid, ok, detail in report.checks]
         lines.append(("duality note", True, category.SET_COUNTEREXAMPLE_NOTE))
     return Verdicts(tuple(lines))
 
 
-def _law_suite(ws: Workspace, depth, max_arity, cap):
-    """A small built-in law battery over the workspace's declared instances."""
+def _law_suite(ws: Workspace, max_arity):
+    """A small built-in law battery over the workspace's declared instances, at fixpoint."""
     from . import category, powerview
-
-    def law(cid, verdict, *args):  # a budget error names the report line
-        return powerview.named_check(f"laws {cid}", verdict, *args, depth, max_arity, cap)
 
     lines = []
     insts = sorted(ws.instances.items())
     bot = bottom_instance()
-    vs_bot = powerview.view_closure(bot, depth, max_arity, cap)
+    vs_bot = powerview.view_closure(bot, None, max_arity)
     lines.append(("laws bottom-closure", len(vs_bot) == 1, "views of the bottom instance are just the empty view"))
     for name, (_, inst) in insts:
-        vs = law(f"contains-source {name}", powerview.view_closure, inst)
+        vs = powerview.view_closure(inst, None, max_arity)
         contains_all = all(
             r.tuples in vs or not r.tuples for r in inst.relations
         )
         lines.append((f"laws contains-source {name}", contains_all, "instance relations appear among views"))
-        collapses = law(f"empty-vs-bottom {name}", powerview.instances_isomorphic, inst, bot) == is_empty_isomorphic(inst)
+        collapses = powerview.instances_isomorphic(inst, bot, None) == is_empty_isomorphic(inst)
         lines.append((f"laws empty-vs-bottom {name}", collapses, "empty instances collapse to the bottom object"))
-        transmits = law(f"identity-flux {name}", category.flux, category.identity(inst)).canonical() == vs.canonical()
+        transmits = category.flux(category.identity(inst), None, max_arity).canonical() == vs.canonical()
         lines.append((f"laws identity-flux {name}", transmits, "identity transmits the whole view closure"))
     for (n1, (_, a)), (n2, (_, b)) in zip(insts, insts[1:]):
-        rep = law(f"duality {n1}+{n2}", category.verify_duality, a, b, None, None)
+        rep = category.verify_duality(a, b, max_arity=max_arity)
         lines.append((f"laws duality {n1}+{n2}", rep.passed, "coproduct doubles as product"))
     return lines
 
@@ -238,7 +235,8 @@ def usage() -> str:
     options = [f"  {name}" + {(): " (repeatable)", None: ""}.get(value, f" (default {value})") for name, value in OPTIONS.items()]
     return "\n".join(["usage: dbcat COMMAND [ARGUMENT ...] [-i FILE ...] [OPTION VALUE ...]", "commands:", *commands,
                       "options (-i, -h, --name=value and unique prefixes also work):", *options,
-                      "--format is text or lines; --depth -1 runs to fixpoint."])
+                      "--format is text or lines; every verdict is exact; --depth and --cap bound only listings",
+                      "(powerview, flux, compose), and --depth -1 lists to fixpoint."])
 
 
 def main(argv=None) -> int:

@@ -36,7 +36,7 @@ from .core import (
     federate,
     is_empty_isomorphic,
 )
-from .powerview import DEFAULT_CAP, instances_isomorphic, named_check
+from .powerview import instances_isomorphic
 from .rules import eval_rule
 from .schemas import EMPTY_NODE, SchemaTerm, nf_components
 from .sketch import Sketch, SketchArrow
@@ -257,15 +257,10 @@ def check_functor(alpha: Interpretation, sketch: Sketch) -> Verdicts:
     return Verdicts(tuple(sorted(checks)))
 
 
-def check_gamma_iso(
-    alpha: Interpretation,
-    sketch: Sketch,
-    depth: int | None = None,
-    max_arity: int = 2,
-    cap: int = DEFAULT_CAP,
-) -> Verdicts:
+def check_gamma_iso(alpha: Interpretation, sketch: Sketch) -> Verdicts:
     """A ``gamma-iso <node>`` line per graph node: is its plain instance
-    isomorphic to its enlarged one?  A budget error names the line.
+    isomorphic to its enlarged one?  Closure signatures decide it at
+    fixpoint, so no bound is read.
 
     An addition by a defining query is a view of the node, so it adds no view
     to a model's closure; a bare fresh reification, read over the source, may.
@@ -273,7 +268,7 @@ def check_gamma_iso(
     nodes, checks = _Nodes(alpha, sketch), []
     for node, obj in sketch.nodes:
         if node != EMPTY_NODE and not hasattr(obj, "sentinel"):
-            cid = f"gamma-iso {node}"
-            ok = named_check(cid, instances_isomorphic, nodes[node, True], nodes[node, False], depth, max_arity, cap)
-            checks.append((cid, ok, "enlargement adds no views" if ok else "enlargement changes the view closure"))
+            ok = instances_isomorphic(nodes[node, True], nodes[node, False], None)
+            detail = "enlargement adds no views" if ok else "enlargement changes the view closure"
+            checks.append((f"gamma-iso {node}", ok, detail))
     return Verdicts(tuple(checks))

@@ -54,28 +54,17 @@ class ViewBudgetExceeded(DbcatError):
     ``views`` is the count of new views reached, or None from a flux report's
     count or the pair limit; ``pairs`` is the pairs charged past that limit,
     else None.  ``cap`` is the cap passed, ``level`` the closure level it
-    stopped at, ``component`` the component id or flux channel ``(s, t)``
-    as the text ``s->t``, and ``check`` the report line it stopped, if named
-    (:func:`named_check`).
+    stopped at, and ``component`` the component id or flux channel ``(s, t)``
+    as the text ``s->t``.
     """
 
-    def __init__(self, cap, views, level=None, component=None, pairs=None, check=None):
+    def __init__(self, cap, views, level=None, component=None, pairs=None):
         if isinstance(component, tuple):
             component = "->".join(map(str, component))
-        where = zip((f"check {check}", f"component {component}", f"level {level}", f"{views} views", f"{pairs} pairs"),
-                    (check, component, level, views, pairs))
+        where = zip((f"component {component}", f"level {level}", f"{views} views", f"{pairs} pairs"),
+                    (component, level, views, pairs))
         super().__init__(f"view enumeration exceeded cap of {cap} ({', '.join(w for w, v in where if v is not None)})")
-        self.cap, self.views, self.level, self.component, self.pairs, self.check = cap, views, level, component, pairs, check
-
-
-def named_check(cid: str, verdict, *args):
-    """*verdict(*args)*; a budget error raised in it names the check *cid*,
-    then the inner check it named, if any."""
-    try:
-        return verdict(*args)
-    except ViewBudgetExceeded as e:
-        check = cid if e.check is None else f"{cid} {e.check}"
-        raise ViewBudgetExceeded(e.cap, e.views, e.level, e.component, e.pairs, check) from None
+        self.cap, self.views, self.level, self.component, self.pairs = cap, views, level, component, pairs
 
 
 class ViewSet(Record):
@@ -235,9 +224,12 @@ class ClosedForm:
             for group in itertools.combinations(doms, n)
         )
 
-    def past(self, budget: int) -> bool:
-        """Whether it holds more than *budget* views; a block Dᵏ of more tuples than *budget* has bits does."""
-        return any(len(d) ** k > budget.bit_length() for k, ds in enumerate(self.key[1], 1) for d in ds) or self.count() > budget
+    def count_within(self, budget: int):
+        """The number of views, counted once, or None when it holds more than
+        *budget*, as it does when a block Dᵏ has more tuples than *budget* has bits."""
+        if any(len(d) ** k > budget.bit_length() for k, ds in enumerate(self.key[1], 1) for d in ds):
+            return None
+        return n if (n := self.count()) <= budget else None
 
     def __len__(self) -> int:
         if (n := self.count()) > sys.maxsize:
@@ -283,7 +275,6 @@ class ClosedForm:
         return self.listing() - other
 
 
-@functools.lru_cache(maxsize=MEMO_ENTRIES)
 def close_component(seeds, depth, max_arity, cap):
     """The level enumerator: the closure of one component, at most *depth*
     levels deep, from the frozenset *seeds* of its nonempty extensions.
@@ -291,10 +282,9 @@ def close_component(seeds, depth, max_arity, cap):
     Returns (views, reached_fixpoint), *views* a frozenset of the nonempty
     extensions.  It raises :class:`ViewBudgetExceeded` once more than *cap*
     new views appear, or when a view's unions and products, charged before
-    they are visited, take the pairs past ``PAIRS_PER_VIEW * cap``.  One
-    memoised result serves every component and flux channel with the same
-    extensions.  A level's operands come from earlier levels, so the views
-    it adds, and so where the cap is passed, do not depend on emission order.
+    they are visited, take the pairs past ``PAIRS_PER_VIEW * cap``.  A
+    level's operands come from earlier levels, so the views it adds, and so
+    where the cap is passed, do not depend on emission order.
     """
     views = set(seeds)
     by_arity: dict = {}  # arity -> operands visited so far, earlier levels first
@@ -399,9 +389,10 @@ def power_view(
     vs, seeds = _closed(inst, depth, max_arity, cap)
     added = 0
     for comp, views in vs.components:
-        if isinstance(views, ClosedForm) and views.past(cap + len(seeds[comp])):
+        n = views.count_within(cap + len(seeds[comp])) if isinstance(views, ClosedForm) else len(views)
+        if n is None:
             close_seed_sets({comp: seeds[comp]}, cap + 1, vs.max_arity, cap)  # raises: each level before a fixpoint adds a view
-        added += len(views) - len(seeds[comp])
+        added += n - len(seeds[comp])
         if added > cap:
             raise ViewBudgetExceeded(cap, added, component=comp)
     return vs
@@ -433,8 +424,9 @@ def instances_isomorphic(
     """Equality of the two view closures at a shared bound, components
     matched up to renaming.  Unequal :func:`closure_signature` values are an
     exact FAIL at any bound; at fixpoint equal ones are an exact PASS, found
-    without listing views or raising :class:`ViewBudgetExceeded`.  At a
-    bounded depth a relation of *a* missing from *b*'s closure, built first,
+    without listing views or raising :class:`ViewBudgetExceeded`: the route
+    of every verdict.  A bounded depth is the library route the benchmark
+    still times: a relation of *a* missing from *b*'s closure, built first,
     is an exact FAIL (a closure holds its seeds); else the closures are
     compared: exact when both are fixpoints.
     """

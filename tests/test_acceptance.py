@@ -359,7 +359,7 @@ def test_criterion_07_gamma_isomorphism():
                 MODELS.append(alpha)
     checked = 0
     for alpha in MODELS:
-        verdicts = check_gamma_iso(alpha, sketch, None, 2)
+        verdicts = check_gamma_iso(alpha, sketch)
         assert [cid for cid, _, _ in verdicts.checks] == ["gamma-iso A", "gamma-iso B", "gamma-iso C"]
         assert verdicts.passed
         checked += len(verdicts.checks)

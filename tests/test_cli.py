@@ -21,7 +21,7 @@ from dbcat.dsl import parse_workspace, parse_workspace_text
 from dbcat.interpret import gamma_instance, interpretation
 from dbcat import powerview
 from dbcat.category import compose, equivalent
-from dbcat.powerview import close_component, instances_isomorphic, matching, merging
+from dbcat.powerview import instances_isomorphic, matching, merging
 from dbcat.sketch import build_sketch
 from dbcat.writer import serialize_workspace
 
@@ -216,33 +216,52 @@ def test_exhausted_view_budget_is_a_usage_error(capsys):
     assert "cap" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "argv, cap, where",
-    [
-        (["duality", "A0", "B0"], 300, "check duality projection-after-injection-left, component 0->1, level 2, 301 views"),
-        (["laws"], 300, "check laws contains-source A0, component 0, level 2, 301 views"),
-        (["gamma-iso", "G"], 30, "check gamma-iso A, component 0, level 1, 31 views"),
-    ],
-)
-def test_a_budget_error_names_the_report_line_it_stopped(argv, cap, where, capsys):
-    """The check is named by the id of its line in the report the command
-    gives at a cap it stays within."""
-    argv = [*argv, "-i", str(DATA / "demo.dbc"), "--depth", "3", "--format", "lines"]
-    assert main([*argv, "--cap", str(cap)]) == 2
-    assert capsys.readouterr() == ("", f"dbcat: view enumeration exceeded cap of {cap} ({where})\n")
-    assert main(argv) == 0
-    check = where.split(", ")[0].removeprefix("check ")
-    assert check in [line.split("\t")[0] for line in capsys.readouterr().out.splitlines()]
+def _verdict_runs():
+    """(data file, argv) for every verdict command on each data file: iso and
+    duality on every ordered pair of its instances, the graph commands on
+    each of its graphs."""
+    runs = []
+    for path in FILES:
+        w = parse_workspace([path])
+        pairs = [[a, b] for a in sorted(w.instances) for b in sorted(w.instances)]
+        runs += [(path.name, ["laws"])] + [(path.name, [c, *p]) for c in ("iso", "duality") for p in pairs]
+        runs += [(path.name, [c, g]) for g in sorted(w.graphs) for c in GRAPH_COMMANDS]
+    return runs
 
 
-def test_check_functor_reads_no_bound(capsys):
-    """It closes nothing, so no cap can stop it and no depth or arity changes its report."""
-    argv = ["check-functor", "G", "-i", str(DATA / "demo.dbc"), "--format", "lines"]
-    assert main(argv) == 0
-    report = capsys.readouterr()
-    for bound in (["--depth", "3", "--cap", "1"], ["--depth", "-1", "--arity", "0", "--cap", "1"]):
-        assert main([*argv, *bound]) == 0
-        assert capsys.readouterr() == report
+NO_BOUND = [[], ["--depth", "1"], ["--depth", "2"], ["--depth", "3", "--cap", "1"], ["--depth", "-1"]]
+
+
+@pytest.mark.parametrize("name, argv", _verdict_runs(), ids=lambda x: x if isinstance(x, str) else " ".join(x))
+def test_a_verdict_reads_no_bound(name, argv, capsys):
+    """Every verdict is decided at fixpoint, so no depth or cap changes its
+    report and no cap can stop it."""
+    readings = []
+    for bound in NO_BOUND:
+        status = main([*argv, "-i", str(DATA / name), "--format", "lines", *bound])
+        out, err = capsys.readouterr()
+        assert err == "", (bound, err)
+        readings.append((status, out))
+    assert readings[0][0] in (0, 1) and readings == readings[:1] * len(NO_BOUND)
+
+
+RELABELLED = """schema A { r/1. }
+schema B { s/2. }
+instance A0 of A { r(1). r(2). r(3). r(4). r(5). }
+instance B0 of B { s(1,2). s(3,4). s(5,5). }
+"""
+
+
+@pytest.mark.parametrize("text, argv", [(None, ["iso", "A0", "D0"]), (RELABELLED, ["iso", "A0", "B0"])],
+                         ids=["demo", "relabelled"])
+def test_an_iso_that_a_bounded_closure_failed_passes(text, argv, tmp_path, capsys):
+    """Both pairs have equal closures at fixpoint, which depths 1 to 3 did not
+    reach: the default bound used to print an unlabelled FAIL."""
+    path = DATA / "demo.dbc" if text is None else tmp_path / "relabelled.dbc"
+    if text is not None:
+        path.write_text(text)
+    assert main([*argv, "-i", str(path), "--format", "lines"]) == 0
+    assert capsys.readouterr() == (f"iso {argv[1]} {argv[2]}\tPASS\tsame views\n", "")
 
 
 def test_a_listing_budget_error_names_no_check(capsys):
@@ -271,6 +290,7 @@ def _raise(*args):
 
 
 def test_fixpoint_iso_is_decided_without_building_closures(monkeypatch, capsys):
+    monkeypatch.setattr(powerview, "close_component", _raise)  # the closures are never built
     monkeypatch.setattr(powerview.ClosedForm, "of_seeds", _raise)  # nor any fixpoint description
     demo = str(DATA / "demo.dbc")
     status = main(["iso", "A0", "B0", "-i", demo, "--depth", "-1", "--format", "lines"])
@@ -283,24 +303,10 @@ def test_fixpoint_iso_is_decided_without_building_closures(monkeypatch, capsys):
         ({"r": ring(1)}, {"r": ring(3)}, 4, True),
         ({"r": ring(1)}, {"r": ring(3), "z": [()]}, 4, False),
     ]
-    for ra, rb, arity, same in pairs:  # the closures are never built
-        misses = close_component.cache_info().misses
+    for ra, rb, arity, same in pairs:
         a, b = make_instance(ra), make_instance(rb)
         assert instances_isomorphic(a, b, None, arity) is same
         assert same or not instances_isomorphic(a, b, 2, arity)  # signatures differ: FAIL at any depth
-        assert close_component.cache_info().misses == misses
-
-
-@pytest.mark.parametrize("argv, hits, calls", [(["laws"], 39, 42), (["duality", "A0", "B0"], 16, 18)])
-def test_a_commands_closures_are_served_by_the_memo(argv, hits, calls, monkeypatch):
-    """The seed sets a command closes again fit in ``MEMO_ENTRIES`` entries:
-    a smaller bound would evict them between uses and lose these hits."""
-    monkeypatch.setattr(powerview, "_PV_CACHE", {})
-    close_component.cache_clear()
-    assert main([*argv, "-i", str(DATA / "demo.dbc")]) == 0
-    info = close_component.cache_info()
-    assert (info.hits, info.hits + info.misses) == (hits, calls)
-    assert info.currsize <= 3 < powerview.MEMO_ENTRIES
 
 
 FIXPOINT_ARROWS = {
@@ -311,8 +317,9 @@ FIXPOINT_ARROWS = {
 
 
 def test_fixpoint_commands_never_run_the_level_enumerator(monkeypatch, capsys):
-    """Every fixpoint verdict on the data files, at the default arity, and
-    every listing within the cap (at arity 2) answers from descriptions."""
+    """Every verdict on the data files, at the default arity with and without
+    ``--depth -1``, and every fixpoint listing within the cap (at arity 2)
+    answers from descriptions."""
     monkeypatch.setattr(powerview, "close_component", _raise)
     for name, arrows in FIXPOINT_ARROWS.items():
         w = ws(f"{name}.dbc")
@@ -322,8 +329,9 @@ def test_fixpoint_commands_never_run_the_level_enumerator(monkeypatch, capsys):
         listings = [["powerview", i, "--arity", "2"] for i in sorted(w.instances)]
         listings += [[*argv, "--arity", "2"] for argv in arrows]
         for argv in verdicts + listings:
-            status = main([*argv, "-i", str(DATA / f"{name}.dbc"), "--depth", "-1"])
-            assert status in ((0, 1) if argv in verdicts else (0,)) and capsys.readouterr().err == "", argv
+            for bound in ([], ["--depth", "-1"]) if argv in verdicts else (["--depth", "-1"],):
+                status = main([*argv, "-i", str(DATA / f"{name}.dbc"), *bound])
+                assert status in ((0, 1) if argv in verdicts else (0,)) and capsys.readouterr().err == "", argv
         insts = [inst for _, inst in w.instances.values()]
         for a, b in itertools.product(insts, repeat=2):
             assert matching(a, b, None).fixpoint and merging(a, b, None).fixpoint
@@ -606,10 +614,12 @@ from dbcat import category, core
 from dbcat import powerview as pv
 a = core.make_instance({"r": [(1, 2), (2, 1)], "s": [(1,)]})
 b = core.make_instance({"r": [(1, 2), (2, 1)], "s": [(2,)]})
-assert core.closure_signature(a) == core.closure_signature(b)"""
+assert core.closure_signature(a) == core.closure_signature(b)
+closed, close_component = [], pv.close_component
+pv.close_component = lambda *args: closed.append(args) or close_component(*args)"""
     closures_ops = """
 pv.instances_isomorphic(a, b, 2, 2)
-assert pv.close_component.cache_info().misses
+assert closed  # the level enumerator ran
 pv.power_view_cached(a, None, 2), pv.matching(a, b, None, 2), pv.merging(a, b, None, 2)
 category.verify_duality(a, b, depth=None, max_arity=2)
 core.disjoint_union(a, b)"""

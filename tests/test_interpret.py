@@ -273,7 +273,7 @@ def test_functor_iff_model_on_fixture():
 def test_gamma_iso_for_models_and_negative_control():
     g, sk = _model_fixture()
     alpha = alpha_with(r=[(1,)], s=[(2,)], t=[(1,), (2,)])
-    verdicts = check_gamma_iso(alpha, sk, None, 2)
+    verdicts = check_gamma_iso(alpha, sk)
     assert [cid for cid, _, _ in verdicts.checks] == ["gamma-iso A", "gamma-iso B", "gamma-iso C"]
     assert verdicts.passed
 
@@ -303,7 +303,7 @@ def test_each_check_materializes_each_node_once(monkeypatch):
     g, sk = _model_fixture()
     alpha = alpha_with(r=[(1,)], s=[(2,)], t=[(1,), (2,)])
     checks = [lambda: check_model(alpha, sk), lambda: check_functor(alpha, sk)]
-    checks += [lambda: check_gamma_iso(alpha, sk, None, 2)]
+    checks += [lambda: check_gamma_iso(alpha, sk)]
     for check in checks:
         terms.clear()
         queries.clear()

@@ -8,7 +8,7 @@ import pytest
 
 from dbcat import powerview
 from dbcat.category import flux, identity
-from dbcat.core import DEFAULT_CAP, DbcatError, bottom_instance, disjoint_union, ext_key, make_instance
+from dbcat.core import DbcatError, bottom_instance, disjoint_union, ext_key, make_instance
 from dbcat.powerview import (
     MEMO_ENTRIES,
     ViewBudgetExceeded,
@@ -198,6 +198,20 @@ def test_a_description_is_reported_without_asking_its_len(monkeypatch):
     assert vs.serialize() == [[0, ["{}", "{(1)}", "{(1) (2)}", "{(2)}"]], [1, ["{}", "{(3)}"]]]
 
 
+def test_a_listing_counts_each_description_once(monkeypatch):
+    """``power_view`` and a flux report spend the cap with one count per
+    component or channel."""
+    counted = []
+    count = powerview.ClosedForm.count
+    monkeypatch.setattr(powerview.ClosedForm, "count", lambda self: counted.append(self) or count(self))
+    inst = make_instance({"r": [(1, 2)], "s": [(3,)]}, partition={"r": 0, "s": 1})
+    vs = power_view(inst, None, 2)
+    assert len(counted) == len(vs.components) == 2
+    counted.clear()
+    fx = flux(identity(inst), None, 2)
+    assert fx.serialize()[0][:2] == [0, 0] and len(counted) == len(fx.channels) == 2
+
+
 def test_a_canonical_form_orders_descriptions_past_len():
     """Two channels of one part hold 82-bit descriptions: their keys are
     ordered by hash and exact form, never by a count."""
@@ -262,18 +276,6 @@ def test_budget_error_says_where_it_stopped():
     assert (exc.value.component, exc.value.level, exc.value.views, exc.value.cap) == (2, None, 34, 33)
 
 
-def test_a_named_check_names_itself_before_the_check_it_ran():
-    a = make_instance({"r": [(1, 2), (2, 3), (3, 1)]})
-    assert powerview.named_check("outer", powerview.named_check, "inner", power_view, a, 2, 2) == power_view(a, 2, 2)
-    with pytest.raises(ViewBudgetExceeded) as exc:
-        powerview.named_check("outer", powerview.named_check, "inner", power_view, a, None, 3, 500)
-    err = exc.value
-    assert (err.check, err.component, err.level, err.views, err.cap) == ("outer inner", 0, 3, 501, 500)
-    assert str(err) == "view enumeration exceeded cap of 500 (check outer inner, component 0, level 3, 501 views)"
-    with pytest.raises(ValueError):  # other errors pass through unnamed
-        powerview.named_check("outer", int, "x")
-
-
 def test_only_a_component_past_the_cap_alone_is_enumerated(monkeypatch):
     depths = []
     real = powerview.close_component
@@ -312,14 +314,13 @@ def test_a_closure_within_the_pair_limit_is_the_unlimited_closure(monkeypatch):
         cases.append((seeds, rng.randint(1, 4), rng.randint(max(1, inst.max_arity()), 3), rng.choice((10, 50, 500))))
     # unary: 2^n - 1 views, found after more pairs than views
     cases += [(frozenset({frozenset((i,) for i in range(n))}), 9, 1, cap) for n, cap in ((7, 150), (8, 300), (9, 600))]
-    close = close_component.__wrapped__  # the level enumerator, past its memo
     limit, stopped = powerview.PAIRS_PER_VIEW, 0
     for seeds, depth, m, cap in cases:
         readings = []
         for factor in (limit, 10**9):
             monkeypatch.setattr(powerview, "PAIRS_PER_VIEW", factor)
             try:
-                readings.append(close(seeds, depth, m, cap))
+                readings.append(close_component(seeds, depth, m, cap))
             except ViewBudgetExceeded as exc:
                 readings.append((exc.level, exc.views, exc.pairs))
         limited, unlimited = readings
@@ -331,30 +332,15 @@ def test_a_closure_within_the_pair_limit_is_the_unlimited_closure(monkeypatch):
     assert stopped >= 3
 
 
-def test_component_closures_are_shared():
-    a = make_instance({"r": [(1, 2), (2, 5)], "s": [(5,)]})
-    power_view(a, 1, 2)
-    misses = close_component.cache_info().misses
-    power_view(disjoint_union(a, a), 1, 2)
-    flux(identity(a), 1, 2)
-    assert close_component.cache_info().misses == misses
-
-
 def test_the_closure_memos_hold_at_most_memo_entries(monkeypatch):
     monkeypatch.setattr(powerview, "_PV_CACHE", {})
-    close_component.cache_clear()
     seeds = lambda k: frozenset({(k, k + 1)})  # a seed set no other k shares
     first = weakref.ref(power_view_cached(make_instance({"r": seeds(0)}), 2, 2))
     for k in range(1, 2 * MEMO_ENTRIES):
         power_view_cached(make_instance({"r": seeds(k)}), 2, 2)
-        view_closure(make_instance({"s": seeds(-k)}), 2, 2)
-        assert close_component.cache_info().currsize <= MEMO_ENTRIES
         assert len(powerview._PV_CACHE) <= MEMO_ENTRIES
     gc.collect()
     assert first() is None  # no memo keeps the first closure
-    misses = close_component.cache_info().misses
-    close_component(frozenset({seeds(0)}), 2, 2, DEFAULT_CAP)
-    assert close_component.cache_info().misses == misses + 1  # its component is closed again
 
 
 def test_isomorphism_reflexive_and_vs_bottom():
