@@ -245,20 +245,22 @@ def test_a_verdict_reads_no_bound(name, argv, capsys):
     assert readings[0][0] in (0, 1) and readings == readings[:1] * len(NO_BOUND)
 
 
-RELABELLED = """schema A { r/1. }
+SAME_DOMAIN = """schema A { r/1. }
 schema B { s/2. }
 instance A0 of A { r(1). r(2). r(3). r(4). r(5). }
 instance B0 of B { s(1,2). s(3,4). s(5,5). }
 """
 
 
-@pytest.mark.parametrize("text, argv", [(None, ["iso", "A0", "D0"]), (RELABELLED, ["iso", "A0", "B0"])],
-                         ids=["demo", "relabelled"])
+@pytest.mark.parametrize("text, argv", [(None, ["iso", "A0", "D0"]), (SAME_DOMAIN, ["iso", "A0", "B0"])],
+                         ids=["demo", "same-domain"])
 def test_an_iso_that_a_bounded_closure_failed_passes(text, argv, tmp_path, capsys):
-    """Both pairs have equal closures at fixpoint, which depths 1 to 3 did not
-    reach: the default bound used to print an unlabelled FAIL."""
-    path = DATA / "demo.dbc" if text is None else tmp_path / "relabelled.dbc"
+    """Each pair has one component over one domain, so their closures are
+    equal at fixpoint; the default bound's closures differed, and it printed
+    an unlabelled FAIL."""
+    path = DATA / "demo.dbc"
     if text is not None:
+        path = tmp_path / "same_domain.dbc"
         path.write_text(text)
     assert main([*argv, "-i", str(path), "--format", "lines"]) == 0
     assert capsys.readouterr() == (f"iso {argv[1]} {argv[2]}\tPASS\tsame views\n", "")
