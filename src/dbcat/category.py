@@ -382,16 +382,10 @@ def flux_intersection(a: Flux, b: Flux) -> Flux:
     return Flux(tuple(sorted((s, t, e) for (s, t), e in merged.items())), a.fixpoint and b.fixpoint)
 
 
-def equivalent(
-    f: Morphism,
-    g: Morphism,
-    depth: int | None = DEFAULT_DEPTH,
-    max_arity: int = DEFAULT_MAX_ARITY,
-    cap: int = DEFAULT_CAP,
-) -> bool:
-    """Flux equality at one bound and width (exact when both reach a fixpoint)."""
-    m = f.width(g.width(max_arity))
-    return _flux(f, depth, m, cap).same(_flux(g, depth, m, cap))
+def equivalent(f: Morphism, g: Morphism) -> bool:
+    """Flux equality at fixpoint, at the two arrows' shared width: exact, and no cap is read."""
+    m = f.width(g.width(0))
+    return _flux(f, None, m, None).same(_flux(g, None, m, None))
 
 
 # ---------------------------------------------------------------------------

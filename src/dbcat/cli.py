@@ -117,7 +117,7 @@ def run(command: str, args, ws: Workspace, depth, max_arity, cap) -> Verdicts:
         lines.append((f"powerview {args[0]} closure", True, closure))
     elif command == "iso":
         a, b = (ws.lookup("instance", name)[1] for name in args)
-        ok = powerview.instances_isomorphic(a, b, None)
+        ok = powerview.instances_isomorphic(a, b)
         lines.append((f"iso {args[0]} {args[1]}", ok, "same views" if ok else "views differ"))
     elif command == "flux":
         try:
@@ -139,7 +139,7 @@ def run(command: str, args, ws: Workspace, depth, max_arity, cap) -> Verdicts:
         except category.ModeViolation as exc:
             lines.append((f"compose {args[1]}.{args[0]}", False, str(exc)))
     elif command == "laws":
-        lines.extend(_law_suite(ws, max_arity))
+        lines.extend(_law_suite(ws))
     elif command == "check-model":
         report = interpret.check_model(alpha, sketch)
         lines += report.checks
@@ -153,33 +153,33 @@ def run(command: str, args, ws: Workspace, depth, max_arity, cap) -> Verdicts:
         lines += interpret.check_gamma_iso(alpha, sketch).checks
     elif command == "duality":
         a, b = (ws.lookup("instance", name)[1] for name in args)
-        report = category.verify_duality(a, b, max_arity=max_arity)
+        report = category.verify_duality(a, b)
         lines += [(f"duality {cid}", ok, detail) for cid, ok, detail in report.checks]
         lines.append(("duality note", True, category.SET_COUNTEREXAMPLE_NOTE))
     return Verdicts(tuple(lines))
 
 
-def _law_suite(ws: Workspace, max_arity):
+def _law_suite(ws: Workspace):
     """A small built-in law battery over the workspace's declared instances, at fixpoint."""
     from . import category, powerview
 
     lines = []
     insts = sorted(ws.instances.items())
     bot = bottom_instance()
-    vs_bot = powerview.view_closure(bot, None, max_arity)
+    vs_bot = powerview.view_closure(bot)
     lines.append(("laws bottom-closure", len(vs_bot) == 1, "views of the bottom instance are just the empty view"))
     for name, (_, inst) in insts:
-        vs = powerview.view_closure(inst, None, max_arity)
+        vs = powerview.view_closure(inst)
         contains_all = all(
             r.tuples in vs or not r.tuples for r in inst.relations
         )
         lines.append((f"laws contains-source {name}", contains_all, "instance relations appear among views"))
-        collapses = powerview.instances_isomorphic(inst, bot, None) == is_empty_isomorphic(inst)
+        collapses = powerview.instances_isomorphic(inst, bot) == is_empty_isomorphic(inst)
         lines.append((f"laws empty-vs-bottom {name}", collapses, "empty instances collapse to the bottom object"))
-        transmits = category.flux(category.identity(inst), None, max_arity).canonical() == vs.canonical()
+        transmits = category.flux(category.identity(inst), None).canonical() == vs.canonical()
         lines.append((f"laws identity-flux {name}", transmits, "identity transmits the whole view closure"))
     for (n1, (_, a)), (n2, (_, b)) in zip(insts, insts[1:]):
-        rep = category.verify_duality(a, b, max_arity=max_arity)
+        rep = category.verify_duality(a, b)
         lines.append((f"laws duality {n1}+{n2}", rep.passed, "coproduct doubles as product"))
     return lines
 
@@ -235,7 +235,7 @@ def usage() -> str:
     options = [f"  {name}" + {(): " (repeatable)", None: ""}.get(value, f" (default {value})") for name, value in OPTIONS.items()]
     return "\n".join(["usage: dbcat COMMAND [ARGUMENT ...] [-i FILE ...] [OPTION VALUE ...]", "commands:", *commands,
                       "options (-i, -h, --name=value and unique prefixes also work):", *options,
-                      "--format is text or lines; every verdict is exact; --depth and --cap bound only listings",
+                      "--format is text or lines; every verdict is exact; --depth, --arity and --cap bound only listings",
                       "(powerview, flux, compose), and --depth -1 lists to fixpoint."])
 
 

@@ -20,7 +20,8 @@ from itertools import chain
 from operator import attrgetter, itemgetter
 
 
-#: The closure bounds of :mod:`dbcat.powerview` when a caller gives none.
+#: The bounds of a listing (``power_view``, ``flux``) when a caller gives none.  A verdict
+#: decides at fixpoint, where no depth or cap is read and no width changes an answer.
 DEFAULT_DEPTH = 2
 DEFAULT_MAX_ARITY = 4
 DEFAULT_CAP = 100_000
@@ -308,7 +309,7 @@ class Instance(Record):
         key = (name, cols)
         idx = self._indexes.get(key)
         if idx is None:
-            idx = self._indexes.setdefault(key, _build_index(self.relation(name), cols))
+            idx = self._indexes.setdefault(key, index_tuples(self.relation(name).tuples, cols))
         return idx
 
     def components(self) -> dict:
@@ -331,27 +332,18 @@ def picker(cols: Sequence[int]):
     return itemgetter(*cols)
 
 
-def key_getter(cols: Sequence[int]):
-    """A tuple's key in an index on *cols*: the bare value on one column, a tuple on several, () on none."""
-    return itemgetter(*cols) if cols else itemgetter(slice(0, 0))
-
-
 def index_tuples(tuples: Collection[tuple], cols: Sequence[int]) -> dict:
-    """Hash index of *tuples* on *cols*: :func:`key_getter` key -> the tuples with those values there,
-    a 1-tuple while every key is unique (built in C), else a list; under () *tuples* themselves."""
+    """Hash index of *tuples* on *cols*: key (a bare value on one column, a tuple on several) -> the
+    tuples with it, a 1-tuple while every key is unique (built in C), else a list; on no column, () -> *tuples*."""
     if not cols:
         return {(): tuples} if tuples else {}
-    key = key_getter(cols)
+    key = itemgetter(*cols)
     idx = dict(zip(map(key, tuples), zip(tuples)))
     if len(idx) < len(tuples):  # some key repeats
         idx = {}
         for t in tuples:
             idx.setdefault(key(t), []).append(t)
     return idx
-
-
-def _build_index(r: Relation, cols: tuple) -> dict:
-    return index_tuples(r.tuples, cols)
 
 
 def make_instance(

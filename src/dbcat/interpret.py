@@ -268,7 +268,7 @@ def check_gamma_iso(alpha: Interpretation, sketch: Sketch) -> Verdicts:
     nodes, checks = _Nodes(alpha, sketch), []
     for node, obj in sketch.nodes:
         if node != EMPTY_NODE and not hasattr(obj, "sentinel"):
-            ok = instances_isomorphic(nodes[node, True], nodes[node, False], None)
+            ok = instances_isomorphic(nodes[node, True], nodes[node, False])
             detail = "enlargement adds no views" if ok else "enlargement changes the view closure"
             checks.append((f"gamma-iso {node}", ok, detail))
     return Verdicts(tuple(checks))

@@ -371,10 +371,10 @@ def _closed(inst, depth, max_arity, cap) -> tuple:
     return ViewSet(tuple(components), -1 if depth is None else depth, max_arity, fixpoint), seeds
 
 
-def view_closure(inst, depth=DEFAULT_DEPTH, max_arity=DEFAULT_MAX_ARITY, cap=DEFAULT_CAP) -> ViewSet:
+def view_closure(inst, depth=None, max_arity=DEFAULT_MAX_ARITY, cap=DEFAULT_CAP) -> ViewSet:
     """All views of *inst* within the bounds, the width raised to its widest
-    relation, for a verdict: ``depth=None`` runs to a true fixpoint, kept as
-    uncounted descriptions, and the result records whether it got there."""
+    relation, for a verdict: by default (``depth=None``) a true fixpoint, kept
+    as uncounted descriptions; the result records whether it got there."""
     return _closed(inst, depth, max_arity, cap)[0]
 
 
@@ -417,13 +417,13 @@ def power_view_cached(inst, depth, max_arity, cap=DEFAULT_CAP) -> ViewSet:
 def instances_isomorphic(
     a: Instance,
     b: Instance,
-    depth: int | None = DEFAULT_DEPTH,
+    depth: int | None = None,
     max_arity: int = DEFAULT_MAX_ARITY,
     cap: int = DEFAULT_CAP,
 ) -> bool:
     """Equality of the two view closures at a shared bound, components
     matched up to renaming.  Unequal :func:`closure_signature` values are an
-    exact FAIL at any bound; at fixpoint equal ones are an exact PASS, found
+    exact FAIL at any bound; at fixpoint, the default, equal ones are an exact PASS, found
     without listing views or raising :class:`ViewBudgetExceeded`: the route
     of every verdict.  A bounded depth is the library route the benchmark
     still times: a relation of *a* missing from *b*'s closure, built first,
@@ -444,7 +444,7 @@ def instances_isomorphic(
 def matching(
     a: Instance,
     b: Instance,
-    depth: int | None = DEFAULT_DEPTH,
+    depth: int | None = None,
     max_arity: int = DEFAULT_MAX_ARITY,
     cap: int = DEFAULT_CAP,
 ) -> ViewSet:
@@ -465,7 +465,7 @@ def matching(
 def merging(
     a: Instance,
     b: Instance,
-    depth: int | None = DEFAULT_DEPTH,
+    depth: int | None = None,
     max_arity: int = DEFAULT_MAX_ARITY,
     cap: int = DEFAULT_CAP,
 ) -> ViewSet:

@@ -229,13 +229,14 @@ def _verdict_runs():
     return runs
 
 
-NO_BOUND = [[], ["--depth", "1"], ["--depth", "2"], ["--depth", "3", "--cap", "1"], ["--depth", "-1"]]
+NO_BOUND = [[], ["--depth", "1"], ["--depth", "2"], ["--depth", "3", "--cap", "1"], ["--depth", "-1"],
+            ["--arity", "0"], ["--arity", "1"], ["--arity", "5"]]
 
 
 @pytest.mark.parametrize("name, argv", _verdict_runs(), ids=lambda x: x if isinstance(x, str) else " ".join(x))
 def test_a_verdict_reads_no_bound(name, argv, capsys):
-    """Every verdict is decided at fixpoint, so no depth or cap changes its
-    report and no cap can stop it."""
+    """Every verdict is decided at fixpoint, so no depth, cap or width changes
+    its report and no cap can stop it."""
     readings = []
     for bound in NO_BOUND:
         status = main([*argv, "-i", str(DATA / name), "--format", "lines", *bound])
@@ -264,6 +265,16 @@ def test_an_iso_that_a_bounded_closure_failed_passes(text, argv, tmp_path, capsy
         path.write_text(text)
     assert main([*argv, "-i", str(path), "--format", "lines"]) == 0
     assert capsys.readouterr() == (f"iso {argv[1]} {argv[2]}\tPASS\tsame views\n", "")
+
+
+def test_library_verdicts_default_to_fixpoint():
+    """With no bound argument the library decides as the CLI does: A0 and D0
+    have one component over one domain, so their closures are equal."""
+    from dbcat.category import identity
+
+    a, d = (ws("demo.dbc").instances[name][1] for name in ("A0", "D0"))
+    assert instances_isomorphic(a, d) and equivalent(identity(a), identity(d))
+    assert matching(a, d).fixpoint and merging(a, d).fixpoint and powerview.view_closure(a).fixpoint
 
 
 def test_a_listing_budget_error_names_no_check(capsys):
@@ -340,7 +351,7 @@ def test_fixpoint_commands_never_run_the_level_enumerator(monkeypatch, capsys):
         morphisms = [_mapping_morphism(w, argv[1], *argv[2:4]) for argv in arrows if argv[0] == "flux"]
         if name == "demo":
             morphisms.append(compose(morphisms[1], morphisms[0]))
-        same = {(f, g): equivalent(f, g, None) for f, g in itertools.product(morphisms, repeat=2)}
+        same = {(f, g): equivalent(f, g) for f, g in itertools.product(morphisms, repeat=2)}
         assert all(same[f, f] for f in morphisms)
     with pytest.raises(AssertionError, match="a closure was built"):  # a bounded closure runs it
         main(["powerview", "B0", "-i", str(DATA / "demo.dbc"), "--depth", "1"])

@@ -29,20 +29,21 @@ def test_each_golden_command_gets_its_modules_and_their_lines():
     assert lines["src"] == int(wc.stdout.splitlines()[-1].split()[0])  # the "total" line
 
 
-def test_memo_traffic_lists_every_memo_of_both_traffics():
+def test_memo_traffic_lists_every_memo_of_each_traffic():
     proc = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "memo_traffic.py")], cwd=ROOT, capture_output=True, text=True, check=True
     )
     rows = {tuple(line.split()[:2]): line.split()[2:] for line in proc.stdout.splitlines()}
     memo = re.compile(r"^@(?:functools\.)?(?:lru_)?cache\b.*\ndef (\w+)", re.M)
     decorated = [name for path in SRC.glob("*.py") for name in memo.findall(path.read_text())]
-    for traffic in ("cli", "closures"):
+    for traffic in ("cli", "joins", "closures"):
         names = [name for t, name in rows if t == traffic]
         assert sorted(n.rsplit(".", 1)[1] for n in names if n != "powerview._PV_CACHE") == sorted(decorated)
         assert int(rows[traffic, "powerview._PV_CACHE"][1]) <= MEMO_ENTRIES
-    assert len(rows) == 2 * (len(decorated) + 1)
+    assert len(rows) == 3 * (len(decorated) + 1)
     assert rows["cli", "powerview._PV_CACHE"] == ["0/0", "0"]  # no command reads a bounded closure
     assert rows["cli", "syntax.copy_rule"] == ["32/42", "3"]
+    assert rows["joins", "queries._block_plan"] == ["21/22", "1"]  # one plan for the self-join's shape
     hits, calls = map(int, rows["closures", "powerview._PV_CACHE"][0].split("/"))
     assert 0 < hits < calls and calls > MEMO_ENTRIES
 

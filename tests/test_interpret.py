@@ -253,7 +253,7 @@ def test_interpret_identity_arrow():
     (ida,) = [a for a in sk.arrows if a.kind == "identity" and a.src == "A"]
     image = interpret_arrow(alpha, sk, ida)
     inst = interpret_term(alpha, SAtom(SA))
-    assert equivalent(image.morphism, identity(inst), None, 2)
+    assert equivalent(image.morphism, identity(inst))
 
 
 def test_functor_iff_model_on_fixture():
@@ -516,6 +516,6 @@ def test_every_composite_into_the_bottom_object_carries_its_direct_arrows_flux()
             images = {(a.src, a.tgt): interpret_arrow(alpha, sk, a).morphism for a in sk.arrows if a.kind != "identity"}
             for (src, mid), f in images.items():
                 if (mid, EMPTY_NODE) in images and src != mid:
-                    assert equivalent(images[src, EMPTY_NODE], compose(images[mid, EMPTY_NODE], f), None, 2)
+                    assert equivalent(images[src, EMPTY_NODE], compose(images[mid, EMPTY_NODE], f))
                     compared += 1
     assert compared == 3 + 4 + 3  # the triangle, demo, system

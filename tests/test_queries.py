@@ -272,15 +272,21 @@ def test_three_atom_rules_with_constants_and_builtins_match_brute_force():
             assert eval_spjru(rule_to_spjru(q), inst).tuples == want
 
 
+def counting_builds(monkeypatch) -> list:
+    """The (relation name, cols) of each index an instance builds, filled in as it builds them."""
+    builds, index = [], core.Instance.index
+
+    def counting(self, name, cols):
+        if (name, cols) not in self._indexes:
+            builds.append((name, cols))
+        return index(self, name, cols)
+
+    monkeypatch.setattr(core.Instance, "index", counting)
+    return builds
+
+
 def test_tgd_witness_search_builds_each_index_once(monkeypatch):
-    builds = []
-    real = core._build_index
-
-    def counting(relation, cols):
-        builds.append((relation.name, cols))
-        return real(relation, cols)
-
-    monkeypatch.setattr(core, "_build_index", counting)
+    builds = counting_builds(monkeypatch)
     n = 2000
     r = {(x, (7 * x) % n) for x in range(n)}
     inst = make_instance({"r": r, "s": {(x,) for x, _ in r}})
@@ -293,19 +299,13 @@ def test_tgd_witness_search_builds_each_index_once(monkeypatch):
 
 
 def test_rule_and_algebra_build_each_index_once(monkeypatch):
-    builds, indexed = [], []
-    real_build, real_index = core._build_index, core.index_tuples
+    builds, indexed, real_index = counting_builds(monkeypatch), [], core.index_tuples
     inst = make_instance({"r": [(1, 2), (2, 3), (3, 1), (3, 3)]})
-
-    def counting(relation, cols):
-        builds.append((relation.name, cols))
-        return real_build(relation, cols)
 
     def indexing(tuples, cols):  # every index, the instance's or one built for itself
         indexed.append(tuple(cols))
         return real_index(tuples, cols)
 
-    monkeypatch.setattr(core, "_build_index", counting)
     monkeypatch.setattr(core, "index_tuples", indexing)
     q = rule("q", ["X", "Z"], [("r", "X", "Y"), ("r", "Y", "Z")])
     assert rule_to_spjru(q) == Project(Join(BaseRel("r"), BaseRel("r"), ((1, 0),)), (0, 3))
@@ -317,14 +317,7 @@ def test_rule_and_algebra_build_each_index_once(monkeypatch):
 
 
 def test_full_key_probes_read_the_relations_own_tuples(monkeypatch):
-    builds = []
-    real = core._build_index
-
-    def counting(relation, cols):
-        builds.append((relation.name, cols))
-        return real(relation, cols)
-
-    monkeypatch.setattr(core, "_build_index", counting)
+    builds = counting_builds(monkeypatch)
     X, Y, Z = Var("X"), Var("Y"), Var("Z")
     r, t, u = (RelAtom(name, args) for name, args in (("r", (X, Y)), ("t", (Y, X)), ("u", ())))
     rules = [

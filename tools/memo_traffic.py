@@ -5,10 +5,11 @@
 Run it at the root of the repository.  A memo is a ``functools`` cache
 defined in a ``dbcat`` module, or ``powerview._PV_CACHE``, which keeps
 no counts: the tool wraps ``powerview.power_view_cached`` in this process and
-counts a call whose key the memo holds as a hit.  Two traffics run here: ``cli``,
-the benchmark's 20 golden commands (``CLI_COMMANDS`` at both bounds) through
-``dbcat.cli.main``, every memo cleared before each, and ``closures``, two
-passes of that workload (seed 4242 unless given) with its ops run bare.
+counts a call whose key the memo holds as a hit.  Three traffics run here:
+``cli``, the benchmark's 20 golden commands (``CLI_COMMANDS`` at both bounds)
+through ``dbcat.cli.main``, every memo cleared before each, and ``joins`` and
+``closures``, two passes of each of those workloads (seed 4242 unless given)
+with their ops run bare, every memo cleared before each workload.
 Each line gives hits/calls and the size a memo was left at, for ``cli`` the
 largest any command left.  Every ``dbcat`` module is imported first, so a
 memo that a traffic never reaches is listed at 0/0.
@@ -89,11 +90,15 @@ def main() -> int:
             for name, (hits, calls, size) in counts(pv).items():
                 h, c, s = cli.get(name, (0, 0, 0))
                 cli[name] = (h + hits, c + calls, max(s, size))
-    state = workloads.closures_setup(int(sys.argv[1]) if len(sys.argv) > 1 else 4242)
-    clear(pv)
-    for index in range(2):
-        workloads.closures_pass(Bare(), state, workloads.closures_inputs(state, index))
-    for traffic, table in (("cli", cli), ("closures", counts(pv))):
+    tables = {"cli": cli}
+    for traffic in ("joins", "closures"):
+        setup, inputs, run = workloads.WORKLOADS[traffic]
+        state = setup(int(sys.argv[1]) if len(sys.argv) > 1 else 4242)
+        clear(pv)
+        for index in range(2):
+            run(Bare(), state, inputs(state, index))
+        tables[traffic] = counts(pv)
+    for traffic, table in tables.items():
         for name, (hits, calls, size) in sorted(table.items()):
             print(f"{traffic:<10}{name:<32}{f'{hits}/{calls}':>12}{size:>8}")
     return 0
