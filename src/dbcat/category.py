@@ -213,7 +213,6 @@ def _copy_arrow(origin: Instance, source: Instance, target: Instance, reads: dic
             "exact",
         )
         for r in origin.relations
-        if r.name != BOT
     ]
     return make_atomic(vms, source, target)
 

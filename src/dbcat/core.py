@@ -1,10 +1,10 @@
 """Finite relational instances: relations, values, component tagging, disjoint union.
 
 Instances are immutable values.  Every instance implicitly contains the empty
-relation; it is stored explicitly only in the bottom instance returned by
-:func:`bottom_instance`.  Relations carry a component id so that instances
-built by :func:`disjoint_union` remember which side each relation came from;
-an ordinary instance keeps everything in component 0.
+relation and none stores it: :func:`bottom_instance` has no relations.
+Relations carry a component id so that instances built by :func:`disjoint_union`
+remember which side each relation came from; an ordinary instance keeps
+everything in component 0.
 
 Both sums, :func:`disjoint_union` and :func:`federate`, name relations by
 :func:`qualified_names`, the one rule that forms ``name#k``, so nested sums
@@ -130,7 +130,8 @@ SENTINEL_B = Sentinel("B")
 #: A value is an integer, a string, or one of the two reserved sentinels.
 Value = int | str | Sentinel
 
-#: Name of the distinguished empty relation (arity 0, never any tuples).
+#: The name :meth:`dbcat.category.Morphism.d0` and ``d1`` give the implicit empty
+#: relation, the ends of an arrow with no tree; no instance stores a relation by it.
 BOT = "_bot"
 
 
@@ -372,8 +373,9 @@ def make_instance(
 
 
 def bottom_instance() -> Instance:
-    """The instance containing only the empty relation."""
-    return Instance((Relation(BOT, 0),), ((BOT, 0),))
+    """The instance of the implicit empty relation alone: the instance with no
+    relations, equal to ``make_instance({})``."""
+    return Instance((), ())
 
 
 def is_empty_isomorphic(a: Instance) -> bool:
@@ -422,7 +424,7 @@ def _sum_layout(pa: tuple, pb: tuple) -> tuple:
         taken += len(comp_maps[-1])
         # a partition is in name order: leaf order, unless a name holds '#'
         leaves.append(sorted(part, key=_leaf_key) if "#" in "".join(n for n, _ in part) else part)
-    rels = [(side, old, comp_maps[side][c]) for side in (0, 1) for old, c in leaves[side] if old != BOT]
+    rels = [(side, old, comp_maps[side][c]) for side in (0, 1) for old, c in leaves[side]]
     named = [(name, *rel) for rel, name in zip(rels, qualified_names([old for _, old, _ in rels]))]
     name_maps = ({old: name for name, s, old, _ in named if s == side} for side in (0, 1))
     slots = tuple(sorted(named))
@@ -432,9 +434,9 @@ def _sum_layout(pa: tuple, pb: tuple) -> tuple:
 
 def _sum(a: Instance, b: Instance, federated: bool) -> tuple:
     """The one sum builder, :func:`disjoint_union_with_maps`; *federated* puts every relation in component 0."""
-    bare = [inst._by_name.keys() <= {BOT} for inst in (a, b)]
+    bare = [not inst.relations for inst in (a, b)]
     if any(bare):
-        names = ({n: n for n in inst.names if n != BOT} for inst in (a, b))
+        names = ({n: n for n in inst.names} for inst in (a, b))
         comps = ({c: c for _, c in inst.partition} for inst in (a, b))
         inst = b if bare[0] else a
         inst = Instance._derived(inst.relations, tuple((n, 0) for n in inst.names)) if federated else inst
@@ -465,9 +467,9 @@ def disjoint_union_with_maps(a: Instance, b: Instance):
     Components are renumbered 1..n, *a*'s first.  Relations are named by
     :func:`qualified_names` in leaf order, *a*'s first, so a name map may
     rename a name that was already qualified: ``r#1`` of a nested sum
-    becomes ``r#2`` after a bare ``r``.  The distinguished empty relation is
-    dropped from both sides (it is implicit) unless nothing else remains.
-    A summand holding nothing else is the unit: the sum is the other summand
+    becomes ``r#2`` after a bare ``r``.  Every relation of both summands is
+    kept: the empty relation is implicit in each and stored by neither.
+    A summand with no relations, ⊥, is the unit: the sum is the other summand
     as it is, with identity maps, so ``A + ⊥ == A == ⊥ + A``.
     Otherwise the sums of one shape share the maps, which callers only read; a sum is
     born with its name lookup and, when both summands hold one, its :func:`closure_signature`.

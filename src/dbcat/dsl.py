@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 
-from .core import DbcatError, Instance, Record, Relation, bottom_instance
+from .core import DbcatError, Instance, Record, Relation
 from .syntax import Builtin, Const, Egd, RelAtom, Rule, Sentence, Tgd, Var
 # The schema layer (``SchemaTerm`` in annotations) is imported where a statement needs it: a rule needs none.
 
@@ -421,8 +421,7 @@ def _parse_instance(p: _Parser, ws: Workspace, name: str):
         Relation(rel, rels[rel], frozenset(tuples[rel])) for rel in sorted(rels)
     )
     partition = tuple((rel, layout.component_of(rel)) for rel in sorted(rels))
-    inst = Instance(relations, partition) if relations else bottom_instance()
-    ws.instances[name] = (term_name, inst)
+    ws.instances[name] = (term_name, Instance(relations, partition))
 
 
 def _parse_mapping(p: _Parser, ws: Workspace, name: str):

@@ -22,7 +22,6 @@ from functools import reduce
 from .category import Morphism, ModeViolation, ViewMap, empty_morphism, identity, make_atomic
 from .constraints import find_sentence_violation
 from .core import (
-    BOT,
     SENTINEL_A,
     SENTINEL_B,
     DbcatError,
@@ -69,14 +68,13 @@ def interpretation(assign: dict, schemas: dict | None = None) -> Interpretation:
             if schema is None:
                 raise InterpretationError(f"unknown schema {name!r}")
             rels = dict(schema.relsymbols)
-            names = [n for n in inst.names if n != BOT]
-            if sorted(rels) != sorted(names):
+            if sorted(rels) != sorted(inst.names):
                 raise InterpretationError(
-                    f"instance for {name!r} has relations {sorted(names)}, "
+                    f"instance for {name!r} has relations {sorted(inst.names)}, "
                     f"schema declares {sorted(rels)}"
                 )
             for r in inst.relations:
-                if r.name != BOT and r.arity != rels[r.name]:
+                if r.arity != rels[r.name]:
                     raise InterpretationError(
                         f"instance for {name!r}: relation {r.name} has arity "
                         f"{r.arity}, schema says {rels[r.name]}"
@@ -100,9 +98,8 @@ def interpret_term(alpha: Interpretation, term: SchemaTerm) -> Instance:
     inst = bottom_instance()
     for group in nf_components(term):
         leaves = [alpha.instance_for(s.name) for s in group]
-        # a leaf holds its schema's relations and the implicit empty one
         for s, leaf in zip(group, leaves):
-            extra = set(leaf.names) - {BOT} - set(dict(s.relsymbols))
+            extra = set(leaf.names) - set(dict(s.relsymbols))
             if extra:
                 raise InterpretationError(
                     f"schema {s.name!r} has no relation {min(extra)!r}"
@@ -141,9 +138,7 @@ class _Nodes(dict):
             inst = base = self[node, True]
             additions = self.sketch.additions_for(node)
             if additions:
-                # the implicit empty relation goes once another is there, as in the sums
-                relations = [r for r in base.relations if r.name != BOT]
-                partition = {n: c for n, c in base.partition if n != BOT}
+                relations, partition = list(base.relations), dict(base.partition)
                 for add in additions:
                     answer = eval_rule(add.query, self[add.over, True])
                     relations.append(Relation(add.name, add.arity, answer.tuples))

@@ -387,7 +387,7 @@ def nested_atomic(viewmaps) -> list:
 def nested_copies(origin: Instance, names: dict, into: bool) -> list:
     """The copy maps of an injection (*into*) or a projection: each relation
     of the summand *origin* against its name in the sum, ``names`` of it."""
-    pairs = [(r.name, names.get(r.name, r.name)) for r in origin.relations if r.name != BOT]
+    pairs = [(r.name, names.get(r.name, r.name)) for r in origin.relations]
     return [("map", new, (("open", old),)) if into else ("map", old, (("open", new),)) for old, new in pairs]
 
 
@@ -469,12 +469,11 @@ def random_instance(rng: random.Random, max_values=4, max_tuples=6, max_rels=2) 
 
 
 def random_rule(rng: random.Random, inst: Instance, allow_le=False) -> Rule:
-    rel_pool = [r for r in inst.relations if r.name != "_bot"]
     var_pool = ["X", "Y", "Z", "W"]
     n_atoms = rng.randint(1, 3)
     body = []
     for _ in range(n_atoms):
-        r = rng.choice(rel_pool)
+        r = rng.choice(inst.relations)
         args = []
         for _ in range(r.arity):
             if rng.random() < 0.2:
@@ -505,10 +504,9 @@ def random_body(rng: random.Random, inst: Instance, n_atoms=3, free_var=True) ->
     """*n_atoms* relation atoms over X, Y, Z, W and constants, then one or two
     ``=``/``<=`` built-ins; with *free_var*, a built-in may name V, which no
     relation atom binds."""
-    rels = [r for r in inst.relations if r.name != "_bot"]
     body = []
     for _ in range(n_atoms):
-        r = rng.choice(rels)
+        r = rng.choice(inst.relations)
         body.append(
             RelAtom(
                 r.name,

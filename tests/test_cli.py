@@ -826,7 +826,31 @@ def test_an_enlarged_relationless_node_drops_the_empty_relation():
     w = parse_workspace_text(RELATIONLESS)
     alpha = interpretation({"A": w.instances["A0"][1], "E": w.instances["E0"][1]}, w.schemas)
     enlarged = gamma_instance(alpha, build_sketch(w.graphs["G"]), "E")
-    assert enlarged.names == ("t",) and enlarged.relation("t").tuples == {(1,)}  # _bot goes, as in the sums
+    assert enlarged.names == ("t",) and enlarged.relation("t").tuples == {(1,)}  # ⊥ stores no relation to drop
+
+
+USER_BOT = """schema S { _bot/1. }
+schema T { r/1. }
+instance S0 of S { _bot(1). _bot(2). }
+instance T0 of T { r(1). r(2). }
+mapping M : S -> T { q(X) :- _bot(X) => r(X). }
+graph G { use M. }
+"""
+
+
+def test_a_relation_named_bot_is_an_ordinary_relation(tmp_path, capsys):
+    # ⊥ is the instance with no relations, so no name is taken for it: renaming
+    # _bot to b changes no status and no line but the name.
+    runs = []
+    for text in (USER_BOT, USER_BOT.replace("_bot", "b")):
+        path = tmp_path / "user_bot.dbc"
+        path.write_text(text)
+        for argv in (["laws"], ["iso", "S0", "T0"], ["duality", "S0", "T0"],
+                     ["check-model", "G"], ["check-functor", "G"], ["gamma-iso", "G"]):
+            status = main([*argv, "-i", str(path)])
+            out, err = capsys.readouterr()
+            runs.append((argv[0], status, out.replace("_bot", "b"), err))
+    assert runs[:6] == runs[6:]
 
 
 BRANCHED = """schema A { r/1. }

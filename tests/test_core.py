@@ -10,7 +10,18 @@ import pytest
 from hypothesis import example, given, settings
 
 from dbcat import core
-from dbcat.category import coproduct_morphism, identity, injection, mediating, pairing, projection, verify_duality
+from dbcat.category import (
+    compose,
+    coproduct_morphism,
+    empty_morphism,
+    equivalent,
+    identity,
+    injection,
+    mediating,
+    pairing,
+    projection,
+    verify_duality,
+)
 from dbcat.core import (
     BOT,
     SENTINEL_A,
@@ -41,10 +52,10 @@ from oracles import sorted_views_report
 
 
 def test_bottom_instance_shape():
-    bot = bottom_instance()
-    assert bot.names == (BOT,)
-    assert bot.relation(BOT).arity == 0
-    assert bot.relation(BOT).tuples == frozenset()
+    bot = bottom_instance()  # the empty relation is implicit: no relations at all
+    assert bot.relations == () == bot.partition
+    with pytest.raises(DbcatError, match="unknown relation"):
+        bot.relation(BOT)
 
 
 def test_bottom_is_empty_isomorphic():
@@ -106,6 +117,17 @@ def test_bottom_plus_bottom_still_bottom():
     bb = disjoint_union(bottom_instance(), bottom_instance())
     assert is_empty_isomorphic(bb)
     assert instances_isomorphic(bb, bottom_instance(), None, 1)
+    # ⊥ is one value: the instance with no relations, however it is built
+    empty, bot = make_instance({}), bottom_instance()
+    assert empty == bot
+    assert disjoint_union_with_maps(empty, bot) == disjoint_union_with_maps(bot, empty) == (bot, {}, {}, {}, {})
+    # a relation the user names _bot is an ordinary relation, not a unit of the sum
+    s0 = make_instance({BOT: [(1,), (2,)]})
+    assert disjoint_union(s0, s0).names == (f"{BOT}#1", f"{BOT}#2")
+    t0 = make_instance({"r": [(1,)]})
+    for into, out in ((empty, bot), (bot, empty)):  # factors meeting at ⊥ built each way
+        through = compose(empty_morphism(out, t0), empty_morphism(t0, into))
+        assert equivalent(through, empty_morphism(t0, t0))
 
 
 def test_bottom_is_a_unit_of_the_sum_on_the_nose():
@@ -113,8 +135,8 @@ def test_bottom_is_a_unit_of_the_sum_on_the_nose():
     for a in (make_instance({"r": [(1, 2)]}), make_instance({"r": [(1,)], "s": [(2,)]}, partition={"r": 1, "s": 2})):
         identity_names = {n: n for n in a.names}
         identity_comps = {c: c for _, c in a.partition}
-        assert disjoint_union_with_maps(a, bot) == (a, identity_names, {}, identity_comps, {0: 0})
-        assert disjoint_union_with_maps(bot, a) == (a, {}, identity_names, {0: 0}, identity_comps)
+        assert disjoint_union_with_maps(a, bot) == (a, identity_names, {}, identity_comps, {})
+        assert disjoint_union_with_maps(bot, a) == (a, {}, identity_names, {}, identity_comps)
         assert disjoint_union(a, bot) == a == disjoint_union(bot, a)
         assert federate(a, bot) == federate(bot, a) == Instance(a.relations, tuple((n, 0) for n in a.names))
     assert disjoint_union(bot, bot) == bot == federate(bot, bot)

@@ -710,12 +710,10 @@ HIDDEN_ON_BOTH_SIDES = [
 def _chain_viewmap(src, tgt, k: int, mask: int) -> ViewMap:
     """A unary view map into the *k*-th relation of *tgt*, joining on the first
     column the relations of *src* that *mask* picks in the first one's component."""
-    names = [n for n in src.names if n != BOT]
-    picked = [n for b, n in enumerate(names) if mask >> b & 1] or names[:1]
+    picked = [n for b, n in enumerate(src.names) if mask >> b & 1] or src.names[:1]
     picked = [n for n in picked if src.component_of(n) == src.component_of(picked[0])]
     body = [(n, "X", *(f"Y{b}_{c}" for c in range(1, src.relation(n).arity))) for b, n in enumerate(picked)]
-    targets = [n for n in tgt.names if n != BOT]
-    return ViewMap(rule("q", ["X"], body), targets[k % len(targets)])
+    return ViewMap(rule("q", ["X"], body), tgt.names[k % len(tgt.names)])
 
 
 def _run_chain(steps) -> list:
@@ -796,8 +794,10 @@ def _dsl_atom(draw, rels: dict, variables="XY") -> tuple:
 
 def _dsl_schema(draw, name: str) -> str:
     """One to three relations of arity 1–2, with weakly full TGDs and EGDs over
-    them; an EGD's atoms range over three variables, so that keys occur."""
-    rels = {rel: draw(st.integers(1, 2)) for rel in "rst"[: draw(st.integers(1, 3))]}
+    them; an EGD's atoms range over three variables, so that keys occur.  A
+    relation may be named ``_bot``: no name is reserved for the empty relation."""
+    names = draw(st.lists(st.sampled_from((BOT, "r", "s", "t")), min_size=1, max_size=3, unique=True))
+    rels = {rel: draw(st.integers(1, 2)) for rel in names}
     items = [f"{rel}/{arity}." for rel, arity in rels.items()]
     for _ in range(draw(st.integers(0, 2))):
         egd = draw(st.booleans())
