@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 _HOME = {
     name: module
     for module, names in (
-        ("core", "BOT SENTINEL_A SENTINEL_B DbcatError Instance Relation Sentinel active_domain "
+        ("core", "SENTINEL_A SENTINEL_B DbcatError Instance Relation Sentinel active_domain "
                  "bottom_instance disjoint_union federate is_empty_isomorphic make_instance"),
         ("syntax", "Builtin Const CrossComponentQuery Egd RelAtom Rule Sentence Tgd Var"),
         ("rules", "eval_rule"),

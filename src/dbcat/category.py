@@ -19,7 +19,6 @@ from __future__ import annotations
 from functools import cached_property
 
 from .core import (
-    BOT,
     DbcatError,
     Instance,
     Record,
@@ -140,10 +139,12 @@ class Morphism(Record):
         return "p-arrow" if any(t.hidden for t in self.trees) else "c-arrow"
 
     def d0(self) -> frozenset:
-        return frozenset().union(*(t.opens for t in self.trees)) or frozenset({BOT})
+        """The stored relations the arrow reads: none for an arrow with no tree."""
+        return frozenset().union(*(t.opens for t in self.trees))
 
     def d1(self) -> frozenset:
-        return frozenset(t.target for t in self.trees) or frozenset({BOT})
+        """The stored relations the arrow writes: none for an arrow with no tree."""
+        return frozenset(t.target for t in self.trees)
 
     def width(self, max_arity: int) -> int:
         """*max_arity* raised to the widest relation of every instance the arrow reads, middle objects included."""
@@ -153,8 +154,8 @@ class Morphism(Record):
     @cached_property
     def _views(self) -> tuple:
         """((source component, target component), extension) of each view map
-        of an atomic arrow, in order; :func:`make_atomic` gives the arrow
-        the extensions it evaluated to check the modes."""
+        of an atomic arrow, in order: the one place a view map is evaluated
+        and its channel read (:func:`make_atomic` checks the modes on it)."""
         viewmaps = self.parts[1]
         exts = [eval_rule(vm.query, self.source).tuples for vm in viewmaps]
         # eval_rule raised unless the rule's relations (at least one) share a component
@@ -174,13 +175,12 @@ def _projected_target(inst: Instance, name: str, width: int) -> frozenset:
 def make_atomic(viewmaps, source: Instance, target: Instance) -> Morphism:
     """Build a complete arrow from view mappings, enforcing their modes.
 
-    Each query is evaluated over *source*; the result must be contained in
-    (mode ``inclusion``) or equal to (mode ``exact``) the matching-width
-    prefix projection of its target relation.
+    Each query's extension over *source*, as the arrow's ``_views`` holds it,
+    must be contained in (mode ``inclusion``) or equal to (mode ``exact``)
+    the matching-width prefix projection of its target relation.
     """
-    viewmaps, views = tuple(viewmaps), []
-    for vm in viewmaps:
-        ext = eval_rule(vm.query, source).tuples
+    m = Morphism(source, target, ("atomic", tuple(viewmaps)))
+    for vm, (_, ext) in zip(m.parts[1], m._views):
         proj = _projected_target(target, vm.target, len(vm.query.head_vars))
         if vm.mode == "inclusion" and not ext <= proj:
             extra = sorted(ext - proj, key=tuple_key)[:3]
@@ -190,9 +190,6 @@ def make_atomic(viewmaps, source: Instance, target: Instance) -> Morphism:
                 f"view for {vm.target} differs from target projection "
                 f"({format_extension(ext)} vs {format_extension(proj)})"
             )
-        views.append(((source.component_of(min(vm.sources)), target.component_of(vm.target)), ext))
-    m = Morphism(source, target, ("atomic", viewmaps))
-    m.__dict__["_views"] = tuple(views)
     return m
 
 
@@ -402,29 +399,23 @@ SET_COUNTEREXAMPLE_NOTE = (
 def verify_duality(
     a: Instance,
     b: Instance,
-    f: Morphism | None = None,
-    g: Morphism | None = None,
     depth: int | None = None,
     max_arity: int = 2,
     cap: int = DEFAULT_CAP,
 ) -> Verdicts:
-    """Check that the coproduct of *a* and *b* also behaves as their product.
-
-    Optional *f*, *g* (arrows into *a* and *b* from a common source) feed the
-    product triangle laws; by default the projections themselves are used.
+    """Check that the coproduct of *a* and *b* also behaves as their product:
+    its projections undo its injections, and paired they form the product
+    triangles (``f`` and ``g`` in the reports are the projections).
     """
     sum_ab = disjoint_union_with_maps(a, b)  # built once, for every arrow into or out of it
     in_a, in_b, p_a, p_b = (_summand(sum_ab, a, b, side, into) for into in (True, False) for side in ("left", "right"))
-    if f is None or g is None:
-        f, g = p_a, p_b
-    targets = sum_ab if (f.target, g.target) == (a, b) else disjoint_union_with_maps(f.target, g.target)
-    paired = _side_by_side(f, g, None, targets)
-    max_arity = max(f.width(max_arity), g.width(max_arity), a.max_arity(), b.max_arity())
+    paired = _side_by_side(p_a, p_b, None, sum_ab)
+    max_arity = max(max_arity, a.max_arity(), b.max_arity())
     laws = (
         ("projection-after-injection-left", compose(p_a, in_a), identity(a), "p_A . in_A ~ id_A"),
         ("projection-after-injection-right", compose(p_b, in_b), identity(b), "p_B . in_B ~ id_B"),
-        ("product-triangle-left", compose(p_a, paired), f, "p_A . <f,g> ~ f"),
-        ("product-triangle-right", compose(p_b, paired), g, "p_B . <f,g> ~ g"),
+        ("product-triangle-left", compose(p_a, paired), p_a, "p_A . <f,g> ~ f"),
+        ("product-triangle-right", compose(p_b, paired), p_b, "p_B . <f,g> ~ g"),
     )
     checks = [(cid, _flux(lhs, depth, max_arity, cap).same(_flux(rhs, depth, max_arity, cap)), law)
               for cid, lhs, rhs, law in laws]

@@ -130,10 +130,6 @@ SENTINEL_B = Sentinel("B")
 #: A value is an integer, a string, or one of the two reserved sentinels.
 Value = int | str | Sentinel
 
-#: The name :meth:`dbcat.category.Morphism.d0` and ``d1`` give the implicit empty
-#: relation, the ends of an arrow with no tree; no instance stores a relation by it.
-BOT = "_bot"
-
 
 def value_key(v: Value) -> tuple:
     """Total order on values: integers, then strings, then sentinels."""

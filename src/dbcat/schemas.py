@@ -52,9 +52,6 @@ class Schema(Record):
         unknown, wrong = "constraint of {} uses unknown relation {}", "constraint of {} uses {} at the wrong arity"
         _check_atoms(atoms, arities, self.name, unknown, wrong)
 
-    def sort_key(self):
-        return (self.name, self.relsymbols)
-
 
 class SAtom(Record):
     schema: Schema
@@ -111,18 +108,11 @@ def nf_components(term: SchemaTerm) -> tuple:
     raise SchemaError(f"not a schema term: {term!r}")
 
 
-def canonical_nf(term: SchemaTerm) -> tuple:
-    groups = [
-        tuple(sorted((s.sort_key() for s in comp)))
-        for comp in nf_components(term)
-        if comp
-    ]
-    return tuple(sorted(groups))
-
-
 def schema_identity(a: SchemaTerm, b: SchemaTerm) -> bool:
-    """Term equality in the two-monoid algebra, decided on normal forms."""
-    return canonical_nf(_coerce(a)) == canonical_nf(_coerce(b))
+    """Term equality in the two-monoid algebra, decided on normal forms: the
+    sorted nonempty groups of each term's leaves, as (name, relation symbols)."""
+    left, right = (sorted(sorted((s.name, s.relsymbols) for s in g) for g in nf_components(t) if g) for t in (a, b))
+    return left == right
 
 
 # ---------------------------------------------------------------------------

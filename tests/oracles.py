@@ -13,7 +13,6 @@ import random
 from collections import Counter
 
 from dbcat.core import (
-    BOT,
     SENTINEL_A,
     SENTINEL_B,
     Instance,
@@ -442,7 +441,7 @@ def nested_reading(trees) -> tuple:
     for _, opens, _ in shown:
         d0 |= opens
     d1 = {target for target, _, _ in shown}
-    return kind, frozenset(d0 or {BOT}), frozenset(d1 or {BOT}), tuple(shown)
+    return kind, frozenset(d0), frozenset(d1), tuple(shown)
 
 
 # ---------------------------------------------------------------------------

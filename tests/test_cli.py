@@ -641,7 +641,7 @@ core.disjoint_union(a, b)"""
 
 #: The names ``dbcat`` exports, pinned.
 EXPORTS = [
-    "BOT", "BaseRel", "Builtin", "ColEq", "Const", "ConstEq", "CrossComponentQuery", "DbcatError",
+    "BaseRel", "Builtin", "ColEq", "Const", "ConstEq", "CrossComponentQuery", "DbcatError",
     "EMPTY_SCHEMA", "Egd", "Flux", "Instance", "Interpretation", "Join", "MappingGraph",
     "ModeViolation", "Morphism", "Project", "RelAtom", "Relation", "Rename", "Rule", "SAtom",
     "SENTINEL_A", "SENTINEL_B", "Schema", "SchemaMapping", "Select", "Sentence", "Sentinel",

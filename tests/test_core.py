@@ -23,7 +23,6 @@ from dbcat.category import (
     verify_duality,
 )
 from dbcat.core import (
-    BOT,
     SENTINEL_A,
     SENTINEL_B,
     ArityError,
@@ -55,7 +54,7 @@ def test_bottom_instance_shape():
     bot = bottom_instance()  # the empty relation is implicit: no relations at all
     assert bot.relations == () == bot.partition
     with pytest.raises(DbcatError, match="unknown relation"):
-        bot.relation(BOT)
+        bot.relation("_bot")
 
 
 def test_bottom_is_empty_isomorphic():
@@ -122,8 +121,8 @@ def test_bottom_plus_bottom_still_bottom():
     assert empty == bot
     assert disjoint_union_with_maps(empty, bot) == disjoint_union_with_maps(bot, empty) == (bot, {}, {}, {}, {})
     # a relation the user names _bot is an ordinary relation, not a unit of the sum
-    s0 = make_instance({BOT: [(1,), (2,)]})
-    assert disjoint_union(s0, s0).names == (f"{BOT}#1", f"{BOT}#2")
+    s0 = make_instance({"_bot": [(1,), (2,)]})
+    assert disjoint_union(s0, s0).names == ("_bot#1", "_bot#2")
     t0 = make_instance({"r": [(1,)]})
     for into, out in ((empty, bot), (bot, empty)):  # factors meeting at ⊥ built each way
         through = compose(empty_morphism(out, t0), empty_morphism(t0, into))
@@ -432,10 +431,10 @@ def test_format_views_refuses_what_value_key_refuses(bad):
         format_extension(frozenset({(1, 3), (bad, 2)}))
 
 
-def test_only_the_record_base_and_two_builders_touch_an_instance_dict():
+def test_only_the_record_base_and_the_sum_builder_touch_an_instance_dict():
     """Derived values are cached properties of their record.  Only the base
-    class, and the two builders that already hold a value when they make a
-    record (a sum, an atomic arrow), read or write ``__dict__``."""
+    class, and the one builder that already holds a value when it makes a
+    record (a sum), read or write ``__dict__``."""
     touched = set()
 
     def visit(node, owner):
@@ -449,4 +448,4 @@ def test_only_the_record_base_and_two_builders_touch_an_instance_dict():
 
     for path in pathlib.Path(core.__file__).parent.glob("*.py"):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
-    assert touched == {"core.Record.__init_subclass__", "core.Record._derived", "core._sum", "category.make_atomic"}
+    assert touched == {"core.Record.__init_subclass__", "core.Record._derived", "core._sum"}
