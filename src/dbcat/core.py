@@ -238,7 +238,8 @@ class Relation(Record):
 
 
 class Instance(Record):
-    """A finite database: relations plus a relation-name -> component-id map."""
+    """A finite database: relations plus a relation-name -> component-id map.
+    Its name lookup and :attr:`closure_signature` are cached properties."""
 
     relations: tuple
     partition: tuple
@@ -266,8 +267,13 @@ class Instance(Record):
         return {}
 
     @cached_property
-    def _closure_signature(self) -> frozenset:
-        """See :func:`closure_signature`; a sum may be born with it."""
+    def closure_signature(self) -> frozenset:
+        """Per component with a nonempty relation, the pair (active domain,
+        holds ``{()}``), as a multiset: a frozenset of (pair, count) items.
+        No operator adds a value or a nullary tuple, so every closure of the
+        component has the pair of its seeds, and at fixpoint the pair fixes
+        the closure (see :mod:`dbcat.powerview`).  Outside equality and
+        hashing; a non-federated sum is born with it when both summands hold it."""
         seeds, counts = {}, {}
         for r, comp in self._by_name.values():
             if r.tuples:  # a component holding only empty relations has no pair
@@ -447,12 +453,12 @@ def _sum(a: Instance, b: Instance, federated: bool) -> tuple:
         by_name[name] = (r, comp)
     inst = Instance.__new__(Instance)
     inst.__dict__.update(relations=tuple(r for r, _ in by_name.values()), partition=partition, _by_name=by_name)
-    sigs = [x.__dict__.get("_closure_signature") for x in (a, b)]
+    sigs = [x.__dict__.get("closure_signature") for x in (a, b)]
     if not federated and None not in sigs:  # the sum's components are its summands'
         counts = dict(sigs[0])
         for pair, n in sigs[1]:
             counts[pair] = counts.get(pair, 0) + n
-        inst.__dict__["_closure_signature"] = frozenset(counts.items())
+        inst.__dict__["closure_signature"] = frozenset(counts.items())
     return (inst, *maps)
 
 
@@ -468,7 +474,7 @@ def disjoint_union_with_maps(a: Instance, b: Instance):
     A summand with no relations, ⊥, is the unit: the sum is the other summand
     as it is, with identity maps, so ``A + ⊥ == A == ⊥ + A``.
     Otherwise the sums of one shape share the maps, which callers only read; a sum is
-    born with its name lookup and, when both summands hold one, its :func:`closure_signature`.
+    born with its name lookup and, when both summands hold one, its :attr:`Instance.closure_signature`.
     """
     return _sum(a, b, False)
 
@@ -490,13 +496,3 @@ def seed_pair(seeds: Iterable[frozenset]) -> tuple:
     extensions are *seeds*."""
     tuples = frozenset().union(*seeds)
     return frozenset().union(*tuples), () in tuples
-
-
-def closure_signature(inst: Instance) -> frozenset:
-    """Per component with a nonempty relation, the pair (active domain, holds
-    ``{()}``), as a multiset: a frozenset of (pair, count) items.  No
-    operator adds a value or a nullary tuple, so every closure of the
-    component has the pair of its seeds, and at fixpoint the pair fixes the
-    closure (see :mod:`dbcat.powerview`).  A cached property of the
-    instance, or given it by a sum, outside equality and hashing."""
-    return inst._closure_signature

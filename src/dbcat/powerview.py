@@ -36,7 +36,6 @@ from .core import (
     Relation,
     SetKey,
     bottom_instance,
-    closure_signature,
     ext_key,
     federate,
     format_closure,
@@ -422,7 +421,8 @@ def instances_isomorphic(
     cap: int = DEFAULT_CAP,
 ) -> bool:
     """Equality of the two view closures at a shared bound, components
-    matched up to renaming.  Unequal :func:`closure_signature` values are an
+    matched up to renaming.  The two cached ``closure_signature`` attributes
+    are compared first, with no call once both are known: unequal ones are an
     exact FAIL at any bound; at fixpoint, the default, equal ones are an exact PASS, found
     without listing views or raising :class:`ViewBudgetExceeded`: the route
     of every verdict.  A bounded depth is the library route the benchmark
@@ -430,7 +430,7 @@ def instances_isomorphic(
     is an exact FAIL (a closure holds its seeds); else the closures are
     compared: exact when both are fixpoints.
     """
-    same = closure_signature(a) == closure_signature(b)
+    same = a.closure_signature == b.closure_signature
     if not same or depth is None:
         return same
     m = max(max_arity, a.max_arity(), b.max_arity())

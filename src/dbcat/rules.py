@@ -3,7 +3,7 @@ instances, under set semantics.
 
 A rule or dependency (:mod:`dbcat.syntax`) keeps the :func:`plan` of each body
 it runs as a cached property: an atom order and a kernel, one generated nest
-of loops over instance hash indexes of partial keys, compiled once per record;
+of loops over instance hash indexes of partial keys, compiled once per source;
 a partial key on one column is the bare value, and a key that binds every
 column tests the relation's own tuples.  An EGD's kernel tests its pair itself.
 Its source holds slot numbers and tuple positions only; names and values reach
@@ -13,9 +13,9 @@ of :mod:`dbcat.queries` runs each of its blocks on such a plan too.
 from __future__ import annotations
 
 from collections import Counter
-from functools import partial
+from functools import lru_cache, partial
 
-from .core import Instance, Relation, value_key
+from .core import MEMO_ENTRIES, Instance, Relation, value_key
 from .syntax import Const, CrossComponentQuery, QueryArityError, RelAtom, Rule, UnknownRelation, Var
 
 
@@ -51,8 +51,9 @@ def _seq(items) -> str:
     return "".join(f"s{i}, " if i.__class__ is int else f"{i}, " for i in items)
 
 
+@lru_cache(maxsize=MEMO_ENTRIES)
 def _kernel(source: str):
-    """The kernel *source* defines, compiled: each record keeps its own plan, so no kernel is memoised."""
+    """The kernel *source* defines, compiled once per source: plans of one body shape share it."""
     scope = {"vk": value_key}
     exec(source, scope)
     return scope["k0"]

@@ -627,7 +627,7 @@ from dbcat import category, core
 from dbcat import powerview as pv
 a = core.make_instance({"r": [(1, 2), (2, 1)], "s": [(1,)]})
 b = core.make_instance({"r": [(1, 2), (2, 1)], "s": [(2,)]})
-assert core.closure_signature(a) == core.closure_signature(b)
+assert a.closure_signature == b.closure_signature
 closed, close_component = [], pv.close_component
 pv.close_component = lambda *args: closed.append(args) or close_component(*args)"""
     closures_ops = """

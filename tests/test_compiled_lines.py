@@ -44,6 +44,7 @@ def test_memo_traffic_lists_every_memo_of_each_traffic():
     assert rows["cli", "powerview._PV_CACHE"] == ["0/0", "0"]  # no command reads a bounded closure
     assert rows["cli", "syntax.copy_rule"] == ["32/42", "3"]
     assert rows["joins", "queries._block_plan"] == ["21/22", "1"]  # one plan for the self-join's shape
+    assert rows["joins", "rules._kernel"] == ["1/2", "1"]  # the self-join's rule and block share one source
     hits, calls = map(int, rows["closures", "powerview._PV_CACHE"][0].split("/"))
     assert 0 < hits < calls and calls > MEMO_ENTRIES
 
@@ -56,6 +57,6 @@ def test_every_memo_is_bounded_by_memo_entries():
 
     modules = [importlib.import_module(f"dbcat.{m.name}") for m in pkgutil.iter_modules(dbcat.__path__)]
     memos = {fn for module in modules for fn in vars(module).values() if hasattr(fn, "cache_parameters")}
-    assert {fn.__name__ for fn in memos} == {"_block_plan", "_sum_layout", "copy_rule"}
+    assert {fn.__name__ for fn in memos} == {"_block_plan", "_kernel", "_sum_layout", "copy_rule"}
     assert all(fn.cache_parameters()["maxsize"] == MEMO_ENTRIES for fn in memos)
     assert [path.name for path in SRC.glob("*.py") if "\nMEMO_ENTRIES = " in path.read_text()] == ["core.py"]

@@ -32,7 +32,6 @@ from dbcat.core import (
     SetKey,
     active_domain,
     bottom_instance,
-    closure_signature,
     disjoint_union,
     disjoint_union_with_maps,
     federate,
@@ -258,7 +257,7 @@ def test_arrows_over_a_sum_leave_the_shared_maps_as_they_were():
 def test_a_sum_keeps_no_reference_to_its_summands():
     a = make_instance({"r": [(1,)], "s": [(2,)]}, partition={"s": 1})
     b = make_instance({"r": [(3,)]})
-    closure_signature(a), closure_signature(b)
+    a.closure_signature, b.closure_signature
     sums = [disjoint_union(a, b), federate(a, b)]
     refs = [weakref.ref(a), weakref.ref(b)]
     del a, b
@@ -266,7 +265,7 @@ def test_a_sum_keeps_no_reference_to_its_summands():
     assert [r() for r in refs] == [None, None]
     assert [s.names for s in sums] == [("r#1", "r#2", "s")] * 2
     pairs = [(frozenset({v}), False) for v in (1, 2, 3)]
-    assert closure_signature(sums[0]) == frozenset((pair, 1) for pair in pairs)
+    assert sums[0].closure_signature == frozenset((pair, 1) for pair in pairs)
 
 
 def test_instance_rejects_a_name_listed_twice_in_the_partition():

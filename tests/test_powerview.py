@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import sys
 import time
 import weakref
 
@@ -525,6 +526,19 @@ def test_a_bounded_iso_refuted_by_the_seeds_builds_one_closure(monkeypatch):
     swap, one = make_instance({"r": [(3, 4), (4, 3)]}), make_instance({"r": [(3, 4)]})
     assert not instances_isomorphic(one, swap, 1, 2)  # a selection gives {(3, 4)}: both closures compared
     assert built == [swap, one]
+
+
+def test_an_iso_refuted_by_known_signatures_makes_no_call():
+    a, b = make_instance({"r": [(1, 2)]}), make_instance({"r": [(1, 3), (3, 1)], "s": [()]})
+    assert a.closure_signature != b.closure_signature  # both read before the verdicts
+    for args in ((a, b), (a, b, 2, 2)):
+        called = []
+        sys.setprofile(lambda frame, event, arg: event == "call" and called.append(frame.f_code.co_name))
+        try:
+            verdict = instances_isomorphic(*args)
+        finally:
+            sys.setprofile(None)
+        assert not verdict and called == ["instances_isomorphic"], args  # the verdict's own frame, nothing under it
 
 
 @pytest.mark.parametrize("depth", [1, 2, None])
