@@ -24,6 +24,7 @@ display-only and cannot be written: ``#`` starts a comment, so in
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 
 from .core import DbcatError, Instance, Record, Relation
 from .syntax import Builtin, Const, Egd, RelAtom, Rule, Sentence, Tgd, Var
@@ -31,10 +32,12 @@ from .syntax import Builtin, Const, Egd, RelAtom, Rule, Sentence, Tgd, Var
 
 
 class ParseError(DbcatError):
-    def __init__(self, message: str, line: int = 0, col: int = 0):
-        super().__init__(f"line {line}, column {col}: {message}" if line else message)
-        self.line = line
-        self.col = col
+    """A text that cannot be read, placed at *tok*, the token it stops at: its
+    ``line`` and ``col`` are kept, and are 0 when no token is given."""
+
+    def __init__(self, message: str, tok: Token | None = None):
+        self.line, self.col = (tok.line, tok.col) if tok else (0, 0)
+        super().__init__(f"line {self.line}, column {self.col}: {message}" if tok else message)
 
 
 _TOKEN_RE = re.compile(
@@ -49,6 +52,7 @@ _TOKEN_RE = re.compile(
   | (?P<string>'(?:[^'\\]|\\.)*')
   | (?P<ident>[A-Za-z_][A-Za-z0-9_\#]*)
   | (?P<punct>[{}(),.;:=/])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -81,26 +85,23 @@ class Token(Record):
 
 
 def tokenize(text: str) -> list:
+    """The tokens of *text* without whitespace and comments, then an ``eof``
+    token.  Each is placed at the line and column of its first character,
+    bisected from the offsets where lines start; a character that begins no
+    token is a :class:`ParseError` at its place."""
+    starts = [0, *(m.end() for m in re.finditer("\n", text))]
+
+    def place(kind: str, value: str, pos: int) -> Token:
+        line = bisect_right(starts, pos)
+        return Token(kind, value, line, pos - starts[line - 1] + 1)
+
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            snippet = text[pos : pos + 10]
-            raise ParseError(f"unexpected character {snippet[:1]!r}", line, col)
-        kind = m.lastgroup
-        value = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastgroup not in ("ws", "comment"):
+            tokens.append(place(m.lastgroup, m.group(), m.start()))
+            if m.lastgroup == "bad":
+                raise ParseError(f"unexpected character {m.group()!r}", tokens[-1])
+    tokens.append(place("eof", "", len(text)))
     return tokens
 
 
@@ -119,9 +120,7 @@ class _Parser:
 
     def fail(self, message: str, cause: Exception | None = None):
         tok = self.peek()
-        raise ParseError(
-            message + f" (found {tok.value!r})", tok.line, tok.col
-        ) from cause
+        raise ParseError(f"{message} (found {tok.value!r})", tok) from cause
 
     def expect(self, kind: str, value: str | None = None) -> Token:
         tok = self.peek()
@@ -158,16 +157,14 @@ class Workspace:
             return self.composes[name]
         if name in self.schemas:
             return SAtom(self.schemas[name])
-        line, col = (tok.line, tok.col) if tok else (0, 0)
-        raise ParseError(f"unknown schema or composition {name!r}", line, col)
+        raise ParseError(f"unknown schema or composition {name!r}", tok)
 
     def lookup(self, kind: str, name: str, tok: Token | None = None):
         """The ``instance``, ``mapping`` or ``graph`` declared as *name*; an
         unknown name is a :class:`ParseError` at *tok*, when given."""
         pool = getattr(self, kind + "s")
         if name not in pool:
-            line, col = (tok.line, tok.col) if tok else (0, 0)
-            raise ParseError(f"unknown {kind} {name!r}", line, col)
+            raise ParseError(f"unknown {kind} {name!r}", tok)
         return pool[name]
 
 
@@ -188,7 +185,7 @@ def _term_ref(p: _Parser, ws: Workspace) -> tuple:
 
 def _check_unreserved(tok: Token):
     if tok.value in KEYWORDS:
-        raise ParseError(f"{tok.value!r} is a reserved word", tok.line, tok.col)
+        raise ParseError(f"{tok.value!r} is a reserved word", tok)
 
 
 def _check_fresh(ws: Workspace, tok: Token):
@@ -196,7 +193,7 @@ def _check_fresh(ws: Workspace, tok: Token):
     _check_unreserved(tok)
     for pool in (ws.schemas, ws.composes, ws.instances, ws.mappings, ws.graphs):
         if tok.value in pool:
-            raise ParseError(f"duplicate name {tok.value!r}", tok.line, tok.col)
+            raise ParseError(f"duplicate name {tok.value!r}", tok)
 
 
 # -- rules -------------------------------------------------------------------
@@ -358,32 +355,35 @@ def _parse_schema_term(p: _Parser, ws: Workspace) -> SchemaTerm:
 # -- statements ----------------------------------------------------------------
 
 
+def _parse_block(p: _Parser, item):
+    """``{``, then ``item()`` for each item and the ``.`` that ends it, up to
+    ``}``; the statement reads ``}`` once its record is built, so an error in
+    the record is placed at ``}``."""
+    p.expect("punct", "{")
+    while not p.at("punct", "}"):
+        item()
+        p.expect("punct", ".")
+
+
 def _parse_schema(p: _Parser, ws: Workspace, name: str):
     from .schemas import Schema
-    p.expect("punct", "{")
-    rels = []
-    constraints = []
-    while not p.at("punct", "}"):
+    rels, constraints = [], []
+
+    def item():
         rel = p.ident("relation name")
         if rel.value == "constraint" and not p.at("punct", "/"):
             constraints.append(_parse_constraint(p))
-            p.expect("punct", ".")
-            continue
-        _check_unreserved(rel)
-        if rel.value[0].isupper():
-            raise ParseError(
-                "relation names start lowercase (uppercase means a variable)",
-                rel.line,
-                rel.col,
-            )
-        p.expect("punct", "/")
-        if p.at("int") and int(p.peek().value) < 1:
-            p.fail("relation arity must be positive")
-        rels.append((rel.value, int(p.expect("int").value)))
-        p.expect("punct", ".")
-    ws.schemas[name] = _build(
-        p, Schema, name, tuple(rels), Sentence(tuple(constraints))
-    )
+        else:
+            _check_unreserved(rel)
+            if rel.value[0].isupper():
+                raise ParseError("relation names start lowercase (uppercase means a variable)", rel)
+            p.expect("punct", "/")
+            if p.at("int") and int(p.peek().value) < 1:
+                p.fail("relation arity must be positive")
+            rels.append((rel.value, int(p.expect("int").value)))
+
+    _parse_block(p, item)
+    ws.schemas[name] = _build(p, Schema, name, tuple(rels), Sentence(tuple(constraints)))
     p.expect("punct", "}")
 
 
@@ -399,27 +399,20 @@ def _parse_instance(p: _Parser, ws: Workspace, name: str):
     layout = term_layout(term)
     rels = layout.relsymbols()
     tuples: dict = {rel: set() for rel in rels}
-    p.expect("punct", "{")
-    while not p.at("punct", "}"):
+
+    def item():
         rel_tok = p.ident("relation name")
         rel = rel_tok.value
         if rel not in rels:
-            raise ParseError(
-                f"relation {rel!r} is not part of {term_name}", rel_tok.line, rel_tok.col
-            )
+            raise ParseError(f"relation {rel!r} is not part of {term_name}", rel_tok)
         row = _parse_list(p, _parse_value)
-        p.expect("punct", ".")
-        if len(row) != rels[rel]:
-            raise ParseError(
-                f"{rel} expects {rels[rel]} values, got {len(row)}",
-                rel_tok.line,
-                rel_tok.col,
-            )
+        if len(row) != rels[rel] and p.at("punct", "."):  # a missing '.' is reported first
+            raise ParseError(f"{rel} expects {rels[rel]} values, got {len(row)}", rel_tok)
         tuples[rel].add(row)
+
+    _parse_block(p, item)
     p.expect("punct", "}")
-    relations = tuple(
-        Relation(rel, rels[rel], frozenset(tuples[rel])) for rel in sorted(rels)
-    )
+    relations = tuple(Relation(rel, rels[rel], frozenset(tuples[rel])) for rel in sorted(rels))
     partition = tuple((rel, layout.component_of(rel)) for rel in sorted(rels))
     ws.instances[name] = (term_name, Instance(relations, partition))
 
@@ -430,36 +423,31 @@ def _parse_mapping(p: _Parser, ws: Workspace, name: str):
     src_name, source = _term_ref(p, ws)
     p.expect("arrow")
     tgt_name, target = _term_ref(p, ws)
-    p.expect("punct", "{")
     pairs = []
     exact = False
-    while not p.at("punct", "}"):
+
+    def item():
+        nonlocal exact
         if p.at("ident", "exact"):
             p.next()
-            p.expect("punct", ".")
             exact = True
-            continue
-        lhs = _parse_rule(p)
-        p.expect("implies")
-        save = p.pos
-        rhs_name, rhs_vars = _parse_head(p)
-        if p.at("define"):
-            p.pos = save
-            rhs = _parse_rule(p)
         else:
-            rhs = RelAtom(rhs_name, rhs_vars)
-        pairs.append(_build(p, make_pair, lhs, rhs))
-        p.expect("punct", ".")
-    ws.mappings[name] = _build(
-        p, SchemaMapping, name, src_name, tgt_name, source, target, tuple(pairs),
-        exact=exact,
-    )
+            lhs = _parse_rule(p)
+            p.expect("implies")
+            save = p.pos
+            rhs = RelAtom(*_parse_head(p))
+            if p.at("define"):
+                p.pos = save
+                rhs = _parse_rule(p)
+            pairs.append(_build(p, make_pair, lhs, rhs))
+
+    _parse_block(p, item)
+    ws.mappings[name] = _build(p, SchemaMapping, name, src_name, tgt_name, source, target, tuple(pairs), exact=exact)
     p.expect("punct", "}")
 
 
 def _parse_graph(p: _Parser, ws: Workspace, name: str):
     from .schemas import branch, mapping_graph, schema_identity
-    p.expect("punct", "{")
     used: dict = {}
     branches: dict = {}  # a repeated branch is one edge, as a repeated use is
 
@@ -467,14 +455,12 @@ def _parse_graph(p: _Parser, ws: Workspace, name: str):
         tok = p.ident("mapping name")
         return used.setdefault(tok.value, ws.lookup("mapping", tok.value, tok))
 
-    while not p.at("punct", "}"):
+    def item():
         if p.at("ident", "use"):
             p.next()
             mapping_ref()
-            p.expect("punct", ".")
-            continue
+            return
         edge = mapping_ref()
-        op = p.peek()
         if p.at("ident", "after"):
             while p.at("ident", "after"):
                 p.next()
@@ -486,9 +472,9 @@ def _parse_graph(p: _Parser, ws: Workspace, name: str):
             p.next()
             branches[_build(p, branch, edge, mapping_ref())] = None
         else:
-            raise ParseError("expected 'after' or 'branch'", op.line, op.col)
-        p.expect("punct", ".")
+            raise ParseError("expected 'after' or 'branch'", p.peek())
 
+    _parse_block(p, item)
     edges = tuple(used.values()) + tuple(branches)
     nodes: dict = {}
     for m in edges:
@@ -515,9 +501,7 @@ def parse_workspace_text(text: str, ws: Workspace | None = None) -> Workspace:
     while not p.at("eof"):
         tok = p.next()
         if tok.value not in _STATEMENTS:
-            raise ParseError(
-                f"expected a declaration, found {tok.value!r}", tok.line, tok.col
-            )
+            raise ParseError(f"expected a declaration, found {tok.value!r}", tok)
         parse, what = _STATEMENTS[tok.value]
         name = p.ident(what)
         _check_fresh(ws, name)

@@ -239,13 +239,19 @@ def make_pair(lhs: Rule, rhs) -> MappingPair:
 
 
 def branch(m1: SchemaMapping, m2: SchemaMapping) -> SchemaMapping:
-    """Branching: two mappings out of one source, into the separated targets."""
+    """Branching: two mappings out of one source, into the separated targets.
+
+    Each side's target relations take their names in ``sep(t1, t2)``.  A
+    relation side k adds is renamed ``name#k`` when the other side adds it
+    too or the separated target holds a relation of that name, so no pair
+    writes into a relation it did not add."""
     if not schema_identity(m1.source, m2.source):
         raise SchemaError("branching needs a common source")
     target = sep(m1.target, m2.target)
+    layout = term_layout(target)
     # The leaves of sep(t1, t2) are those of t1 followed by those of t2; zip
     # stops at the end of t1's leaves without drawing on ``outer`` again.
-    outer = iter(term_layout(target).leaves)
+    outer = iter(layout.leaves)
     renames = [
         {
             q: outer_q
@@ -254,11 +260,10 @@ def branch(m1: SchemaMapping, m2: SchemaMapping) -> SchemaMapping:
         }
         for m in (m1, m2)
     ]
-    # a relation both sides add under one name is told apart as a sum tells its relations apart
     added = [{p.rhs_name for p in m.pairs}.difference(names) for m, names in zip((m1, m2), renames)]
     pairs = []
     for k, (m, names) in enumerate(zip((m1, m2), renames), 1):
-        names.update((name, f"{name}#{k}") for name in added[0] & added[1])
+        names.update((name, f"{name}#{k}") for name in added[k - 1] & (added[2 - k] | layout.relsymbols().keys()))
         for p in m.pairs:
             rhs = p.rhs.rename_relations(names)
             pairs.append(

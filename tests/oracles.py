@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+import re
 from collections import Counter
 
 from dbcat.core import (
@@ -42,6 +43,42 @@ from dbcat.queries import (
     UnknownRelation,
     Var,
 )
+from dbcat.dsl import _TOKEN_RE, ParseError, Token
+
+
+# ---------------------------------------------------------------------------
+# token places
+
+# The reader's token grammar without its catch-all: a character that begins
+# no token is where ``match`` finds nothing.
+_NO_CATCH_ALL = re.compile(_TOKEN_RE.pattern.replace("(?P<bad>.)", "(?!)"), re.VERBOSE)
+assert _NO_CATCH_ALL.pattern != _TOKEN_RE.pattern
+
+
+def token_places(text: str) -> list:
+    """``(kind, value, line, col)`` of each token of *text*, then of ``eof``,
+    placed by stepping a line and column over the text match by match,
+    counting the newlines each match holds; a character that begins no token
+    is a :class:`ParseError` at its place."""
+    places = []
+    line, col = 1, 1
+    pos = 0
+    while pos < len(text):
+        m = _NO_CATCH_ALL.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", Token("bad", text[pos], line, col))
+        kind, value = m.lastgroup, m.group()
+        if kind not in ("ws", "comment"):
+            places.append((kind, value, line, col))
+        newlines = value.count("\n")
+        if newlines:
+            line += newlines
+            col = len(value) - value.rfind("\n")
+        else:
+            col += len(value)
+        pos = m.end()
+    places.append(("eof", "", line, col))
+    return places
 
 
 # ---------------------------------------------------------------------------

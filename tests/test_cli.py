@@ -210,6 +210,53 @@ def test_an_arrow_command_refuses_a_query_right_side(tmp_path, capsys):
     assert capsys.readouterr() == ("", "dbcat: mapping M: right side 't' is not a relation of instance 'B0'\n")
 
 
+CHAIN_TO_C = (
+    "schema A { r/1. } schema B { s/1. } schema C { t/1. }\n"
+    "instance A0 of A { r(1). r(2). } instance B0 of B { s(1). s(2). } instance C0 of C { t(1). }\n"
+    "mapping M : A -> B { q(X) :- r(X) => s(X). } mapping N : B -> C { q(X) :- s(X) => t(X). }\n"
+)
+
+
+def test_a_composite_whose_second_arrow_breaks_its_mode_is_a_failed_check(tmp_path, capsys):
+    path = tmp_path / "chain.dbc"
+    path.write_text(CHAIN_TO_C)
+    assert main(["compose", "M", "N", "A0", "B0", "C0", "-i", str(path), "--format", "lines"]) == 1
+    assert capsys.readouterr() == (
+        "compose N.M\tFAIL\tview for t not contained in target: extra tuples [(2,)]\n", ""
+    )
+
+
+ONE_ARROW = "schema A { r/1. } schema B { s/1. }\nmapping M : A -> B { q(X) :- r(X) => s(X). } graph G { use M. }\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (ONE_ARROW + "instance A0 of A { r(1). }\n", "no instance declared for schemas ['B']"),
+        (
+            ONE_ARROW + "instance A0 of A { r(1). } instance A1 of A { r(2). } instance B0 of B { s(1). }\n",
+            "two instances declared for schema 'A'; keep exactly one",
+        ),
+        (
+            "schema A { r/2. }\nschema B { s/2. }\nmapping M : A -> B { q(X,Y) :- r(X,Y) => s(X,X). }\n",
+            "{path}: line 3, column 48: a bare right-side atom must use distinct variables; spell the query out"
+            " as a rule instead (found '.')",
+        ),
+        (
+            "schema A { r/1. } schema B { s/1. } schema C { u/1. } compose D = B sep C\n"
+            "instance A0 of A { r(1). } instance B0 of B { s(1). } instance C0 of C { u(1). }\n"
+            "mapping M : A -> D { q(X) :- r(X) => p(X) :- s(X), u(X). } graph G { use M. }\n",
+            "mapping M: defining query spans components",
+        ),
+    ],
+)
+def test_a_graph_that_cannot_be_interpreted_is_refused_with_its_reason(tmp_path, text, message, capsys):
+    path = tmp_path / "refused.dbc"
+    path.write_text(text)
+    assert main(["check-model", "G", "-i", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"dbcat: {message.format(path=path)}\n")
+
+
 def test_exhausted_view_budget_is_a_usage_error(capsys):
     demo = str(DATA / "demo.dbc")
     assert main(["powerview", "A0", "-i", demo, "--depth", "-1", "--arity", "4", "--cap", "50"]) == 2

@@ -1,6 +1,8 @@
 import re
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from dbcat.constraints import Egd, Tgd
 from dbcat.core import DbcatError, make_instance
@@ -8,11 +10,17 @@ from dbcat.dsl import (
     ParseError,
     parse_rule_text,
     parse_workspace_text,
+    tokenize,
 )
 from dbcat.queries import Const, RelAtom, Var
 from dbcat.schemas import Schema
 from dbcat.syntax import Sentence
 from dbcat.writer import serialize_workspace
+from oracles import token_places
+
+# The profile scales this file's own counts: x1 under `default`, x20 under
+# `deep` (tests/conftest.py).
+DEEP = settings.default.max_examples // 100
 
 DEMO = """
 # demo workspace
@@ -585,3 +593,37 @@ def test_a_records_error_names_the_file_and_line_it_is_in(tmp_path, text, messag
     with pytest.raises(ParseError) as exc:
         parse_workspace([one, two])
     assert str(exc.value) == f"{two}: {message}"
+
+
+# Pieces of text the reader knows, strings and comments among them that span
+# lines or hold a quote; drawn side by side, they also run into each other.
+_TOKEN_ALPHABET = [
+    "schema", "A", "r_1", "X#2", "7", "-12", "'a'", "'it\\'s'", "'two\nlines'", "''",
+    "# note", "# 'quote\n", ":-", "=>", "->", "<=", "{", "}", "(", ")", ",", ".", ";", ":", "=", "/",
+    " ", "\t", "\n", "\n\n  ",
+]
+_STRAYS = ["@", "\u00e9", "-", "'"]
+
+
+@st.composite
+def _scanner_texts(draw):
+    pieces = draw(st.lists(st.sampled_from(_TOKEN_ALPHABET), max_size=30))
+    if draw(st.integers(0, 3)) == 0:  # now and then one stray character
+        pieces.insert(draw(st.integers(0, len(pieces))), draw(st.sampled_from(_STRAYS)))
+    return "".join(pieces)
+
+
+def _scan(scanner, text):
+    """What *scanner* reads from *text*, or its refusal as ``(message, line, col)``."""
+    try:
+        return scanner(text)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.col
+
+
+@settings(max_examples=200 * DEEP, deadline=None)
+@given(_scanner_texts())
+@example("r('a\nbc', 'd\ne')\n  .")  # a token after a string that spans lines
+def test_tokens_are_placed_and_stray_characters_refused_as_the_oracle_does(text):
+    tokens = _scan(lambda t: [(tok.kind, tok.value, tok.line, tok.col) for tok in tokenize(t)], text)
+    assert tokens == _scan(token_places, text)

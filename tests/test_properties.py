@@ -913,7 +913,7 @@ def _edit_statement(draw, ws) -> tuple:
     return "schema", name
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60 * DEEP, deadline=None)
 @given(workspace_texts(), st.data())
 def test_a_parsed_workspace_round_trips_and_an_edited_one_round_trips_or_is_refused_by_name(text, data):
     ws = parse_workspace_text(text)

@@ -373,3 +373,40 @@ def test_a_mapping_branched_with_itself_adds_each_relation_once_per_side():
             assert report.passed, (command, depth, report.checks)
     text = serialize_workspace(ws)
     assert parse_workspace_text(text) == ws and serialize_workspace(parse_workspace_text(text)) == text
+
+
+# M1 adds s, a relation C holds; M2 adds t, a relation B holds, and u.
+CAPTURE = (
+    "schema A { r/1. } schema B { t/1. } schema C { s/1. }\n"
+    "instance A0 of A { r(1). r(2). } instance B0 of B { t(7). } instance C0 of C { s(9). }\n"
+    "mapping M1 : A -> B { q(X) :- r(X) => s(X). q(X) :- r(X) => t(X). }\n"
+    "mapping M2 : A -> C { q(X) :- r(X) => s(X). q(X) :- r(X) => t(X). q(X) :- r(X) => u(X). }\n"
+    "mapping M3 : A -> C { q(X) :- r(X) => u(X). }\n"
+)
+
+
+@pytest.mark.parametrize("left, right", itertools.product(["M1", "M2", "M3"], repeat=2))
+def test_a_branched_pair_writes_into_a_declared_relation_exactly_when_its_own_pair_does(left, right):
+    ws = parse_workspace_text(CAPTURE)
+    m1, m2 = ws.mappings[left], ws.mappings[right]
+    both = branch(m1, m2)
+    held = term_layout(both.target).relsymbols()
+    declared = [p.rhs_name in term_layout(m.target).relsymbols() for m in (m1, m2) for p in m.pairs]
+    assert [p.rhs_name in held for p in both.pairs] == declared
+
+
+def test_a_relation_one_side_adds_is_not_captured_by_the_other_sides_target():
+    from dbcat.cli import run
+
+    text = CAPTURE.split("mapping")[0] + (
+        "mapping M1 : A -> B { q(X) :- r(X) => s(X). }\n"
+        "mapping M2 : A -> C { q(X) :- r(X) => s(X). }\n"
+        "graph G { M1 branch M2. }\n"
+    )
+    refusal = r"^mapping M1\+M2: cannot place 's#1' in a separated target without a defining query$"
+    with pytest.raises(SchemaError, match=refusal):
+        run("check-model", ["G"], parse_workspace_text(text), None, 2, 100000)
+    ws = parse_workspace_text(text.replace("=> s(X). }", "=> s(X) :- t(X). }", 1))
+    checks = {check: (ok, detail) for check, ok, detail in run("check-model", ["G"], ws, None, 2, 100000).checks}
+    assert checks["arrow map_A__B_sep_C"] == (False, "view for s#1 not contained in target: extra tuples [(1,), (2,)]")
+    assert not any("C_M1+M2_0" in check for check in checks)
