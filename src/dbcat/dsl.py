@@ -447,7 +447,7 @@ def _parse_mapping(p: _Parser, ws: Workspace, name: str):
 
 
 def _parse_graph(p: _Parser, ws: Workspace, name: str):
-    from .schemas import branch, mapping_graph, schema_identity
+    from .schemas import branch, mapping_graph
     used: dict = {}
     branches: dict = {}  # a repeated branch is one edge, as a repeated use is
 
@@ -465,7 +465,7 @@ def _parse_graph(p: _Parser, ws: Workspace, name: str):
             while p.at("ident", "after"):
                 p.next()
                 first = mapping_ref()
-                if not schema_identity(first.target, edge.source):
+                if first.target_name != edge.source_name:
                     p.fail("sequential composition endpoint mismatch")
                 edge = first
         elif p.at("ident", "branch"):

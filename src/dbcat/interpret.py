@@ -37,7 +37,7 @@ from .core import (
 )
 from .powerview import instances_isomorphic
 from .rules import eval_rule
-from .schemas import EMPTY_NODE, SchemaTerm, nf_components
+from .schemas import EMPTY_NODE, SchemaTerm
 from .sketch import Sketch, SketchArrow
 
 
@@ -96,7 +96,7 @@ def interpret_term(alpha: Interpretation, term: SchemaTerm) -> Instance:
     becomes disjoint union and federation a shared component by construction.
     """
     inst = bottom_instance()
-    for group in nf_components(term):
+    for group in term.groups:
         leaves = [alpha.instance_for(s.name) for s in group]
         for s, leaf in zip(group, leaves):
             extra = set(leaf.names) - set(dict(s.relsymbols))

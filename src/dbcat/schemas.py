@@ -2,9 +2,14 @@
 
 A schema term composes atomic schemas with two operators: separation keeps
 the operands under independent query engines (queries may not mix them),
-federation puts them under one.  Terms are compared through a normal form --
-a multiset of federated groups -- under which both operators are associative
-with the empty schema as unit and federation distributes over separation.
+federation puts them under one.  A term is its normal form, built once by
+:func:`sep` and :func:`fed`: the ordered groups of atomic schemas that share
+one engine, empty groups kept.  ``==`` compares the groups in order;
+:func:`schema_identity` compares them up to order and ignores empty groups.
+Under it both operators are associative and commutative, federation
+distributes over separation and the empty schema is a unit of each; but it
+is no congruence once the empty schema is involved: ``sep(empty, A)`` is
+identical to ``A``, while ``fed(A, sep(empty, A))`` is not to ``fed(A, A)``.
 
 A mapping graph holds view-based mappings between terms, each once; their
 composites are arrows of Sch(G), whose sketch :mod:`dbcat.sketch` builds.
@@ -53,65 +58,44 @@ class Schema(Record):
         _check_atoms(atoms, arities, self.name, unknown, wrong)
 
 
-class SAtom(Record):
-    schema: Schema
+class SchemaTerm(Record):
+    """A composed schema as its normal form: a sequence of groups, each a
+    tuple of atomic schemas in leaf order that share one engine."""
+
+    groups: tuple
 
 
-class SepTerm(Record):
-    left: "SchemaTerm"
-    right: "SchemaTerm"
+def SAtom(schema: Schema) -> SchemaTerm:
+    """The term of one atomic schema."""
+    return SchemaTerm(((schema,),))
 
 
-class FedTerm(Record):
-    left: "SchemaTerm"
-    right: "SchemaTerm"
+EMPTY_SCHEMA = SchemaTerm(((),))
 
 
-class EmptyTerm(Record):
-    pass
+def _groups(t) -> tuple:
+    if isinstance(t, Schema):
+        return ((t,),)
+    if isinstance(t, SchemaTerm):
+        return t.groups
+    raise SchemaError(f"not a schema term: {t!r}")
 
 
-SchemaTerm = SAtom | SepTerm | FedTerm | EmptyTerm
-EMPTY_SCHEMA = EmptyTerm()
-
-
-def _coerce(t) -> SchemaTerm:
-    return SAtom(t) if isinstance(t, Schema) else t
-
-
-def sep(a, b) -> SepTerm:
+def sep(a, b) -> SchemaTerm:
     """Separated composition: two independent engines, no cross queries."""
-    return SepTerm(_coerce(a), _coerce(b))
+    return SchemaTerm(_groups(a) + _groups(b))
 
 
-def fed(a, b) -> FedTerm:
-    """Federated composition: one engine, queries may span both operands."""
-    return FedTerm(_coerce(a), _coerce(b))
-
-
-def nf_components(term: SchemaTerm) -> tuple:
-    """Normal form: a sequence of groups, each group a sequence of atomic
-    schemas sharing one engine.  Federation distributes over separation."""
-    term = _coerce(term)
-    if isinstance(term, SAtom):
-        return ((term.schema,),)
-    if isinstance(term, EmptyTerm):
-        return ((),)
-    if isinstance(term, SepTerm):
-        return nf_components(term.left) + nf_components(term.right)
-    if isinstance(term, FedTerm):
-        return tuple(
-            cl + cr
-            for cl in nf_components(term.left)
-            for cr in nf_components(term.right)
-        )
-    raise SchemaError(f"not a schema term: {term!r}")
+def fed(a, b) -> SchemaTerm:
+    """Federated composition: one engine, queries may span both operands.
+    Federation distributes over separation: each group of *a* joins each of *b*."""
+    return SchemaTerm(tuple(ga + gb for ga in _groups(a) for gb in _groups(b)))
 
 
 def schema_identity(a: SchemaTerm, b: SchemaTerm) -> bool:
-    """Term equality in the two-monoid algebra, decided on normal forms: the
-    sorted nonempty groups of each term's leaves, as (name, relation symbols)."""
-    left, right = (sorted(sorted((s.name, s.relsymbols) for s in g) for g in nf_components(t) if g) for t in (a, b))
+    """Term equality in the two-monoid algebra: the same nonempty groups up to
+    order, each compared as the sorted (name, relation symbols) of its leaves."""
+    left, right = (sorted(sorted((s.name, s.relsymbols) for s in g) for g in _groups(t) if g) for t in (a, b))
     return left == right
 
 
@@ -151,7 +135,7 @@ def term_layout(term: SchemaTerm) -> Layout:
     :func:`~dbcat.core.qualified_names`: a name occurring under several
     leaves becomes ``name#k``, k being the occurrence's rank.
     """
-    groups = [c for c in nf_components(term) if c]
+    groups = [c for c in term.groups if c]
     rels = [rel for comp in groups for s in comp for rel, _ in s.relsymbols]
     held = [any(s.relsymbols for s in comp) for comp in groups]
     qualified, leaves, comp_id, many = iter(qualified_names(rels)), [], 0, sum(held) > 1
@@ -245,7 +229,7 @@ def branch(m1: SchemaMapping, m2: SchemaMapping) -> SchemaMapping:
     relation side k adds is renamed ``name#k`` when the other side adds it
     too or the separated target holds a relation of that name, so no pair
     writes into a relation it did not add."""
-    if not schema_identity(m1.source, m2.source):
+    if term_layout(m1.source) != term_layout(m2.source):
         raise SchemaError("branching needs a common source")
     target = sep(m1.target, m2.target)
     layout = term_layout(target)

@@ -1,9 +1,10 @@
-"""The text of a workspace in the format :mod:`dbcat.dsl` reads."""
+"""The text of a workspace in the format :mod:`dbcat.dsl` reads: each
+composition as its normal form, never as another composition's name."""
 from __future__ import annotations
 
 from .core import DbcatError, Sentinel, format_value, tuple_key
 from .dsl import Workspace, parse_workspace_text
-from .schemas import EmptyTerm, SAtom, SchemaTerm, SepTerm
+from .schemas import SchemaTerm
 from .syntax import Egd, RelAtom, Rule, Var
 
 
@@ -47,30 +48,24 @@ def _fmt_constraint(c) -> str:
     return f"constraint forall {','.join(universal)}: {_fmt_atoms(c.left)} => {right}."
 
 
-def _fmt_schema_term(t: SchemaTerm, names: dict) -> str:
-    """A term, each part of it that is a composition in *names* (keyed by ``id``) written as its name."""
-    if isinstance(t, EmptyTerm):
-        return "empty"
-    if isinstance(t, SAtom):
-        return t.schema.name
-    if id(t) in names:
-        return names[id(t)]
-    op = "sep" if isinstance(t, SepTerm) else "fed"
-    return f"({_fmt_schema_term(t.left, names)} {op} {_fmt_schema_term(t.right, names)})"
+def _fmt_schema_term(t: SchemaTerm) -> str:
+    """A term as its groups: a group's schemas joined by ``fed``, in parentheses
+    when there are several, and the groups joined by ``sep``."""
+    return " sep ".join(
+        "empty" if not g else g[0].name if len(g) == 1 else f"({' fed '.join(s.name for s in g)})"
+        for g in t.groups
+    )
 
 
 def _statements(ws: Workspace):
     """Each statement of *ws* as ``(kind, name, lines)``: schemas, then the
-    compositions in the order they were declared (the parser admits one only
-    after those it names), then instances, mappings and graphs.  The lines
-    are made as they are read, so a value that has no text form is refused
-    with the name of its statement."""
+    compositions in the order they were declared, then instances, mappings
+    and graphs.  The lines are made as they are read, so a value that has no
+    text form is refused with the name of its statement."""
     for name in sorted(ws.schemas):
         yield "schema", name, _schema_lines(name, ws.schemas[name])
-    written: dict = {}  # the compositions a later one may name
     for name, term in ws.composes.items():
-        yield "compose", name, [f"compose {name} = {_fmt_schema_term(term, written)}"]
-        written[id(term)] = name
+        yield "compose", name, [f"compose {name} = {_fmt_schema_term(term)}"]
     for name in sorted(ws.instances):
         yield "instance", name, _instance_lines(name, *ws.instances[name])
     for name in sorted(ws.mappings):

@@ -45,7 +45,6 @@ from dbcat.core import (
 )
 from dbcat.powerview import ViewSet, instances_isomorphic, power_view
 from dbcat.queries import EmptyRel, Var
-from dbcat.schemas import EmptyTerm
 from oracles import sorted_views_report
 
 
@@ -329,9 +328,13 @@ class EmptyRelTwin:
     __qualname__ = "EmptyRel"
 
 
+class Blank(core.Record):
+    """A second fieldless record, beside ``EmptyRel``."""
+
+
 @dataclasses.dataclass(frozen=True)
-class EmptyTermTwin:
-    __qualname__ = "EmptyTerm"
+class BlankTwin:
+    __qualname__ = "Blank"
 
 
 VIEWS = ((0, frozenset({frozenset({(1,)}), frozenset({(1, 2)})})),)
@@ -343,7 +346,7 @@ TWINS = [
     (ViewSet, ViewSetTwin, (VIEWS, 2, 2, False)),
     (ViewSet, ViewSetTwin, (VIEWS, -1, 2, True)),
     (EmptyRel, EmptyRelTwin, ()),
-    (EmptyTerm, EmptyTermTwin, ()),
+    (Blank, BlankTwin, ()),
 ]
 
 
@@ -386,7 +389,7 @@ def test_record_defaults_and_every_field_in_equality():
         ViewSet(VIEWS, 2, 2, False, ("a",))
     with pytest.raises(TypeError):  # no class keyword keeps a field out of equality
         type("Hiding", (core.Record,), {"__annotations__": {"x": int}}, hidden=("x",))
-    assert EmptyRel() == EmptyRel() and EmptyRel() != EmptyTerm() and hash(EmptyRel()) == hash(())
+    assert EmptyRel() == EmptyRel() and EmptyRel() != Blank() and hash(EmptyRel()) == hash(())
 
 
 report_values = st.sampled_from([-3, 0, 1, 2, 10, "", "1", "10", "a", SENTINEL_A, SENTINEL_B])

@@ -13,7 +13,7 @@ from dbcat.dsl import (
     tokenize,
 )
 from dbcat.queries import Const, RelAtom, Var
-from dbcat.schemas import Schema
+from dbcat.schemas import Schema, sep
 from dbcat.syntax import Sentence
 from dbcat.writer import serialize_workspace
 from oracles import token_places
@@ -304,22 +304,22 @@ def test_a_statement_that_would_not_read_back_as_itself_is_refused_by_name(case)
 
 
 def test_compositions_are_written_in_the_order_they_were_declared():
-    # Z sorts after Y, but Y names Z: written by name, Y would come first and not parse
+    # Z sorts after Y; each is written as its normal form, Z first as declared
     ws = parse_workspace_text(
         "schema A { r/1. } schema B { s/1. } compose Z = A sep B compose Y = Z fed A instance Y0 of Y { r#1(1). }"
     )
     out = serialize_workspace(ws)
-    assert "compose Z = (A sep B)\ncompose Y = (Z fed A)\n" in out
+    assert "compose Z = A sep B\ncompose Y = (A fed A) sep (B fed A)\n" in out
     again = parse_workspace_text(out)
     assert again == ws and serialize_workspace(again) == out
 
 
-def test_a_composition_declared_as_another_is_written_as_its_name():
+def test_a_composition_declared_as_another_is_written_as_its_normal_form():
     ws = parse_workspace_text("schema A { r/1. } compose Z = A sep A compose Y = Z compose X = Y fed A")
     out = serialize_workspace(ws)
-    assert "compose Z = (A sep A)\ncompose Y = Z\ncompose X = (Y fed A)\n" in out
+    assert "compose Z = A sep A\ncompose Y = A sep A\ncompose X = (A fed A) sep (A fed A)\n" in out
     again = parse_workspace_text(out)
-    assert again == ws and again.composes["Y"] is again.composes["Z"] is again.composes["X"].left
+    assert again == ws and again.composes["Y"] == again.composes["Z"] == sep(again.term("A"), again.term("A"))
 
 
 def test_workspaces_whose_compositions_differ_in_order_are_unequal():
@@ -509,6 +509,25 @@ CHAIN = (
         ),
         (
             parse_workspace_text,
+            "schema A { r/1. } schema B { s/1. } schema C { t/1. }\ncompose D1 = A fed B compose D2 = B fed A\n"
+            "mapping M1 : A -> D1 { q(X) :- r(X) => u(X). } mapping M2 : D2 -> C { q(X) :- s(X) => v(X). }\n"
+            "graph G { M2 after M1. }",  # D1 and D2 are identical terms but two nodes
+            "sequential composition endpoint mismatch (found '.')",
+            4,
+            22,
+        ),
+        (
+            parse_workspace_text,
+            "schema A { r/1. } schema P { r/1. } schema B { s/1. } schema C { t/1. }\n"
+            "compose D1 = A sep P compose D2 = P sep A\n"
+            "mapping M1 : D1 -> B { q(X) :- r#1(X) => s(X). } mapping M2 : D2 -> C { q(X) :- r#1(X) => t(X). }\n"
+            "graph H { M1 branch M2. }",  # r#1 is A's relation in D1, P's in D2
+            "branching needs a common source (found '.')",
+            4,
+            23,
+        ),
+        (
+            parse_workspace_text,
             "schema A { r/1. }\nsketch G { }",
             "expected a declaration, found 'sketch'",
             2,
@@ -561,9 +580,9 @@ def test_exact_mappings_the_empty_term_and_nested_compositions_survive_a_round_t
         "mapping I : A -> B { q(X) :- r(X,Y) => s(X). }"
     )
     assert ws.mappings["X"].exact and not ws.mappings["I"].exact
-    assert ws.composes["ABE"].left.left is ws.composes["AB"]
+    assert ws.composes["ABE"] == sep(ws.composes["AB"], ws.term("B"))
     out = serialize_workspace(ws)
-    assert "compose ABE = ((AB fed empty) sep B)\n" in out and "compose E = empty\n" in out
+    assert "compose ABE = A sep B sep B\n" in out and "compose E = empty\n" in out
     assert "mapping X : A -> B {\n  q(X) :- r(X,Y) => s(X).\n  exact.\n}\n" in out
     assert "mapping I : A -> B {\n  q(X) :- r(X,Y) => s(X).\n}\n" in out
     again = parse_workspace_text(out)

@@ -35,7 +35,6 @@ from dbcat.schemas import (
     SAtom,
     Schema,
     SchemaMapping,
-    SepTerm,
     fed,
     make_pair,
     mapping_graph,
@@ -356,15 +355,13 @@ def test_homomorphism_on_all_small_terms():
     alpha = alpha_with(r=[(1,)], s=[(2,)], t=[(1,)])
     atoms, terms = SMALL_ATOMS, SMALL_TERMS
 
-    from dbcat.schemas import nf_components
-
     # operator translation on every depth-2 combination
     for x, y in itertools.product(atoms, terms):
         ix, iy = interpret_term(alpha, x), interpret_term(alpha, y)
         assert instances_isomorphic(
             interpret_term(alpha, sep(x, y)), disjoint_union(ix, iy), None, 2
         )
-        if len(nf_components(x)) == 1 and len(nf_components(y)) == 1:
+        if len(x.groups) == 1 and len(y.groups) == 1:
             # the flat reading of federation applies to one-group operands;
             # over a separated operand it distributes instead (checked below)
             assert instances_isomorphic(
@@ -388,11 +385,7 @@ def test_homomorphism_on_all_small_terms():
 
 
 def _term_text(term) -> str:
-    if isinstance(term, SAtom):
-        return term.schema.name
-    if term == EMPTY_SCHEMA:
-        return "empty"
-    return f"({_term_text(term.left)} {'sep' if isinstance(term, SepTerm) else 'fed'} {_term_text(term.right)})"
+    return " sep ".join(f"({' fed '.join(s.name for s in g)})" if g else "empty" for g in term.groups)
 
 
 @pytest.mark.parametrize(

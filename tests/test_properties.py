@@ -158,22 +158,17 @@ def test_federation_dominates_separation(a, b):
     assert separated <= federated
 
 
-schemas = st.sampled_from(
-    [
-        SAtom(Schema("A", (("r", 1),))),
-        SAtom(Schema("B", (("s", 1),))),
-        SAtom(Schema("C", (("t", 2),))),
-        EMPTY_SCHEMA,
-    ]
-)
+LEAVES = [Schema("A", (("r", 1),)), Schema("B", (("s", 1),)), Schema("C", (("t", 2),))]
+unit_free_schemas = st.sampled_from([SAtom(s) for s in LEAVES])
+schemas = st.sampled_from([SAtom(s) for s in LEAVES] + [EMPTY_SCHEMA])
 
 
 @st.composite
-def schema_terms(draw, depth=2):
+def schema_terms(draw, depth=2, leaves=schemas):
     if depth == 0 or draw(st.booleans()):
-        return draw(schemas)
+        return draw(leaves)
     op = draw(st.sampled_from([sep, fed]))
-    return op(draw(schema_terms(depth=depth - 1)), draw(schema_terms(depth=depth - 1)))
+    return op(draw(schema_terms(depth - 1, leaves)), draw(schema_terms(depth - 1, leaves)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -231,6 +226,34 @@ def test_interpretation_is_the_sum_of_the_leaf_instances(case):
     assert inst.names == folded.names
     assert inst.relations == folded.relations
     assert inst.partition == folded.partition
+
+
+# active domains of three sizes, so that iso, which compares closures, tells the leaves apart
+LEAF_ALPHA = interpretation(
+    {"A": make_instance({"r": [(1,), (2,)]}), "B": make_instance({"s": [(3,)]}), "C": make_instance({"t": [(1, 2), (2, 3)]})},
+    {s.name: s for s in LEAVES},
+)
+
+
+@st.composite
+def identical_unit_free_terms(draw):
+    """A term without the empty schema, and another with its groups and their
+    leaves permuted, each rebuilt by a random nesting of the operators."""
+    x = draw(schema_terms(4, unit_free_schemas))
+    groups = [draw(nested(draw(st.permutations([SAtom(s) for s in g])), fed)) for g in draw(st.permutations(x.groups))]
+    return x, draw(nested(groups, sep))
+
+
+@settings(max_examples=60 * DEEP, deadline=None)
+@given(identical_unit_free_terms(), schema_terms(4, unit_free_schemas))
+def test_identity_of_unit_free_terms_is_a_congruence_and_keeps_the_interpretation(pair, z):
+    # Without the empty schema: with it, sep(empty, a) is identical to a but
+    # fed(a, sep(empty, a)) is not identical to fed(a, a).
+    x, y = pair
+    assert schema_identity(x, y)
+    for op in (sep, fed):
+        assert schema_identity(op(z, x), op(z, y)) and schema_identity(op(x, z), op(y, z))
+    assert instances_isomorphic(interpret_term(LEAF_ALPHA, x), interpret_term(LEAF_ALPHA, y))
 
 
 @st.composite
