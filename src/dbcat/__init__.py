@@ -3,8 +3,9 @@ view-based database mappings with functorial model checking.
 
 ``import dbcat`` loads no submodule.  Each name below is imported from its
 home module the first time it is used (PEP 562), and is then bound here, so
-later lookups are plain attribute reads.  ``import dbcat.core`` thus loads
-``dbcat.core`` alone.
+later lookups are plain attribute reads.  The values a workspace is read into
+live in ``dbcat.values``, which imports no other module of the package;
+``dbcat.core``, the instance algebra, loads it alone.
 """
 
 import importlib
@@ -15,8 +16,8 @@ __version__ = "0.1.0"
 _HOME = {
     name: module
     for module, names in (
-        ("core", "SENTINEL_A SENTINEL_B DbcatError Instance Relation Sentinel active_domain "
-                 "bottom_instance disjoint_union federate is_empty_isomorphic make_instance"),
+        ("values", "SENTINEL_A SENTINEL_B DbcatError Instance Relation Sentinel"),
+        ("core", "active_domain bottom_instance disjoint_union federate is_empty_isomorphic make_instance"),
         ("syntax", "Builtin Const CrossComponentQuery Egd RelAtom Rule Sentence Tgd Var"),
         ("rules", "eval_rule"),
         ("queries", "BaseRel ColEq ConstEq Join Project Rename Select Union eval_spjru rule rule_to_spjru"),

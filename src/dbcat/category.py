@@ -19,9 +19,6 @@ from __future__ import annotations
 from functools import cached_property
 
 from .core import (
-    DbcatError,
-    Instance,
-    Record,
     Verdicts,
     disjoint_union,
     disjoint_union_with_maps,
@@ -44,6 +41,7 @@ from .powerview import (
 )
 from .rules import eval_rule
 from .syntax import QueryArityError, Rule, copy_rule
+from .values import DbcatError, Instance, Record
 
 
 class ModeViolation(DbcatError):

@@ -13,11 +13,12 @@ from __future__ import annotations
 import re
 import sys
 
-from .core import DEFAULT_CAP, DEFAULT_DEPTH, DEFAULT_MAX_ARITY, DbcatError, Verdicts, bottom_instance
+from .core import DEFAULT_CAP, DEFAULT_DEPTH, DEFAULT_MAX_ARITY, Verdicts, bottom_instance
 from .core import format_extension, is_empty_isomorphic
 from .dsl import Workspace, parse_rule_text, parse_workspace
 from .schemas import term_layout
 from .syntax import QueryError
+from .values import DbcatError
 
 
 #: Each command's positional arguments, by the role they play.

@@ -8,7 +8,7 @@ constants, which keeps the sentinel dependencies produced by sketch
 construction checkable.
 
 The two classical kinds are decided in C on the key views of
-:meth:`~dbcat.core.Instance.index`, with no kernel (:func:`key_form`): an
+:meth:`~dbcat.values.Instance.index`, with no kernel (:func:`key_form`): an
 inclusion dependency R[A] ⊆ S[B] by streaming R's keys on A that S lacks, a
 functional dependency K → j by counting R's keys on K and its (K, j) values.
 Only a failing FD runs its kernel, for its least violation.  Verdicts and
@@ -19,9 +19,10 @@ from __future__ import annotations
 from functools import partial
 from itertools import chain, filterfalse
 
-from .core import SENTINEL_A, SENTINEL_B, Instance, active_domain, format_value, picker, tuple_key
+from .core import active_domain, format_value, picker, tuple_key
 from .rules import atom_components, atom_constants, bind
 from .syntax import ConstraintError, Egd, RelAtom, Sentence, Tgd, Var  # ConstraintError re-exported
+from .values import SENTINEL_A, SENTINEL_B, Instance
 
 
 def key_form(d: Tgd | Egd):

@@ -26,8 +26,8 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 
-from .core import DbcatError, Instance, Record, Relation
 from .syntax import Builtin, Const, Egd, RelAtom, Rule, Sentence, Tgd, Var
+from .values import DbcatError, Instance, Record, Relation
 # The schema layer (``SchemaTerm`` in annotations) is imported where a statement needs it: a rule needs none.
 
 

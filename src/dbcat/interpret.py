@@ -21,24 +21,12 @@ from functools import reduce
 
 from .category import Morphism, ModeViolation, ViewMap, empty_morphism, identity, make_atomic
 from .constraints import find_sentence_violation
-from .core import (
-    SENTINEL_A,
-    SENTINEL_B,
-    DbcatError,
-    Instance,
-    Record,
-    Relation,
-    Sentinel,
-    Verdicts,
-    bottom_instance,
-    disjoint_union,
-    federate,
-    is_empty_isomorphic,
-)
+from .core import Verdicts, bottom_instance, disjoint_union, federate, is_empty_isomorphic
 from .powerview import instances_isomorphic
 from .rules import eval_rule
 from .schemas import EMPTY_NODE, SchemaTerm
 from .sketch import Sketch, SketchArrow
+from .values import SENTINEL_A, SENTINEL_B, DbcatError, Instance, Record, Relation, Sentinel
 
 
 class InterpretationError(DbcatError):

@@ -28,20 +28,9 @@ import itertools
 import sys
 from operator import add, eq, itemgetter, or_
 
-from .core import DEFAULT_CAP, DEFAULT_DEPTH, DEFAULT_MAX_ARITY, MEMO_ENTRIES  # re-exported
-from .core import (
-    DbcatError,
-    Instance,
-    Record,
-    Relation,
-    SetKey,
-    bottom_instance,
-    ext_key,
-    federate,
-    format_closure,
-    seed_pair,
-    value_key,
-)
+from .core import DEFAULT_CAP, DEFAULT_DEPTH, DEFAULT_MAX_ARITY  # re-exported
+from .core import SetKey, bottom_instance, ext_key, federate, format_closure, value_key
+from .values import MEMO_ENTRIES, DbcatError, Instance, Record, Relation, seed_pair
 
 EMPTY_EXT = frozenset()
 PAIRS_PER_VIEW = 5  # a bounded closure's limit on pairs visited, per view of its cap

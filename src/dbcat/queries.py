@@ -7,10 +7,10 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate
 
-from .core import MEMO_ENTRIES, Instance, Record, Relation, Value
 from .rules import atom_components, atom_constants, bind, eval_rule, plan  # re-exported
 from .syntax import Builtin, Const, CrossComponentQuery, QueryArityError, QueryError, RelAtom, Rule, TranslationError
 from .syntax import UnknownRelation, Var
+from .values import MEMO_ENTRIES, Instance, Record, Relation, Value
 
 
 def rule(head_name: str, head_vars, body) -> Rule:

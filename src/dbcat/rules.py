@@ -15,8 +15,9 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache, partial
 
-from .core import MEMO_ENTRIES, Instance, Relation, value_key
+from .core import value_key
 from .syntax import Const, CrossComponentQuery, QueryArityError, RelAtom, Rule, UnknownRelation, Var
+from .values import MEMO_ENTRIES, Instance, Relation
 
 
 def _terms(a) -> tuple:

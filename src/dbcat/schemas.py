@@ -16,8 +16,8 @@ composites are arrows of Sch(G), whose sketch :mod:`dbcat.sketch` builds.
 """
 from __future__ import annotations
 
-from .core import DbcatError, Record, qualified_names
 from .syntax import CrossComponentQuery, RelAtom, Rule, Sentence, Tgd, Var
+from .values import DbcatError, Record, qualified_names
 
 EMPTY_NODE = "_empty"
 
@@ -132,7 +132,7 @@ def term_layout(term: SchemaTerm) -> Layout:
     Groups that hold a relation get component ids 1..n (0 when there is only
     one), as in the sums, whose unit every other group interprets to.  The
     leaves' relation names, in normal-form order, are qualified by
-    :func:`~dbcat.core.qualified_names`: a name occurring under several
+    :func:`~dbcat.values.qualified_names`: a name occurring under several
     leaves becomes ``name#k``, k being the occurrence's rank.
     """
     groups = [c for c in term.groups if c]

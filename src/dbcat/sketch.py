@@ -5,9 +5,9 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .core import SENTINEL_A, SENTINEL_B, Record
 from .schemas import EMPTY_NODE, EMPTY_SCHEMA, MappingGraph, SchemaError, term_layout, term_sentence
 from .syntax import Builtin, Const, CrossComponentQuery, RelAtom, Rule, Sentence, Tgd, Var
+from .values import SENTINEL_A, SENTINEL_B, Record
 
 
 class GammaAddition(Record):

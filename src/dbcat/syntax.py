@@ -6,7 +6,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property, lru_cache
 
-from .core import MEMO_ENTRIES, DbcatError, Record, Value
+from .values import MEMO_ENTRIES, DbcatError, Record, Value
 
 
 class QueryError(DbcatError):

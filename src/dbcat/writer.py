@@ -2,10 +2,11 @@
 composition as its normal form, never as another composition's name."""
 from __future__ import annotations
 
-from .core import DbcatError, Sentinel, format_value, tuple_key
+from .core import format_value, tuple_key
 from .dsl import Workspace, parse_workspace_text
 from .schemas import SchemaTerm
 from .syntax import Egd, RelAtom, Rule, Var
+from .values import DbcatError, Sentinel
 
 
 def _fmt_value(v) -> str:

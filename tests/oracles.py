@@ -13,16 +13,7 @@ import random
 import re
 from collections import Counter
 
-from dbcat.core import (
-    SENTINEL_A,
-    SENTINEL_B,
-    Instance,
-    ext_key,
-    format_value,
-    make_instance,
-    tuple_key,
-    value_key,
-)
+from dbcat.core import ext_key, format_value, make_instance, tuple_key, value_key
 from dbcat.queries import (
     BaseRel,
     Builtin,
@@ -44,6 +35,7 @@ from dbcat.queries import (
     Var,
 )
 from dbcat.dsl import _TOKEN_RE, ParseError, Token
+from dbcat.values import SENTINEL_A, SENTINEL_B, Instance
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +248,15 @@ def least_egd_violation(left, pair, inst: Instance):
     ``tuple_key`` over the variables sorted by name, or None."""
     row = min(_equating_distinct(left, pair, inst), key=tuple_key, default=None)
     return None if row is None else dict(zip(sorted(_all_variables(left)), row))
+
+
+def arity_fault(name: str, arity: int, tuples) -> str | None:
+    """The message for the first of *tuples*, in iteration order, that is not
+    a tuple of *arity* values, found one tuple at a time; None when all are."""
+    for t in tuples:
+        if not isinstance(t, tuple) or len(t) != arity:
+            return f"tuple {t!r} does not match arity {arity} of {name}"
+    return None
 
 
 def counted_qualified_names(names) -> list:

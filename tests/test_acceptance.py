@@ -27,15 +27,7 @@ from dbcat.category import (
     projection,
 )
 from dbcat.constraints import Egd, Sentence, Tgd, check_tgd
-from dbcat.core import (
-    Instance,
-    Relation,
-    bottom_instance,
-    disjoint_union,
-    federate,
-    is_empty_isomorphic,
-    make_instance,
-)
+from dbcat.core import bottom_instance, disjoint_union, federate, is_empty_isomorphic, make_instance
 from dbcat.interpret import (
     check_functor,
     check_gamma_iso,
@@ -66,6 +58,7 @@ from dbcat.schemas import (
     sep,
 )
 from dbcat.sketch import HelperSchema, build_sketch
+from dbcat.values import Instance, Relation
 
 from oracles import random_instance, random_rule
 

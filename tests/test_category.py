@@ -26,15 +26,10 @@ from dbcat.category import (
     verify_duality,
 )
 from dbcat import category, core, powerview
-from dbcat.core import (
-    DbcatError,
-    bottom_instance,
-    disjoint_union,
-    disjoint_union_with_maps,
-    make_instance,
-)
+from dbcat.core import bottom_instance, disjoint_union, disjoint_union_with_maps, make_instance
 from dbcat.powerview import ViewBudgetExceeded, instances_isomorphic, power_view
 from dbcat.queries import rule
+from dbcat.values import DbcatError
 
 from oracles import brute_force_flux_same
 
@@ -623,7 +618,7 @@ def test_flux_contains_bottom_and_is_closed():
     assert EMPTY in fx.extensions()
     # closed: materializing and closing again adds nothing
     from dbcat.powerview import power_view as pv
-    from dbcat.core import Instance, Relation
+    from dbcat.values import Instance, Relation
 
     for s, t, exts in fx.channels:
         rels = tuple(

@@ -16,13 +16,14 @@ from hypothesis import example, given, settings
 
 import dbcat
 from dbcat.cli import COMMANDS, GRAPH_COMMANDS, _mapping_morphism, main, parse_argv, render, run
-from dbcat.core import DEFAULT_CAP, DEFAULT_DEPTH, DEFAULT_MAX_ARITY, DbcatError, make_instance
+from dbcat.core import DEFAULT_CAP, DEFAULT_DEPTH, DEFAULT_MAX_ARITY, make_instance
 from dbcat.dsl import parse_workspace, parse_workspace_text
 from dbcat.interpret import gamma_instance, interpretation
 from dbcat import powerview
 from dbcat.category import compose, equivalent
 from dbcat.powerview import instances_isomorphic, matching, merging
 from dbcat.sketch import build_sketch
+from dbcat.values import DbcatError
 from dbcat.writer import serialize_workspace
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -612,18 +613,20 @@ def test_import_loads_neither_dataclasses_nor_inspect():
 
 
 def test_each_command_loads_only_the_modules_it_uses():
-    """``import dbcat`` loads no submodule, and parsing a rule needs the
-    syntax records alone; a CLI process loads the schema layer to parse a
-    workspace, the rule engine ``rules`` only for commands that evaluate
-    rules, ``powerview`` only for those that close an instance, ``category``
-    only for those that build arrows, ``interpret``, ``sketch`` and
-    ``constraints`` only for graphs, and never the SPJRU algebra
+    """``import dbcat`` loads no submodule, the value layer loads no other,
+    and parsing a rule needs the syntax records and the values alone; a CLI
+    process loads the schema layer to parse a workspace and the instance
+    algebra (``core``) to report, the rule engine ``rules`` only for commands
+    that evaluate rules, ``powerview`` only for those that close an instance,
+    ``category`` only for those that build arrows, ``interpret``, ``sketch``
+    and ``constraints`` only for graphs, and never the SPJRU algebra
     (``queries``), the DSL writer, ``argparse``, ``gettext`` or ``locale``."""
     assert _dbcat_modules("import dbcat") == ["dbcat"]
-    assert _dbcat_modules("import dbcat.core") == ["dbcat", "dbcat.core"]
-    parse = {f"dbcat{m}" for m in ("", ".core", ".dsl", ".syntax")}
+    assert _dbcat_modules("import dbcat.values") == ["dbcat", "dbcat.values"]
+    assert _dbcat_modules("import dbcat.core") == ["dbcat", "dbcat.core", "dbcat.values"]
+    parse = {f"dbcat{m}" for m in ("", ".dsl", ".syntax", ".values")}
     assert _dbcat_modules("import dbcat.dsl") == sorted(parse)
-    common = parse | {"dbcat.cli", "dbcat.schemas"}
+    common = parse | {"dbcat.cli", "dbcat.core", "dbcat.schemas"}
     closes = common | {"dbcat.powerview"}
     arrows = closes | {"dbcat.category", "dbcat.rules"}
     loaded = {
@@ -640,9 +643,17 @@ def test_each_command_loads_only_the_modules_it_uses():
 
 
 def test_parsing_a_rule_loads_the_syntax_records_alone():
-    """A rule needs neither the schema layer nor an engine to be parsed."""
+    """A rule needs neither the schema layer, the instance algebra nor an engine to be parsed."""
     code = 'import dbcat.dsl as dsl; dsl.parse_rule_text("q(X) :- r(X,Y)")'
-    assert _dbcat_modules(code) == ["dbcat", "dbcat.core", "dbcat.dsl", "dbcat.syntax"]
+    assert _dbcat_modules(code) == ["dbcat", "dbcat.dsl", "dbcat.syntax", "dbcat.values"]
+
+
+def test_reading_a_workspace_loads_no_instance_algebra():
+    """Every data file parses on the value layer, the records and the schema layer alone."""
+    files = sorted(map(str, DATA.glob("*.dbc")))
+    code = f"from dbcat.dsl import parse_workspace\nfor f in {files!r}: parse_workspace([f])"
+    assert len(files) == 3
+    assert _dbcat_modules(code) == ["dbcat", "dbcat.dsl", "dbcat.schemas", "dbcat.syntax", "dbcat.values"]
 
 
 def _modules_added_by(setup: str, ops: str) -> list:
@@ -715,6 +726,8 @@ def test_package_exports_are_the_objects_of_their_home_modules():
         assert value is vars(home)[name] is star[name], name
         assert not callable(value) or value.__module__ == home.__name__, name
     assert set(EXPORTS) <= set(dir(dbcat))
+    # the values a reader builds are at home in ``values``, the algebra on them in ``core``
+    assert dbcat._HOME["Instance"] == "values" and dbcat._HOME["make_instance"] == "core"
     # the rule engine is at home in ``rules``; ``queries`` binds its names too
     assert dbcat._HOME["eval_rule"] == "rules" and dbcat._HOME["eval_spjru"] == "queries"
     for name in ("atom_components", "atom_constants", "bind", "eval_rule", "plan"):

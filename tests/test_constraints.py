@@ -20,8 +20,9 @@ from dbcat.constraints import (
     find_sentence_violation,
     find_tgd_violation,
 )
-from dbcat.core import SENTINEL_A, SENTINEL_B, bottom_instance, make_instance
+from dbcat.core import bottom_instance, make_instance
 from dbcat.queries import Builtin, Const, RelAtom, Var
+from dbcat.values import SENTINEL_A, SENTINEL_B
 
 from oracles import (
     brute_force_egd,

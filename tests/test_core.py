@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from dbcat import core
+from dbcat import core, values
 from dbcat.category import (
     compose,
     coproduct_morphism,
@@ -23,12 +23,6 @@ from dbcat.category import (
     verify_duality,
 )
 from dbcat.core import (
-    SENTINEL_A,
-    SENTINEL_B,
-    ArityError,
-    DbcatError,
-    Instance,
-    Relation,
     SetKey,
     active_domain,
     bottom_instance,
@@ -45,6 +39,7 @@ from dbcat.core import (
 )
 from dbcat.powerview import ViewSet, instances_isomorphic, power_view
 from dbcat.queries import EmptyRel, Var
+from dbcat.values import SENTINEL_A, SENTINEL_B, ArityError, DbcatError, Instance, Record, Relation
 from oracles import sorted_views_report
 
 
@@ -328,7 +323,7 @@ class EmptyRelTwin:
     __qualname__ = "EmptyRel"
 
 
-class Blank(core.Record):
+class Blank(Record):
     """A second fieldless record, beside ``EmptyRel``."""
 
 
@@ -388,7 +383,7 @@ def test_record_defaults_and_every_field_in_equality():
     with pytest.raises(TypeError):
         ViewSet(VIEWS, 2, 2, False, ("a",))
     with pytest.raises(TypeError):  # no class keyword keeps a field out of equality
-        type("Hiding", (core.Record,), {"__annotations__": {"x": int}}, hidden=("x",))
+        type("Hiding", (Record,), {"__annotations__": {"x": int}}, hidden=("x",))
     assert EmptyRel() == EmptyRel() and EmptyRel() != Blank() and hash(EmptyRel()) == hash(())
 
 
@@ -450,4 +445,15 @@ def test_only_the_record_base_and_the_sum_builder_touch_an_instance_dict():
 
     for path in pathlib.Path(core.__file__).parent.glob("*.py"):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
-    assert touched == {"core.Record.__init_subclass__", "core.Record._derived", "core._sum"}
+    assert touched == {"values.Record.__init_subclass__", "values.Record._derived", "core._sum"}
+
+
+def test_the_value_layer_imports_no_other_dbcat_module():
+    """A workspace is read into values without the instance algebra: the
+    value layer imports the standard library alone."""
+    nodes = [n for n in ast.walk(ast.parse(pathlib.Path(values.__file__).read_text(encoding="utf-8")))
+             if isinstance(n, (ast.Import, ast.ImportFrom))]
+    modules = {a.name for n in nodes if isinstance(n, ast.Import) for a in n.names}
+    modules |= {"." * n.level + (n.module or "") for n in nodes if isinstance(n, ast.ImportFrom)}
+    assert "functools" in modules
+    assert [m for m in modules if m.startswith(".") or m.split(".")[0] == "dbcat"] == []

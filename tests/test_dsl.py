@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from dbcat.constraints import Egd, Tgd
-from dbcat.core import DbcatError, make_instance
+from dbcat.core import make_instance
 from dbcat.dsl import (
     ParseError,
     parse_rule_text,
@@ -15,6 +15,7 @@ from dbcat.dsl import (
 from dbcat.queries import Const, RelAtom, Var
 from dbcat.schemas import Schema, sep
 from dbcat.syntax import Sentence
+from dbcat.values import DbcatError
 from dbcat.writer import serialize_workspace
 from oracles import token_places
 
@@ -226,7 +227,8 @@ def test_a_graph_that_would_read_back_as_another_is_refused(case):
 @pytest.mark.parametrize("graphs", [False, True])
 def test_an_instance_holding_a_sentinel_is_refused(graphs):
     # '#A' would read back as a comment, so the writer names the sentinel instead
-    from dbcat.core import SENTINEL_A, make_instance
+    from dbcat.core import make_instance
+    from dbcat.values import SENTINEL_A
 
     ws = parse_workspace_text(BRANCHED + ("graph G { use M1. }" if graphs else ""))
     ws.instances["X"] = ("A", make_instance({"r": [(1,), (SENTINEL_A,)]}))
@@ -237,7 +239,7 @@ def test_an_instance_holding_a_sentinel_is_refused(graphs):
 @pytest.mark.parametrize("owner", ["mapping left", "mapping right", "schema"])
 def test_a_rule_or_constraint_holding_a_sentinel_is_refused(owner):
     # '#B' in a rule or constraint would read back as a comment, as in an instance
-    from dbcat.core import SENTINEL_A, SENTINEL_B
+    from dbcat.values import SENTINEL_A, SENTINEL_B
     from dbcat.schemas import Schema, SchemaMapping, make_pair
     from dbcat.syntax import Builtin, RelAtom, Rule, Sentence
 

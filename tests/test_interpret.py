@@ -7,15 +7,7 @@ from dbcat import interpret
 from dbcat.category import equivalent, flux, identity
 from dbcat.cli import main
 from dbcat.constraints import Egd, Sentence, Tgd
-from dbcat.core import (
-    SENTINEL_A,
-    SENTINEL_B,
-    Instance,
-    Relation,
-    bottom_instance,
-    is_empty_isomorphic,
-    make_instance,
-)
+from dbcat.core import bottom_instance, is_empty_isomorphic, make_instance
 from dbcat.interpret import (
     InterpretationError,
     check_functor,
@@ -41,6 +33,7 @@ from dbcat.schemas import (
     sep,
 )
 from dbcat.sketch import HelperSchema, build_sketch
+from dbcat.values import SENTINEL_A, SENTINEL_B, Instance, Relation
 
 X, Y = Var("X"), Var("Y")
 

@@ -9,7 +9,7 @@ import pytest
 
 from dbcat import powerview
 from dbcat.category import flux, identity
-from dbcat.core import DbcatError, bottom_instance, disjoint_union, ext_key, make_instance
+from dbcat.core import bottom_instance, disjoint_union, ext_key, make_instance
 from dbcat.powerview import (
     MEMO_ENTRIES,
     ViewBudgetExceeded,
@@ -23,6 +23,7 @@ from dbcat.powerview import (
 )
 
 from dbcat.queries import eval_spjru
+from dbcat.values import DbcatError
 from oracles import enumerate_views, random_instance, sorted_closure_form, view_term
 
 EMPTY = frozenset()

@@ -9,17 +9,11 @@ from hypothesis import HealthCheck, assume, event, example, given, settings
 from dbcat.constraints import Egd, Sentence, Tgd, check_egd, check_tgd, find_egd_violation, find_tgd_violation
 from dbcat import core, powerview
 from dbcat.core import (
-    SENTINEL_A,
-    SENTINEL_B,
-    Instance,
-    Relation,
     bottom_instance,
     disjoint_union,
     disjoint_union_with_maps,
     federate,
-    index_tuples,
     make_instance,
-    qualified_names,
 )
 from dbcat.cli import run
 from dbcat.dsl import Workspace, parse_workspace_text
@@ -51,9 +45,11 @@ from dbcat.powerview import (
 )
 from dbcat.queries import Builtin, Const, RelAtom, Rule, Var, eval_rule, eval_spjru, rule, rule_to_spjru
 from dbcat.schemas import EMPTY_SCHEMA, SAtom, Schema, fed, schema_identity, sep, term_layout
+from dbcat.values import SENTINEL_A, SENTINEL_B, ArityError, DbcatError, Instance, Relation, index_tuples, qualified_names
 from dbcat.writer import serialize_workspace
 
 from oracles import (
+    arity_fault,
     brute_force_egd,
     brute_force_flux_same,
     brute_force_rule,
@@ -293,6 +289,23 @@ def test_nullary_atoms_filter_as_the_oracles_say(case):
     assert check_tgd(t, inst) == brute_force_tgd(universal, left, right, inst)
     pair = (_names(left)[0], _names(left)[-1])
     assert check_egd(Egd(left, pair), inst) == brute_force_egd(left, pair, inst)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 3), st.data())
+def test_a_relation_refuses_the_tuple_the_loop_names(arity, data):
+    """Tuple types and widths are checked in C; a refusal names the tuple
+    that a check of one tuple at a time names first."""
+    fit = st.lists(st.integers(0, 3), min_size=arity, max_size=arity).map(tuple)
+    misfit = st.one_of(st.lists(st.integers(0, 3), max_size=4).map(tuple), st.integers(), st.text(max_size=2))
+    tuples = data.draw(st.frozensets(st.one_of(fit, misfit) if data.draw(st.booleans()) else fit, max_size=6))
+    try:
+        Relation("r", arity, tuples)
+        message = None
+    except ArityError as exc:
+        message = str(exc)
+    event(f"refused: {message is not None}")
+    assert message == arity_fault("r", arity, tuples)
 
 
 @settings(max_examples=200, deadline=None)
@@ -946,7 +959,7 @@ def test_a_parsed_workspace_round_trips_and_an_edited_one_round_trips_or_is_refu
     kind, name = _edit_statement(data.draw, again)
     try:
         edited = serialize_workspace(again)
-    except core.DbcatError as exc:
+    except DbcatError as exc:
         assert str(exc).startswith(f"{kind} {name} cannot be written: ")
     else:
         assert parse_workspace_text(edited) == again
@@ -966,7 +979,7 @@ def _graph_status(command: str, graph: str, ws, depth):
     """The exit status of a graph command, 0 or 1, or ``(2, reason)`` when it cannot run."""
     try:
         return int(not run(command, [graph], ws, depth, 2, core.DEFAULT_CAP).passed)
-    except core.DbcatError as exc:
+    except DbcatError as exc:
         return 2, str(exc)
 
 

@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import event, example, given
 
-from dbcat import constraints, core, queries, rules
+from dbcat import constraints, queries, rules, values
 from dbcat.constraints import Egd, Tgd, check_egd, check_tgd
 from dbcat.core import disjoint_union, federate, make_instance
 from dbcat.queries import (
@@ -274,14 +274,14 @@ def test_three_atom_rules_with_constants_and_builtins_match_brute_force():
 
 def counting_builds(monkeypatch) -> list:
     """The (relation name, cols) of each index an instance builds, filled in as it builds them."""
-    builds, index = [], core.Instance.index
+    builds, index = [], values.Instance.index
 
     def counting(self, name, cols):
         if (name, cols) not in self._indexes:
             builds.append((name, cols))
         return index(self, name, cols)
 
-    monkeypatch.setattr(core.Instance, "index", counting)
+    monkeypatch.setattr(values.Instance, "index", counting)
     return builds
 
 
@@ -299,14 +299,14 @@ def test_tgd_witness_search_builds_each_index_once(monkeypatch):
 
 
 def test_rule_and_algebra_build_each_index_once(monkeypatch):
-    builds, indexed, real_index = counting_builds(monkeypatch), [], core.index_tuples
+    builds, indexed, real_index = counting_builds(monkeypatch), [], values.index_tuples
     inst = make_instance({"r": [(1, 2), (2, 3), (3, 1), (3, 3)]})
 
     def indexing(tuples, cols):  # every index, the instance's or one built for itself
         indexed.append(tuple(cols))
         return real_index(tuples, cols)
 
-    monkeypatch.setattr(core, "index_tuples", indexing)
+    monkeypatch.setattr(values, "index_tuples", indexing)
     q = rule("q", ["X", "Z"], [("r", "X", "Y"), ("r", "Y", "Z")])
     assert rule_to_spjru(q) == Project(Join(BaseRel("r"), BaseRel("r"), ((1, 0),)), (0, 3))
     rows, built = eval_rule(q, inst).tuples, list(inst._indexes)

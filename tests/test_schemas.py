@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from dbcat.constraints import Egd, Sentence, Tgd, check_tgd
-from dbcat.core import SENTINEL_A, SENTINEL_B, make_instance
+from dbcat.core import make_instance
 from dbcat.dsl import ParseError, parse_workspace_text
 from dbcat.interpret import interpret_term, interpretation
 from dbcat.queries import CrossComponentQuery, RelAtom, Var, rule
@@ -24,6 +24,7 @@ from dbcat.schemas import (
     term_sentence,
 )
 from dbcat.sketch import HelperSchema, build_sketch
+from dbcat.values import SENTINEL_A, SENTINEL_B
 
 SA = Schema("A", (("r", 1),))
 SB = Schema("B", (("s", 1),))

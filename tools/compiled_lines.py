@@ -7,8 +7,11 @@ Run it at the root of the repository.  Each of the benchmark's ten commands
 once through ``dbcat.cli.main`` in a fresh interpreter with ``src`` on its
 path and no bytecode cache, so the process compiles every line of each dbcat
 module it loads.  One line per command gives the lines (as ``wc -l`` counts
-them) and the modules; the next line gives the mean over the commands, and
-the last the lines of every module, as ``wc -l src/dbcat/*.py`` totals them.
+them) and the modules.  The ``read`` line gives them for reading the
+commands' workspaces as the benchmark's ``cli`` setup does: ``import
+dbcat.dsl``, then ``parse_workspace`` of each file.  The next line gives the
+mean over the commands, and the last the lines of every module, as ``wc -l
+src/dbcat/*.py`` totals them.
 """
 from __future__ import annotations
 
@@ -22,20 +25,25 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from workloads import CLI_COMMANDS, cli_argv  # noqa: E402
+from workloads import CLI_COMMANDS, DATA, cli_argv  # noqa: E402
 
-CHILD = """import contextlib, io, json, sys
+LOADED = 'print(json.dumps({name: m.__file__ for name, m in sys.modules.items() if name.split(".")[0] == "dbcat"}))'
+COMMAND = """import contextlib, io, json, sys
 from dbcat.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     main(sys.argv[1:])
-print(json.dumps({name: m.__file__ for name, m in sys.modules.items() if name.split(".")[0] == "dbcat"}))
-"""
+""" + LOADED
+READ = """import json, sys
+from dbcat.dsl import parse_workspace
+for path in sys.argv[1:]:
+    parse_workspace([path])
+""" + LOADED
 
 
-def loaded_modules(argv: list) -> dict:
-    """The dbcat module names one CLI command loads, each with its source file."""
+def loaded_modules(child: str, argv: list) -> dict:
+    """The dbcat module names the script *child* loads when run on *argv*, each with its source file."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run([sys.executable, "-c", CHILD, *argv], cwd=ROOT, env=env, capture_output=True, text=True, check=True)
+    proc = subprocess.run([sys.executable, "-c", child, *argv], cwd=ROOT, env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
 
@@ -43,13 +51,16 @@ def source_lines(path) -> int:
     return Path(path).read_bytes().count(b"\n")
 
 
+def row(label: str, modules: dict) -> int:
+    """Print the line of *modules*, labelled *label*; return their lines."""
+    lines = sum(map(source_lines, modules.values()))
+    print(f"{label:<14}{lines:>6,}  {' '.join(sorted(name.removeprefix('dbcat.') for name in modules))}")
+    return lines
+
+
 def main() -> int:
-    totals = []
-    for command, workspace, args in CLI_COMMANDS:
-        modules = loaded_modules(cli_argv(command, workspace, args, "bounded"))
-        totals.append(sum(map(source_lines, modules.values())))
-        names = " ".join(sorted(name.removeprefix("dbcat.") for name in modules))
-        print(f"{command:<14}{totals[-1]:>6,}  {names}")
+    totals = [row(c, loaded_modules(COMMAND, cli_argv(c, ws, args, "bounded"))) for c, ws, args in CLI_COMMANDS]
+    row("read", loaded_modules(READ, [f"{DATA}/{ws}.dbc" for ws in sorted({ws for _, ws, _ in CLI_COMMANDS})]))
     print(f"{'mean':<14}{statistics.fmean(totals):>6,.0f}")
     src = sum(map(source_lines, (ROOT / "src" / "dbcat").glob("*.py")))
     print(f"{'src':<14}{src:>6,}")
