@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Collection, Iterable, Sequence
 from functools import cached_property
-from itertools import repeat
-from operator import attrgetter, eq, itemgetter
+from operator import attrgetter, itemgetter
 
 MEMO_ENTRIES = 64  # entries per memo; tools/memo_traffic.py shows what each one holds
 
@@ -119,14 +118,11 @@ class Relation(Record):
     tuples: frozenset = frozenset()
 
     def __post_init__(self):
-        arity, tuples = self.arity, self.tuples
-        if arity < 0:
+        if self.arity < 0:
             raise ArityError(f"negative arity for {self.name}")
-        # types, then widths, in C; the loop only names the first tuple at fault
-        if not (all(map(isinstance, tuples, repeat(tuple))) and all(map(eq, map(len, tuples), repeat(arity)))):
-            for t in tuples:
-                if not isinstance(t, tuple) or len(t) != arity:
-                    raise ArityError(f"tuple {t!r} does not match arity {arity} of {self.name}")
+        for t in self.tuples:
+            if not isinstance(t, tuple) or len(t) != self.arity:
+                raise ArityError(f"tuple {t!r} does not match arity {self.arity} of {self.name}")
 
 
 class Instance(Record):

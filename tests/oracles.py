@@ -250,15 +250,6 @@ def least_egd_violation(left, pair, inst: Instance):
     return None if row is None else dict(zip(sorted(_all_variables(left)), row))
 
 
-def arity_fault(name: str, arity: int, tuples) -> str | None:
-    """The message for the first of *tuples*, in iteration order, that is not
-    a tuple of *arity* values, found one tuple at a time; None when all are."""
-    for t in tuples:
-        if not isinstance(t, tuple) or len(t) != arity:
-            return f"tuple {t!r} does not match arity {arity} of {name}"
-    return None
-
-
 def counted_qualified_names(names) -> list:
     """The names a sum gives its relations, listed in leaf order, found by
     counting the bases (the parts before ``#``) with ``Counter``: a name

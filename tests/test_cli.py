@@ -648,14 +648,6 @@ def test_parsing_a_rule_loads_the_syntax_records_alone():
     assert _dbcat_modules(code) == ["dbcat", "dbcat.dsl", "dbcat.syntax", "dbcat.values"]
 
 
-def test_reading_a_workspace_loads_no_instance_algebra():
-    """Every data file parses on the value layer, the records and the schema layer alone."""
-    files = sorted(map(str, DATA.glob("*.dbc")))
-    code = f"from dbcat.dsl import parse_workspace\nfor f in {files!r}: parse_workspace([f])"
-    assert len(files) == 3
-    assert _dbcat_modules(code) == ["dbcat", "dbcat.dsl", "dbcat.schemas", "dbcat.syntax", "dbcat.values"]
-
-
 def _modules_added_by(setup: str, ops: str) -> list:
     """The ``dbcat`` modules that running *ops* loads, in a fresh interpreter
     that ran *setup* first."""

@@ -455,5 +455,4 @@ def test_the_value_layer_imports_no_other_dbcat_module():
              if isinstance(n, (ast.Import, ast.ImportFrom))]
     modules = {a.name for n in nodes if isinstance(n, ast.Import) for a in n.names}
     modules |= {"." * n.level + (n.module or "") for n in nodes if isinstance(n, ast.ImportFrom)}
-    assert "functools" in modules
     assert [m for m in modules if m.startswith(".") or m.split(".")[0] == "dbcat"] == []

@@ -45,11 +45,10 @@ from dbcat.powerview import (
 )
 from dbcat.queries import Builtin, Const, RelAtom, Rule, Var, eval_rule, eval_spjru, rule, rule_to_spjru
 from dbcat.schemas import EMPTY_SCHEMA, SAtom, Schema, fed, schema_identity, sep, term_layout
-from dbcat.values import SENTINEL_A, SENTINEL_B, ArityError, DbcatError, Instance, Relation, index_tuples, qualified_names
+from dbcat.values import SENTINEL_A, SENTINEL_B, DbcatError, Instance, Relation, index_tuples, qualified_names
 from dbcat.writer import serialize_workspace
 
 from oracles import (
-    arity_fault,
     brute_force_egd,
     brute_force_flux_same,
     brute_force_rule,
@@ -289,28 +288,6 @@ def test_nullary_atoms_filter_as_the_oracles_say(case):
     assert check_tgd(t, inst) == brute_force_tgd(universal, left, right, inst)
     pair = (_names(left)[0], _names(left)[-1])
     assert check_egd(Egd(left, pair), inst) == brute_force_egd(left, pair, inst)
-
-
-def arity_and_rows(arity: int):
-    """An arity and a set of rows: all of that width, or mixed with rows of
-    other widths and with values that are not tuples."""
-    fit = st.lists(st.integers(0, 3), min_size=arity, max_size=arity).map(tuple)
-    misfit = st.one_of(st.lists(st.integers(0, 3), max_size=4).map(tuple), st.integers(), st.text(max_size=2))
-    return st.tuples(st.just(arity), st.frozensets(fit, max_size=6) | st.frozensets(fit | misfit, max_size=6))
-
-
-@given(st.integers(0, 3).flatmap(arity_and_rows))
-def test_a_relation_refuses_the_tuple_the_loop_names(drawn):
-    """Tuple types and widths are checked in C; a refusal names the tuple
-    that a check of one tuple at a time names first."""
-    arity, tuples = drawn
-    try:
-        Relation("r", arity, tuples)
-        message = None
-    except ArityError as exc:
-        message = str(exc)
-    event(f"refused: {message is not None}")
-    assert message == arity_fault("r", arity, tuples)
 
 
 @settings(max_examples=200, deadline=None)
