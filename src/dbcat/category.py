@@ -309,10 +309,11 @@ class Flux(Record):
         return self.channels == other.channels or self.canonical() == other.canonical()
 
     def serialize(self, cap: int = DEFAULT_CAP) -> list:
-        """Report form; the views of fixpoint channels spend *cap* before any is listed."""
+        """Report form; the views of every channel spend *cap* before any is listed."""
         left = cap
-        for s, t, exts in (c for c in self.channels if isinstance(c[2], ClosedForm)):
-            if (n := exts.count_within(left)) is None:
+        for s, t, exts in self.channels:
+            n = exts.count_within(left) if isinstance(exts, ClosedForm) else len(exts)
+            if n is None or n > left:
                 raise ViewBudgetExceeded(cap, None, component=(s, t))
             left -= n
         return format_closure(self.channels, (0, 0))
@@ -399,7 +400,6 @@ def verify_duality(
     b: Instance,
     depth: int | None = None,
     max_arity: int = 2,
-    cap: int = DEFAULT_CAP,
 ) -> Verdicts:
     """Check that the coproduct of *a* and *b* also behaves as their product:
     its projections undo its injections, and paired they form the product
@@ -415,12 +415,12 @@ def verify_duality(
         ("product-triangle-left", compose(p_a, paired), p_a, "p_A . <f,g> ~ f"),
         ("product-triangle-right", compose(p_b, paired), p_b, "p_B . <f,g> ~ g"),
     )
-    checks = [(cid, _flux(lhs, depth, max_arity, cap).same(_flux(rhs, depth, max_arity, cap)), law)
+    checks = [(cid, _flux(lhs, depth, max_arity, DEFAULT_CAP).same(_flux(rhs, depth, max_arity, DEFAULT_CAP)), law)
               for cid, lhs, rhs, law in laws]
-    va, vb, vab = (view_closure(x, depth, max_arity, cap) for x in (a, b, sum_ab[0]))
+    va, vb, vab = (view_closure(x, depth, max_arity) for x in (a, b, sum_ab[0]))
     summed = tuple(sorted(va.canonical() + vb.canonical())) == vab.canonical()
     checks.append(("views-of-coproduct", summed, "views(A+B) = views(A) (+) views(B)"))
     if not is_empty_isomorphic(a):
-        replica = instances_isomorphic(a, disjoint_union(a, a), depth, max_arity, cap)
+        replica = instances_isomorphic(a, disjoint_union(a, a), depth, max_arity)
         checks.append(("replication-not-isomorphic", not replica, "A+A is a genuine replication of nonempty A"))
     return Verdicts(tuple(checks))

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import chain, filterfalse
+from operator import itemgetter
 
-from .core import active_domain, format_value, picker, tuple_key
+from .core import active_domain, format_value, tuple_key
 from .rules import atom_components, atom_constants, bind
 from .syntax import ConstraintError, Egd, RelAtom, Sentence, Tgd, Var  # ConstraintError re-exported
 from .values import SENTINEL_A, SENTINEL_B, Instance
@@ -52,7 +53,7 @@ def _keys(inst: Instance, name: str, cols: tuple):
     r = inst.relation(name)
     if len(cols) < r.arity:
         return inst.index(name, cols).keys()
-    return r.tuples if cols == tuple(range(r.arity)) else map(picker(cols), r.tuples)
+    return r.tuples if cols == tuple(range(r.arity)) else map(itemgetter(*cols), r.tuples)
 
 
 def _fd_holds(e: Egd, inst: Instance) -> bool:
@@ -61,7 +62,7 @@ def _fd_holds(e: Egd, inst: Instance) -> bool:
     atom_components(e.left, inst)
     name, key, j = e._key_form
     tuples, keys = inst.relation(name).tuples, len(inst.index(name, key))
-    return keys == len(tuples) or keys == len(set(map(picker((*key, j)), tuples)))
+    return keys == len(tuples) or keys == len(set(map(itemgetter(*key, j), tuples)))
 
 
 def _constraint_domain(atoms, inst: Instance, with_sentinels: bool) -> frozenset:

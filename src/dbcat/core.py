@@ -10,7 +10,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from functools import lru_cache
 from itertools import chain
-from operator import itemgetter
 
 from .values import MEMO_ENTRIES, ArityError, Instance, Record, Relation, Sentinel, Value, qualified_names
 
@@ -121,15 +120,6 @@ def format_closure(parts: Iterable[tuple], empty_key: tuple) -> list:
     them.  With no part, the empty view is reported at *empty_key*."""
     parts = sorted(parts, key=lambda p: p[:-1]) or [(*empty_key, frozenset())]
     return [[*key, format_views(chain((frozenset(),), exts))] for *key, exts in parts]  # a list display would ask len()
-
-
-def picker(cols: Sequence[int]):
-    """C-level projection and rename kernel taking a tuple to the tuple of its values
-    at *cols*: an itemgetter, over a slice for adjacent columns so that one column gives a 1-tuple."""
-    start = cols[0] if cols else 0
-    if len(cols) < 2 or tuple(cols) == tuple(range(start, start + len(cols))):
-        return itemgetter(slice(start, start + len(cols)))
-    return itemgetter(*cols)
 
 
 def make_instance(

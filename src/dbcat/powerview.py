@@ -359,11 +359,11 @@ def _closed(inst, depth, max_arity, cap) -> tuple:
     return ViewSet(tuple(components), -1 if depth is None else depth, max_arity, fixpoint), seeds
 
 
-def view_closure(inst, depth=None, max_arity=DEFAULT_MAX_ARITY, cap=DEFAULT_CAP) -> ViewSet:
+def view_closure(inst, depth=None, max_arity=DEFAULT_MAX_ARITY) -> ViewSet:
     """All views of *inst* within the bounds, the width raised to its widest
-    relation, for a verdict: by default (``depth=None``) a true fixpoint, kept
-    as uncounted descriptions; the result records whether it got there."""
-    return _closed(inst, depth, max_arity, cap)[0]
+    relation, for a verdict: by default (``depth=None``) a true fixpoint, kept as
+    uncounted descriptions, else listed under ``DEFAULT_CAP``; the result records whether it got there."""
+    return _closed(inst, depth, max_arity, DEFAULT_CAP)[0]
 
 
 def power_view(
@@ -435,12 +435,11 @@ def matching(
     b: Instance,
     depth: int | None = None,
     max_arity: int = DEFAULT_MAX_ARITY,
-    cap: int = DEFAULT_CAP,
 ) -> ViewSet:
     """Shared information of two instances: the views they have in common,
     the union over pairs of components of their closures' intersections."""
     m = max(max_arity, a.max_arity(), b.max_arity())
-    va, vb = view_closure(a, depth, m, cap), view_closure(b, depth, m, cap)
+    va, vb = view_closure(a, depth, m), view_closure(b, depth, m)
     shared = [ca & cb for _, ca in va.components for _, cb in vb.components]
     common = functools.reduce(or_, shared) if shared else EMPTY_EXT
     return ViewSet(
@@ -456,7 +455,6 @@ def merging(
     b: Instance,
     depth: int | None = None,
     max_arity: int = DEFAULT_MAX_ARITY,
-    cap: int = DEFAULT_CAP,
 ) -> ViewSet:
     """Views of the federated union: both inputs under one query engine."""
-    return view_closure(federate(a, b), depth, max_arity, cap)
+    return view_closure(federate(a, b), depth, max_arity)

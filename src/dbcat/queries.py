@@ -1,13 +1,13 @@
 """SPJRU algebra terms over finite instances, under set semantics.  A term is
 a union of select-project-join blocks, each a conjunctive body that the rule
-engine of :mod:`dbcat.rules` (its names bound here too) plans and runs, as it
-runs rules and dependencies.  :func:`rule_to_spjru` compiles a rule into a term."""
+engine of :mod:`dbcat.rules` plans and runs, as it runs rules and
+dependencies.  :func:`rule_to_spjru` compiles a rule into its SPC normal form."""
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
 
-from .rules import atom_components, atom_constants, bind, eval_rule, plan  # re-exported
+from .rules import bind, eval_rule, plan  # eval_rule: perfbench/tracing.py wraps it here too
 from .syntax import Builtin, Const, CrossComponentQuery, QueryArityError, QueryError, RelAtom, Rule, TranslationError
 from .syntax import UnknownRelation, Var
 from .values import MEMO_ENTRIES, Instance, Record, Relation, Value
@@ -133,8 +133,8 @@ def _walk(t, inst: Instance):
 @lru_cache(maxsize=MEMO_ENTRIES)
 def _block_plan(block: tuple):
     """The :func:`plan` of a block of :func:`_walk`, its atoms over a variable
-    per class of agreeing columns, a class's constant in its place; the name
-    of the relation it copies whole; or None when two distinct constants meet."""
+    per class of agreeing columns, a class's constant in its place; or None
+    when two distinct constants meet."""
     atoms, head, equal = block
     cls, value = list(range(sum(arity for _, arity in atoms))), {}  # column -> its class, named by one of its columns
     for a, b in equal:
@@ -143,22 +143,18 @@ def _block_plan(block: tuple):
     for a, b in equal:
         if b.__class__ is Const and value.setdefault(cls[a], b) != b:
             return None
-    if len(atoms) == 1 and not value and list(head) == cls == list(range(len(cls))):
-        return atoms[0][0]
     terms = [value.get(k) or Var(f"c{k}") for k in cls]
     ends = [0, *accumulate(arity for _, arity in atoms)]
     body = [RelAtom(name, tuple(terms[i:j])) for (name, _), i, j in zip(atoms, ends, ends[1:])]
     return plan(body, (), [(t.value,) if t.__class__ is Const else t.name for t in map(terms.__getitem__, head)])
 
 
-def eval_spjru(t, inst: Instance, name: str = "view") -> Relation:
+def eval_spjru(t, inst: Instance) -> Relation:
     """Evaluate an algebra term over an instance under set semantics: the
-    union of its blocks, each run on the kernel of its :func:`plan`, or
-    answered with the tuples of the relation it copies."""
+    union of its blocks, each run on the kernel of its :func:`plan`."""
     blocks, arity, _ = _walk(t, inst)
-    plans = [p for p in map(_block_plan, blocks) if p is not None]
-    parts = [inst.relation(p).tuples if p.__class__ is str else frozenset(bind(p, inst, tuple)([()])) for p in plans]
-    return Relation._derived(name, arity, parts[0] if len(parts) == 1 else frozenset().union(*parts))
+    parts = [frozenset(bind(p, inst, tuple)([()])) for p in map(_block_plan, blocks) if p is not None]
+    return Relation._derived("view", arity, parts[0] if len(parts) == 1 else frozenset().union(*parts))
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +162,13 @@ def eval_spjru(t, inst: Instance, name: str = "view") -> Relation:
 
 
 def rule_to_spjru(q: Rule):
-    """Compile a rule into an algebra term computing the same extension.
+    """Compile a rule into an algebra term computing the same extension: its
+    SPC normal form π σ (R₁ × … × Rₙ).
 
-    Relation atoms become a left-deep join.  An equality between columns of
-    two atoms (a shared variable, or an ``=`` built-in) becomes a pair of the
-    join that adds the later atom; embedded constants, repeats within one
-    atom and the remaining ``=`` built-ins become selections; the head becomes
-    a projection.  A built-in equating two distinct constants joins the body
+    Relation atoms become a left-deep chain of joins with no pairs; every
+    shared variable, repeat within one atom, embedded constant and ``=``
+    built-in becomes one equality of a single selection; the head becomes a
+    projection.  A built-in equating two distinct constants joins the body
     with :class:`EmptyRel`, which empties it at any width.  Rules using ``<=``
     have no counterpart in the equality-only selection language and are
     rejected.  The rule keeps its term, so it is translated once.
@@ -186,16 +182,12 @@ def _translate(q: Rule):
     builtins = [a for a in q.body if isinstance(a, Builtin)]
     if any(b.op == "<=" for b in builtins):
         raise TranslationError("<= built-ins cannot be translated to the algebra")
-    first_col, conds, equal, offsets, atom_of = {}, [], [], [], []  # atom_of: column -> index of the atom holding it
-    for k, atom in enumerate(rel_atoms):
-        offsets.append(len(atom_of))
-        for arg in atom.args:
-            col = len(atom_of)
-            atom_of.append(k)
-            if isinstance(arg, Const):
-                conds.append(ConstEq(col, arg.value))
-            elif first_col.setdefault(arg.name, col) != col:
-                equal.append((first_col[arg.name], col))
+    first_col, conds = {}, []
+    for col, arg in enumerate(arg for atom in rel_atoms for arg in atom.args):
+        if isinstance(arg, Const):
+            conds.append(ConstEq(col, arg.value))
+        elif first_col.setdefault(arg.name, col) != col:
+            conds.append(ColEq(first_col[arg.name], col))
     contradiction = False
     for b in builtins:
         for v in b.variables():
@@ -208,20 +200,12 @@ def _translate(q: Rule):
             col, const = (right, left) if isinstance(left, Const) else (left, right)
             conds.append(ConstEq(col, const.value))
         else:
-            equal.append((min(left, right), max(left, right)))
-
-    pairs = [[] for _ in rel_atoms]
-    for a, b in equal:
-        k = atom_of[b]
-        if a < offsets[k]:
-            pairs[k].append((a, b - offsets[k]))
-        else:
-            conds.append(ColEq(a, b))
+            conds.append(ColEq(min(left, right), max(left, right)))
     term = BaseRel(rel_atoms[0].name)
-    for atom, atom_pairs in zip(rel_atoms[1:], pairs[1:]):
-        term = Join(term, BaseRel(atom.name), tuple(atom_pairs))
+    for atom in rel_atoms[1:]:
+        term = Join(term, BaseRel(atom.name))
     if contradiction:
-        term = Join(term, EmptyRel(), ())
+        term = Join(term, EmptyRel())
     if conds:
         term = Select(term, tuple(conds))
     return Project(term, tuple(first_col[v.name] for v in q.head_vars))

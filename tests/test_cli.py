@@ -332,6 +332,30 @@ def test_a_listing_budget_error_names_no_check(capsys):
     )
 
 
+TWO_CHANNELS = """schema L { p/1. }
+schema R { q/1. }
+compose LR = L sep R
+instance S0 of LR { p(1). p(2). q(3). q(4). }
+instance T0 of LR { p(1). p(2). q(3). q(4). }
+mapping M : LR -> LR { a(X) :- p(X) => p(X). b(X) :- q(X) => q(X). }
+"""
+
+
+@pytest.mark.parametrize("cap", [3, 4, 5, 6])
+def test_a_flux_listing_spends_its_cap_on_every_channel(cap, tmp_path, capsys):
+    """Each channel closes to three views by depth 2, so a bounded listing
+    reaches the fixpoint: it lists the six views or stops, as the fixpoint
+    listing does, at every cap."""
+    path = tmp_path / "channels.dbc"
+    path.write_text(TWO_CHANNELS)
+    readings = []
+    for depth in ("2", "-1"):
+        status = main(["flux", "M", "S0", "T0", "-i", str(path), "--arity", "1", "--cap", str(cap), "--depth", depth])
+        readings.append((status, capsys.readouterr()))
+    assert readings[0] == readings[1]
+    assert readings[0][0] == (0 if cap >= 6 else 2)
+
+
 @pytest.mark.parametrize("flag, value", [("--depth", "-7"), ("--depth", "-2"), ("--cap", "-5"), ("--cap", "0")])
 def test_out_of_range_bound_is_a_usage_error(flag, value, capsys):
     assert main(["iso", "S0", "F0", "-i", str(DATA / "federation.dbc"), flag, value]) == 2
@@ -720,9 +744,9 @@ def test_package_exports_are_the_objects_of_their_home_modules():
     assert set(EXPORTS) <= set(dir(dbcat))
     # the values a reader builds are at home in ``values``, the algebra on them in ``core``
     assert dbcat._HOME["Instance"] == "values" and dbcat._HOME["make_instance"] == "core"
-    # the rule engine is at home in ``rules``; ``queries`` binds its names too
+    # the rule engine is at home in ``rules``; ``queries`` binds the three names it uses or the tracer wraps
     assert dbcat._HOME["eval_rule"] == "rules" and dbcat._HOME["eval_spjru"] == "queries"
-    for name in ("atom_components", "atom_constants", "bind", "eval_rule", "plan"):
+    for name in ("bind", "eval_rule", "plan"):
         assert getattr(importlib.import_module("dbcat.queries"), name) is vars(importlib.import_module("dbcat.rules"))[name]
     with pytest.raises(AttributeError, match="no_such_name"):
         dbcat.no_such_name

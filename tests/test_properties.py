@@ -43,7 +43,8 @@ from dbcat.powerview import (
     power_view,
     power_view_cached,
 )
-from dbcat.queries import Builtin, Const, RelAtom, Rule, Var, eval_rule, eval_spjru, rule, rule_to_spjru
+from dbcat.queries import BaseRel, Builtin, Const, EmptyRel, Join, Project, RelAtom, Rule, Select, Var
+from dbcat.queries import eval_rule, eval_spjru, rule, rule_to_spjru
 from dbcat.schemas import EMPTY_SCHEMA, SAtom, Schema, fed, schema_identity, sep, term_layout
 from dbcat.values import SENTINEL_A, SENTINEL_B, DbcatError, Instance, Relation, index_tuples, qualified_names
 from dbcat.writer import serialize_workspace
@@ -112,11 +113,24 @@ def instance_rule_pairs(draw):
     return inst, draw(rules_over(inst))
 
 
-@settings(max_examples=60, deadline=None)
-@given(instance_rule_pairs())
-def test_rule_translation_agrees_with_direct_evaluation(pair):
+@settings(max_examples=60 * DEEP, deadline=None)
+@given(instance_rule_pairs(), st.booleans())
+def test_rule_translation_agrees_with_direct_evaluation(pair, contradict):
     inst, q = pair
-    assert eval_spjru(rule_to_spjru(q), inst).tuples == eval_rule(q, inst).tuples
+    if contradict:  # a built-in equating two distinct constants
+        q = Rule(q.head_name, q.head_vars, (*q.body, Builtin("=", Const(0), Const(1))))
+    term = rule_to_spjru(q)
+    assert eval_spjru(term, inst).tuples == eval_rule(q, inst).tuples
+    # the SPC normal form: a projection of at most one selection of a left-deep chain of pairless joins
+    assert isinstance(term, Project)
+    joins = term.child.child if isinstance(term.child, Select) else term.child
+    if contradict:
+        assert isinstance(joins, Join) and joins.pairs == () and joins.right == EmptyRel()
+        joins = joins.left
+    while isinstance(joins, Join):
+        assert joins.pairs == () and isinstance(joins.right, BaseRel)
+        joins = joins.left
+    assert isinstance(joins, BaseRel)
 
 
 @settings(max_examples=40, deadline=None)

@@ -308,7 +308,11 @@ def test_rule_and_algebra_build_each_index_once(monkeypatch):
 
     monkeypatch.setattr(values, "index_tuples", indexing)
     q = rule("q", ["X", "Z"], [("r", "X", "Y"), ("r", "Y", "Z")])
-    assert rule_to_spjru(q) == Project(Join(BaseRel("r"), BaseRel("r"), ((1, 0),)), (0, 3))
+    term = rule_to_spjru(q)
+    assert term == Project(Select(Join(BaseRel("r"), BaseRel("r")), (ColEq(1, 2),)), (0, 3))
+    (block,), _, _ = queries._walk(term, inst)
+    assert block == ((("r", 2), ("r", 2)), (0, 3), ((1, 2),))
+    assert queries._block_plan(block)[2] is q._plan[2]  # the term runs on the rule's own kernel
     rows, built = eval_rule(q, inst).tuples, list(inst._indexes)
     assert builds.count(("r", (0,))) == 1
     assert eval_spjru(rule_to_spjru(q), inst).tuples == rows == brute_force_rule(q, inst)
@@ -347,7 +351,7 @@ def test_full_key_probes_read_the_relations_own_tuples(monkeypatch):
 
 
 def test_a_projected_join_streams_what_the_rule_and_the_oracle_find():
-    rng = random.Random(2122)
+    rng, ran = random.Random(2122), 0
     for _ in range(200):
         inst = random_instance(rng, max_tuples=6)
         body = [
@@ -357,12 +361,11 @@ def test_a_projected_join_streams_what_the_rule_and_the_oracle_find():
         names = sorted({v.name for a in body for v in a.variables()})
         q = Rule("q", tuple(Var(v) for v in rng.sample(names, rng.randint(1, min(3, len(names))))), tuple(body))
         term = rule_to_spjru(q)
-        if isinstance(term.child, Select):  # a repeat within one atom
-            continue
-        assert isinstance(term.child, Join)
-        joined = eval_spjru(term.child, inst).tuples  # the join as a set, then projected
+        joined = eval_spjru(term.child, inst).tuples  # the selected join as a set, then projected
         want = {tuple(x[c] for c in term.cols) for x in joined}
         assert eval_spjru(term, inst).tuples == eval_rule(q, inst).tuples == brute_force_rule(q, inst) == want
+        ran += 1
+    assert ran == 200
 
 
 X, Y = Var("X"), Var("Y")
