@@ -361,8 +361,8 @@ def _closed(inst, depth, max_arity, cap) -> tuple:
 
 def view_closure(inst, depth=None, max_arity=DEFAULT_MAX_ARITY) -> ViewSet:
     """All views of *inst* within the bounds, the width raised to its widest
-    relation, for a verdict: by default (``depth=None``) a true fixpoint, kept as
-    uncounted descriptions, else listed under ``DEFAULT_CAP``; the result records whether it got there."""
+    relation, for a verdict: by default (``depth=None``) a true fixpoint, kept
+    as uncounted descriptions; the result records whether it got there."""
     return _closed(inst, depth, max_arity, DEFAULT_CAP)[0]
 
 
