@@ -32,11 +32,10 @@ from .powerview import (
     DEFAULT_DEPTH,
     DEFAULT_MAX_ARITY,
     EMPTY_EXT,
-    ClosedForm,
-    ViewBudgetExceeded,
     canonical_form,
     close_seed_sets,
     instances_isomorphic,
+    spend,
     view_closure,
 )
 from .rules import eval_rule
@@ -309,23 +308,10 @@ class Flux(Record):
         return self.channels == other.channels or self.canonical() == other.canonical()
 
     def serialize(self, cap: int = DEFAULT_CAP) -> list:
-        """Report form; the views of every channel spend *cap* before any is listed."""
-        left = cap
-        for s, t, exts in self.channels:
-            n = exts.count_within(left) if isinstance(exts, ClosedForm) else len(exts)
-            if n is None or n > left:
-                raise ViewBudgetExceeded(cap, None, component=(s, t))
-            left -= n
+        """Report form; the views of every channel :func:`~dbcat.powerview.spend`
+        *cap* before any is listed."""
+        spend(self.channels, cap)
         return format_closure(self.channels, (0, 0))
-
-
-def _atomic_channels(m: Morphism, depth, max_arity, cap):
-    groups: dict = {}  # channel -> its nonempty extensions
-    for key, ext in m._views:
-        if ext:
-            groups.setdefault(key, set()).add(ext)
-    channels, fix = close_seed_sets(groups, depth, max_arity, cap)
-    return tuple((s, t, closed) for (s, t), closed in channels), fix
 
 
 def flux(
@@ -347,7 +333,8 @@ def flux(
 def _flux(m: Morphism, depth, width: int, cap) -> Flux:  # width already raised over m
     kind = m.parts[0]
     if kind == "atomic":
-        return Flux(*_atomic_channels(m, depth, width, cap))
+        channels, fix = close_seed_sets(m._views, depth, width, cap)
+        return Flux(tuple((s, t, closed) for (s, t), closed in channels), fix)
     if kind == "compose":
         g, f = m.parts[1], m.parts[2]
         return flux_intersection(

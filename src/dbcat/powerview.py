@@ -37,11 +37,12 @@ PAIRS_PER_VIEW = 5  # a bounded closure's limit on pairs visited, per view of it
 
 
 class ViewBudgetExceeded(DbcatError):
-    """The enumeration produced more views than the configured cap allows.
+    """A listing or a bounded closure holds more views than the cap allows.
 
-    ``views`` is the count of new views reached, or None from a flux report's
-    count or the pair limit; ``pairs`` is the pairs charged past that limit,
-    else None.  ``cap`` is the cap passed, ``level`` the closure level it
+    ``views`` is the count of views a bounded closure reached, its seeds
+    included, or None from a listing's count (:func:`spend`) or the pair
+    limit; ``pairs`` is the pairs charged past that limit, else None.
+    ``cap`` is the cap passed, ``level`` the closure level a bounded closure
     stopped at, and ``component`` the component id or flux channel ``(s, t)``
     as the text ``s->t``.
     """
@@ -268,11 +269,12 @@ def close_component(seeds, depth, max_arity, cap):
     levels deep, from the frozenset *seeds* of its nonempty extensions.
 
     Returns (views, reached_fixpoint), *views* a frozenset of the nonempty
-    extensions.  It raises :class:`ViewBudgetExceeded` once more than *cap*
-    new views appear, or when a view's unions and products, charged before
-    they are visited, take the pairs past ``PAIRS_PER_VIEW * cap``.  A
-    level's operands come from earlier levels, so the views it adds, and so
-    where the cap is passed, do not depend on emission order.
+    extensions.  It raises :class:`ViewBudgetExceeded` once it holds more
+    than *cap* views, seeds included, as a listing counts them, or when a
+    level's unions and products, charged from its operands' arities before
+    any of its views is visited, take the pairs past ``PAIRS_PER_VIEW * cap``.
+    A level's operands come from earlier levels, so the views it adds, its
+    charge and so which limit it passes do not depend on visit order.
     """
     views = set(seeds)
     by_arity: dict = {}  # arity -> operands visited so far, earlier levels first
@@ -284,16 +286,22 @@ def close_component(seeds, depth, max_arity, cap):
             return frozenset(views), False
         level += 1
         new: list = []
+        arities = [len(next(iter(ext))) for ext in frontier]
+        seen = {a: len(ops) for a, ops in by_arity.items()}
+        for arity in arities:  # each pair once: same-arity unions, products that fit max_arity
+            seen[arity] = seen.get(arity, 0) + 1
+            pairs += seen[arity] - 1 + sum(seen.get(a2, 0) for a2 in range(max_arity - arity + 1))
+        if pairs > PAIRS_PER_VIEW * cap:
+            raise ViewBudgetExceeded(cap, None, level, pairs=pairs)
 
         def emit(ext):
             if ext and ext not in views:
                 views.add(ext)
                 new.append(ext)
-                if len(views) > cap + len(seeds):
-                    raise ViewBudgetExceeded(cap, cap + 1, level)
+                if len(views) > cap:
+                    raise ViewBudgetExceeded(cap, len(views), level)
 
-        for ext in frontier:
-            arity = len(next(iter(ext)))
+        for ext, arity in zip(frontier, arities):
             reps: dict = {}  # representative column -> its values, in the order of ext
             for k in range(arity):
                 col = list(map(itemgetter(k), ext))
@@ -316,9 +324,6 @@ def close_component(seeds, depth, max_arity, cap):
             # binary operators once per pair, products in both orders
             same = by_arity.setdefault(arity, [])
             same.append(ext)
-            pairs += len(same) - 1 + sum(len(by_arity.get(a2, ())) for a2 in range(max_arity - arity + 1))
-            if pairs > PAIRS_PER_VIEW * cap:
-                raise ViewBudgetExceeded(cap, None, level, pairs=pairs)
             for other in itertools.islice(same, len(same) - 1):
                 emit(ext | other)
             for a2 in range(max_arity - arity + 1):
@@ -330,11 +335,17 @@ def close_component(seeds, depth, max_arity, cap):
     return frozenset(views), True
 
 
-def close_seed_sets(groups: dict, depth, max_arity, cap):
+def close_seed_sets(pairs, depth, max_arity, cap):
     """The closures of the components of a view set or the channels of an
-    arrow, *groups* mapping each key to its seeds (nonempty extensions no
-    wider than *max_arity*): the (key, closure) pairs in key order, and
-    whether all are fixpoints.  A budget error names the key."""
+    arrow, *pairs* the (key, extension) pairs whose nonempty extensions,
+    no wider than *max_arity*, are each key's seeds: the (key, closure)
+    pairs in key order, and whether all are fixpoints.  At fixpoint
+    (*depth* None) a closure is its :class:`ClosedForm`, neither listed nor
+    counted; a bounded closure's budget error names the key."""
+    groups: dict = {}
+    for key, ext in pairs:
+        if ext:
+            groups.setdefault(key, set()).add(ext)
     if depth is None:
         return [(key, ClosedForm.of_seeds(seeds, max_arity)) for key, seeds in sorted(groups.items())], True
     closed, fixpoint = [], True
@@ -348,22 +359,32 @@ def close_seed_sets(groups: dict, depth, max_arity, cap):
     return closed, fixpoint
 
 
-def _closed(inst, depth, max_arity, cap) -> tuple:
-    """:func:`view_closure` and its seeds: component -> distinct nonempty extensions, grouped once."""
-    seeds: dict = {}
-    for r in inst.relations:
-        if r.tuples:
-            seeds.setdefault(inst.component_of(r.name), set()).add(r.tuples)
+def spend(parts, cap) -> None:
+    """Charge a listing against *cap*: every nonempty view of each keyed
+    closure ``(*key, closure)``, seeds included, once, under one running
+    budget; a :class:`ClosedForm` is counted, never listed.  Raises
+    :class:`ViewBudgetExceeded` naming the first key past the budget."""
+    left = cap
+    for *key, views in parts:
+        n = views.count_within(left) if isinstance(views, ClosedForm) else len(views)
+        if n is None or n > left:
+            raise ViewBudgetExceeded(cap, None, component=tuple(key) if key[1:] else key[0])
+        left -= n
+
+
+def _closed(inst, depth, max_arity, cap) -> ViewSet:
+    """:func:`view_closure` under *cap*, which bounds only a bounded closure."""
     max_arity = max(max_arity, inst.max_arity())
-    components, fixpoint = close_seed_sets(seeds, depth, max_arity, cap)
-    return ViewSet(tuple(components), -1 if depth is None else depth, max_arity, fixpoint), seeds
+    pairs = ((inst.component_of(r.name), r.tuples) for r in inst.relations)
+    components, fixpoint = close_seed_sets(pairs, depth, max_arity, cap)
+    return ViewSet(tuple(components), -1 if depth is None else depth, max_arity, fixpoint)
 
 
 def view_closure(inst, depth=None, max_arity=DEFAULT_MAX_ARITY) -> ViewSet:
     """All views of *inst* within the bounds, the width raised to its widest
     relation, for a verdict: by default (``depth=None``) a true fixpoint, kept
     as uncounted descriptions; the result records whether it got there."""
-    return _closed(inst, depth, max_arity, DEFAULT_CAP)[0]
+    return _closed(inst, depth, max_arity, DEFAULT_CAP)
 
 
 def power_view(
@@ -372,34 +393,23 @@ def power_view(
     max_arity: int = DEFAULT_MAX_ARITY,
     cap: int = DEFAULT_CAP,
 ) -> ViewSet:
-    """:func:`view_closure`, to be listed: *cap* bounds the new views summed over
-    all components; one past it alone is enumerated to the level it passes it."""
-    vs, seeds = _closed(inst, depth, max_arity, cap)
-    added = 0
-    for comp, views in vs.components:
-        n = views.count_within(cap + len(seeds[comp])) if isinstance(views, ClosedForm) else len(views)
-        if n is None:
-            close_seed_sets({comp: seeds[comp]}, cap + 1, vs.max_arity, cap)  # raises: each level before a fixpoint adds a view
-        added += n - len(seeds[comp])
-        if added > cap:
-            raise ViewBudgetExceeded(cap, added, component=comp)
+    """:func:`view_closure`, to be listed: its views, summed over all
+    components, :func:`spend` *cap*.  A fixpoint closure is counted and
+    never enumerated; a bounded one stops at the level that passes *cap*."""
+    vs = _closed(inst, depth, max_arity, cap)
+    spend(vs.components, cap)
     return vs
 
 
-_PV_CACHE: dict = {}
-
-
 def power_view_cached(inst, depth, max_arity, cap=DEFAULT_CAP) -> ViewSet:
-    """:func:`power_view`, memoised per argument tuple: a hit returns the
-    stored object itself.  The memo is cleared whole when it holds
-    ``MEMO_ENTRIES`` closures, so it keeps a working set, not a history."""
-    key = (inst, depth, max_arity, cap)
-    hit = _PV_CACHE.get(key)
-    if hit is None:
-        if len(_PV_CACHE) >= MEMO_ENTRIES:
-            _PV_CACHE.clear()
-        hit = _PV_CACHE[key] = power_view(inst, depth, max_arity, cap)
-    return hit
+    """:func:`power_view`, memoised per argument tuple in an ``lru_cache`` of
+    ``MEMO_ENTRIES`` closures: a hit returns the stored object itself."""
+    return _power_view_memo(inst, depth, max_arity, cap)
+
+
+@functools.lru_cache(maxsize=MEMO_ENTRIES)
+def _power_view_memo(inst, depth, max_arity, cap) -> ViewSet:
+    return power_view(inst, depth, max_arity, cap)  # the module global, as a tracer may replace it
 
 
 def instances_isomorphic(

@@ -678,7 +678,7 @@ def test_fixpoint_verdicts_never_list_a_closure(monkeypatch):
     def listing(self):
         raise AssertionError("a verdict listed a fixpoint closure")
 
-    monkeypatch.setattr(powerview, "_PV_CACHE", {})
+    powerview._power_view_memo.cache_clear()
     monkeypatch.setattr(powerview.ClosedForm, "listing", listing)
     a = make_instance({"r": [(1, 2), (2, 1)], "s": [(1,)]}, partition={"s": 1})
     b = make_instance({"r": [(2,)], "t": [(2, 3)], "z": [()]})
@@ -704,7 +704,7 @@ def test_fixpoint_verdicts_at_arity_four_never_list_or_count(monkeypatch):
     def refuse(self):
         raise AssertionError("a verdict listed or counted a fixpoint closure")
 
-    monkeypatch.setattr(powerview, "_PV_CACHE", {})
+    powerview._power_view_memo.cache_clear()
     monkeypatch.setattr(powerview.ClosedForm, "listing", refuse)
     monkeypatch.setattr(powerview.ClosedForm, "count", refuse)
     ws = parse_workspace([str(pathlib.Path(__file__).parent / "data" / "demo.dbc")])

@@ -325,11 +325,10 @@ def test_library_verdicts_default_to_fixpoint():
     assert matching(a, d).fixpoint and merging(a, d).fixpoint and powerview.view_closure(a).fixpoint
 
 
-def test_a_listing_budget_error_names_no_check(capsys):
+def test_a_listing_budget_error_names_no_check(monkeypatch, capsys):
+    monkeypatch.setattr(powerview, "close_component", _raise)  # a fixpoint listing is counted, not enumerated
     assert main(["powerview", "A0", "-i", str(DATA / "demo.dbc"), "--depth", "-1"]) == 2
-    assert capsys.readouterr() == (
-        "", "dbcat: view enumeration exceeded cap of 100000 (component 0, level 4, 100001 views)\n"
-    )
+    assert capsys.readouterr() == ("", "dbcat: view enumeration exceeded cap of 100000 (component 0)\n")
 
 
 TWO_CHANNELS = """schema L { p/1. }
@@ -341,19 +340,22 @@ mapping M : LR -> LR { a(X) :- p(X) => p(X). b(X) :- q(X) => q(X). }
 """
 
 
-@pytest.mark.parametrize("cap", [3, 4, 5, 6])
+@pytest.mark.parametrize("cap", [3, 4, 5, 6, 7])
 def test_a_flux_listing_spends_its_cap_on_every_channel(cap, tmp_path, capsys):
     """Each channel closes to three views by depth 2, so a bounded listing
     reaches the fixpoint: it lists the six views or stops, as the fixpoint
-    listing does, at every cap."""
+    listing does, at every cap.  ``powerview`` of the source spends the cap
+    on its two components' six views by the same rule."""
     path = tmp_path / "channels.dbc"
     path.write_text(TWO_CHANNELS)
-    readings = []
+    readings, statuses = [], []
     for depth in ("2", "-1"):
         status = main(["flux", "M", "S0", "T0", "-i", str(path), "--arity", "1", "--cap", str(cap), "--depth", depth])
         readings.append((status, capsys.readouterr()))
+        statuses.append(main(["powerview", "S0", "-i", str(path), "--arity", "1", "--cap", str(cap), "--depth", depth]))
+        capsys.readouterr()
     assert readings[0] == readings[1]
-    assert readings[0][0] == (0 if cap >= 6 else 2)
+    assert [readings[0][0]] * 2 == statuses == [0 if cap >= 6 else 2] * 2
 
 
 @pytest.mark.parametrize("flag, value", [("--depth", "-7"), ("--depth", "-2"), ("--cap", "-5"), ("--cap", "0")])
@@ -464,9 +466,9 @@ def test_fixpoint_reports_count_their_channels_before_listing(args, capsys):
     assert time.perf_counter() - start < 2
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1 and err.startswith("dbcat: view enumeration exceeded cap of 100000")
-    # a listed closure past the cap on its own is enumerated to say where
+    # a listed closure past the cap is counted as a channel is, never enumerated
     assert main(["powerview", "A0", "-i", str(DATA / "demo.dbc"), "--depth", "-1"]) == 2
-    assert capsys.readouterr() == ("", "dbcat: view enumeration exceeded cap of 100000 (component 0, level 4, 100001 views)\n")
+    assert capsys.readouterr() == ("", "dbcat: view enumeration exceeded cap of 100000 (component 0)\n")
 
 
 def test_console_script_runs():

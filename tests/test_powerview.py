@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 import random
 import sys
 import time
@@ -111,10 +112,11 @@ def test_bounded_counts_and_budget_errors_are_pinned():
     new_views = {1: 31, 2: 330, 3: 19_448}  # beyond the empty view and r itself
     for depth, n in new_views.items():
         assert len(power_view(r, depth, 4).extensions()) == n + 2
-        for cap, level in ((n - 1, depth), (n, depth + 1)):
-            with pytest.raises(ViewBudgetExceeded) as exc:
-                power_view(r, None, 4, cap=cap)
-            assert (exc.value.component, exc.value.level, exc.value.views, exc.value.cap) == (0, level, cap + 1, cap)
+        # the guard counts r too: n + 1 views at depth d pass a cap of n at level d
+        with pytest.raises(ViewBudgetExceeded) as exc:
+            power_view(r, depth, 4, cap=n)
+        assert (exc.value.component, exc.value.level, exc.value.views, exc.value.cap) == (0, depth, n + 1, n)
+        assert len(power_view(r, depth, 4, cap=n + 1).extensions()) == n + 2
 
 
 def test_fixpoint_idempotence():
@@ -258,53 +260,64 @@ def test_budget_cap():
     a = make_instance({"r": [(1, 2), (2, 3), (3, 1)]})
     with pytest.raises(ViewBudgetExceeded):
         power_view(a, None, 3, cap=500)
-    # the cap counts new views summed over components: 17 in each copy
+    # the cap counts every listed view summed over components, seeds included: 18 in each copy
     swap = make_instance({"r": [(1, 2), (2, 1)]})
     with pytest.raises(ViewBudgetExceeded):
-        power_view(disjoint_union(swap, swap), None, 2, cap=33)
-    assert power_view(disjoint_union(swap, swap), None, 2, cap=34).fixpoint
+        power_view(disjoint_union(swap, swap), None, 2, cap=35)
+    assert power_view(disjoint_union(swap, swap), None, 2, cap=36).fixpoint
 
 
 def test_budget_error_says_where_it_stopped():
     a = make_instance({"r": [(1, 2), (2, 3), (3, 1)]})
+    # a fixpoint listing is counted, not enumerated: the error names the component alone
     with pytest.raises(ViewBudgetExceeded, match="^view enumeration exceeded cap of 500") as exc:
         power_view(a, None, 3, cap=500)
-    assert (exc.value.component, exc.value.cap, exc.value.views) == (0, 500, 501)
-    assert exc.value.level == 3
-    # passing the cap only in the sum over components: no level, the last component
+    assert (exc.value.component, exc.value.level, exc.value.views, exc.value.cap) == (0, None, None, 500)
+    assert str(exc.value) == "view enumeration exceeded cap of 500 (component 0)"
+    # a bounded closure stops at the level it passes the cap, r itself counted
+    with pytest.raises(ViewBudgetExceeded) as exc:
+        power_view(a, 3, 3, cap=500)
+    assert (exc.value.component, exc.value.level, exc.value.views, exc.value.cap) == (0, 3, 501, 500)
+    # passing the cap only in the sum over components: the last component
     swap = make_instance({"r": [(1, 2), (2, 1)]})
     with pytest.raises(ViewBudgetExceeded) as exc:
-        power_view(disjoint_union(swap, swap), None, 2, cap=33)
-    assert (exc.value.component, exc.value.level, exc.value.views, exc.value.cap) == (2, None, 34, 33)
+        power_view(disjoint_union(swap, swap), None, 2, cap=35)
+    assert (exc.value.component, exc.value.level, exc.value.views, exc.value.cap) == (2, None, None, 35)
 
 
-def test_only_a_component_past_the_cap_alone_is_enumerated(monkeypatch):
-    depths = []
-    real = powerview.close_component
-    monkeypatch.setattr(
-        powerview, "close_component", lambda seeds, depth, *rest: depths.append(depth) or real(seeds, depth, *rest)
-    )
+def test_a_fixpoint_listing_past_its_cap_is_counted_and_never_enumerated(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a fixpoint listing ran the level enumerator")
+
+    monkeypatch.setattr(powerview, "close_component", refuse)
     swap, a = make_instance({"r": [(1, 2), (2, 1)]}), make_instance({"r": [(1, 2), (2, 3), (3, 1)]})
     with pytest.raises(ViewBudgetExceeded) as exc:
         power_view(disjoint_union(swap, a), None, 3, cap=500)
-    assert (exc.value.component, exc.value.level, exc.value.views) == (2, 3, 501)
-    assert depths == [501]  # swap's closure is never listed
+    assert (exc.value.component, exc.value.level, exc.value.views) == (2, None, None)
 
 
 def test_the_pair_limit_stops_a_wide_unary_listing_at_once():
-    """17 values at arity 1: 2^17 - 1 views pass the cap, and naming the
-    level used to visit 30.9 million pairs of unions first."""
+    """16 and 17 values at arity 1: at fixpoint the second component's
+    2^17 - 1 views are counted past the cap; at depth 4 the first component's
+    level 4 is charged its unions before any is visited and passes the pair
+    limit, where visiting them used to take seconds."""
     wide = disjoint_union(
         make_instance({"s": [(i,) for i in range(16)]}), make_instance({"r": [(i,) for i in range(100, 117)]})
     )
-    start = time.perf_counter()
     with pytest.raises(ViewBudgetExceeded) as exc:
         power_view(wide, None, 1)
-    assert time.perf_counter() - start < 1
+    assert (exc.value.component, exc.value.level, exc.value.pairs) == (2, None, None)
+    start = time.perf_counter()
+    with pytest.raises(ViewBudgetExceeded) as exc:
+        power_view(wide, 4, 1)
+    assert time.perf_counter() - start < 0.5
     err = exc.value
-    assert (err.component, err.level, err.views, err.cap) == (2, 4, None, 100_000)
+    # through level 3: the seed and the sets of 1 to 4 of its 16 values; at
+    # arity 1 a pair of them is a union, charged once, and no product fits
+    operands = 1 + sum(math.comb(16, k) for k in range(1, 5))
+    assert (err.component, err.level, err.views, err.cap, err.pairs) == (1, 4, None, 100_000, math.comb(operands, 2))
     assert err.pairs > powerview.PAIRS_PER_VIEW * err.cap
-    assert str(err) == f"view enumeration exceeded cap of 100000 (component 2, level 4, {err.pairs} pairs)"
+    assert str(err) == f"view enumeration exceeded cap of 100000 (component 1, level 4, {err.pairs} pairs)"
 
 
 def test_a_closure_within_the_pair_limit_is_the_unlimited_closure(monkeypatch):
@@ -334,13 +347,14 @@ def test_a_closure_within_the_pair_limit_is_the_unlimited_closure(monkeypatch):
     assert stopped >= 3
 
 
-def test_the_closure_memos_hold_at_most_memo_entries(monkeypatch):
-    monkeypatch.setattr(powerview, "_PV_CACHE", {})
+def test_the_closure_memos_hold_at_most_memo_entries():
+    memo = powerview._power_view_memo
+    memo.cache_clear()
     seeds = lambda k: frozenset({(k, k + 1)})  # a seed set no other k shares
     first = weakref.ref(power_view_cached(make_instance({"r": seeds(0)}), 2, 2))
     for k in range(1, 2 * MEMO_ENTRIES):
         power_view_cached(make_instance({"r": seeds(k)}), 2, 2)
-        assert len(powerview._PV_CACHE) <= MEMO_ENTRIES
+        assert memo.cache_info().currsize <= MEMO_ENTRIES
     gc.collect()
     assert first() is None  # no memo keeps the first closure
 
@@ -517,7 +531,7 @@ def test_closure_comparison_agrees_with_the_sorted_form():
 def test_a_bounded_iso_refuted_by_the_seeds_builds_one_closure(monkeypatch):
     built = []
     real = powerview.power_view
-    monkeypatch.setattr(powerview, "_PV_CACHE", {})
+    powerview._power_view_memo.cache_clear()
     monkeypatch.setattr(powerview, "power_view", lambda inst, *args: built.append(inst) or real(inst, *args))
     swap, one = make_instance({"r": [(1, 2), (2, 1)]}), make_instance({"r": [(1, 2)]})
     # a union is two levels deep: at depth 1 swap's relation is not among one's views

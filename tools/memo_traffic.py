@@ -3,9 +3,7 @@
     python3 tools/memo_traffic.py [SEED]
 
 Run it at the root of the repository.  A memo is a ``functools`` cache
-defined in a ``dbcat`` module, or ``powerview._PV_CACHE``, which keeps
-no counts: the tool wraps ``powerview.power_view_cached`` in this process and
-counts a call whose key the memo holds as a hit.  Three traffics run here:
+defined in a ``dbcat`` module, read by its ``cache_info``.  Three traffics run here:
 ``cli``, the benchmark's 20 golden commands (``CLI_COMMANDS`` at both bounds)
 through ``dbcat.cli.main``, every memo cleared before each, and ``joins`` and
 ``closures``, two passes of each of those workloads (seed 4242 unless given)
@@ -28,23 +26,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
 import dbcat  # noqa: E402
-from dbcat import powerview  # noqa: E402
 from dbcat.cli import main as cli_main  # noqa: E402
-
-PV_CACHE = "powerview._PV_CACHE"
-
-
-class Counted:
-    """``power_view_cached`` counting its calls, and as hits those whose key is stored."""
-
-    def __init__(self, fn):
-        self.fn, self.hits, self.calls = fn, 0, 0
-
-    def __call__(self, inst, depth, max_arity, cap=powerview.DEFAULT_CAP):
-        self.calls += 1
-        self.hits += (inst, depth, max_arity, cap) in powerview._PV_CACHE
-        return self.fn(inst, depth, max_arity, cap)
-
 
 def memos() -> dict:
     """Each functools memo of the dbcat modules, by qualified name."""
@@ -53,17 +35,14 @@ def memos() -> dict:
             if hasattr(fn, "cache_info") and fn.__module__ == name}
 
 
-def clear(pv: Counted):
+def clear():
     for fn in memos().values():
         fn.cache_clear()
-    powerview._PV_CACHE.clear()
-    pv.hits = pv.calls = 0
 
 
-def counts(pv: Counted) -> dict:
-    """(hits, calls, size) of every memo, *pv* counting ``_PV_CACHE``."""
-    out = {name: (i.hits, i.hits + i.misses, i.currsize) for name, fn in memos().items() for i in [fn.cache_info()]}
-    return {**out, PV_CACHE: (pv.hits, pv.calls, len(powerview._PV_CACHE))}
+def counts() -> dict:
+    """(hits, calls, size) of every memo."""
+    return {name: (i.hits, i.hits + i.misses, i.currsize) for name, fn in memos().items() for i in [fn.cache_info()]}
 
 
 class Bare:
@@ -80,24 +59,23 @@ class Bare:
 def main() -> int:
     for info in pkgutil.iter_modules(dbcat.__path__):
         importlib.import_module(f"dbcat.{info.name}")
-    pv = powerview.power_view_cached = Counted(powerview.power_view_cached)
     cli: dict = {}
     for command, workspace, args in workloads.CLI_COMMANDS:
         for bound in workloads.CLI_BOUNDS:
-            clear(pv)
+            clear()
             with contextlib.redirect_stdout(io.StringIO()):
                 cli_main(workloads.cli_argv(command, workspace, args, bound))
-            for name, (hits, calls, size) in counts(pv).items():
+            for name, (hits, calls, size) in counts().items():
                 h, c, s = cli.get(name, (0, 0, 0))
                 cli[name] = (h + hits, c + calls, max(s, size))
     tables = {"cli": cli}
     for traffic in ("joins", "closures"):
         setup, inputs, run = workloads.WORKLOADS[traffic]
         state = setup(int(sys.argv[1]) if len(sys.argv) > 1 else 4242)
-        clear(pv)
+        clear()
         for index in range(2):
             run(Bare(), state, inputs(state, index))
-        tables[traffic] = counts(pv)
+        tables[traffic] = counts()
     for traffic, table in tables.items():
         for name, (hits, calls, size) in sorted(table.items()):
             print(f"{traffic:<10}{name:<32}{f'{hits}/{calls}':>12}{size:>8}")
