@@ -5,11 +5,12 @@ the operands under independent query engines (queries may not mix them),
 federation puts them under one.  A term is its normal form, built once by
 :func:`sep` and :func:`fed`: the ordered groups of atomic schemas that share
 one engine, empty groups kept.  ``==`` compares the groups in order;
-:func:`schema_identity` compares them up to order and ignores empty groups.
-Under it both operators are associative and commutative, federation
-distributes over separation and the empty schema is a unit of each; but it
-is no congruence once the empty schema is involved: ``sep(empty, A)`` is
-identical to ``A``, while ``fed(A, sep(empty, A))`` is not to ``fed(A, A)``.
+:func:`schema_identity` compares them up to order, empty groups included:
+it is equality in the semiring N[schemas], ``sep`` its sum, ``fed`` its
+product and the empty schema its 1.  So both operators are associative and
+commutative, federation distributes over separation, the empty schema is
+the unit of federation only (``sep(empty, A)`` is ``1 + A``), and identity
+is a congruence.
 
 A mapping graph holds view-based mappings between terms, each once; their
 composites are arrows of Sch(G), whose sketch :mod:`dbcat.sketch` builds.
@@ -93,9 +94,9 @@ def fed(a, b) -> SchemaTerm:
 
 
 def schema_identity(a: SchemaTerm, b: SchemaTerm) -> bool:
-    """Term equality in the two-monoid algebra: the same nonempty groups up to
-    order, each compared as the sorted (name, relation symbols) of its leaves."""
-    left, right = (sorted(sorted((s.name, s.relsymbols) for s in g) for g in _groups(t) if g) for t in (a, b))
+    """Term equality in N[schemas]: the same groups up to order, empty ones
+    included, each compared as the sorted (name, relation symbols) of its leaves."""
+    left, right = (sorted(sorted((s.name, s.relsymbols) for s in g) for g in _groups(t)) for t in (a, b))
     return left == right
 
 

@@ -34,9 +34,12 @@ SC = Schema("C", (("t", 1), ("w", 2)))
 def test_monoid_laws():
     for op in (sep, fed):
         assert schema_identity(op(op(SA, SB), SC), op(SA, op(SB, SC)))
-        assert schema_identity(op(SA, EMPTY_SCHEMA), SA)
-        assert schema_identity(op(EMPTY_SCHEMA, SA), SA)
         assert schema_identity(op(SA, SB), op(SB, SA))
+    # the empty schema is 1 in N[schemas]: fed's unit, while sep(A, empty) is A + 1
+    assert schema_identity(fed(SA, EMPTY_SCHEMA), SA)
+    assert schema_identity(fed(EMPTY_SCHEMA, SA), SA)
+    assert not schema_identity(sep(SA, EMPTY_SCHEMA), SA)
+    assert not schema_identity(sep(EMPTY_SCHEMA, SA), SA)
 
 
 def test_distribution_of_federation_over_separation():
@@ -55,7 +58,7 @@ def test_exhaustive_small_terms():
     atoms = [SAtom(SA), SAtom(SB), SAtom(SC), EMPTY_SCHEMA]
     terms1 = [op(x, y) for op in (sep, fed) for x in atoms for y in atoms]
     for t in terms1:
-        assert schema_identity(sep(t, EMPTY_SCHEMA), t)
+        assert not schema_identity(sep(t, EMPTY_SCHEMA), t)
         assert schema_identity(fed(t, EMPTY_SCHEMA), t)
     for op in (sep, fed):
         for x, y, z in itertools.product(atoms, atoms, atoms):
