@@ -1,7 +1,11 @@
+import ast
 import gc
 import itertools
 import math
+import os
+import pathlib
 import random
+import subprocess
 import sys
 import time
 import weakref
@@ -345,6 +349,42 @@ def test_a_closure_within_the_pair_limit_is_the_unlimited_closure(monkeypatch):
         else:
             assert limited == unlimited, (seeds, depth, m, cap)
     assert stopped >= 3
+
+
+STRING_SWEEP = """
+import random
+from dbcat.core import make_instance
+from dbcat.powerview import ViewBudgetExceeded, power_view
+rng, values, readings = random.Random(68), [f"v{i}" for i in range(6)], []
+for _ in range(300):
+    rels = {}
+    for name in "rst"[: rng.randint(1, 3)]:
+        arity = rng.randint(1, 2)
+        rels[name] = [tuple(rng.choice(values) for _ in range(arity)) for _ in range(rng.randint(1, 3))]
+    try:
+        readings.append(len(power_view(make_instance(rels), 6, 2, rng.randint(5, 300)).extensions()))
+    except ViewBudgetExceeded as exc:
+        readings.append((exc.level, exc.views, exc.pairs))
+print(readings)
+"""
+
+
+def test_bounded_budget_errors_do_not_follow_string_hashing():
+    """300 closures of 1-3 relations over string values, at depth 6 and caps
+    5-300, read alike under two hash seeds: a level is charged its pairs
+    before any view is visited, so neither the error's kind nor its counts
+    follow the order in which sets of strings are iterated."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    procs = [
+        subprocess.Popen([sys.executable, "-c", STRING_SWEEP], stdout=subprocess.PIPE, text=True,
+                         env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed))
+        for seed in ("0", "1")
+    ]
+    (first, _), (second, _) = (proc.communicate(timeout=60) for proc in procs)
+    assert [proc.returncode for proc in procs] == [0, 0]
+    readings = ast.literal_eval(first)
+    assert len(readings) == 300 and sum(isinstance(r, tuple) for r in readings) > 200
+    assert readings == ast.literal_eval(second)
 
 
 def test_the_closure_memos_hold_at_most_memo_entries():
