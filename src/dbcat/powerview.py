@@ -39,12 +39,11 @@ PAIRS_PER_VIEW = 5  # a bounded closure's limit on pairs visited, per view of it
 class ViewBudgetExceeded(DbcatError):
     """A listing or a bounded closure holds more views than the cap allows.
 
-    ``views`` is the count of views a bounded closure reached, its seeds
-    included, or None from a listing's count (:func:`spend`) or the pair
-    limit; ``pairs`` is the pairs charged past that limit, else None.
-    ``cap`` is the cap passed, ``level`` the closure level a bounded closure
-    stopped at, and ``component`` the component id or flux channel ``(s, t)``
-    as the text ``s->t``.
+    ``views`` is the count a bounded closure reached, seeds included, or None
+    from a listing's count (:func:`spend`) or the pair limit; ``pairs`` is
+    the pairs charged past that limit, else None.  ``cap`` is the cap passed,
+    ``level`` the closure level it stopped at, and ``component`` the
+    component id or flux channel ``(s, t)`` as the text ``s->t``.
     """
 
     def __init__(self, cap, views, level=None, component=None, pairs=None):
@@ -270,11 +269,10 @@ def close_component(seeds, depth, max_arity, cap):
 
     Returns (views, reached_fixpoint), *views* a frozenset of the nonempty
     extensions.  It raises :class:`ViewBudgetExceeded` once it holds more
-    than *cap* views, seeds included, as a listing counts them, or when a
-    level's unions and products, charged from its operands' arities before
-    any of its views is visited, take the pairs past ``PAIRS_PER_VIEW * cap``.
-    A level's operands come from earlier levels, so the views it adds, its
-    charge and so which limit it passes do not depend on visit order.
+    than *cap* views, seeds included, or when a level's unions and products,
+    charged by arity before any of its views is visited, take the pairs past
+    ``PAIRS_PER_VIEW * cap``.  A level's operands come from earlier levels,
+    so its views, its charge and the limit it passes ignore visit order.
     """
     views = set(seeds)
     by_arity: dict = {}  # arity -> operands visited so far, earlier levels first
@@ -337,11 +335,9 @@ def close_component(seeds, depth, max_arity, cap):
 
 def close_seed_sets(pairs, depth, max_arity, cap):
     """The closures of the components of a view set or the channels of an
-    arrow, *pairs* the (key, extension) pairs whose nonempty extensions,
-    no wider than *max_arity*, are each key's seeds: the (key, closure)
-    pairs in key order, and whether all are fixpoints.  At fixpoint
-    (*depth* None) a closure is its :class:`ClosedForm`, neither listed nor
-    counted; a bounded closure's budget error names the key."""
+    arrow, each key's seeds the nonempty extensions (no wider than
+    *max_arity*) of the (key, extension) *pairs*: the (key, closure) pairs in
+    key order, and whether all are fixpoints.  A budget error names the key."""
     groups: dict = {}
     for key, ext in pairs:
         if ext:
@@ -360,10 +356,9 @@ def close_seed_sets(pairs, depth, max_arity, cap):
 
 
 def spend(parts, cap) -> None:
-    """Charge a listing against *cap*: every nonempty view of each keyed
-    closure ``(*key, closure)``, seeds included, once, under one running
-    budget; a :class:`ClosedForm` is counted, never listed.  Raises
-    :class:`ViewBudgetExceeded` naming the first key past the budget."""
+    """Charge every nonempty view of the keyed closures ``(*key, closure)``,
+    seeds included, to one budget of *cap*, a :class:`ClosedForm` counted and
+    never listed; a :class:`ViewBudgetExceeded` names the first key past it."""
     left = cap
     for *key, views in parts:
         n = views.count_within(left) if isinstance(views, ClosedForm) else len(views)
@@ -393,9 +388,8 @@ def power_view(
     max_arity: int = DEFAULT_MAX_ARITY,
     cap: int = DEFAULT_CAP,
 ) -> ViewSet:
-    """:func:`view_closure`, to be listed: its views, summed over all
-    components, :func:`spend` *cap*.  A fixpoint closure is counted and
-    never enumerated; a bounded one stops at the level that passes *cap*."""
+    """:func:`view_closure`, to be listed: its views over all components
+    :func:`spend` *cap*, a fixpoint closure counted and never enumerated."""
     vs = _closed(inst, depth, max_arity, cap)
     spend(vs.components, cap)
     return vs
@@ -403,7 +397,8 @@ def power_view(
 
 def power_view_cached(inst, depth, max_arity, cap=DEFAULT_CAP) -> ViewSet:
     """:func:`power_view`, memoised per argument tuple in an ``lru_cache`` of
-    ``MEMO_ENTRIES`` closures: a hit returns the stored object itself."""
+    ``MEMO_ENTRIES`` closures: a hit returns the stored object itself.  It
+    stays a plain function, so a tracer that wraps it sees every call."""
     return _power_view_memo(inst, depth, max_arity, cap)
 
 

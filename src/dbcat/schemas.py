@@ -6,11 +6,10 @@ federation puts them under one.  A term is its normal form, built once by
 :func:`sep` and :func:`fed`: the ordered groups of atomic schemas that share
 one engine, empty groups kept.  ``==`` compares the groups in order;
 :func:`schema_identity` compares them up to order, empty groups included:
-it is equality in the semiring N[schemas], ``sep`` its sum, ``fed`` its
-product and the empty schema its 1.  So both operators are associative and
-commutative, federation distributes over separation, the empty schema is
-the unit of federation only (``sep(empty, A)`` is ``1 + A``), and identity
-is a congruence.
+equality in the semiring N[schemas], ``sep`` its sum, ``fed`` its product and
+the empty schema its 1.  So both operators are associative and commutative,
+federation distributes over separation, and identity is a congruence; but
+``empty`` is the unit of federation only (``sep(empty, A)`` is ``1 + A``).
 
 A mapping graph holds view-based mappings between terms, each once; their
 composites are arrows of Sch(G), whose sketch :mod:`dbcat.sketch` builds.
