@@ -303,8 +303,8 @@ def test_a_fixpoint_listing_past_its_cap_is_counted_and_never_enumerated(monkeyp
 def test_the_pair_limit_stops_a_wide_unary_listing_at_once():
     """16 and 17 values at arity 1: at fixpoint the second component's
     2^17 - 1 views are counted past the cap; at depth 4 the first component's
-    level 4 is charged its unions before any is visited and passes the pair
-    limit, where visiting them used to take seconds."""
+    level 4 is charged its unions, and passes the pair limit, before any of
+    them is visited."""
     wide = disjoint_union(
         make_instance({"s": [(i,) for i in range(16)]}), make_instance({"r": [(i,) for i in range(100, 117)]})
     )
