@@ -19,6 +19,9 @@ from __future__ import annotations
 from functools import cached_property
 
 from .core import (
+    DEFAULT_CAP,
+    DEFAULT_DEPTH,
+    DEFAULT_MAX_ARITY,
     Verdicts,
     disjoint_union,
     disjoint_union_with_maps,
@@ -28,9 +31,6 @@ from .core import (
     tuple_key,
 )
 from .powerview import (
-    DEFAULT_CAP,
-    DEFAULT_DEPTH,
-    DEFAULT_MAX_ARITY,
     EMPTY_EXT,
     canonical_form,
     close_seed_sets,
@@ -287,12 +287,12 @@ def pairing(f: Morphism, g: Morphism) -> Morphism:
 class Flux(Record):
     """What a morphism transmits: per-channel closed sets of view extensions.
 
-    A channel pairs a source component with a target component.  The empty
-    view flows through every morphism and stays implicit.
+    A channel pairs a source component with a target component; the flux
+    is its channels ``(source, target, closure)`` alone.  The empty view
+    flows through every morphism and stays implicit.
     """
 
     channels: tuple
-    fixpoint: bool
 
     def extensions(self) -> frozenset:
         return frozenset({EMPTY_EXT}.union(*(exts for _, _, exts in self.channels)))
@@ -333,8 +333,8 @@ def flux(
 def _flux(m: Morphism, depth, width: int, cap) -> Flux:  # width already raised over m
     kind = m.parts[0]
     if kind == "atomic":
-        channels, fix = close_seed_sets(m._views, depth, width, cap)
-        return Flux(tuple((s, t, closed) for (s, t), closed in channels), fix)
+        channels, _ = close_seed_sets(m._views, depth, width, cap)
+        return Flux(tuple((s, t, closed) for (s, t), closed in channels))
     if kind == "compose":
         g, f = m.parts[1], m.parts[2]
         return flux_intersection(
@@ -342,13 +342,12 @@ def _flux(m: Morphism, depth, width: int, cap) -> Flux:  # width already raised 
         )
     if kind != "sum":
         raise DbcatError(f"unknown morphism structure {kind!r}")
-    chans, fix = [], True
+    chans = []
     for h, scomps, tcomps, *_ in m.parts[1:]:
         fh = _flux(h, depth, width, cap)
         smap, tmap = dict(scomps), dict(tcomps)
         chans.extend((smap.get(s, s), tmap.get(t, t), exts) for s, t, exts in fh.channels)
-        fix = fix and fh.fixpoint
-    return Flux(tuple(sorted(chans)), fix)
+    return Flux(tuple(sorted(chans)))
 
 
 def flux_intersection(a: Flux, b: Flux) -> Flux:
@@ -361,7 +360,7 @@ def flux_intersection(a: Flux, b: Flux) -> Flux:
                 if shared:
                     key = s1, t2
                     merged[key] = merged[key] | shared if key in merged else shared
-    return Flux(tuple(sorted((s, t, e) for (s, t), e in merged.items())), a.fixpoint and b.fixpoint)
+    return Flux(tuple(sorted((s, t, e) for (s, t), e in merged.items())))
 
 
 def equivalent(f: Morphism, g: Morphism) -> bool:

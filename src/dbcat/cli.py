@@ -112,8 +112,7 @@ def run(command: str, args, ws: Workspace, depth, max_arity, cap) -> Verdicts:
             lines.append((f"eval {args[0]}", False, str(exc)))
     elif command == "powerview":
         vs = powerview.power_view(ws.lookup("instance", args[0])[1], depth, max_arity, cap)
-        for comp, views in vs.serialize():
-            lines.append((f"powerview {args[0]} c{comp}", True, " ".join(views)))
+        lines += _listed(f"powerview {args[0]}", vs.serialize())
         closure = "fixpoint" if vs.fixpoint else f"bounded at depth {vs.depth}"
         lines.append((f"powerview {args[0]} closure", True, closure))
     elif command == "iso":
@@ -124,8 +123,7 @@ def run(command: str, args, ws: Workspace, depth, max_arity, cap) -> Verdicts:
         try:
             m = _mapping_morphism(ws, args[0], args[1], args[2])
             fx = category.flux(m, depth, max_arity, cap)
-            for s, t, views in fx.serialize(cap):
-                lines.append((f"flux {args[0]} c{s}->c{t}", True, " ".join(views)))
+            lines += _listed(f"flux {args[0]}", fx.serialize(cap))
         except category.ModeViolation as exc:
             lines.append((f"flux {args[0]}", False, str(exc)))
     elif command == "compose":
@@ -135,8 +133,7 @@ def run(command: str, args, ws: Workspace, depth, max_arity, cap) -> Verdicts:
             h = category.compose(g, f)
             lines.append((f"compose {args[1]}.{args[0]} kind", True, h.kind))
             fx = category.flux(h, depth, max_arity, cap)
-            for s, t, views in fx.serialize(cap):
-                lines.append((f"compose {args[1]}.{args[0]} flux c{s}->c{t}", True, " ".join(views)))
+            lines += _listed(f"compose {args[1]}.{args[0]} flux", fx.serialize(cap))
         except category.ModeViolation as exc:
             lines.append((f"compose {args[1]}.{args[0]}", False, str(exc)))
     elif command == "laws":
@@ -158,6 +155,11 @@ def run(command: str, args, ws: Workspace, depth, max_arity, cap) -> Verdicts:
         lines += [(f"duality {cid}", ok, detail) for cid, ok, detail in report.checks]
         lines.append(("duality note", True, category.SET_COUNTEREXAMPLE_NOTE))
     return Verdicts(tuple(lines))
+
+
+def _listed(prefix: str, parts) -> list:
+    """One PASS line per reported part ``(*key, views)`` of a listing, its key written ``c0`` or ``c0->c1``."""
+    return [(f"{prefix} {'->'.join(f'c{k}' for k in key)}", True, " ".join(views)) for *key, views in parts]
 
 
 def _law_suite(ws: Workspace):

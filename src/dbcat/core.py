@@ -130,21 +130,18 @@ def make_instance(
 ) -> Instance:
     """Build an instance from literal tuple data.
 
-    Arities are inferred from the tuples; relations with no tuples need an
-    entry in *arities*.
+    A relation's arity is its entry in *arities*, else inferred from its
+    tuples, so a relation with no tuples needs an entry.  *partition* maps
+    relation names to components; a relation it leaves out is in component 0.
     """
-    relations = []
+    arities, relations = arities or {}, []
     for name, tuples in rels.items():
         tuples = frozenset(tuple(t) for t in tuples)
-        if tuples:
-            arity = len(next(iter(tuples)))
-        elif arities and name in arities:
-            arity = arities[name]
-        else:
+        if not tuples and name not in arities:
             raise ArityError(f"empty relation {name!r} needs an explicit arity")
+        arity = arities[name] if name in arities else len(next(iter(tuples)))
         relations.append(Relation(name, arity, tuples))
-    part = {name: (partition or {}).get(name, 0) for name in rels}
-    return Instance(tuple(relations), tuple(part.items()))
+    return Instance(tuple(relations), tuple({**dict.fromkeys(rels, 0), **(partition or {})}.items()))
 
 
 def bottom_instance() -> Instance:

@@ -6,7 +6,7 @@ applies one more operator to everything accumulated so far.  Views are
 identified purely by their extension (the set of tuples), so two queries with
 the same answer contribute one view, and a closure is a set of extensions.
 Enumeration is bounded by a level count and a result-arity limit; when a level
-adds nothing new the closure is exact and the result is flagged as a fixpoint.
+adds nothing new the closure is exact and the view set is flagged as a fixpoint.
 An unbounded closure, every nonempty subset of D^k for each arity k up to the
 bound (D the component's active domain) plus ``{()}`` when a seed holds it,
 is kept as that description (:class:`ClosedForm`), which verdicts compare and
@@ -28,7 +28,7 @@ import itertools
 import sys
 from operator import add, eq, itemgetter, or_
 
-from .core import DEFAULT_CAP, DEFAULT_DEPTH, DEFAULT_MAX_ARITY  # re-exported
+from .core import DEFAULT_CAP, DEFAULT_DEPTH, DEFAULT_MAX_ARITY
 from .core import SetKey, bottom_instance, ext_key, federate, format_closure, value_key
 from .values import MEMO_ENTRIES, DbcatError, Instance, Record, Relation, seed_pair
 
@@ -60,11 +60,12 @@ class ViewSet(Record):
 
     ``components`` maps component id -> its nonempty extensions, a frozenset
     or, at fixpoint, a :class:`ClosedForm`; the empty view belongs to every
-    view set and is kept implicit.
+    view set and is kept implicit.  ``depth`` is the level bound asked for,
+    None for none.
     """
 
     components: tuple
-    depth: int
+    depth: int | None
     max_arity: int
     fixpoint: bool
 
@@ -169,17 +170,16 @@ class ClosedForm:
     key drops empty and non-maximal domains and trailing empty arities, so
     descriptions are equal exactly when their views are, and equal only
     descriptions.  ``&`` and ``|`` of two, ``in``, ``len`` and ``bool`` read
-    the key; iterating lists the views once and keeps them, and ``-`` a set
-    gives a frozenset of that listing."""
+    the key; iterating lists the views afresh, and ``-`` a set gives a
+    frozenset of that listing."""
 
-    __slots__ = ("key", "_listing")
+    __slots__ = ("key",)
 
     def __init__(self, blocks, nullary: bool):
         antichains = [frozenset(d for d in doms if d and not any(d < e for e in doms)) for doms in blocks]
         while antichains and not antichains[-1]:
             antichains.pop()
         self.key = (bool(nullary), tuple(antichains))
-        self._listing = None
 
     @classmethod
     def of_seeds(cls, seeds, max_arity: int):
@@ -187,7 +187,6 @@ class ClosedForm:
         domain, nullary = seed_pair(seeds)
         form = cls.__new__(cls)
         form.key = (nullary, (frozenset({domain}),) * max_arity if domain else ())
-        form._listing = None
         return form
 
     def __eq__(self, other) -> bool:
@@ -238,15 +237,13 @@ class ClosedForm:
         return nullary, tuple(sorted(tuple(sorted(map(value_key, d))) for d in doms) for doms in blocks)
 
     def listing(self) -> frozenset:
-        """Every view, as a frozenset of extensions, made on first use and kept."""
-        if self._listing is None:
-            nullary, blocks = self.key
-            views = {frozenset({()})} if nullary else set()
-            for k, doms in enumerate(blocks, 1):
-                for rows in (list(itertools.product(d, repeat=k)) for d in doms):
-                    views.update(*(map(frozenset, itertools.combinations(rows, n)) for n in range(1, len(rows) + 1)))
-            self._listing = frozenset(views)
-        return self._listing
+        """Every view, as a frozenset of extensions, made on each call and not kept."""
+        nullary, blocks = self.key
+        views = {frozenset({()})} if nullary else set()
+        for k, doms in enumerate(blocks, 1):
+            for rows in (list(itertools.product(d, repeat=k)) for d in doms):
+                views.update(*(map(frozenset, itertools.combinations(rows, n)) for n in range(1, len(rows) + 1)))
+        return frozenset(views)
 
     def __iter__(self):
         return iter(self.listing())
@@ -372,7 +369,7 @@ def _closed(inst, depth, max_arity, cap) -> ViewSet:
     max_arity = max(max_arity, inst.max_arity())
     pairs = ((inst.component_of(r.name), r.tuples) for r in inst.relations)
     components, fixpoint = close_seed_sets(pairs, depth, max_arity, cap)
-    return ViewSet(tuple(components), -1 if depth is None else depth, max_arity, fixpoint)
+    return ViewSet(tuple(components), depth, max_arity, fixpoint)
 
 
 def view_closure(inst, depth=None, max_arity=DEFAULT_MAX_ARITY) -> ViewSet:

@@ -146,7 +146,7 @@ def test_flux_composition_law_for_atomic_factors():
 def test_flux_canonical_form_is_exact_above_five_components():
     def channels(pairs):
         return Flux(
-            tuple((s, t, frozenset({frozenset({(k,)})})) for s, t, k in pairs), fixpoint=True
+            tuple((s, t, frozenset({frozenset({(k,)})})) for s, t, k in pairs)
         )
 
     for n in (5, 6):
@@ -161,7 +161,7 @@ def test_flux_canonical_form_splits_disconnected_parts():
     one = frozenset({frozenset({(1,)})})
 
     def channels(pairs, ext=one):
-        return Flux(tuple((s, t, ext) for s, t in pairs), fixpoint=True)
+        return Flux(tuple((s, t, ext) for s, t in pairs))
 
     n = 50  # one colour class of n sources: factorial without the split
     base = channels((s, s) for s in range(n))
@@ -193,8 +193,8 @@ def test_flux_same_agrees_with_a_search_over_relabellings():
                 moved[s, t] = rng.choice(pool)
             else:
                 moved.setdefault((rng.choice(srcs), rng.choice(tgts)), e)
-        f = Flux(tuple((s, t, e) for (s, t), e in sorted(chans.items(), key=lambda c: c[0])), True)
-        g = Flux(tuple((s, t, e) for (s, t), e in sorted(moved.items(), key=lambda c: c[0])), True)
+        f = Flux(tuple((s, t, e) for (s, t), e in sorted(chans.items(), key=lambda c: c[0])))
+        g = Flux(tuple((s, t, e) for (s, t), e in sorted(moved.items(), key=lambda c: c[0])))
         want = brute_force_flux_same(f, g)
         verdicts[want] += 1
         assert f.same(g) == want and g.same(f) == want
@@ -393,10 +393,9 @@ def test_side_by_side_flux_is_the_retagged_factor_fluxes(build, f, g, sources, t
     want = []
     for h, smap, tmap in zip((f, g), smaps, tmaps):
         fh = flux(h, **FIX)
-        assert fh.fixpoint and fh.channels
+        assert fh.channels
         want.extend((smap.get(s, s), tmap.get(t, t), exts) for s, t, exts in fh.channels)
     fx = flux(m, **FIX)
-    assert fx.fixpoint
     assert fx.channels == tuple(sorted(want))
     assert {(s, t) for s, t, _ in fx.channels} == tags
     assert {s for s, _ in tags} <= {c for _, c in m.source.partition}
@@ -416,7 +415,7 @@ def test_empty_morphism_is_the_atomic_arrow_without_view_maps():
     assert e == make_atomic([], _A, _B)
     assert equivalent(e, make_atomic([], _A, _B))
     assert e.parts == ("atomic", ()) and e.kind == "c-arrow" and e.d0() == e.d1() == frozenset()
-    assert flux(e, **FIX) == Flux((), True)
+    assert flux(e, **FIX) == Flux(())
     # no name stands for ⊥: a relation the user calls _bot is an end like any other
     s0 = make_instance({"_bot": [(1,), (2,)]})
     assert identity(s0).d0() == identity(s0).d1() == {"_bot"}

@@ -6,6 +6,7 @@ import itertools
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -469,6 +470,19 @@ def test_fixpoint_reports_count_their_channels_before_listing(args, capsys):
     # a listed closure past the cap is counted as a channel is, never enumerated
     assert main(["powerview", "A0", "-i", str(DATA / "demo.dbc"), "--depth", "-1"]) == 2
     assert capsys.readouterr() == ("", "dbcat: view enumeration exceeded cap of 100000 (component 0)\n")
+
+
+@pytest.mark.parametrize("args", [["powerview", "A0"], ["flux", "M", "A0", "B0"], ["compose", "M", "N", "A0", "B0", "D0"]])
+def test_a_fixpoint_listing_lists_each_reported_part_once(args, monkeypatch, capsys):
+    """Each part of a fixpoint report, ``c0`` or ``c0->c1``, is listed by
+    one ``ClosedForm.listing`` call of its own, and no part is listed twice."""
+    calls = []
+    listing = powerview.ClosedForm.listing
+    monkeypatch.setattr(powerview.ClosedForm, "listing", lambda self: calls.append(self) or listing(self))
+    assert main([*args, "-i", str(DATA / "demo.dbc"), "--depth", "-1", "--arity", "2", "--format", "lines"]) == 0
+    ids = [line.split("\t")[0] for line in capsys.readouterr().out.splitlines()]
+    parts = [cid for cid in ids if re.fullmatch(r".* c\d+(->c\d+)?", cid)]
+    assert parts and len(calls) == len(set(map(id, calls))) == len(parts)
 
 
 def test_console_script_runs():

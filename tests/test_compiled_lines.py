@@ -1,3 +1,4 @@
+import ast
 import re
 import statistics
 import subprocess
@@ -17,10 +18,10 @@ def test_each_golden_command_gets_its_modules_and_their_lines():
     rows = [line.split(maxsplit=2) for line in proc.stdout.splitlines()]
     assert [row[0] for row in rows] == [
         "eval", "powerview", "iso", "flux", "compose", "laws", "check-model", "check-functor", "gamma-iso", "duality", "read",
-        "mean", "src",
+        "mean", "src", "statements",
     ]
     lines = {row[0]: int(row[1].replace(",", "")) for row in rows}
-    modules = {row[0]: row[2].split() for row in rows[:-2]}
+    modules = {row[0]: row[2].split() for row in rows[:-3]}
     files = {name: SRC / ("__init__.py" if name == "dbcat" else f"{name}.py") for name in modules["check-model"]}
     for command, names in modules.items():
         assert lines[command] == sum(files[name].read_bytes().count(b"\n") for name in names), command
@@ -29,6 +30,8 @@ def test_each_golden_command_gets_its_modules_and_their_lines():
     assert lines["mean"] == round(statistics.fmean(lines[c] for c in modules if c != "read"))
     wc = subprocess.run(["wc", "-l", *sorted(map(str, SRC.glob("*.py")))], capture_output=True, text=True, check=True)
     assert lines["src"] == int(wc.stdout.splitlines()[-1].split()[0])  # the "total" line
+    trees = [ast.parse(path.read_text()) for path in SRC.glob("*.py")]
+    assert lines["statements"] == sum(isinstance(node, ast.stmt) for tree in trees for node in ast.walk(tree))
 
 
 def test_memo_traffic_lists_every_memo_of_each_traffic():

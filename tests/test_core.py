@@ -70,6 +70,17 @@ def test_active_domain():
     assert active_domain(make_instance({"r": [("a", "a")]})) == {"a"}
 
 
+def test_make_instance_uses_the_partition_and_arities_it_is_given():
+    """A partition naming a relation that is not there and an arity that the
+    tuples do not have are refused, not dropped."""
+    with pytest.raises(DbcatError, match="partition must cover exactly the relation names"):
+        make_instance({"r": [(1,)]}, partition={"s": 1})
+    with pytest.raises(ArityError, match="does not match arity 3 of r"):
+        make_instance({"r": [(1, 2)]}, arities={"r": 3})
+    assert make_instance({"r": [(1,)], "s": [(2,)]}, partition={"s": 1}).partition == (("r", 0), ("s", 1))
+    assert make_instance({"r": []}, arities={"r": 2}).relation("r").arity == 2
+
+
 def test_relation_validates_tuples():
     with pytest.raises(ArityError):
         Relation("r", 2, frozenset({(1,)}))

@@ -10,11 +10,12 @@ module it loads.  One line per command gives the lines (as ``wc -l`` counts
 them) and the modules.  The ``read`` line gives them for reading the
 commands' workspaces as the benchmark's ``cli`` setup does: ``import
 dbcat.dsl``, then ``parse_workspace`` of each file.  The next line gives the
-mean over the commands, and the last the lines of every module, as ``wc -l
-src/dbcat/*.py`` totals them.
+mean over the commands, the next the lines of every module, as ``wc -l
+src/dbcat/*.py`` totals them, and the last the AST statements of every module.
 """
 from __future__ import annotations
 
+import ast
 import json
 import os
 import statistics
@@ -64,6 +65,9 @@ def main() -> int:
     print(f"{'mean':<14}{statistics.fmean(totals):>6,.0f}")
     src = sum(map(source_lines, (ROOT / "src" / "dbcat").glob("*.py")))
     print(f"{'src':<14}{src:>6,}")
+    statements = sum(isinstance(node, ast.stmt) for path in (ROOT / "src" / "dbcat").glob("*.py")
+                     for node in ast.walk(ast.parse(path.read_bytes())))
+    print(f"{'statements':<14}{statements:>6,}")
     return 0
 
 
