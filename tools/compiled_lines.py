@@ -63,10 +63,9 @@ def main() -> int:
     totals = [row(c, loaded_modules(COMMAND, cli_argv(c, ws, args, "bounded"))) for c, ws, args in CLI_COMMANDS]
     row("read", loaded_modules(READ, [f"{DATA}/{ws}.dbc" for ws in sorted({ws for _, ws, _ in CLI_COMMANDS})]))
     print(f"{'mean':<14}{statistics.fmean(totals):>6,.0f}")
-    src = sum(map(source_lines, (ROOT / "src" / "dbcat").glob("*.py")))
-    print(f"{'src':<14}{src:>6,}")
-    statements = sum(isinstance(node, ast.stmt) for path in (ROOT / "src" / "dbcat").glob("*.py")
-                     for node in ast.walk(ast.parse(path.read_bytes())))
+    paths = list((ROOT / "src" / "dbcat").glob("*.py"))
+    print(f"{'src':<14}{sum(map(source_lines, paths)):>6,}")
+    statements = sum(isinstance(node, ast.stmt) for path in paths for node in ast.walk(ast.parse(path.read_bytes())))
     print(f"{'statements':<14}{statements:>6,}")
     return 0
 
